@@ -595,30 +595,6 @@ fn bench_capture_overhead(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_full_transfer(c: &mut Criterion) {
-    let mut g = c.benchmark_group("end_to_end");
-    g.sample_size(10);
-    let scenario = Scenario {
-        wifi: WifiKind::Home,
-        carrier: Carrier::Att,
-        flow: FlowConfig::mp2(Coupling::Coupled),
-        size: 1 << 20,
-        period: DayPeriod::Night,
-        warmup: true,
-    };
-    g.throughput(Throughput::Bytes(1 << 20));
-    g.bench_function("mptcp_1mb_download_sim", |b| {
-        let mut seed = 0u64;
-        b.iter(|| {
-            seed += 1;
-            let m = run_measurement(&scenario, seed);
-            assert_eq!(m.bytes, 1 << 20);
-            m
-        })
-    });
-    g.finish();
-}
-
 /// Fleet scaling rows: wall-clock flows/sec and events/sec for a full
 /// mixed-population fleet run (build + drive + harvest) at N=100 and
 /// N=1000. Timed directly — one fleet run is far too coarse for
@@ -701,7 +677,6 @@ fn main() {
     bench_event_churn(&mut criterion);
     bench_wire(&mut criterion);
     bench_assembler(&mut criterion);
-    bench_full_transfer(&mut criterion);
     bench_capture_overhead(&mut criterion);
     let fleet_rows = bench_fleet_scale();
     write_summary(&criterion, &alloc_rows, &fleet_rows);

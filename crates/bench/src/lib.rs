@@ -6,7 +6,8 @@
 //!   iteration regenerates the artifact at quick scale and asserts its
 //!   shape checks still pass.
 //! - `engine` — micro-benchmarks of the hot paths: event queue, wire
-//!   encode/parse, reassembly, and a full simulated MPTCP transfer.
+//!   encode/parse, reassembly, and a full simulated MPTCP transfer with
+//!   capture taps off and on.
 //! - `ablations` — timed design-choice ablations (§3.1 knobs + substrate
 //!   substitutions).
 

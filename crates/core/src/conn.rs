@@ -215,6 +215,16 @@ impl Default for MptcpConfig {
     }
 }
 
+impl MptcpConfig {
+    /// This configuration with exact per-sample RTT and out-of-order delay
+    /// recording off (see [`TcpConfig::summaries_only`]).
+    pub fn summaries_only(mut self) -> Self {
+        self.tcp = self.tcp.summaries_only();
+        self.record_ofo_samples = false;
+        self
+    }
+}
+
 /// Role a subflow's hooks play in the MPTCP handshake.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum HsRole {
@@ -1046,6 +1056,15 @@ impl MptcpConnection {
             },
             fell_back: self.fell_back(),
         }
+    }
+
+    /// Payload bytes subflow `idx` has delivered to the receiver — one entry
+    /// of [`ConnStats::per_subflow_delivered`] without building the vector.
+    pub fn subflow_delivered(&self, idx: usize) -> u64 {
+        if self.fell_back() {
+            return if idx == 0 { self.subflows[0].sock.recv_offset() } else { 0 };
+        }
+        self.shared.borrow().flows.get(idx).map_or(0, |f| f.delivered_bytes)
     }
 
     /// Drain connection-level out-of-order delay samples (§3.3). Exact

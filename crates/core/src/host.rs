@@ -39,6 +39,21 @@ pub enum TransportSpec {
     Mptcp(MptcpConfig),
 }
 
+impl TransportSpec {
+    /// This transport with exact per-sample recording off (see
+    /// [`TcpConfig::summaries_only`]).
+    pub fn summaries_only(self) -> Self {
+        match self {
+            TransportSpec::Plain { tcp, cc, if_index } => TransportSpec::Plain {
+                tcp: tcp.summaries_only(),
+                cc,
+                if_index,
+            },
+            TransportSpec::Mptcp(cfg) => TransportSpec::Mptcp(cfg.summaries_only()),
+        }
+    }
+}
+
 /// A live transport: either an MPTCP connection or a plain TCP socket.
 // A handful of these exist per host (one per connection slot), so the
 // size spread between variants is not worth the indirection of boxing.
@@ -937,6 +952,7 @@ impl Host {
     /// point at a live slot, and the two warm-up ping maps (token →
     /// interface, token → send time) must track the same token set — they
     /// are always inserted and removed together.
+    #[cfg(any(debug_assertions, feature = "check-invariants"))]
     fn validate(&self) -> Result<(), String> {
         for (&(local, remote), &(slot, _)) in &self.demux {
             if slot >= self.slots.len() {

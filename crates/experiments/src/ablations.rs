@@ -2,9 +2,10 @@
 //! substrate substitutions DESIGN.md documents. Each ablation runs a small
 //! paired sweep and reports the effect size.
 
+use mpw_http::{StreamingClient, StreamingProfile, Wget};
 use mpw_link::{Carrier, DayPeriod, LossModel};
 use mpw_metrics::{Summary, Table};
-use mpw_mptcp::{Coupling, Scheduler};
+use mpw_mptcp::{Coupling, Host, MptcpConfig, Scheduler, TransportSpec};
 use mpw_sim::SimTime;
 use serde::Serialize;
 
@@ -84,14 +85,25 @@ pub fn ablate_ssthresh(reps: u64, seed: u64) -> AblationResult {
     )
 }
 
+/// Download time of `sc.size` bytes over `sc`'s paths with both ends
+/// running the MPTCP configuration `mp`.
+fn mp_download_secs(sc: &Scenario, seed: u64, mp: MptcpConfig, horizon_s: u64) -> Option<f64> {
+    let transport = TransportSpec::Mptcp(mp);
+    let spec = mp_testbed(sc, seed, &transport);
+    let wget = Box::new(Wget::new(sc.size, false));
+    let horizon = SimTime::from_secs(horizon_s);
+    let (_, _, flow) = Testbed::run_single(spec, transport, wget, horizon);
+    flow.download_time().map(|d| d.as_secs_f64())
+}
+
+/// `sc`'s two-path testbed with the server mirroring the client's transport.
+fn mp_testbed(sc: &Scenario, seed: u64, client: &TransportSpec) -> TestbedSpec {
+    TestbedSpec::two_path(seed, sc.wifi.spec(sc.period), sc.carrier.preset()).mirroring(client)
+}
+
 fn run_ssthresh_infinite(size: u64, reps: u64, seed: u64) -> Vec<f64> {
-    use mpw_http::Wget;
-    use mpw_mptcp::{Host, MptcpConfig, TransportSpec};
     (0..reps)
         .filter_map(|i| {
-            let sc = base_scenario(size);
-            let wifi = sc.wifi.spec(sc.period);
-            let mut spec = TestbedSpec::two_path(seed + i * 101, wifi, sc.carrier.preset());
             let mp = MptcpConfig {
                 cc: mpw_tcp::CcConfig {
                     initial_ssthresh: usize::MAX,
@@ -99,22 +111,7 @@ fn run_ssthresh_infinite(size: u64, reps: u64, seed: u64) -> Vec<f64> {
                 },
                 ..MptcpConfig::default()
             };
-            spec.server_mptcp = MptcpConfig {
-                max_subflows: 8,
-                ..mp.clone()
-            };
-            let mut tb = Testbed::build(spec);
-            let slot = tb.download(
-                TransportSpec::Mptcp(mp),
-                size,
-                SimTime::from_millis(100),
-                true,
-            );
-            tb.world.run_until(SimTime::from_secs(400));
-            let host = tb.world.agent_mut::<Host>(tb.client).expect("client");
-            host.app::<Wget>(slot)
-                .and_then(|w| w.result.download_time())
-                .map(|d| d.as_secs_f64())
+            mp_download_secs(&base_scenario(size), seed + i * 101, mp, 400)
         })
         .collect()
 }
@@ -122,32 +119,17 @@ fn run_ssthresh_infinite(size: u64, reps: u64, seed: u64) -> Vec<f64> {
 /// §3.1 "no subflow penalty": the v0.86 penalization mechanism the paper
 /// removed. We re-enable it and measure the cost.
 pub fn ablate_penalization(reps: u64, seed: u64) -> AblationResult {
-    use mpw_http::Wget;
-    use mpw_mptcp::{Host, MptcpConfig, TransportSpec};
-    let size = sizes::S8M;
     let run = |penalization: bool, i: u64| -> Option<f64> {
-        let mut sc = base_scenario(size);
+        let mut sc = base_scenario(sizes::S8M);
         // Penalization only acts under shared-receive-window pressure, so
         // pair a heterogeneous path (Sprint 3G) with a modest buffer.
         sc.carrier = Carrier::Sprint;
-        let wifi = sc.wifi.spec(sc.period);
-        let mut spec = TestbedSpec::two_path(seed + i * 101, wifi, sc.carrier.preset());
         let mp = MptcpConfig {
             penalization,
             recv_buffer: 384 << 10,
             ..MptcpConfig::default()
         };
-        spec.server_mptcp = MptcpConfig {
-            max_subflows: 8,
-            ..mp.clone()
-        };
-        let mut tb = Testbed::build(spec);
-        let slot = tb.download(TransportSpec::Mptcp(mp), size, SimTime::from_millis(100), true);
-        tb.world.run_until(SimTime::from_secs(900));
-        let host = tb.world.agent_mut::<Host>(tb.client).expect("client");
-        host.app::<Wget>(slot)
-            .and_then(|w| w.result.download_time())
-            .map(|d| d.as_secs_f64())
+        mp_download_secs(&sc, seed + i * 101, mp, 900)
     };
     let paper: Vec<f64> = (0..reps).filter_map(|i| run(false, i)).collect();
     let alt: Vec<f64> = (0..reps).filter_map(|i| run(true, i)).collect();
@@ -167,9 +149,6 @@ pub fn ablate_penalization(reps: u64, seed: u64) -> AblationResult {
 /// app-limited: each periodic streaming block finds both subflows idle, and
 /// round-robin then parks half of every block on the slow path.
 pub fn ablate_scheduler(reps: u64, seed: u64) -> AblationResult {
-    use mpw_http::StreamingClient;
-    use mpw_http::StreamingProfile;
-    use mpw_mptcp::{Host, MptcpConfig, TransportSpec};
     let profile = StreamingProfile {
         prefetch: 600_000,
         block: 120_000,
@@ -180,25 +159,17 @@ pub fn ablate_scheduler(reps: u64, seed: u64) -> AblationResult {
         let mut sc = base_scenario(0);
         // Round-robin hurts most when the alternate path is much slower.
         sc.carrier = Carrier::Sprint;
-        let wifi = sc.wifi.spec(sc.period);
-        let mut spec = TestbedSpec::two_path(seed + i * 101, wifi, sc.carrier.preset());
-        let mp = MptcpConfig {
+        let transport = TransportSpec::Mptcp(MptcpConfig {
             scheduler,
             ..MptcpConfig::default()
-        };
-        spec.server_mptcp = MptcpConfig {
-            max_subflows: 8,
-            ..mp.clone()
-        };
-        let mut tb = Testbed::build(spec);
-        let slot = tb.open_with_app(
-            TransportSpec::Mptcp(mp),
+        });
+        let (tb, slot, _) = Testbed::run_single(
+            mp_testbed(&sc, seed + i * 101, &transport),
+            transport,
             Box::new(StreamingClient::new(profile)),
-            SimTime::from_millis(100),
-            true,
+            SimTime::from_secs(120),
         );
-        tb.world.run_until(SimTime::from_secs(120));
-        let host = tb.world.agent_mut::<Host>(tb.client).expect("client");
+        let host = tb.world.agent::<Host>(tb.client).expect("client");
         let app = host.app::<StreamingClient>(slot)?;
         let lats: Vec<f64> = app
             .results
@@ -233,8 +204,6 @@ pub fn ablate_cellular_arq(reps: u64, seed: u64) -> AblationResult {
             return run_measurement(&sc, seed + i * 101).download_time_s;
         }
         // ARQ off: surface a 2% Bernoulli loss to TCP instead.
-        use mpw_http::Wget;
-        use mpw_mptcp::Host;
         let wifi = sc.wifi.spec(sc.period);
         let mut cell = sc.carrier.preset();
         cell.down.arq = None;
@@ -242,13 +211,10 @@ pub fn ablate_cellular_arq(reps: u64, seed: u64) -> AblationResult {
         cell.up.arq = None;
         cell.up.loss = LossModel::Bernoulli { p: 0.01 };
         let spec = TestbedSpec::two_path(seed + i * 101, wifi, cell);
-        let mut tb = Testbed::build(spec);
-        let slot = tb.download(sc.flow.transport(), size, SimTime::from_millis(100), true);
-        tb.world.run_until(SimTime::from_secs(400));
-        let host = tb.world.agent_mut::<Host>(tb.client).expect("client");
-        host.app::<Wget>(slot)
-            .and_then(|w| w.result.download_time())
-            .map(|d| d.as_secs_f64())
+        let wget = Box::new(Wget::new(size, false));
+        let (_, _, flow) =
+            Testbed::run_single(spec, sc.flow.transport(), wget, SimTime::from_secs(400));
+        flow.download_time().map(|d| d.as_secs_f64())
     };
     let paper: Vec<f64> = (0..reps).filter_map(|i| run(true, i)).collect();
     let alt: Vec<f64> = (0..reps).filter_map(|i| run(false, i)).collect();
@@ -264,29 +230,14 @@ pub fn ablate_cellular_arq(reps: u64, seed: u64) -> AblationResult {
 /// a cramped 192 KB one, which stalls the sender through the shared window
 /// when paths have heterogeneous RTTs.
 pub fn ablate_recv_buffer(reps: u64, seed: u64) -> AblationResult {
-    use mpw_http::Wget;
-    use mpw_mptcp::{Host, MptcpConfig, TransportSpec};
-    let size = sizes::S4M;
     let run = |recv_buffer: usize, i: u64| -> Option<f64> {
-        let mut sc = base_scenario(size);
+        let mut sc = base_scenario(sizes::S4M);
         sc.carrier = Carrier::Sprint; // heterogeneity makes the buffer bind
-        let wifi = sc.wifi.spec(sc.period);
-        let mut spec = TestbedSpec::two_path(seed + i * 101, wifi, sc.carrier.preset());
         let mp = MptcpConfig {
             recv_buffer,
             ..MptcpConfig::default()
         };
-        spec.server_mptcp = MptcpConfig {
-            max_subflows: 8,
-            ..mp.clone()
-        };
-        let mut tb = Testbed::build(spec);
-        let slot = tb.download(TransportSpec::Mptcp(mp), size, SimTime::from_millis(100), true);
-        tb.world.run_until(SimTime::from_secs(900));
-        let host = tb.world.agent_mut::<Host>(tb.client).expect("client");
-        host.app::<Wget>(slot)
-            .and_then(|w| w.result.download_time())
-            .map(|d| d.as_secs_f64())
+        mp_download_secs(&sc, seed + i * 101, mp, 900)
     };
     let paper: Vec<f64> = (0..reps).filter_map(|i| run(8 << 20, i)).collect();
     let alt: Vec<f64> = (0..reps).filter_map(|i| run(192 << 10, i)).collect();

@@ -5,9 +5,9 @@
 //!
 //! 1. **N=1 degenerate case** — a one-client multipath fleet must
 //!    reproduce the single-flow testbed measurement within the DESIGN
-//!    §5.7 cross-check tolerances (the worlds differ only by the shared
-//!    switch hop and RNG stream labels, so this is a tolerance
-//!    comparison, not byte equality).
+//!    §5.7 cross-check tolerances (the two builds of the one topology
+//!    differ in delivery mode — a switch hop — and in RNG stream labels,
+//!    so this is a tolerance comparison, not byte equality).
 //! 2. **Contention sweep** — single-class fleets (all-WiFi, all-LTE,
 //!    all-MP2) at increasing N downloading the same object
 //!    simultaneously. At N=1 the paper's "MPTCP wins for large sizes"
@@ -19,7 +19,7 @@
 //!    on replay and across campaign worker counts and shard splits.
 
 use mpw_fleet::{
-    run_campaign, run_fleet, Arrival, FleetCampaign, FleetSpec, FleetWifi, FleetWorkload, PathMix,
+    run_campaign, run_fleet, Arrival, FleetCampaign, FleetSpec, FleetWorkload, PathMix,
 };
 use mpw_link::{Carrier, DayPeriod};
 use mpw_metrics::{to_json, Table};
@@ -38,7 +38,7 @@ fn base_spec(n: u32, seed: u64, mix: PathMix, size: u64) -> FleetSpec {
         n_clients: n,
         seed,
         mix,
-        wifi: FleetWifi::Home,
+        wifi: WifiKind::Home,
         carrier: Carrier::Att,
         period: DayPeriod::Evening,
         arrival: Arrival::Staggered { gap_ms: 0 },
@@ -149,7 +149,7 @@ pub fn run(scale: Scale, seed: u64, workers: usize) -> Vec<Artifact> {
         for &n in ns {
             for (label, mix) in &classes {
                 let mut spec = base_spec(n, seed, *mix, size);
-                spec.wifi = FleetWifi::Hotspot(15);
+                spec.wifi = WifiKind::Hotspot(15);
                 let run = run_fleet(&spec);
                 let mean_fct_s = run.report.fct.mean() / 1e6;
                 sweep.push(SweepRow {

@@ -50,9 +50,7 @@ fn specs(scale: Scale, seed: u64) -> Vec<HandoverSpec> {
                 spec.fade_at_ms = fade_at_ms;
                 spec.outage_ms = outage_ms;
                 spec.policy = policy;
-                spec.seed = seed
-                    .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                    .wrapping_add(out.len() as u64);
+                spec.seed = mpw_sim::derive_seed(seed, out.len() as u64);
                 out.push(spec);
             }
         }

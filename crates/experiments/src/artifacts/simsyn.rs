@@ -61,11 +61,10 @@ pub fn run(scale: Scale, seed: u64, _workers: usize) -> Vec<Artifact> {
         for &period in scale.periods() {
             for rep in 0..reps {
                 // Identical seed for both modes: identical network draws.
-                let run_seed = seed
-                    .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                    .wrapping_add(size)
+                let idx = size
                     .wrapping_add((rep as u64) << 32)
                     .wrapping_add(period.wifi_load().to_bits());
+                let run_seed = mpw_sim::derive_seed(seed, idx);
                 let d = run_measurement(&scenario(size, SynMode::Delayed, period), run_seed);
                 let s =
                     run_measurement(&scenario(size, SynMode::Simultaneous, period), run_seed);

@@ -77,19 +77,17 @@ fn run_session(
 ) -> (Option<f64>, Vec<f64>, u32, u32) {
     let wifi = WifiKind::Home.spec(mpw_link::DayPeriod::Evening);
     let spec = TestbedSpec::two_path(seed, wifi, carrier.preset());
-    let mut tb = Testbed::build(spec);
-    let slot = tb.open_with_app(
-        flow.transport(),
-        Box::new(StreamingClient::new(profile)),
-        SimTime::from_millis(100),
-        true,
-    );
     // Sessions are long: prefetch + blocks × period + margin.
     let horizon = 120
         + (profile.prefetch + profile.block * profile.blocks as u64) / 100_000
         + (profile.period.as_secs_f64() as u64 + 1) * profile.blocks as u64;
-    tb.world.run_until(SimTime::from_secs(horizon));
-    let host = tb.world.agent_mut::<Host>(tb.client).expect("client");
+    let (tb, slot, _) = Testbed::run_single(
+        spec,
+        flow.transport(),
+        Box::new(StreamingClient::new(profile)),
+        SimTime::from_secs(horizon),
+    );
+    let host = tb.world.agent::<Host>(tb.client).expect("client");
     let app = host.app::<StreamingClient>(slot).expect("streaming app");
     let prefetch_time = app
         .results

@@ -1,28 +1,11 @@
 //! Experiment vocabulary: the configuration axes of §3.2.
 
-use mpw_link::{wifi_home, wifi_hotspot, Carrier, DayPeriod, PathSpec};
+use mpw_link::{Carrier, DayPeriod};
 use mpw_mptcp::{Coupling, MptcpConfig, Scheduler, SynMode, TransportSpec};
 use mpw_tcp::{CcConfig, TcpConfig};
 use serde::{Deserialize, Serialize};
 
-/// Which WiFi network the client associates with.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub enum WifiKind {
-    /// Private home network on a residential backhaul (default).
-    Home,
-    /// The coffee-shop hotspot with the given number of customers.
-    Hotspot(u32),
-}
-
-impl WifiKind {
-    /// Materialize the path spec for a given day period.
-    pub fn spec(self, period: DayPeriod) -> PathSpec {
-        match self {
-            WifiKind::Home => wifi_home(period.wifi_load()),
-            WifiKind::Hotspot(n) => wifi_hotspot(n),
-        }
-    }
-}
+pub use mpw_fleet::WifiKind;
 
 /// The transport configuration of one measurement — the legend entries of
 /// every download-time figure.

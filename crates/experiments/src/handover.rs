@@ -25,9 +25,7 @@
 //! [`MptcpConnection::notify_signal`]: mpw_mptcp::MptcpConnection::notify_signal
 //! [`MptcpConnection::notify_path_down`]: mpw_mptcp::MptcpConnection::notify_path_down
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-use mpw_http::Wget;
+use mpw_fleet::{drive, Drive};
 use mpw_link::Carrier;
 use mpw_metrics::{
     bytes_in_transition, epoch_shares, stall_report, EpochShare, EpochSpan, HandoverReport,
@@ -37,10 +35,10 @@ use mpw_mptcp::{HandoverPolicy, Host, LifecycleEvent, Transport, TransportSpec};
 use mpw_scenario::{
     compile, Action, LinkOp, Op, PathBinding, Scenario as Mobility, ScenarioDriver,
 };
-use mpw_sim::{Event, SimDuration, SimTime};
+use mpw_sim::{AgentId, Event, SimDuration, SimTime, World};
 
 use crate::config::{FlowConfig, WifiKind};
-use crate::testbed::{Testbed, TestbedSpec};
+use crate::testbed::{harvest, Testbed, TestbedSpec};
 
 /// Delivery must pause at least this long to count as an application stall.
 /// One minimum RTO: shorter pauses are ordinary retransmission noise.
@@ -221,19 +219,18 @@ fn convert_events(events: &[LifecycleEvent]) -> Vec<PathEvent> {
 /// frames the mutation produced (MP_PRIO, replacement SYNs) leave now
 /// rather than at the next unrelated wakeup.
 fn with_client_conn(
-    tb: &mut Testbed,
+    world: &mut World,
+    client: AgentId,
     slot: usize,
     now: SimTime,
     f: impl FnOnce(&mut mpw_mptcp::MptcpConnection),
 ) {
-    let client = tb.client;
-    if let Some(host) = tb.world.agent_mut::<Host>(client) {
+    if let Some(host) = world.agent_mut::<Host>(client) {
         if let Some(Transport::Mp(conn)) = host.transport_mut(slot) {
             f(conn);
         }
     }
-    tb.world
-        .schedule(now, client, Event::Timer { token: Host::open_token() });
+    world.schedule(now, client, Event::Timer { token: Host::open_token() });
 }
 
 /// Run one handover measurement to completion (or horizon).
@@ -254,23 +251,19 @@ pub fn run_handover(spec: &HandoverSpec) -> HandoverMeasurement {
 
     let wifi = spec.wifi.spec(spec.period);
     let cellular = spec.carrier.preset();
-    let mut tb_spec = TestbedSpec::two_path(spec.seed, wifi, cellular);
     let mut transport = FlowConfig::mp2(mpw_mptcp::Coupling::Coupled).transport();
     if let TransportSpec::Mptcp(cfg) = &mut transport {
         cfg.lifecycle.reopen = true;
         cfg.lifecycle.policy = spec.policy;
-        cfg.tcp.record_rtt_samples = false;
-        cfg.record_ofo_samples = false;
-        tb_spec.server_mptcp = mpw_mptcp::MptcpConfig {
-            max_subflows: 8,
-            ..cfg.clone()
-        };
     }
-    tb_spec.server_mptcp.tcp.record_rtt_samples = false;
-    tb_spec.server_mptcp.record_ofo_samples = false;
-    tb_spec.server_tcp.record_rtt_samples = false;
-    let mut tb = Testbed::build(tb_spec);
-    let slot = tb.download(transport, spec.size, SimTime::from_millis(100), true);
+    let tb_spec = TestbedSpec::two_path(spec.seed, wifi, cellular).mirroring(&transport);
+    let mut tb = Testbed::build(tb_spec.summaries_only());
+    let slot = tb.download(
+        transport.summaries_only(),
+        spec.size,
+        SimTime::from_millis(100),
+        true,
+    );
     let bindings: Vec<PathBinding> = tb
         .paths
         .iter()
@@ -288,50 +281,22 @@ pub fn run_handover(spec: &HandoverSpec) -> HandoverMeasurement {
     // sampled at exact tick boundaries.
     let mut progress: Vec<(SimTime, u64)> = Vec::new();
     let mut deltas: Vec<(SimTime, u8, u64)> = Vec::new();
-    let mut per_if_cum: Vec<u64> = vec![0; 2];
-    let sample = |tb: &mut Testbed, now: SimTime,
-                      progress: &mut Vec<(SimTime, u64)>,
-                      deltas: &mut Vec<(SimTime, u8, u64)>,
-                      per_if_cum: &mut Vec<u64>| {
-        let host = tb.world.agent_mut::<Host>(tb.client).expect("client host");
-        let bytes = host.app::<Wget>(slot).map(|w| w.result.bytes).unwrap_or(0);
-        progress.push((now, bytes));
-        if let Some(Transport::Mp(conn)) = host.transport_mut(slot) {
-            let delivered = conn.stats().per_subflow_delivered;
-            let mut now_per_if = vec![0u64; per_if_cum.len()];
-            for (i, sf) in conn.subflows.iter().enumerate() {
-                if let Some(slot) = now_per_if.get_mut(sf.if_index as usize) {
-                    *slot += delivered.get(i).copied().unwrap_or(0);
-                }
-            }
-            for (if_index, (&now_v, cum)) in
-                now_per_if.iter().zip(per_if_cum.iter_mut()).enumerate()
-            {
-                if now_v > *cum {
-                    deltas.push((now, if_index as u8, now_v - *cum));
-                    *cum = now_v;
-                }
-            }
-        }
+    let mut per_if_cum = [0u64; 2];
+    let client = tb.client;
+    let cfg = Drive {
+        tick: SAMPLE_TICK,
+        horizon,
+        mobility: Some((&mut driver, &bindings)),
+        ticker: None,
+        who: spec,
     };
-
-    loop {
-        let now = tb.world.now();
-        let mut stop = (now + SAMPLE_TICK).min(horizon);
-        if let Some(at) = driver.next_at() {
-            stop = stop.min(at);
-        }
-        tb.world.run_until(stop);
-        let now = tb.world.now();
-        // Scenario ops due at this instant: link mutations apply inside the
-        // driver; MP_PRIO triggers and link-down mirrors go to the client
-        // connection, followed by an immediate flush.
-        let pending = driver
-            .apply_due(&mut tb.world, &bindings, now)
-            .expect("bindings cover every scenario path");
-        for op in &pending {
+    drive(&mut tb.world, cfg, |world, now, ops| {
+        // Scenario ops due at this instant: link mutations were applied by
+        // the driver; MP_PRIO triggers and link-down mirrors go to the
+        // client connection, followed by an immediate flush.
+        for op in ops {
             if let Op::SetBackup { path, backup } = op.op {
-                with_client_conn(&mut tb, slot, now, |c| {
+                with_client_conn(world, client, slot, now, |c| {
                     c.notify_signal(path as u8, backup, now);
                 });
             }
@@ -341,24 +306,24 @@ pub fn run_handover(spec: &HandoverSpec) -> HandoverMeasurement {
                 break;
             }
             downs.pop();
-            with_client_conn(&mut tb, slot, now, |c| c.notify_path_down(path, now));
+            with_client_conn(world, client, slot, now, |c| c.notify_path_down(path, now));
         }
-        sample(&mut tb, now, &mut progress, &mut deltas, &mut per_if_cum);
-        let done = tb
-            .world
-            .agent::<Host>(tb.client)
-            .and_then(|h| h.app::<Wget>(slot))
-            .is_some_and(Wget::is_done);
-        if done || now >= horizon {
-            break;
+        let flow = harvest(world, client, slot);
+        progress.push((now, flow.app_bytes));
+        for (if_index, (&bytes, cum)) in flow.per_if.iter().zip(&mut per_if_cum).enumerate() {
+            if bytes > *cum {
+                deltas.push((now, if_index as u8, bytes - *cum));
+                *cum = bytes;
+            }
         }
-    }
+        flow.finished_at.is_some()
+    });
 
-    harvest_handover(&mut tb, slot, spec, &scenario, progress, deltas)
+    harvest_handover(&tb, slot, spec, &scenario, progress, deltas)
 }
 
 fn harvest_handover(
-    tb: &mut Testbed,
+    tb: &Testbed,
     slot: usize,
     spec: &HandoverSpec,
     scenario: &Mobility,
@@ -366,15 +331,11 @@ fn harvest_handover(
     deltas: Vec<(SimTime, u8, u64)>,
 ) -> HandoverMeasurement {
     let end = tb.world.now();
-    let host = tb.world.agent_mut::<Host>(tb.client).expect("client host");
-    let result = host.app::<Wget>(slot).map(|w| w.result).unwrap_or_default();
-    let (events, fell_back, subflows_total) = match host.transport_mut(slot) {
-        Some(Transport::Mp(conn)) => (
-            convert_events(conn.lifecycle_events()),
-            conn.stats().fell_back,
-            conn.subflows.len(),
-        ),
-        _ => (Vec::new(), false, 0),
+    let flow = harvest(&tb.world, tb.client, slot);
+    let host = tb.world.agent::<Host>(tb.client).expect("client host");
+    let events = match host.transport(slot) {
+        Some(Transport::Mp(conn)) => convert_events(conn.lifecycle_events()),
+        _ => Vec::new(),
     };
     let report = HandoverReport::from_events(&events);
     let stalls = stall_report(&progress, STALL_THRESHOLD);
@@ -416,11 +377,11 @@ fn harvest_handover(
 
     HandoverMeasurement {
         spec: spec.clone(),
-        completed: result.finished_at.is_some() && result.bytes >= spec.size,
-        download_time_s: result.download_time().map(|d| d.as_secs_f64()),
-        bytes: result.bytes,
-        fell_back,
-        subflows_total,
+        completed: flow.finished_at.is_some() && flow.app_bytes >= spec.size,
+        download_time_s: flow.download_time().map(|d| d.as_secs_f64()),
+        bytes: flow.app_bytes,
+        fell_back: flow.fell_back,
+        subflows_total: flow.subflows,
         events,
         report,
         stalls,
@@ -438,43 +399,5 @@ pub fn run_handover_campaign(
     specs: &[HandoverSpec],
     workers: usize,
 ) -> Vec<HandoverMeasurement> {
-    let n = specs.len();
-    let workers = if workers == 0 {
-        std::thread::available_parallelism().map_or(1, usize::from)
-    } else {
-        workers
-    }
-    .clamp(1, n.max(1));
-    if workers == 1 {
-        return specs.iter().map(run_handover).collect();
-    }
-    let mut slots: Vec<Option<HandoverMeasurement>> = Vec::with_capacity(n);
-    slots.resize_with(n, || None);
-    let next = AtomicUsize::new(0);
-    let done = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(spec) = specs.get(i) else { break };
-                        local.push((i, run_handover(spec)));
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("handover worker panicked"))
-            .collect::<Vec<_>>()
-    });
-    for (i, m) in done {
-        slots[i] = Some(m);
-    }
-    slots
-        .into_iter()
-        .map(|s| s.expect("every spec produces a measurement"))
-        .collect()
+    mpw_sim::run_jobs(specs, workers, run_handover)
 }

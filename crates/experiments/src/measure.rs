@@ -5,12 +5,12 @@
 //! distributions instead. Traced runs ([`run_measurement_traced`]) keep the
 //! exact vectors on for trace cross-check tests.
 
-use mpw_http::Wget;
+use mpw_fleet::{sender_subflows, subflow_deliveries, ClientFlow};
 use mpw_link::{LinkConfig, PathSpec, Technology};
 use mpw_metrics::DistSummary;
 use mpw_mptcp::{Host, Transport, TransportSpec};
 use mpw_sim::trace::TraceLevel;
-use mpw_sim::{RunOutcome, SimDuration, SimTime};
+use mpw_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
 use crate::config::{FlowConfig, Scenario};
@@ -194,89 +194,59 @@ pub fn run_lossfree_download_windowed(
     } else {
         None
     };
-    let mut spec = TestbedSpec::two_path(seed, lossfree_path(), lossfree_path());
-    spec.trace = TraceLevel::Off;
-    spec.capture = hub.clone();
-    spec.server_mptcp.tcp.record_rtt_samples = false;
-    spec.server_mptcp.record_ofo_samples = false;
-    spec.server_tcp.record_rtt_samples = false;
     // Pin per-subflow in-flight at 64 KiB (> the 50 KB path BDP, so the
     // links stay saturated). An uncapped congestion-avoidance window grows
     // for the whole transfer, and growing in-flight means freshly allocated
     // frame buffers; capping it lets every queue and pool reach its
     // steady-state footprint before the measurement window opens.
-    spec.server_mptcp.tcp.send_buffer = 64 * 1024;
-    spec.server_mptcp.conn_send_buffer = 512 * 1024;
-    spec.server_tcp.send_buffer = 64 * 1024;
     let mut transport = FlowConfig::mp2(mpw_mptcp::Coupling::Coupled).transport();
     if let TransportSpec::Mptcp(cfg) = &mut transport {
-        cfg.tcp.record_rtt_samples = false;
-        cfg.record_ofo_samples = false;
         cfg.tcp.send_buffer = 64 * 1024;
         cfg.conn_send_buffer = 512 * 1024;
     }
+    let mut spec = TestbedSpec::two_path(seed, lossfree_path(), lossfree_path())
+        .mirroring(&transport)
+        .summaries_only();
+    spec.trace = TraceLevel::Off;
+    spec.capture = hub.clone();
+    spec.server_tcp.send_buffer = 64 * 1024;
+    let transport = transport.summaries_only();
     let mut tb = Testbed::build(spec);
     let slot = tb.download(transport, size, SimTime::from_millis(100), false);
+    let who = ("loss-free probe", seed);
 
-    let server_segs = |tb: &mut Testbed| -> (u64, u64) {
-        let host = tb.world.agent_mut::<Host>(tb.server).expect("server");
-        match host.transport_mut(0) {
-            Some(Transport::Mp(c)) => c
-                .subflows
-                .iter_mut()
-                .map(|sf| {
-                    let st = sf.sock.stats();
-                    (st.data_segs_sent, st.rexmit_segs)
-                })
-                .fold((0, 0), |(a, b), (c, d)| (a + c, b + d)),
-            Some(Transport::Sp(s)) => {
-                let st = s.stats();
-                (st.data_segs_sent, st.rexmit_segs)
-            }
-            None => (0, 0),
-        }
-    };
-
-    // Up to the window start: counters sampled *before* the mark so the
-    // sampling itself stays outside the measured window.
-    tb.world.run_until(window.0);
-    let (segs_at_start, _) = server_segs(&mut tb);
+    // Up to the window start (one slice each: the flow is still running
+    // and the window is shorter than a slice): counters sampled *before*
+    // the mark so the sampling itself stays outside the measured window.
+    tb.run_flow(slot, window.0, &who);
+    let (segs_at_start, _) = server_segments(&mut tb);
     mark(0);
-    tb.world.run_until(window.1);
+    tb.run_flow(slot, window.1, &who);
     mark(1);
-    let (segs_at_end, _) = server_segs(&mut tb);
+    let (segs_at_end, _) = server_segments(&mut tb);
 
     // On to completion (bounded, in slices, as in measurement runs).
     let horizon = tb.world.now() + SimDuration::from_secs(600);
-    let slice = SimDuration::from_secs(5);
-    loop {
-        let next = (tb.world.now() + slice).min(horizon);
-        let outcome = tb.world.run_until(next);
-        let done = tb
-            .world
-            .agent::<Host>(tb.client)
-            .and_then(|h| h.app::<Wget>(slot))
-            .is_some_and(|w| w.result.download_time().is_some());
-        if done || outcome == RunOutcome::Idle || next >= horizon {
-            break;
-        }
-    }
-
-    let (_, rexmit_segs) = server_segs(&mut tb);
-    let result = tb
-        .world
-        .agent::<Host>(tb.client)
-        .and_then(|h| h.app::<Wget>(slot))
-        .map(|w| w.result)
-        .unwrap_or_default();
+    let flow = tb.run_flow(slot, horizon, &who);
+    let (_, rexmit_segs) = server_segments(&mut tb);
     let pcap_bytes = hub.map(|h| h.borrow().to_pcapng().len()).unwrap_or(0);
     LossfreeProbe {
-        bytes: result.bytes,
-        download_time_s: result.download_time().map(|d| d.as_secs_f64()),
+        bytes: flow.app_bytes,
+        download_time_s: flow.download_time().map(|d| d.as_secs_f64()),
         window_segments: segs_at_end.saturating_sub(segs_at_start),
         rexmit_segs,
         pcap_bytes,
     }
+}
+
+/// Data segments sent and retransmitted by the server's only connection.
+fn server_segments(tb: &mut Testbed) -> (u64, u64) {
+    let host = tb.world.agent_mut::<Host>(tb.server).expect("server");
+    sender_subflows(host, 0)
+        .iter()
+        .fold((0, 0), |(sent, rexmit), s| {
+            (sent + s.stats.data_segs_sent, rexmit + s.stats.rexmit_segs)
+        })
 }
 
 /// As [`run_measurement`], but with control over trace capture; returns the
@@ -300,30 +270,16 @@ fn run_measurement_inner(
     let wifi = scenario.wifi.spec(scenario.period);
     let cellular = scenario.carrier.preset();
     let horizon = horizon_for(scenario, &wifi, &cellular);
+    let technologies = [wifi.technology, cellular.technology];
     let mut spec = TestbedSpec::two_path(seed, wifi, cellular);
     spec.trace = trace;
     spec.capture = capture;
     spec.dual_homed_server = scenario.flow.needs_dual_homed_server();
     let mut transport = scenario.flow.transport();
-    // The server (data sender) runs the scenario's congestion controller
-    // and scheduler — the paper switched these at the server (§3.2).
-    if let TransportSpec::Mptcp(cfg) = &transport {
-        spec.server_mptcp = mpw_mptcp::MptcpConfig {
-            max_subflows: 8,
-            ..cfg.clone()
-        };
-    }
+    spec = spec.mirroring(&transport);
     if !exact {
-        spec.server_mptcp.tcp.record_rtt_samples = false;
-        spec.server_mptcp.record_ofo_samples = false;
-        spec.server_tcp.record_rtt_samples = false;
-        match &mut transport {
-            TransportSpec::Plain { tcp, .. } => tcp.record_rtt_samples = false,
-            TransportSpec::Mptcp(cfg) => {
-                cfg.tcp.record_rtt_samples = false;
-                cfg.record_ofo_samples = false;
-            }
-        }
+        spec = spec.summaries_only();
+        transport = transport.summaries_only();
     }
     let mut tb = Testbed::build(spec);
     let slot = tb.download(
@@ -332,140 +288,64 @@ fn run_measurement_inner(
         SimTime::from_millis(100),
         scenario.warmup,
     );
-    // Advance in short slices and stop as soon as the download completes:
-    // the background sources never go idle, so running on to the worst-case
-    // horizon would burn wall-clock simulating nothing but cross-traffic.
-    // Slicing run_until() preserves the exact event order, so results are
-    // identical to a single full-horizon run.
-    let slice = SimDuration::from_secs(5);
-    loop {
-        let next = (tb.world.now() + slice).min(horizon);
-        let outcome = tb.world.run_until(next);
-        debug_assert_ne!(outcome, RunOutcome::EventBudgetExhausted);
-        let done = tb
-            .world
-            .agent::<Host>(tb.client)
-            .and_then(|h| h.app::<Wget>(slot))
-            .is_some_and(|w| w.result.download_time().is_some());
-        if done || outcome == RunOutcome::Idle || next >= horizon {
-            break;
-        }
-    }
-
-    let m = harvest(&mut tb, slot, scenario, seed);
+    let flow = tb.run_flow(slot, horizon, &(seed, scenario));
+    let m = measurement(&mut tb, slot, &flow, technologies, scenario, seed);
     (m, tb)
 }
 
-fn harvest(tb: &mut Testbed, slot: usize, scenario: &Scenario, seed: u64) -> Measurement {
-    let client_id = tb.client;
-    let server_id = tb.server;
-
-    // Client side: download result + delivered-byte shares + OFO delays.
-    let (download_time_s, bytes, per_path_delivered, ofo, ofo_samples_ms, fell_back, sub_ifs) = {
-        let host = tb.world.agent_mut::<Host>(client_id).expect("client");
-        let result = host
-            .app::<Wget>(slot)
-            .map(|w| w.result)
-            .unwrap_or_default();
-        let (per_path, fell_back, sub_ifs, ofo, ofo_exact) = match host.transport_mut(slot) {
-            Some(Transport::Mp(c)) => {
-                let stats = c.stats();
-                let ifs: Vec<u8> = c.subflows.iter().map(|s| s.if_index).collect();
-                let ofo_exact: Vec<f64> = c
-                    .take_ofo_samples()
-                    .iter()
-                    .map(|s| s.delay.as_secs_f64() * 1e3)
-                    .collect();
-                (
-                    stats.per_subflow_delivered,
-                    stats.fell_back,
-                    ifs,
-                    c.ofo_summary(),
-                    ofo_exact,
-                )
-            }
-            Some(Transport::Sp(s)) => {
-                let if_index = s.if_index;
-                (
-                    vec![s.recv_offset()],
-                    false,
-                    vec![if_index],
-                    DistSummary::new(),
-                    Vec::new(),
-                )
-            }
-            None => (Vec::new(), false, Vec::new(), DistSummary::new(), Vec::new()),
-        };
-        (
-            result.download_time().map(|d| d.as_secs_f64()),
-            result.bytes,
-            per_path,
-            ofo,
-            ofo_exact,
-            fell_back,
-            sub_ifs,
-        )
+/// The measurement view of a harvested flow.
+fn measurement(
+    tb: &mut Testbed,
+    slot: usize,
+    flow: &ClientFlow,
+    technologies: [Technology; 2],
+    scenario: &Scenario,
+    seed: u64,
+) -> Measurement {
+    // Client side: per-subflow delivered bytes and connection-level
+    // out-of-order delays.
+    let host = tb.world.agent_mut::<Host>(tb.client).expect("client");
+    let delivered = subflow_deliveries(host, slot);
+    let (ofo, ofo_samples_ms) = match host.transport_mut(slot) {
+        Some(Transport::Mp(c)) => (
+            c.ofo_summary(),
+            c.take_ofo_samples()
+                .iter()
+                .map(|s| s.delay.as_secs_f64() * 1e3)
+                .collect(),
+        ),
+        _ => (DistSummary::new(), Vec::new()),
     };
 
-    // Server side: the data sender's per-subflow loss and RTT samples.
-    // The server's matching slot is its only accepted connection (slot 0).
-    let mut subflows: Vec<SubflowMeasurement> = Vec::new();
-    {
-        let host = tb.world.agent_mut::<Host>(server_id).expect("server");
-        if let Some(t) = host.transport_mut(0) {
-            match t {
-                Transport::Mp(c) => {
-                    for (i, sf) in c.subflows.iter_mut().enumerate() {
-                        let st = sf.sock.stats();
-                        let rtt = sf.sock.rtt().summary().clone();
-                        let rtts: Vec<f64> = sf
-                            .sock
-                            .take_rtt_samples()
-                            .iter()
-                            .map(|(_, d)| d.as_secs_f64() * 1e3)
-                            .collect();
-                        // Map the server subflow to the client interface via
-                        // the *client's* address on the subflow.
-                        let if_index = client_if_of(sf.remote.addr);
-                        subflows.push(SubflowMeasurement {
-                            if_index,
-                            technology: tech_of(scenario, if_index),
-                            delivered_bytes: per_path_delivered
-                                .get(i)
-                                .copied()
-                                .unwrap_or_default(),
-                            data_segs_sent: st.data_segs_sent,
-                            rexmit_segs: st.rexmit_segs,
-                            rtt,
-                            rtt_samples_ms: rtts,
-                            established: sf.sock.stats().established_at.is_some(),
-                        });
-                    }
-                }
-                Transport::Sp(s) => {
-                    let st = s.stats();
-                    let rtt = s.rtt().summary().clone();
-                    let rtts: Vec<f64> = s
-                        .take_rtt_samples()
-                        .iter()
-                        .map(|(_, d)| d.as_secs_f64() * 1e3)
-                        .collect();
-                    let if_index = client_if_of(s.remote().addr);
-                    subflows.push(SubflowMeasurement {
-                        if_index,
-                        technology: tech_of(scenario, if_index),
-                        delivered_bytes: bytes,
-                        data_segs_sent: st.data_segs_sent,
-                        rexmit_segs: st.rexmit_segs,
-                        rtt,
-                        rtt_samples_ms: rtts,
-                        established: st.established_at.is_some(),
-                    });
-                }
+    // Server side: the data sender's per-subflow loss and RTT samples. The
+    // server's matching slot is its only accepted connection (slot 0), its
+    // subflows in the client's order; a plain-TCP server connection
+    // carried exactly the body.
+    let host = tb.world.agent_mut::<Host>(tb.server).expect("server");
+    let plain = host.transport(0).is_some_and(|t| t.as_sp().is_some());
+    let subflows: Vec<SubflowMeasurement> = sender_subflows(host, 0)
+        .into_iter()
+        .enumerate()
+        .map(|(i, s)| {
+            // Map the server subflow to the client interface via the
+            // *client's* address on the subflow.
+            let if_index = client_if_of(s.client_addr);
+            SubflowMeasurement {
+                if_index,
+                technology: technologies[usize::from(if_index)],
+                delivered_bytes: if plain {
+                    flow.app_bytes
+                } else {
+                    delivered.get(i).copied().unwrap_or_default()
+                },
+                data_segs_sent: s.stats.data_segs_sent,
+                rexmit_segs: s.stats.rexmit_segs,
+                rtt: s.rtt,
+                rtt_samples_ms: s.rtt_samples_ms,
+                established: s.stats.established_at.is_some(),
             }
-        }
-        let _ = sub_ifs;
-    }
+        })
+        .collect();
 
     let total: u64 = subflows.iter().map(|s| s.delivered_bytes).sum();
     let cellular: u64 = subflows
@@ -482,13 +362,13 @@ fn harvest(tb: &mut Testbed, slot: usize, scenario: &Scenario, seed: u64) -> Mea
     Measurement {
         scenario: scenario.clone(),
         seed,
-        download_time_s,
-        bytes,
+        download_time_s: flow.download_time().map(|d| d.as_secs_f64()),
+        bytes: flow.app_bytes,
         cellular_share,
         subflows,
         ofo,
         ofo_samples_ms,
-        fell_back,
+        fell_back: flow.fell_back,
     }
 }
 
@@ -497,15 +377,4 @@ fn client_if_of(addr: mpw_tcp::Addr) -> u8 {
         .iter()
         .position(|a| *a == addr)
         .unwrap_or(0) as u8
-}
-
-fn tech_of(scenario: &Scenario, if_index: u8) -> Technology {
-    if if_index == 0 {
-        match scenario.wifi {
-            crate::config::WifiKind::Home => Technology::WifiHome,
-            crate::config::WifiKind::Hotspot(_) => Technology::WifiHotspot,
-        }
-    } else {
-        scenario.carrier.technology()
-    }
 }

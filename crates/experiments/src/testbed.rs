@@ -6,14 +6,16 @@
 //! advertised via ADD_ADDR. An option-stripping middlebox can be inserted
 //! (the AT&T port-80 proxy scenario).
 
+use std::fmt;
+
 use mpw_capture::SharedHub;
-use mpw_link::{build_path, BuiltPath, LinkAgent, LinkTap, PathSpec};
-use mpw_mptcp::host::OptionStrippingMiddlebox;
+use mpw_fleet::{client_flow, drive, open_flow, ClientFlow, Delivery, Drive, Topology};
+use mpw_http::Wget;
+use mpw_link::{BuiltPath, PathSpec};
 use mpw_mptcp::{Host, MptcpConfig, OpenRequest, TransportSpec};
-use mpw_http::{HttpServer, Wget};
 use mpw_sim::trace::TraceLevel;
-use mpw_sim::{AgentId, Event, SimTime, World};
-use mpw_tcp::{Addr, CcConfig, Endpoint, TcpConfig};
+use mpw_sim::{AgentId, SimDuration, SimTime, World};
+use mpw_tcp::{Addr, Endpoint, TcpConfig};
 
 /// Client interface addresses: index 0 = WiFi (the default path), 1 = cellular.
 pub const CLIENT_ADDRS: [Addr; 2] = [Addr::new(10, 0, 1, 2), Addr::new(10, 0, 2, 2)];
@@ -65,6 +67,27 @@ impl TestbedSpec {
             capture: None,
         }
     }
+
+    /// This spec with the server running the client's MPTCP configuration
+    /// (the paper switched congestion controller and scheduler at the
+    /// server, the data sender — §3.2), with room for every subflow.
+    pub fn mirroring(mut self, client: &TransportSpec) -> Self {
+        if let TransportSpec::Mptcp(cfg) = client {
+            self.server_mptcp = MptcpConfig {
+                max_subflows: 8,
+                ..cfg.clone()
+            };
+        }
+        self
+    }
+
+    /// This spec with the server's exact per-sample recording off
+    /// (campaign mode: the streaming summaries carry the distributions).
+    pub fn summaries_only(mut self) -> Self {
+        self.server_mptcp = self.server_mptcp.summaries_only();
+        self.server_tcp = self.server_tcp.summaries_only();
+        self
+    }
 }
 
 /// A built testbed.
@@ -82,95 +105,54 @@ pub struct Testbed {
 }
 
 impl Testbed {
-    /// Build the topology from a spec. The server listens with an
-    /// [`HttpServer`] per accepted connection.
+    /// Build the topology from a spec: the one-client case of the shared
+    /// [`Topology`], every access path delivering straight to the client.
+    /// The server listens with an `HttpServer` per accepted connection.
     pub fn build(spec: TestbedSpec) -> Testbed {
-        let mut world = World::new(spec.seed, spec.trace);
-        let n_ifs = spec.paths.len();
-        let client_addrs: Vec<Addr> = CLIENT_ADDRS[..n_ifs].to_vec();
+        let mut topo = Topology::new(spec.seed, spec.trace);
+        let client_addrs = &CLIENT_ADDRS[..spec.paths.len()];
         let server_ifs = if spec.dual_homed_server { 2 } else { 1 };
-        let server_addrs: Vec<Addr> = SERVER_ADDRS[..server_ifs].to_vec();
-        let c_rng = world.rng().stream("host.client");
-        let s_rng = world.rng().stream("host.server");
-        let client = world.add_agent(Box::new(Host::new(client_addrs.clone(), 0, true, c_rng)));
-        let server =
-            world.add_agent(Box::new(Host::new(server_addrs, 1 << 16, false, s_rng)));
-        let mut paths = Vec::new();
+        let c_rng = topo.world.rng().stream("host.client");
+        let s_rng = topo.world.rng().stream("host.server");
+        let client = topo.add_client(client_addrs.to_vec(), 0, c_rng);
+        let server = topo.add_server(SERVER_ADDRS[..server_ifs].to_vec(), s_rng);
         for (i, pspec) in spec.paths.iter().enumerate() {
-            let (to_server, to_client): ((AgentId, u16), (AgentId, u16)) =
-                if spec.strip_mptcp_on_path0 && i == 0 {
-                    let up = world
-                        .add_agent(Box::new(OptionStrippingMiddlebox::new((server, 0))));
-                    let down = world
-                        .add_agent(Box::new(OptionStrippingMiddlebox::new((client, 0))));
-                    ((up, 0), (down, 0))
-                } else {
-                    ((server, i as u16), (client, i as u16))
-                };
-            paths.push(build_path(
-                &mut world,
-                pspec,
-                to_client,
-                to_server,
-                &format!("path{i}"),
-            ));
-        }
-        if let Some(hub) = &spec.capture {
-            for (i, p) in paths.iter().enumerate() {
-                // Hub iface ids in vantage order: (up@client, up@server,
-                // down@server, down@client). The uplink's ingress tap is the
-                // client-side sniffer, its egress the server-side one (and
-                // mirrored for the downlink). Link drops are stamped with
-                // the transmit-side vantage they would have crossed.
-                let (uc, us, sd, cd) = hub.borrow_mut().add_path(i as u8);
-                world
-                    .agent_mut::<LinkAgent>(p.uplink)
-                    .expect("uplink agent")
-                    .set_tap(LinkTap {
-                        observer: hub.clone(),
-                        ingress: Some(uc),
-                        egress: Some(us),
-                        drops: Some(uc),
-                        background: false,
-                    });
-                world
-                    .agent_mut::<LinkAgent>(p.downlink)
-                    .expect("downlink agent")
-                    .set_tap(LinkTap {
-                        observer: hub.clone(),
-                        ingress: Some(sd),
-                        egress: Some(cd),
-                        drops: Some(sd),
-                        background: false,
-                    });
+            let delivery = Delivery::Direct {
+                client,
+                strip_mptcp: spec.strip_mptcp_on_path0 && i == 0,
+            };
+            let net = topo.add_access(pspec, &format!("path{i}"), delivery);
+            if let Some(hub) = &spec.capture {
+                let vantages = hub.borrow_mut().add_path(i as u8);
+                topo.tap(net, hub.clone(), vantages);
             }
+            topo.attach(client, i, client_addrs[i], net);
         }
-        {
-            let host = world.agent_mut::<Host>(client).expect("client host");
-            for (i, p) in paths.iter().enumerate() {
-                host.set_iface_link(i, p.uplink);
-            }
-        }
-        {
-            let host = world.agent_mut::<Host>(server).expect("server host");
-            host.set_iface_link(0, paths[0].downlink);
-            for (i, p) in paths.iter().enumerate() {
-                host.add_route(client_addrs[i], p.downlink);
-            }
-            host.listen(
-                SERVER_PORT,
-                spec.server_mptcp.clone(),
-                (spec.server_tcp.clone(), CcConfig::default()),
-                Box::new(|_conn_id| Box::new(HttpServer::new())),
-            );
-        }
+        topo.serve(SERVER_PORT, spec.server_mptcp, spec.server_tcp);
         Testbed {
-            world,
+            paths: topo.nets.iter().map(|n| n.path).collect(),
+            world: topo.world,
             client,
             server,
-            paths,
             server_ep: Endpoint::new(SERVER_ADDRS[0], SERVER_PORT),
         }
+    }
+
+    /// Build `spec`, open one flow running `app` over `transport` at 100 ms
+    /// (after the paper's warm-up pings) and run it to completion or
+    /// `horizon`. Returns the testbed, the flow's client slot and its
+    /// harvest.
+    pub fn run_single(
+        spec: TestbedSpec,
+        transport: TransportSpec,
+        app: Box<dyn mpw_mptcp::App>,
+        horizon: SimTime,
+    ) -> (Testbed, usize, ClientFlow) {
+        let seed = spec.seed;
+        let mut tb = Testbed::build(spec);
+        let slot = tb.open_with_app(transport, app, SimTime::from_millis(100), true);
+        let flow = tb.run_flow(slot, horizon, &("single flow, seed", seed));
+        (tb, slot, flow)
     }
 
     /// Queue a wget download of `size` bytes starting at `at`, optionally
@@ -183,21 +165,7 @@ impl Testbed {
         at: SimTime,
         warmup_pings: bool,
     ) -> usize {
-        let server_ep = self.server_ep;
-        let client = self.client;
-        let host = self.world.agent_mut::<Host>(client).expect("client host");
-        let slot = host.slot_count() + host_pending_opens(host);
-        host.queue_open(OpenRequest {
-            at,
-            spec,
-            remote: server_ep,
-            app: Box::new(Wget::new(size, false)),
-            warmup_pings: if warmup_pings { 2 } else { 0 },
-            warmup_if: 1,
-        });
-        self.world
-            .schedule(at, client, Event::Timer { token: Host::open_token() });
-        slot
+        self.open_with_app(spec, Box::new(Wget::new(size, false)), at, warmup_pings)
     }
 
     /// Queue an arbitrary app-driven connection (e.g. a streaming session).
@@ -208,33 +176,61 @@ impl Testbed {
         at: SimTime,
         warmup_pings: bool,
     ) -> usize {
-        let server_ep = self.server_ep;
-        let client = self.client;
-        let host = self.world.agent_mut::<Host>(client).expect("client host");
-        let slot = host.slot_count() + host_pending_opens(host);
-        host.queue_open(OpenRequest {
+        let req = OpenRequest {
             at,
             spec,
-            remote: server_ep,
+            remote: self.server_ep,
             app,
             warmup_pings: if warmup_pings { 2 } else { 0 },
             warmup_if: 1,
-        });
-        self.world
-            .schedule(at, client, Event::Timer { token: Host::open_token() });
-        slot
+        };
+        open_flow(&mut self.world, self.client, req)
     }
 
-    /// The client host.
-    pub fn client_host(&mut self) -> &mut Host {
-        self.world
-            .agent_mut::<Host>(self.client)
-            .expect("client host")
+    /// Run until the flow in client slot `slot` finishes its workload or
+    /// `horizon` is reached, and harvest it. Advances in short slices and
+    /// stops as soon as the flow is done: the background sources never go
+    /// idle, so running on to the horizon would burn wall-clock simulating
+    /// nothing but cross-traffic. `who` names the run if it livelocks.
+    pub fn run_flow(&mut self, slot: usize, horizon: SimTime, who: &dyn fmt::Debug) -> ClientFlow {
+        let client = self.client;
+        let cfg = Drive {
+            tick: SimDuration::from_secs(5),
+            horizon,
+            mobility: None,
+            ticker: None,
+            who,
+        };
+        let mut flow = ClientFlow::default();
+        drive(&mut self.world, cfg, |world, _, _| {
+            flow = harvest(world, client, slot);
+            flow.finished_at.is_some()
+        });
+        flow
     }
 }
 
-/// Opens queued but not yet activated also consume upcoming slot indices
-/// (the host activates them in queue order at their scheduled times).
-fn host_pending_opens(host: &Host) -> usize {
-    host.pending_open_count()
+/// Harvest slot `slot` of host `client` (all zeros while it has not opened).
+pub(crate) fn harvest(world: &World, client: AgentId, slot: usize) -> ClientFlow {
+    world
+        .agent::<Host>(client)
+        .and_then(|h| client_flow(h, slot))
+        .unwrap_or_default()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::FlowConfig;
+
+    #[test]
+    #[should_panic(expected = r#"(livelock) in ("budget test", 3)"#)]
+    fn exhausting_the_event_budget_aborts_the_run_naming_it() {
+        let spec = TestbedSpec::two_path(3, mpw_link::wifi_home(0.0), mpw_link::att_lte());
+        let mut tb = Testbed::build(spec);
+        tb.world.set_event_budget(500);
+        let transport = FlowConfig::mp2(mpw_mptcp::Coupling::Coupled).transport();
+        let slot = tb.download(transport, 1 << 20, SimTime::from_millis(100), false);
+        tb.run_flow(slot, SimTime::from_secs(60), &("budget test", 3));
+    }
 }

@@ -7,18 +7,11 @@
 //! fold. Worker count and shard grouping are therefore pure implementation
 //! detail — any configuration produces byte-identical JSON.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use mpw_metrics::FleetReport;
+use mpw_sim::{derive_seed, run_jobs};
 
 use crate::engine::run_fleet;
 use crate::spec::FleetSpec;
-
-/// Derive the world seed for replication `r` from the campaign seed —
-/// the same splitmix-style derivation the handover campaign uses.
-pub fn replication_seed(seed: u64, r: u64) -> u64 {
-    seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(r)
-}
 
 /// A campaign description: `replications` independent worlds built from
 /// `base` (same spec, derived seeds), run on `workers` threads, aggregated
@@ -40,7 +33,14 @@ pub struct FleetCampaign {
 /// reports in replication order).
 pub fn run_campaign(campaign: &FleetCampaign) -> (FleetReport, Vec<FleetReport>) {
     let n = campaign.replications as usize;
-    let reports = run_replications(campaign, n);
+    let seeds: Vec<u64> = (0..n as u64)
+        .map(|r| derive_seed(campaign.base.seed, r))
+        .collect();
+    let reports = run_jobs(&seeds, campaign.workers, |&seed| {
+        let mut spec = campaign.base.clone();
+        spec.seed = seed;
+        run_fleet(&spec).report
+    });
 
     // Shard merge: contiguous replication ranges fold into partials, the
     // partials fold in order. Exactness of `merge` makes the grouping
@@ -57,55 +57,6 @@ pub fn run_campaign(campaign: &FleetCampaign) -> (FleetReport, Vec<FleetReport>)
         merged.merge(&partial);
     }
     (merged, reports)
-}
-
-fn run_one(campaign: &FleetCampaign, r: usize) -> FleetReport {
-    let mut spec = campaign.base.clone();
-    spec.seed = replication_seed(campaign.base.seed, r as u64);
-    run_fleet(&spec).report
-}
-
-fn run_replications(campaign: &FleetCampaign, n: usize) -> Vec<FleetReport> {
-    let workers = if campaign.workers == 0 {
-        std::thread::available_parallelism().map_or(1, usize::from)
-    } else {
-        campaign.workers
-    }
-    .clamp(1, n.max(1));
-    if workers == 1 {
-        return (0..n).map(|r| run_one(campaign, r)).collect();
-    }
-    let mut slots: Vec<Option<FleetReport>> = Vec::with_capacity(n);
-    slots.resize_with(n, || None);
-    let next = AtomicUsize::new(0);
-    let done = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local = Vec::new();
-                    loop {
-                        let r = next.fetch_add(1, Ordering::Relaxed);
-                        if r >= n {
-                            break;
-                        }
-                        local.push((r, run_one(campaign, r)));
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("fleet worker panicked"))
-            .collect::<Vec<_>>()
-    });
-    for (r, report) in done {
-        slots[r] = Some(report);
-    }
-    slots
-        .into_iter()
-        .map(|s| s.expect("every replication produces a report"))
-        .collect()
 }
 
 #[cfg(test)]
@@ -134,14 +85,5 @@ mod tests {
             assert_eq!(to_json(a), to_json(b));
         }
         assert_eq!(to_json(&serial), to_json(&pooled));
-    }
-
-    #[test]
-    fn replication_seeds_differ() {
-        let a = replication_seed(7, 0);
-        let b = replication_seed(7, 1);
-        let c = replication_seed(8, 0);
-        assert_ne!(a, b);
-        assert_ne!(a, c);
     }
 }

@@ -1,0 +1,82 @@
+//! Opening flows on a built world and running it in slices.
+
+use std::fmt;
+
+use mpw_mptcp::{Host, OpenRequest};
+use mpw_scenario::{CompiledOp, PathBinding, ScenarioDriver};
+use mpw_sim::{AgentId, Event, RunOutcome, SimDuration, SimTime, World};
+
+/// Queue `req` on `client` and schedule the timer that activates it at
+/// `req.at`. Returns the client slot the flow will occupy: the host
+/// activates queued opens in order, so opens still queued claim the slots
+/// after the live ones.
+pub fn open_flow(world: &mut World, client: AgentId, req: OpenRequest) -> usize {
+    let at = req.at;
+    let host = world.agent_mut::<Host>(client).expect("client host");
+    let slot = host.slot_count() + host.pending_open_count();
+    host.queue_open(req);
+    world.schedule(at, client, Event::Timer { token: Host::open_token() });
+    slot
+}
+
+/// How [`drive`] slices a run.
+pub struct Drive<'a> {
+    /// Longest slice: the per-tick closure runs at least this often.
+    pub tick: SimDuration,
+    /// Hard stop.
+    pub horizon: SimTime,
+    /// A mobility timeline and the paths it is bound to; slices also end at
+    /// each of its operations, which are applied at their exact times.
+    pub mobility: Option<(&'a mut ScenarioDriver, &'a [PathBinding])>,
+    /// An agent to wake at every slice boundary, for worlds whose event heap
+    /// can drain between flows: `run_until` leaves the clock alone on an
+    /// empty heap, and the wake-up keeps it moving to the boundary.
+    pub ticker: Option<AgentId>,
+    /// Names the run (seed and scenario or spec) if it has to be aborted.
+    pub who: &'a dyn fmt::Debug,
+}
+
+/// Run `world` in slices until `on_tick` reports the run done, the horizon
+/// is reached, or the event heap drains. After each slice the mobility
+/// operations now due are applied, then `on_tick(world, now, ops)` is called
+/// with the harness-level operations among them (MP_PRIO triggers,
+/// background surges) for the caller to act on. Slicing `run_until`
+/// preserves the exact event order, so the slice length never changes a
+/// result.
+///
+/// # Panics
+///
+/// When the world's event budget runs out: that is a livelock, and a
+/// campaign must not record it as a flow that merely did not finish.
+pub fn drive(
+    world: &mut World,
+    mut cfg: Drive<'_>,
+    mut on_tick: impl FnMut(&mut World, SimTime, &[CompiledOp]) -> bool,
+) {
+    loop {
+        let mut stop = (world.now() + cfg.tick).min(cfg.horizon);
+        if let Some(at) = cfg.mobility.as_ref().and_then(|(d, _)| d.next_at()) {
+            stop = stop.min(at);
+        }
+        if let Some(ticker) = cfg.ticker {
+            world.schedule(stop, ticker, Event::Timer { token: 0 });
+        }
+        let outcome = world.run_until(stop);
+        let now = world.now();
+        assert!(
+            outcome != RunOutcome::EventBudgetExhausted,
+            "event budget exhausted at {now:?} after {} events (livelock) in {:?}",
+            world.events_processed(),
+            cfg.who,
+        );
+        let ops = match &mut cfg.mobility {
+            Some((driver, bindings)) => driver
+                .apply_due(world, bindings, now)
+                .expect("bindings cover every scenario path"),
+            None => Vec::new(),
+        };
+        if on_tick(world, now, &ops) || outcome == RunOutcome::Idle || stop >= cfg.horizon {
+            break;
+        }
+    }
+}

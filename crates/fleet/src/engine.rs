@@ -1,35 +1,32 @@
 //! Building and driving one fleet world.
 //!
-//! Topology: one single-homed server behind two *shared* access networks
-//! (WiFi and cellular), each a duplex `mpw-link` pair. Every client sends
-//! into the shared uplink agent — so the drop-tail queue sees the sum of
-//! their load — and the shared downlink's egress is an [`mpw_sim::Switch`]
-//! fanning frames back out by destination IP ([`mpw_tcp::peek_ip_dst`]).
-//! Queueing delay, bufferbloat, and loss are therefore emergent properties
-//! of the population, exactly the effect the contention artifacts sweep.
+//! One single-homed server behind two *shared* access networks (WiFi and
+//! cellular) of the [`Topology`]: every client sends into the shared uplink
+//! agent — so the drop-tail queue sees the sum of their load — and the
+//! shared downlink's egress is a switch fanning frames back out by
+//! destination IP. Queueing delay, bufferbloat, and loss are therefore
+//! emergent properties of the population, exactly the effect the contention
+//! artifacts sweep.
 
-use mpw_http::{HttpServer, StreamingClient, Wget};
-use mpw_link::{build_shared_access, wifi_home, wifi_hotspot, BuiltPath, PathSpec};
+use mpw_http::{StreamingClient, Wget};
+use mpw_link::{BuiltPath, NullSink};
 use mpw_metrics::{FleetReport, FlowRecord};
-use mpw_mptcp::{Host, MptcpConfig, OpenRequest, Transport, TransportSpec};
+use mpw_mptcp::{Host, MptcpConfig, OpenRequest, TransportSpec};
 use mpw_scenario::{compile, PathBinding, ScenarioDriver};
 use mpw_sim::trace::TraceLevel;
-use mpw_sim::{Agent, AgentId, Ctx, Event, Frame, SimDuration, SimRng, SimTime, Switch, World};
-use std::any::Any;
-use mpw_tcp::{peek_ip_dst, Addr, CcConfig, Endpoint, TcpConfig};
+use mpw_sim::{AgentId, SimDuration, SimRng, SimTime, World};
+use mpw_tcp::{Addr, CcConfig, Endpoint, TcpConfig};
 
-use crate::spec::{Arrival, ClientClass, FleetSpec, FleetWifi, FleetWorkload};
+use crate::drive::{drive, open_flow, Drive};
+use crate::harvest::{client_flow, ClientFlow};
+use crate::spec::{Arrival, ClientClass, FleetSpec, FleetWorkload};
+use crate::topology::{Delivery, Topology};
 
 /// Server address/port for fleet worlds (one single-homed server; clients
 /// join their second subflow against the same address, which the join
 /// logic supports).
 const SERVER_ADDR: Addr = Addr::new(192, 168, 1, 1);
 const SERVER_PORT: u16 = 8080;
-
-/// Destination-IP classifier handed to both access switches.
-fn classify_dst(frame: &Frame) -> Option<u64> {
-    peek_ip_dst(&frame.bytes).map(|a| u64::from(a.0))
-}
 
 /// WiFi-side address of client `i` (10.0.x.y).
 fn wifi_addr(i: u32) -> Addr {
@@ -41,34 +38,13 @@ fn cell_addr(i: u32) -> Addr {
     Addr::new(10, 1, (i >> 8) as u8, (i & 0xff) as u8)
 }
 
-/// No-op agent the drive loop schedules a timer on at every tick boundary,
-/// so `run_until(stop)` always advances the clock to `stop` even when the
-/// event heap would otherwise drain early (`run_until` returns `Idle`
-/// without touching `now`).
-struct Ticker;
-
-impl Agent for Ticker {
-    fn handle(&mut self, _ev: Event, _ctx: &mut Ctx<'_>) {}
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
 struct ClientState {
     agent: AgentId,
     class: ClientClass,
-    /// Flows opened so far (slot indices are 0..opens on this host).
-    opens: u32,
-    /// Closed-loop think-time RNG (None for open-loop arrivals).
+    /// Closed-loop think-time RNG: `None` for open-loop arrivals, and once
+    /// the next think time would cross the horizon (the client then opens
+    /// no further flows).
     think: Option<SimRng>,
-    /// Whether a queued open is waiting to activate (closed loop).
-    open_pending: bool,
-    /// Closed loop only: the next think time would cross the horizon, so
-    /// this client opens no further flows.
-    done: bool,
 }
 
 /// A built, running fleet world plus its harvest state.
@@ -87,43 +63,40 @@ pub struct FleetRun {
     pub server: AgentId,
 }
 
-fn wifi_spec(spec: &FleetSpec) -> PathSpec {
-    match spec.wifi {
-        FleetWifi::Home => wifi_home(spec.period.wifi_load()),
-        FleetWifi::Hotspot(n) => wifi_hotspot(n),
-    }
+/// Fleets run with exact per-sample recording off: the constant-memory
+/// summaries are enough for aggregate reports, and N×samples would
+/// dominate memory at thousands of flows.
+fn fleet_tcp() -> TcpConfig {
+    TcpConfig::default().summaries_only()
 }
 
-fn client_tcp() -> TcpConfig {
-    // Fleets run with exact per-sample recording off: the constant-memory
-    // summaries are enough for aggregate reports, and N×samples would
-    // dominate memory at thousands of flows.
-    TcpConfig {
-        record_rtt_samples: false,
-        ..TcpConfig::default()
+fn fleet_mptcp(max_subflows: usize) -> MptcpConfig {
+    MptcpConfig {
+        max_subflows,
+        ..MptcpConfig::default()
     }
+    .summaries_only()
 }
 
-fn transport_for(class: ClientClass) -> TransportSpec {
-    match class {
-        ClientClass::WifiOnly | ClientClass::LteOnly => TransportSpec::Plain {
-            tcp: client_tcp(),
-            cc: CcConfig::default(),
-            if_index: 0,
+/// One flow open of a client of `class` at `at`.
+fn flow_request(class: ClientClass, spec: &FleetSpec, at: SimTime) -> OpenRequest {
+    OpenRequest {
+        at,
+        spec: match class {
+            ClientClass::WifiOnly | ClientClass::LteOnly => TransportSpec::Plain {
+                tcp: fleet_tcp(),
+                cc: CcConfig::default(),
+                if_index: 0,
+            },
+            ClientClass::Multipath => TransportSpec::Mptcp(fleet_mptcp(2)),
         },
-        ClientClass::Multipath => TransportSpec::Mptcp(MptcpConfig {
-            tcp: client_tcp(),
-            max_subflows: 2,
-            record_ofo_samples: false,
-            ..MptcpConfig::default()
-        }),
-    }
-}
-
-fn make_app(workload: &FleetWorkload) -> Box<dyn mpw_mptcp::App> {
-    match workload {
-        FleetWorkload::Download { size } => Box::new(Wget::new(*size, false)),
-        FleetWorkload::Streaming { profile } => Box::new(StreamingClient::new(*profile)),
+        remote: Endpoint::new(SERVER_ADDR, SERVER_PORT),
+        app: match &spec.workload {
+            FleetWorkload::Download { size } => Box::new(Wget::new(*size, false)),
+            FleetWorkload::Streaming { profile } => Box::new(StreamingClient::new(*profile)),
+        },
+        warmup_pings: 0,
+        warmup_if: 0,
     }
 }
 
@@ -152,32 +125,6 @@ fn arrival_schedule(spec: &FleetSpec, world: &World) -> Vec<SimTime> {
     }
 }
 
-/// Queue one flow open on a client host at `at`.
-fn queue_flow(world: &mut World, client: AgentId, class: ClientClass, spec: &FleetSpec, at: SimTime) {
-    let host = world.agent_mut::<Host>(client).expect("client host");
-    host.queue_open(OpenRequest {
-        at,
-        spec: transport_for(class),
-        remote: Endpoint::new(SERVER_ADDR, SERVER_PORT),
-        app: make_app(&spec.workload),
-        warmup_pings: 0,
-        warmup_if: 0,
-    });
-    world.schedule(at, client, Event::Timer { token: Host::open_token() });
-}
-
-/// Whether slot `slot` on `host` finished its workload, and when.
-fn flow_finished(host: &Host, slot: usize, workload: &FleetWorkload) -> Option<SimTime> {
-    match workload {
-        FleetWorkload::Download { .. } => host
-            .app::<Wget>(slot)
-            .and_then(|w| w.result.finished_at),
-        FleetWorkload::Streaming { .. } => {
-            host.app::<StreamingClient>(slot).and_then(|s| s.finished_at)
-        }
-    }
-}
-
 /// Build the world described by `spec`, run it to the horizon (or until
 /// every open-loop flow completes), and harvest the aggregate report.
 pub fn run_fleet(spec: &FleetSpec) -> FleetRun {
@@ -193,118 +140,59 @@ pub fn run_fleet_windowed(
     window: Option<(SimTime, SimTime)>,
     mark: &mut dyn FnMut(u8),
 ) -> FleetRun {
-    let mut world = World::new(spec.seed, TraceLevel::Off);
-
-    // --- server -----------------------------------------------------------
-    let s_rng = world.rng().stream("fleet.server");
-    let server = world.add_agent(Box::new(Host::new(vec![SERVER_ADDR], 1 << 16, false, s_rng)));
-
-    // --- shared access networks ------------------------------------------
-    let wifi_sw = world.add_agent(Box::new(Switch::new(classify_dst)));
-    let cell_sw = world.add_agent(Box::new(Switch::new(classify_dst)));
-    let wifi_path = build_shared_access(
-        &mut world,
-        &wifi_spec(spec),
-        (wifi_sw, 0),
-        (server, 0),
+    // --- topology: server, the two shared access networks, population -----
+    let mut topo = Topology::new(spec.seed, TraceLevel::Off);
+    let s_rng = topo.world.rng().stream("fleet.server");
+    let server = topo.add_server(vec![SERVER_ADDR], s_rng);
+    let wifi_sw = topo.add_switch();
+    let cell_sw = topo.add_switch();
+    let wifi = topo.add_access(
+        &spec.wifi.spec(spec.period),
         "fleet.wifi",
+        Delivery::Shared { switch: wifi_sw },
     );
-    let cell_path = build_shared_access(
-        &mut world,
+    let cell = topo.add_access(
         &spec.carrier.preset(),
-        (cell_sw, 0),
-        (server, 0),
         "fleet.cell",
+        Delivery::Shared { switch: cell_sw },
     );
-
-    // --- population -------------------------------------------------------
-    let mut mix_rng = world.rng().stream("fleet.mix");
+    let mut mix_rng = topo.world.rng().stream("fleet.mix");
     let mut clients = Vec::with_capacity(spec.n_clients as usize);
     for i in 0..spec.n_clients {
         let class = spec.mix.draw(&mut mix_rng);
-        let addrs = match class {
-            ClientClass::WifiOnly => vec![wifi_addr(i)],
-            ClientClass::LteOnly => vec![cell_addr(i)],
-            ClientClass::Multipath => vec![wifi_addr(i), cell_addr(i)],
+        // Interface k of the client attaches to access network ifaces[k].
+        let ifaces: &[(Addr, usize)] = match class {
+            ClientClass::WifiOnly => &[(wifi_addr(i), wifi)],
+            ClientClass::LteOnly => &[(cell_addr(i), cell)],
+            ClientClass::Multipath => &[(wifi_addr(i), wifi), (cell_addr(i), cell)],
         };
-        let rng = world.rng().substream("fleet.client", u64::from(i));
+        let rng = topo.world.rng().substream("fleet.client", u64::from(i));
         // 256 conn ids per client keeps ids unique across the fleet even
         // under closed-loop churn.
-        let agent = world.add_agent(Box::new(Host::new(addrs, i * 256, true, rng)));
-        {
-            let host = world.agent_mut::<Host>(agent).expect("client host");
-            match class {
-                ClientClass::WifiOnly => host.set_iface_link(0, wifi_path.uplink),
-                ClientClass::LteOnly => host.set_iface_link(0, cell_path.uplink),
-                ClientClass::Multipath => {
-                    host.set_iface_link(0, wifi_path.uplink);
-                    host.set_iface_link(1, cell_path.uplink);
-                }
-            }
-        }
-        // Downstream fan-out and server-side routing for each address.
-        if class != ClientClass::LteOnly {
-            world
-                .agent_mut::<Switch>(wifi_sw)
-                .expect("wifi switch")
-                .add_route(u64::from(wifi_addr(i).0), (agent, 0));
-            world
-                .agent_mut::<Host>(server)
-                .expect("server host")
-                .add_route(wifi_addr(i), wifi_path.downlink);
-        }
-        if class != ClientClass::WifiOnly {
-            world
-                .agent_mut::<Switch>(cell_sw)
-                .expect("cell switch")
-                .add_route(u64::from(cell_addr(i).0), (agent, 0));
-            world
-                .agent_mut::<Host>(server)
-                .expect("server host")
-                .add_route(cell_addr(i), cell_path.downlink);
+        let addrs = ifaces.iter().map(|&(addr, _)| addr).collect();
+        let agent = topo.add_client(addrs, i * 256, rng);
+        for (if_index, &(addr, net)) in ifaces.iter().enumerate() {
+            topo.attach(agent, if_index, addr, net);
         }
         let think = match spec.arrival {
             Arrival::Closed { .. } => {
-                Some(world.rng().substream("fleet.think", u64::from(i)))
+                Some(topo.world.rng().substream("fleet.think", u64::from(i)))
             }
             _ => None,
         };
-        clients.push(ClientState {
-            agent,
-            class,
-            opens: 0,
-            think,
-            open_pending: false,
-            done: false,
-        });
+        clients.push(ClientState { agent, class, think });
     }
-    {
-        let host = world.agent_mut::<Host>(server).expect("server host");
-        host.set_iface_link(0, wifi_path.downlink);
-        host.listen(
-            SERVER_PORT,
-            MptcpConfig {
-                tcp: client_tcp(),
-                max_subflows: 8,
-                record_ofo_samples: false,
-                ..MptcpConfig::default()
-            },
-            (client_tcp(), CcConfig::default()),
-            Box::new(|_conn_id| Box::new(HttpServer::new())),
-        );
-    }
+    topo.serve(SERVER_PORT, fleet_mptcp(8), fleet_tcp());
+    let (wifi_path, cell_path) = (topo.nets[wifi].path, topo.nets[cell].path);
+    let mut world = topo.world;
 
     // --- first arrivals ---------------------------------------------------
     let arrivals = arrival_schedule(spec, &world);
     let horizon = SimTime::from_millis(spec.horizon_ms);
-    for (i, &at) in arrivals.iter().enumerate() {
-        if at >= horizon {
-            continue;
+    for (c, &at) in clients.iter().zip(&arrivals) {
+        if at < horizon {
+            open_flow(&mut world, c.agent, flow_request(c.class, spec, at));
         }
-        let c = &mut clients[i];
-        queue_flow(&mut world, c.agent, c.class, spec, at);
-        c.opens = 1;
-        c.open_pending = true;
     }
 
     // --- mobility ---------------------------------------------------------
@@ -323,24 +211,21 @@ pub fn run_fleet_windowed(
         Arrival::Closed { think_mean_ms } => think_mean_ms as f64,
         _ => 0.0,
     };
-    let ticker = world.add_agent(Box::new(Ticker));
-    let tick = SimDuration::from_millis(spec.goodput_bucket_ms.max(1));
+    // Woken at every tick boundary (see [`Drive::ticker`]): between
+    // closed-loop flows the heap can drain. A sink ignores timers.
+    let ticker = world.add_agent(Box::new(NullSink::default()));
     let mut report = FleetReport::new(spec.goodput_bucket_ms);
     report.clients = u64::from(spec.n_clients);
     let mut delivered_cum: u64 = 0;
     let mut marked = [false; 2];
-    loop {
-        let now = world.now();
-        let mut stop = (now + tick).min(horizon);
-        if let Some(d) = &driver {
-            if let Some(at) = d.next_at() {
-                stop = stop.min(at);
-            }
-        }
-        // Guarantee the clock reaches `stop` even if the heap drains.
-        world.schedule(stop, ticker, Event::Timer { token: 0 });
-        world.run_until(stop);
-        let now = world.now();
+    let cfg = Drive {
+        tick: SimDuration::from_millis(spec.goodput_bucket_ms.max(1)),
+        horizon,
+        mobility: driver.as_mut().map(|d| (d, &bindings[..])),
+        ticker: Some(ticker),
+        who: spec,
+    };
+    drive(&mut world, cfg, |world, now, _ops| {
         if let Some((start, end)) = window {
             if !marked[0] && now >= start {
                 marked[0] = true;
@@ -351,87 +236,59 @@ pub fn run_fleet_windowed(
                 mark(1);
             }
         }
-        if let Some(d) = &mut driver {
-            d.apply_due(&mut world, &bindings, now)
-                .expect("fleet scenario paths are bound");
-        }
 
-        // Aggregate goodput sample: fleet-wide delivered-byte delta.
+        // Aggregate goodput sample (fleet-wide delivered-byte delta), and
+        // for the closed loop: one think time after a client's latest flow
+        // finishes, open the next one.
         let mut total: u64 = 0;
         let mut all_done = true;
-        for c in &clients {
+        for c in &mut clients {
             let host = world.agent::<Host>(c.agent).expect("client host");
+            let mut latest = None;
             for slot in 0..host.slot_count() {
-                if let Some(t) = host.transport(slot) {
-                    total += t.delivered_offset();
-                }
+                latest = client_flow(host, slot);
+                let flow = latest.expect("live slot");
+                total += flow.delivered;
+                all_done &= flow.finished_at.is_some();
             }
-            if host.slot_count() < c.opens as usize
-                || (0..host.slot_count())
-                    .any(|s| flow_finished(host, s, &spec.workload).is_none())
-            {
-                all_done = false;
+            // Every queued open has become a slot.
+            let opened_all = host.pending_open_count() == 0;
+            all_done &= opened_all;
+            let latest_done =
+                opened_all && latest.is_some_and(|flow| flow.finished_at.is_some());
+            let Some(think) = c.think.as_mut().filter(|_| latest_done) else {
+                continue;
+            };
+            // One think-time draw per completed flow. Think clocks start at
+            // the sampling tick where the completion is observed (≤ one
+            // bucket after the true finish time).
+            let gap = SimDuration::from_nanos((think.exponential(think_mean_ms) * 1e6) as u64);
+            let at = now + gap;
+            if at < horizon {
+                open_flow(world, c.agent, flow_request(c.class, spec, at));
+            } else {
+                c.think = None;
             }
         }
         if total > delivered_cum {
             report.absorb_goodput(now.as_nanos() / 1_000_000, total - delivered_cum);
             delivered_cum = total;
         }
-
-        // Closed loop: one think time after a client's latest flow
-        // finishes, open the next one.
-        if closed {
-            for c in &mut clients {
-                if c.done {
-                    continue;
-                }
-                let host = world.agent::<Host>(c.agent).expect("client host");
-                let opened_all = host.slot_count() >= c.opens as usize;
-                let latest_done = c.opens > 0
-                    && opened_all
-                    && flow_finished(host, c.opens as usize - 1, &spec.workload).is_some();
-                if latest_done && c.open_pending {
-                    c.open_pending = false;
-                }
-                if latest_done && !c.open_pending {
-                    // One think-time draw per completed flow. Think clocks
-                    // start at the sampling tick where the completion is
-                    // observed (≤ one bucket after the true finish time).
-                    let think = c.think.as_mut().expect("closed loop has think RNG");
-                    let gap = SimDuration::from_nanos(
-                        (think.exponential(think_mean_ms) * 1e6) as u64,
-                    );
-                    let at = now + gap;
-                    if at < horizon {
-                        queue_flow(&mut world, c.agent, c.class, spec, at);
-                        c.opens += 1;
-                        c.open_pending = true;
-                    } else {
-                        // Horizon would cut the flow: this client is done.
-                        c.done = true;
-                    }
-                }
-                all_done = false;
-            }
-        }
-
-        if now >= horizon || (!closed && all_done) {
-            break;
-        }
-    }
+        !closed && all_done
+    });
 
     // --- harvest ----------------------------------------------------------
     let mut records = Vec::new();
     for c in &clients {
         let host = world.agent::<Host>(c.agent).expect("client host");
         for slot in 0..host.slot_count() {
-            records.push(harvest_flow(host, c, slot, spec));
+            let flow = client_flow(host, slot).expect("live slot");
+            records.push(flow_record(&flow, host.conn_id(slot).unwrap_or(0) / 256, c.class));
         }
     }
     for r in &records {
         report.absorb(r);
     }
-    // `absorb` counted flows; clients was set up front.
     FleetRun {
         world,
         report,
@@ -442,52 +299,29 @@ pub fn run_fleet_windowed(
     }
 }
 
-fn harvest_flow(host: &Host, c: &ClientState, slot: usize, spec: &FleetSpec) -> FlowRecord {
-    let transport = host.transport(slot).expect("live slot");
-    let started = transport.opened_at();
-    let finished = flow_finished(host, slot, &spec.workload);
-    let bytes = transport.delivered_offset();
-    let (mut wifi_bytes, mut cell_bytes) = (0u64, 0u64);
-    match transport {
-        Transport::Mp(conn) => {
-            let per_sf = conn.stats().per_subflow_delivered;
-            for (i, sf) in conn.subflows.iter().enumerate() {
-                let b = per_sf.get(i).copied().unwrap_or(0);
-                // Multipath fleet clients bind iface 0 to WiFi, 1 to cellular.
-                if sf.if_index == 0 {
-                    wifi_bytes += b;
-                } else {
-                    cell_bytes += b;
-                }
-            }
-        }
-        Transport::Sp(_) => match c.class {
-            ClientClass::LteOnly => cell_bytes = bytes,
-            _ => wifi_bytes = bytes,
-        },
-    }
-    let fct_us = finished
-        .map(|f| f.saturating_since(started).as_nanos() / 1_000)
-        .unwrap_or(0);
-    let late_blocks = host
-        .app::<StreamingClient>(slot)
-        .map(|s| u64::from(s.late_blocks))
-        .unwrap_or(0);
+/// The fleet's view of one harvested flow.
+fn flow_record(flow: &ClientFlow, client: u32, class: ClientClass) -> FlowRecord {
+    // Interface 0 of an LTE-only client is its cellular one.
+    let (wifi_bytes, cell_bytes) = match class {
+        ClientClass::LteOnly => (0, flow.per_if[0]),
+        _ => (flow.per_if[0], flow.per_if[1]),
+    };
+    let fct_us = flow.download_time().map_or(0, |d| d.as_nanos() / 1_000);
     FlowRecord {
-        client: (host.conn_id(slot).unwrap_or(0)) / 256,
-        class: c.class.label().to_string(),
-        started_ms: started.as_nanos() / 1_000_000,
-        completed: finished.is_some(),
+        client,
+        class: class.label().to_string(),
+        started_ms: flow.opened_at.as_nanos() / 1_000_000,
+        completed: flow.finished_at.is_some(),
         fct_us,
-        bytes,
+        bytes: flow.delivered,
         wifi_bytes,
         cell_bytes,
-        rate_kbps: if finished.is_some() {
-            (bytes * 8_000).checked_div(fct_us).unwrap_or(0)
+        rate_kbps: if flow.finished_at.is_some() {
+            (flow.delivered * 8_000).checked_div(fct_us).unwrap_or(0)
         } else {
             0
         },
-        late_blocks,
+        late_blocks: u64::from(flow.late_blocks),
     }
 }
 

@@ -1,0 +1,133 @@
+//! Reading a flow's counters off its two hosts.
+//!
+//! One client-side and one server-side harvest; the per-flow records of
+//! every harness ([`FlowRecord`](mpw_metrics::FlowRecord) here, the
+//! measurement types of `mpw-experiments`) are views of what they return.
+
+use mpw_http::{StreamingClient, Wget};
+use mpw_metrics::DistSummary;
+use mpw_mptcp::{Host, Transport};
+use mpw_sim::{SimDuration, SimTime};
+use mpw_tcp::{Addr, SocketStats, TcpSocket};
+
+/// The receiver's half of one flow: what a client slot holds right now.
+/// Plain counters, cheap enough to sample every tick.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct ClientFlow {
+    /// When the first SYN left.
+    pub opened_at: SimTime,
+    /// When the application finished its workload (download or streaming
+    /// session), if it has.
+    pub finished_at: Option<SimTime>,
+    /// Body bytes a download has received.
+    pub app_bytes: u64,
+    /// Blocks of a streaming session that missed their deadline.
+    pub late_blocks: u32,
+    /// Bytes the transport delivered in order (bodies and response heads).
+    pub delivered: u64,
+    /// Payload bytes received per client interface.
+    pub per_if: [u64; 2],
+    /// Whether MPTCP fell back to plain TCP.
+    pub fell_back: bool,
+    /// Subflows the transport ever had (1 for plain TCP).
+    pub subflows: usize,
+}
+
+impl ClientFlow {
+    /// The paper's download-time metric: first SYN → last byte (§3.3).
+    pub fn download_time(&self) -> Option<SimDuration> {
+        self.finished_at.map(|f| f.saturating_since(self.opened_at))
+    }
+}
+
+/// Harvest client slot `slot`; `None` while the flow has not opened.
+pub fn client_flow(host: &Host, slot: usize) -> Option<ClientFlow> {
+    let transport = host.transport(slot)?;
+    let mut flow = ClientFlow {
+        opened_at: transport.opened_at(),
+        delivered: transport.delivered_offset(),
+        ..ClientFlow::default()
+    };
+    match transport {
+        Transport::Mp(conn) => {
+            flow.fell_back = conn.fell_back();
+            flow.subflows = conn.subflows.len();
+            for (i, sf) in conn.subflows.iter().enumerate() {
+                if let Some(bytes) = flow.per_if.get_mut(usize::from(sf.if_index)) {
+                    *bytes += conn.subflow_delivered(i);
+                }
+            }
+        }
+        Transport::Sp(sock) => {
+            flow.subflows = 1;
+            if let Some(bytes) = flow.per_if.get_mut(usize::from(sock.if_index)) {
+                *bytes = sock.recv_offset();
+            }
+        }
+    }
+    if let Some(wget) = host.app::<Wget>(slot) {
+        flow.app_bytes = wget.result.bytes;
+        flow.finished_at = wget.result.finished_at;
+    } else if let Some(session) = host.app::<StreamingClient>(slot) {
+        flow.late_blocks = session.late_blocks;
+        flow.finished_at = session.finished_at;
+    }
+    Some(flow)
+}
+
+/// Payload bytes each subflow of client slot `slot` has received, in
+/// subflow creation order — the same order the server's subflows of the
+/// connection are in.
+pub fn subflow_deliveries(host: &Host, slot: usize) -> Vec<u64> {
+    match host.transport(slot) {
+        Some(Transport::Mp(conn)) => (0..conn.subflows.len())
+            .map(|i| conn.subflow_delivered(i))
+            .collect(),
+        Some(Transport::Sp(sock)) => vec![sock.recv_offset()],
+        None => Vec::new(),
+    }
+}
+
+/// The sender's half of one subflow (or of a plain TCP connection).
+#[derive(Clone, Debug)]
+pub struct SenderSubflow {
+    /// The client's address on this subflow — names the client interface.
+    pub client_addr: Addr,
+    /// The socket's counters: segments sent and retransmitted (the loss-rate
+    /// numerator, §3.3), establishment time.
+    pub stats: SocketStats,
+    /// Streaming summary of per-packet RTTs in milliseconds.
+    pub rtt: DistSummary,
+    /// Exact per-packet RTT samples in milliseconds since the previous
+    /// harvest (empty unless the socket records them).
+    pub rtt_samples_ms: Vec<f64>,
+}
+
+impl SenderSubflow {
+    fn of(sock: &mut TcpSocket) -> SenderSubflow {
+        SenderSubflow {
+            client_addr: sock.remote().addr,
+            stats: sock.stats(),
+            rtt: sock.rtt().summary().clone(),
+            rtt_samples_ms: sock
+                .take_rtt_samples()
+                .iter()
+                .map(|(_, d)| d.as_secs_f64() * 1e3)
+                .collect(),
+        }
+    }
+}
+
+/// Harvest server slot `slot`, one record per subflow in creation order.
+/// Drains the exact RTT samples recorded so far.
+pub fn sender_subflows(host: &mut Host, slot: usize) -> Vec<SenderSubflow> {
+    match host.transport_mut(slot) {
+        Some(Transport::Mp(conn)) => conn
+            .subflows
+            .iter_mut()
+            .map(|sf| SenderSubflow::of(&mut sf.sock))
+            .collect(),
+        Some(Transport::Sp(sock)) => vec![SenderSubflow::of(sock)],
+        None => Vec::new(),
+    }
+}

@@ -9,7 +9,12 @@
 //! bufferbloat and loss emerge from aggregate load instead of per-flow
 //! configuration.
 //!
-//! Three layers:
+//! It also holds the host-level pieces every harness shares, the
+//! single-flow testbed of `mpw-experiments` included: the [`Topology`]
+//! builder, the flow driver ([`open_flow`], [`drive()`]) and the harvest
+//! ([`client_flow`], [`sender_subflows`]).
+//!
+//! Three layers on top of those:
 //!
 //! - [`FleetSpec`] — the declarative description: population size and path
 //!   mix, the access networks (`mpw-link` presets), an arrival process
@@ -30,9 +35,17 @@
 #![forbid(unsafe_code)]
 
 pub mod campaign;
+pub mod drive;
 pub mod engine;
+pub mod harvest;
 pub mod spec;
+pub mod topology;
 
-pub use campaign::{replication_seed, run_campaign, FleetCampaign};
+pub use campaign::{run_campaign, FleetCampaign};
+pub use drive::{drive, open_flow, Drive};
 pub use engine::{run_fleet, run_fleet_windowed, FleetRun};
-pub use spec::{Arrival, ClientClass, FleetSpec, FleetWifi, FleetWorkload, PathMix};
+pub use harvest::{
+    client_flow, sender_subflows, subflow_deliveries, ClientFlow, SenderSubflow,
+};
+pub use topology::{AccessNet, Delivery, Topology};
+pub use spec::{Arrival, ClientClass, FleetSpec, FleetWorkload, PathMix, WifiKind};

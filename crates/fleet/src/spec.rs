@@ -2,7 +2,7 @@
 //! arrive, and what they do.
 
 use mpw_http::StreamingProfile;
-use mpw_link::{Carrier, DayPeriod};
+use mpw_link::{wifi_home, wifi_hotspot, Carrier, DayPeriod, PathSpec};
 use mpw_scenario::Scenario;
 use mpw_sim::SimRng;
 use serde::{Deserialize, Serialize};
@@ -81,15 +81,24 @@ impl PathMix {
     }
 }
 
-/// Which WiFi network the fleet shares (mirrors the experiment vocabulary;
-/// duplicated here because `mpw-experiments` depends on this crate, not
-/// the other way around).
+/// Which WiFi network the client (or the whole fleet) associates with.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub enum FleetWifi {
-    /// Residential backhaul; background load follows the day period.
+pub enum WifiKind {
+    /// Private home network on a residential backhaul (default);
+    /// background load follows the day period.
     Home,
-    /// Coffee-shop hotspot with the given number of customers.
+    /// The coffee-shop hotspot with the given number of customers.
     Hotspot(u32),
+}
+
+impl WifiKind {
+    /// Materialize the path spec for a given day period.
+    pub fn spec(self, period: DayPeriod) -> PathSpec {
+        match self {
+            WifiKind::Home => wifi_home(period.wifi_load()),
+            WifiKind::Hotspot(n) => wifi_hotspot(n),
+        }
+    }
 }
 
 /// When each client's first flow opens. Every variant is a pure function
@@ -145,7 +154,7 @@ pub struct FleetSpec {
     /// Class-mix weights.
     pub mix: PathMix,
     /// Shared WiFi access network.
-    pub wifi: FleetWifi,
+    pub wifi: WifiKind,
     /// Shared cellular access network.
     pub carrier: Carrier,
     /// Day period (drives WiFi background load).
@@ -172,7 +181,7 @@ impl FleetSpec {
             n_clients: n,
             seed,
             mix: PathMix::mixed(),
-            wifi: FleetWifi::Home,
+            wifi: WifiKind::Home,
             carrier: Carrier::Att,
             period: DayPeriod::Evening,
             arrival: Arrival::Staggered { gap_ms: 20 },

@@ -25,6 +25,9 @@ pub struct BuiltPath {
 ///
 /// `client` and `server` are `(agent, port)` destinations: frames leaving the
 /// downlink are delivered to `client`, frames leaving the uplink to `server`.
+/// For a *shared* access network `client` is an [`mpw_sim::Switch`] fanning
+/// out by destination address, and many hosts transmit into the one uplink,
+/// so its drop-tail queue reflects their aggregate load.
 /// The `label` scopes the RNG streams so multiple paths in one world stay
 /// independent.
 pub fn build_path(
@@ -74,23 +77,6 @@ pub fn build_path(
         downlink,
         bg_sink,
     }
-}
-
-/// Instantiate `spec` as a *shared* access network: many client hosts
-/// transmit into the one returned uplink (so the drop-tail queue, and with
-/// it bufferbloat and loss, reflects their aggregate load), and the
-/// downlink fans out through `switch` — typically an [`mpw_sim::Switch`]
-/// routing on destination address. Identical wiring to [`build_path`]
-/// except that "the client" is the switch; it exists to make fleet
-/// topologies read as what they are.
-pub fn build_shared_access(
-    world: &mut World,
-    spec: &PathSpec,
-    switch: (AgentId, u16),
-    server: (AgentId, u16),
-    label: &str,
-) -> BuiltPath {
-    build_path(world, spec, switch, server, label)
 }
 
 #[cfg(test)]
@@ -162,7 +148,7 @@ mod tests {
         let mut spec = wifi_home(0.0);
         spec.up.loss = crate::LossModel::None;
         spec.down.loss = crate::LossModel::None;
-        let built = build_shared_access(&mut w, &spec, (sw, 0), (server_sink, 0), "shared");
+        let built = build_path(&mut w, &spec, (sw, 0), (server_sink, 0), "shared");
         // Both clients send into the same uplink queue (paced under the
         // 6 Mbps service rate so nothing overflows)...
         for i in 0..20u64 {

@@ -22,7 +22,7 @@ pub mod presets;
 pub mod rate;
 
 pub use background::{OnOffConfig, OnOffSource, BACKGROUND_META};
-pub use builder::{build_path, build_shared_access, BuiltPath};
+pub use builder::{build_path, BuiltPath};
 pub use link::{ArqConfig, Jitter, LinkAgent, LinkConfig, LinkStats, LinkTap, NullSink, RrcConfig};
 pub use loss::{GilbertElliott, LossModel};
 pub use presets::{

@@ -6,7 +6,9 @@
 //!
 //! - an integer-nanosecond simulated clock ([`SimTime`], [`SimDuration`]),
 //! - a deterministic event queue and agent model ([`World`], [`Agent`]),
-//! - named reproducible RNG streams ([`RngFactory`], [`SimRng`]),
+//! - named reproducible RNG streams ([`RngFactory`], [`SimRng`]) and the
+//!   campaign seed derivation ([`derive_seed`]),
+//! - the worker pool independent worlds run on ([`run_jobs`]),
 //! - a tcpdump-like trace vocabulary and recorder ([`trace`]).
 //!
 //! The design follows the smoltcp idiom: protocol components are synchronous,
@@ -19,6 +21,7 @@
 #![forbid(unsafe_code)]
 
 mod engine;
+pub mod jobs;
 pub mod rng;
 pub mod switch;
 pub mod tap;
@@ -26,6 +29,7 @@ pub mod time;
 pub mod trace;
 
 pub use engine::{Agent, AgentId, Ctx, EngineStats, Event, Frame, RunOutcome, TimerHandle, World};
-pub use rng::{RngFactory, SimRng};
+pub use jobs::run_jobs;
+pub use rng::{derive_seed, RngFactory, SimRng};
 pub use switch::{Classifier, Switch};
 pub use time::{serialization_delay, SimDuration, SimTime};

@@ -39,6 +39,13 @@ impl RngFactory {
     }
 }
 
+/// The root seed of independent run `idx` of a campaign seeded `master` —
+/// the one derivation every campaign uses, so a run can be replayed alone
+/// from its `(master, idx)` pair.
+pub fn derive_seed(master: u64, idx: u64) -> u64 {
+    master.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(idx)
+}
+
 /// ChaCha8 keystream generator (RFC 7539 core, 8 rounds, 64-bit counter).
 #[derive(Clone, Debug)]
 struct ChaCha8 {
@@ -245,6 +252,18 @@ impl SimRng {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn derive_seed_is_the_campaigns_historical_expression() {
+        for (master, idx) in [(0u64, 0u64), (1, 0), (1, 41), (2013, 5_999), (u64::MAX, u64::MAX)] {
+            assert_eq!(
+                derive_seed(master, idx),
+                master.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(idx)
+            );
+        }
+        assert_eq!(derive_seed(1, 0), 0x9e37_79b9_7f4a_7c15);
+        assert_eq!(derive_seed(7, 3), 0x5384_5412_7b09_6496);
+    }
 
     #[test]
     fn streams_are_reproducible() {

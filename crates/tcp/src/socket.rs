@@ -86,6 +86,16 @@ impl Default for TcpConfig {
     }
 }
 
+impl TcpConfig {
+    /// This configuration with exact per-sample RTT recording off: the
+    /// constant-memory streaming summary still carries the distribution,
+    /// and memory stays flat in transfer size (campaigns, fleets).
+    pub fn summaries_only(mut self) -> Self {
+        self.record_rtt_samples = false;
+        self
+    }
+}
+
 /// Counters for one socket, matching the paper's per-flow metrics.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SocketStats {
