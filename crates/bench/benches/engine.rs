@@ -19,7 +19,7 @@ use mpw_mptcp::Coupling;
 use mpw_sim::trace::TraceLevel;
 use mpw_sim::{Agent, Ctx, Event, Frame, SimDuration, SimTime, TimerHandle, World};
 use mpw_tcp::buf::Assembler;
-use mpw_tcp::wire::{self, tcp_flags, DssMapping, MptcpOption, TcpOption, TcpSegment};
+use mpw_tcp::wire::{self, tcp_flags, DssMapping, MptcpOption, SackBlocks, TcpOption, TcpSegment};
 use mpw_tcp::SeqNum;
 
 /// Heap-operation counter wrapping the system allocator. Counts every
@@ -514,6 +514,25 @@ fn data_segment() -> TcpSegment {
     seg
 }
 
+/// The smallest packet of a download, where the fixed per-packet cost is
+/// all there is: a pure ACK with one SACK block and a DSS data-ack.
+fn ack_segment() -> TcpSegment {
+    let mut seg = TcpSegment::bare(40_000, 8080, SeqNum(999), SeqNum(23_456), tcp_flags::ACK);
+    seg.window = 60_000;
+    let mut sack = SackBlocks::new();
+    sack.push(SeqNum(30_000), SeqNum(31_400));
+    seg.options = [
+        TcpOption::Sack(sack),
+        TcpOption::Mptcp(MptcpOption::Dss {
+            data_ack: Some(1 << 33),
+            mapping: None,
+            data_fin: false,
+        }),
+    ]
+    .into();
+    seg
+}
+
 fn bench_wire(c: &mut Criterion) {
     let mut g = c.benchmark_group("wire");
     let ip = wire::IpHeader {
@@ -530,6 +549,13 @@ fn bench_wire(c: &mut Criterion) {
     let bytes = wire::encode_packet(&ip, &seg);
     g.bench_function("parse_data_segment", |b| {
         b.iter(|| wire::parse_packet(&bytes).expect("valid"))
+    });
+    let ack = ack_segment();
+    let ack_bytes = wire::encode_packet(&ip, &ack);
+    g.throughput(Throughput::Bytes(ack_bytes.len() as u64));
+    g.bench_function("encode_ack", |b| b.iter(|| wire::encode_packet(&ip, &ack)));
+    g.bench_function("parse_ack_shared", |b| {
+        b.iter(|| wire::parse_packet_shared(&ack_bytes).expect("valid"))
     });
     g.finish();
 }

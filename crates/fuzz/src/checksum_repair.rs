@@ -93,5 +93,22 @@ mod tests {
             fix_wire_checksums(&mut repaired);
             assert_eq!(repaired, bytes, "repair changed a valid packet");
         }
+        // Every segment size an MSS-bounded sender can emit, odd and even.
+        use mpw_tcp::wire::{encode_packet, IpHeader, TcpSegment, PROTO_TCP};
+        use mpw_tcp::{Addr, SeqNum};
+        let ip = IpHeader {
+            src: Addr::new(10, 0, 1, 2),
+            dst: Addr::new(192, 168, 1, 1),
+            protocol: PROTO_TCP,
+            ttl: 64,
+        };
+        for len in 0..=1460u32 {
+            let mut seg = TcpSegment::bare(40000, 80, SeqNum(len), SeqNum(1), 0x10);
+            seg.payload = (0..len).map(|_| rng.next_u64() as u8).collect();
+            let bytes = encode_packet(&ip, &seg).to_vec();
+            let mut repaired = bytes.clone();
+            fix_wire_checksums(&mut repaired);
+            assert_eq!(repaired, bytes, "checksums disagree at payload length {len}");
+        }
     }
 }

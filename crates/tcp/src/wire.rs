@@ -523,21 +523,34 @@ impl fmt::Display for WireError {
 impl std::error::Error for WireError {}
 
 /// 16-bit ones'-complement checksum (RFC 1071).
+///
+/// The ones'-complement sum does not depend on byte order (RFC 1071 §2(B)):
+/// summing the 16-bit words byte-swapped gives the byte-swapped sum. So the
+/// data is added up as native-endian 32-bit words — two per 8-byte load, in
+/// two 64-bit accumulators that cannot carry out below 32 GiB of input — and
+/// the one swap to network order happens on the folded result.
 fn checksum(data: &[u8]) -> u16 {
-    let mut sum: u32 = 0;
-    let mut chunks = data.chunks_exact(2);
-    for c in &mut chunks {
-        if let [hi, lo] = c {
-            sum += u32::from(u16::from_be_bytes([*hi, *lo]));
+    let (words, tail) = data.as_chunks::<8>();
+    let (mut lo, mut hi) = (0u64, 0u64);
+    for w in words {
+        let w = u64::from_ne_bytes(*w);
+        lo += w & 0xffff_ffff;
+        hi += w >> 32;
+    }
+    let mut sum = lo + hi;
+    let mut pairs = tail.chunks_exact(2);
+    for p in &mut pairs {
+        if let [a, b] = p {
+            sum += u64::from(u16::from_ne_bytes([*a, *b]));
         }
     }
-    if let [last] = chunks.remainder() {
-        sum += u32::from(u16::from_be_bytes([*last, 0]));
+    if let [last] = pairs.remainder() {
+        sum += u64::from(u16::from_ne_bytes([*last, 0]));
     }
     while sum > 0xffff {
         sum = (sum & 0xffff) + (sum >> 16);
     }
-    !(sum as u16)
+    !u16::from_be(sum as u16)
 }
 
 // ---- Checked byte access ------------------------------------------------
@@ -870,10 +883,14 @@ pub fn encode_packet(ip: &IpHeader, seg: &TcpSegment) -> Bytes {
 
     let opt_len = encode_options(seg.options.as_slice(), &mut out);
     assert!(opt_len <= MAX_OPTIONS_LEN, "TCP options exceed 40 bytes ({opt_len})");
+    let total = out.len() + seg.payload.len();
+    assert!(
+        total <= usize::from(u16::MAX),
+        "packet of {total} bytes overflows the 16-bit total-length field"
+    );
     out.extend_from_slice(&seg.payload);
 
     // Back-patch the length-dependent fields, then the checksums.
-    let total = out.len();
     let data_off_words = ((TCP_HEADER_LEN + opt_len) / 4) as u8;
     out[2..4].copy_from_slice(&(total as u16).to_be_bytes());
     out[tcp_start + 12] = data_off_words << 4;
@@ -889,7 +906,8 @@ pub fn encode_packet(ip: &IpHeader, seg: &TcpSegment) -> Bytes {
 /// The payload is copied; hot paths that hold the whole frame as [`Bytes`]
 /// should use [`parse_packet_shared`] instead.
 pub fn parse_packet(data: &[u8]) -> Result<(IpHeader, TcpSegment), WireError> {
-    let (ip, mut seg, (lo, hi)) = parse_packet_inner(data)?;
+    let (header, protocol) = network_header(data)?;
+    let (ip, mut seg, (lo, hi)) = parse_tcp(header, protocol, data)?;
     seg.payload = Bytes::copy_from_slice(data.get(lo..hi).unwrap_or(&[]));
     Ok((ip, seg))
 }
@@ -897,24 +915,35 @@ pub fn parse_packet(data: &[u8]) -> Result<(IpHeader, TcpSegment), WireError> {
 /// As [`parse_packet`], but the payload comes back as an O(1) sub-slice
 /// sharing `data`'s buffer — the zero-copy receive path.
 pub fn parse_packet_shared(data: &Bytes) -> Result<(IpHeader, TcpSegment), WireError> {
-    let (ip, mut seg, (lo, hi)) = parse_packet_inner(data)?;
+    let (header, protocol) = network_header(data)?;
+    let (ip, mut seg, (lo, hi)) = parse_tcp(header, protocol, data)?;
     // The range was bounds-checked against `data` during parsing.
     seg.payload = data.slice(lo..hi);
     Ok((ip, seg))
 }
 
-/// Shared parser core: returns the segment with an empty payload plus the
-/// byte range of the payload within `data`.
-#[allow(clippy::type_complexity)]
-fn parse_packet_inner(
-    data: &[u8],
-) -> Result<(IpHeader, TcpSegment, (usize, usize)), WireError> {
+/// What every parse entry point starts with, once per packet: bounds-check
+/// the network header and its version nibble, and hand back the header
+/// bytes with the protocol nibble [`parse_any`] dispatches on. The length
+/// and checksum checks come in the per-protocol parser, in its own order.
+fn network_header(data: &[u8]) -> Result<(&[u8], u8), WireError> {
     let header = data.get(..IP_HEADER_LEN).ok_or(WireError::Truncated)?;
     let b0 = get_u8(header, 0).ok_or(WireError::Truncated)?;
     if b0 >> 4 != 4 {
         return Err(WireError::BadVersion);
     }
-    let protocol = b0 & 0x0f;
+    Ok((header, b0 & 0x0f))
+}
+
+/// TCP parser core over a [`network_header`]-checked packet: returns the
+/// segment with an empty payload plus the byte range of the payload within
+/// `data`.
+#[allow(clippy::type_complexity)]
+fn parse_tcp(
+    header: &[u8],
+    protocol: u8,
+    data: &[u8],
+) -> Result<(IpHeader, TcpSegment, (usize, usize)), WireError> {
     let ttl = get_u8(header, 1).ok_or(WireError::Truncated)?;
     let total = get_be16(header, 2).ok_or(WireError::Truncated)? as usize;
     if total > data.len() || total < IP_HEADER_LEN {
@@ -1007,19 +1036,25 @@ pub enum Packet {
 /// Parse a packet of any supported protocol (payload copied; see
 /// [`parse_any_shared`] for the zero-copy variant).
 pub fn parse_any(data: &[u8]) -> Result<Packet, WireError> {
-    if let Some(ping) = parse_ping(data)? {
-        return Ok(ping);
+    let (header, protocol) = network_header(data)?;
+    if protocol == PROTO_PING {
+        return parse_ping(header, data);
     }
-    parse_packet(data).map(|(ip, seg)| Packet::Tcp(ip, seg))
+    let (ip, mut seg, (lo, hi)) = parse_tcp(header, protocol, data)?;
+    seg.payload = Bytes::copy_from_slice(data.get(lo..hi).unwrap_or(&[]));
+    Ok(Packet::Tcp(ip, seg))
 }
 
 /// As [`parse_any`], but TCP payloads come back as O(1) sub-slices of
 /// `data` — what the hosts use on the frame receive path.
 pub fn parse_any_shared(data: &Bytes) -> Result<Packet, WireError> {
-    if let Some(ping) = parse_ping(data)? {
-        return Ok(ping);
+    let (header, protocol) = network_header(data)?;
+    if protocol == PROTO_PING {
+        return parse_ping(header, data);
     }
-    parse_packet_shared(data).map(|(ip, seg)| Packet::Tcp(ip, seg))
+    let (ip, mut seg, (lo, hi)) = parse_tcp(header, protocol, data)?;
+    seg.payload = data.slice(lo..hi);
+    Ok(Packet::Tcp(ip, seg))
 }
 
 /// Read just the destination address of a serialized packet — the routing
@@ -1035,18 +1070,9 @@ pub fn peek_ip_dst(data: &[u8]) -> Option<Addr> {
     Some(Addr(get_be32(data, 8)?))
 }
 
-/// The ping fast-path of [`parse_any`]: `Ok(None)` means "not a ping —
-/// try TCP".
-fn parse_ping(data: &[u8]) -> Result<Option<Packet>, WireError> {
-    let header = data.get(..IP_HEADER_LEN).ok_or(WireError::Truncated)?;
-    let b0 = get_u8(header, 0).ok_or(WireError::Truncated)?;
-    let protocol = b0 & 0x0f;
-    if protocol != PROTO_PING {
-        return Ok(None);
-    }
-    if b0 >> 4 != 4 {
-        return Err(WireError::BadVersion);
-    }
+/// Ping parser over a [`network_header`]-checked packet whose protocol
+/// nibble is [`PROTO_PING`].
+fn parse_ping(header: &[u8], data: &[u8]) -> Result<Packet, WireError> {
     if checksum(header) != 0 {
         return Err(WireError::BadChecksum);
     }
@@ -1057,17 +1083,17 @@ fn parse_ping(data: &[u8]) -> Result<Option<Packet>, WireError> {
     let ip = IpHeader {
         src: Addr(get_be32(header, 4).ok_or(WireError::Truncated)?),
         dst: Addr(get_be32(header, 8).ok_or(WireError::Truncated)?),
-        protocol,
+        protocol: PROTO_PING,
         ttl: get_u8(header, 1).ok_or(WireError::Truncated)?,
     };
     let body = data.get(IP_HEADER_LEN..).ok_or(WireError::Truncated)?;
-    Ok(Some(Packet::Ping(
+    Ok(Packet::Ping(
         ip,
         PingPacket {
             reply: get_u8(body, 0).ok_or(WireError::Truncated)? != 0,
             token: get_be64(body, 1).ok_or(WireError::Truncated)?,
         },
-    )))
+    ))
 }
 
 /// Rewrite a packet with every MPTCP option removed (what the paper's AT&T
@@ -1350,6 +1376,86 @@ mod tests {
         assert_eq!(checksum(&[0, 0, 0, 0]), 0xffff);
         // Odd-length data is padded with zero.
         assert_eq!(checksum(&[0xff]), !0xff00);
+    }
+
+    /// RFC 1071 §4.1 as written: one big-endian 16-bit pair per step.
+    fn checksum_byte_pairs(data: &[u8]) -> u16 {
+        let mut sum: u32 = 0;
+        for pair in data.chunks(2) {
+            sum += u32::from(pair[0]) << 8 | u32::from(*pair.get(1).unwrap_or(&0));
+            sum = (sum & 0xffff) + (sum >> 16);
+        }
+        !(sum as u16)
+    }
+
+    #[test]
+    fn checksum_matches_byte_pair_reference() {
+        let buf: Vec<u8> = (0..1504u32).map(|i| (i.wrapping_mul(2654435761) >> 11) as u8).collect();
+        // Every length natively; a Miri-sized sample of them under the interpreter.
+        for len in (0..=1500).step_by(if cfg!(miri) { 97 } else { 1 }) {
+            // Odd tails at every length; unaligned word loads at offsets 1..4.
+            for off in 0..4 {
+                let data = &buf[off..off + len];
+                assert_eq!(checksum(data), checksum_byte_pairs(data), "len {len} at offset {off}");
+            }
+        }
+        // Every carry there can be: the accumulators must not saturate or wrap.
+        let ones = vec![0xffu8; 65_535];
+        assert_eq!(checksum(&ones), checksum_byte_pairs(&ones));
+        // 32,767 words of 0xffff sum to -0; the odd byte is what is left.
+        assert_eq!(checksum(&ones), !0xff00);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows the 16-bit total-length field")]
+    fn oversized_payload_is_refused_not_wrapped() {
+        let mut seg = TcpSegment::bare(1, 2, SeqNum(0), SeqNum(0), tcp_flags::ACK);
+        seg.payload = Bytes::from(vec![0u8; 65_536 - IP_HEADER_LEN - TCP_HEADER_LEN]);
+        encode_packet(&ip(), &seg);
+    }
+
+    #[test]
+    fn largest_packet_the_length_field_holds_roundtrips() {
+        let mut seg = TcpSegment::bare(1, 2, SeqNum(0), SeqNum(0), tcp_flags::ACK);
+        seg.payload = Bytes::from(vec![0x5au8; 65_535 - IP_HEADER_LEN - TCP_HEADER_LEN]);
+        assert_eq!(roundtrip(&seg), seg);
+    }
+
+    /// `parse_any` checks the header once and dispatches on the protocol
+    /// nibble; which error a damaged packet dies with is part of the fuzz
+    /// corpus' fingerprints, so the order of the checks is pinned here.
+    #[test]
+    fn parse_any_error_precedence() {
+        let ack = TcpSegment::bare(1, 2, SeqNum(3), SeqNum(4), tcp_flags::ACK);
+        let tcp = encode_packet(&ip(), &ack);
+        let ping = encode_ping(&ip(), &PingPacket { token: 7, reply: false });
+        assert!(matches!(parse_any(&tcp), Ok(Packet::Tcp(..))));
+        assert!(matches!(parse_any(&ping), Ok(Packet::Ping(..))));
+        for pkt in [&tcp, &ping] {
+            assert_eq!(parse_any(&pkt[..IP_HEADER_LEN - 1]), Err(WireError::Truncated));
+            // Version is judged before length and checksum.
+            let mut bad = pkt.to_vec();
+            bad[0] ^= 0x20;
+            bad[3] = 0;
+            assert_eq!(parse_any(&bad), Err(WireError::BadVersion));
+        }
+        // TCP: declared length before header checksum before protocol.
+        let mut bad = tcp.to_vec();
+        bad[2] = 0xff; // total > data.len(), and the header sum is now stale
+        assert_eq!(parse_any(&bad), Err(WireError::Truncated));
+        let mut bad = tcp.to_vec();
+        bad[0] = 4 << 4 | 9; // unknown protocol, stale header sum
+        assert_eq!(parse_any(&bad), Err(WireError::BadChecksum));
+        bad[12..14].fill(0);
+        let sum = checksum(&bad[..IP_HEADER_LEN]);
+        bad[12..14].copy_from_slice(&sum.to_be_bytes());
+        assert_eq!(parse_any(&bad), Err(WireError::UnknownProtocol(9)));
+        assert_eq!(parse_packet(&ping), Err(WireError::UnknownProtocol(PROTO_PING)));
+        // Ping: header checksum before declared length.
+        let mut bad = ping.to_vec();
+        bad[2] = 0xff;
+        assert_eq!(parse_any(&bad), Err(WireError::BadChecksum));
+        assert_eq!(parse_any(&ping[..ping.len() - 1]), Err(WireError::Truncated));
     }
 
     /// The old `Vec<TcpOption>`-era encoder, kept verbatim as the reference
