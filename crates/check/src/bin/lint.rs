@@ -1,4 +1,4 @@
-//! CLI for the lint engine (DESIGN.md §5.12–§5.13).
+//! CLI for the lint engine (DESIGN.md §5.12).
 //!
 //! Runs all six walls — determinism, panic (strict decode surface +
 //! typed call-graph reachability), seq-arith (taint), handler-oracle,
@@ -9,13 +9,13 @@
 //!
 //! ```text
 //! lint [--root DIR] [--json] [--out PATH] [--budgets PATH] [--no-gate]
-//!      [--dot PATH] [--explain ID]
+//!      [--explain ID]
 //! ```
 //!
-//! `--dot PATH` writes the resolved call graph as Graphviz. `--explain
-//! ID` (ID as printed in the JSON report: `rule@file:line:col`) prints
-//! the full story behind one finding — including suppressed ones — with
-//! the typed entry path for panic findings, then exits.
+//! `--explain ID` (ID as printed in the JSON report:
+//! `rule@file:line:col`) prints the full story behind one finding —
+//! including suppressed ones — with the typed entry path for panic
+//! findings, then exits.
 //!
 //! Exit codes: 0 = clean and within budgets, 1 = findings or budget
 //! violations, 2 = I/O or usage error (or unknown --explain id).
@@ -30,14 +30,13 @@ fn main() {
     let mut out_path: Option<PathBuf> = None;
     let mut budgets_path: Option<PathBuf> = None;
     let mut gate = true;
-    let mut dot_path: Option<PathBuf> = None;
     let mut explain: Option<String> = None;
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     let usage = || -> ! {
         eprintln!(
             "usage: lint [--root DIR] [--json] [--out PATH] [--budgets PATH] [--no-gate] \
-             [--dot PATH] [--explain ID]"
+             [--explain ID]"
         );
         std::process::exit(2);
     };
@@ -58,10 +57,6 @@ fn main() {
                     Some(PathBuf::from(args.get(i).cloned().unwrap_or_else(|| usage())));
             }
             "--no-gate" => gate = false,
-            "--dot" => {
-                i += 1;
-                dot_path = Some(PathBuf::from(args.get(i).cloned().unwrap_or_else(|| usage())));
-            }
             "--explain" => {
                 i += 1;
                 explain = Some(args.get(i).cloned().unwrap_or_else(|| usage()));
@@ -89,15 +84,6 @@ fn main() {
         }
     };
     let cfg = Config::default_workspace();
-
-    if let Some(p) = dot_path {
-        let r = Resolved::build(&ws);
-        if let Err(e) = std::fs::write(&p, r.to_dot(&ws)) {
-            eprintln!("lint: writing {} failed: {e}", p.display());
-            std::process::exit(2);
-        }
-        println!("lint: call graph written to {}", p.display());
-    }
 
     if let Some(id) = explain {
         std::process::exit(run_explain(&ws, &cfg, &id));
@@ -182,7 +168,7 @@ fn run_explain(ws: &Workspace, cfg: &Config, id: &str) -> i32 {
     // Panic findings carry a typed entry path — print it hop by hop.
     if f.rule == "panic" {
         let r = Resolved::build(ws);
-        let (_, paths) = rules::panic_v2_with_paths(ws, cfg, &r);
+        let (_, paths) = rules::panic(ws, cfg, &r);
         if let Some(p) = paths
             .iter()
             .find(|p| p.file == f.file && p.lines.0 <= f.line && f.line <= p.lines.1)

@@ -15,16 +15,18 @@
 //!   [`mpw_mptcp::MptcpConnection`] machines, checking every invariant plus
 //!   end-to-end data integrity and eventual delivery, and printing a
 //!   shrunk, replayable counterexample trace on failure.
-//! * **[`lint_engine`]** — the token-level analysis engine behind every
-//!   lint wall (DESIGN.md §5.12): a hand-rolled Rust lexer plus an
-//!   item/call-graph pass, grounding six rules — `determinism` (wall
-//!   clocks, ambient randomness, hash-ordered collections in the protocol
-//!   crates), `panic` (a strict no-panic surface over the designated
-//!   parser modules *and* call-graph panic-reachability from the protocol
-//!   entry points), `seq-arith` (wraparound arithmetic on sequence-number
-//!   values must funnel through the audited `tcp/seq.rs`), `alloc` (no
-//!   per-segment heap constructs on the data path), and `unsafe`
-//!   (forbid-or-justify across first-party crates, `vendor/` inventoried).
+//! * **[`lint_engine`]** — the analysis engine behind every lint wall
+//!   (DESIGN.md §5.12): a hand-rolled Rust lexer, parser, name resolution
+//!   and dataflow, grounding six rules — `determinism` (wall clocks,
+//!   ambient randomness, hash-ordered collections in the protocol
+//!   crates), `panic` (a strict no-panic decode surface in the designated
+//!   parser modules *and* typed call-graph panic-reachability from the
+//!   protocol entry points), `seq-arith` (wraparound arithmetic on
+//!   seq-tainted values must funnel through the audited `tcp/seq.rs`),
+//!   `handler-oracle` (every handler exit runs the invariant oracle),
+//!   `alloc` (no per-segment heap constructs on the data path), and
+//!   `unsafe` (forbid-or-justify across first-party crates, `vendor/`
+//!   inventoried).
 //!   Opt-outs are per-token `// lint: allow-<rule>(reason)` markers,
 //!   counted and ratcheted by `LINT_budgets.json`. The `lint` binary
 //!   emits the human and JSON reports CI gates on.

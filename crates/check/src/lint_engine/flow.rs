@@ -1,4 +1,4 @@
-//! Intraprocedural forward dataflow over the parsed AST (DESIGN.md §5.13).
+//! Intraprocedural forward dataflow over the parsed AST (DESIGN.md §5.12).
 //!
 //! Two analyses share the local type environment below:
 //!
@@ -14,7 +14,7 @@
 //!   seq module** is a finding regardless of what the value is named —
 //!   renaming a sequence number does not launder it. Conversely, a
 //!   contract-*named* counter whose declared type proves it is not a wire
-//!   sequence (`engine.rs`'s u64 event tiebreakers) is no longer flagged,
+//!   sequence (`engine.rs`'s u64 event tiebreakers) is not flagged,
 //!   and arithmetic that dispatches to the audited wrapper's `impl Add`/
 //!   `impl Sub` (an operand is `SeqNum`-typed) is recognized as funneling
 //!   through `tcp/seq.rs` rather than bypassing it.
@@ -35,7 +35,7 @@
 
 use std::collections::BTreeSet;
 
-use super::parse::{Block, Expr, ExprKind, Pat, PatKind, Stmt, StmtKind};
+use super::parse::{Block, Expr, ExprKind, Node, Pat, PatKind, Stmt, StmtKind};
 use super::resolve::{find_fn, strip_shells, Resolved};
 use super::rules::seq_contract;
 use super::{Config, Finding, SourceFile, Workspace};
@@ -155,7 +155,7 @@ impl TaintCx<'_> {
 
     fn flag(&mut self, tok: usize, msg: String) {
         let Some(t) = self.file.toks.get(tok) else { return };
-        if self.file.items.in_test(tok) {
+        if self.file.ast.in_test(tok) {
             return;
         }
         self.findings.push(Finding {
@@ -819,93 +819,19 @@ fn scan_returns(b: &Block, fid: usize, r: &Resolved, ec: &[bool], bad: &mut Vec<
 }
 
 fn scan_returns_expr(e: &Expr, fid: usize, r: &Resolved, ec: &[bool], bad: &mut Vec<BadExit>) {
-    use ExprKind::*;
     match &e.kind {
-        Closure { .. } => {} // separate exit domain
-        Return(_) => {
+        ExprKind::Closure { .. } => {} // separate exit domain
+        ExprKind::Return(_) => {
             // A bare-expression `return` nested in some larger expression
             // (`x.then(|| …)` handled above; `let y = return` is illegal):
             // reaching here means it had no preceding statement to check.
             bad.push(BadExit { tok: e.span.lo, what: "returns early" });
         }
-        Block(b) => scan_returns(b, fid, r, ec, bad),
-        If { cond, then, else_ } => {
-            scan_returns_expr(cond, fid, r, ec, bad);
-            scan_returns(then, fid, r, ec, bad);
-            if let Some(x) = else_ {
-                scan_returns_expr(x, fid, r, ec, bad);
-            }
-        }
-        IfLet { scrutinee, then, else_, .. } => {
-            scan_returns_expr(scrutinee, fid, r, ec, bad);
-            scan_returns(then, fid, r, ec, bad);
-            if let Some(x) = else_ {
-                scan_returns_expr(x, fid, r, ec, bad);
-            }
-        }
-        Match { scrutinee, arms } => {
-            scan_returns_expr(scrutinee, fid, r, ec, bad);
-            for a in arms {
-                if let Some(g) = &a.guard {
-                    scan_returns_expr(g, fid, r, ec, bad);
-                }
-                scan_returns_expr(&a.body, fid, r, ec, bad);
-            }
-        }
-        While { cond, body } => {
-            scan_returns_expr(cond, fid, r, ec, bad);
-            scan_returns(body, fid, r, ec, bad);
-        }
-        WhileLet { scrutinee, body, .. } => {
-            scan_returns_expr(scrutinee, fid, r, ec, bad);
-            scan_returns(body, fid, r, ec, bad);
-        }
-        Loop { body } => scan_returns(body, fid, r, ec, bad),
-        For { iter, body, .. } => {
-            scan_returns_expr(iter, fid, r, ec, bad);
-            scan_returns(body, fid, r, ec, bad);
-        }
-        Unary { operand: x, .. } | Paren(x) | Try(x) | Ref { expr: x, .. }
-        | Cast { expr: x, .. } => scan_returns_expr(x, fid, r, ec, bad),
-        Binary { lhs, rhs, .. } | Assign { lhs, rhs, .. } | Index { base: lhs, index: rhs } => {
-            scan_returns_expr(lhs, fid, r, ec, bad);
-            scan_returns_expr(rhs, fid, r, ec, bad);
-        }
-        Field { base, .. } => scan_returns_expr(base, fid, r, ec, bad),
-        Call { callee, args } => {
-            scan_returns_expr(callee, fid, r, ec, bad);
-            for a in args {
-                scan_returns_expr(a, fid, r, ec, bad);
-            }
-        }
-        MethodCall { recv, args, .. } => {
-            scan_returns_expr(recv, fid, r, ec, bad);
-            for a in args {
-                scan_returns_expr(a, fid, r, ec, bad);
-            }
-        }
-        Tuple(xs) | Array { elems: xs } => {
-            for x in xs {
-                scan_returns_expr(x, fid, r, ec, bad);
-            }
-        }
-        StructLit { fields, base, .. } => {
-            for (_, v) in fields {
-                if let Some(v) = v {
-                    scan_returns_expr(v, fid, r, ec, bad);
-                }
-            }
-            if let Some(b) = base {
-                scan_returns_expr(b, fid, r, ec, bad);
-            }
-        }
-        Range { lo, hi } => {
-            for x in [lo, hi].into_iter().flatten() {
-                scan_returns_expr(x, fid, r, ec, bad);
-            }
-        }
-        Break(Some(x)) => scan_returns_expr(x, fid, r, ec, bad),
-        _ => {}
+        _ => Node::Expr(e).each_child(&mut |c| match c {
+            Node::Expr(x) => scan_returns_expr(x, fid, r, ec, bad),
+            Node::Block(b) => scan_returns(b, fid, r, ec, bad),
+            Node::Stmt(_) | Node::Item(_) => {}
+        }),
     }
 }
 
@@ -1039,7 +965,6 @@ mod tests {
             entry_files: vec!["crates/x/src/host.rs".into()],
             entry_prefixes: vec!["on_".into(), "handle_".into()],
             parse_entry_prefixes: vec!["parse".into(), "read".into(), "decode".into()],
-            unsafe_wall: false,
         }
     }
 
@@ -1072,7 +997,7 @@ mod tests {
     #[test]
     fn named_counter_with_clean_type_is_not_tainted() {
         // A u64 field named `seq` on a non-wire struct is an event counter
-        // under the declared-type rule; the v1 name heuristic flagged it.
+        // under the declared-type rule; the name alone would flag it.
         let fs = taint(vec![(
             "crates/x/src/eng.rs",
             "pub struct Eng { seq: u64 }\n\
@@ -1120,6 +1045,43 @@ mod tests {
         )]);
         assert_eq!(fs.len(), 1, "{fs:?}");
         assert!(fs[0].message.contains("wrapping_add"));
+    }
+
+    #[test]
+    fn raw_ops_truncating_casts_and_wrapping_fire_once_each() {
+        let fs = taint(vec![(
+            "crates/x/src/lib.rs",
+            "pub fn f(dseq: u64, seq: u32, len: u64) -> (u64, u32, u32) {\n    let a = dseq\n        + len;\n    \
+             let b = seq.wrapping_add(1);\n    let c = dseq as u32;\n    (a, b, c)\n}\n",
+        )]);
+        assert_eq!(fs.len(), 3, "{fs:?}");
+        // The finding sits on the operator, which landed on line 3.
+        assert!(fs.iter().any(|f| f.message.contains("raw `+`") && f.line == 3));
+        assert!(fs.iter().any(|f| f.message.contains("wrapping_add")));
+        assert!(fs.iter().any(|f| f.message.contains("as u32")));
+    }
+
+    #[test]
+    fn wrapping_on_a_receiver_chain_fires_and_len_names_are_exempt() {
+        let fs = taint(vec![(
+            "crates/x/src/lib.rs",
+            "pub fn f(s: S, seq_len: u32, seq_off: u32) {\n    let a = s.seq.wrapping_add(s.len);\n    \
+             let b = seq_len() + seq_len + seq_off - 4;\n    let c = s.seq.before(x);\n    \
+             let _ = (a, b, c);\n}\n",
+        )]);
+        assert_eq!(fs.len(), 1, "{fs:?}");
+        assert!(fs[0].message.contains("wrapping_add"));
+        assert!(fs[0].message.contains("`.seq`"), "{}", fs[0].message);
+    }
+
+    #[test]
+    fn comparisons_ranges_and_ordering_helpers_do_not_fire() {
+        let fs = taint(vec![(
+            "crates/x/src/lib.rs",
+            "pub fn f(dseq: u64, end: u64) {\n    if dseq < end { }\n    for _ in dseq..end { }\n    \
+             let m = dseq.max(end);\n    let _ = m;\n}\n",
+        )]);
+        assert!(fs.is_empty(), "{fs:?}");
     }
 
     fn oracle(files: Vec<(&str, &str)>) -> Vec<Finding> {

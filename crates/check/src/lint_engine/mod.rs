@@ -1,36 +1,28 @@
-//! The token-level lint engine behind every wall (DESIGN.md §5.12).
-//!
-//! The first three lint walls (determinism, panic-free parsers, allocation
-//! discipline) were line-based `contains()` scans. They were cheap, but
-//! unsound in three documented ways: an opt-out marker skipped *every*
-//! token on its line, tokens inside string literals and comments were
-//! flagged, and multi-line constructs were missed entirely. This module
-//! replaces them with a real (still dependency-free, still hand-rolled)
-//! analysis layer:
+//! The lint engine behind every wall (DESIGN.md §5.12): dependency-free,
+//! hand-rolled, one pass per layer.
 //!
 //! * [`lexer`] — a full Rust lexer (strings, raw strings, byte literals,
 //!   nested block comments, lifetimes vs char literals) producing exact
-//!   token spans;
-//! * [`items`] — a lightweight item pass recovering fn boundaries, a
-//!   name-based call graph, and precise `#[cfg(test)]` ranges;
+//!   token spans, so comments and string literals can never fire a wall;
 //! * [`parse`] — a total recursive-descent parser structuring every
-//!   workspace file into a real AST (zero fallbacks, verified by a token
-//!   fixpoint test);
+//!   workspace file into an AST with token spans (zero fallbacks and
+//!   well-nested spans, both asserted over the whole tree) that also
+//!   records which nodes a `#[cfg(test)]` gates;
 //! * [`resolve`] — name resolution over the AST: typed fn nodes, struct
 //!   field tables, and a call graph whose method edges are resolved
-//!   through receiver types (same-named methods on different types no
-//!   longer conflate), degrading soundly to name fallback;
-//! * [`flow`] — intraprocedural forward dataflow: seq-number *taint*
+//!   through receiver types (same-named methods on different types do not
+//!   conflate), degrading soundly to name fallback;
+//! * [`flow`] — forward dataflow over fn bodies: seq-number *taint*
 //!   (values provably originating from wire sequence state, tracked
 //!   through locals, patterns, and return summaries) and the
 //!   handler/oracle exit analysis;
-//! * [`rules`] — the walls: `determinism`, `panic` (strict decode surface
-//!   **and** typed call-graph panic-reachability, both on the resolved
-//!   graph — see [`rules::panic_v2`]), `seq-arith` (taint-based, see
-//!   [`flow::seq_taint`]), `handler-oracle` (every handler exit must run
-//!   the `debug_check`/`validate` oracle, see [`flow::handler_oracle`]),
-//!   `alloc`, and `unsafe` (forbid-or-justify across all first-party
-//!   crates, `vendor/` exempt but inventoried);
+//! * [`rules`] — the remaining walls: `determinism`, `panic` (strict
+//!   decode surface **and** relaxed reachability on the resolved graph —
+//!   see [`rules::panic`]), `alloc`, and `unsafe` (forbid-or-justify
+//!   across all first-party crates, `vendor/` exempt but inventoried);
+//!   `seq-arith` is [`flow::seq_taint`] and `handler-oracle` (every
+//!   handler exit must run the `debug_check`/`validate` oracle) is
+//!   [`flow::handler_oracle`];
 //! * [`report`] — human and machine-readable (JSON) output plus the
 //!   `LINT_budgets.json` ratchet on opt-out counts.
 //!
@@ -41,7 +33,6 @@
 //! rule names are themselves findings, so the allowlist cannot rot.
 
 pub mod flow;
-pub mod items;
 pub mod lexer;
 pub mod parse;
 pub mod report;
@@ -51,7 +42,6 @@ pub mod rules;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-use items::FileItems;
 use lexer::{lex, Tok};
 
 /// Rule names a marker may reference.
@@ -110,7 +100,7 @@ pub struct Allow {
     pub used: bool,
 }
 
-/// One lexed + item-scanned source file.
+/// One lexed and parsed source file.
 pub struct SourceFile {
     /// Workspace-relative path with forward slashes.
     pub rel: String,
@@ -118,9 +108,7 @@ pub struct SourceFile {
     pub src: String,
     /// Token stream.
     pub toks: Vec<Tok>,
-    /// Fn items, call edges, test ranges.
-    pub items: FileItems,
-    /// Structured AST (v2 engine layers build on this).
+    /// Structured AST.
     pub ast: parse::Ast,
     /// Opt-out markers (outside test code), in source order.
     pub allows: Vec<Allow>,
@@ -129,16 +117,14 @@ pub struct SourceFile {
 }
 
 impl SourceFile {
-    /// Lex and scan one file from source text.
+    /// Lex and parse one file from source text.
     pub fn parse(rel: &str, src: String) -> SourceFile {
         let toks = lex(&src);
-        let items = items::scan_items(&src, &toks);
         let ast = parse::parse(&src, &toks);
         let mut f = SourceFile {
             rel: rel.to_string(),
             src,
             toks,
-            items,
             ast,
             allows: Vec::new(),
             marker_findings: Vec::new(),
@@ -178,7 +164,7 @@ impl SourceFile {
 /// panic/allocate freely, so there is nothing to suppress).
 fn collect_allows(f: &mut SourceFile) {
     for (ti, t) in f.toks.iter().enumerate() {
-        if !t.is_comment() || f.items.in_test(ti) {
+        if !t.is_comment() || f.ast.in_test(ti) {
             continue;
         }
         let text = t.text(&f.src);
@@ -370,9 +356,6 @@ pub struct Config {
     /// reachability rule, where asserts and indexing are the legal
     /// invariant-oracle idiom.
     pub parse_entry_prefixes: Vec<String>,
-    /// Whether the unsafe wall runs (forbid-or-justify on every loaded
-    /// crate).
-    pub unsafe_wall: bool,
 }
 
 impl Config {
@@ -419,7 +402,6 @@ impl Config {
             ]),
             entry_prefixes: s(&["on_", "handle_"]),
             parse_entry_prefixes: s(&["parse", "read", "decode"]),
-            unsafe_wall: true,
         }
     }
 }
@@ -431,13 +413,11 @@ pub fn raw_findings(ws: &Workspace, cfg: &Config) -> Vec<Finding> {
     let r = resolve::Resolved::build(ws);
     let mut raw: Vec<Finding> = Vec::new();
     raw.extend(rules::determinism(ws, cfg));
-    raw.extend(rules::panic_v2(ws, cfg, &r));
+    raw.extend(rules::panic(ws, cfg, &r).0);
     raw.extend(flow::seq_taint(ws, cfg, &r));
     raw.extend(flow::handler_oracle(ws, cfg, &r));
     raw.extend(rules::alloc(ws, cfg));
-    if cfg.unsafe_wall {
-        raw.extend(rules::unsafe_audit(ws, cfg));
-    }
+    raw.extend(rules::unsafe_audit(ws));
     // Deterministic order: by file, line, col, rule.
     raw.sort_by(|a, b| {
         (&a.file, a.line, a.col, &a.rule).cmp(&(&b.file, b.line, b.col, &b.rule))
@@ -454,7 +434,7 @@ pub fn raw_findings(ws: &Workspace, cfg: &Config) -> Vec<Finding> {
 /// Run every wall over a loaded workspace: rule findings filtered through
 /// the allow markers, marker problems, and stale-marker findings.
 pub fn run(ws: &Workspace, cfg: &Config) -> Result<report::Report, String> {
-    // Loud failure on a renamed walled file, as with the old scanners.
+    // Loud failure on a renamed walled file.
     for want in cfg.parser_modules.iter().chain(&cfg.alloc_modules) {
         if ws.file(want).is_none() && !ws.files.is_empty() {
             return Err(format!(

@@ -1,32 +1,31 @@
 //! A hand-rolled recursive-descent Rust parser over the [`lexer`] token
-//! stream (DESIGN.md §5.13).
+//! stream (DESIGN.md §5.12).
 //!
-//! The token-level walls (PR 7) could see *tokens* but not *structure*: a
-//! call graph keyed by bare names conflates `SendBuffer::read` with
-//! `PcapReader::read`, and "is this ident a sequence number" was a naming
-//! convention, not a type fact. This parser recovers the structure the
-//! precise walls need — items, impl blocks with their `Self` types, and fn
-//! bodies as real expression trees — while staying dependency-free and
-//! total over arbitrary input.
+//! The walls need structure, not just tokens: a call graph keyed by bare
+//! names conflates `SendBuffer::read` with `PcapReader::read`, and "is this
+//! ident a sequence number" is a type fact, not a naming convention. This
+//! parser recovers that structure — items, impl blocks with their `Self`
+//! types, and fn bodies as real expression trees — while staying
+//! dependency-free and total over arbitrary input.
 //!
 //! Design rules:
 //!
-//! * **Every node carries an exact token span** (`[lo, hi)` in *original*
-//!   token indices, comments included in the numbering). The span-gap
-//!   printer ([`Ast::print`]) re-emits a file from its tree: each node
-//!   prints the raw tokens between its structural children. Re-lexing the
-//!   output must reproduce the original non-comment token stream — the
-//!   fixpoint test in `tests/parse_fixpoint.rs` runs that over every
-//!   workspace file, so a span bug or a dropped subtree fails loudly.
+//! * **Every node carries a token span** (`[lo, hi)` in *original* token
+//!   indices, comments included in the numbering). [`Ast::check_spans`]
+//!   verifies the nesting — every child inside its parent, siblings in
+//!   source order and disjoint, top-level items inside the file — and
+//!   `tests/parse_fixpoint.rs` runs it over every workspace file, next to
+//!   mutated trees it must reject.
 //! * **Totality with *counted* fallbacks.** Constructs the grammar does not
 //!   cover parse into [`ExprKind::Err`]/[`ItemKind::Err`] nodes and are
 //!   recorded in [`Ast::fallbacks`]. The workspace must parse with **zero**
 //!   fallbacks (CI asserts it), so a future syntax gap fails the build
 //!   instead of silently weakening an analysis.
 //! * **Opaque where structure is not needed.** Attributes, generic
-//!   parameter lists, `where` clauses, and macro bodies are carved as
-//!   balanced token runs with spans; the analyses never look inside them,
-//!   and the gap printer reproduces them verbatim.
+//!   parameter lists, `where` clauses, `use` trees, `enum` bodies and macro
+//!   bodies are carved as balanced token runs; the analyses never look
+//!   inside them. The one thing read out of an attribute is whether it
+//!   gates its node on `cfg(test)` ([`Ast::in_test`]).
 
 use super::lexer::{Tok, TokKind};
 
@@ -49,6 +48,9 @@ pub struct Ast {
     pub items: Vec<Item>,
     /// Spans the parser could not structure (`UnsupportedConstruct`).
     pub fallbacks: Vec<Span>,
+    /// Spans of nodes gated on `test` by a `#[cfg(..)]` attribute, the
+    /// attribute included.
+    test_gated: Vec<Span>,
 }
 
 /// A top-level or nested item.
@@ -60,12 +62,12 @@ pub struct Item {
 
 #[derive(Debug)]
 pub enum ItemKind {
-    /// `use a::b::{c, d as e, *};` flattened: each entry is
-    /// (path segments, local name; `*` imports have an empty local name).
-    Use(Vec<UseEntry>),
+    /// `use a::b::{c, d as e, *};` — the tree is opaque.
+    Use,
     Fn(FnDef),
     Struct(StructDef),
-    Enum(EnumDef),
+    /// `enum Name { .. }` — the body is opaque.
+    Enum { name: String },
     /// `impl [Trait for] SelfTy { items }`.
     Impl(ImplDef),
     /// `trait Name { items }`.
@@ -82,15 +84,6 @@ pub enum ItemKind {
     InnerAttr,
     /// Unsupported item — recorded in [`Ast::fallbacks`].
     Err,
-}
-
-#[derive(Debug)]
-pub struct UseEntry {
-    /// Full path segments (`["mpw_tcp", "wire", "parse_packet"]`); a glob
-    /// import ends with `"*"`.
-    pub path: Vec<String>,
-    /// Name the import binds locally (last segment, or the `as` alias).
-    pub local: String,
 }
 
 #[derive(Debug)]
@@ -115,14 +108,6 @@ pub struct StructDef {
     pub fields: Vec<(String, Ty)>,
     /// Tuple-struct positional field types.
     pub tuple_fields: Vec<Ty>,
-}
-
-#[derive(Debug)]
-pub struct EnumDef {
-    pub name: String,
-    /// Variant name plus tuple-field types (named-field variants record
-    /// their field types too, order only).
-    pub variants: Vec<(String, Vec<Ty>)>,
 }
 
 #[derive(Debug)]
@@ -219,7 +204,6 @@ pub struct Expr {
 
 #[derive(Debug)]
 pub struct Arm {
-    pub span: Span,
     pub pat: Pat,
     pub guard: Option<Expr>,
     pub body: Expr,
@@ -270,6 +254,169 @@ pub enum ExprKind {
 }
 
 // ---------------------------------------------------------------------------
+// Generic tree walk
+// ---------------------------------------------------------------------------
+
+/// Any span-carrying structural node, for walks that treat every kind
+/// alike. Patterns, types and opaque runs are leaves of their parent.
+#[derive(Clone, Copy, Debug)]
+pub enum Node<'a> {
+    Item(&'a Item),
+    Block(&'a Block),
+    Stmt(&'a Stmt),
+    Expr(&'a Expr),
+}
+
+impl<'a> Node<'a> {
+    pub fn span(self) -> Span {
+        match self {
+            Node::Item(x) => x.span,
+            Node::Block(x) => x.span,
+            Node::Stmt(x) => x.span,
+            Node::Expr(x) => x.span,
+        }
+    }
+
+    fn label(self) -> &'static str {
+        match self {
+            Node::Item(_) => "item",
+            Node::Block(_) => "block",
+            Node::Stmt(_) => "stmt",
+            Node::Expr(_) => "expr",
+        }
+    }
+
+    /// Call `f` on every direct child, in source order.
+    pub fn each_child(self, f: &mut dyn FnMut(Node<'a>)) {
+        match self {
+            Node::Item(it) => match &it.kind {
+                ItemKind::Fn(d) => d.body.iter().for_each(|b| f(Node::Block(b))),
+                ItemKind::Impl(ImplDef { items, .. })
+                | ItemKind::Trait { items, .. }
+                | ItemKind::Mod { items, .. } => items.iter().for_each(|i| f(Node::Item(i))),
+                ItemKind::Const { init, .. } => init.iter().for_each(|x| f(Node::Expr(x))),
+                _ => {}
+            },
+            Node::Block(b) => b.stmts.iter().for_each(|s| f(Node::Stmt(s))),
+            Node::Stmt(s) => match &s.kind {
+                StmtKind::Let { init, else_block, .. } => {
+                    init.iter().for_each(|x| f(Node::Expr(x)));
+                    else_block.iter().for_each(|b| f(Node::Block(b)));
+                }
+                StmtKind::Expr { expr, .. } => f(Node::Expr(expr)),
+                StmtKind::Item(it) => f(Node::Item(it)),
+                StmtKind::Empty => {}
+            },
+            Node::Expr(e) => expr_children(e, f),
+        }
+    }
+}
+
+fn expr_children<'a>(e: &'a Expr, f: &mut dyn FnMut(Node<'a>)) {
+    use ExprKind::*;
+    let mut ex = |x: &'a Expr| f(Node::Expr(x));
+    match &e.kind {
+        Lit | Path(_) | Continue | MacroCall { .. } | Err => {}
+        Unary { operand: x, .. }
+        | Cast { expr: x, .. }
+        | Field { base: x, .. }
+        | Try(x)
+        | Ref { expr: x, .. }
+        | Paren(x)
+        | Closure { body: x, .. } => ex(x),
+        Binary { lhs, rhs, .. } | Assign { lhs, rhs, .. } | Index { base: lhs, index: rhs } => {
+            ex(lhs);
+            ex(rhs);
+        }
+        Call { callee: head, args } | MethodCall { recv: head, args, .. } => {
+            ex(head);
+            args.iter().for_each(ex);
+        }
+        Tuple(xs) | Array { elems: xs } => xs.iter().for_each(ex),
+        StructLit { fields, base, .. } => {
+            fields.iter().filter_map(|(_, v)| v.as_ref()).for_each(&mut ex);
+            base.iter().for_each(|x| ex(x));
+        }
+        Return(v) | Break(v) => v.iter().for_each(|x| ex(x)),
+        Range { lo, hi } => lo.iter().chain(hi).for_each(|x| ex(x)),
+        Match { scrutinee, arms } => {
+            ex(scrutinee);
+            for a in arms {
+                a.guard.iter().for_each(&mut ex);
+                ex(&a.body);
+            }
+        }
+        Block(b) | Loop { body: b } => f(Node::Block(b)),
+        If { cond: head, then: b, else_ } | IfLet { scrutinee: head, then: b, else_, .. } => {
+            ex(head);
+            f(Node::Block(b));
+            else_.iter().for_each(|x| f(Node::Expr(x)));
+        }
+        While { cond: head, body: b }
+        | WhileLet { scrutinee: head, body: b, .. }
+        | For { iter: head, body: b, .. } => {
+            ex(head);
+            f(Node::Block(b));
+        }
+    }
+}
+
+impl Ast {
+    /// Whether token index `tok` lies in a node gated on `cfg(test)`.
+    pub fn in_test(&self, tok: usize) -> bool {
+        self.test_gated.iter().any(|s| (s.lo..s.hi).contains(&tok))
+    }
+
+    /// Number of `fn` items, nested and bodyless ones included.
+    pub fn fn_count(&self) -> usize {
+        fn count(n: Node<'_>, total: &mut usize) {
+            if let Node::Item(Item { kind: ItemKind::Fn(_), .. }) = n {
+                *total += 1;
+            }
+            n.each_child(&mut |c| count(c, total));
+        }
+        let mut total = 0;
+        self.items.iter().for_each(|it| count(Node::Item(it), &mut total));
+        total
+    }
+
+    /// Verify the span nesting of the whole tree for a file of `n_toks`
+    /// tokens: no span is empty, every child span lies inside its parent's,
+    /// siblings are in source order and disjoint, and the top-level items
+    /// lie inside the file. `flow` reports findings at `span.lo` and the
+    /// panic wall scans fn-body spans as token ranges, so a wrong span is a
+    /// wrong verdict.
+    pub fn check_spans(&self, n_toks: usize) -> Result<(), String> {
+        /// Place `child` after `*prev` inside `outer`; advances `*prev`.
+        fn place(outer: Span, prev: &mut usize, child: Node<'_>) -> Result<(), String> {
+            let s = child.span();
+            if !(*prev <= s.lo && s.lo < s.hi && s.hi <= outer.hi) {
+                return Err(format!(
+                    "{} span {}..{} does not follow token {} inside parent {}..{}",
+                    child.label(),
+                    s.lo,
+                    s.hi,
+                    *prev,
+                    outer.lo,
+                    outer.hi
+                ));
+            }
+            *prev = s.hi;
+            let (mut at, mut res) = (s.lo, Ok(()));
+            child.each_child(&mut |c| {
+                if res.is_ok() {
+                    res = place(s, &mut at, c);
+                }
+            });
+            res
+        }
+        let file = Span::new(0, n_toks);
+        let mut at = 0;
+        self.items.iter().try_for_each(|it| place(file, &mut at, Node::Item(it)))
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Parser
 // ---------------------------------------------------------------------------
 
@@ -287,12 +434,14 @@ pub fn parse(src: &str, toks: &[Tok]) -> Ast {
         code,
         pos: 0,
         fallbacks: Vec::new(),
+        test_gated: Vec::new(),
         gt_debt: false,
     };
     let items = p.items_until_end();
     Ast {
         items,
         fallbacks: p.fallbacks,
+        test_gated: p.test_gated,
     }
 }
 
@@ -304,6 +453,7 @@ struct Parser<'s> {
     /// Position in `code`.
     pos: usize,
     fallbacks: Vec<Span>,
+    test_gated: Vec<Span>,
     /// A `>>` token of which one `>` has been consumed (generics).
     gt_debt: bool,
 }
@@ -442,15 +592,71 @@ impl<'s> Parser<'s> {
         }
     }
 
-    /// Skip leading outer attributes `#[...]`; returns whether any.
-    fn skip_attrs(&mut self) -> bool {
-        let mut any = false;
+    /// Skip leading outer attributes `#[...]`. If one of them gates the
+    /// node they sit on to test builds, returns its `#` token for
+    /// [`Parser::close_gate`].
+    fn skip_attrs(&mut self) -> Option<usize> {
+        let mut gate = None;
         while self.at(0) == "#" && self.at(1) == "[" {
-            self.bump(); // #
+            let hash = self.bump();
+            let from = self.pos;
             self.skip_group(); // [...]
-            any = true;
+            if gate.is_none() && self.is_cfg_test(from, self.pos) {
+                gate = Some(hash);
+            }
         }
-        any
+        gate
+    }
+
+    /// Whether the attribute group at code positions `[from, to)` is a
+    /// `[cfg(..)]` whose predicate names `test` outside any `not(..)`:
+    /// `cfg(test)`, `cfg(any(test, ..))`, `cfg(all(test, ..))`. Code under
+    /// `cfg(not(test))` ships, so it stays walled.
+    fn is_cfg_test(&self, from: usize, to: usize) -> bool {
+        let text = |p: usize| self.toks[self.code[p]].text(self.src);
+        if to < from + 2 || text(from + 1) != "cfg" {
+            return false;
+        }
+        // Paren depth inside the outermost open `not(`, if any.
+        let mut not_at: Option<usize> = None;
+        let mut depth = 0usize;
+        for p in from + 2..to {
+            match text(p) {
+                "(" => depth += 1,
+                ")" => {
+                    depth = depth.saturating_sub(1);
+                    not_at = not_at.filter(|&d| d <= depth);
+                }
+                "not" if not_at.is_none() && p + 1 < to && text(p + 1) == "(" => {
+                    not_at = Some(depth + 1);
+                }
+                "test" if not_at.is_none() => return true,
+                _ => {}
+            }
+        }
+        false
+    }
+
+    /// Record the node that began at a gating attribute (see
+    /// [`Parser::skip_attrs`]) and ends at the last consumed token.
+    fn close_gate(&mut self, gate: Option<usize>) {
+        if let Some(lo) = gate {
+            self.test_gated.push(Span::new(lo, self.end()));
+        }
+    }
+
+    /// Skip to (not past) the `;` ending the current item, over balanced
+    /// groups.
+    fn skip_to_semi(&mut self) {
+        while !self.eof() && self.at(0) != ";" {
+            match self.at(0) {
+                "(" | "[" | "{" => self.skip_group(),
+                "<" => self.skip_generics(),
+                _ => {
+                    self.bump();
+                }
+            }
+        }
     }
 
     /// Skip a generics declaration `<...>` if present (balanced angles).
@@ -541,7 +747,7 @@ impl<'s> Parser<'s> {
             }
             return Item { span: Span::new(lo, self.end()), kind: ItemKind::InnerAttr };
         }
-        self.skip_attrs();
+        let gate = self.skip_attrs();
         // Visibility.
         if self.eat("pub") && self.at(0) == "(" {
             self.skip_group();
@@ -571,9 +777,24 @@ impl<'s> Parser<'s> {
         }
         let kind = match self.at(0) {
             "fn" => ItemKind::Fn(self.fn_def()),
-            "use" => self.use_item(),
+            "use" => {
+                self.skip_to_semi();
+                self.eat(";");
+                ItemKind::Use
+            }
             "struct" => self.struct_item(),
-            "enum" => self.enum_item(),
+            "enum" => {
+                self.bump();
+                let name = self.ident_or("_");
+                self.skip_generics();
+                self.skip_where();
+                if self.at(0) == "{" {
+                    self.skip_group();
+                } else {
+                    self.eat(";");
+                }
+                ItemKind::Enum { name }
+            }
             "impl" => self.impl_item(),
             "trait" => self.trait_item(),
             "mod" => self.mod_item(),
@@ -582,16 +803,7 @@ impl<'s> Parser<'s> {
             "type" => {
                 self.bump();
                 let name = self.ident_or("_");
-                self.skip_generics();
-                while !self.eof() && self.at(0) != ";" {
-                    match self.at(0) {
-                        "(" | "[" | "{" => self.skip_group(),
-                        "<" => self.skip_generics(),
-                        _ => {
-                            self.bump();
-                        }
-                    }
-                }
+                self.skip_to_semi();
                 self.eat(";");
                 ItemKind::TypeAlias { name }
             }
@@ -605,27 +817,29 @@ impl<'s> Parser<'s> {
                     name = self.at(0).to_string();
                     self.bump();
                 }
-                if !self.eat("!") {
-                    self.fallback(lo, &[";", "}"]);
-                    return Item { span: Span::new(lo, self.end()), kind: ItemKind::Err };
-                }
-                let blo = self.start();
-                if matches!(self.at(0), "(" | "[" | "{") {
-                    let brace = self.at(0) == "{";
-                    self.skip_group();
-                    if !brace {
+                if self.eat("!") {
+                    let blo = self.start();
+                    if matches!(self.at(0), "(" | "[" | "{") {
+                        let brace = self.at(0) == "{";
+                        self.skip_group();
+                        if !brace {
+                            self.eat(";");
+                        }
+                    } else {
                         self.eat(";");
                     }
+                    ItemKind::MacroCall { name, body: Span::new(blo, self.end()) }
                 } else {
-                    self.eat(";");
+                    self.fallback(lo, &[";", "}"]);
+                    ItemKind::Err
                 }
-                ItemKind::MacroCall { name, body: Span::new(blo, self.end()) }
             }
             _ => {
                 self.fallback(lo, &[";", "}"]);
                 ItemKind::Err
             }
         };
+        self.close_gate(gate);
         Item { span: Span::new(lo, self.end()), kind }
     }
 
@@ -650,7 +864,7 @@ impl<'s> Parser<'s> {
         if self.at(0) == "(" {
             self.bump();
             while !self.eof() && self.at(0) != ")" {
-                self.skip_attrs();
+                let gate = self.skip_attrs();
                 // Self receiver: `self`, `&self`, `&mut self`, `mut self`.
                 let save = self.pos;
                 let mut is_self = false;
@@ -687,6 +901,7 @@ impl<'s> Parser<'s> {
                     };
                     params.push((pname, ty));
                 }
+                self.close_gate(gate);
                 if !self.eat(",") {
                     break;
                 }
@@ -704,53 +919,6 @@ impl<'s> Parser<'s> {
         FnDef { name, name_tok, has_self, params, ret, body }
     }
 
-    fn use_item(&mut self) -> ItemKind {
-        self.bump(); // use
-        let mut entries = Vec::new();
-        let mut prefix = Vec::new();
-        self.use_tree(&mut prefix, &mut entries);
-        self.eat(";");
-        ItemKind::Use(entries)
-    }
-
-    fn use_tree(&mut self, prefix: &mut Vec<String>, out: &mut Vec<UseEntry>) {
-        let depth0 = prefix.len();
-        loop {
-            if self.at(0) == "{" {
-                self.bump();
-                while !self.eof() && self.at(0) != "}" {
-                    self.use_tree(prefix, out);
-                    if !self.eat(",") {
-                        break;
-                    }
-                }
-                self.eat("}");
-                break;
-            }
-            if self.at(0) == "*" {
-                self.bump();
-                let mut path = prefix.clone();
-                path.push("*".into());
-                out.push(UseEntry { path, local: String::new() });
-                break;
-            }
-            if self.is_ident(0) || matches!(self.at(0), "crate" | "super" | "self") {
-                let seg = self.at(0).trim_start_matches("r#").to_string();
-                self.bump();
-                prefix.push(seg);
-                if self.eat("::") {
-                    continue;
-                }
-                // Terminal segment, maybe aliased.
-                let local = if self.eat("as") { self.ident_or("_") } else { prefix.last().cloned().unwrap_or_default() };
-                out.push(UseEntry { path: prefix.clone(), local });
-                break;
-            }
-            break;
-        }
-        prefix.truncate(depth0);
-    }
-
     fn struct_item(&mut self) -> ItemKind {
         self.bump(); // struct
         let name = self.ident_or("_");
@@ -762,7 +930,7 @@ impl<'s> Parser<'s> {
             // Tuple struct.
             self.bump();
             while !self.eof() && self.at(0) != ")" {
-                self.skip_attrs();
+                let gate = self.skip_attrs();
                 if self.eat("pub") && self.at(0) == "(" && self.at(1) != ")" {
                     // pub(crate) — but beware `pub (Ty)`: visibility parens
                     // only contain crate/super/self/in.
@@ -771,6 +939,7 @@ impl<'s> Parser<'s> {
                     }
                 }
                 tuple_fields.push(self.ty());
+                self.close_gate(gate);
                 if !self.eat(",") {
                     break;
                 }
@@ -781,7 +950,7 @@ impl<'s> Parser<'s> {
         } else if self.at(0) == "{" {
             self.bump();
             while !self.eof() && self.at(0) != "}" {
-                self.skip_attrs();
+                let gate = self.skip_attrs();
                 if self.eat("pub") && self.at(0) == "(" {
                     self.skip_group();
                 }
@@ -789,6 +958,7 @@ impl<'s> Parser<'s> {
                 if self.eat(":") {
                     fields.push((fname, self.ty()));
                 }
+                self.close_gate(gate);
                 if !self.eat(",") {
                     break;
                 }
@@ -798,59 +968,6 @@ impl<'s> Parser<'s> {
             self.eat(";"); // unit struct
         }
         ItemKind::Struct(StructDef { name, fields, tuple_fields })
-    }
-
-    fn enum_item(&mut self) -> ItemKind {
-        self.bump(); // enum
-        let name = self.ident_or("_");
-        self.skip_generics();
-        self.skip_where();
-        let mut variants = Vec::new();
-        if self.at(0) == "{" {
-            self.bump();
-            while !self.eof() && self.at(0) != "}" {
-                self.skip_attrs();
-                let vname = self.ident_or("_");
-                let mut vtys = Vec::new();
-                if self.at(0) == "(" {
-                    self.bump();
-                    while !self.eof() && self.at(0) != ")" {
-                        self.skip_attrs();
-                        vtys.push(self.ty());
-                        if !self.eat(",") {
-                            break;
-                        }
-                    }
-                    self.eat(")");
-                } else if self.at(0) == "{" {
-                    // Named-field variant: record field types in order.
-                    self.bump();
-                    while !self.eof() && self.at(0) != "}" {
-                        self.skip_attrs();
-                        let _f = self.ident_or("_");
-                        if self.eat(":") {
-                            vtys.push(self.ty());
-                        }
-                        if !self.eat(",") {
-                            break;
-                        }
-                    }
-                    self.eat("}");
-                }
-                if self.eat("=") {
-                    // Discriminant expression.
-                    let _ = self.expr_bp(0, true);
-                }
-                variants.push((vname, vtys));
-                if !self.eat(",") {
-                    break;
-                }
-            }
-            self.eat("}");
-        } else {
-            self.eat(";");
-        }
-        ItemKind::Enum(EnumDef { name, variants })
     }
 
     fn impl_item(&mut self) -> ItemKind {
@@ -1263,7 +1380,7 @@ impl<'s> Parser<'s> {
                         self.bump();
                         let mut fields = Vec::new();
                         while !self.eof() && self.at(0) != "}" {
-                            self.skip_attrs();
+                            let gate = self.skip_attrs();
                             if self.at(0) == ".." {
                                 self.bump();
                                 continue;
@@ -1273,6 +1390,7 @@ impl<'s> Parser<'s> {
                             let fname = self.ident_or("_");
                             let sub = if self.eat(":") { Some(self.pattern()) } else { None };
                             fields.push((fname, sub));
+                            self.close_gate(gate);
                             if !self.eat(",") {
                                 break;
                             }
@@ -1320,20 +1438,25 @@ impl<'s> Parser<'s> {
 
     fn stmt(&mut self) -> Stmt {
         let lo = self.start();
-        // Inner attribute or outer attrs on the statement.
-        if self.at(0) == "#" {
-            if self.at(1) == "!" {
-                self.bump();
-                self.bump();
-                if self.at(0) == "[" {
-                    self.skip_group();
-                }
-                return Stmt { span: Span::new(lo, self.end()), kind: StmtKind::Empty };
+        // Inner attribute `#![...]` at the top of a block.
+        if self.at(0) == "#" && self.at(1) == "!" {
+            self.bump();
+            self.bump();
+            if self.at(0) == "[" {
+                self.skip_group();
             }
-            self.skip_attrs();
-        }
-        if self.eat(";") {
             return Stmt { span: Span::new(lo, self.end()), kind: StmtKind::Empty };
+        }
+        let gate = self.skip_attrs();
+        let kind = self.stmt_kind();
+        self.close_gate(gate);
+        Stmt { span: Span::new(lo, self.end()), kind }
+    }
+
+    /// One statement, its outer attributes already consumed.
+    fn stmt_kind(&mut self) -> StmtKind {
+        if self.eat(";") {
+            return StmtKind::Empty;
         }
         // Items in statement position.
         let t = self.at(0);
@@ -1345,10 +1468,7 @@ impl<'s> Parser<'s> {
             || (t == "unsafe" && self.at(1) == "fn")
             || (t == "extern" && self.at(1) != "\"");
         if item_like {
-            // Rewind attr skip: item() re-skips from `lo`? Attrs were
-            // already consumed above; item() tolerates their absence.
-            let it = self.item();
-            return Stmt { span: Span::new(lo, self.end()), kind: StmtKind::Item(it) };
+            return StmtKind::Item(self.item());
         }
         if t == "let" {
             self.bump();
@@ -1364,27 +1484,11 @@ impl<'s> Parser<'s> {
                 }
             }
             self.eat(";");
-            return Stmt {
-                span: Span::new(lo, self.end()),
-                kind: StmtKind::Let { pat, ty, init, else_block },
-            };
+            return StmtKind::Let { pat, ty, init, else_block };
         }
-        // Expression statement.
         let expr = self.expr_bp(0, true);
-        let block_like = matches!(
-            expr.kind,
-            ExprKind::If { .. }
-                | ExprKind::IfLet { .. }
-                | ExprKind::Match { .. }
-                | ExprKind::While { .. }
-                | ExprKind::WhileLet { .. }
-                | ExprKind::Loop { .. }
-                | ExprKind::For { .. }
-                | ExprKind::Block(_)
-        );
         let semi = self.eat(";");
-        let _ = block_like;
-        Stmt { span: Span::new(lo, self.end()), kind: StmtKind::Expr { expr, semi } }
+        StmtKind::Expr { expr, semi }
     }
 
     // -- expressions ------------------------------------------------------
@@ -1669,14 +1773,14 @@ impl<'s> Parser<'s> {
                 self.eat("{");
                 while !self.eof() && self.at(0) != "}" {
                     let before = self.pos;
-                    let alo = self.start();
-                    self.skip_attrs();
+                    let gate = self.skip_attrs();
                     let pat = self.pattern();
                     let guard = if self.eat("if") { Some(self.expr_bp(0, false)) } else { None };
                     self.eat("=>");
                     let body = self.expr_bp(0, true);
+                    self.close_gate(gate);
                     self.eat(",");
-                    arms.push(Arm { span: Span::new(alo, self.end()), pat, guard, body });
+                    arms.push(Arm { pat, guard, body });
                     self.force_progress(before);
                 }
                 self.eat("}");
@@ -1761,7 +1865,8 @@ impl<'s> Parser<'s> {
                 }
                 let body = if self.eat("->") {
                     let _ = self.ty();
-                    Expr { span: Span::new(self.start(), self.start()), kind: ExprKind::Block(self.block()) }
+                    let b = self.block();
+                    Expr { span: b.span, kind: ExprKind::Block(b) }
                 } else {
                     self.expr_bp(1, allow_struct)
                 };
@@ -1894,7 +1999,7 @@ impl<'s> Parser<'s> {
             let mut fields = Vec::new();
             let mut base = None;
             while !self.eof() && self.at(0) != "}" {
-                self.skip_attrs();
+                let gate = self.skip_attrs();
                 if self.at(0) == ".." {
                     self.bump();
                     if self.expr_can_start(true) {
@@ -1905,6 +2010,7 @@ impl<'s> Parser<'s> {
                 let fname = self.ident_or("_");
                 let val = if self.eat(":") { Some(self.expr_bp(0, true)) } else { None };
                 fields.push((fname, val));
+                self.close_gate(gate);
                 if !self.eat(",") {
                     break;
                 }
@@ -1937,228 +2043,6 @@ impl<'s> Parser<'s> {
 }
 
 // ---------------------------------------------------------------------------
-// Span-gap printer
-// ---------------------------------------------------------------------------
-
-/// Emit a parsed file back to text by walking the tree and printing the raw
-/// tokens between each node's structural children. Re-lexing the output
-/// yields the original non-comment token stream iff every span is correct —
-/// the parse-fixpoint property.
-pub fn print(src: &str, toks: &[Tok], ast: &Ast) -> String {
-    let mut pr = Printer { src, toks, out: String::new(), cursor: 0 };
-    for it in &ast.items {
-        pr.item(it);
-    }
-    pr.emit_upto(toks.len());
-    pr.out
-}
-
-struct Printer<'s> {
-    src: &'s str,
-    toks: &'s [Tok],
-    out: String,
-    cursor: usize,
-}
-
-impl Printer<'_> {
-    /// Emit raw tokens `[cursor, to)`, space-separated, skipping comments.
-    fn emit_upto(&mut self, to: usize) {
-        while self.cursor < to.min(self.toks.len()) {
-            let t = &self.toks[self.cursor];
-            if !t.is_comment() {
-                self.out.push_str(t.text(self.src));
-                self.out.push(' ');
-            } else {
-                // Newline keeps any following line intact if a comment
-                // boundary bug ever slipped a line comment into output.
-                self.out.push('\n');
-            }
-            self.cursor += 1;
-        }
-    }
-
-    fn item(&mut self, it: &Item) {
-        match &it.kind {
-            ItemKind::Fn(f) => {
-                if let Some(b) = &f.body {
-                    self.emit_upto(b.span.lo);
-                    self.block(b);
-                }
-            }
-            ItemKind::Impl(d) => {
-                for sub in &d.items {
-                    self.item(sub);
-                }
-            }
-            ItemKind::Trait { items, .. } | ItemKind::Mod { items, .. } => {
-                for sub in items {
-                    self.item(sub);
-                }
-            }
-            ItemKind::Const { init: Some(e), .. } => {
-                self.emit_upto(e.span.lo);
-                self.expr(e);
-            }
-            _ => {}
-        }
-        self.emit_upto(it.span.hi);
-    }
-
-    fn block(&mut self, b: &Block) {
-        self.emit_upto(b.span.lo);
-        for s in &b.stmts {
-            self.stmt(s);
-        }
-        self.emit_upto(b.span.hi);
-    }
-
-    fn stmt(&mut self, s: &Stmt) {
-        self.emit_upto(s.span.lo);
-        match &s.kind {
-            StmtKind::Let { init, else_block, .. } => {
-                if let Some(e) = init {
-                    self.emit_upto(e.span.lo);
-                    self.expr(e);
-                }
-                if let Some(b) = else_block {
-                    self.emit_upto(b.span.lo);
-                    self.block(b);
-                }
-            }
-            StmtKind::Expr { expr, .. } => {
-                self.emit_upto(expr.span.lo);
-                self.expr(expr);
-            }
-            StmtKind::Item(it) => self.item(it),
-            StmtKind::Empty => {}
-        }
-        self.emit_upto(s.span.hi);
-    }
-
-    fn opt_expr(&mut self, e: &Option<Box<Expr>>) {
-        if let Some(e) = e {
-            self.emit_upto(e.span.lo);
-            self.expr(e);
-        }
-    }
-
-    fn expr(&mut self, e: &Expr) {
-        self.emit_upto(e.span.lo);
-        match &e.kind {
-            ExprKind::Unary { operand, .. } => {
-                self.emit_upto(operand.span.lo);
-                self.expr(operand);
-            }
-            ExprKind::Binary { lhs, rhs, .. } | ExprKind::Assign { lhs, rhs, .. } => {
-                self.expr(lhs);
-                self.emit_upto(rhs.span.lo);
-                self.expr(rhs);
-            }
-            ExprKind::Cast { expr, .. } => self.expr(expr),
-            ExprKind::Call { callee, args } => {
-                self.expr(callee);
-                for a in args {
-                    self.emit_upto(a.span.lo);
-                    self.expr(a);
-                }
-            }
-            ExprKind::MethodCall { recv, args, .. } => {
-                self.expr(recv);
-                for a in args {
-                    self.emit_upto(a.span.lo);
-                    self.expr(a);
-                }
-            }
-            ExprKind::Field { base, .. } => self.expr(base),
-            ExprKind::Index { base, index } => {
-                self.expr(base);
-                self.emit_upto(index.span.lo);
-                self.expr(index);
-            }
-            ExprKind::Try(x) | ExprKind::Ref { expr: x, .. } | ExprKind::Paren(x) => self.expr(x),
-            ExprKind::Tuple(xs) | ExprKind::Array { elems: xs } => {
-                for x in xs {
-                    self.emit_upto(x.span.lo);
-                    self.expr(x);
-                }
-            }
-            ExprKind::StructLit { fields, base, .. } => {
-                for (_, v) in fields {
-                    if let Some(v) = v {
-                        self.emit_upto(v.span.lo);
-                        self.expr(v);
-                    }
-                }
-                if let Some(b) = base {
-                    self.emit_upto(b.span.lo);
-                    self.expr(b);
-                }
-            }
-            ExprKind::Block(b) => self.block(b),
-            ExprKind::If { cond, then, else_ } => {
-                self.emit_upto(cond.span.lo);
-                self.expr(cond);
-                self.block(then);
-                self.opt_expr(else_);
-            }
-            ExprKind::IfLet { scrutinee, then, else_, .. } => {
-                self.emit_upto(scrutinee.span.lo);
-                self.expr(scrutinee);
-                self.block(then);
-                self.opt_expr(else_);
-            }
-            ExprKind::Match { scrutinee, arms } => {
-                self.emit_upto(scrutinee.span.lo);
-                self.expr(scrutinee);
-                for a in arms {
-                    self.emit_upto(a.span.lo);
-                    if let Some(g) = &a.guard {
-                        self.emit_upto(g.span.lo);
-                        self.expr(g);
-                    }
-                    self.emit_upto(a.body.span.lo);
-                    self.expr(&a.body);
-                    self.emit_upto(a.span.hi);
-                }
-            }
-            ExprKind::While { cond, body } => {
-                self.emit_upto(cond.span.lo);
-                self.expr(cond);
-                self.block(body);
-            }
-            ExprKind::WhileLet { scrutinee, body, .. } => {
-                self.emit_upto(scrutinee.span.lo);
-                self.expr(scrutinee);
-                self.block(body);
-            }
-            ExprKind::Loop { body } => self.block(body),
-            ExprKind::For { iter, body, .. } => {
-                self.emit_upto(iter.span.lo);
-                self.expr(iter);
-                self.block(body);
-            }
-            ExprKind::Closure { body, .. } => {
-                self.emit_upto(body.span.lo);
-                self.expr(body);
-            }
-            ExprKind::Return(v) | ExprKind::Break(v) => self.opt_expr(v),
-            ExprKind::Range { lo, hi } => {
-                if let Some(l) = lo {
-                    self.expr(l);
-                }
-                self.opt_expr(hi);
-            }
-            ExprKind::Lit
-            | ExprKind::Path(_)
-            | ExprKind::Continue
-            | ExprKind::MacroCall { .. }
-            | ExprKind::Err => {}
-        }
-        self.emit_upto(e.span.hi);
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Tests
 // ---------------------------------------------------------------------------
 
@@ -2171,23 +2055,12 @@ mod tests {
         parse(src, &lex(src))
     }
 
+    /// Parses with no fallback and with well-nested spans.
     fn roundtrip(src: &str) {
         let toks = lex(src);
         let ast = parse(src, &toks);
         assert!(ast.fallbacks.is_empty(), "fallbacks on {src:?}: {:?}", ast.fallbacks);
-        let printed = print(src, &toks, &ast);
-        let orig: Vec<String> = toks
-            .iter()
-            .filter(|t| !t.is_comment())
-            .map(|t| t.text(src).to_string())
-            .collect();
-        let re = lex(&printed);
-        let new: Vec<String> = re
-            .iter()
-            .filter(|t| !t.is_comment())
-            .map(|t| t.text(&printed).to_string())
-            .collect();
-        assert_eq!(orig, new, "token fixpoint broken for {src:?}");
+        ast.check_spans(toks.len()).unwrap_or_else(|e| panic!("{e} in {src:?}"));
     }
 
     #[test]
@@ -2218,14 +2091,73 @@ mod tests {
     }
 
     #[test]
-    fn use_trees_flatten() {
-        let ast = parse_src("use mpw_tcp::wire::{parse_packet, TcpSegment as Seg, options::*};");
-        let ItemKind::Use(es) = &ast.items[0].kind else { panic!() };
-        assert_eq!(es.len(), 3);
-        assert_eq!(es[0].path, ["mpw_tcp", "wire", "parse_packet"]);
-        assert_eq!(es[0].local, "parse_packet");
-        assert_eq!(es[1].local, "Seg");
-        assert_eq!(es[2].path, ["mpw_tcp", "wire", "options", "*"]);
+    fn use_trees_and_enum_bodies_are_opaque_items() {
+        let src = "use mpw_tcp::wire::{parse_packet, TcpSegment as Seg, options::*};\n\
+                   enum Transport { Mp(MptcpConnection), Named { a: u32 }, D = 4 }\n\
+                   fn after() {}";
+        let ast = parse_src(src);
+        assert!(matches!(ast.items[0].kind, ItemKind::Use));
+        assert!(matches!(&ast.items[1].kind, ItemKind::Enum { name } if name == "Transport"));
+        assert!(matches!(ast.items[2].kind, ItemKind::Fn(_)));
+        roundtrip(src);
+    }
+
+    #[test]
+    fn fn_count_sees_methods_nested_and_bodyless_fns_but_not_fn_pointer_types() {
+        let ast = parse_src(
+            "fn top(cb: fn(u32) -> u32) { fn nested() {} let _ = || { fn deeper() {} }; }\n\
+             impl Foo { pub fn method(&self) {} }\n\
+             trait T { fn decl(&self); fn with_default(&self) {} }\n\
+             mod m { const fn in_mod() {} }",
+        );
+        assert_eq!(ast.fn_count(), 7);
+    }
+
+    /// Whether the first token spelled `word` is test-gated.
+    fn gated(src: &str, word: &str) -> bool {
+        let toks = lex(src);
+        let at = toks.iter().position(|t| t.text(src) == word).expect("word present");
+        parse(src, &toks).in_test(at)
+    }
+
+    #[test]
+    fn cfg_test_gates_exactly_its_item() {
+        let src = "fn real() {}\n#[cfg(test)]\nmod tests { #[test] fn t() { real(); } }\n\
+                   #[test]\nfn also_real() {}";
+        assert!(!gated(src, "real"));
+        assert!(gated(src, "cfg"), "the attribute itself is inside the range");
+        assert!(gated(src, "t"));
+        assert!(!gated(src, "also_real"), "code after a cfg(test) mod is not test code");
+    }
+
+    #[test]
+    fn cfg_any_and_all_test_gate_but_not_test_does_not() {
+        assert!(gated("#[cfg(any(test, feature = \"x\"))]\nmod helpers { fn h() {} }", "h"));
+        assert!(gated("#[cfg(all(test, unix))]\nfn h() {}", "h"));
+        // `cfg(not(test))` code is exactly what ships: it must stay walled.
+        assert!(!gated("#[cfg(not(test))]\nfn h() {}", "h"));
+        assert!(!gated("#[cfg(all(unix, not(any(test, miri))))]\nfn h() {}", "h"));
+        assert!(gated("#[cfg(any(not(unix), test))]\nfn h() {}", "h"));
+        assert!(!gated("#[cfg(feature = \"test\")]\nfn h() {}", "h"));
+        assert!(!gated("#[cfg_attr(test, derive(Debug))]\nstruct h;", "h"));
+    }
+
+    #[test]
+    fn cfg_test_gates_statements_arms_and_fields_not_their_neighbours() {
+        let src = "struct S { #[cfg(test)] probe: u32, live: u32 }\n\
+                   fn f(k: u8) -> u8 {\n\
+                       #[cfg(test)]\n    let traced = k;\n\
+                       match k { #[cfg(test)] 9 => nine(), _ => other() }\n\
+                   }";
+        for (word, want) in [
+            ("probe", true),
+            ("live", false),
+            ("traced", true),
+            ("nine", true),
+            ("other", false),
+        ] {
+            assert_eq!(gated(src, word), want, "{word}");
+        }
     }
 
     #[test]
@@ -2304,9 +2236,9 @@ mod tests {
         let src = "enum Transport { Mp(MptcpConnection), Sp(TcpSocket), Named { a: u32 } }\n\
                    const N: usize = 4 * 2;\nstatic Z: &str = \"s\";";
         let ast = parse_src(src);
-        let ItemKind::Enum(e) = &ast.items[0].kind else { panic!() };
-        assert_eq!(e.variants[0].0, "Mp");
-        assert_eq!(e.variants[0].1[0].head(), "MptcpConnection");
+        let ItemKind::Const { name, init, .. } = &ast.items[1].kind else { panic!() };
+        assert_eq!(name, "N");
+        assert!(matches!(init.as_ref().map(|e| &e.kind), Some(ExprKind::Binary { .. })));
         roundtrip(src);
     }
 

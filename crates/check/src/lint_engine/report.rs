@@ -32,7 +32,7 @@ pub struct Report {
     /// Fn items discovered.
     pub fns: usize,
     /// AST parse fallbacks across the workspace (must be zero: a fallback
-    /// is a construct the v2 analyses silently cannot see into).
+    /// is a construct the analyses silently cannot see into).
     pub parse_fallbacks: usize,
     /// `unsafe` token counts per vendored crate (exempt, inventoried).
     pub vendor_unsafe: BTreeMap<String, usize>,
@@ -51,7 +51,7 @@ impl Report {
             allows,
             allow_counts,
             files: ws.files.len(),
-            fns: ws.files.iter().map(|f| f.items.fns.len()).sum(),
+            fns: ws.files.iter().map(|f| f.ast.fn_count()).sum(),
             parse_fallbacks: ws.files.iter().map(|f| f.ast.fallbacks.len()).sum(),
             vendor_unsafe: BTreeMap::new(),
         }

@@ -1,4 +1,4 @@
-//! Name resolution over the parsed workspace (DESIGN.md §5.13).
+//! Name resolution over the parsed workspace (DESIGN.md §5.12).
 //!
 //! Recovers just enough global structure for the precise walls:
 //!
@@ -12,9 +12,8 @@
 //! * a **call graph** whose nodes are typed (`SendBuffer::read` and
 //!   `PcapReader::read` are distinct). When a receiver type cannot be
 //!   inferred the edge degrades to a *name fallback* — edges to every
-//!   same-named method — so the precise analyses stay a sound subset of
-//!   the v1 name-based BFS: precision only removes edges that provably
-//!   cannot exist, never invents reachability.
+//!   same-named method — so typing only removes edges that provably cannot
+//!   exist, never one that might.
 //!
 //! Resolution is deliberately approximate where the walls don't need
 //! exactness (generics are erased, trait dispatch fans out to every
@@ -24,7 +23,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use super::parse::{Block, Expr, ExprKind, FnDef, Item, ItemKind, Pat, PatKind, Stmt, StmtKind, Ty};
+use super::parse::{Block, Expr, ExprKind, FnDef, Item, ItemKind, Node, Pat, PatKind, Stmt, StmtKind, Ty};
 use super::{SourceFile, Workspace};
 
 /// A resolved function node in the call graph.
@@ -136,53 +135,6 @@ impl Resolved {
     pub fn candidates(&self, name: &str) -> &[usize] {
         self.by_name.get(name).map(|v| v.as_slice()).unwrap_or(&[])
     }
-
-    /// Render the call graph in Graphviz dot format (typed edges solid,
-    /// name-fallback edges dashed). Test-only fns are omitted.
-    pub fn to_dot(&self, ws: &Workspace) -> String {
-        let mut out =
-            String::from("digraph callgraph {\n  rankdir=LR;\n  node [shape=box, fontsize=9];\n");
-        let mut used: BTreeSet<usize> = BTreeSet::new();
-        for (from, edges) in self.calls.iter().enumerate() {
-            if self.fns[from].is_test {
-                continue;
-            }
-            for e in edges {
-                if self.fns[e.to].is_test {
-                    continue;
-                }
-                used.insert(from);
-                used.insert(e.to);
-            }
-        }
-        for &id in &used {
-            let n = &self.fns[id];
-            out.push_str(&format!(
-                "  n{} [label=\"{}\\n{}\"];\n",
-                id,
-                n.qname.replace('"', ""),
-                ws.files[n.file].rel
-            ));
-        }
-        for (from, edges) in self.calls.iter().enumerate() {
-            if self.fns[from].is_test {
-                continue;
-            }
-            for e in edges {
-                if self.fns[e.to].is_test {
-                    continue;
-                }
-                out.push_str(&format!(
-                    "  n{} -> n{}{};\n",
-                    from,
-                    e.to,
-                    if e.typed { "" } else { " [style=dashed]" }
-                ));
-            }
-        }
-        out.push_str("}\n");
-        out
-    }
 }
 
 /// Derive the module path of a file within its crate (`["wire"]` for
@@ -293,7 +245,7 @@ fn push_fn(
         trait_name: trait_name.map(|s| s.to_string()),
         file: fi,
         line,
-        is_test: f.items.in_test(fd.name_tok),
+        is_test: f.ast.in_test(fd.name_tok),
         body: fd.body.as_ref().map(|b| (b.span.lo, b.span.hi)),
     });
     r.by_name.entry(fd.name.clone()).or_default().push(id);
@@ -544,49 +496,9 @@ impl BodyCx<'_> {
                         }
                     }
                 }
-                // Unknown receiver: name fallback (v1 parity).
+                // Unknown receiver: name fallback.
                 let fallback: Vec<usize> = self.r.candidates(name).to_vec();
                 self.edge_all(&fallback, line, false);
-            }
-            ExprKind::MacroCall { .. } => {
-                // Macro bodies are opaque; the token-level rules see
-                // panicking macros directly.
-            }
-            ExprKind::Path(_) | ExprKind::Lit | ExprKind::Continue | ExprKind::Err => {}
-            ExprKind::Unary { operand, .. } => self.expr(operand),
-            ExprKind::Binary { lhs, rhs, .. } | ExprKind::Assign { lhs, rhs, .. } => {
-                self.expr(lhs);
-                self.expr(rhs);
-            }
-            ExprKind::Cast { expr, .. } => self.expr(expr),
-            ExprKind::Field { base, .. } => self.expr(base),
-            ExprKind::Index { base, index } => {
-                self.expr(base);
-                self.expr(index);
-            }
-            ExprKind::Try(x) | ExprKind::Ref { expr: x, .. } | ExprKind::Paren(x) => self.expr(x),
-            ExprKind::Tuple(xs) | ExprKind::Array { elems: xs } => {
-                for x in xs {
-                    self.expr(x);
-                }
-            }
-            ExprKind::StructLit { fields, base, .. } => {
-                for (_, v) in fields {
-                    if let Some(v) = v {
-                        self.expr(v);
-                    }
-                }
-                if let Some(b) = base {
-                    self.expr(b);
-                }
-            }
-            ExprKind::Block(b) => self.block(b),
-            ExprKind::If { cond, then, else_ } => {
-                self.expr(cond);
-                self.block(then);
-                if let Some(x) = else_ {
-                    self.expr(x);
-                }
             }
             ExprKind::IfLet { pat, scrutinee, then, else_ } => {
                 self.expr(scrutinee);
@@ -612,10 +524,6 @@ impl BodyCx<'_> {
                     self.locals.truncate(depth);
                 }
             }
-            ExprKind::While { cond, body } => {
-                self.expr(cond);
-                self.block(body);
-            }
             ExprKind::WhileLet { pat, scrutinee, body } => {
                 self.expr(scrutinee);
                 let depth = self.locals.len();
@@ -624,7 +532,6 @@ impl BodyCx<'_> {
                 self.block(body);
                 self.locals.truncate(depth);
             }
-            ExprKind::Loop { body } => self.block(body),
             ExprKind::For { pat, iter, body } => {
                 self.expr(iter);
                 let depth = self.locals.len();
@@ -643,19 +550,14 @@ impl BodyCx<'_> {
                 self.expr(body);
                 self.locals.truncate(depth);
             }
-            ExprKind::Return(v) | ExprKind::Break(v) => {
-                if let Some(v) = v {
-                    self.expr(v);
-                }
-            }
-            ExprKind::Range { lo, hi } => {
-                if let Some(l) = lo {
-                    self.expr(l);
-                }
-                if let Some(h) = hi {
-                    self.expr(h);
-                }
-            }
+            // Macro bodies are opaque (the token-level panic scan sees
+            // panicking macros directly); everything else binds nothing
+            // and calls nothing itself.
+            _ => Node::Expr(e).each_child(&mut |c| match c {
+                Node::Expr(x) => self.expr(x),
+                Node::Block(b) => self.block(b),
+                Node::Stmt(_) | Node::Item(_) => {}
+            }),
         }
     }
 
@@ -729,7 +631,7 @@ impl BodyCx<'_> {
                 return;
             }
         }
-        // Unqualified or unresolved: name fallback (v1 parity).
+        // Unqualified or unresolved: name fallback.
         let fallback: Vec<usize> = self.r.candidates(last).to_vec();
         self.edge_all(&fallback, line, false);
     }
@@ -889,18 +791,5 @@ mod tests {
         assert!(targets.contains(&"A::go"), "{targets:?}");
         assert!(targets.contains(&"B::go"), "{targets:?}");
         assert!(r.calls[run].iter().all(|e| e.typed), "{:?}", r.calls[run]);
-    }
-
-    #[test]
-    fn dot_output_has_nodes_and_edges() {
-        let w = ws(vec![(
-            "crates/x/src/lib.rs",
-            "pub struct A; impl A { pub fn go(&self) { helper(); } }\npub fn helper() {}\n",
-        )]);
-        let r = Resolved::build(&w);
-        let dot = r.to_dot(&w);
-        assert!(dot.contains("digraph callgraph"));
-        assert!(dot.contains("A::go"));
-        assert!(dot.contains("->"));
     }
 }

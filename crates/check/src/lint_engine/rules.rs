@@ -1,4 +1,4 @@
-//! The six engine-backed walls.
+//! The token-scanning walls: `determinism`, `panic`, `alloc`, `unsafe`.
 //!
 //! Each rule is a pure function from a scanned [`Workspace`] + [`Config`]
 //! to raw [`Finding`]s; the engine in [`super::run`] filters them through
@@ -7,7 +7,6 @@
 //! `#[cfg(test)]` code exactly — except the determinism wall, where test
 //! schedules must stay deterministic too.
 
-use super::items::FnItem;
 use super::lexer::{Tok, TokKind};
 use super::resolve::Resolved;
 use super::{Config, Finding, SourceFile, Workspace};
@@ -106,7 +105,8 @@ pub fn determinism(ws: &Workspace, cfg: &Config) -> Vec<Finding> {
 }
 
 // ---------------------------------------------------------------------------
-// panic (strict surface on the designated parser modules)
+// panic (strict decode surface + relaxed reachability, both on the resolved
+// call graph)
 // ---------------------------------------------------------------------------
 
 /// Macros that abort on wire-derived data.
@@ -127,9 +127,8 @@ const PANIC_MACROS: [&str; 10] = [
 /// *are* the invariant-oracle mechanism outside the parser surface).
 const PANIC_MACROS_REACH: [&str; 4] = ["panic", "unreachable", "todo", "unimplemented"];
 
-/// Scan one fn-body-or-file token range for panicking constructs.
-/// `strict` adds asserts and expression indexing (the parser surface);
-/// the reachability pass passes `strict = false`.
+/// Scan one fn body's token range for panicking constructs. `strict` adds
+/// asserts and expression indexing (the decode surface).
 fn panic_tokens_in(
     f: &SourceFile,
     range: std::ops::Range<usize>,
@@ -140,7 +139,7 @@ fn panic_tokens_in(
     let macros: &[&str] = if strict { &PANIC_MACROS } else { &PANIC_MACROS_REACH };
     for i in range.clone() {
         let t = &f.toks[i];
-        if t.is_comment() || f.items.in_test(i) {
+        if t.is_comment() || f.ast.in_test(i) {
             continue;
         }
         if t.kind == TokKind::Ident {
@@ -192,134 +191,6 @@ fn panic_tokens_in(
     out
 }
 
-/// The strict panic surface: in the designated parser modules every
-/// panicking macro, `.unwrap()`/`.expect(`, and expression index is
-/// forbidden outside test code — wire-derived bytes reach these files
-/// unsanitized.
-pub fn panic_surface(ws: &Workspace, cfg: &Config) -> Vec<Finding> {
-    let mut out = Vec::new();
-    for rel in &cfg.parser_modules {
-        if let Some(f) = ws.file(rel) {
-            out.extend(panic_tokens_in(f, 0..f.toks.len(), true, " on wire-derived data"));
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
-// panic (call-graph reachability from the protocol entry points)
-// ---------------------------------------------------------------------------
-
-/// A fn in the reachability graph.
-#[derive(Clone, Copy)]
-struct FnRef {
-    file: usize,
-    item: usize,
-}
-
-/// The panic-reachability wall: from every parser-module fn and every
-/// `on_*`/`handle_*` event handler, walk the name-based intra-workspace
-/// call graph and flag panicking constructs in every reachable fn. Edges
-/// resolve a called name against *every* workspace fn bearing it — an
-/// over-approximation that can only over-flag, never miss a real path.
-pub fn panic_reachability(ws: &Workspace, cfg: &Config) -> Vec<Finding> {
-    // Collect the graph's nodes.
-    let mut nodes: Vec<FnRef> = Vec::new();
-    let mut by_name: std::collections::BTreeMap<&str, Vec<usize>> = Default::default();
-    for (fi, f) in ws.files.iter().enumerate() {
-        if !f.under_any(&cfg.reach_paths) {
-            continue;
-        }
-        for (ii, it) in f.items.fns.iter().enumerate() {
-            if it.is_test {
-                continue;
-            }
-            let n = nodes.len();
-            nodes.push(FnRef { file: fi, item: ii });
-            by_name.entry(it.name.as_str()).or_default().push(n);
-        }
-    }
-    let item = |n: usize| -> &FnItem { &ws.files[nodes[n].file].items.fns[nodes[n].item] };
-
-    // Entry points: all parser-module fns + prefix-named handlers in the
-    // designated event-handler files.
-    let mut entries: Vec<usize> = Vec::new();
-    for (n, r) in nodes.iter().enumerate() {
-        let f = &ws.files[r.file];
-        let it = item(n);
-        let is_parser = cfg.parser_modules.contains(&f.rel);
-        let is_handler = cfg.entry_files.contains(&f.rel)
-            && cfg.entry_prefixes.iter().any(|p| it.name.starts_with(p.as_str()));
-        if is_parser || is_handler {
-            entries.push(n);
-        }
-    }
-
-    // BFS with parent pointers for path rendering.
-    let mut parent: Vec<Option<usize>> = vec![None; nodes.len()];
-    let mut seen = vec![false; nodes.len()];
-    let mut queue: std::collections::VecDeque<usize> = Default::default();
-    for &e in &entries {
-        if !seen[e] {
-            seen[e] = true;
-            queue.push_back(e);
-        }
-    }
-    while let Some(n) = queue.pop_front() {
-        for call in &item(n).calls {
-            if let Some(targets) = by_name.get(call.as_str()) {
-                for &t in targets {
-                    if !seen[t] {
-                        seen[t] = true;
-                        parent[t] = Some(n);
-                        queue.push_back(t);
-                    }
-                }
-            }
-        }
-    }
-
-    // Flag panic constructs in every reachable fn body, except in the
-    // parser modules (already covered, more strictly, by the surface
-    // rule).
-    let mut out = Vec::new();
-    for (n, r) in nodes.iter().enumerate() {
-        if !seen[n] {
-            continue;
-        }
-        let f = &ws.files[r.file];
-        if cfg.parser_modules.contains(&f.rel) {
-            continue;
-        }
-        let it = item(n);
-        if it.body.is_empty() {
-            continue;
-        }
-        // Render the call path back to an entry: `a ← b ← entry`.
-        let mut path = vec![it.name.clone()];
-        let mut cur = n;
-        while let Some(p) = parent[cur] {
-            path.push(item(p).name.clone());
-            cur = p;
-            if path.len() > 8 {
-                path.push("…".into());
-                break;
-            }
-        }
-        let via = format!(
-            " (reachable from entry point: {})",
-            path.iter().rev().cloned().collect::<Vec<_>>().join(" → ")
-        );
-        out.extend(panic_tokens_in(f, it.body.clone(), false, &via));
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
-// panic v2 (strict decode surface + relaxed reachability, both on the
-// resolved call graph)
-// ---------------------------------------------------------------------------
-
 /// One fn's rendered call path for `lint --explain`: every hop from the
 /// entry point down to the fn containing the finding.
 pub struct PanicPath {
@@ -333,11 +204,12 @@ pub struct PanicPath {
     pub hops: Vec<(String, String, u32)>,
 }
 
-/// The v2 panic wall on the resolved call graph (DESIGN.md §5.13).
+/// The panic wall on the resolved call graph (DESIGN.md §5.12), with the
+/// per-fn entry paths `lint --explain` prints.
 ///
 /// Two tiers, both BFS over [`Resolved::calls`] (typed edges where the
 /// receiver resolves, name fallback otherwise — so same-named methods on
-/// different types no longer conflate):
+/// different types do not conflate):
 ///
 /// * **Strict decode surface.** Parser-module fns reachable from
 ///   parser-module fns whose name starts with a
@@ -351,16 +223,7 @@ pub struct PanicPath {
 ///   entries or the `on_*`/`handle_*` handler entries: aborting macros
 ///   and `unwrap`/`expect` are flagged; asserts and indexing are the
 ///   legal oracle idiom.
-pub fn panic_v2(ws: &Workspace, cfg: &Config, r: &Resolved) -> Vec<Finding> {
-    panic_v2_with_paths(ws, cfg, r).0
-}
-
-/// [`panic_v2`] plus the per-fn entry paths (for `lint --explain`).
-pub fn panic_v2_with_paths(
-    ws: &Workspace,
-    cfg: &Config,
-    r: &Resolved,
-) -> (Vec<Finding>, Vec<PanicPath>) {
+pub fn panic(ws: &Workspace, cfg: &Config, r: &Resolved) -> (Vec<Finding>, Vec<PanicPath>) {
     let in_scope = |fid: usize| -> bool {
         let node = &r.fns[fid];
         if node.is_test {
@@ -475,7 +338,7 @@ pub fn panic_v2_with_paths(
 }
 
 // ---------------------------------------------------------------------------
-// seq-arith
+// seq naming contract (the seeds of `flow::seq_taint`)
 // ---------------------------------------------------------------------------
 
 /// Name segments marking a sequence-number value (the seq/dseq naming
@@ -498,111 +361,6 @@ pub fn seq_contract(name: &str) -> bool {
     has_seq
 }
 
-/// The seq-arithmetic wall: raw `+`/`-`/`+=`/`-=`, `as u32` truncation,
-/// and `wrapping_*` calls on sequence-number-named values are forbidden
-/// outside the audited `tcp/seq.rs` — wraparound math must funnel through
-/// `SeqNum`, whose 2³¹ ambiguity contract is documented and tested.
-pub fn seq_arith(ws: &Workspace, cfg: &Config) -> Vec<Finding> {
-    let mut out = Vec::new();
-    for f in &ws.files {
-        if !f.under_any(&cfg.seq_paths) || cfg.seq_audited.contains(&f.rel) {
-            continue;
-        }
-        for (i, t) in f.toks.iter().enumerate() {
-            if t.kind != TokKind::Ident || t.is_comment() || f.items.in_test(i) {
-                continue;
-            }
-            let name = t.text(&f.src);
-            // `<chain>.wrapping_*(…)` where the receiver chain mentions a
-            // contract ident.
-            if name.starts_with("wrapping_")
-                && prev_code(f, i).is_some_and(|p| text(f, p) == ".")
-                && next_code(f, i).is_some_and(|n| text(f, n) == "(")
-            {
-                if let Some(seq_name) = chain_contract_ident(f, i) {
-                    out.push(finding(
-                        "seq-arith",
-                        f,
-                        t,
-                        format!(
-                            "`{name}` on seq-named `{seq_name}`: wraparound math must \
-                             funnel through tcp/seq.rs (SeqNum)"
-                        ),
-                    ));
-                }
-                continue;
-            }
-            if !seq_contract(name) {
-                continue;
-            }
-            // A call `dseq_of(…)` or path segment `seq::` is not a value
-            // use.
-            let Some(n) = next_code(f, i) else { continue };
-            let nt = text(f, n);
-            if nt == "(" || nt == "::" || nt == "!" {
-                continue;
-            }
-            // Raw additive arithmetic on the value itself.
-            if matches!(nt, "+" | "-" | "+=" | "-=") {
-                out.push(finding(
-                    "seq-arith",
-                    f,
-                    t,
-                    format!(
-                        "raw `{nt}` on seq-named `{name}`: wraparound math must funnel \
-                         through tcp/seq.rs (SeqNum)"
-                    ),
-                ));
-                continue;
-            }
-            // Truncating cast.
-            if nt == "as" && next_code(f, n).is_some_and(|u| text(f, u) == "u32") {
-                out.push(finding(
-                    "seq-arith",
-                    f,
-                    t,
-                    format!(
-                        "`{name} as u32` truncates a seq-named value: conversions must \
-                         funnel through tcp/seq.rs (SeqNum)"
-                    ),
-                ));
-            }
-        }
-    }
-    out
-}
-
-/// For a `.wrapping_*` method token at `i`, walk the receiver chain
-/// (`a.b.0.wrapping_sub`) backwards and return the first contract-named
-/// ident in it, if any. The chain stops at anything that is not an
-/// ident/tuple-index/`.`, so call results (`f().wrapping_add`) break it.
-fn chain_contract_ident(f: &SourceFile, i: usize) -> Option<&str> {
-    let mut cur = prev_code(f, i)?; // the `.` before wrapping_*
-    loop {
-        if text(f, cur) != "." {
-            return None;
-        }
-        let part = prev_code(f, cur)?;
-        match f.toks[part].kind {
-            TokKind::Ident => {
-                let name = text(f, part);
-                if seq_contract(name) {
-                    return Some(name);
-                }
-                match prev_code(f, part) {
-                    Some(p) if text(f, p) == "." => cur = p,
-                    _ => return None,
-                }
-            }
-            TokKind::Num => match prev_code(f, part) {
-                Some(p) if text(f, p) == "." => cur = p,
-                _ => return None,
-            },
-            _ => return None,
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // alloc
 // ---------------------------------------------------------------------------
@@ -616,7 +374,7 @@ pub fn alloc(ws: &Workspace, cfg: &Config) -> Vec<Finding> {
     for rel in &cfg.alloc_modules {
         let Some(f) = ws.file(rel) else { continue };
         for (i, t) in f.toks.iter().enumerate() {
-            if t.kind != TokKind::Ident || f.items.in_test(i) {
+            if t.kind != TokKind::Ident || f.ast.in_test(i) {
                 continue;
             }
             let name = t.text(&f.src);
@@ -662,8 +420,7 @@ pub fn alloc(ws: &Workspace, cfg: &Config) -> Vec<Finding> {
 /// compilation units the lib attribute does not cover) needs a
 /// per-token `allow-unsafe(reason)` justification. `vendor/` is exempt
 /// but inventoried in the report.
-pub fn unsafe_audit(ws: &Workspace, cfg: &Config) -> Vec<Finding> {
-    let _ = cfg;
+pub fn unsafe_audit(ws: &Workspace) -> Vec<Finding> {
     let mut out = Vec::new();
     let mut crates_seen: std::collections::BTreeSet<String> = Default::default();
     for f in &ws.files {
@@ -732,7 +489,6 @@ mod tests {
             entry_files: vec![],
             entry_prefixes: vec![],
             parse_entry_prefixes: vec!["parse".into(), "read".into(), "decode".into()],
-            unsafe_wall: true,
         }
     }
 
@@ -768,13 +524,17 @@ mod tests {
         assert_eq!(determinism(&ws, &cfg).len(), 1);
     }
 
+    fn panic_findings(ws: &Workspace, cfg: &Config) -> Vec<Finding> {
+        panic(ws, cfg, &Resolved::build(ws)).0
+    }
+
     #[test]
     fn surface_flags_panics_indexing_but_not_patterns() {
         let (ws, cfg) = one(
-            "fn p(b: &[u8]) -> [u8; 4] {\n    let x = b[0];\n    let y = b.first().unwrap();\n    \
+            "fn parse_p(b: &[u8]) -> [u8; 4] {\n    let x = b[0];\n    let y = b.first().unwrap();\n    \
              if let [a] = b { let _ = a; }\n    panic!(\"{x} {y}\");\n}\n",
         );
-        let fs = panic_surface(&ws, &cfg);
+        let fs = panic_findings(&ws, &cfg);
         let msgs: Vec<&str> = fs.iter().map(|f| f.message.as_str()).collect();
         assert_eq!(fs.len(), 3, "{msgs:?}");
         assert!(msgs.iter().any(|m| m.contains("indexing")));
@@ -784,14 +544,33 @@ mod tests {
 
     #[test]
     fn surface_ignores_test_mod_exactly() {
-        let src = "fn p() {}\n#[cfg(test)]\nmod t { fn f() { x.unwrap(); } }\nfn q(v: &[u8]) -> u8 { v[0] }\n";
+        let src = "fn parse_p() {}\n#[cfg(test)]\nmod t { fn parse_f() { x.unwrap(); } }\n\
+                   fn parse_q(v: &[u8]) -> u8 { v[0] }\n";
         let (ws, cfg) = one(src);
-        let fs = panic_surface(&ws, &cfg);
+        let fs = panic_findings(&ws, &cfg);
         // The unwrap in the test mod is exempt; the indexing *after* the
-        // test mod is caught (the old scanner stopped scanning at the
-        // first `#[cfg(test)]` line and missed it).
+        // test mod is caught.
         assert_eq!(fs.len(), 1, "{fs:?}");
         assert!(fs[0].message.contains("indexing"));
+    }
+
+    #[test]
+    fn cfg_not_test_code_stays_under_the_wall() {
+        // `cfg(not(test))` is the code that ships: the `test` ident inside
+        // `not(..)` must neither exempt it nor hide its allow markers.
+        let bare = "pub fn parse_x(b: &[u8]) -> u8 { b[0] }\n";
+        let gated = format!("#[cfg(not(test))]\n{bare}");
+        for src in [bare, gated.as_str()] {
+            let (ws, cfg) = one(src);
+            let fs = panic_findings(&ws, &cfg);
+            assert_eq!(fs.len(), 1, "{src:?}: {fs:?}");
+            assert!(fs[0].message.contains("indexing"));
+        }
+        let (ws, _) = one(
+            "#[cfg(not(test))]\npub fn parse_x(b: &[u8]) -> u8 {\n    \
+             b[0] // lint: allow-panic(length checked by the caller)\n}\n",
+        );
+        assert_eq!(ws.files[0].allows.len(), 1);
     }
 
     #[test]
@@ -810,9 +589,13 @@ mod tests {
         ]);
         let mut cfg = cfg_one(rel_a);
         cfg.alloc_modules = vec![];
-        let fs = panic_reachability(&ws, &cfg);
+        let fs = panic_findings(&ws, &cfg);
         assert_eq!(fs.len(), 1, "{fs:?}");
-        assert!(fs[0].message.contains("parse_entry → hop_one → hop_two"), "{}", fs[0].message);
+        assert!(
+            fs[0].message.contains("entry::parse_entry → helper::hop_one → helper::hop_two"),
+            "{}",
+            fs[0].message
+        );
         assert_eq!(fs[0].file, rel_b);
     }
 
@@ -833,42 +616,7 @@ mod tests {
             ),
         ]);
         cfg.alloc_modules = vec![];
-        assert!(panic_reachability(&ws, &cfg).is_empty());
-    }
-
-    #[test]
-    fn seq_arith_flags_raw_ops_casts_and_wrapping() {
-        let (ws, cfg) = one(
-            "fn f(dseq: u64, seq: u32, len: u64) -> u64 {\n    let a = dseq\n        + len;\n    \
-             let b = seq.wrapping_add(1);\n    let c = dseq as u32;\n    \
-             a + u64::from(b) + u64::from(c)\n}\n",
-        );
-        let fs = seq_arith(&ws, &cfg);
-        assert_eq!(fs.len(), 3, "{fs:?}");
-        assert!(fs.iter().any(|f| f.message.contains("raw `+`")));
-        assert!(fs.iter().any(|f| f.message.contains("wrapping_add")));
-        assert!(fs.iter().any(|f| f.message.contains("as u32")));
-    }
-
-    #[test]
-    fn seq_arith_receiver_chain_and_exemptions() {
-        let (ws, cfg) = one(
-            "fn f(s: S) {\n    let a = s.seq.wrapping_add(s.len);\n    let b = seq_len() + 4;\n    \
-             let c = s.seq.before(x);\n    let _ = (a, b, c);\n}\n",
-        );
-        let fs = seq_arith(&ws, &cfg);
-        assert_eq!(fs.len(), 1, "{fs:?}");
-        assert!(fs[0].message.contains("wrapping_add"));
-        assert!(fs[0].message.contains("`seq`"));
-    }
-
-    #[test]
-    fn seq_arith_ignores_comparisons_ranges_and_calls() {
-        let (ws, cfg) = one(
-            "fn f(dseq: u64, end: u64) {\n    if dseq < end { }\n    for _ in dseq..end { }\n    \
-             let m = dseq.max(end);\n    let _ = m;\n}\n",
-        );
-        assert!(seq_arith(&ws, &cfg).is_empty());
+        assert!(panic_findings(&ws, &cfg).is_empty());
     }
 
     #[test]
@@ -880,12 +628,12 @@ mod tests {
 
     #[test]
     fn unsafe_audit_requires_forbid_and_flags_tokens() {
-        let (ws, cfg) = one("pub fn f() { let p = 0 as *const u8; let _ = unsafe { *p }; }\n");
-        let fs = unsafe_audit(&ws, &cfg);
+        let (ws, _) = one("pub fn f() { let p = 0 as *const u8; let _ = unsafe { *p }; }\n");
+        let fs = unsafe_audit(&ws);
         assert_eq!(fs.len(), 2, "{fs:?}");
         assert!(fs.iter().any(|f| f.message.contains("forbid")));
         assert!(fs.iter().any(|f| f.message.contains("justify")));
-        let (ws2, cfg2) = one("#![forbid(unsafe_code)]\npub fn f() {}\n");
-        assert!(unsafe_audit(&ws2, &cfg2).is_empty());
+        let (ws2, _) = one("#![forbid(unsafe_code)]\npub fn f() {}\n");
+        assert!(unsafe_audit(&ws2).is_empty());
     }
 }

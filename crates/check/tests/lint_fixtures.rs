@@ -4,9 +4,9 @@
 //! violations per rule — including the three constructs the old
 //! line-based scanners got wrong (tokens inside strings/comments, one
 //! marker suppressing a whole line, multi-line constructs) and the three
-//! constructs the v1 token scanners got wrong (same-named methods
-//! conflated in the call graph, taint hidden behind a renamed local, an
-//! early return that skips the invariant oracle) — and this suite pins
+//! constructs a token-only scan gets wrong (same-named methods conflated
+//! in the call graph, taint hidden behind a renamed local, an early
+//! return that skips the invariant oracle) — and this suite pins
 //! the engine's behavior on it. The last test then runs the real
 //! workspace config against the real repo and asserts the walls are
 //! green and within `LINT_budgets.json`.
@@ -31,7 +31,6 @@ fn fixture_cfg() -> Config {
         entry_files: s(&["crates/proto/src/engine.rs"]),
         entry_prefixes: s(&["on_"]),
         parse_entry_prefixes: s(&["parse", "read", "decode"]),
-        unsafe_wall: true,
     }
 }
 
@@ -110,51 +109,22 @@ fn panic_reachability_renders_the_two_hop_path() {
 }
 
 #[test]
-fn conflated_methods_stay_separate_in_v2() {
+fn conflated_methods_stay_separate() {
     // Two `commit` methods, both unwrapping; the handler chain reaches
-    // only `Hot::commit` through a typed receiver. v1's name-keyed graph
-    // flags both bodies; v2 flags exactly the live one.
+    // only `Hot::commit`, through a typed receiver. A name-keyed graph
+    // would flag both bodies; the wall flags exactly the live one.
     let ws = fixture_ws();
-    let cfg = fixture_cfg();
     let hot_line = fixture_line("crates/proto/src/conflated.rs", "*v.first().unwrap()");
     let cold_line = fixture_line("crates/proto/src/conflated.rs", "*v.last().unwrap()");
-
-    let v1 = rules::panic_reachability(&ws, &cfg);
-    let at = |fs: &[lint_engine::Finding], line: u32| {
-        fs.iter()
+    let (found, _) = rules::panic(&ws, &fixture_cfg(), &Resolved::build(&ws));
+    let at = |line: u32| {
+        found
+            .iter()
             .filter(|f| f.file == "crates/proto/src/conflated.rs" && f.line == line)
             .count()
     };
-    assert_eq!(at(&v1, hot_line), 1, "v1 must flag the live method");
-    assert_eq!(at(&v1, cold_line), 1, "v1 conflates: the dead method too");
-
-    let r = Resolved::build(&ws);
-    let v2 = rules::panic_v2(&ws, &cfg, &r);
-    assert_eq!(at(&v2, hot_line), 1, "v2 must keep the live method");
-    assert_eq!(at(&v2, cold_line), 0, "v2 must not conflate the dead one");
-}
-
-#[test]
-fn v2_panic_findings_are_a_subset_of_v1() {
-    // The typed call graph only ever *removes* name-conflated paths; on
-    // any corpus every v2 panic site must also be a v1 panic site.
-    let ws = fixture_ws();
-    let cfg = fixture_cfg();
-    let mut v1: Vec<(String, u32, u32)> = rules::panic_surface(&ws, &cfg)
-        .into_iter()
-        .chain(rules::panic_reachability(&ws, &cfg))
-        .map(|f| (f.file, f.line, f.col))
-        .collect();
-    v1.sort();
-    let r = Resolved::build(&ws);
-    let v2 = rules::panic_v2(&ws, &cfg, &r);
-    for f in &v2 {
-        assert!(
-            v1.binary_search(&(f.file.clone(), f.line, f.col)).is_ok(),
-            "v2 finding absent from v1: {f}"
-        );
-    }
-    assert!(v2.len() < v1.len(), "v2 must prune at least the conflated site");
+    assert_eq!(at(hot_line), 1, "the live method must be flagged");
+    assert_eq!(at(cold_line), 0, "the dead method must not be conflated with it");
 }
 
 #[test]
@@ -344,7 +314,7 @@ fn real_workspace_is_clean_and_within_budgets() {
             .join("\n")
     );
     // Every construct in the real tree must parse: a fallback is code the
-    // v2 analyses silently cannot see into.
+    // analyses silently cannot see into.
     assert_eq!(rep.parse_fallbacks, 0, "parse fallbacks in the real workspace");
     let budgets = std::fs::read_to_string(root.join("LINT_budgets.json")).expect("budgets file");
     let (violations, _) = rep.gate(&budgets);

@@ -1,15 +1,15 @@
 //! Conflation regression: two `commit` methods share a bare name and both
 //! unwrap, but the handler chain only ever reaches `Hot::commit`, through
-//! a typed receiver. v1's name-keyed call graph flagged both bodies;
-//! v2's typed edges keep `Cold::commit` out of the blast radius. The
-//! differential test in `lint_fixtures.rs` pins exactly this.
+//! a typed receiver. A name-keyed call graph would flag both bodies; the
+//! typed edges keep `Cold::commit` out of the blast radius, and
+//! `lint_fixtures.rs` pins exactly this.
 
 pub struct Hot;
 pub struct Cold;
 
 impl Hot {
     pub fn commit(&self, v: &[u8]) -> u8 {
-        // lint: allow-panic(fixture: the single conflation finding v2 keeps)
+        // lint: allow-panic(fixture: the single conflation finding the typed graph keeps)
         *v.first().unwrap()
     }
 }

@@ -1,8 +1,8 @@
 //! Planted taint-through-local violation: the sequence number leaves its
 //! contract-named field, travels through an innocently named local, and
-//! only then hits raw arithmetic. The v1 scanner keyed on the *names*
-//! adjacent to the operator and missed this; v2's dataflow carries the
-//! taint through the rename.
+//! only then hits raw arithmetic. A scan keyed on the *names* adjacent to
+//! the operator misses this; the dataflow carries the taint through the
+//! rename.
 
 pub struct Hdr {
     pub seq: u32,

@@ -1,6 +1,5 @@
-//! Parser coverage proof: lexer → parse → span-gap print → re-lex is a
-//! token fixpoint over (a) every first-party `.rs` file in the workspace
-//! and (b) a proptest-generated corpus of synthetic fn bodies.
+//! Parser coverage proof over (a) every first-party `.rs` file in the
+//! workspace and (b) a proptest-generated corpus of synthetic fn bodies.
 //!
 //! Two properties per file:
 //!
@@ -8,16 +7,17 @@
 //!    workspace — no `UnsupportedConstruct` spans. CI asserts the same via
 //!    `lint-report.json`, so a new syntax gap fails loudly instead of
 //!    silently weakening an analysis.
-//! 2. **Token fixpoint.** Printing the AST (structural children + raw gap
-//!    tokens) and re-lexing yields the original non-comment token stream
-//!    byte-for-byte (modulo whitespace). This verifies recursively that
-//!    every node's span tiles its parent — a span bug anywhere in the tree
-//!    shifts the gap emission and breaks the stream.
+//! 2. **Well-nested spans.** `Ast::check_spans` holds: every child span
+//!    lies inside its parent's, siblings are in source order and disjoint,
+//!    and the top-level items lie inside the file.
+//!
+//! The mutation tests at the bottom show property 2 can fail: a widened
+//! inner span, two swapped statements and a shifted item are each rejected.
 
 use std::path::{Path, PathBuf};
 
 use mpw_check::lint_engine::lexer::lex;
-use mpw_check::lint_engine::parse::{parse, print};
+use mpw_check::lint_engine::parse::{parse, Ast, ExprKind, ItemKind, StmtKind};
 use proptest::prelude::*;
 
 fn workspace_root() -> PathBuf {
@@ -43,7 +43,7 @@ fn rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-fn check_fixpoint(name: &str, src: &str) -> Result<(), String> {
+fn check_file(name: &str, src: &str) -> Result<(), String> {
     let toks = lex(src);
     let ast = parse(src, &toks);
     if !ast.fallbacks.is_empty() {
@@ -59,38 +59,11 @@ fn check_fixpoint(name: &str, src: &str) -> Result<(), String> {
         }
         return Err(msg);
     }
-    let printed = print(src, &toks, &ast);
-    let orig: Vec<&str> = toks
-        .iter()
-        .filter(|t| !t.is_comment())
-        .map(|t| t.text(src))
-        .collect();
-    let re = lex(&printed);
-    let new: Vec<&str> = re
-        .iter()
-        .filter(|t| !t.is_comment())
-        .map(|t| t.text(&printed))
-        .collect();
-    if orig != new {
-        // Locate the first diverging token for a readable failure.
-        let i = orig
-            .iter()
-            .zip(new.iter())
-            .position(|(a, b)| a != b)
-            .unwrap_or(orig.len().min(new.len()));
-        return Err(format!(
-            "{name}: token fixpoint broken at token {i}: expected {:?} got {:?} (lens {} vs {})",
-            orig.get(i),
-            new.get(i),
-            orig.len(),
-            new.len()
-        ));
-    }
-    Ok(())
+    ast.check_spans(toks.len()).map_err(|e| format!("{name}: {e}"))
 }
 
 #[test]
-fn every_workspace_file_parses_with_zero_fallbacks_and_roundtrips() {
+fn every_workspace_file_parses_with_zero_fallbacks_and_nested_spans() {
     let root = workspace_root();
     let mut files = Vec::new();
     rs_files(&root.join("crates"), &mut files);
@@ -103,7 +76,7 @@ fn every_workspace_file_parses_with_zero_fallbacks_and_roundtrips() {
     for p in &files {
         let src = std::fs::read_to_string(p).expect("readable source");
         let rel = p.strip_prefix(&root).unwrap_or(p).display().to_string();
-        if let Err(e) = check_fixpoint(&rel, &src) {
+        if let Err(e) = check_file(&rel, &src) {
             errors.push(e);
         }
     }
@@ -191,16 +164,66 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
     #[test]
-    fn synthetic_fn_bodies_roundtrip(seed in 1u64..u64::MAX, n_stmts in 1usize..6) {
+    fn synthetic_fn_bodies_parse_with_nested_spans(seed in 1u64..u64::MAX, n_stmts in 1usize..6) {
         let mut gen = Gen(seed);
         let stmts: Vec<String> = (0..n_stmts).map(|_| gen.stmt()).collect();
         let src = format!(
             "struct S {{ f: u64 }}\nfn f(o: &[u64], q: &[u64]) {{\n    {}\n}}\n",
             stmts.join("\n    ")
         );
-        if let Err(e) = check_fixpoint("synthetic", &src) {
+        if let Err(e) = check_file("synthetic", &src) {
             // Show the generated program on failure.
             panic!("{e}\n--- source ---\n{src}");
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// The span check bites: each mutation of a correctly parsed file is rejected.
+// ---------------------------------------------------------------------------
+
+const MUTANT_SRC: &str = "fn first(v: &[u8]) -> u8 {\n    let a = v[0] + 1;\n    g(a);\n    a\n}\n\
+                          fn second() {}\n";
+
+/// Parse [`MUTANT_SRC`], check it is accepted, apply `mutate`, and return
+/// what `check_spans` says about the result.
+fn check_mutant(mutate: impl FnOnce(&mut Ast)) -> Result<(), String> {
+    let toks = lex(MUTANT_SRC);
+    let mut ast = parse(MUTANT_SRC, &toks);
+    assert!(ast.fallbacks.is_empty());
+    ast.check_spans(toks.len()).expect("the unmutated tree is accepted");
+    mutate(&mut ast);
+    ast.check_spans(toks.len())
+}
+
+fn first_fn_stmts(ast: &mut Ast) -> &mut Vec<mpw_check::lint_engine::parse::Stmt> {
+    let ItemKind::Fn(f) = &mut ast.items[0].kind else { panic!("fn item") };
+    &mut f.body.as_mut().expect("body").stmts
+}
+
+#[test]
+fn check_spans_rejects_an_inner_expr_widened_past_its_parent() {
+    let res = check_mutant(|ast| {
+        let StmtKind::Let { init: Some(init), .. } = &mut first_fn_stmts(ast)[0].kind else {
+            panic!("let with init")
+        };
+        let ExprKind::Binary { rhs, .. } = &mut init.kind else { panic!("binary init") };
+        rhs.span.hi += 2; // past the `;` and into the next statement
+    });
+    assert!(res.is_err_and(|e| e.starts_with("expr span")), "mutant accepted");
+}
+
+#[test]
+fn check_spans_rejects_two_swapped_sibling_statements() {
+    let res = check_mutant(|ast| first_fn_stmts(ast).swap(0, 1));
+    assert!(res.is_err_and(|e| e.starts_with("stmt span")), "mutant accepted");
+}
+
+#[test]
+fn check_spans_rejects_a_shifted_item() {
+    let res = check_mutant(|ast| {
+        ast.items[0].span.lo += 3;
+        ast.items[0].span.hi += 3;
+    });
+    assert!(res.is_err_and(|e| e.starts_with("item span")), "mutant accepted");
 }
