@@ -367,8 +367,8 @@ pub fn seq_contract(name: &str) -> bool {
 
 /// The allocation wall: the data-path modules must not reintroduce a
 /// per-segment `Vec<TcpOption>` or a per-packet `.to_vec()` copy outside
-/// test code (DESIGN.md §5.10; the dynamic half is the `mpw-bench`
-/// allocation gate).
+/// test code (DESIGN.md §5.10; the dynamic half is `mpw-experiments`'
+/// `alloc_gate` bench).
 pub fn alloc(ws: &Workspace, cfg: &Config) -> Vec<Finding> {
     let mut out = Vec::new();
     for rel in &cfg.alloc_modules {

@@ -1,0 +1,228 @@
+//! The allocation-regression gate: a counting global allocator measures
+//! heap activity inside a steady-state window of a loss-free MPTCP download
+//! (plain and captured) and of a 20-client fleet, and fails the run if any
+//! count exceeds its checked-in budget in `ALLOC_budgets.json` (zero for
+//! the plain data path). A bench target so it builds with the release
+//! profile, and in this crate because `mpw-check` is not in its dependency
+//! graph: the invariant oracles stay out of the count.
+//!
+//! ```text
+//! cargo bench -p mpw-experiments --bench alloc_gate
+//! ```
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use mpw_experiments::run_lossfree_download_windowed;
+use mpw_sim::SimTime;
+
+/// Heap-operation counter wrapping the system allocator. Counts every
+/// `alloc`/`alloc_zeroed`/`realloc` (frees are not interesting to the
+/// gate); one relaxed fetch_add per operation.
+struct CountingAlloc;
+
+static ALLOC_OPS: AtomicU64 = AtomicU64::new(0);
+/// Debug aid: when armed (MPW_ALLOC_PANIC=N, counts down inside the
+/// window), the N-th heap op panics with a backtrace pointing at the
+/// offender. The swap-to-zero disarms before panicking so the panic
+/// machinery's own allocations don't recurse.
+static PANIC_AFTER: AtomicU64 = AtomicU64::new(0);
+
+/// Debug aid: when MPW_ALLOC_SIZES is set, bucket window allocations by
+/// requested size (log2 buckets) to identify offenders without backtraces.
+static SIZE_HIST: [AtomicU64; 32] = [const { AtomicU64::new(0) }; 32];
+static HIST_ON: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
+
+static PANIC_SIZE_MIN: AtomicU64 = AtomicU64::new(0);
+static PANIC_SIZE_MAX: AtomicU64 = AtomicU64::new(u64::MAX);
+
+fn count_op_sized(size: usize) {
+    ALLOC_OPS.fetch_add(1, Ordering::Relaxed);
+    if HIST_ON.load(Ordering::Relaxed) {
+        let b = (usize::BITS - size.max(1).leading_zeros() - 1).min(31) as usize;
+        SIZE_HIST[b].fetch_add(1, Ordering::Relaxed);
+    }
+    if PANIC_AFTER.load(Ordering::Relaxed) > 0
+        && (size as u64) >= PANIC_SIZE_MIN.load(Ordering::Relaxed)
+        && (size as u64) <= PANIC_SIZE_MAX.load(Ordering::Relaxed)
+        && PANIC_AFTER.fetch_sub(1, Ordering::Relaxed) == 1
+    {
+        panic!("heap operation of {size} bytes inside the steady-state window (run with RUST_BACKTRACE=1)");
+    }
+}
+
+// The counting allocator is the one deliberate unsafe island in
+// first-party code: GlobalAlloc is an unsafe trait and every method
+// merely counts, then delegates verbatim to std's System allocator.
+unsafe impl GlobalAlloc for CountingAlloc { // lint: allow-unsafe(GlobalAlloc is an unsafe trait)
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 { // lint: allow-unsafe(GlobalAlloc method signature)
+        count_op_sized(layout.size());
+        unsafe { System.alloc(layout) } // lint: allow-unsafe(delegates to System)
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 { // lint: allow-unsafe(GlobalAlloc method signature)
+        count_op_sized(layout.size());
+        unsafe { System.alloc_zeroed(layout) } // lint: allow-unsafe(delegates to System)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 { // lint: allow-unsafe(GlobalAlloc method signature)
+        count_op_sized(new_size);
+        unsafe { System.realloc(ptr, layout, new_size) } // lint: allow-unsafe(delegates to System)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) { // lint: allow-unsafe(GlobalAlloc method signature)
+        unsafe { System.dealloc(ptr, layout) } // lint: allow-unsafe(delegates to System)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+fn alloc_ops() -> u64 {
+    ALLOC_OPS.load(Ordering::Relaxed)
+}
+
+/// One allocation-gate measurement: the probe's key in
+/// `ALLOC_budgets.json` and the heap ops it counted inside its window.
+struct AllocRow {
+    key: &'static str,
+    allocs_in_window: u64,
+}
+
+/// Steady-state observation window: by 300 ms the handshake, MP_JOIN and
+/// the slow-start ramp to the 512 KiB send-buffer cap are over; the 4 MiB
+/// download over two 20 Mbit/s loss-free paths completes around 950 ms, so
+/// [300 ms, 600 ms] is pure mid-transfer steady state.
+const ALLOC_PROBE_SIZE: u64 = 4 << 20;
+// Window start leaves ample room past the handshake, the slow-start ramp,
+// and the coupled-CC climb to the pinned 64 KiB per-subflow in-flight cap
+// (reached ~250-350 ms in): only once in-flight has plateaued do the frame
+// pool and every queue stop growing.
+const ALLOC_WINDOW_MS: (u64, u64) = (400, 700);
+
+fn alloc_probe(capture: bool, seed: u64) -> (u64, u64) {
+    let window = (
+        SimTime::from_millis(ALLOC_WINDOW_MS.0),
+        SimTime::from_millis(ALLOC_WINDOW_MS.1),
+    );
+    let mut snaps = [0u64; 2];
+    // Environment reads happen out here: `std::env::var` allocates, and the
+    // mark closure runs *inside* the measured window.
+    let env_u64 = |k: &str, d: u64| {
+        std::env::var(k)
+            .ok()
+            .and_then(|v| v.parse::<u64>().ok())
+            .unwrap_or(d)
+    };
+    let armed = env_u64("MPW_ALLOC_PANIC", 0);
+    let size_min = env_u64("MPW_ALLOC_PANIC_MIN", 0);
+    let size_max = env_u64("MPW_ALLOC_PANIC_MAX", u64::MAX);
+    let sizes_on = std::env::var_os("MPW_ALLOC_SIZES").is_some();
+    PANIC_SIZE_MIN.store(size_min, Ordering::Relaxed);
+    PANIC_SIZE_MAX.store(size_max, Ordering::Relaxed);
+    let probe = run_lossfree_download_windowed(
+        ALLOC_PROBE_SIZE,
+        seed,
+        window,
+        capture,
+        &mut |phase| {
+            snaps[usize::from(phase)] = alloc_ops();
+            PANIC_AFTER.store(if phase == 0 { armed } else { 0 }, Ordering::Relaxed);
+            if sizes_on {
+                HIST_ON.store(phase == 0, Ordering::Relaxed);
+                if phase == 1 {
+                    for (b, c) in SIZE_HIST.iter().enumerate() {
+                        let n = c.swap(0, Ordering::Relaxed);
+                        if n > 0 {
+                            eprintln!(
+                                "  alloc size 2^{b} ({}..{}): {n}",
+                                1usize << b,
+                                (1usize << b) * 2 - 1
+                            );
+                        }
+                    }
+                }
+            }
+        },
+    );
+    assert_eq!(probe.bytes, ALLOC_PROBE_SIZE, "probe download must complete");
+    assert_eq!(probe.rexmit_segs, 0, "probe must be loss-free");
+    assert!(probe.window_segments > 0, "window saw no data segments");
+    (snaps[1] - snaps[0], probe.window_segments)
+}
+
+/// Steady-state fleet pump probe: a 20-client mixed fleet mid-transfer.
+/// Arrivals are done by 1 s and the 4 MB downloads are nowhere near
+/// finished inside the window, so [2 s, 3 s] measures the many-flow pump
+/// (shared-link multiplexing, switch fan-out, per-tick sampling) with no
+/// handshake or harvest edges. The denominator is events processed over
+/// the whole run — the fleet has no single-flow segment counter.
+fn fleet_alloc_probe(seed: u64) -> (u64, u64) {
+    let mut spec = mpw_fleet::FleetSpec::smoke(20, seed);
+    spec.workload = mpw_fleet::FleetWorkload::Download { size: 4 << 20 };
+    spec.arrival = mpw_fleet::Arrival::Staggered { gap_ms: 50 };
+    spec.horizon_ms = 3_200;
+    let window = (SimTime::from_millis(2_000), SimTime::from_millis(3_000));
+    let mut snaps = [0u64; 2];
+    let run = mpw_fleet::run_fleet_windowed(&spec, Some(window), &mut |phase| {
+        snaps[usize::from(phase)] = alloc_ops();
+    });
+    assert!(snaps[1] >= snaps[0], "window marks fired out of order");
+    assert!(run.report.bytes > 0, "fleet probe moved no bytes");
+    (snaps[1] - snaps[0], run.world.events_processed())
+}
+
+/// Run the allocation probes: one warm-up pass per configuration populates
+/// the thread-local buffer pool and grows every ring and queue to
+/// steady-state capacity, then the measured pass counts heap operations
+/// inside the window. Same seed both passes — the measured run is
+/// event-identical to the warm-up.
+fn run_alloc_probes() -> Vec<AllocRow> {
+    let mut rows = Vec::new();
+    for (key, capture) in [
+        ("steady_state_segment_allocs", false),
+        ("capture_path_allocs", true),
+    ] {
+        let _ = alloc_probe(capture, 7);
+        let (allocs, segs) = alloc_probe(capture, 7);
+        eprintln!(
+            "{key}: {allocs} heap ops over {segs} segments in the {}..{} ms window",
+            ALLOC_WINDOW_MS.0, ALLOC_WINDOW_MS.1
+        );
+        rows.push(AllocRow { key, allocs_in_window: allocs });
+    }
+    {
+        let _ = fleet_alloc_probe(7);
+        let (allocs, events) = fleet_alloc_probe(7);
+        eprintln!("fleet_pump_allocs: {allocs} heap ops over {events} events in the 2000..3000 ms window");
+        rows.push(AllocRow { key: "fleet_pump_allocs", allocs_in_window: allocs });
+    }
+    rows
+}
+
+/// The regression gate: every probe must stay within its checked-in budget.
+fn check_alloc_budgets(rows: &[AllocRow]) {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../ALLOC_budgets.json");
+    let text = std::fs::read_to_string(path).expect("read ALLOC_budgets.json");
+    let budgets: serde_json::Value = serde_json::from_str(&text).expect("parse ALLOC_budgets.json");
+    let mut bad = false;
+    for row in rows {
+        let budget = budgets
+            .get(row.key)
+            .and_then(serde_json::Value::as_u64)
+            .unwrap_or_else(|| panic!("ALLOC_budgets.json lacks an integer {}", row.key));
+        if row.allocs_in_window > budget {
+            eprintln!(
+                "ALLOC REGRESSION: {} = {} heap ops in the steady-state window, budget {}",
+                row.key, row.allocs_in_window, budget
+            );
+            bad = true;
+        } else {
+            eprintln!("{}: {} heap ops <= budget {}", row.key, row.allocs_in_window, budget);
+        }
+    }
+    if bad {
+        std::process::exit(1);
+    }
+}
+
+fn main() {
+    check_alloc_budgets(&run_alloc_probes());
+}

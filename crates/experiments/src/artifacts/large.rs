@@ -123,16 +123,12 @@ pub fn run(scale: Scale, seed: u64, workers: usize) -> Vec<Artifact> {
         ));
         // "(3) olia consistently performs slightly better than coupled"
         // (5/6/10% at 8/16/32 MB).
-        let mut wins = 0;
         let mut total = 0;
         let mut detail = String::new();
         for &size in &[sizes::S8M, sizes::S16M, sizes::S32M] {
             if let (Some(o), Some(c)) = (mean(size, "MP-2 (olia)"), mean(size, "MP-2 (coupled)"))
             {
                 total += 1;
-                if o < c {
-                    wins += 1;
-                }
                 detail.push_str(&format!(
                     "{}: olia {:.1}s vs coupled {:.1}s ({:+.1}%); ",
                     sizes::label(size),
@@ -147,7 +143,6 @@ pub fn run(scale: Scale, seed: u64, workers: usize) -> Vec<Artifact> {
         // traffic that a single-flow testbed does not model (see
         // EXPERIMENTS.md). The shape check therefore requires olia to be
         // *comparable* (within 12% on average), flagging any collapse.
-        let _ = wins;
         let diffs: Vec<f64> = [sizes::S8M, sizes::S16M, sizes::S32M]
             .iter()
             .filter_map(|&size| {

@@ -1,7 +1,7 @@
 //! Regenerate the paper's tables and figures.
 //!
 //! ```text
-//! repro <artifact|group|all> [--scale quick|default|full] [--seed N]
+//! repro <artifact|group|all|ablations|capture> [--scale quick|default|full] [--seed N]
 //!       [--workers N] [--out DIR]
 //! ```
 

@@ -27,5 +27,5 @@ pub use handover::{
     Outage, PathBytes, PathEvent, PathEventKind, StallReport, StallSpan,
 };
 pub use stats::{quantile_sorted, BoxPlot, Summary};
-pub use stream::{DistSummary, LogHistogram, P2Quantile, StreamingStats};
+pub use stream::{DistSummary, LogHistogram, StreamingStats};
 pub use table::{to_json, Table};

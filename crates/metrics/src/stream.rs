@@ -8,8 +8,6 @@
 //!
 //! * [`StreamingStats`] — count / mean / M2 (Welford) plus min/max, with
 //!   numerically stable pairwise merge (Chan et al.).
-//! * [`P2Quantile`] — the P² single-quantile estimator of Jain & Chlamtac,
-//!   five markers, no storage of the sample.
 //! * [`LogHistogram`] — a fixed-budget log-bucketed histogram (16 buckets
 //!   per octave) supporting mergeable quantiles, CDF/CCDF queries and the
 //!   log-spaced series the CCDF figures plot.
@@ -140,125 +138,6 @@ impl StreamingStats {
             max: self.max,
         }
     }
-}
-
-/// The P² (piecewise-parabolic) single-quantile estimator of Jain &
-/// Chlamtac (1985): tracks one quantile with five markers and no sample
-/// storage. Not mergeable — use [`LogHistogram`] when summaries must be
-/// pooled across runs.
-///
-/// ```
-/// use mpw_metrics::P2Quantile;
-/// let mut p = P2Quantile::new(0.5);
-/// for i in 1..=1001 { p.push(i as f64); }
-/// assert!((p.value() - 501.0).abs() < 25.0);
-/// ```
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct P2Quantile {
-    q: f64,
-    /// Marker heights (the middle one estimates the quantile).
-    heights: Vec<f64>,
-    /// Actual marker positions (1-based ranks).
-    positions: Vec<f64>,
-    /// Desired marker positions.
-    desired: Vec<f64>,
-    /// Desired-position increments per observation.
-    increments: Vec<f64>,
-    n: u64,
-}
-
-impl P2Quantile {
-    /// Track the `q`-quantile (0 < q < 1).
-    pub fn new(q: f64) -> Self {
-        let q = q.clamp(1e-6, 1.0 - 1e-6);
-        P2Quantile {
-            q,
-            heights: Vec::with_capacity(5),
-            positions: vec![1.0, 2.0, 3.0, 4.0, 5.0],
-            desired: vec![1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0],
-            increments: vec![0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0],
-            n: 0,
-        }
-    }
-
-    /// Samples absorbed.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Absorb one sample (non-finite values are ignored).
-    pub fn push(&mut self, x: f64) {
-        if !x.is_finite() {
-            return;
-        }
-        self.n += 1;
-        if self.heights.len() < 5 {
-            let pos = self.heights.partition_point(|&h| h <= x);
-            self.heights.insert(pos, x);
-            return;
-        }
-        // Find the cell k containing x and update extreme markers.
-        let k = if x < self.heights[0] {
-            self.heights[0] = x;
-            0
-        } else if x >= self.heights[4] {
-            self.heights[4] = x;
-            3
-        } else {
-            // heights[k] <= x < heights[k+1]
-            (1..4).rfind(|&i| self.heights[i] <= x).unwrap_or(0)
-        };
-        for p in &mut self.positions[k + 1..] {
-            *p += 1.0;
-        }
-        for (d, inc) in self.desired.iter_mut().zip(&self.increments) {
-            *d += inc;
-        }
-        // Adjust interior markers toward their desired positions.
-        for i in 1..4 {
-            let d = self.desired[i] - self.positions[i];
-            let right = self.positions[i + 1] - self.positions[i];
-            let left = self.positions[i - 1] - self.positions[i];
-            if (d >= 1.0 && right > 1.0) || (d <= -1.0 && left < -1.0) {
-                let d = d.signum();
-                let cand = parabolic(
-                    &self.positions[i - 1..=i + 1],
-                    &self.heights[i - 1..=i + 1],
-                    d,
-                );
-                self.heights[i] = if self.heights[i - 1] < cand && cand < self.heights[i + 1] {
-                    cand
-                } else {
-                    // Fall back to linear interpolation toward the neighbour.
-                    let j = (i as f64 + d) as usize;
-                    self.heights[i]
-                        + d * (self.heights[j] - self.heights[i])
-                            / (self.positions[j] - self.positions[i])
-                };
-                self.positions[i] += d;
-            }
-        }
-    }
-
-    /// Current quantile estimate (exact while fewer than five samples).
-    pub fn value(&self) -> f64 {
-        if self.heights.is_empty() {
-            return 0.0;
-        }
-        if self.heights.len() < 5 || self.n < 5 {
-            // Fewer than five samples: heights is the sorted sample itself.
-            return crate::stats::quantile_sorted(&self.heights, self.q);
-        }
-        self.heights[2]
-    }
-}
-
-/// Piecewise-parabolic marker adjustment (the "P²" formula).
-fn parabolic(pos: &[f64], h: &[f64], d: f64) -> f64 {
-    let (p0, p1, p2) = (pos[0], pos[1], pos[2]);
-    let (h0, h1, h2) = (h[0], h[1], h[2]);
-    h1 + d / (p2 - p0)
-        * ((p1 - p0 + d) * (h2 - h1) / (p2 - p1) + (p2 - p1 - d) * (h1 - h0) / (p1 - p0))
 }
 
 /// Buckets per octave (relative bucket width 2^(1/16) ≈ 4.4%).
@@ -651,45 +530,6 @@ mod tests {
     }
 
     #[test]
-    fn p2_estimates_uniform_median() {
-        let mut rnd = lcg(42);
-        let mut p = P2Quantile::new(0.5);
-        for _ in 0..20_000 {
-            p.push(rnd());
-        }
-        assert!((p.value() - 0.5).abs() < 0.02, "median {}", p.value());
-    }
-
-    #[test]
-    fn p2_tracks_tail_quantile() {
-        let mut rnd = lcg(3);
-        let mut p = P2Quantile::new(0.95);
-        for _ in 0..50_000 {
-            // Exponential(1): p95 = ln(20) ≈ 2.996.
-            let u = rnd().max(1e-12);
-            p.push(-u.ln());
-        }
-        let expect = 20.0f64.ln();
-        assert!(
-            (p.value() / expect - 1.0).abs() < 0.1,
-            "p95 {} expect {expect}",
-            p.value()
-        );
-    }
-
-    #[test]
-    fn p2_exact_for_tiny_samples() {
-        let mut p = P2Quantile::new(0.5);
-        assert_eq!(p.value(), 0.0);
-        p.push(10.0);
-        assert_eq!(p.value(), 10.0);
-        p.push(20.0);
-        assert_eq!(p.value(), 15.0);
-        p.push(f64::NAN);
-        assert_eq!(p.count(), 2);
-    }
-
-    #[test]
     fn log_histogram_quantiles_close_to_exact() {
         let mut rnd = lcg(11);
         let xs: Vec<f64> = (0..10_000).map(|_| 1.0 + rnd() * 999.0).collect();
@@ -822,19 +662,6 @@ mod tests {
             for w in probes.windows(2) {
                 prop_assert!(h.frac_le(w[1]) >= h.frac_le(w[0]) - 1e-9);
             }
-        }
-
-        #[test]
-        fn p2_stays_within_range(xs in proptest::collection::vec(-1e3f64..1e3, 5..400)) {
-            let mut p = P2Quantile::new(0.9);
-            let mut lo = f64::INFINITY;
-            let mut hi = f64::NEG_INFINITY;
-            for &x in &xs {
-                p.push(x);
-                lo = lo.min(x);
-                hi = hi.max(x);
-            }
-            prop_assert!(p.value() >= lo - 1e-9 && p.value() <= hi + 1e-9);
         }
     }
 }
