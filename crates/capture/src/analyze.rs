@@ -341,7 +341,7 @@ pub fn analyze(file: &PcapFile, server_port: u16) -> WireAnalysis {
                     st.syn_ack_seen = true;
                 }
                 if !seg.payload.is_empty() {
-                    let novel = match seg.dss().and_then(|(_, m, _)| *m) {
+                    let novel = match seg.dss().and_then(|(_, m, _)| m) {
                         Some(mapping) => {
                             // Saturate rather than overflow on a hostile
                             // dseq near u64::MAX (fuzzer find; regression
@@ -450,12 +450,12 @@ fn classify_new_subflow(
         return (conns.len().checked_sub(1), None, None);
     }
     match seg.mptcp() {
-        Some(MptcpOption::Capable { key_local, .. }) => (None, None, Some(*key_local)),
+        Some(MptcpOption::Capable { key_local, .. }) => (None, None, Some(key_local)),
         Some(MptcpOption::Join { token, .. }) => {
             // Token→key matching needs the stack's hash; handshakes never
             // interleave here, so the join attaches to the latest
             // connection (`None` would invent a fresh one).
-            (conns.len().checked_sub(1), Some(*token), None)
+            (conns.len().checked_sub(1), Some(token), None)
         }
         _ => (None, None, None),
     }

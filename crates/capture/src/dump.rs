@@ -34,7 +34,7 @@ pub fn format_packet(iface: &str, at_nanos: u64, data: &[u8], comment: Option<&s
             );
             for opt in &seg.options {
                 if let TcpOption::Mptcp(m) = opt {
-                    let _ = write!(out, " {}", format_mptcp(m));
+                    let _ = write!(out, " {}", format_mptcp(&m));
                 }
             }
         }

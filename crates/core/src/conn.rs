@@ -238,14 +238,56 @@ enum HsRole {
     JoinServer,
 }
 
+/// The DSS mappings of one subflow's unacknowledged stream, oldest first:
+/// `(subflow abs offset, len, dseq)`.
+///
+/// The scheduler records a mapping as it writes into the subflow, so the
+/// ring is sorted and contiguous in subflow offsets by construction
+/// (`validate` checks it). That makes both per-segment operations O(1):
+/// subflow-level acks retire mappings as a prefix, and the mapping a new
+/// data segment needs is the one at `cursor` or the one after it. Only a
+/// retransmission, which starts below the cursor's mapping, searches.
+#[derive(Debug, Default)]
+struct TxMaps {
+    ring: VecDeque<(u64, u32, u64)>,
+    /// Index in `ring` of the mapping the subflow's `snd_nxt` was last
+    /// found in. A lookup cache only: no result depends on its value.
+    cursor: usize,
+}
+
+impl TxMaps {
+    /// Forget the mappings wholly below the subflow-level ack `acked`.
+    fn prune(&mut self, acked: u64) {
+        while self.ring.front().is_some_and(|&(s, l, _)| s + l as u64 <= acked) {
+            self.ring.pop_front();
+            self.cursor = self.cursor.saturating_sub(1);
+        }
+    }
+
+    /// The mapping holding subflow offset `abs`, if one does.
+    fn find(&mut self, abs: u64) -> Option<(u64, u32, u64)> {
+        while let Some(&(s, l, d)) = self.ring.get(self.cursor) {
+            if abs < s {
+                break; // a retransmission from below the send point
+            }
+            if abs < s + l as u64 {
+                return Some((s, l, d));
+            }
+            self.cursor += 1;
+        }
+        let i = self.ring.partition_point(|&(s, l, _)| s + l as u64 <= abs);
+        self.ring.get(i).copied().filter(|&(s, _, _)| s <= abs)
+    }
+}
+
 /// Per-subflow state shared between the connection and the hooks.
 #[derive(Debug, Default)]
 struct SubflowShared {
-    /// Sorted (subflow abs offset, len, dseq) mappings for transmitted data.
-    tx_maps: Vec<(u64, u32, u64)>,
-    /// ADD_ADDR advertisements queued for the next outgoing segment.
-    pending_add_addr: Vec<(u8, Endpoint)>,
-    /// MP_PRIO change queued for the next outgoing segment.
+    /// Mappings for transmitted, not yet subflow-acked data.
+    tx_maps: TxMaps,
+    /// ADD_ADDR advertisements queued until a segment has room for them.
+    pending_add_addr: VecDeque<(u8, Endpoint)>,
+    /// MP_PRIO change queued until a segment has room for it.
     pending_prio: Option<bool>,
     /// MP_PRIO received from the peer, to apply to this subflow.
     prio_rx: Option<bool>,
@@ -319,12 +361,15 @@ impl std::fmt::Debug for SubflowHooks {
 }
 
 impl SubflowHooks {
-    fn dss_for_data(&self, shared: &ConnShared, abs_start: u64, len: usize) -> Option<DssMapping> {
-        let maps = &shared.flows[self.idx].tx_maps;
-        // Find the mapping containing abs_start.
-        let i = maps.partition_point(|&(s, l, _)| s + l as u64 <= abs_start);
-        let &(s, l, dseq) = maps.get(i)?;
-        if abs_start < s || abs_start + len as u64 > s + l as u64 {
+    fn dss_for_data(
+        &self,
+        shared: &mut ConnShared,
+        abs_start: u64,
+        len: usize,
+    ) -> Option<DssMapping> {
+        // For new data `tx_segment_limit` has just left the cursor here.
+        let (s, l, dseq) = shared.flows[self.idx].tx_maps.find(abs_start)?;
+        if abs_start + len as u64 > s + l as u64 {
             return None;
         }
         Some(DssMapping {
@@ -341,67 +386,37 @@ impl TcpHooks for SubflowHooks {
         if shared.remote_capable == Some(false) {
             return; // fallback: plain TCP from here on
         }
-        match kind {
-            TxKind::Syn => match self.role {
-                HsRole::CapableClient => {
-                    opts.push(TcpOption::Mptcp(MptcpOption::Capable {
-                        key_local: shared.local_key,
-                        key_remote: None,
-                    }));
-                }
-                HsRole::JoinClient => {
-                    opts.push(TcpOption::Mptcp(MptcpOption::Join {
-                        token: shared.token,
-                        nonce: self.nonce,
-                        backup: self.backup,
-                    }));
-                }
-                _ => {}
-            },
-            TxKind::SynAck => match self.role {
-                HsRole::CapableServer => {
-                    opts.push(TcpOption::Mptcp(MptcpOption::Capable {
-                        key_local: shared.local_key,
-                        key_remote: None,
-                    }));
-                }
-                HsRole::JoinServer => {
-                    opts.push(TcpOption::Mptcp(MptcpOption::Join {
-                        token: shared.token,
-                        nonce: self.nonce,
-                        backup: self.backup,
-                    }));
-                }
-                _ => {}
-            },
-            TxKind::HandshakeAck => {
-                if self.role == HsRole::CapableClient {
-                    opts.push(TcpOption::Mptcp(MptcpOption::Capable {
-                        key_local: shared.local_key,
-                        key_remote: shared.remote_key,
-                    }));
-                }
-            }
-            TxKind::Data {
-                abs_start, len, ..
-            } => {
-                let mapping = self.dss_for_data(&shared, abs_start, len);
+        let key_local = shared.local_key;
+        let capable = |key_remote| MptcpOption::Capable { key_local, key_remote };
+        let join = MptcpOption::Join {
+            token: shared.token,
+            nonce: self.nonce,
+            backup: self.backup,
+        };
+        let own = match (kind, self.role) {
+            (TxKind::Syn, HsRole::CapableClient) => Some(capable(None)),
+            (TxKind::SynAck, HsRole::CapableServer) => Some(capable(None)),
+            (TxKind::HandshakeAck, HsRole::CapableClient) => Some(capable(shared.remote_key)),
+            (TxKind::Syn, HsRole::JoinClient) | (TxKind::SynAck, HsRole::JoinServer) => Some(join),
+            (TxKind::Syn | TxKind::SynAck | TxKind::HandshakeAck, _) => None,
+            (TxKind::Data { abs_start, len, .. }, _) => {
+                let mapping = self.dss_for_data(&mut shared, abs_start, len);
                 debug_assert!(mapping.is_some(), "data segment without DSS mapping");
                 let fin_here = shared
                     .tx_data_fin
                     // lint: allow-seq-arith(64-bit DSN end-offset cannot wrap)
                     .is_some_and(|f| mapping.map(|m| m.dseq + m.len as u64) == Some(f));
-                opts.push(TcpOption::Mptcp(MptcpOption::Dss {
+                Some(MptcpOption::Dss {
                     data_ack: Some(shared.data_ack_value()),
                     mapping,
                     data_fin: fin_here,
-                }));
+                })
             }
-            TxKind::Ack | TxKind::Fin => {
+            (TxKind::Ack | TxKind::Fin, _) => {
                 // Pure data-ack; if we are closing and everything is
                 // assigned, signal DATA_FIN with a zero-length mapping.
                 let data_fin = shared.tx_data_fin;
-                opts.push(TcpOption::Mptcp(MptcpOption::Dss {
+                Some(MptcpOption::Dss {
                     data_ack: Some(shared.data_ack_value()),
                     mapping: data_fin.map(|f| DssMapping {
                         dseq: f,
@@ -409,21 +424,31 @@ impl TcpHooks for SubflowHooks {
                         len: 0,
                     }),
                     data_fin: data_fin.is_some(),
-                }));
+                })
+            }
+        };
+        if let Some(own) = own {
+            // First into a list holding at most the 9 bytes of SYN options,
+            // and none of these is longer than 26.
+            let fits = opts.push(TcpOption::Mptcp(own));
+            debug_assert!(fits, "{kind:?}: no room for the segment's own MPTCP option");
+        }
+        // Queued signalling rides along while the budget lasts — the MP_PRIO
+        // change first, then ADD_ADDRs in order — and whatever `push`
+        // refuses stays queued for a later segment (`post_event` keeps an
+        // ACK owed until the queue is empty).
+        let fl = &mut shared.flows[self.idx];
+        if let Some(backup) = fl.pending_prio {
+            if opts.push(TcpOption::Mptcp(MptcpOption::Prio { backup })) {
+                fl.pending_prio = None;
             }
         }
-        // Attach any queued ADD_ADDR advertisements.
-        let pending = std::mem::take(&mut shared.flows[self.idx].pending_add_addr);
-        for (id, ep) in pending {
-            opts.push(TcpOption::Mptcp(MptcpOption::AddAddr {
-                addr_id: id,
-                addr: ep.addr,
-                port: ep.port,
-            }));
-        }
-        // And any queued MP_PRIO change.
-        if let Some(backup) = shared.flows[self.idx].pending_prio.take() {
-            opts.push(TcpOption::Mptcp(MptcpOption::Prio { backup }));
+        while let Some(&(addr_id, ep)) = fl.pending_add_addr.front() {
+            let add_addr = MptcpOption::AddAddr { addr_id, addr: ep.addr, port: ep.port };
+            if !opts.push(TcpOption::Mptcp(add_addr)) {
+                break;
+            }
+            fl.pending_add_addr.pop_front();
         }
     }
 
@@ -436,7 +461,7 @@ impl TcpHooks for SubflowHooks {
             match m {
                 MptcpOption::Capable { key_local, .. } => {
                     if self.role == HsRole::CapableClient && shared.remote_key.is_none() {
-                        shared.remote_key = Some(*key_local);
+                        shared.remote_key = Some(key_local);
                         shared.remote_capable = Some(true);
                     }
                     if self.role == HsRole::CapableServer {
@@ -445,12 +470,12 @@ impl TcpHooks for SubflowHooks {
                 }
                 MptcpOption::Join { .. } => {}
                 MptcpOption::Prio { backup } => {
-                    shared.flows[self.idx].prio_rx = Some(*backup);
+                    shared.flows[self.idx].prio_rx = Some(backup);
                 }
                 MptcpOption::AddAddr { addr_id, addr, port } => {
-                    let ep = Endpoint::new(*addr, *port);
+                    let ep = Endpoint::new(addr, port);
                     if !shared.peer_addrs.iter().any(|(_, e)| *e == ep) {
-                        shared.peer_addrs.push((*addr_id, ep));
+                        shared.peer_addrs.push((addr_id, ep));
                     }
                 }
                 MptcpOption::Dss {
@@ -459,7 +484,7 @@ impl TcpHooks for SubflowHooks {
                     data_fin,
                 } => {
                     if let Some(ack) = data_ack {
-                        shared.peer_data_ack = shared.peer_data_ack.max(*ack);
+                        shared.peer_data_ack = shared.peer_data_ack.max(ack);
                     }
                     if let Some(map) = mapping {
                         if map.len > 0 && !seg.payload.is_empty() {
@@ -474,7 +499,7 @@ impl TcpHooks for SubflowHooks {
                         // A mapping whose end overflows the 64-bit data
                         // sequence space is nonsense from the wire; ignore
                         // its DATA_FIN rather than panicking on overflow.
-                        if *data_fin {
+                        if data_fin {
                             if let Some(fin_at) = map.dseq.checked_add(map.len as u64) {
                                 if shared.peer_data_fin.is_none() {
                                     shared.data_fin_needs_ack = true;
@@ -482,7 +507,7 @@ impl TcpHooks for SubflowHooks {
                                 shared.peer_data_fin = Some(fin_at);
                             }
                         }
-                    } else if *data_fin {
+                    } else if data_fin {
                         // DATA_FIN without mapping: at current data ack edge.
                         let at = shared.rx.next_expected();
                         if shared.peer_data_fin.is_none() {
@@ -514,17 +539,13 @@ impl TcpHooks for SubflowHooks {
         }
     }
 
-    fn tx_segment_limit(&self, abs_start: u64) -> Option<usize> {
-        let shared = self.shared.borrow();
+    fn tx_segment_limit(&mut self, abs_start: u64) -> Option<usize> {
+        let mut shared = self.shared.borrow_mut();
         if shared.remote_capable == Some(false) {
             return None;
         }
-        let maps = &shared.flows[self.idx].tx_maps;
-        let i = maps.partition_point(|&(s, l, _)| s + l as u64 <= abs_start);
-        maps.get(i).map(|&(s, l, _)| {
-            debug_assert!(abs_start >= s);
-            (s + l as u64 - abs_start) as usize
-        })
+        let (s, l, _) = shared.flows[self.idx].tx_maps.find(abs_start)?;
+        Some((s + l as u64 - abs_start) as usize)
     }
 
     fn on_established(&mut self, now: SimTime) {
@@ -638,7 +659,7 @@ pub struct MptcpConnection {
     /// Next dseq not yet assigned to any subflow.
     next_unassigned: u64,
     /// dseq ranges queued for reinjection on another subflow.
-    reinject: Vec<(u64, u32)>,
+    reinject: VecDeque<(u64, u32)>,
     /// Scratch for the scheduler's per-segment subflow snapshot, reused so
     /// the steady-state pump stays off the heap (the allocation gate).
     sched_views: Vec<SubflowView>,
@@ -711,7 +732,7 @@ impl MptcpConnection {
             conn_buf: SendBuffer::new(),
             assignments: Assignments::default(),
             next_unassigned: 0,
-            reinject: Vec::new(),
+            reinject: VecDeque::new(),
             sched_views: Vec::new(),
             dead_scratch: Vec::new(),
             moved_scratch: Vec::new(),
@@ -752,7 +773,7 @@ impl MptcpConnection {
         now: SimTime,
     ) -> Option<Self> {
         let client_key = syn.options.iter().find_map(|o| match o {
-            TcpOption::Mptcp(MptcpOption::Capable { key_local, .. }) => Some(*key_local),
+            TcpOption::Mptcp(MptcpOption::Capable { key_local, .. }) => Some(key_local),
             _ => None,
         })?;
         let local_key = key_from_seed(rng.next_u64());
@@ -785,7 +806,7 @@ impl MptcpConnection {
             conn_buf: SendBuffer::new(),
             assignments: Assignments::default(),
             next_unassigned: 0,
-            reinject: Vec::new(),
+            reinject: VecDeque::new(),
             sched_views: Vec::new(),
             dead_scratch: Vec::new(),
             moved_scratch: Vec::new(),
@@ -1172,9 +1193,12 @@ impl MptcpConnection {
         // subflow must still complete its own byte stream.)
         {
             let mut shared = self.shared.borrow_mut();
-            for (i, fl) in shared.flows.iter_mut().enumerate() {
-                let acked = self.subflows[i].sock.acked_offset();
-                fl.tx_maps.retain(|&(s, l, _)| s + l as u64 > acked);
+            for (fl, sf) in shared.flows.iter_mut().zip(&mut self.subflows) {
+                fl.tx_maps.prune(sf.sock.acked_offset());
+                // Signalling a segment had no room for: keep an ACK owed.
+                if fl.pending_prio.is_some() || !fl.pending_add_addr.is_empty() {
+                    sf.sock.push_ack();
+                }
             }
         }
         // Drain (and discard) subflow-level in-order payload: MPTCP delivery
@@ -1242,7 +1266,7 @@ impl MptcpConnection {
             let secondary = Endpoint::new(self.local_addrs[1], self.subflows[0].local.port);
             {
                 let mut shared = self.shared.borrow_mut();
-                shared.flows[0].pending_add_addr.push((2, secondary));
+                shared.flows[0].pending_add_addr.push_back((2, secondary));
             }
             self.subflows[0].sock.push_ack();
         }
@@ -1320,7 +1344,7 @@ impl MptcpConnection {
         }
         for &(dseq, len) in &moved {
             self.assignments.remove(dseq);
-            self.reinject.push((dseq, len));
+            self.reinject.push_back((dseq, len));
         }
         self.moved_scratch = moved;
         self.dead_scratch = dead;
@@ -1387,10 +1411,10 @@ impl MptcpConnection {
         loop {
             // Drop or clip reinjection chunks the peer has meanwhile
             // data-acked (their bytes left the connection buffer).
-            while let Some(&(d, l)) = self.reinject.first() {
+            while let Some(&(d, l)) = self.reinject.front() {
                 let base = self.conn_buf.base();
                 if d + l as u64 <= base {
-                    self.reinject.remove(0);
+                    self.reinject.pop_front();
                 } else if d < base {
                     self.reinject[0] = (base, (d + l as u64 - base) as u32);
                 } else {
@@ -1398,7 +1422,7 @@ impl MptcpConnection {
                 }
             }
             // What to send next: a reinjection chunk or fresh data.
-            let (dseq, len, is_reinject) = if let Some(&(d, l)) = self.reinject.first() {
+            let (dseq, len, is_reinject) = if let Some(&(d, l)) = self.reinject.front() {
                 (d, l as usize, true)
             } else if self.next_unassigned < self.conn_buf.end() {
                 let len = ((self.conn_buf.end() - self.next_unassigned) as usize).min(mss);
@@ -1439,7 +1463,8 @@ impl MptcpConnection {
                 let mut shared = self.shared.borrow_mut();
                 shared.flows[pick]
                     .tx_maps
-                    .push((sub_abs, pushed as u32, map_dseq));
+                    .ring
+                    .push_back((sub_abs, pushed as u32, map_dseq));
             }
             self.assignments.insert(
                 dseq,
@@ -1449,10 +1474,11 @@ impl MptcpConnection {
                 },
             );
             if is_reinject {
-                let (d, l) = self.reinject.remove(0);
-                if pushed < l as usize {
-                    self.reinject
-                        .insert(0, (d + pushed as u64, l - pushed as u32));
+                if let Some((d, l)) = self.reinject.pop_front() {
+                    if pushed < l as usize {
+                        self.reinject
+                            .push_front((d + pushed as u64, l - pushed as u32));
+                    }
                 }
             } else {
                 self.next_unassigned += pushed as u64;
@@ -1854,8 +1880,15 @@ impl MptcpConnection {
         // --- not yet fully subflow-acked, and within the assigned space
         for (i, fl) in shared.flows.iter().enumerate() {
             let sock = &self.subflows[i].sock;
+            if fl.tx_maps.cursor > fl.tx_maps.ring.len() {
+                return Err(format!(
+                    "flow {i}: mapping cursor {} past the ring's {} entries",
+                    fl.tx_maps.cursor,
+                    fl.tx_maps.ring.len()
+                ));
+            }
             let mut cursor: Option<u64> = None;
-            for &(s, l, d) in &fl.tx_maps {
+            for &(s, l, d) in &fl.tx_maps.ring {
                 if l == 0 {
                     return Err(format!("flow {i}: empty DSS mapping at {s}"));
                 }
@@ -1968,7 +2001,7 @@ impl MptcpConnection {
         for fl in &shared.flows {
             h.write_u8(u8::from(fl.established) | (u8::from(fl.closed) << 1));
             h.write_u64(fl.delivered_bytes);
-            for &(s, l, d) in &fl.tx_maps {
+            for &(s, l, d) in &fl.tx_maps.ring {
                 h.write_u64(s);
                 h.write_u32(l);
                 h.write_u64(d);
@@ -1992,3 +2025,142 @@ impl MptcpConnection {
     }
 }
 
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mpw_tcp::wire::{encode_packet, parse_packet, IpHeader, PROTO_TCP};
+
+    const CLIENT: Addr = Addr::new(10, 0, 1, 2);
+    const SERVER: Endpoint = Endpoint::new(Addr::new(192, 168, 1, 1), 8080);
+
+    /// Carry everything `from` owes to `to` over the wire codec (so an
+    /// options area the encoder cannot hold would panic here), returning
+    /// the segments as the receiver parsed them.
+    fn carry(from: &mut MptcpConnection, to: &mut MptcpConnection, now: SimTime) -> Vec<TcpSegment> {
+        let mut carried = Vec::new();
+        while let Some((idx, seg)) = from.poll_transmit(now) {
+            let sf = &from.subflows[idx];
+            let ip = IpHeader { src: sf.local.addr, dst: sf.remote.addr, protocol: PROTO_TCP, ttl: 64 };
+            let (_, seg) = parse_packet(&encode_packet(&ip, &seg)).expect("own encoding parses");
+            to.on_segment(0, &seg, now);
+            carried.push(seg);
+        }
+        carried
+    }
+
+    /// An established single-subflow pair, handshake carried at t = 0.
+    fn established_pair() -> (MptcpConnection, MptcpConnection) {
+        let now = SimTime::ZERO;
+        let cfg = MptcpConfig { max_subflows: 1, ..MptcpConfig::default() };
+        let mut client =
+            MptcpConnection::connect(cfg.clone(), 1, vec![CLIENT], SERVER, SimRng::seeded(42), now);
+        let (_, syn) = client.poll_transmit(now).expect("SYN");
+        let remote = client.subflows[0].local;
+        let mut server =
+            MptcpConnection::accept(cfg, 2, SERVER, remote, vec![SERVER.addr], &syn, SimRng::seeded(7), now)
+                .expect("MP_CAPABLE SYN");
+        for _ in 0..3 {
+            carry(&mut server, &mut client, now);
+            carry(&mut client, &mut server, now);
+        }
+        assert!(client.is_established() && server.is_established());
+        (client, server)
+    }
+
+    /// Queued MP_PRIO and ADD_ADDRs ride along only while the 40-byte
+    /// options area has room, and what does not fit stays queued for the
+    /// next segment. (It used to be taken off the queue first and pushed
+    /// regardless: 26 + 4 + 20 bytes of options, which `encode_packet`
+    /// refused with a panic.)
+    #[test]
+    fn signalling_that_does_not_fit_waits_for_the_next_segment() {
+        let (mut client, mut server) = established_pair();
+        let now = SimTime::from_millis(1);
+        let extra = [
+            (2, Endpoint::new(Addr::new(192, 168, 2, 1), 8080)),
+            (3, Endpoint::new(Addr::new(192, 168, 3, 1), 8080)),
+        ];
+        {
+            let mut shared = server.shared.borrow_mut();
+            shared.flows[0].pending_prio = Some(false);
+            shared.flows[0].pending_add_addr.extend(extra);
+        }
+        assert_eq!(server.send(Bytes::from(vec![0x5a; 2 * 1400])), 2 * 1400);
+        let carried = carry(&mut server, &mut client, now);
+        let kinds = |seg: &TcpSegment| {
+            seg.options
+                .iter()
+                .map(|o| match o {
+                    TcpOption::Mptcp(MptcpOption::Dss { mapping: Some(_), .. }) => "dss+map",
+                    TcpOption::Mptcp(MptcpOption::Prio { .. }) => "prio",
+                    TcpOption::Mptcp(MptcpOption::AddAddr { addr_id: 2, .. }) => "add_addr 2",
+                    TcpOption::Mptcp(MptcpOption::AddAddr { addr_id: 3, .. }) => "add_addr 3",
+                    _ => "other",
+                })
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(kinds(&carried[0]), ["dss+map", "prio", "add_addr 2"]);
+        assert_eq!(carried[0].options.byte_len(), 40, "the first segment's options area is full");
+        assert_eq!(kinds(&carried[1]), ["dss+map", "add_addr 3"]);
+        let learnt: Vec<_> = client.shared.borrow().peer_addrs.clone();
+        assert_eq!(learnt, extra, "the peer learns both addresses, in order");
+        let shared = server.shared.borrow();
+        assert!(shared.flows[0].pending_prio.is_none() && shared.flows[0].pending_add_addr.is_empty());
+    }
+
+    /// With nothing else to send, queued signalling still leaves: an ACK
+    /// stays owed until the queue is empty.
+    #[test]
+    fn queued_signalling_forces_acks_until_it_is_sent() {
+        let (mut client, mut server) = established_pair();
+        let now = SimTime::from_millis(1);
+        let extra: Vec<_> = (2..6u8)
+            .map(|id| (id, Endpoint::new(Addr::new(192, 168, id, 1), 8080)))
+            .collect();
+        server.shared.borrow_mut().flows[0].pending_add_addr.extend(extra.iter().copied());
+        let carried = carry(&mut server, &mut client, now);
+        // DSS with a data-ack is 12 bytes: two ADD_ADDRs per pure ACK.
+        assert_eq!(carried.len(), 2);
+        assert!(carried.iter().all(|s| s.payload.is_empty() && s.options.byte_len() == 32));
+        assert_eq!(client.shared.borrow().peer_addrs, extra);
+    }
+
+    /// The mapping ring: acks retire a prefix, new data finds its mapping at
+    /// the cursor, a retransmission below it by search — each agreeing with
+    /// a plain scan of the list.
+    #[test]
+    fn tx_maps_lookups_agree_with_a_linear_scan() {
+        let mut maps = TxMaps::default();
+        let mut all = Vec::new();
+        let mut at = 0u64;
+        for i in 0..200u64 {
+            let len = 1 + (i * 37 % 1400) as u32;
+            maps.ring.push_back((at, len, 10_000 + at));
+            all.push((at, len, 10_000 + at));
+            at += len as u64;
+        }
+        let scan = |all: &[(u64, u32, u64)], acked: u64, abs: u64| {
+            all.iter()
+                .copied()
+                .find(|&(s, l, _)| s + l as u64 > acked && s <= abs && abs < s + l as u64)
+        };
+        let (mut snd_nxt, mut acked) = (0u64, 0u64);
+        while snd_nxt < at {
+            // New data at the send point, then a retransmission from
+            // somewhere in flight, then an ack for part of it.
+            assert_eq!(maps.find(snd_nxt), scan(&all, acked, snd_nxt));
+            let (s, l, _) = maps.find(snd_nxt).expect("mapped");
+            snd_nxt = s + l as u64;
+            let rexmit = acked + (snd_nxt - acked) / 3;
+            assert_eq!(maps.find(rexmit), scan(&all, acked, rexmit), "rexmit at {rexmit}");
+            acked += (snd_nxt - acked) / 2;
+            maps.prune(acked);
+            assert!(maps.ring.front().is_none_or(|&(s, l, _)| s + l as u64 > acked));
+            assert!(maps.cursor <= maps.ring.len());
+        }
+        assert_eq!(maps.find(at), None, "nothing is mapped past the written stream");
+        maps.prune(at);
+        assert!(maps.ring.is_empty() && maps.cursor == 0);
+    }
+}

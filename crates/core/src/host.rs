@@ -489,32 +489,32 @@ impl Host {
             // data, so leaving it unpumped can deadlock an otherwise idle
             // connection.
             loop {
-                // Drive the app (it may produce data / close).
+                // Drive the app (it may produce data / close). What it wrote
+                // is scheduled by the housekeeping pass every
+                // `MptcpConnection::poll_transmit` starts with, so none
+                // runs here.
                 {
                     let slot = &mut self.slots[i];
                     slot.app.poll(&mut slot.transport, now);
-                    if let Transport::Mp(c) = &mut slot.transport {
-                        c.post_event(now);
-                    }
                 }
                 let mut emitted = false;
                 loop {
                     let slot = &mut self.slots[i];
                     let out = match &mut slot.transport {
-                        Transport::Mp(c) => c
-                            .poll_transmit(now)
-                            .map(|(sf, seg)| {
-                                let s = &c.subflows[sf];
-                                (sf, s.local, s.remote, s.if_index, seg)
-                            }),
-                        Transport::Sp(s) => s
-                            .poll_transmit(now)
-                            .map(|seg| (0usize, s.local(), s.remote(), s.if_index, seg)),
+                        Transport::Mp(c) => c.poll_transmit(now),
+                        Transport::Sp(s) => s.poll_transmit(now).map(|seg| (0, seg)),
                     };
-                    let Some((sf, local, remote, if_index, seg)) = out else {
+                    let Some((sf, seg)) = out else {
                         break;
                     };
                     emitted = true;
+                    let (local, remote, if_index) = match &slot.transport {
+                        Transport::Mp(c) => {
+                            let s = &c.subflows[sf];
+                            (s.local, s.remote, s.if_index)
+                        }
+                        Transport::Sp(s) => (s.local(), s.remote(), s.if_index),
+                    };
                     let conn_id = slot.conn_id;
                     self.emit_segment(ctx, conn_id, sf, local, remote, if_index, &seg);
                 }
@@ -788,12 +788,12 @@ impl Host {
         }
     }
 
-    fn handle_tcp(&mut self, ctx: &mut Ctx<'_>, ip: IpHeader, seg: TcpSegment) {
+    fn handle_tcp(&mut self, ctx: &mut Ctx<'_>, ip: IpHeader, seg: &TcpSegment) {
         self.handle_tcp_inner(ctx, ip, seg);
         self.debug_check("handle_tcp");
     }
 
-    fn handle_tcp_inner(&mut self, ctx: &mut Ctx<'_>, ip: IpHeader, seg: TcpSegment) {
+    fn handle_tcp_inner(&mut self, ctx: &mut Ctx<'_>, ip: IpHeader, seg: &TcpSegment) {
         let now = ctx.now();
         let local = Endpoint::new(ip.dst, seg.dst_port);
         let remote = Endpoint::new(ip.src, seg.src_port);
@@ -808,15 +808,15 @@ impl Host {
             ctx.trace(TraceEvent::SegRecvd(record(
                 conn_id,
                 sf,
-                &seg,
+                seg,
                 !self.is_client_role,
             )));
         }
 
         if let Some(&(slot, sf)) = self.demux.get(&(local, remote)) {
             match &mut self.slots[slot].transport {
-                Transport::Mp(c) => c.on_segment(sf, &seg, now),
-                Transport::Sp(s) => s.on_segment(&seg, now),
+                Transport::Mp(c) => c.on_segment(sf, seg, now),
+                Transport::Sp(s) => s.on_segment(seg, now),
             }
             self.dirty.insert(slot);
             self.register_demux(slot);
@@ -829,13 +829,13 @@ impl Host {
             && Some(seg.dst_port) == self.listen_port
         {
             let join_token = seg.options.iter().find_map(|o| match o {
-                TcpOption::Mptcp(MptcpOption::Join { token, .. }) => Some(*token),
+                TcpOption::Mptcp(MptcpOption::Join { token, .. }) => Some(token),
                 _ => None,
             });
             if let Some(token) = join_token {
                 if let Some(&slot) = self.tokens.get(&token) {
                     if let Transport::Mp(c) = &mut self.slots[slot].transport {
-                        c.accept_join(local, remote, &seg, now);
+                        c.accept_join(local, remote, seg, now);
                         c.post_event(now);
                     }
                     self.dirty.insert(slot);
@@ -843,7 +843,7 @@ impl Host {
                 } else {
                     // Simultaneous-SYN mode: the JOIN may beat the
                     // MP_CAPABLE here; hold it briefly.
-                    self.pending_joins.push((token, local, remote, seg, now));
+                    self.pending_joins.push((token, local, remote, seg.clone(), now));
                 }
                 return;
             }
@@ -864,7 +864,7 @@ impl Host {
                     local,
                     remote,
                     self.addrs.clone(),
-                    &seg,
+                    seg,
                     rng,
                     now,
                 ) {
@@ -887,7 +887,7 @@ impl Host {
                     remote,
                     if_index,
                     iss,
-                    &seg,
+                    seg,
                     now,
                 ))
             };
@@ -1066,7 +1066,7 @@ impl Agent for Host {
             }
             Event::Frame { frame, .. } => {
                 match parse_any_shared(&frame.bytes) {
-                    Ok(Packet::Tcp(ip, seg)) => self.handle_tcp(ctx, ip, seg),
+                    Ok(Packet::Tcp(ip, seg)) => self.handle_tcp(ctx, ip, &seg),
                     Ok(Packet::Ping(ip, ping)) => self.handle_ping(ctx, ip, ping),
                     Err(_) => {
                         // Corrupt or foreign frame: drop silently.

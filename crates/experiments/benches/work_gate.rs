@@ -1,0 +1,124 @@
+//! The work-count gate: three fixed runs — a 4 MB MP-2 coupled/AT&T
+//! download, a 4 MB SP-WiFi download and a 100-client smoke fleet, all seed
+//! 7 — must do *exactly* the work recorded in `WORK_budgets.json`: events
+//! processed, stale timer pops, frames accepted into the access links, and
+//! the data segments and retransmissions the server's sockets sent. The
+//! simulator is deterministic, so these counts repeat exactly on every
+//! machine; a change that is meant to be speed-only must leave them alone,
+//! and one that adds an event per flow fails here on a noise-free number.
+//! A bench target beside `alloc_gate` so it builds with the release profile.
+//!
+//! ```text
+//! cargo bench -p mpw-experiments --bench work_gate             # check
+//! cargo bench -p mpw-experiments --bench work_gate -- --bless  # re-record
+//! ```
+
+use mpw_experiments::{run_measurement_traced, sizes, FlowConfig, Scenario, WifiKind};
+use mpw_link::{BuiltPath, Carrier, DayPeriod, LinkAgent};
+use mpw_mptcp::{Coupling, Host, Transport};
+use mpw_sim::trace::TraceLevel;
+use mpw_sim::{AgentId, World};
+use serde::{Deserialize, Serialize};
+
+const SEED: u64 = 7;
+const BUDGETS: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../WORK_budgets.json");
+
+/// The exact counts of one run.
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
+struct Work {
+    events_processed: u64,
+    stale_timer_pops: u64,
+    link_frames_enqueued: u64,
+    server_data_segs_sent: u64,
+    server_rexmit_segs: u64,
+}
+
+/// The checked-in file: one [`Work`] per fixed run.
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
+struct Budgets {
+    mp2_coupled_att_4mb: Work,
+    sp_wifi_4mb: Work,
+    fleet_smoke_100: Work,
+}
+
+/// Read a finished run's counts through the public stats of its world.
+fn counts<'a>(
+    world: &World,
+    paths: impl IntoIterator<Item = &'a BuiltPath>,
+    server: AgentId,
+) -> Work {
+    let link_frames: u64 = paths
+        .into_iter()
+        .flat_map(|p| [p.uplink, p.downlink])
+        .filter_map(|id| world.agent::<LinkAgent>(id))
+        .map(|l| l.stats().enqueued)
+        .sum();
+    let (mut data_segs, mut rexmit_segs) = (0u64, 0u64);
+    let host = world.agent::<Host>(server).expect("server host");
+    for slot in 0..host.slot_count() {
+        let mut add = |st: mpw_tcp::SocketStats| {
+            data_segs += st.data_segs_sent;
+            rexmit_segs += st.rexmit_segs;
+        };
+        match host.transport(slot) {
+            Some(Transport::Mp(c)) => c.subflows.iter().for_each(|s| add(s.sock.stats())),
+            Some(Transport::Sp(s)) => add(s.stats()),
+            None => {}
+        }
+    }
+    Work {
+        events_processed: world.events_processed(),
+        stale_timer_pops: world.stats().stale_timer_pops,
+        link_frames_enqueued: link_frames,
+        server_data_segs_sent: data_segs,
+        server_rexmit_segs: rexmit_segs,
+    }
+}
+
+fn download(flow: FlowConfig) -> Work {
+    let scenario = Scenario {
+        wifi: WifiKind::Home,
+        carrier: Carrier::Att,
+        flow,
+        size: sizes::S4M,
+        period: DayPeriod::Evening,
+        warmup: true,
+    };
+    let (m, tb) = run_measurement_traced(&scenario, SEED, TraceLevel::Off);
+    assert_eq!(m.bytes, sizes::S4M, "{flow:?}: the download must complete");
+    counts(&tb.world, &tb.paths, tb.server)
+}
+
+fn fleet() -> Work {
+    let run = mpw_fleet::run_fleet(&mpw_fleet::FleetSpec::smoke(100, SEED));
+    assert!(run.report.bytes > 0, "the fleet moved no bytes");
+    counts(&run.world, [&run.wifi_path, &run.cell_path], run.server)
+}
+
+fn main() {
+    let measured = Budgets {
+        mp2_coupled_att_4mb: download(FlowConfig::mp2(Coupling::Coupled)),
+        sp_wifi_4mb: download(FlowConfig::SpWifi),
+        fleet_smoke_100: fleet(),
+    };
+    let text = serde_json::to_string_pretty(&measured).expect("counts serialize") + "\n";
+    if std::env::args().any(|a| a == "--bless") {
+        std::fs::write(BUDGETS, &text).expect("write WORK_budgets.json");
+        eprintln!("WORK_budgets.json re-recorded:\n{text}");
+        return;
+    }
+    let recorded: Budgets = serde_json::from_str(
+        &std::fs::read_to_string(BUDGETS).expect("read WORK_budgets.json"),
+    )
+    .expect("parse WORK_budgets.json");
+    if recorded != measured {
+        eprintln!(
+            "WORK COUNT CHANGE: the fixed runs no longer do the recorded work.\n\
+             recorded: {recorded:?}\nmeasured: {measured:?}\n\
+             If the change is meant, re-record with: \
+             cargo bench -p mpw-experiments --bench work_gate -- --bless"
+        );
+        std::process::exit(1);
+    }
+    eprintln!("work counts equal WORK_budgets.json:\n{text}");
+}

@@ -140,7 +140,8 @@ pub fn wire_seed(rng: &mut Rng) -> Vec<u8> {
         };
         if size <= budget {
             budget -= size;
-            seg.options.push(opt);
+            let fits = seg.options.push(opt);
+            debug_assert!(fits, "{opt:?} is longer than its declared {size} bytes");
         }
     }
     let payload_len = match rng.below(4) {

@@ -298,7 +298,7 @@ fn run_wire(input: &[u8]) -> Outcome {
                     fp.push(seg.flags);
                     fp.push(len_bucket(seg.payload.len()));
                     for opt in &seg.options {
-                        fp.write(&option_code(opt).to_be_bytes());
+                        fp.write(&option_code(&opt).to_be_bytes());
                     }
                 }
                 Packet::Ping(_, ping) => {

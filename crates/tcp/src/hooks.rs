@@ -41,6 +41,14 @@ pub enum TxKind {
 pub trait TcpHooks: std::fmt::Debug {
     /// Append options for an outgoing segment directly into the segment's
     /// inline [`OptionList`] — no per-segment `Vec` exists on this path.
+    ///
+    /// `out` already holds the socket's own options (on a SYN: MSS, window
+    /// scale, SACK-permitted — 9 bytes) and [`OptionList::push`] refuses
+    /// what the 40-byte options area cannot take. The option the segment
+    /// cannot go without (MP_CAPABLE / MP_JOIN / DSS) goes first; anything
+    /// queued that `push` refuses must stay queued with the implementor for
+    /// a later segment — the socket does not retry and nothing downstream
+    /// reports it. SACK blocks take whatever is left afterwards.
     fn tx_options(&mut self, kind: TxKind, now: SimTime, out: &mut OptionList);
 
     /// Called for every valid incoming segment, after the socket has updated
@@ -56,7 +64,10 @@ pub trait TcpHooks: std::fmt::Debug {
 
     /// Clamp the length of a new data segment starting at `abs_start`
     /// (MPTCP: a segment must not span two DSS mappings). `None` = no limit.
-    fn tx_segment_limit(&self, _abs_start: u64) -> Option<usize> {
+    /// Called once per new data segment with the socket's `snd_nxt`, just
+    /// before [`tx_options`](Self::tx_options) for the same offset, so an
+    /// implementor may remember what it resolved here.
+    fn tx_segment_limit(&mut self, _abs_start: u64) -> Option<usize> {
         None
     }
 

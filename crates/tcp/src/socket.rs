@@ -23,7 +23,7 @@ use crate::cc::CongestionControl;
 use crate::hooks::{TcpHooks, TxKind};
 use crate::rtt::RttEstimator;
 use crate::seq::SeqNum;
-use crate::wire::{tcp_flags, Endpoint, MptcpOption, OptionList, TcpOption, TcpSegment};
+use crate::wire::{tcp_flags, Endpoint, OptionList, TcpOption, TcpSegment, MAX_OPTIONS_LEN};
 
 /// TCP connection states (RFC 793).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -464,8 +464,8 @@ impl TcpSocket {
 
     /// Options seen on the peer's SYN / SYN-ACK (the MPTCP layer reads
     /// MP_CAPABLE / MP_JOIN from here after establishment).
-    pub fn peer_handshake_options(&self) -> &[TcpOption] {
-        self.hs_options_from_peer.as_slice()
+    pub fn peer_handshake_options(&self) -> &OptionList {
+        &self.hs_options_from_peer
     }
 
     /// Bytes of send-buffer space available to the application.
@@ -908,8 +908,8 @@ impl TcpSocket {
         self.hs_options_from_peer = *opts;
         for opt in opts {
             match opt {
-                TcpOption::Mss(m) => self.peer_mss = (*m as usize).min(self.cfg.mss),
-                TcpOption::WindowScale(s) => self.peer_wscale = (*s).min(14),
+                TcpOption::Mss(m) => self.peer_mss = (m as usize).min(self.cfg.mss),
+                TcpOption::WindowScale(s) => self.peer_wscale = s.min(14),
                 TcpOption::SackPermitted => self.sack_ok = true,
                 _ => {}
             }
@@ -1388,14 +1388,6 @@ impl TcpSocket {
         }
     }
 
-    fn base_options(&self, on_syn: bool, out: &mut OptionList) {
-        if on_syn {
-            out.push(TcpOption::Mss(self.cfg.mss as u16));
-            out.push(TcpOption::WindowScale(self.cfg.window_scale));
-            out.push(TcpOption::SackPermitted);
-        }
-    }
-
     fn sack_option(&self, budget: usize) -> Option<TcpOption> {
         if !self.sack_ok {
             return None;
@@ -1417,46 +1409,25 @@ impl TcpSocket {
         ))
     }
 
-    fn opts_len(opts: &[TcpOption]) -> usize {
-        opts.iter()
-            .map(|o| match o {
-                TcpOption::Mss(_) => 4,
-                TcpOption::WindowScale(_) => 3,
-                TcpOption::SackPermitted => 2,
-                TcpOption::Sack(b) => 2 + 8 * b.len(),
-                TcpOption::Mptcp(m) => match m {
-                    MptcpOption::Capable { key_remote, .. } => {
-                        if key_remote.is_some() {
-                            20
-                        } else {
-                            12
-                        }
-                    }
-                    MptcpOption::Join { .. } => 12,
-                    MptcpOption::AddAddr { .. } => 10,
-                    MptcpOption::Prio { .. } => 4,
-                    MptcpOption::Dss {
-                        data_ack, mapping, ..
-                    } => 4 + if data_ack.is_some() { 8 } else { 0 }
-                        + if mapping.is_some() { 14 } else { 0 },
-                },
-            })
-            .sum()
-    }
-
     fn finish_segment(&mut self, mut seg: TcpSegment, kind: TxKind, now: SimTime) -> TcpSegment {
         let on_syn = seg.has(tcp_flags::SYN);
-        let mut opts = OptionList::new();
-        self.base_options(on_syn, &mut opts);
-        self.hooks.tx_options(kind, now, &mut opts);
+        // The segment's own list is filled in place. The handshake options
+        // are 9 bytes and a SACK option is sized to what is left, so those
+        // pushes cannot be refused; what the hooks could not fit stays
+        // queued with them (`TcpHooks::tx_options`).
+        let opts = &mut seg.options;
+        if on_syn {
+            let _ = opts.push(TcpOption::Mss(self.cfg.mss as u16));
+            let _ = opts.push(TcpOption::WindowScale(self.cfg.window_scale));
+            let _ = opts.push(TcpOption::SackPermitted);
+        }
+        self.hooks.tx_options(kind, now, opts);
         // Fill remaining option space with SACK blocks on non-SYN ACKs.
         if !on_syn {
-            let used = Self::opts_len(opts.as_slice());
-            if let Some(sack) = self.sack_option(40 - used.min(40)) {
-                opts.push(sack);
+            if let Some(sack) = self.sack_option(MAX_OPTIONS_LEN - opts.byte_len()) {
+                let _ = opts.push(sack);
             }
         }
-        seg.options = opts;
         seg.window = self.window_field(on_syn);
         self.stats.segs_sent += 1;
         if !seg.payload.is_empty() {

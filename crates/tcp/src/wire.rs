@@ -9,7 +9,7 @@
 //!
 //! The data path is allocation-free in steady state: parsed options live in
 //! an inline [`OptionList`] (a real TCP header caps options at 40 bytes, so
-//! a fixed-capacity array always suffices), SACK blocks live inline in
+//! the list is those bytes, canonically re-encoded), SACK blocks live inline in
 //! [`SackBlocks`], [`encode_packet`] serializes into a single pooled buffer,
 //! and [`parse_packet_shared`] returns the payload as an O(1) sub-slice of
 //! the arriving frame. The mpw-check lint wall forbids reintroducing
@@ -296,44 +296,52 @@ pub enum TcpOption {
     Mptcp(MptcpOption),
 }
 
-/// Inline, fixed-capacity option storage for one segment.
+/// One segment's options, held inline as the bytes they encode to.
 ///
 /// The TCP header's 4-bit data offset caps the options area at
-/// [`MAX_OPTIONS_LEN`] (40) bytes, and the shortest encodable option is two
-/// bytes, so no well-formed header can carry more than 20 options. Parsing
-/// and building segments therefore never needs a heap `Vec`; the list lives
-/// inline in the [`TcpSegment`].
+/// [`MAX_OPTIONS_LEN`] (40) bytes, so the list *is* that area: the canonical
+/// encoding of each option, back to back, without padding, plus a length.
+/// [`push`](Self::push) encodes at the tail and refuses (returning `false`,
+/// list unchanged) an option the 40-byte budget cannot take, so the caller
+/// learns of it where it can still act. [`iter`](Self::iter) decodes by
+/// value; [`encode_packet`] copies the bytes and pads. Two lists are equal
+/// when their bytes are: the encoding is canonical, so that is equality of
+/// the option sequences.
+///
+/// A parsed header lands here re-encoded (NOPs, over-long DSS bodies and
+/// MP_CAPABLE flag bytes the stack ignores are not kept), which never takes
+/// more room than it had on the wire: every header that fits 40 bytes
+/// parses. At 41 bytes the list keeps a [`TcpSegment`] within two cache
+/// lines.
 #[derive(Clone, Copy)]
 pub struct OptionList {
-    opts: [TcpOption; OptionList::CAPACITY],
+    bytes: [u8; MAX_OPTIONS_LEN],
     len: u8,
 }
 
 impl OptionList {
-    /// 40 bytes of option space divided by the 2-byte minimum option.
-    pub const CAPACITY: usize = MAX_OPTIONS_LEN / 2;
-
     /// Empty list.
     pub const fn new() -> OptionList {
-        OptionList { opts: [TcpOption::SackPermitted; OptionList::CAPACITY], len: 0 }
+        OptionList { bytes: [0; MAX_OPTIONS_LEN], len: 0 }
     }
 
-    /// Append an option. Returns `false` (leaving the list unchanged) when
-    /// all [`CAPACITY`](Self::CAPACITY) slots are taken — the inline
-    /// equivalent of the encoder's 40-byte overflow rejection.
+    /// Append an option. Returns `false`, leaving the list unchanged, when
+    /// its encoding does not fit what is left of the 40-byte options area;
+    /// a caller with something that must not be lost keeps it queued for a
+    /// later segment.
+    #[must_use = "a refused option is not in the list"]
     pub fn push(&mut self, opt: TcpOption) -> bool {
-        match self.opts.get_mut(usize::from(self.len)) {
-            Some(slot) => {
-                *slot = opt;
-                self.len += 1;
-                true
-            }
-            None => false,
+        let mut tail = Tail { buf: &mut self.bytes, at: usize::from(self.len), fits: true };
+        encode_option(&opt, &mut tail);
+        if tail.fits {
+            self.len = tail.at as u8; // at ≤ MAX_OPTIONS_LEN
         }
+        tail.fits
     }
 
-    /// Number of options.
-    pub fn len(&self) -> usize {
+    /// Encoded length in bytes, before padding: the part of the 40-byte
+    /// budget already spent.
+    pub fn byte_len(&self) -> usize {
         usize::from(self.len)
     }
 
@@ -342,31 +350,36 @@ impl OptionList {
         self.len == 0
     }
 
-    /// Remove all options.
-    pub fn clear(&mut self) {
-        self.len = 0;
+    /// The canonical encoding of the stored options (unpadded).
+    pub fn as_bytes(&self) -> &[u8] {
+        self.bytes.get(..usize::from(self.len)).unwrap_or(&[])
     }
 
-    /// The stored options, in push order.
-    pub fn as_slice(&self) -> &[TcpOption] {
-        self.opts.get(..usize::from(self.len)).unwrap_or(&[])
-    }
-
-    /// Iterate the stored options.
-    pub fn iter(&self) -> std::slice::Iter<'_, TcpOption> {
-        self.as_slice().iter()
+    /// Iterate the stored options, in push order, decoding each by value.
+    pub fn iter(&self) -> OptionIter<'_> {
+        OptionIter { rest: self.as_bytes() }
     }
 
     /// Keep only the options for which `keep` returns true.
     pub fn retain(&mut self, mut keep: impl FnMut(&TcpOption) -> bool) {
-        let mut out = OptionList::new();
-        for opt in self.as_slice() {
-            if keep(opt) {
-                // Can't overflow: `out` holds at most as many as `self`.
-                let _ = out.push(*opt);
-            }
-        }
-        *self = out;
+        *self = self.iter().filter(|o| keep(o)).collect();
+    }
+}
+
+/// Iterator over an [`OptionList`], yielding each option by value.
+#[derive(Clone, Debug)]
+pub struct OptionIter<'a> {
+    rest: &'a [u8],
+}
+
+impl Iterator for OptionIter<'_> {
+    type Item = TcpOption;
+    fn next(&mut self) -> Option<TcpOption> {
+        // The list holds only what `push` encoded, so decoding cannot fail;
+        // if it somehow did, the iteration ends rather than panics.
+        let (opt, len) = decode_option(self.rest).ok()?;
+        self.rest = self.rest.get(len..)?;
+        Some(opt)
     }
 }
 
@@ -378,28 +391,27 @@ impl Default for OptionList {
 
 impl fmt::Debug for OptionList {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.as_slice().fmt(f)
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 
 impl PartialEq for OptionList {
     fn eq(&self, other: &OptionList) -> bool {
-        self.as_slice() == other.as_slice()
+        self.as_bytes() == other.as_bytes()
     }
 }
 
 impl Eq for OptionList {}
 
 impl<const N: usize> From<[TcpOption; N]> for OptionList {
-    /// Options beyond [`CAPACITY`](OptionList::CAPACITY) are dropped — the
-    /// encoder's 40-byte budget could never fit them.
+    /// Stops at the first option the 40-byte budget cannot take.
     fn from(opts: [TcpOption; N]) -> OptionList {
         opts.into_iter().collect()
     }
 }
 
 impl FromIterator<TcpOption> for OptionList {
-    /// Options beyond [`CAPACITY`](OptionList::CAPACITY) are dropped.
+    /// Stops at the first option the 40-byte budget cannot take.
     fn from_iter<I: IntoIterator<Item = TcpOption>>(iter: I) -> OptionList {
         let mut out = OptionList::new();
         for opt in iter {
@@ -412,14 +424,17 @@ impl FromIterator<TcpOption> for OptionList {
 }
 
 impl<'a> IntoIterator for &'a OptionList {
-    type Item = &'a TcpOption;
-    type IntoIter = std::slice::Iter<'a, TcpOption>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.as_slice().iter()
+    type Item = TcpOption;
+    type IntoIter = OptionIter<'a>;
+    fn into_iter(self) -> OptionIter<'a> {
+        self.iter()
     }
 }
 
 /// A parsed TCP segment.
+///
+/// Moved by value from the parser to the socket and from the socket to the
+/// encoder, so its size is part of the per-segment cost (DESIGN.md §5.10).
 #[derive(Clone, Debug, PartialEq)]
 pub struct TcpSegment {
     /// Source port.
@@ -439,6 +454,8 @@ pub struct TcpSegment {
     /// Payload bytes.
     pub payload: Bytes,
 }
+
+const _: () = assert!(std::mem::size_of::<TcpSegment>() <= 128);
 
 impl TcpSegment {
     /// Segment with no options/payload and the given flags.
@@ -468,21 +485,21 @@ impl TcpSegment {
     }
 
     /// First MPTCP option, if any.
-    pub fn mptcp(&self) -> Option<&MptcpOption> {
+    pub fn mptcp(&self) -> Option<MptcpOption> {
         self.options.iter().find_map(|o| match o {
             TcpOption::Mptcp(m) => Some(m),
             _ => None,
         })
     }
 
-    /// The DSS option, if present.
-    pub fn dss(&self) -> Option<(&Option<u64>, &Option<DssMapping>, bool)> {
+    /// The DSS option (data ack, mapping, DATA_FIN), if present.
+    pub fn dss(&self) -> Option<(Option<u64>, Option<DssMapping>, bool)> {
         self.options.iter().find_map(|o| match o {
             TcpOption::Mptcp(MptcpOption::Dss {
                 data_ack,
                 mapping,
                 data_fin,
-            }) => Some((data_ack, mapping, *data_fin)),
+            }) => Some((data_ack, mapping, data_fin)),
             _ => None,
         })
     }
@@ -585,123 +602,238 @@ fn get_be64(b: &[u8], at: usize) -> Option<u64> {
 
 const MPTCP_KIND: u8 = 30;
 
-fn encode_options(opts: &[TcpOption], out: &mut BytesMut) -> usize {
-    let start = out.len();
-    for opt in opts {
-        match opt {
-            TcpOption::Mss(mss) => {
-                out.put_u8(2);
-                out.put_u8(4);
-                out.put_u16(*mss);
+/// Writer over what is left of an [`OptionList`]'s 40 bytes.
+/// A field that does not fit clears `fits`; the list commits `at` only if
+/// the whole option did.
+struct Tail<'a> {
+    buf: &'a mut [u8; MAX_OPTIONS_LEN],
+    at: usize,
+    fits: bool,
+}
+
+impl Tail<'_> {
+    #[inline]
+    fn put<const N: usize>(&mut self, field: [u8; N]) {
+        match self.buf.get_mut(self.at..).and_then(|rest| rest.first_chunk_mut::<N>()) {
+            Some(dst) => {
+                *dst = field;
+                self.at += N;
             }
-            TcpOption::WindowScale(s) => {
-                out.put_u8(3);
-                out.put_u8(3);
-                out.put_u8(*s);
-            }
-            TcpOption::SackPermitted => {
-                out.put_u8(4);
-                out.put_u8(2);
-            }
-            TcpOption::Sack(blocks) => {
-                out.put_u8(5);
-                out.put_u8(2 + 8 * blocks.len() as u8);
-                for (lo, hi) in blocks {
-                    out.put_u32(lo.0);
-                    out.put_u32(hi.0);
-                }
-            }
-            TcpOption::Mptcp(m) => match m {
-                MptcpOption::Capable {
-                    key_local,
-                    key_remote,
-                } => {
-                    let len = if key_remote.is_some() { 20 } else { 12 };
-                    out.put_u8(MPTCP_KIND);
-                    out.put_u8(len);
-                    out.put_u8(0 << 4); // subtype 0, version 0
-                    out.put_u8(0x81); // checksum-off | HMAC-SHA1 flags, fixed
-                    out.put_u64(*key_local);
-                    if let Some(k) = key_remote {
-                        out.put_u64(*k);
-                    }
-                }
-                MptcpOption::Join { token, nonce, backup } => {
-                    out.put_u8(MPTCP_KIND);
-                    out.put_u8(12);
-                    out.put_u8(1 << 4 | *backup as u8); // subtype | B bit
-                    out.put_u8(0); // addr id (implicit)
-                    out.put_u32(*token);
-                    out.put_u32(*nonce);
-                }
-                MptcpOption::Dss {
-                    data_ack,
-                    mapping,
-                    data_fin,
-                } => {
-                    let mut flags = 0u8;
-                    let mut len = 4u8;
-                    if data_ack.is_some() {
-                        flags |= 0x01;
-                        len += 8;
-                    }
-                    if mapping.is_some() {
-                        flags |= 0x02;
-                        len += 14;
-                    }
-                    if *data_fin {
-                        flags |= 0x04;
-                    }
-                    out.put_u8(MPTCP_KIND);
-                    out.put_u8(len);
-                    out.put_u8(2 << 4);
-                    out.put_u8(flags);
-                    if let Some(ack) = data_ack {
-                        out.put_u64(*ack);
-                    }
-                    if let Some(m) = mapping {
-                        out.put_u64(m.dseq);
-                        out.put_u32(m.subflow_seq.0);
-                        out.put_u16(m.len);
-                    }
-                }
-                MptcpOption::AddAddr { addr_id, addr, port } => {
-                    out.put_u8(MPTCP_KIND);
-                    out.put_u8(10);
-                    out.put_u8(3 << 4 | 4); // subtype 3, ipver 4
-                    out.put_u8(*addr_id);
-                    out.put_u32(addr.0);
-                    out.put_u16(*port);
-                }
-                MptcpOption::Prio { backup } => {
-                    out.put_u8(MPTCP_KIND);
-                    out.put_u8(4);
-                    out.put_u8(5 << 4 | *backup as u8);
-                    out.put_u8(0); // addr id (implicit: this subflow)
-                }
-            },
+            None => self.fits = false,
         }
     }
-    // Pad with NOPs to a 4-byte boundary.
-    while !(out.len() - start).is_multiple_of(4) {
-        out.put_u8(1);
+}
+
+/// The one encoder: the canonical bytes of `opt`, written at `out`'s tail.
+#[inline]
+fn encode_option(opt: &TcpOption, out: &mut Tail<'_>) {
+    match opt {
+        TcpOption::Mss(mss) => {
+            out.put([2, 4]);
+            out.put(mss.to_be_bytes());
+        }
+        TcpOption::WindowScale(s) => out.put([3, 3, *s]),
+        TcpOption::SackPermitted => out.put([4, 2]),
+        TcpOption::Sack(blocks) => {
+            out.put([5, 2 + 8 * blocks.len() as u8]);
+            for (lo, hi) in blocks {
+                out.put(lo.0.to_be_bytes());
+                out.put(hi.0.to_be_bytes());
+            }
+        }
+        TcpOption::Mptcp(m) => match m {
+            MptcpOption::Capable {
+                key_local,
+                key_remote,
+            } => {
+                let len = if key_remote.is_some() { 20 } else { 12 };
+                // Subtype 0, version 0; checksum-off | HMAC-SHA1 flags, fixed.
+                out.put([MPTCP_KIND, len, 0 << 4, 0x81]);
+                out.put(key_local.to_be_bytes());
+                if let Some(k) = key_remote {
+                    out.put(k.to_be_bytes());
+                }
+            }
+            MptcpOption::Join { token, nonce, backup } => {
+                // Subtype | B bit; address id implicit.
+                out.put([MPTCP_KIND, 12, 1 << 4 | *backup as u8, 0]);
+                out.put(token.to_be_bytes());
+                out.put(nonce.to_be_bytes());
+            }
+            MptcpOption::Dss {
+                data_ack,
+                mapping,
+                data_fin,
+            } => {
+                let mut flags = 0u8;
+                let mut len = 4u8;
+                if data_ack.is_some() {
+                    flags |= 0x01;
+                    len += 8;
+                }
+                if mapping.is_some() {
+                    flags |= 0x02;
+                    len += 14;
+                }
+                if *data_fin {
+                    flags |= 0x04;
+                }
+                out.put([MPTCP_KIND, len, 2 << 4, flags]);
+                if let Some(ack) = data_ack {
+                    out.put(ack.to_be_bytes());
+                }
+                if let Some(m) = mapping {
+                    out.put(m.dseq.to_be_bytes());
+                    out.put(m.subflow_seq.0.to_be_bytes());
+                    out.put(m.len.to_be_bytes());
+                }
+            }
+            MptcpOption::AddAddr { addr_id, addr, port } => {
+                // Subtype 3, ipver 4.
+                out.put([MPTCP_KIND, 10, 3 << 4 | 4, *addr_id]);
+                out.put(addr.0.to_be_bytes());
+                out.put(port.to_be_bytes());
+            }
+            MptcpOption::Prio { backup } => {
+                // Subtype | B bit; address id implicit: this subflow.
+                out.put([MPTCP_KIND, 4, 5 << 4 | *backup as u8, 0]);
+            }
+        },
     }
-    out.len() - start
+}
+
+/// Decode the option at the head of `buf` (not a NOP or EOL): the option
+/// and the bytes it occupies. Shared by the header parser, where `buf` is
+/// wire data, and [`OptionList::iter`], where it is the list's own encoding.
+fn decode_option(buf: &[u8]) -> Result<(TcpOption, usize), WireError> {
+    let kind = get_u8(buf, 0).ok_or(WireError::BadOption)?;
+    let len = get_u8(buf, 1).ok_or(WireError::BadOption)? as usize;
+    if len < 2 {
+        return Err(WireError::BadOption);
+    }
+    let body = buf.get(2..len).ok_or(WireError::BadOption)?;
+    let opt = match kind {
+        2 => {
+            if body.len() != 2 {
+                return Err(WireError::BadOption);
+            }
+            TcpOption::Mss(get_be16(body, 0).ok_or(WireError::BadOption)?)
+        }
+        3 => {
+            if body.len() != 1 {
+                return Err(WireError::BadOption);
+            }
+            TcpOption::WindowScale(get_u8(body, 0).ok_or(WireError::BadOption)?)
+        }
+        4 => {
+            if !body.is_empty() {
+                return Err(WireError::BadOption);
+            }
+            TcpOption::SackPermitted
+        }
+        5 => {
+            if !body.len().is_multiple_of(8) {
+                return Err(WireError::BadOption);
+            }
+            let mut blocks = SackBlocks::new();
+            for c in body.chunks_exact(8) {
+                let lo = SeqNum(get_be32(c, 0).ok_or(WireError::BadOption)?);
+                let hi = SeqNum(get_be32(c, 4).ok_or(WireError::BadOption)?);
+                if !blocks.push(lo, hi) {
+                    // > 4 blocks cannot fit the 40-byte budget anyway.
+                    return Err(WireError::BadOption);
+                }
+            }
+            TcpOption::Sack(blocks)
+        }
+        MPTCP_KIND => {
+            let b0 = get_u8(body, 0).ok_or(WireError::BadOption)?;
+            let subtype = b0 >> 4;
+            TcpOption::Mptcp(match subtype {
+                0 => {
+                    let key_local = get_be64(body, 2).ok_or(WireError::BadOption)?;
+                    let key_remote = match body.len() {
+                        10 => None,
+                        18 => Some(get_be64(body, 10).ok_or(WireError::BadOption)?),
+                        _ => return Err(WireError::BadOption),
+                    };
+                    MptcpOption::Capable { key_local, key_remote }
+                }
+                1 => {
+                    if body.len() != 10 {
+                        return Err(WireError::BadOption);
+                    }
+                    // The planted-parser-bug feature (CI's proof that the
+                    // fuzz harness catches real defects) reads the nonce
+                    // one byte early, overlapping the token field — the
+                    // classic misaligned-field parser defect. Caught by
+                    // the decode→encode→decode fixpoint oracle.
+                    #[cfg(feature = "planted-parser-bug")]
+                    let nonce_at = 5;
+                    #[cfg(not(feature = "planted-parser-bug"))]
+                    let nonce_at = 6;
+                    MptcpOption::Join {
+                        token: get_be32(body, 2).ok_or(WireError::BadOption)?,
+                        nonce: get_be32(body, nonce_at).ok_or(WireError::BadOption)?,
+                        backup: b0 & 0x01 != 0,
+                    }
+                }
+                2 => {
+                    let flags = get_u8(body, 1).ok_or(WireError::BadOption)?;
+                    let mut at = 2usize;
+                    let data_ack = if flags & 0x01 != 0 {
+                        let v = get_be64(body, at).ok_or(WireError::BadOption)?;
+                        at += 8;
+                        Some(v)
+                    } else {
+                        None
+                    };
+                    let mapping = if flags & 0x02 != 0 {
+                        let dseq = get_be64(body, at).ok_or(WireError::BadOption)?;
+                        let ssn = get_be32(body, at + 8).ok_or(WireError::BadOption)?;
+                        let len = get_be16(body, at + 12).ok_or(WireError::BadOption)?;
+                        Some(DssMapping {
+                            dseq,
+                            subflow_seq: SeqNum(ssn),
+                            len,
+                        })
+                    } else {
+                        None
+                    };
+                    MptcpOption::Dss {
+                        data_ack,
+                        mapping,
+                        data_fin: flags & 0x04 != 0,
+                    }
+                }
+                3 => {
+                    if body.len() != 8 {
+                        return Err(WireError::BadOption);
+                    }
+                    MptcpOption::AddAddr {
+                        addr_id: get_u8(body, 1).ok_or(WireError::BadOption)?,
+                        addr: Addr(get_be32(body, 2).ok_or(WireError::BadOption)?),
+                        port: get_be16(body, 6).ok_or(WireError::BadOption)?,
+                    }
+                }
+                5 => {
+                    if body.len() != 2 {
+                        return Err(WireError::BadOption);
+                    }
+                    MptcpOption::Prio {
+                        backup: b0 & 0x01 != 0,
+                    }
+                }
+                _ => return Err(WireError::BadOption),
+            })
+        }
+        _ => return Err(WireError::BadOption),
+    };
+    Ok((opt, len))
 }
 
 fn parse_options(mut buf: &[u8]) -> Result<OptionList, WireError> {
     let mut opts = OptionList::new();
-    // Total by construction: the caller hands at most MAX_OPTIONS_LEN bytes
-    // and every stored option consumes ≥ 2 of them, so `push` cannot
-    // overflow — but treat a full list as malformed rather than trusting
-    // that arithmetic.
-    let mut push = |o: TcpOption| -> Result<(), WireError> {
-        if opts.push(o) {
-            Ok(())
-        } else {
-            Err(WireError::BadOption)
-        }
-    };
     while let Some(&kind) = buf.first() {
         match kind {
             0 => break, // EOL
@@ -711,138 +843,13 @@ fn parse_options(mut buf: &[u8]) -> Result<OptionList, WireError> {
             }
             _ => {}
         }
-        let len = get_u8(buf, 1).ok_or(WireError::BadOption)? as usize;
-        if len < 2 {
+        let (opt, len) = decode_option(buf)?;
+        // Total by construction: an option's canonical encoding is never
+        // longer than the wire form it was decoded from and the caller
+        // hands at most MAX_OPTIONS_LEN bytes, so `push` cannot refuse —
+        // but treat a refusal as malformed rather than trusting that.
+        if !opts.push(opt) {
             return Err(WireError::BadOption);
-        }
-        let body = buf.get(2..len).ok_or(WireError::BadOption)?;
-        match kind {
-            2 => {
-                if body.len() != 2 {
-                    return Err(WireError::BadOption);
-                }
-                push(TcpOption::Mss(
-                    get_be16(body, 0).ok_or(WireError::BadOption)?,
-                ))?;
-            }
-            3 => {
-                if body.len() != 1 {
-                    return Err(WireError::BadOption);
-                }
-                push(TcpOption::WindowScale(
-                    get_u8(body, 0).ok_or(WireError::BadOption)?,
-                ))?;
-            }
-            4 => {
-                if !body.is_empty() {
-                    return Err(WireError::BadOption);
-                }
-                push(TcpOption::SackPermitted)?;
-            }
-            5 => {
-                if !body.len().is_multiple_of(8) {
-                    return Err(WireError::BadOption);
-                }
-                let mut blocks = SackBlocks::new();
-                for c in body.chunks_exact(8) {
-                    let lo = SeqNum(get_be32(c, 0).ok_or(WireError::BadOption)?);
-                    let hi = SeqNum(get_be32(c, 4).ok_or(WireError::BadOption)?);
-                    if !blocks.push(lo, hi) {
-                        // > 4 blocks cannot fit the 40-byte budget anyway.
-                        return Err(WireError::BadOption);
-                    }
-                }
-                push(TcpOption::Sack(blocks))?;
-            }
-            MPTCP_KIND => {
-                let b0 = get_u8(body, 0).ok_or(WireError::BadOption)?;
-                let subtype = b0 >> 4;
-                match subtype {
-                    0 => {
-                        let key_local = get_be64(body, 2).ok_or(WireError::BadOption)?;
-                        if body.len() == 10 {
-                            push(TcpOption::Mptcp(MptcpOption::Capable {
-                                key_local,
-                                key_remote: None,
-                            }))?;
-                        } else if body.len() == 18 {
-                            push(TcpOption::Mptcp(MptcpOption::Capable {
-                                key_local,
-                                key_remote: Some(get_be64(body, 10).ok_or(WireError::BadOption)?),
-                            }))?;
-                        } else {
-                            return Err(WireError::BadOption);
-                        }
-                    }
-                    1 => {
-                        if body.len() != 10 {
-                            return Err(WireError::BadOption);
-                        }
-                        // The planted-parser-bug feature (CI's proof that the
-                        // fuzz harness catches real defects) reads the nonce
-                        // one byte early, overlapping the token field — the
-                        // classic misaligned-field parser defect. Caught by
-                        // the decode→encode→decode fixpoint oracle.
-                        #[cfg(feature = "planted-parser-bug")]
-                        let nonce_at = 5;
-                        #[cfg(not(feature = "planted-parser-bug"))]
-                        let nonce_at = 6;
-                        push(TcpOption::Mptcp(MptcpOption::Join {
-                            token: get_be32(body, 2).ok_or(WireError::BadOption)?,
-                            nonce: get_be32(body, nonce_at).ok_or(WireError::BadOption)?,
-                            backup: b0 & 0x01 != 0,
-                        }))?;
-                    }
-                    2 => {
-                        let flags = get_u8(body, 1).ok_or(WireError::BadOption)?;
-                        let mut at = 2usize;
-                        let data_ack = if flags & 0x01 != 0 {
-                            let v = get_be64(body, at).ok_or(WireError::BadOption)?;
-                            at += 8;
-                            Some(v)
-                        } else {
-                            None
-                        };
-                        let mapping = if flags & 0x02 != 0 {
-                            let dseq = get_be64(body, at).ok_or(WireError::BadOption)?;
-                            let ssn = get_be32(body, at + 8).ok_or(WireError::BadOption)?;
-                            let len = get_be16(body, at + 12).ok_or(WireError::BadOption)?;
-                            Some(DssMapping {
-                                dseq,
-                                subflow_seq: SeqNum(ssn),
-                                len,
-                            })
-                        } else {
-                            None
-                        };
-                        push(TcpOption::Mptcp(MptcpOption::Dss {
-                            data_ack,
-                            mapping,
-                            data_fin: flags & 0x04 != 0,
-                        }))?;
-                    }
-                    3 => {
-                        if body.len() != 8 {
-                            return Err(WireError::BadOption);
-                        }
-                        push(TcpOption::Mptcp(MptcpOption::AddAddr {
-                            addr_id: get_u8(body, 1).ok_or(WireError::BadOption)?,
-                            addr: Addr(get_be32(body, 2).ok_or(WireError::BadOption)?),
-                            port: get_be16(body, 6).ok_or(WireError::BadOption)?,
-                        }))?;
-                    }
-                    5 => {
-                        if body.len() != 2 {
-                            return Err(WireError::BadOption);
-                        }
-                        push(TcpOption::Mptcp(MptcpOption::Prio {
-                            backup: b0 & 0x01 != 0,
-                        }))?;
-                    }
-                    _ => return Err(WireError::BadOption),
-                }
-            }
-            _ => return Err(WireError::BadOption),
         }
         buf = buf.get(len..).ok_or(WireError::BadOption)?;
     }
@@ -881,8 +888,14 @@ pub fn encode_packet(ip: &IpHeader, seg: &TcpSegment) -> Bytes {
     out.put_u16(0); // checksum placeholder
     out.put_u16(0); // urgent
 
-    let opt_len = encode_options(seg.options.as_slice(), &mut out);
-    assert!(opt_len <= MAX_OPTIONS_LEN, "TCP options exceed 40 bytes ({opt_len})");
+    // The list is already the options area; pad with NOPs to a 4-byte
+    // boundary (40 is one, so the padded area stays within the budget).
+    let opts = seg.options.as_bytes();
+    out.extend_from_slice(opts);
+    let opt_len = opts.len().next_multiple_of(4);
+    for _ in opts.len()..opt_len {
+        out.put_u8(1);
+    }
     let total = out.len() + seg.payload.len();
     assert!(
         total <= usize::from(u16::MAX),
@@ -1019,12 +1032,10 @@ pub fn encode_ping(ip: &IpHeader, ping: &PingPacket) -> Bytes {
 
 /// Either kind of packet our network carries.
 ///
-/// The variants are deliberately *not* boxed despite the size gap: the TCP
-/// variant is the overwhelmingly common one (pings are rare control
-/// traffic), and a `Box<TcpSegment>` would put one heap allocation back on
-/// every packet parse — exactly what the inline [`OptionList`] removed
-/// (DESIGN.md §5.10, the allocation gate).
-#[allow(clippy::large_enum_variant)]
+/// Neither variant is boxed: a `Box<TcpSegment>` would put one heap
+/// allocation back on every packet parse (DESIGN.md §5.10, the allocation
+/// gate), and with the byte-packed [`OptionList`] the TCP variant is small
+/// enough to move.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Packet {
     /// A TCP segment.
@@ -1299,14 +1310,40 @@ mod tests {
     }
 
     #[test]
-    fn option_list_rejects_overflow_without_panicking() {
+    fn option_list_refuses_what_the_budget_cannot_take() {
+        // Twenty 2-byte options are a valid 40-byte options area.
         let mut opts = OptionList::new();
-        for _ in 0..OptionList::CAPACITY {
+        for _ in 0..MAX_OPTIONS_LEN / 2 {
             assert!(opts.push(TcpOption::SackPermitted));
         }
-        assert_eq!(opts.len(), OptionList::CAPACITY);
-        assert!(!opts.push(TcpOption::Mss(1400)), "21st option must be rejected");
-        assert_eq!(opts.len(), OptionList::CAPACITY, "rejected push leaves list unchanged");
+        assert_eq!(opts.byte_len(), MAX_OPTIONS_LEN);
+        let full = opts;
+        assert!(!opts.push(TcpOption::SackPermitted), "a 41st byte must be refused");
+        assert_eq!(opts, full, "a refused push leaves the list unchanged");
+        assert_eq!(opts.iter().count(), 20);
+
+        // The budget is bytes, not slots: DSS with ack and mapping (26) and
+        // one ADD_ADDR (10) leave 4 bytes — room for MP_PRIO, not a second
+        // ADD_ADDR. The encoder used to assert on this list.
+        let add_addr = TcpOption::Mptcp(MptcpOption::AddAddr {
+            addr_id: 2,
+            addr: Addr::new(10, 0, 2, 2),
+            port: 8080,
+        });
+        let mut opts: OptionList = [
+            TcpOption::Mptcp(MptcpOption::Dss {
+                data_ack: Some(1),
+                mapping: Some(DssMapping { dseq: 1, subflow_seq: SeqNum(1), len: 1400 }),
+                data_fin: false,
+            }),
+            add_addr,
+        ]
+        .into();
+        assert_eq!(opts.byte_len(), 36);
+        assert!(!opts.push(add_addr));
+        assert_eq!(opts.byte_len(), 36);
+        assert!(opts.push(TcpOption::Mptcp(MptcpOption::Prio { backup: true })));
+        assert_eq!(opts.byte_len(), MAX_OPTIONS_LEN);
 
         let mut blocks = SackBlocks::new();
         for i in 0..SackBlocks::CAPACITY as u32 {
@@ -1314,6 +1351,16 @@ mod tests {
         }
         assert!(!blocks.push(SeqNum(9), SeqNum(10)), "5th SACK block must be rejected");
         assert_eq!(blocks.len(), SackBlocks::CAPACITY);
+    }
+
+    /// A segment is moved by value parser → host → socket and socket →
+    /// host → encoder; these sizes are that cost (1,016 and 1,032 bytes
+    /// with the twenty-slot option array).
+    #[test]
+    fn segment_and_packet_sizes_are_pinned() {
+        assert_eq!(std::mem::size_of::<OptionList>(), 41);
+        assert_eq!(std::mem::size_of::<TcpSegment>(), 88);
+        assert_eq!(std::mem::size_of::<Packet>(), 104);
     }
 
     #[test]
@@ -1458,6 +1505,113 @@ mod tests {
         assert_eq!(parse_any(&ping[..ping.len() - 1]), Err(WireError::Truncated));
     }
 
+    /// The option encoder of the twenty-slot-array era, kept verbatim as the
+    /// reference [`encode_option`] and [`OptionList::push`] must stay
+    /// byte-identical to.
+    fn encode_options(opts: &[TcpOption], out: &mut BytesMut) -> usize {
+        let start = out.len();
+        for opt in opts {
+            match opt {
+                TcpOption::Mss(mss) => {
+                    out.put_u8(2);
+                    out.put_u8(4);
+                    out.put_u16(*mss);
+                }
+                TcpOption::WindowScale(s) => {
+                    out.put_u8(3);
+                    out.put_u8(3);
+                    out.put_u8(*s);
+                }
+                TcpOption::SackPermitted => {
+                    out.put_u8(4);
+                    out.put_u8(2);
+                }
+                TcpOption::Sack(blocks) => {
+                    out.put_u8(5);
+                    out.put_u8(2 + 8 * blocks.len() as u8);
+                    for (lo, hi) in blocks {
+                        out.put_u32(lo.0);
+                        out.put_u32(hi.0);
+                    }
+                }
+                TcpOption::Mptcp(m) => match m {
+                    MptcpOption::Capable {
+                        key_local,
+                        key_remote,
+                    } => {
+                        let len = if key_remote.is_some() { 20 } else { 12 };
+                        out.put_u8(MPTCP_KIND);
+                        out.put_u8(len);
+                        out.put_u8(0 << 4); // subtype 0, version 0
+                        out.put_u8(0x81); // checksum-off | HMAC-SHA1 flags, fixed
+                        out.put_u64(*key_local);
+                        if let Some(k) = key_remote {
+                            out.put_u64(*k);
+                        }
+                    }
+                    MptcpOption::Join { token, nonce, backup } => {
+                        out.put_u8(MPTCP_KIND);
+                        out.put_u8(12);
+                        out.put_u8(1 << 4 | *backup as u8); // subtype | B bit
+                        out.put_u8(0); // addr id (implicit)
+                        out.put_u32(*token);
+                        out.put_u32(*nonce);
+                    }
+                    MptcpOption::Dss {
+                        data_ack,
+                        mapping,
+                        data_fin,
+                    } => {
+                        let mut flags = 0u8;
+                        let mut len = 4u8;
+                        if data_ack.is_some() {
+                            flags |= 0x01;
+                            len += 8;
+                        }
+                        if mapping.is_some() {
+                            flags |= 0x02;
+                            len += 14;
+                        }
+                        if *data_fin {
+                            flags |= 0x04;
+                        }
+                        out.put_u8(MPTCP_KIND);
+                        out.put_u8(len);
+                        out.put_u8(2 << 4);
+                        out.put_u8(flags);
+                        if let Some(ack) = data_ack {
+                            out.put_u64(*ack);
+                        }
+                        if let Some(m) = mapping {
+                            out.put_u64(m.dseq);
+                            out.put_u32(m.subflow_seq.0);
+                            out.put_u16(m.len);
+                        }
+                    }
+                    MptcpOption::AddAddr { addr_id, addr, port } => {
+                        out.put_u8(MPTCP_KIND);
+                        out.put_u8(10);
+                        out.put_u8(3 << 4 | 4); // subtype 3, ipver 4
+                        out.put_u8(*addr_id);
+                        out.put_u32(addr.0);
+                        out.put_u16(*port);
+                    }
+                    MptcpOption::Prio { backup } => {
+                        out.put_u8(MPTCP_KIND);
+                        out.put_u8(4);
+                        out.put_u8(5 << 4 | *backup as u8);
+                        out.put_u8(0); // addr id (implicit: this subflow)
+                    }
+                },
+            }
+        }
+        // Pad with NOPs to a 4-byte boundary.
+        while !(out.len() - start).is_multiple_of(4) {
+            out.put_u8(1);
+        }
+        out.len() - start
+    }
+
     /// The old `Vec<TcpOption>`-era encoder, kept verbatim as the reference
     /// the inline [`OptionList`] encode must stay byte-identical to: options
     /// into a scratch buffer first, then headers, then copies, with
@@ -1583,7 +1737,7 @@ mod tests {
             seg.window = window;
             seg.payload = Bytes::from(vec![0x5au8; payload_len]);
             if has_dss {
-                seg.options.push(TcpOption::Mptcp(MptcpOption::Dss {
+                prop_assert!(seg.options.push(TcpOption::Mptcp(MptcpOption::Dss {
                     data_ack: Some(dseq),
                     mapping: Some(DssMapping {
                         dseq,
@@ -1591,7 +1745,7 @@ mod tests {
                         len: payload_len as u16,
                     }),
                     data_fin: false,
-                }));
+                })));
             }
             let parsed = roundtrip(&seg);
             prop_assert_eq!(parsed, seg);
@@ -1623,9 +1777,69 @@ mod tests {
             let legacy = encode_packet_legacy(&ip(), &kept, &seg);
             prop_assert_eq!(new_bytes.as_ref(), legacy.as_slice());
             let (_, reparsed) = parse_packet(&new_bytes).expect("own encoding parses");
-            prop_assert_eq!(reparsed.options.as_slice(), kept.as_slice());
+            prop_assert_eq!(reparsed.options.iter().collect::<Vec<_>>(), kept);
             let rebytes = encode_packet(&ip(), &reparsed);
             prop_assert_eq!(new_bytes.as_ref(), rebytes.as_ref());
+        }
+
+        /// The byte-packed list against the representation it replaced: a
+        /// twenty-slot array whose `push` refused only the 21st option and
+        /// whose overflow of the 40-byte area surfaced as an assert in
+        /// `encode_packet`. For any option sequence, pushing in order (up
+        /// to the first refusal) keeps exactly the longest prefix the
+        /// array model could also have encoded, `iter` yields it back, and
+        /// it survives the wire.
+        #[test]
+        fn byte_packed_list_matches_the_slot_array_model(
+            opts in proptest::collection::vec(arb_option(), 0..24),
+        ) {
+            // The parent's semantics: slots first, bytes at encode time.
+            struct SlotArray(Vec<TcpOption>);
+            impl SlotArray {
+                fn push(&mut self, o: TcpOption) -> bool {
+                    let room = self.0.len() < 20;
+                    if room {
+                        self.0.push(o);
+                    }
+                    room
+                }
+                fn encodes(&self) -> bool {
+                    self.0.iter().map(option_wire_len).sum::<usize>() <= MAX_OPTIONS_LEN
+                }
+            }
+            let mut model = SlotArray(Vec::new());
+            for &o in &opts {
+                let len_before = model.0.len();
+                if !model.push(o) {
+                    break;
+                }
+                if !model.encodes() {
+                    model.0.truncate(len_before);
+                    break;
+                }
+            }
+
+            let mut seg = TcpSegment::bare(1, 2, SeqNum(7), SeqNum(8), tcp_flags::ACK);
+            let mut accepted = 0;
+            for &o in &opts {
+                if !seg.options.push(o) {
+                    break;
+                }
+                accepted += 1;
+            }
+            prop_assert_eq!(accepted, model.0.len());
+            prop_assert_eq!(seg.options.iter().collect::<Vec<_>>(), model.0.clone());
+            prop_assert_eq!(
+                seg.options.byte_len(),
+                model.0.iter().map(option_wire_len).sum::<usize>()
+            );
+            prop_assert_eq!(&opts.iter().copied().collect::<OptionList>(), &seg.options);
+            let mut reference = BytesMut::with_capacity(64);
+            encode_options(&model.0, &mut reference);
+            let padded = seg.options.byte_len().next_multiple_of(4);
+            prop_assert_eq!(reference.len(), padded);
+            prop_assert_eq!(&reference[..seg.options.byte_len()], seg.options.as_bytes());
+            prop_assert_eq!(roundtrip(&seg), seg);
         }
 
         #[test]

@@ -113,7 +113,7 @@ fn arb_packet() -> impl Strategy<Value = (IpHeader, TcpSegment)> {
                 let n = opt_wire_len(&o);
                 if used + n <= 40 {
                     used += n;
-                    seg.options.push(o);
+                    assert!(seg.options.push(o), "{o:?} fits by this test's length table");
                 }
             }
             seg.payload = Bytes::from(payload);
