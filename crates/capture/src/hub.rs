@@ -12,8 +12,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use bytes::Bytes;
-use mpw_sim::tap::{FrameObserver, TapDir};
-use mpw_sim::trace::DropReason;
+use mpw_sim::tap::{DropReason, FrameObserver, TapDir};
 use mpw_sim::SimTime;
 
 use crate::pcapng::PcapWriter;

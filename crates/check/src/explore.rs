@@ -29,7 +29,7 @@
 //! from the fixed initial state (connections are not cloneable, and replay
 //! keeps the checker honest: a counterexample *is* its action list). On a
 //! violation the path is shrunk by greedy action deletion and printed as a
-//! tcpdump-style trace replayed through [`mpw_sim::trace`].
+//! tcpdump-style transcript of its replay.
 
 use std::collections::{HashSet, VecDeque};
 use std::fmt;
@@ -39,7 +39,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use bytes::Bytes;
 use mpw_mptcp::conn::{MptcpConfig, MptcpConnection, SynMode};
 use mpw_mptcp::Coupling;
-use mpw_sim::trace::{flags, Dir as TraceDir, SegmentRecord, Trace, TraceEvent, TraceLevel};
 use mpw_sim::{SimDuration, SimRng, SimTime};
 use mpw_tcp::wire::{encode_packet, parse_packet, tcp_flags, Addr, Endpoint, IpHeader, PROTO_TCP};
 use mpw_tcp::TcpSegment;
@@ -213,8 +212,9 @@ struct Sut {
     expected: Vec<u8>,
     server_rx: Vec<u8>,
     client_rx: Vec<u8>,
-    /// Optional replay trace (counterexample printing).
-    trace: Option<Trace>,
+    /// Optional replay transcript, one `snd`/`rcv` line per segment
+    /// (counterexample printing).
+    trace: Option<Vec<String>>,
 }
 
 fn mptcp_config(cfg: &CheckConfig) -> MptcpConfig {
@@ -267,11 +267,32 @@ impl Sut {
             expected,
             server_rx: Vec::new(),
             client_rx: Vec::new(),
-            trace: with_trace.then(|| Trace::new(TraceLevel::Full)),
+            trace: with_trace.then(Vec::new),
         };
         sut.pump()?;
         sut.health_check()?;
         Ok(sut)
+    }
+
+    /// Append one transcript line for a segment `sent_by_client` (or by the
+    /// server) on `subflow`, if this replay keeps a transcript.
+    fn note(&mut self, verb: &str, sent_by_client: bool, subflow: usize, seg: &TcpSegment) {
+        let Some(lines) = &mut self.trace else {
+            return;
+        };
+        let dir = if sent_by_client { "c→s" } else { "s→c" };
+        let dseq = match seg.dss().and_then(|(_, m, _)| m) {
+            Some(m) => format!(" dseq {}", m.dseq),
+            None => String::new(),
+        };
+        lines.push(format!(
+            "{:>9} {verb} {dir} sf{subflow} {} seq {} ack {} len {}{dseq}",
+            format!("{:?}", self.now),
+            tcp_flags::tcpdump_str(seg.flags),
+            seg.seq.0,
+            seg.ack.0,
+            seg.payload.len(),
+        ));
     }
 
     /// Send a segment into a queue, round-tripping it through the wire
@@ -292,9 +313,7 @@ impl Sut {
                 w.seg, pseg
             ));
         }
-        if let Some(t) = &mut self.trace {
-            t.emit(self.now, TraceEvent::SegSent(record(from_client, subflow, &pseg)));
-        }
+        self.note("snd", from_client, subflow, &pseg);
         let q = if from_client { &mut self.c2s } else { &mut self.s2c };
         q.push_back(Wire { seg: pseg, ..w });
         Ok(())
@@ -374,9 +393,7 @@ impl Sut {
             .subflows
             .iter()
             .position(|sf| sf.local == w.dst && sf.remote == w.src);
-        if let Some(t) = &mut self.trace {
-            t.emit(self.now, TraceEvent::SegRecvd(record(false, idx.unwrap_or(0), &w.seg)));
-        }
+        self.note("rcv", false, idx.unwrap_or(0), &w.seg);
         if let Some(idx) = idx {
             self.client.on_segment(idx, &w.seg, self.now);
         }
@@ -393,9 +410,7 @@ impl Sut {
                         .iter()
                         .position(|sf| sf.local == w.dst && sf.remote == w.src)
                 });
-            if let Some(t) = &mut self.trace {
-                t.emit(self.now, TraceEvent::SegRecvd(record(true, idx.unwrap_or(0), &w.seg)));
-            }
+            self.note("rcv", true, idx.unwrap_or(0), &w.seg);
             if let Some(server) = self.server.as_mut() {
                 if let Some(idx) = idx {
                     server.on_segment(idx, &w.seg, self.now);
@@ -407,9 +422,7 @@ impl Sut {
             }
             return Ok(());
         }
-        if let Some(t) = &mut self.trace {
-            t.emit(self.now, TraceEvent::SegRecvd(record(true, 0, &w.seg)));
-        }
+        self.note("rcv", true, 0, &w.seg);
         if !w.seg.has(tcp_flags::SYN) || w.seg.has(tcp_flags::ACK) {
             return Ok(()); // no listener state for this frame; drop
         }
@@ -626,24 +639,6 @@ impl Sut {
     }
 }
 
-fn record(sent_by_client: bool, subflow: usize, seg: &TcpSegment) -> SegmentRecord {
-    SegmentRecord {
-        conn: 1,
-        subflow: subflow as u8,
-        dir: if sent_by_client {
-            TraceDir::ClientToServer
-        } else {
-            TraceDir::ServerToClient
-        },
-        seq: seg.seq.0,
-        ack: seg.ack.0,
-        len: seg.payload.len() as u32,
-        flags: flags::from_wire(seg.flags),
-        dseq: seg.dss().and_then(|(_, m, _)| m.map(|mm| mm.dseq)),
-        is_rexmit: false,
-    }
-}
-
 fn hash_wire(h: &mut impl Hasher, w: &Wire) {
     h.write_u32(w.src.addr.0);
     h.write_u16(w.src.port);
@@ -835,8 +830,8 @@ fn explore_inner(cfg: &CheckConfig) -> ExploreResult {
     res
 }
 
-/// Replay a (counterexample) schedule through [`mpw_sim::trace`] and render
-/// it as a step-by-step tcpdump-style transcript.
+/// Replay a (counterexample) schedule and render it as a step-by-step
+/// tcpdump-style transcript.
 pub fn format_trace(cfg: &CheckConfig, path: &[Action]) -> String {
     with_quiet_panics(|| {
         let mut out = String::new();
@@ -847,11 +842,11 @@ pub fn format_trace(cfg: &CheckConfig, path: &[Action]) -> String {
         };
         let mut cursor = 0;
         let flush = |sut: &Sut, out: &mut String, cursor: &mut usize| {
-            if let Some(t) = &sut.trace {
-                for (at, ev) in &t.records()[*cursor..] {
-                    out.push_str(&format!("    {}\n", render_event(*at, ev)));
+            if let Some(lines) = &sut.trace {
+                for line in &lines[*cursor..] {
+                    out.push_str(&format!("    {line}\n"));
                 }
-                *cursor = t.records().len();
+                *cursor = lines.len();
             }
         };
         out.push_str("  #0 <initial pump>\n");
@@ -885,33 +880,6 @@ pub fn format_trace(cfg: &CheckConfig, path: &[Action]) -> String {
         }
         out
     })
-}
-
-fn render_event(at: SimTime, ev: &TraceEvent) -> String {
-    let fmt_rec = |verb: &str, r: &SegmentRecord| {
-        let dir = match r.dir {
-            TraceDir::ClientToServer => "c→s",
-            TraceDir::ServerToClient => "s→c",
-        };
-        let dseq = match r.dseq {
-            Some(d) => format!(" dseq {d}"),
-            None => String::new(),
-        };
-        format!(
-            "{:>9} {verb} {dir} sf{} {} seq {} ack {} len {}{dseq}",
-            format!("{at:?}"),
-            r.subflow,
-            flags::tcpdump_str(r.flags),
-            r.seq,
-            r.ack,
-            r.len,
-        )
-    };
-    match ev {
-        TraceEvent::SegSent(r) => fmt_rec("snd", r),
-        TraceEvent::SegRecvd(r) => fmt_rec("rcv", r),
-        other => format!("{at:?} {other:?}"),
-    }
 }
 
 #[cfg(test)]

@@ -189,7 +189,7 @@ pub struct MptcpConfig {
     /// contrasts with full-MPTCP mode (§7).
     pub backup_ifs: Vec<u8>,
     /// Record exact per-range out-of-order delay samples at the connection
-    /// level (trace cross-checks). The constant-memory streaming summary is
+    /// level (capture cross-checks). The constant-memory streaming summary is
     /// always maintained; campaigns run with this off.
     pub record_ofo_samples: bool,
     /// Path lifecycle: subflow-death detection and re-establishment.

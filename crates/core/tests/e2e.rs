@@ -111,13 +111,13 @@ const CLIENT_ADDRS: [Addr; 2] = [Addr::new(10, 0, 1, 2), Addr::new(10, 0, 2, 2)]
 const SERVER_ADDRS: [Addr; 2] = [Addr::new(192, 168, 1, 1), Addr::new(192, 168, 2, 1)];
 
 fn build_rig(seed: u64, specs: &[PathSpec], server_ifs: usize, strip_path0: bool) -> Rig {
-    let mut world = World::new(seed, TraceLevel::Drops);
+    let mut world = World::new(seed, TraceLevel::Off);
     let client_addrs: Vec<Addr> = CLIENT_ADDRS[..specs.len()].to_vec();
     let server_addrs: Vec<Addr> = SERVER_ADDRS[..server_ifs].to_vec();
     let c_rng = world.rng().stream("host.client");
     let s_rng = world.rng().stream("host.server");
-    let client = world.add_agent(Box::new(Host::new(client_addrs.clone(), 0, true, c_rng)));
-    let server = world.add_agent(Box::new(Host::new(server_addrs.clone(), 1 << 16, false, s_rng)));
+    let client = world.add_agent(Box::new(Host::new(client_addrs.clone(), 0, c_rng)));
+    let server = world.add_agent(Box::new(Host::new(server_addrs.clone(), 1 << 16, s_rng)));
     let mut paths = Vec::new();
     for (i, spec) in specs.iter().enumerate() {
         let (to_server, to_client): ((AgentId, u16), (AgentId, u16)) = if strip_path0 && i == 0 {

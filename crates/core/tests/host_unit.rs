@@ -37,10 +37,10 @@ impl Agent for Capture {
 }
 
 fn world_with_host() -> (World, AgentId, AgentId) {
-    let mut w = World::new(3, TraceLevel::Drops);
+    let mut w = World::new(3, TraceLevel::Off);
     let cap = w.add_agent(Box::new(Capture::default()));
     let rng = w.rng().stream("host");
-    let mut host = Host::new(vec![HOST_ADDR], 0, false, rng);
+    let mut host = Host::new(vec![HOST_ADDR], 0, rng);
     host.set_iface_link(0, cap);
     let host = w.add_agent(Box::new(host));
     (w, host, cap)

@@ -92,8 +92,8 @@ fn build_rig(seed: u64, specs: &[PathSpec], total: usize) -> Rig {
     let client_addrs: Vec<Addr> = CLIENT_ADDRS[..specs.len()].to_vec();
     let c_rng = world.rng().stream("host.client");
     let s_rng = world.rng().stream("host.server");
-    let client = world.add_agent(Box::new(Host::new(client_addrs.clone(), 0, true, c_rng)));
-    let server = world.add_agent(Box::new(Host::new(vec![SERVER_ADDR], 1 << 16, false, s_rng)));
+    let client = world.add_agent(Box::new(Host::new(client_addrs.clone(), 0, c_rng)));
+    let server = world.add_agent(Box::new(Host::new(vec![SERVER_ADDR], 1 << 16, s_rng)));
     let mut paths = Vec::new();
     for (i, spec) in specs.iter().enumerate() {
         paths.push(build_path(

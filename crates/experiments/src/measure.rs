@@ -2,8 +2,8 @@
 //!
 //! Campaign runs keep memory flat: per-sample RTT/OFO vectors are disabled
 //! and the constant-memory streaming summaries ([`DistSummary`]) carry the
-//! distributions instead. Traced runs ([`run_measurement_traced`]) keep the
-//! exact vectors on for trace cross-check tests.
+//! distributions instead. [`run_measurement_traced`] keeps the exact vectors
+//! on.
 
 use mpw_fleet::{sender_subflows, subflow_deliveries, ClientFlow};
 use mpw_link::{LinkConfig, PathSpec, Technology};
@@ -123,7 +123,7 @@ fn horizon_for(scenario: &Scenario, wifi: &PathSpec, cellular: &PathSpec) -> Sim
 /// Campaign mode: exact per-sample recording is off, distributions come
 /// from the streaming summaries, memory stays flat in download size.
 pub fn run_measurement(scenario: &Scenario, seed: u64) -> Measurement {
-    run_measurement_inner(scenario, seed, TraceLevel::Drops, false, None).0
+    run_measurement_inner(scenario, seed, false, None).0
 }
 
 /// As [`run_measurement`], but with wire capture taps attached at the
@@ -133,8 +133,7 @@ pub fn run_measurement(scenario: &Scenario, seed: u64) -> Measurement {
 /// without drawing randomness or scheduling events.
 pub fn run_measurement_captured(scenario: &Scenario, seed: u64) -> (Measurement, Vec<u8>) {
     let hub = mpw_capture::CaptureHub::shared();
-    let (m, _tb) =
-        run_measurement_inner(scenario, seed, TraceLevel::Drops, false, Some(hub.clone()));
+    let (m, _tb) = run_measurement_inner(scenario, seed, false, Some(hub.clone()));
     let pcap = hub.borrow().to_pcapng();
     (m, pcap)
 }
@@ -207,7 +206,6 @@ pub fn run_lossfree_download_windowed(
     let mut spec = TestbedSpec::two_path(seed, lossfree_path(), lossfree_path())
         .mirroring(&transport)
         .summaries_only();
-    spec.trace = TraceLevel::Off;
     spec.capture = hub.clone();
     spec.server_tcp.send_buffer = 64 * 1024;
     let transport = transport.summaries_only();
@@ -249,21 +247,20 @@ fn server_segments(tb: &mut Testbed) -> (u64, u64) {
         })
 }
 
-/// As [`run_measurement`], but with control over trace capture; returns the
-/// testbed for callers that want the raw trace (cross-check tests). Exact
-/// per-sample recording stays on so traces can be checked sample-for-sample.
+/// As [`run_measurement`], but the entry point that also hands back the
+/// testbed, with exact per-sample recording on. The third argument is the
+/// benchmark's shim (see [`TraceLevel`]) and selects nothing.
 pub fn run_measurement_traced(
     scenario: &Scenario,
     seed: u64,
-    trace: TraceLevel,
+    _: TraceLevel,
 ) -> (Measurement, Testbed) {
-    run_measurement_inner(scenario, seed, trace, true, None)
+    run_measurement_inner(scenario, seed, true, None)
 }
 
 fn run_measurement_inner(
     scenario: &Scenario,
     seed: u64,
-    trace: TraceLevel,
     exact: bool,
     capture: Option<mpw_capture::SharedHub>,
 ) -> (Measurement, Testbed) {
@@ -272,7 +269,6 @@ fn run_measurement_inner(
     let horizon = horizon_for(scenario, &wifi, &cellular);
     let technologies = [wifi.technology, cellular.technology];
     let mut spec = TestbedSpec::two_path(seed, wifi, cellular);
-    spec.trace = trace;
     spec.capture = capture;
     spec.dual_homed_server = scenario.flow.needs_dual_homed_server();
     let mut transport = scenario.flow.transport();

@@ -13,7 +13,6 @@ use mpw_fleet::{client_flow, drive, open_flow, ClientFlow, Delivery, Drive, Topo
 use mpw_http::Wget;
 use mpw_link::{BuiltPath, PathSpec};
 use mpw_mptcp::{Host, MptcpConfig, OpenRequest, TransportSpec};
-use mpw_sim::trace::TraceLevel;
 use mpw_sim::{AgentId, SimDuration, SimTime, World};
 use mpw_tcp::{Addr, Endpoint, TcpConfig};
 
@@ -28,8 +27,6 @@ pub const SERVER_PORT: u16 = 8080;
 pub struct TestbedSpec {
     /// Root RNG seed for the whole world.
     pub seed: u64,
-    /// Trace capture level.
-    pub trace: TraceLevel,
     /// One access path per client interface (index 0 = WiFi).
     pub paths: Vec<PathSpec>,
     /// Enable the server's secondary interface (4-path experiments).
@@ -55,7 +52,6 @@ impl TestbedSpec {
     pub fn two_path(seed: u64, wifi: PathSpec, cellular: PathSpec) -> Self {
         TestbedSpec {
             seed,
-            trace: TraceLevel::Drops,
             paths: vec![wifi, cellular],
             dual_homed_server: false,
             strip_mptcp_on_path0: false,
@@ -109,7 +105,7 @@ impl Testbed {
     /// [`Topology`], every access path delivering straight to the client.
     /// The server listens with an `HttpServer` per accepted connection.
     pub fn build(spec: TestbedSpec) -> Testbed {
-        let mut topo = Topology::new(spec.seed, spec.trace);
+        let mut topo = Topology::new(spec.seed);
         let client_addrs = &CLIENT_ADDRS[..spec.paths.len()];
         let server_ifs = if spec.dual_homed_server { 2 } else { 1 };
         let c_rng = topo.world.rng().stream("host.client");

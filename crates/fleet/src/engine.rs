@@ -13,7 +13,6 @@ use mpw_link::{BuiltPath, NullSink};
 use mpw_metrics::{FleetReport, FlowRecord};
 use mpw_mptcp::{Host, MptcpConfig, OpenRequest, TransportSpec};
 use mpw_scenario::{compile, PathBinding, ScenarioDriver};
-use mpw_sim::trace::TraceLevel;
 use mpw_sim::{AgentId, SimDuration, SimRng, SimTime, World};
 use mpw_tcp::{Addr, CcConfig, Endpoint, TcpConfig};
 
@@ -141,7 +140,7 @@ pub fn run_fleet_windowed(
     mark: &mut dyn FnMut(u8),
 ) -> FleetRun {
     // --- topology: server, the two shared access networks, population -----
-    let mut topo = Topology::new(spec.seed, TraceLevel::Off);
+    let mut topo = Topology::new(spec.seed);
     let s_rng = topo.world.rng().stream("fleet.server");
     let server = topo.add_server(vec![SERVER_ADDR], s_rng);
     let wifi_sw = topo.add_switch();

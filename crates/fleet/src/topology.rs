@@ -66,9 +66,9 @@ fn classify_dst(frame: &Frame) -> Option<u64> {
 
 impl Topology {
     /// An empty world.
-    pub fn new(seed: u64, trace: TraceLevel) -> Topology {
+    pub fn new(seed: u64) -> Topology {
         Topology {
-            world: World::new(seed, trace),
+            world: World::new(seed, TraceLevel::Off),
             nets: Vec::new(),
             server: None,
         }
@@ -81,7 +81,7 @@ impl Topology {
 
     /// Add the server host with one interface per address.
     pub fn add_server(&mut self, addrs: Vec<Addr>, rng: SimRng) -> AgentId {
-        let host = Host::new(addrs, SERVER_CONN_ID_BASE, false, rng);
+        let host = Host::new(addrs, SERVER_CONN_ID_BASE, rng);
         let id = self.world.add_agent(Box::new(host));
         self.server = Some(id);
         id
@@ -90,7 +90,7 @@ impl Topology {
     /// Add a client host with one interface per address.
     pub fn add_client(&mut self, addrs: Vec<Addr>, conn_id_base: u32, rng: SimRng) -> AgentId {
         self.world
-            .add_agent(Box::new(Host::new(addrs, conn_id_base, true, rng)))
+            .add_agent(Box::new(Host::new(addrs, conn_id_base, rng)))
     }
 
     /// Add a destination-address switch for a shared access network.

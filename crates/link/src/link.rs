@@ -10,8 +10,7 @@
 use std::any::Any;
 use std::collections::VecDeque;
 
-use mpw_sim::tap::{SharedObserver, TapDir};
-use mpw_sim::trace::{DropReason, TraceEvent, TraceLevel};
+use mpw_sim::tap::{DropReason, SharedObserver, TapDir};
 use mpw_sim::{
     serialization_delay, Agent, AgentId, Ctx, Event, Frame, SimDuration, SimRng, SimTime,
     TimerHandle,
@@ -406,11 +405,6 @@ impl LinkAgent {
             self.q_bytes -= frame.wire_len();
             self.tap_drop(now, DropReason::LinkDown, &frame);
             self.stats.dropped_down += 1;
-            ctx.trace(TraceEvent::Drop {
-                component: ctx.self_id(),
-                reason: DropReason::LinkDown,
-                bytes: frame.wire_len() as u32,
-            });
             self.try_start_service(ctx);
             return;
         }
@@ -442,11 +436,6 @@ impl LinkAgent {
             };
             self.tap_drop(now, reason, &frame);
             self.stats.dropped_channel += 1;
-            ctx.trace(TraceEvent::Drop {
-                component: ctx.self_id(),
-                reason,
-                bytes: frame.wire_len() as u32,
-            });
             self.try_start_service(ctx);
             return;
         }
@@ -506,33 +495,16 @@ impl Agent for LinkAgent {
                 if self.down {
                     self.tap_drop(ctx.now(), DropReason::LinkDown, &frame);
                     self.stats.dropped_down += 1;
-                    ctx.trace(TraceEvent::Drop {
-                        component: ctx.self_id(),
-                        reason: DropReason::LinkDown,
-                        bytes: len as u32,
-                    });
                     return;
                 }
                 if self.q_bytes + len > self.cfg.buffer_bytes {
                     self.tap_drop(ctx.now(), DropReason::QueueOverflow, &frame);
                     self.stats.dropped_overflow += 1;
-                    ctx.trace(TraceEvent::Drop {
-                        component: ctx.self_id(),
-                        reason: DropReason::QueueOverflow,
-                        bytes: len as u32,
-                    });
                     return;
                 }
                 self.q_bytes += len;
                 self.stats.enqueued += 1;
                 self.stats.peak_queue_bytes = self.stats.peak_queue_bytes.max(self.q_bytes as u64);
-                if ctx.trace_level() == TraceLevel::Full {
-                    ctx.trace(TraceEvent::QueueDepth {
-                        component: ctx.self_id(),
-                        bytes: self.q_bytes as u32,
-                        packets: self.q.len() as u32 + 1,
-                    });
-                }
                 self.q.push_back(frame);
                 self.try_start_service(ctx);
             }
@@ -626,7 +598,7 @@ mod tests {
 
     /// Build a world with sink <- link, return (world, link id, sink id).
     fn rig(cfg: LinkConfig) -> (World, AgentId, AgentId) {
-        let mut w = World::new(99, TraceLevel::Drops);
+        let mut w = World::new(99, TraceLevel::Off);
         let sink = w.add_agent(Box::new(NullSink::recording()));
         let rng = w.rng().stream("link.test");
         let link = w.add_agent(Box::new(LinkAgent::new(cfg, rng, (sink, 0))));
@@ -672,7 +644,6 @@ mod tests {
         assert_eq!(w.agent::<NullSink>(sink).unwrap().frames, 2);
         let st = w.agent::<LinkAgent>(link).unwrap().stats();
         assert_eq!(st.dropped_overflow, 3);
-        assert_eq!(w.trace().total_drops(), 3);
     }
 
     #[test]

@@ -3,15 +3,14 @@
 //! The statistics and rendering the paper's tables and figures need:
 //! sample mean ± standard error (Tables 2–7), box-and-whisker summaries
 //! (the download-time figures), empirical CCDFs with log-spaced series
-//! (Figures 12–13), aligned ASCII/CSV/JSON output, a tcptrace-style
-//! packet-trace analyzer used to cross-check the in-stack counters, and
-//! handover metrics (stall time, recovery latency, per-epoch traffic
-//! shares) for the mobility scenarios of §7 (DESIGN.md §5.11).
+//! (Figures 12–13), aligned ASCII/CSV/JSON output, and handover metrics
+//! (stall time, recovery latency, per-epoch traffic shares) for the mobility
+//! scenarios of §7 (DESIGN.md §5.11). The tcptrace-style analysis of wire
+//! captures lives in `mpw-capture`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod analyze;
 pub mod ccdf;
 pub mod fleet;
 pub mod handover;
@@ -19,7 +18,6 @@ pub mod stats;
 pub mod stream;
 pub mod table;
 
-pub use analyze::{analyze_flows, analyze_ofo_delays, FlowAnalysis, FlowKey};
 pub use ccdf::Ccdf;
 pub use fleet::{ExactDist, Fairness, FleetReport, FlowRecord, GoodputTimeline};
 pub use handover::{

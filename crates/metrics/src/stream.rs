@@ -15,8 +15,8 @@
 //!   exact moments + histogram shape, serializable and mergeable.
 //!
 //! The exact-sample paths (`Vec<f64>` accumulation) remain available
-//! behind the recording flags of the TCP/MPTCP layers for trace
-//! cross-check tests; campaigns run with them off.
+//! behind the recording flags of the TCP/MPTCP layers for the capture
+//! cross-check; campaigns run with them off.
 
 use serde::{Deserialize, Serialize};
 

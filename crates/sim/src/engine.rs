@@ -33,7 +33,7 @@ use bytes::Bytes;
 
 use crate::rng::RngFactory;
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{Trace, TraceEvent, TraceLevel};
+use crate::trace::TraceLevel;
 
 /// Identifier of an agent within a [`World`].
 pub type AgentId = u32;
@@ -248,7 +248,6 @@ pub struct Ctx<'a> {
     out: &'a mut Vec<Queued>,
     timers: &'a mut TimerSlab,
     dead_entries: &'a mut usize,
-    trace: &'a mut Trace,
     seq: &'a mut u64,
 }
 
@@ -314,16 +313,6 @@ impl<'a> Ctx<'a> {
         *self.dead_entries += 1;
         Some(self.arm_timer(delay, token))
     }
-
-    /// Record a trace event at the current time.
-    pub fn trace(&mut self, ev: TraceEvent) {
-        self.trace.emit(self.now, ev);
-    }
-
-    /// The active trace level, so hot paths can skip building records.
-    pub fn trace_level(&self) -> TraceLevel {
-        self.trace.level()
-    }
 }
 
 /// Outcome of running the event loop.
@@ -348,7 +337,7 @@ pub struct EngineStats {
     pub compactions: u64,
 }
 
-/// The simulation world: clock, event queue, agents, trace, RNG factory.
+/// The simulation world: clock, event queue, agents, RNG factory.
 pub struct World {
     now: SimTime,
     heap: BinaryHeap<Reverse<Queued>>,
@@ -361,7 +350,6 @@ pub struct World {
     /// capacity adapts to the observed per-dispatch fan-out, so the steady
     /// state allocates nothing per event.
     staged: Vec<Queued>,
-    trace: Trace,
     rng: RngFactory,
     seq: u64,
     started: bool,
@@ -371,8 +359,9 @@ pub struct World {
 }
 
 impl World {
-    /// Create a world with the given root seed and trace level.
-    pub fn new(seed: u64, trace_level: TraceLevel) -> Self {
+    /// Create a world with the given root seed. The second argument is the
+    /// benchmark's shim (see [`TraceLevel`]) and selects nothing.
+    pub fn new(seed: u64, _: TraceLevel) -> Self {
         World {
             now: SimTime::ZERO,
             heap: BinaryHeap::new(),
@@ -380,7 +369,6 @@ impl World {
             timers: TimerSlab::default(),
             dead_entries: 0,
             staged: Vec::new(),
-            trace: Trace::new(trace_level),
             rng: RngFactory::new(seed),
             seq: 0,
             started: false,
@@ -477,11 +465,6 @@ impl World {
             ));
         }
         Ok(())
-    }
-
-    /// Access the captured trace.
-    pub fn trace(&self) -> &Trace {
-        &self.trace
     }
 
     /// Borrow an agent by id, downcast to its concrete type.
@@ -601,7 +584,6 @@ impl World {
                     out: &mut staged,
                     timers: &mut self.timers,
                     dead_entries: &mut self.dead_entries,
-                    trace: &mut self.trace,
                     seq: &mut self.seq,
                 };
                 agent.handle(ev, &mut ctx);

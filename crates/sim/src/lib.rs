@@ -9,7 +9,7 @@
 //! - named reproducible RNG streams ([`RngFactory`], [`SimRng`]) and the
 //!   campaign seed derivation ([`derive_seed`]),
 //! - the worker pool independent worlds run on ([`run_jobs`]),
-//! - a tcpdump-like trace vocabulary and recorder ([`trace`]).
+//! - the frame-tap interface wire capture attaches to ([`tap`]).
 //!
 //! The design follows the smoltcp idiom: protocol components are synchronous,
 //! poll-able state machines; "the network" is an event queue. Determinism is

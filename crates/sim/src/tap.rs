@@ -1,15 +1,13 @@
 //! Frame-level capture taps (the simulator's `tcpdump` attachment points).
 //!
-//! The [`trace`](crate::trace) module records *compact, stack-annotated*
-//! summaries (the white-box view). A [`FrameObserver`] instead sees the
-//! fully-encoded wire bytes exactly as a link carries them — the black-box
-//! view a packet sniffer would get. Link components expose optional tap
+//! A [`FrameObserver`] sees the fully-encoded wire bytes exactly as a link
+//! carries them — the black-box view a packet sniffer would get, and the
+//! run's only per-segment record. Link components expose optional tap
 //! points; when no observer is attached the per-frame cost is a single
 //! `Option` check.
 //!
-//! The trait lives in the substrate (like [`trace`](crate::trace)) so that
-//! `mpw-link` can call into it and `mpw-capture` can implement it without a
-//! dependency cycle.
+//! The trait lives in the substrate so that `mpw-link` can call into it and
+//! `mpw-capture` can implement it without a dependency cycle.
 //!
 //! Observers are shared via `Rc<RefCell<…>>`: a `World` and all its agents
 //! live on one thread (campaign parallelism builds one world per worker
@@ -22,7 +20,20 @@ use std::rc::Rc;
 use bytes::Bytes;
 
 use crate::time::SimTime;
-use crate::trace::DropReason;
+
+/// Why a link discarded a frame.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum DropReason {
+    /// Random wireless corruption (the channel, not congestion).
+    ChannelLoss,
+    /// Drop-tail queue overflow (congestion / bufferbloat buffer full).
+    QueueOverflow,
+    /// Link-layer ARQ gave up after its retry budget.
+    ArqExhausted,
+    /// The link was administratively down (scenario `Down` event, e.g. the
+    /// client walked out of WiFi range entirely).
+    LinkDown,
+}
 
 /// Where, relative to the observed link, a frame was seen.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]

@@ -1,337 +1,12 @@
-//! Trace vocabulary and capture.
-//!
-//! The simulator plays the role tcpdump played in the paper: components emit
-//! compact records of what happened on the wire, and the metrics crate
-//! analyzes them offline. The record types live here (in the substrate) so
-//! that the protocol crates can emit them and the metrics crate can read them
-//! without a dependency cycle.
-//!
-//! Most headline metrics (RTT samples, loss counts, out-of-order delay,
-//! per-path byte shares) are additionally collected *in-stack* by the
-//! protocol implementations, because our stack is white-box; packet traces
-//! are primarily for debugging, drop accounting, and cross-checking.
+//! Shim for `benchmark/`, which names `trace::TraceLevel::Off` at
+//! `World::new` and `run_measurement_traced` and may not be edited in the PR
+//! that deleted the recorder this module held. The next `benchmark` PR drops
+//! the argument and then this file. Per-segment truth is the wire capture
+//! ([`crate::tap`]).
 
-use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
-
-/// Direction of a segment relative to the measured connection.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum Dir {
-    /// Client → server (requests, ACKs of data).
-    ClientToServer,
-    /// Server → client (data).
-    ServerToClient,
-}
-
-/// TCP flag bits as captured in trace records.
-///
-/// These are the *canonical* flag constants for the whole workspace and use
-/// the real RFC 793 wire layout, so a trace record's `flags` byte is
-/// bit-identical to the flags field of the encoded TCP header
-/// (`mpw_tcp::wire` re-exports this module as `tcp_flags`). Keeping one
-/// definition prevents the trace vocabulary and the wire codec from
-/// drifting apart.
-pub mod flags {
-    /// No more data from sender.
-    pub const FIN: u8 = 0x01;
-    /// Synchronize (connection establishment).
-    pub const SYN: u8 = 0x02;
-    /// Reset the connection.
-    pub const RST: u8 = 0x04;
-    /// Push buffered data to the application.
-    pub const PSH: u8 = 0x08;
-    /// Acknowledgment field is valid.
-    pub const ACK: u8 = 0x10;
-
-    /// Mask of every flag bit the simulator uses.
-    pub const ALL: u8 = FIN | SYN | RST | PSH | ACK;
-
-    /// Convert a raw wire flags byte into the subset recorded in traces.
-    ///
-    /// Because the trace layout *is* the wire layout this is just a mask,
-    /// but call sites go through the shim so any future divergence has a
-    /// single place to live.
-    #[inline]
-    pub fn from_wire(wire: u8) -> u8 {
-        wire & ALL
-    }
-
-    /// Render flags in tcpdump's compact notation (e.g. `[S.]`, `[P.]`).
-    pub fn tcpdump_str(fl: u8) -> String {
-        let mut s = String::from("[");
-        if fl & SYN != 0 {
-            s.push('S');
-        }
-        if fl & FIN != 0 {
-            s.push('F');
-        }
-        if fl & RST != 0 {
-            s.push('R');
-        }
-        if fl & PSH != 0 {
-            s.push('P');
-        }
-        if fl & ACK != 0 {
-            s.push('.');
-        }
-        s.push(']');
-        s
-    }
-}
-
-/// A compact summary of one TCP segment on the wire.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SegmentRecord {
-    /// Connection identifier (unique within a run).
-    pub conn: u32,
-    /// Subflow index within the MPTCP connection (0 for single-path TCP).
-    pub subflow: u8,
-    /// Direction of travel.
-    pub dir: Dir,
-    /// Subflow-level sequence number of the first payload byte.
-    pub seq: u32,
-    /// Cumulative acknowledgment number carried.
-    pub ack: u32,
-    /// Payload length in bytes.
-    pub len: u32,
-    /// Flag bits (see [`flags`]).
-    pub flags: u8,
-    /// Data (connection-level) sequence number, if an MPTCP DSS mapping was
-    /// attached.
-    pub dseq: Option<u64>,
-    /// Whether the sending stack marked this segment as a retransmission.
-    pub is_rexmit: bool,
-}
-
-/// Why a component dropped a frame.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum DropReason {
-    /// Random wireless corruption (the channel, not congestion).
-    ChannelLoss,
-    /// Drop-tail queue overflow (congestion / bufferbloat buffer full).
-    QueueOverflow,
-    /// Link-layer ARQ gave up after its retry budget.
-    ArqExhausted,
-    /// A middlebox rejected or filtered the frame.
-    Middlebox,
-    /// The link was administratively down (scenario `Down` event, e.g. the
-    /// client walked out of WiFi range entirely).
-    LinkDown,
-    /// Destination had no matching socket.
-    NoSocket,
-}
-
-/// One captured event.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub enum TraceEvent {
-    /// A stack handed a segment to its outgoing interface.
-    SegSent(SegmentRecord),
-    /// A stack received a segment from an interface.
-    SegRecvd(SegmentRecord),
-    /// A component dropped a frame.
-    Drop {
-        /// Agent id of the dropping component.
-        component: u32,
-        /// Cause of the drop.
-        reason: DropReason,
-        /// Size of the dropped frame in bytes.
-        bytes: u32,
-    },
-    /// Instantaneous queue occupancy after an enqueue/dequeue, for
-    /// bufferbloat inspection.
-    QueueDepth {
-        /// Agent id of the queue.
-        component: u32,
-        /// Bytes currently queued.
-        bytes: u32,
-        /// Packets currently queued.
-        packets: u32,
-    },
-    /// Free-form application milestone (e.g. "request sent", "download
-    /// complete"); kept as a code to stay allocation-free on the hot path.
-    App {
-        /// Connection the milestone belongs to.
-        conn: u32,
-        /// Application-defined milestone code.
-        code: u32,
-    },
-}
-
-/// How much to capture.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
+/// The one value the retired recorder's level argument still takes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TraceLevel {
-    /// Record nothing (counters inside the stacks still work).
+    /// Nothing is recorded; there is no recorder.
     Off,
-    /// Record drops and application milestones only.
-    #[default]
-    Drops,
-    /// Record everything, including per-segment send/receive events.
-    Full,
-}
-
-/// In-memory trace recorder.
-#[derive(Debug, Default)]
-pub struct Trace {
-    level: TraceLevel,
-    records: Vec<(SimTime, TraceEvent)>,
-    drops: u64,
-    sent_segments: u64,
-}
-
-impl Trace {
-    /// Create a recorder at the given capture level.
-    pub fn new(level: TraceLevel) -> Self {
-        Trace {
-            level,
-            records: Vec::new(),
-            drops: 0,
-            sent_segments: 0,
-        }
-    }
-
-    /// Current capture level.
-    pub fn level(&self) -> TraceLevel {
-        self.level
-    }
-
-    /// Record an event, honoring the capture level. Counter totals are
-    /// maintained at every level.
-    pub fn emit(&mut self, at: SimTime, ev: TraceEvent) {
-        match &ev {
-            TraceEvent::Drop { .. } => self.drops += 1,
-            TraceEvent::SegSent(_) => self.sent_segments += 1,
-            _ => {}
-        }
-        let keep = match self.level {
-            TraceLevel::Off => false,
-            TraceLevel::Drops => {
-                matches!(ev, TraceEvent::Drop { .. } | TraceEvent::App { .. })
-            }
-            TraceLevel::Full => true,
-        };
-        if keep {
-            self.records.push((at, ev));
-        }
-    }
-
-    /// All captured records in chronological order.
-    pub fn records(&self) -> &[(SimTime, TraceEvent)] {
-        &self.records
-    }
-
-    /// Total frames dropped anywhere in the network (counted at all levels).
-    pub fn total_drops(&self) -> u64 {
-        self.drops
-    }
-
-    /// Total segments sent by any stack (counted at all levels).
-    pub fn total_segments_sent(&self) -> u64 {
-        self.sent_segments
-    }
-
-    /// A stable 64-bit digest of the full trace, used by determinism tests:
-    /// identical seeds must produce identical digests.
-    pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |x: u64| {
-            h ^= x;
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        };
-        for (t, ev) in &self.records {
-            mix(t.as_nanos());
-            match ev {
-                TraceEvent::SegSent(s) | TraceEvent::SegRecvd(s) => {
-                    mix(u64::from(s.conn) << 32 | u64::from(s.seq));
-                    mix(u64::from(s.ack) << 32 | u64::from(s.len));
-                    mix(u64::from(s.flags) << 8 | u64::from(s.subflow));
-                    mix(s.dseq.unwrap_or(u64::MAX));
-                }
-                TraceEvent::Drop {
-                    component, bytes, ..
-                } => mix(u64::from(*component) << 32 | u64::from(*bytes)),
-                TraceEvent::QueueDepth {
-                    component, bytes, ..
-                } => mix(u64::from(*component) << 32 | u64::from(*bytes)),
-                TraceEvent::App { conn, code } => {
-                    mix(u64::from(*conn) << 32 | u64::from(*code))
-                }
-            }
-        }
-        mix(self.drops);
-        mix(self.sent_segments);
-        h
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn seg(seq: u32) -> SegmentRecord {
-        SegmentRecord {
-            conn: 1,
-            subflow: 0,
-            dir: Dir::ServerToClient,
-            seq,
-            ack: 0,
-            len: 1400,
-            flags: flags::ACK,
-            dseq: None,
-            is_rexmit: false,
-        }
-    }
-
-    #[test]
-    fn level_off_counts_but_does_not_store() {
-        let mut t = Trace::new(TraceLevel::Off);
-        t.emit(SimTime::ZERO, TraceEvent::SegSent(seg(0)));
-        t.emit(
-            SimTime::ZERO,
-            TraceEvent::Drop {
-                component: 3,
-                reason: DropReason::QueueOverflow,
-                bytes: 1400,
-            },
-        );
-        assert!(t.records().is_empty());
-        assert_eq!(t.total_drops(), 1);
-        assert_eq!(t.total_segments_sent(), 1);
-    }
-
-    #[test]
-    fn level_drops_filters_segments() {
-        let mut t = Trace::new(TraceLevel::Drops);
-        t.emit(SimTime::ZERO, TraceEvent::SegSent(seg(0)));
-        t.emit(SimTime::ZERO, TraceEvent::App { conn: 1, code: 7 });
-        assert_eq!(t.records().len(), 1);
-    }
-
-    #[test]
-    fn level_full_stores_everything() {
-        let mut t = Trace::new(TraceLevel::Full);
-        t.emit(SimTime::ZERO, TraceEvent::SegSent(seg(0)));
-        t.emit(SimTime::from_millis(1), TraceEvent::SegRecvd(seg(0)));
-        assert_eq!(t.records().len(), 2);
-    }
-
-    #[test]
-    fn digest_is_order_sensitive() {
-        let mut a = Trace::new(TraceLevel::Full);
-        a.emit(SimTime::ZERO, TraceEvent::SegSent(seg(0)));
-        a.emit(SimTime::from_nanos(1), TraceEvent::SegSent(seg(1)));
-        let mut b = Trace::new(TraceLevel::Full);
-        b.emit(SimTime::ZERO, TraceEvent::SegSent(seg(1)));
-        b.emit(SimTime::from_nanos(1), TraceEvent::SegSent(seg(0)));
-        assert_ne!(a.digest(), b.digest());
-    }
-
-    #[test]
-    fn digest_is_stable() {
-        let mut a = Trace::new(TraceLevel::Full);
-        let mut b = Trace::new(TraceLevel::Full);
-        for t in [&mut a, &mut b] {
-            t.emit(SimTime::from_millis(2), TraceEvent::SegRecvd(seg(9)));
-        }
-        assert_eq!(a.digest(), b.digest());
-    }
 }

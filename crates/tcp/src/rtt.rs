@@ -4,7 +4,7 @@
 //! from retransmitted segments). A constant-memory [`DistSummary`] of every
 //! accepted sample (in milliseconds) is always maintained for the paper's
 //! Figure 12 distributions; exact per-sample recording remains available
-//! behind `record_samples` for trace cross-check tests.
+//! behind `record_samples`.
 
 use mpw_metrics::DistSummary;
 use mpw_sim::{SimDuration, SimTime};

@@ -5,7 +5,8 @@
 //! Khalili, Towsley — IMC 2013), built as a deterministic discrete-event
 //! system in Rust:
 //!
-//! - [`sim`] — the simulation engine (clock, event queue, RNG streams, traces),
+//! - [`sim`] — the simulation engine (clock, event queue, RNG streams, frame
+//!   taps),
 //! - [`link`] — calibrated WiFi/LTE/EVDO path models (bufferbloat, burst
 //!   loss, HARQ-style local retransmission, RRC, cross traffic),
 //! - [`tcp`] — a from-scratch sans-IO TCP (New Reno, SACK, RFC 6298, window
@@ -14,7 +15,7 @@
 //!   DSS reassembly with out-of-order-delay instrumentation, minRTT
 //!   scheduling, and the coupled/OLIA/reno controllers,
 //! - [`http`] — the paper's workloads: wget downloads and streaming sessions,
-//! - [`metrics`] — statistics, CCDFs, and tcptrace-style trace analysis,
+//! - [`metrics`] — statistics, CCDFs, streaming summaries and tables,
 //! - [`capture`] — pcapng wire capture via link taps plus a black-box
 //!   tcptrace-style analyzer that re-derives the headline metrics from the
 //!   captured bytes alone,

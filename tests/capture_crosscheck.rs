@@ -3,10 +3,10 @@
 //! in-stack metrics within documented tolerance — and attaching the taps
 //! must not perturb the run at all.
 
-use mpwild::capture::{analyze, read_pcapng, IfaceRole, DROPS_IFACE};
+use mpwild::capture::{analyze, read_pcapng, IfaceRole, PcapFile, WireAnalysis, DROPS_IFACE};
 use mpwild::experiments::{
-    crosscheck, run_measurement, run_measurement_captured, sizes, FlowConfig, Scenario,
-    Tolerances, WifiKind, SERVER_PORT,
+    crosscheck, run_measurement, run_measurement_captured, sizes, CrosscheckReport, FlowConfig,
+    Scenario, Tolerances, WifiKind, SERVER_PORT,
 };
 use mpwild::link::{Carrier, DayPeriod};
 use mpwild::mptcp::Coupling;
@@ -22,49 +22,73 @@ fn fig5_style(flow: FlowConfig) -> Scenario {
     }
 }
 
-#[test]
-fn wire_analysis_matches_stack_metrics_mp() {
-    let sc = fig5_style(FlowConfig::mp2(Coupling::Coupled));
-    let (m, pcap) = run_measurement_captured(&sc, 11);
+/// One captured 2 MB download, parsed back, analyzed and cross-checked
+/// against the stack under the default tolerances.
+fn crosschecked(
+    flow: FlowConfig,
+    carrier: Carrier,
+    seed: u64,
+) -> (CrosscheckReport, PcapFile, WireAnalysis) {
+    let sc = Scenario {
+        carrier,
+        ..fig5_style(flow)
+    };
+    let (m, pcap) = run_measurement_captured(&sc, seed);
     let file = read_pcapng(&pcap).expect("capture parses back");
-    // Four vantages per path; the drops interface is lazy.
-    let roles: Vec<_> = file
-        .interfaces
-        .iter()
-        .filter(|i| i.name != DROPS_IFACE)
-        .map(|i| IfaceRole::parse(&i.name).expect("structured iface name"))
-        .collect();
-    assert_eq!(roles.len(), 8, "2 paths x 4 vantages");
-    assert!(!file.packets.is_empty(), "capture saw traffic");
-
     let wa = analyze(&file, SERVER_PORT);
     let report = crosscheck(&m, &wa, &Tolerances::default());
     assert!(
         report.pass(),
-        "wire analysis diverges from stack metrics:\n{}",
+        "{carrier:?} seed {seed}: wire analysis diverges from stack metrics:\n{}",
         report.render()
     );
-    // The multipath handshake itself must be visible on the wire.
-    let conn = &wa.connections[0];
-    assert!(conn.client_key.is_some(), "MP_CAPABLE key recovered from wire");
-    assert!(
-        conn.subflows.iter().any(|s| s.join_token.is_some()),
-        "MP_JOIN recovered from wire"
-    );
+    (report, file, wa)
+}
+
+#[test]
+fn wire_analysis_matches_stack_metrics_mp() {
+    for (carrier, seed) in [(Carrier::Att, 11), (Carrier::Sprint, 7), (Carrier::Att, 9)] {
+        let (report, file, wa) = crosschecked(FlowConfig::mp2(Coupling::Coupled), carrier, seed);
+        // Four vantages per path; the drops interface is lazy.
+        let roles: Vec<_> = file
+            .interfaces
+            .iter()
+            .filter(|i| i.name != DROPS_IFACE)
+            .map(|i| IfaceRole::parse(&i.name).expect("structured iface name"))
+            .collect();
+        assert_eq!(roles.len(), 8, "2 paths x 4 vantages");
+        assert!(!file.packets.is_empty(), "capture saw traffic");
+        // The multipath handshake itself must be visible on the wire.
+        let conn = &wa.connections[0];
+        assert!(conn.client_key.is_some(), "MP_CAPABLE key recovered from wire");
+        assert!(
+            conn.subflows.iter().any(|s| s.join_token.is_some()),
+            "MP_JOIN recovered from wire"
+        );
+        // Both subflows carried data, and the OFO shape was compared, not
+        // skipped for want of samples on either side (the Sprint pair is
+        // where reordering happens, §5.2).
+        let with_data = conn.subflows.iter().filter(|s| s.data_segs > 10).count();
+        assert!(
+            with_data >= 2,
+            "expected both subflows on the wire, got {with_data}"
+        );
+        assert!(
+            report
+                .comparisons
+                .iter()
+                .any(|c| c.name == "ofo_delayed_frac"),
+            "no OFO comparison for {carrier:?} seed {seed}:\n{}",
+            report.render()
+        );
+    }
 }
 
 #[test]
 fn wire_analysis_matches_stack_metrics_sp() {
-    let sc = fig5_style(FlowConfig::SpWifi);
-    let (m, pcap) = run_measurement_captured(&sc, 3);
-    let file = read_pcapng(&pcap).expect("capture parses back");
-    let wa = analyze(&file, SERVER_PORT);
-    let report = crosscheck(&m, &wa, &Tolerances::default());
-    assert!(
-        report.pass(),
-        "wire analysis diverges from stack metrics:\n{}",
-        report.render()
-    );
+    for (flow, seed) in [(FlowConfig::SpWifi, 3), (FlowConfig::SpCellular, 5)] {
+        crosschecked(flow, Carrier::Att, seed);
+    }
 }
 
 #[test]

@@ -145,7 +145,7 @@ fn warmup_pings_measure_cellular_rtt() {
     let (_, mut tb) = mpwild::experiments::run_measurement_traced(
         &sc,
         91,
-        mpwild::sim::trace::TraceLevel::Drops,
+        mpwild::sim::trace::TraceLevel::Off,
     );
     let client = tb.client;
     let host = tb.world.agent_mut::<Host>(client).expect("client host");

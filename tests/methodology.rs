@@ -120,18 +120,15 @@ fn campaign_results_identical_across_worker_counts() {
 
 #[test]
 fn traced_reruns_have_identical_trace_digests() {
-    // Same scenario + seed → identical event trace, byte for byte. Guards
-    // the engine's (at, seq) total order across timer/allocation changes.
-    use mpwild::experiments::run_measurement_traced;
-    use mpwild::sim::trace::TraceLevel;
+    // Same scenario + seed → the same wire capture, byte for byte: every
+    // frame and timestamp at all eight tcpdump vantages. Guards the engine's
+    // (at, seq) total order across timer/allocation changes.
+    use mpwild::experiments::run_measurement_captured;
     let sc = tiny_scenarios().remove(1);
-    let (m1, tb1) = run_measurement_traced(&sc, 11, TraceLevel::Full);
-    let (m2, tb2) = run_measurement_traced(&sc, 11, TraceLevel::Full);
-    assert_eq!(
-        tb1.world.trace().digest(),
-        tb2.world.trace().digest(),
-        "same seed produced diverging traces"
-    );
+    let (m1, pcap1) = run_measurement_captured(&sc, 11);
+    let (m2, pcap2) = run_measurement_captured(&sc, 11);
+    assert!(!pcap1.is_empty());
+    assert!(pcap1 == pcap2, "same seed produced diverging captures");
     assert_eq!(
         serde_json::to_string(&m1).expect("serialize"),
         serde_json::to_string(&m2).expect("serialize"),
