@@ -6,6 +6,9 @@
 //! simulator is deterministic, so these counts repeat exactly on every
 //! machine; a change that is meant to be speed-only must leave them alone,
 //! and one that adds an event per flow fails here on a noise-free number.
+//! Beside the gated counts each run prints the calendar's lane counters
+//! (`EngineStats::{same_instant_deliveries, timer_deliveries, peak_pending}`)
+//! as facts: exact too, but they describe the engine, not behaviour.
 //! A bench target beside `alloc_gate` so it builds with the release profile.
 //!
 //! ```text
@@ -41,8 +44,10 @@ struct Budgets {
     fleet_smoke_100: Work,
 }
 
-/// Read a finished run's counts through the public stats of its world.
+/// Read a finished run's counts through the public stats of its world, and
+/// print the lane counters of `run` on the way.
 fn counts<'a>(
+    run: &str,
     world: &World,
     paths: impl IntoIterator<Item = &'a BuiltPath>,
     server: AgentId,
@@ -66,9 +71,19 @@ fn counts<'a>(
             None => {}
         }
     }
+    let engine = world.stats();
+    eprintln!(
+        "{run}: of {} deliveries {} same-instant (now lane) and {} cancellable timers; \
+         peak {} entries pending, {} compactions (facts, not gated)",
+        engine.events_delivered,
+        engine.same_instant_deliveries,
+        engine.timer_deliveries,
+        engine.peak_pending,
+        engine.compactions
+    );
     Work {
         events_processed: world.events_processed(),
-        stale_timer_pops: world.stats().stale_timer_pops,
+        stale_timer_pops: engine.stale_timer_pops,
         link_frames_enqueued: link_frames,
         server_data_segs_sent: data_segs,
         server_rexmit_segs: rexmit_segs,
@@ -86,13 +101,13 @@ fn download(flow: FlowConfig) -> Work {
     };
     let (m, tb) = run_measurement_traced(&scenario, SEED, TraceLevel::Off);
     assert_eq!(m.bytes, sizes::S4M, "{flow:?}: the download must complete");
-    counts(&tb.world, &tb.paths, tb.server)
+    counts(&flow.label(scenario.carrier), &tb.world, &tb.paths, tb.server)
 }
 
 fn fleet() -> Work {
     let run = mpw_fleet::run_fleet(&mpw_fleet::FleetSpec::smoke(100, SEED));
     assert!(run.report.bytes > 0, "the fleet moved no bytes");
-    counts(&run.world, [&run.wifi_path, &run.cell_path], run.server)
+    counts("fleet smoke", &run.world, [&run.wifi_path, &run.cell_path], run.server)
 }
 
 fn main() {

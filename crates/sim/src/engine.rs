@@ -5,6 +5,29 @@
 //! [`Ctx`]. The event queue orders by `(time, insertion sequence)`, so runs
 //! are fully deterministic: same seed, same build → identical event order.
 //!
+//! # The calendar
+//!
+//! Every scheduled entry carries the key `(at, seq)`, `seq` being one
+//! world-wide insertion counter, and entries are delivered in ascending key
+//! order. The calendar keeps them in three lanes and sorts only what can be
+//! out of order:
+//!
+//! * the **now lane**, a FIFO of events scheduled *for the current instant*
+//!   (a host handing a frame to its link, a link to the switch). All of them
+//!   share `at == now` and were pushed in `seq` order, so the queue is
+//!   already sorted and nothing is sifted;
+//! * the **event heap**, a binary heap of by-value events for every other
+//!   time: frames in propagation and raw timers;
+//! * the **timer heap**, a binary heap of 24-byte `{at, seq, slot, gen}` keys
+//!   for cancellable timers. The destination and token stay in the timer slab
+//!   and are read when the key surfaces, so the parked RTO entries neither
+//!   sit under every frame nor drag an event's bytes through each sift.
+//!
+//! The run loop delivers the least of the three heads. A now-lane entry
+//! therefore loses to a heap entry of the same instant that was inserted
+//! before it — that comparison is the whole argument that the lanes deliver
+//! exactly what one sorted list would.
+//!
 //! # Timers
 //!
 //! Two timer paths exist:
@@ -12,22 +35,22 @@
 //! * **Cancellable timers** ([`Ctx::arm_timer`] → [`TimerHandle`]) are the
 //!   fast path for anything that is routinely superseded (RTO restarts,
 //!   delayed-ACK, link service completions). Cancelling or rescheduling is
-//!   O(1): the slab entry is invalidated and the already-queued heap entry
-//!   becomes a *tombstone* that is discarded with a single generation check
-//!   when it surfaces. A live-entry counter triggers heap compaction when
-//!   tombstones dominate, so the calendar never grows unboundedly with
-//!   superseded timers. (A hierarchical timer wheel was the alternative
-//!   design; the tombstone heap benches faster here because cancellations
-//!   are O(1) without bucket cascades and the `(time, seq)` total order —
-//!   which the determinism guarantee rests on — is preserved for free. See
-//!   DESIGN.md §5.1.)
+//!   O(1): the slab entry is invalidated and the already-queued timer-heap
+//!   key becomes a *tombstone* that is discarded with a single generation
+//!   check when it surfaces. A tombstone counter triggers compaction of the
+//!   timer heap when tombstones dominate it, so the calendar never grows
+//!   unboundedly with superseded timers. (A hierarchical timer wheel was the
+//!   alternative design; it would give timers a second ordering domain
+//!   beside the `(time, seq)` total order the determinism guarantee rests
+//!   on, and far timers are a few percent of the traffic. See DESIGN.md
+//!   §5.1.)
 //! * **Raw timers** ([`Ctx::set_timer`] / [`World::schedule`] with
 //!   [`Event::Timer`]) are fire-and-forget: never cancelled by the engine.
 //!   The harness uses them for one-shot kickoffs (e.g. connection opens).
 
 use std::any::Any;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use bytes::Bytes;
 
@@ -119,7 +142,7 @@ pub struct TimerHandle {
 #[derive(Debug)]
 struct TimerSlot {
     /// Generation; bumped whenever the slot is disarmed or re-armed, which
-    /// invalidates outstanding handles and queued heap entries in O(1).
+    /// invalidates outstanding handles and queued timer-heap keys in O(1).
     gen: u32,
     agent: AgentId,
     token: u64,
@@ -132,11 +155,12 @@ struct TimerSlot {
 struct TimerSlab {
     slots: Vec<TimerSlot>,
     free: Vec<u32>,
-    /// Armed timers (live heap entries that will actually fire).
+    /// Armed timers (live timer-heap keys that will actually fire).
     live: usize,
 }
 
 impl TimerSlab {
+    #[inline]
     fn arm(&mut self, agent: AgentId, token: u64) -> TimerHandle {
         self.live += 1;
         if let Some(slot) = self.free.pop() {
@@ -159,8 +183,10 @@ impl TimerSlab {
             .is_some_and(|s| s.armed && s.gen == h.gen)
     }
 
-    /// Disarm and recycle; returns the slot's token if the handle was live.
-    fn disarm(&mut self, h: TimerHandle) -> Option<u64> {
+    /// Disarm and recycle; returns the slot's owner and token if the handle
+    /// was live.
+    #[inline]
+    fn disarm(&mut self, h: TimerHandle) -> Option<(AgentId, u64)> {
         let s = self.slots.get_mut(h.slot as usize)?;
         if !s.armed || s.gen != h.gen {
             return None;
@@ -169,7 +195,7 @@ impl TimerSlab {
         s.gen = s.gen.wrapping_add(1);
         self.live -= 1;
         self.free.push(h.slot);
-        Some(s.token)
+        Some((s.agent, s.token))
     }
 
     /// Structural invariants of the slab: the live counter matches the armed
@@ -208,20 +234,14 @@ impl TimerSlab {
     }
 }
 
-/// Internal queued payload: either a public API event or a slab-timer
-/// reference that is resolved (and validity-checked) at pop time.
-#[derive(Debug)]
-enum QueuedEv {
-    Api(Event),
-    SlabTimer { slot: u32, gen: u32 },
-}
-
+/// A by-value calendar entry (now lane and event heap): a public event and
+/// the agent it goes to.
 #[derive(Debug)]
 struct Queued {
     at: SimTime,
     seq: u64,
     dst: AgentId,
-    ev: QueuedEv,
+    ev: Event,
 }
 
 impl PartialEq for Queued {
@@ -241,76 +261,257 @@ impl Ord for Queued {
     }
 }
 
+/// A timer-heap entry: when a cancellable timer is due and which slab slot
+/// and generation it refers to. Owner and token are read from the slab when
+/// the key surfaces; a key whose generation no longer matches is a tombstone.
+/// `seq` is unique, so the derived order is the `(at, seq)` order and the
+/// last two fields never decide a comparison.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct TimerKey {
+    at: SimTime,
+    seq: u64,
+    slot: u32,
+    gen: u32,
+}
+
+impl TimerKey {
+    fn handle(self) -> TimerHandle {
+        TimerHandle { slot: self.slot, gen: self.gen }
+    }
+}
+
+/// The lane holding the calendar's next entry.
+#[derive(Clone, Copy, Debug)]
+enum Lane {
+    Now,
+    Events,
+    Timers,
+}
+
+/// The clock and everything scheduled against it (see the module docs).
+#[derive(Default)]
+struct Calendar {
+    now: SimTime,
+    /// Next insertion sequence number, shared by all three lanes.
+    seq: u64,
+    /// Events due at `now`, in `seq` order. Stays sorted only while the
+    /// clock never moves with entries queued here, and never moves back.
+    now_lane: VecDeque<Queued>,
+    events: BinaryHeap<Reverse<Queued>>,
+    timer_keys: BinaryHeap<Reverse<TimerKey>>,
+    timers: TimerSlab,
+    /// Timer-heap keys known to be tombstones (their slab generation was
+    /// bumped by cancel/reschedule). Drives compaction.
+    dead_entries: usize,
+}
+
+impl Calendar {
+    #[inline]
+    fn next_seq(&mut self) -> u64 {
+        let seq = self.seq;
+        self.seq += 1;
+        seq
+    }
+
+    /// Schedule `ev` for `dst` at `at`, which must not be in the past.
+    #[inline]
+    fn push_event(&mut self, at: SimTime, dst: AgentId, ev: Event) {
+        debug_assert!(at >= self.now, "scheduled into the past");
+        let q = Queued { at, seq: self.next_seq(), dst, ev };
+        if at == self.now {
+            self.now_lane.push_back(q);
+        } else {
+            self.events.push(Reverse(q));
+        }
+    }
+
+    #[inline]
+    fn arm(&mut self, at: SimTime, agent: AgentId, token: u64) -> TimerHandle {
+        let h = self.timers.arm(agent, token);
+        let seq = self.next_seq();
+        self.timer_keys.push(Reverse(TimerKey { at, seq, slot: h.slot, gen: h.gen }));
+        h
+    }
+
+    /// Disarm a pending timer, leaving its key behind as a tombstone.
+    #[inline]
+    fn disarm(&mut self, h: TimerHandle) -> Option<(AgentId, u64)> {
+        let owner_and_token = self.timers.disarm(h)?;
+        self.dead_entries += 1;
+        Some(owner_and_token)
+    }
+
+    /// Due time and lane of the entry with the least `(at, seq)`.
+    #[inline]
+    fn head(&self) -> Option<(SimTime, Lane)> {
+        let mut best = self.now_lane.front().map(|q| ((q.at, q.seq), Lane::Now));
+        let mut offer = |key, lane| match best {
+            Some((least, _)) if least < key => {}
+            _ => best = Some((key, lane)),
+        };
+        if let Some(Reverse(q)) = self.events.peek() {
+            offer((q.at, q.seq), Lane::Events);
+        }
+        if let Some(Reverse(k)) = self.timer_keys.peek() {
+            offer((k.at, k.seq), Lane::Timers);
+        }
+        best.map(|((at, _), lane)| (at, lane))
+    }
+
+    /// Remove the head of `lane` and advance the clock to it. `None` if it
+    /// was a tombstone, which is discarded without touching the clock.
+    #[inline]
+    fn pop_head(&mut self, lane: Lane) -> Option<(AgentId, Event)> {
+        let (at, dst, ev) = match lane {
+            Lane::Now => {
+                let q = self.now_lane.pop_front().expect("head is the now lane");
+                (q.at, q.dst, q.ev)
+            }
+            Lane::Events => {
+                let Reverse(q) = self.events.pop().expect("head is the event heap");
+                (q.at, q.dst, q.ev)
+            }
+            Lane::Timers => {
+                let Reverse(k) = self.timer_keys.pop().expect("head is the timer heap");
+                let Some((owner, token)) = self.timers.disarm(k.handle()) else {
+                    self.dead_entries = self.dead_entries.saturating_sub(1);
+                    return None;
+                };
+                (k.at, owner, Event::Timer { token })
+            }
+        };
+        debug_assert!(at >= self.now, "time went backwards");
+        debug_assert!(
+            at == self.now || self.now_lane.is_empty(),
+            "clock moved with the now lane occupied"
+        );
+        self.now = at;
+        Some((dst, ev))
+    }
+
+    /// Entries queued in all lanes, tombstones included.
+    fn pending(&self) -> usize {
+        self.now_lane.len() + self.events.len() + self.timer_keys.len()
+    }
+
+    /// Whether tombstones outnumber live timer keys and are numerous enough
+    /// for the O(n) rebuild to pay for itself.
+    fn wants_compaction(&self) -> bool {
+        self.dead_entries > 1024 && self.dead_entries * 2 > self.timer_keys.len()
+    }
+
+    /// Rebuild the timer heap without tombstones and return how many were
+    /// dropped. `(at, seq)` keys are preserved, so the total event order —
+    /// and therefore determinism — is unchanged; compaction only reclaims
+    /// memory and pop work.
+    fn compact(&mut self) -> usize {
+        let mut keys = std::mem::take(&mut self.timer_keys).into_vec();
+        let before = keys.len();
+        keys.retain(|Reverse(k)| self.timers.is_live(k.handle()));
+        let dropped = before - keys.len();
+        self.timer_keys = BinaryHeap::from(keys);
+        self.dead_entries = 0;
+        dropped
+    }
+
+    /// Invariant I9 (DESIGN.md §5.8) over the slab and all three lanes.
+    fn validate(&self) -> Result<(), String> {
+        self.timers.validate()?;
+        let (mut live_keys, mut tombstones) = (0usize, 0usize);
+        for Reverse(k) in self.timer_keys.iter() {
+            if !self.timers.is_live(k.handle()) {
+                tombstones += 1;
+                continue;
+            }
+            live_keys += 1;
+            if k.at < self.now {
+                return Err(format!("timer heap: live key due {:?}, now is {:?}", k.at, self.now));
+            }
+        }
+        if live_keys != self.timers.live {
+            return Err(format!(
+                "timer heap: {} live keys queued for {} armed slots",
+                live_keys, self.timers.live
+            ));
+        }
+        if tombstones != self.dead_entries {
+            return Err(format!(
+                "timer heap: {} tombstones in heap but dead_entries counter says {}",
+                tombstones, self.dead_entries
+            ));
+        }
+        if let Some(Reverse(q)) = self.events.iter().find(|e| e.0.at < self.now) {
+            return Err(format!("event heap: entry due {:?}, now is {:?}", q.at, self.now));
+        }
+        let mut prev_seq = None;
+        for q in &self.now_lane {
+            if q.at != self.now {
+                return Err(format!("now lane: entry due {:?} while now is {:?}", q.at, self.now));
+            }
+            if prev_seq.is_some_and(|p| p >= q.seq) {
+                return Err(format!("now lane: seq {} queued behind seq {:?}", q.seq, prev_seq));
+            }
+            prev_seq = Some(q.seq);
+        }
+        Ok(())
+    }
+}
+
 /// The execution context handed to an agent while it handles an event.
 pub struct Ctx<'a> {
-    now: SimTime,
     self_id: AgentId,
-    out: &'a mut Vec<Queued>,
-    timers: &'a mut TimerSlab,
-    dead_entries: &'a mut usize,
-    seq: &'a mut u64,
+    cal: &'a mut Calendar,
 }
 
 impl<'a> Ctx<'a> {
     /// Current simulated time.
+    #[inline]
     pub fn now(&self) -> SimTime {
-        self.now
+        self.cal.now
     }
 
     /// The id of the agent handling this event.
+    #[inline]
     pub fn self_id(&self) -> AgentId {
         self.self_id
     }
 
-    fn push(&mut self, at: SimTime, dst: AgentId, ev: QueuedEv) {
-        let seq = *self.seq;
-        *self.seq += 1;
-        self.out.push(Queued { at, seq, dst, ev });
-    }
-
     /// Deliver `frame` to `dst`'s `port` after `delay`.
+    #[inline]
     pub fn send_frame(&mut self, dst: AgentId, port: u16, delay: SimDuration, frame: Frame) {
-        self.push(self.now + delay, dst, QueuedEv::Api(Event::Frame { port, frame }));
+        self.cal.push_event(self.cal.now + delay, dst, Event::Frame { port, frame });
     }
 
     /// Arrange for [`Event::Timer`] with `token` to fire on this agent after
     /// `delay`. Raw path: the timer cannot be cancelled; agents that rearm
     /// raw timers must detect stale deliveries themselves. Prefer
     /// [`Ctx::arm_timer`] for anything that can be superseded.
+    #[inline]
     pub fn set_timer(&mut self, delay: SimDuration, token: u64) {
-        self.push(self.now + delay, self.self_id, QueuedEv::Api(Event::Timer { token }));
+        self.cal.push_event(self.cal.now + delay, self.self_id, Event::Timer { token });
     }
 
     /// Arm a cancellable timer: [`Event::Timer`] with `token` fires on this
     /// agent after `delay` unless the returned handle is cancelled or
     /// rescheduled first. The handle goes stale once the timer fires.
+    #[inline]
     pub fn arm_timer(&mut self, delay: SimDuration, token: u64) -> TimerHandle {
-        let h = self.timers.arm(self.self_id, token);
-        self.push(
-            self.now + delay,
-            self.self_id,
-            QueuedEv::SlabTimer { slot: h.slot, gen: h.gen },
-        );
-        h
+        self.cal.arm(self.cal.now + delay, self.self_id, token)
     }
 
     /// Cancel a timer armed with [`Ctx::arm_timer`]. Returns whether the
     /// timer was still pending (stale handles return `false`).
+    #[inline]
     pub fn cancel_timer(&mut self, h: TimerHandle) -> bool {
-        if self.timers.disarm(h).is_some() {
-            *self.dead_entries += 1;
-            true
-        } else {
-            false
-        }
+        self.cal.disarm(h).is_some()
     }
 
     /// Move a pending timer to fire after `delay` instead, keeping its
     /// token. Returns the replacement handle, or `None` if `h` was stale
     /// (already fired or cancelled) — in that case arm a fresh timer.
+    #[inline]
     pub fn reschedule_timer(&mut self, h: TimerHandle, delay: SimDuration) -> Option<TimerHandle> {
-        let token = self.timers.disarm(h)?;
-        *self.dead_entries += 1;
+        let (_, token) = self.cal.disarm(h)?;
         Some(self.arm_timer(delay, token))
     }
 }
@@ -327,31 +528,30 @@ pub enum RunOutcome {
 }
 
 /// Event-loop counters, exposed for benches and perf regression tracking.
+/// All are exact and repeat on every machine.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Events delivered to agents.
     pub events_delivered: u64,
     /// Tombstoned timer entries discarded at pop (cancelled/rescheduled).
     pub stale_timer_pops: u64,
-    /// Heap compactions performed.
+    /// Timer-heap compactions performed.
     pub compactions: u64,
+    /// Of `events_delivered`, those that came off the now lane: scheduled for
+    /// the very instant they were queued in, so never sorted.
+    pub same_instant_deliveries: u64,
+    /// Of `events_delivered`, cancellable timers that fired.
+    pub timer_deliveries: u64,
+    /// Most entries (tombstones included) the calendar held after any one
+    /// dispatch.
+    pub peak_pending: u64,
 }
 
 /// The simulation world: clock, event queue, agents, RNG factory.
 pub struct World {
-    now: SimTime,
-    heap: BinaryHeap<Reverse<Queued>>,
-    agents: Vec<Option<Box<dyn Agent>>>,
-    timers: TimerSlab,
-    /// Queued heap entries known to be tombstones (their slab generation
-    /// was bumped by cancel/reschedule). Drives compaction.
-    dead_entries: usize,
-    /// Persistent staging buffer for events scheduled inside a handler;
-    /// capacity adapts to the observed per-dispatch fan-out, so the steady
-    /// state allocates nothing per event.
-    staged: Vec<Queued>,
+    cal: Calendar,
+    agents: Vec<Box<dyn Agent>>,
     rng: RngFactory,
-    seq: u64,
     started: bool,
     events_processed: u64,
     event_budget: u64,
@@ -363,14 +563,9 @@ impl World {
     /// benchmark's shim (see [`TraceLevel`]) and selects nothing.
     pub fn new(seed: u64, _: TraceLevel) -> Self {
         World {
-            now: SimTime::ZERO,
-            heap: BinaryHeap::new(),
+            cal: Calendar::default(),
             agents: Vec::new(),
-            timers: TimerSlab::default(),
-            dead_entries: 0,
-            staged: Vec::new(),
             rng: RngFactory::new(seed),
-            seq: 0,
             started: false,
             events_processed: 0,
             // Generous default: a 512 MB download is ~4M events round trip.
@@ -393,28 +588,22 @@ impl World {
     /// started, the agent receives [`Event::Start`] at the current time.
     pub fn add_agent(&mut self, agent: Box<dyn Agent>) -> AgentId {
         let id = self.agents.len() as AgentId;
-        self.agents.push(Some(agent));
+        self.agents.push(agent);
         if self.started {
-            self.push_event(self.now, id, QueuedEv::Api(Event::Start));
+            self.cal.push_event(self.cal.now, id, Event::Start);
         }
         id
     }
 
-    fn push_event(&mut self, at: SimTime, dst: AgentId, ev: QueuedEv) {
-        let q = Queued { at, seq: self.seq, dst, ev };
-        self.seq += 1;
-        self.heap.push(Reverse(q));
-    }
-
     /// Schedule an event from outside any agent (harness use).
     pub fn schedule(&mut self, at: SimTime, dst: AgentId, ev: Event) {
-        assert!(at >= self.now, "cannot schedule into the past");
-        self.push_event(at, dst, QueuedEv::Api(ev));
+        assert!(at >= self.cal.now, "cannot schedule into the past");
+        self.cal.push_event(at, dst, ev);
     }
 
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
-        self.now
+        self.cal.now
     }
 
     /// Number of events processed so far.
@@ -429,175 +618,87 @@ impl World {
 
     /// Cancellable timers currently pending.
     pub fn live_timers(&self) -> usize {
-        self.timers.live
+        self.cal.timers.live
     }
 
-    /// Check the timer-wheel invariants: slab structure (armed/free/live
-    /// consistency), one live heap entry per armed slot, and an exact
-    /// tombstone count backing the compaction trigger. Meaningful between
-    /// dispatches (the staging buffer must be drained); `run_until` leaves
-    /// the world in that state. Always compiled so harnesses can call it
+    /// Check the calendar invariants: slab structure (armed/free/live
+    /// consistency), one live timer-heap key per armed slot, an exact
+    /// tombstone count backing the compaction trigger, nothing queued in the
+    /// past, and a now lane that holds only entries due at the current
+    /// instant in ascending `seq`. Always compiled so harnesses can call it
     /// from release builds; the engine itself invokes it at compaction only
     /// under `debug_assertions` / the `check-invariants` feature.
     pub fn validate_timers(&self) -> Result<(), String> {
-        self.timers.validate()?;
-        let mut live_entries = 0usize;
-        let mut tombstones = 0usize;
-        for e in self.heap.iter() {
-            if let QueuedEv::SlabTimer { slot, gen } = e.0.ev {
-                if self.timers.is_live(TimerHandle { slot, gen }) {
-                    live_entries += 1;
-                } else {
-                    tombstones += 1;
-                }
-            }
-        }
-        if live_entries != self.timers.live {
-            return Err(format!(
-                "timer heap: {} live entries queued for {} armed slots",
-                live_entries, self.timers.live
-            ));
-        }
-        if tombstones != self.dead_entries {
-            return Err(format!(
-                "timer heap: {} tombstones in heap but dead_entries counter says {}",
-                tombstones, self.dead_entries
-            ));
-        }
-        Ok(())
+        self.cal.validate()
     }
 
     /// Borrow an agent by id, downcast to its concrete type.
     pub fn agent<T: Agent>(&self, id: AgentId) -> Option<&T> {
-        self.agents
-            .get(id as usize)?
-            .as_deref()?
-            .as_any()
-            .downcast_ref::<T>()
+        self.agents.get(id as usize)?.as_any().downcast_ref::<T>()
     }
 
     /// Mutably borrow an agent by id, downcast to its concrete type.
     pub fn agent_mut<T: Agent>(&mut self, id: AgentId) -> Option<&mut T> {
-        self.agents
-            .get_mut(id as usize)?
-            .as_deref_mut()?
-            .as_any_mut()
-            .downcast_mut::<T>()
+        self.agents.get_mut(id as usize)?.as_any_mut().downcast_mut::<T>()
     }
 
     fn ensure_started(&mut self) {
         if !self.started {
             self.started = true;
             for id in 0..self.agents.len() as AgentId {
-                self.push_event(self.now, id, QueuedEv::Api(Event::Start));
+                self.cal.push_event(self.cal.now, id, Event::Start);
             }
         }
     }
 
-    /// Rebuild the heap without tombstones. `(at, seq)` keys are preserved,
-    /// so the total event order — and therefore determinism — is unchanged;
-    /// compaction only reclaims memory and pop work.
+    /// Drop every tombstone from the timer heap (see [`Calendar::compact`]).
     fn compact(&mut self) {
         #[cfg(any(debug_assertions, feature = "check-invariants"))]
         if let Err(e) = self.validate_timers() {
             panic!("timer invariant violated entering compaction: {e}");
         }
-        let entries = std::mem::take(&mut self.heap).into_vec();
-        let mut kept: Vec<Reverse<Queued>> = Vec::with_capacity(entries.len());
-        for e in entries {
-            match &e.0.ev {
-                QueuedEv::SlabTimer { slot, gen } => {
-                    if self.timers.is_live(TimerHandle { slot: *slot, gen: *gen }) {
-                        kept.push(e);
-                    } else {
-                        self.stats.stale_timer_pops += 1;
-                    }
-                }
-                QueuedEv::Api(_) => kept.push(e),
-            }
-        }
-        self.heap = BinaryHeap::from(kept);
-        self.dead_entries = 0;
+        self.stats.stale_timer_pops += self.cal.compact() as u64;
         self.stats.compactions += 1;
     }
 
-    /// Compact when tombstones outnumber live entries and are numerous
-    /// enough for the O(n) rebuild to pay for itself.
-    fn maybe_compact(&mut self) {
-        if self.dead_entries > 1024 && self.dead_entries * 2 > self.heap.len() {
-            self.compact();
-        }
-    }
-
     /// Run until the queue is empty or `horizon` is reached, whichever comes
-    /// first. The clock never advances past `horizon`.
+    /// first. The clock never advances past `horizon`, and never moves back
+    /// if `horizon` is already behind it.
     pub fn run_until(&mut self, horizon: SimTime) -> RunOutcome {
         self.ensure_started();
-        let mut staged = std::mem::take(&mut self.staged);
-        let outcome = loop {
-            let Some(Reverse(head)) = self.heap.peek() else {
-                break RunOutcome::Idle;
+        loop {
+            let Some((at, lane)) = self.cal.head() else {
+                return RunOutcome::Idle;
             };
-            if head.at > horizon {
-                self.now = horizon;
-                break RunOutcome::HorizonReached;
+            if at > horizon {
+                self.cal.now = self.cal.now.max(horizon);
+                return RunOutcome::HorizonReached;
             }
             if self.events_processed >= self.event_budget {
-                break RunOutcome::EventBudgetExhausted;
+                return RunOutcome::EventBudgetExhausted;
             }
-            let Reverse(q) = self.heap.pop().expect("peeked above");
-            debug_assert!(q.at >= self.now, "time went backwards");
-
-            // Resolve the payload; tombstoned timers are discarded without
-            // touching the clock or the destination agent.
-            let ev = match q.ev {
-                QueuedEv::Api(ev) => ev,
-                QueuedEv::SlabTimer { slot, gen } => {
-                    match self.timers.disarm(TimerHandle { slot, gen }) {
-                        Some(token) => Event::Timer { token },
-                        None => {
-                            self.stats.stale_timer_pops += 1;
-                            self.dead_entries = self.dead_entries.saturating_sub(1);
-                            continue;
-                        }
-                    }
-                }
+            let Some((dst, ev)) = self.cal.pop_head(lane) else {
+                self.stats.stale_timer_pops += 1;
+                continue;
             };
-            self.now = q.at;
             self.events_processed += 1;
             self.stats.events_delivered += 1;
+            match lane {
+                Lane::Now => self.stats.same_instant_deliveries += 1,
+                Lane::Timers => self.stats.timer_deliveries += 1,
+                Lane::Events => {}
+            }
 
-            let idx = q.dst as usize;
-            // Take the agent out so it can borrow the world context freely.
-            let Some(slot) = self.agents.get_mut(idx) else {
+            // An event for an agent that was never registered is dropped.
+            let Some(agent) = self.agents.get_mut(dst as usize) else {
                 continue;
             };
-            let Some(mut agent) = slot.take() else {
-                // Agent is gone (should not happen; slots are only taken
-                // transiently) — drop the event.
-                continue;
-            };
-            {
-                let mut ctx = Ctx {
-                    now: self.now,
-                    self_id: q.dst,
-                    out: &mut staged,
-                    timers: &mut self.timers,
-                    dead_entries: &mut self.dead_entries,
-                    seq: &mut self.seq,
-                };
-                agent.handle(ev, &mut ctx);
+            agent.handle(ev, &mut Ctx { self_id: dst, cal: &mut self.cal });
+            self.stats.peak_pending = self.stats.peak_pending.max(self.cal.pending() as u64);
+            if self.cal.wants_compaction() {
+                self.compact();
             }
-            self.agents[idx] = Some(agent);
-            for ev in staged.drain(..) {
-                self.heap.push(Reverse(ev));
-            }
-            self.maybe_compact();
-        };
-        // Hand the staging buffer (and its grown capacity) back for the
-        // next dispatch loop.
-        self.staged = staged;
-        outcome
+        }
     }
 
     /// Run until the event queue drains (or the event budget trips).
@@ -608,6 +709,13 @@ impl World {
 
 #[cfg(test)]
 mod tests {
+    use std::cell::RefCell;
+    use std::collections::BTreeMap;
+    use std::rc::Rc;
+
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
     use super::*;
 
     /// Test agent: echoes frames back after a fixed delay, counts events.
@@ -944,11 +1052,11 @@ mod tests {
         w.run_until_idle();
         assert_eq!(w.agent::<Churn>(a).unwrap().remaining, 0);
         assert_eq!(w.live_timers(), 0);
-        assert!(w.timers.slots.len() <= 4, "slab grew to {}", w.timers.slots.len());
+        assert!(w.cal.timers.slots.len() <= 4, "slab grew to {}", w.cal.timers.slots.len());
         // All 50k superseded entries were discarded (at pop or compaction)...
         assert_eq!(w.stats().stale_timer_pops, 50_000);
-        // ...and the heap is empty, not full of tombstones.
-        assert!(w.heap.is_empty());
+        // ...and the calendar is empty, not full of tombstones.
+        assert_eq!(w.cal.pending(), 0);
     }
 
     #[test]
@@ -1035,5 +1143,388 @@ mod tests {
         w.run_until_idle();
         let expect: Vec<u64> = (0..2000u64).filter(|t| t % 4 != 1).collect();
         assert_eq!(w.agent::<Orderly>(a).unwrap().fired, expect);
+    }
+
+    #[test]
+    fn horizon_behind_the_clock_does_not_rewind_it() {
+        let mut w = World::new(1, TraceLevel::Off);
+        let a = w.add_agent(Box::new(Echo::new(None, SimDuration::ZERO, 0)));
+        w.schedule(SimTime::from_secs(8), a, Event::Timer { token: 1 });
+        w.schedule(SimTime::from_secs(15), a, Event::Timer { token: 2 });
+        assert_eq!(w.run_until(SimTime::from_secs(10)), RunOutcome::HorizonReached);
+        assert_eq!(w.now(), SimTime::from_secs(10));
+        // A horizon already passed: nothing runs and the clock stays, so
+        // nothing can be scheduled behind the event delivered at 8 s.
+        assert_eq!(w.run_until(SimTime::from_secs(5)), RunOutcome::HorizonReached);
+        assert_eq!(w.now(), SimTime::from_secs(10));
+        w.schedule(w.now(), a, Event::Timer { token: 3 });
+        w.validate_timers().unwrap();
+        w.run_until_idle();
+        assert_eq!(w.agent::<Echo>(a).unwrap().timers_seen, vec![1, 3, 2]);
+    }
+
+    // ------------------------------------------------ the (at, seq) order
+
+    /// What a delivery carried. A frame's port and a timer's token double as
+    /// the tag that selects what the receiving handler does.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    enum What {
+        Start,
+        Frame(u16),
+        Timer(u16),
+    }
+
+    /// One scheduling call made from inside a handler; delays in ns.
+    #[derive(Clone, Copy, Debug)]
+    enum Op {
+        Send { dst: AgentId, delay: u64, tag: u16 },
+        Set { delay: u64, tag: u16 },
+        /// `arm_timer`; the handle joins the board's list.
+        Arm { delay: u64, tag: u16 },
+        /// `cancel_timer` on the `nth` handle of that list (modulo its
+        /// length), whether or not it is still live.
+        Cancel { nth: usize },
+        /// `reschedule_timer`, likewise.
+        Resched { nth: usize, delay: u64 },
+    }
+
+    type Log = Vec<(u64, AgentId, What)>;
+
+    /// State shared by the [`Scripted`] agents of one world.
+    struct Board {
+        /// `reactions[tag]`: the calls made by the first handler that
+        /// receives `tag` (later deliveries of the same tag are only logged,
+        /// which bounds a script's run).
+        reactions: Vec<Vec<Op>>,
+        ran: Vec<bool>,
+        handles: Vec<TimerHandle>,
+        log: Log,
+    }
+
+    /// The reaction `what` triggers, if it has not run yet.
+    fn claim<'a>(reactions: &'a [Vec<Op>], ran: &mut [bool], what: What) -> &'a [Op] {
+        let (What::Frame(tag) | What::Timer(tag)) = what else {
+            return &[];
+        };
+        match ran.get_mut(tag as usize) {
+            Some(done @ false) => {
+                *done = true;
+                &reactions[tag as usize]
+            }
+            _ => &[],
+        }
+    }
+
+    struct Scripted(Rc<RefCell<Board>>);
+
+    impl Agent for Scripted {
+        fn handle(&mut self, ev: Event, ctx: &mut Ctx<'_>) {
+            let what = match ev {
+                Event::Start => What::Start,
+                Event::Frame { port, .. } => What::Frame(port),
+                Event::Timer { token } => What::Timer(token as u16),
+            };
+            let board = &mut *self.0.borrow_mut();
+            board.log.push((ctx.now().as_nanos(), ctx.self_id(), what));
+            let ns = SimDuration::from_nanos;
+            for &op in claim(&board.reactions, &mut board.ran, what) {
+                match op {
+                    Op::Send { dst, delay, tag } => ctx.send_frame(dst, tag, ns(delay), frame()),
+                    Op::Set { delay, tag } => ctx.set_timer(ns(delay), tag.into()),
+                    Op::Arm { delay, tag } => {
+                        board.handles.push(ctx.arm_timer(ns(delay), tag.into()));
+                    }
+                    Op::Cancel { nth } => {
+                        if !board.handles.is_empty() {
+                            ctx.cancel_timer(board.handles[nth % board.handles.len()]);
+                        }
+                    }
+                    Op::Resched { nth, delay } => {
+                        if !board.handles.is_empty() {
+                            let i = nth % board.handles.len();
+                            if let Some(h) = ctx.reschedule_timer(board.handles[i], ns(delay)) {
+                                board.handles[i] = h;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    fn scripted_world(agents: u32, reactions: Vec<Vec<Op>>) -> (World, Rc<RefCell<Board>>) {
+        let ran = vec![false; reactions.len()];
+        let board = Rc::new(RefCell::new(Board { reactions, ran, handles: vec![], log: vec![] }));
+        let mut w = World::new(1, TraceLevel::Off);
+        for _ in 0..agents {
+            w.add_agent(Box::new(Scripted(board.clone())));
+        }
+        (w, board)
+    }
+
+    fn event(what: What) -> Event {
+        match what {
+            What::Start => Event::Start,
+            What::Frame(port) => Event::Frame { port, frame: frame() },
+            What::Timer(tag) => Event::Timer { token: tag.into() },
+        }
+    }
+
+    /// Run `reactions` to the end after kicking tag 0 into agent 0 at 5 ns;
+    /// returns what was delivered after the kick.
+    fn deliveries_after_kick(agents: u32, reactions: Vec<Vec<Op>>) -> Log {
+        let (mut w, board) = scripted_world(agents, reactions);
+        w.schedule(SimTime::from_nanos(5), 0, event(What::Timer(0)));
+        assert_eq!(w.run_until_idle(), RunOutcome::Idle);
+        w.validate_timers().unwrap();
+        let log = board.borrow().log.clone();
+        let kick = log.iter().position(|&(_, _, what)| what == What::Timer(0)).expect("kick ran");
+        log[kick + 1..].to_vec()
+    }
+
+    #[test]
+    fn same_instant_frame_in_the_heap_beats_a_later_now_lane_entry() {
+        // Frames for A and B arrive in the same ns, A's first; A's handler
+        // hands a zero-delay frame to C. C's frame was inserted after B's.
+        let (a, b, c) = (0, 1, 2);
+        let (mut w, board) =
+            scripted_world(3, vec![vec![], vec![Op::Send { dst: c, delay: 0, tag: 3 }]]);
+        let t = SimTime::from_nanos(5);
+        w.schedule(t, a, event(What::Frame(1)));
+        w.schedule(t, b, event(What::Frame(2)));
+        w.run_until_idle();
+        assert_eq!(
+            board.borrow().log[3..],
+            [(5, a, What::Frame(1)), (5, b, What::Frame(2)), (5, c, What::Frame(3))]
+        );
+        assert_eq!(w.stats().same_instant_deliveries, 3 + 1, "three Starts and C's frame");
+    }
+
+    #[test]
+    fn timer_and_frame_due_together_fire_in_call_order() {
+        // Zero delay pits the timer heap against the now lane, a positive
+        // one against the event heap.
+        for delay in [0, 4] {
+            let arm = Op::Arm { delay, tag: 1 };
+            let send = Op::Send { dst: 1, delay, tag: 2 };
+            let (timer, frame) = ((5 + delay, 0, What::Timer(1)), (5 + delay, 1, What::Frame(2)));
+            assert_eq!(deliveries_after_kick(2, vec![vec![arm, send]]), [timer, frame]);
+            assert_eq!(deliveries_after_kick(2, vec![vec![send, arm]]), [frame, timer]);
+        }
+    }
+
+    #[test]
+    fn timer_rescheduled_onto_now_fires_after_earlier_now_lane_entries() {
+        let script = vec![vec![
+            Op::Arm { delay: 100, tag: 1 },
+            Op::Send { dst: 1, delay: 0, tag: 2 },
+            Op::Resched { nth: 0, delay: 0 },
+            Op::Send { dst: 2, delay: 0, tag: 3 },
+        ]];
+        assert_eq!(
+            deliveries_after_kick(3, script),
+            [(5, 1, What::Frame(2)), (5, 0, What::Timer(1)), (5, 2, What::Frame(3))]
+        );
+    }
+
+    /// The reference calendar: one list sorted on `(at, seq)`.
+    struct Model {
+        now: u64,
+        seq: u64,
+        list: BTreeMap<(u64, u64), (AgentId, Pending)>,
+        /// Cancellable timers in arming order: owner and tag while armed.
+        armed: Vec<Option<(AgentId, u16)>>,
+        /// Indices into `armed`, parallel to [`Board::handles`].
+        handles: Vec<usize>,
+        reactions: Vec<Vec<Op>>,
+        ran: Vec<bool>,
+        log: Log,
+        stale: u64,
+        timers_fired: u64,
+    }
+
+    enum Pending {
+        Event(What),
+        Armed(usize),
+    }
+
+    impl Model {
+        fn new(reactions: Vec<Vec<Op>>) -> Model {
+            Model {
+                now: 0,
+                seq: 0,
+                list: BTreeMap::new(),
+                armed: vec![],
+                handles: vec![],
+                ran: vec![false; reactions.len()],
+                reactions,
+                log: vec![],
+                stale: 0,
+                timers_fired: 0,
+            }
+        }
+
+        fn push(&mut self, at: u64, dst: AgentId, p: Pending) {
+            self.list.insert((at, self.seq), (dst, p));
+            self.seq += 1;
+        }
+
+        fn arm(&mut self, at: u64, owner: AgentId, tag: u16) -> usize {
+            self.armed.push(Some((owner, tag)));
+            self.push(at, owner, Pending::Armed(self.armed.len() - 1));
+            self.armed.len() - 1
+        }
+
+        fn run_until(&mut self, horizon: u64) -> RunOutcome {
+            loop {
+                let Some(entry) = self.list.first_entry() else {
+                    return RunOutcome::Idle;
+                };
+                let at = entry.key().0;
+                if at > horizon {
+                    self.now = self.now.max(horizon);
+                    return RunOutcome::HorizonReached;
+                }
+                let (dst, what) = match entry.remove() {
+                    (dst, Pending::Event(what)) => (dst, what),
+                    (_, Pending::Armed(id)) => match self.armed[id].take() {
+                        Some((owner, tag)) => {
+                            self.timers_fired += 1;
+                            (owner, What::Timer(tag))
+                        }
+                        None => {
+                            self.stale += 1;
+                            continue;
+                        }
+                    },
+                };
+                self.now = at;
+                self.log.push((at, dst, what));
+                for op in claim(&self.reactions, &mut self.ran, what).to_vec() {
+                    match op {
+                        Op::Send { dst, delay, tag } => {
+                            self.push(at + delay, dst, Pending::Event(What::Frame(tag)));
+                        }
+                        Op::Set { delay, tag } => {
+                            self.push(at + delay, dst, Pending::Event(What::Timer(tag)));
+                        }
+                        Op::Arm { delay, tag } => {
+                            let id = self.arm(at + delay, dst, tag);
+                            self.handles.push(id);
+                        }
+                        Op::Cancel { nth } => {
+                            if !self.handles.is_empty() {
+                                self.armed[self.handles[nth % self.handles.len()]] = None;
+                            }
+                        }
+                        Op::Resched { nth, delay } => {
+                            if !self.handles.is_empty() {
+                                let i = nth % self.handles.len();
+                                if let Some((_, tag)) = self.armed[self.handles[i]].take() {
+                                    self.handles[i] = self.arm(at + delay, dst, tag);
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+
+        fn compact(&mut self) {
+            let before = self.list.len();
+            let armed = &self.armed;
+            self.list.retain(|_, (_, p)| !matches!(p, Pending::Armed(id) if armed[*id].is_none()));
+            self.stale += (before - self.list.len()) as u64;
+        }
+    }
+
+    /// What the harness does around one `run_until` call.
+    #[derive(Clone, Copy, Debug)]
+    struct Step {
+        /// `World::schedule` this far ahead of the clock, before running.
+        kick: Option<(u64, AgentId, What)>,
+        horizon: u64,
+        /// Force a compaction after running.
+        compact: bool,
+    }
+
+    const AGENTS: u32 = 3;
+    const TAGS: u16 = 24;
+    /// Zero, short and long delays in ns — few values, so instants collide.
+    const DELAYS: [u64; 8] = [0, 0, 0, 1, 2, 3, 40, 300];
+
+    fn arb_op() -> impl Strategy<Value = Op> {
+        (0u8..7, 0..AGENTS, 0..DELAYS.len(), 0..TAGS, 0usize..16).prop_map(
+            |(kind, dst, delay, tag, nth)| {
+                let delay = DELAYS[delay];
+                match kind {
+                    0 | 1 => Op::Send { dst, delay, tag },
+                    2 => Op::Set { delay, tag },
+                    3 | 4 => Op::Arm { delay, tag },
+                    5 => Op::Cancel { nth },
+                    _ => Op::Resched { nth, delay },
+                }
+            },
+        )
+    }
+
+    fn arb_step() -> impl Strategy<Value = Step> {
+        (0u8..3, 0..AGENTS, 0..DELAYS.len(), 0..TAGS, 0u64..500, 0u8..3).prop_map(
+            |(kind, dst, delay, tag, horizon, compact)| {
+                let kick = match kind {
+                    0 => None,
+                    1 => Some((DELAYS[delay], dst, What::Frame(tag))),
+                    _ => Some((DELAYS[delay], dst, What::Timer(tag))),
+                };
+                Step { kick, horizon, compact: compact == 0 }
+            },
+        )
+    }
+
+    proptest! {
+        /// Random scripts of every scheduling call, run in slices (horizons
+        /// in any order) with forced compactions, deliver exactly what one
+        /// list sorted on `(at, seq)` delivers.
+        #[test]
+        fn lanes_deliver_what_one_sorted_list_delivers(
+            reactions in vec(vec(arb_op(), 0..4), TAGS as usize..TAGS as usize + 1),
+            steps in vec(arb_step(), 1..10),
+        ) {
+            let (mut w, board) = scripted_world(AGENTS, reactions.clone());
+            let mut m = Model::new(reactions);
+            let last = Step { kick: None, horizon: u64::MAX, compact: false };
+            for (i, step) in steps.into_iter().chain([last]).enumerate() {
+                if let Some((ahead, dst, what)) = step.kick {
+                    w.schedule(w.now() + SimDuration::from_nanos(ahead), dst, event(what));
+                    m.push(m.now + ahead, dst, Pending::Event(what));
+                }
+                if i == 0 {
+                    // `ensure_started`, after whatever was scheduled first.
+                    (0..AGENTS).for_each(|id| m.push(0, id, Pending::Event(What::Start)));
+                }
+                let outcome = w.run_until(SimTime::from_nanos(step.horizon));
+                prop_assert_eq!(outcome, m.run_until(step.horizon));
+                prop_assert_eq!(w.now().as_nanos(), m.now);
+                w.validate_timers().unwrap();
+                if step.compact {
+                    w.compact();
+                    m.compact();
+                    w.validate_timers().unwrap();
+                }
+            }
+            prop_assert_eq!(&board.borrow().log, &m.log);
+            prop_assert_eq!(w.cal.pending(), 0);
+            prop_assert_eq!(w.live_timers(), 0);
+            let stats = w.stats();
+            prop_assert_eq!(stats.events_delivered, m.log.len() as u64);
+            prop_assert_eq!(stats.timer_deliveries, m.timers_fired);
+            prop_assert_eq!(stats.stale_timer_pops, m.stale);
+        }
     }
 }

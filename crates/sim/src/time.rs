@@ -269,13 +269,25 @@ impl fmt::Display for SimDuration {
 /// keeping it here guarantees all components quantize identically.
 pub fn serialization_delay(bytes: usize, bits_per_sec: u64) -> SimDuration {
     assert!(bits_per_sec > 0, "link rate must be positive");
-    let bits = bytes as u128 * 8;
-    let ns = (bits * 1_000_000_000u128).div_ceil(bits_per_sec as u128);
-    SimDuration::from_nanos(ns.min(u64::MAX as u128) as u64)
+    // bytes × 8 × 10⁹ fits a u64 for anything under 2.3 GB — every frame —
+    // which spares the 128-bit division (a library call) per link service.
+    let ns = match (bytes as u64).checked_mul(8 * 1_000_000_000) {
+        Some(bit_ns) => bit_ns.div_ceil(bits_per_sec),
+        None => serialization_delay_wide(bytes, bits_per_sec),
+    };
+    SimDuration::from_nanos(ns)
+}
+
+/// [`serialization_delay`] in 128-bit arithmetic, saturating at `u64::MAX` ns.
+fn serialization_delay_wide(bytes: usize, bits_per_sec: u64) -> u64 {
+    let bit_ns = bytes as u128 * 8 * 1_000_000_000;
+    bit_ns.div_ceil(bits_per_sec as u128).min(u64::MAX as u128) as u64
 }
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     #[test]
@@ -324,6 +336,42 @@ mod tests {
         // Rounds up to whole nanoseconds.
         assert_eq!(serialization_delay(1, 8_000_000_000).as_nanos(), 1);
         assert_eq!(serialization_delay(0, 1_000_000), SimDuration::ZERO);
+    }
+
+    #[test]
+    fn serialization_delay_narrow_path_rounds_like_the_wide_one() {
+        // Every rate crates/link/src/presets.rs uses, over every frame size
+        // a 16-bit IP length can carry.
+        const PRESET_RATES: [u64; 25] = [
+            280_000, 400_000, 500_000, 600_000, 800_000, 1_000_000, 1_100_000, 1_500_000,
+            2_200_000, 2_800_000, 4_000_000, 5_000_000, 6_000_000, 7_000_000, 8_000_000,
+            9_000_000, 10_000_000, 12_000_000, 15_000_000, 16_000_000, 18_000_000, 22_000_000,
+            35_000_000, 60_000_000, 1_000_000_000,
+        ];
+        for rate in PRESET_RATES {
+            for bytes in 0..=65_535usize {
+                assert_eq!(
+                    serialization_delay(bytes, rate).as_nanos(),
+                    serialization_delay_wide(bytes, rate),
+                    "{bytes} bytes at {rate} bps"
+                );
+            }
+        }
+        // Past the u64 product the wide path takes over and saturates.
+        assert_eq!(serialization_delay(usize::MAX, 1), SimDuration::MAX);
+    }
+
+    proptest! {
+        #[test]
+        fn serialization_delay_paths_agree_everywhere(
+            bytes in (any::<u64>(), 0u32..64).prop_map(|(x, s)| (x >> s) as usize),
+            rate in (any::<u64>(), 0u32..64).prop_map(|(x, s)| (x >> s).max(1)),
+        ) {
+            prop_assert_eq!(
+                serialization_delay(bytes, rate).as_nanos(),
+                serialization_delay_wide(bytes, rate)
+            );
+        }
     }
 
     #[test]
