@@ -22,11 +22,11 @@
 //! hash; handshakes never interleave in the reproduced scenarios, and the
 //! join token is kept for reporting).
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 
 use mpw_metrics::{epoch_shares, DistSummary, EpochShare, EpochSpan};
 use mpw_sim::SimTime;
-use mpw_tcp::wire::{parse_any_shared, Endpoint, MptcpOption, Packet, TcpSegment};
+use mpw_tcp::wire::{parse_headers, Endpoint, MptcpOption, Packet, TcpSegment};
 use mpw_tcp::SeqNum;
 
 use crate::hub::{IfaceRole, Vantage};
@@ -149,33 +149,29 @@ impl Coverage {
             return 0;
         }
         let mut novel = end - start;
-        let mut new_start = start;
         let mut new_end = end;
-        // Absorb any span overlapping or adjacent to [start, end).
-        let mut to_remove = Vec::new();
-        for (&s, &e) in self.spans.range(..=end) {
-            if e < start {
-                continue;
+        // Absorb any span overlapping or adjacent to [start, end), walking
+        // down from the last one that starts at or below `end`. Spans are
+        // disjoint, so the first that ends before `start` ends the walk.
+        while let Some((&s, e)) = self.spans.range_mut(..=end).next_back() {
+            if *e < start {
+                break;
             }
             // Overlapping coverage reduces novelty.
-            let ov = e.min(end).saturating_sub(s.max(start));
+            let ov = (*e).min(end).saturating_sub(s.max(start));
             novel = novel.saturating_sub(ov);
-            new_start = new_start.min(s);
-            new_end = new_end.max(e);
-            to_remove.push(s);
-        }
-        for s in to_remove {
+            new_end = new_end.max(*e);
+            if s <= start {
+                // The lowest span touched, and it starts no later: the new
+                // range only lengthens it (the in-order arrival).
+                *e = new_end;
+                return novel;
+            }
             self.spans.remove(&s);
         }
-        self.spans.insert(new_start, new_end);
+        self.spans.insert(start, new_end);
         novel
     }
-}
-
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-struct SubflowKey {
-    client: Endpoint,
-    server: Endpoint,
 }
 
 /// Per-subflow analyzer state beyond what ends up in [`WireSubflow`].
@@ -187,8 +183,9 @@ struct SubflowState {
     /// First-transmission times keyed by unwrapped expected ack;
     /// bool = Karn-invalidated.
     pending_ack: BTreeMap<u64, (SimTime, bool)>,
-    /// Data sequence numbers already transmitted (rexmit detection).
-    seen_seq: HashSet<u32>,
+    /// Unwrapped sequence offsets already transmitted, sorted (rexmit
+    /// detection).
+    seen_seq: Vec<u64>,
     /// Client-side handshake: SYN transmit time (up@client vantage).
     syn_tx: Option<SimTime>,
     /// Number of SYNs seen from the client (>1 → Karn-invalidate SYN RTT).
@@ -215,7 +212,7 @@ struct ConnState {
 /// Analyze a parsed capture. `server_port` orients flows: packets towards
 /// it are client→server. Packets are processed in timestamp order (ties in
 /// file order), so captures from several interleaved taps are fine.
-pub fn analyze(file: &PcapFile, server_port: u16) -> WireAnalysis {
+pub fn analyze(file: &PcapFile<'_>, server_port: u16) -> WireAnalysis {
     let mut out = WireAnalysis::default();
     let roles: Vec<Option<IfaceRole>> = file
         .interfaces
@@ -224,10 +221,9 @@ pub fn analyze(file: &PcapFile, server_port: u16) -> WireAnalysis {
         .collect();
 
     // Stable sort keeps ties in file order.
-    let mut order: Vec<&PcapPacket> = file.packets.iter().collect();
+    let mut order: Vec<&PcapPacket<'_>> = file.packets.iter().collect();
     order.sort_by_key(|p| p.at);
 
-    let mut sub_index: HashMap<SubflowKey, usize> = HashMap::new();
     let mut subs: Vec<(WireSubflow, SubflowState)> = Vec::new();
     let mut conns: Vec<(WireConnection, ConnState)> = Vec::new();
 
@@ -241,9 +237,10 @@ pub fn analyze(file: &PcapFile, server_port: u16) -> WireAnalysis {
             out.drop_records += 1;
             continue;
         };
-        let (ip, seg) = match parse_any_shared(&pkt.data) {
-            Ok(Packet::Tcp(ip, seg)) => (ip, seg),
-            Ok(Packet::Ping(..)) => {
+        // Headers only: of a payload the analysis wants the length.
+        let (ip, seg, len) = match parse_headers(pkt.data) {
+            Ok((Packet::Tcp(ip, seg), payload)) => (ip, seg, payload.len() as u64),
+            Ok((Packet::Ping(..), _)) => {
                 out.pings += 1;
                 continue;
             }
@@ -258,20 +255,12 @@ pub fn analyze(file: &PcapFile, server_port: u16) -> WireAnalysis {
             out.unparsed += 1;
             continue;
         }
-        let key = if to_server {
-            SubflowKey {
-                client: Endpoint::new(ip.src, seg.src_port),
-                server: Endpoint::new(ip.dst, seg.dst_port),
-            }
-        } else {
-            SubflowKey {
-                client: Endpoint::new(ip.dst, seg.dst_port),
-                server: Endpoint::new(ip.src, seg.src_port),
-            }
-        };
+        let (src, dst) = (Endpoint::new(ip.src, seg.src_port), Endpoint::new(ip.dst, seg.dst_port));
+        let (client, server) = if to_server { (src, dst) } else { (dst, src) };
 
-        let si = match sub_index.get(&key) {
-            Some(&si) => si,
+        // A capture holds a handful of subflows: a scan, not a hash.
+        let si = match subs.iter().position(|(s, _)| s.client == client && s.server == server) {
+            Some(si) => si,
             None => {
                 let (conn, join_token, client_key) =
                     classify_new_subflow(&seg, to_server, &conns);
@@ -290,8 +279,8 @@ pub fn analyze(file: &PcapFile, server_port: u16) -> WireAnalysis {
                 subs.push((
                     WireSubflow {
                         path: role.path,
-                        client: key.client,
-                        server: key.server,
+                        client,
+                        server,
                         established: false,
                         join_token,
                         syn_rtt_ms: None,
@@ -307,9 +296,7 @@ pub fn analyze(file: &PcapFile, server_port: u16) -> WireAnalysis {
                         ..SubflowState::default()
                     },
                 ));
-                let si = subs.len() - 1;
-                sub_index.insert(key, si);
-                si
+                subs.len() - 1
             }
         };
         let Some((sub, st)) = subs.get_mut(si) else {
@@ -340,14 +327,14 @@ pub fn analyze(file: &PcapFile, server_port: u16) -> WireAnalysis {
                     }
                     st.syn_ack_seen = true;
                 }
-                if !seg.payload.is_empty() {
+                if len > 0 {
                     let novel = match seg.dss().and_then(|(_, m, _)| m) {
                         Some(mapping) => {
                             // Saturate rather than overflow on a hostile
                             // dseq near u64::MAX (fuzzer find; regression
                             // input in tests/fuzz-corpus/analyze/).
                             let start = mapping.dseq;
-                            let end = start.saturating_add(seg.payload.len() as u64);
+                            let end = start.saturating_add(len);
                             match conns.get_mut(st.conn) {
                                 Some(entry) => {
                                     let novel = entry.1.coverage.insert(start, end);
@@ -362,8 +349,7 @@ pub fn analyze(file: &PcapFile, server_port: u16) -> WireAnalysis {
                             // subflow sequence space.
                             let base = *st.base_seq.get_or_insert(seg.seq.0);
                             let start = unwrap_seq(base, seg.seq);
-                            st.sub_coverage
-                                .insert(start, start + seg.payload.len() as u64)
+                            st.sub_coverage.insert(start, start + len)
                         }
                     };
                     sub.delivered_bytes += novel;
@@ -382,20 +368,28 @@ pub fn analyze(file: &PcapFile, server_port: u16) -> WireAnalysis {
                 if syn && ack {
                     st.syn_ack_seen = true;
                 }
-                if !seg.payload.is_empty() {
+                if len > 0 {
                     sub.data_segs += 1;
-                    sub.bytes_sent += seg.payload.len() as u64;
+                    sub.bytes_sent += len;
                     let base = *st.base_seq.get_or_insert(seg.seq.0);
-                    let expected_ack =
-                        unwrap_seq(base, seg.seq) + seg.payload.len() as u64;
-                    if st.seen_seq.contains(&seg.seq.0) {
-                        sub.rexmit_segs += 1;
-                        if let Some(entry) = st.pending_ack.get_mut(&expected_ack) {
-                            entry.1 = true; // Karn
+                    let offset = unwrap_seq(base, seg.seq);
+                    let expected_ack = offset + len;
+                    // New data sits above everything sent: no search then.
+                    let seen = match st.seen_seq.last() {
+                        Some(&top) if offset <= top => st.seen_seq.binary_search(&offset),
+                        _ => Err(st.seen_seq.len()),
+                    };
+                    match seen {
+                        Ok(_) => {
+                            sub.rexmit_segs += 1;
+                            if let Some(entry) = st.pending_ack.get_mut(&expected_ack) {
+                                entry.1 = true; // Karn
+                            }
                         }
-                    } else {
-                        st.seen_seq.insert(seg.seq.0);
-                        st.pending_ack.insert(expected_ack, (pkt.at, false));
+                        Err(at) => {
+                            st.seen_seq.insert(at, offset);
+                            st.pending_ack.insert(expected_ack, (pkt.at, false));
+                        }
                     }
                 }
             }
@@ -415,8 +409,9 @@ pub fn analyze(file: &PcapFile, server_port: u16) -> WireAnalysis {
                                 sub.rtt_samples_ms.push(ms);
                             }
                         }
-                        let keep = st.pending_ack.split_off(&(a + 1));
-                        st.pending_ack = keep;
+                        while st.pending_ack.first_key_value().is_some_and(|(&k, _)| k <= a) {
+                            st.pending_ack.pop_first();
+                        }
                     }
                 }
             }
@@ -515,7 +510,7 @@ mod tests {
 
     impl Rig {
         fn new(paths: u8) -> Rig {
-            let mut hub = CaptureHub::new();
+            let mut hub = CaptureHub::new(0);
             let ifaces = (0..paths).map(|p| hub.add_path(p)).collect();
             Rig { hub, ifaces }
         }
@@ -550,9 +545,9 @@ mod tests {
             );
         }
 
-        fn analyze(&self) -> WireAnalysis {
-            let file = read_pcapng(&self.hub.to_pcapng()).expect("pcap");
-            analyze(&file, SERVER_PORT)
+        fn analyze(mut self) -> WireAnalysis {
+            let pcap = self.hub.finish();
+            analyze(&read_pcapng(&pcap).expect("pcap"), SERVER_PORT)
         }
     }
 

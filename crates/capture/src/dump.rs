@@ -92,7 +92,7 @@ fn format_mptcp(m: &MptcpOption) -> String {
 }
 
 /// Render a whole capture file, one line per packet, in file order.
-pub fn dump(file: &PcapFile) -> String {
+pub fn dump(file: &PcapFile<'_>) -> String {
     let mut out = String::new();
     for p in &file.packets {
         let iface = file
@@ -100,7 +100,7 @@ pub fn dump(file: &PcapFile) -> String {
             .get(p.iface as usize)
             .map(|i| i.name.as_str())
             .unwrap_or("?");
-        out.push_str(&format_packet(iface, p.at.as_nanos(), &p.data, p.comment.as_deref()));
+        out.push_str(&format_packet(iface, p.at.as_nanos(), p.data, p.comment.as_deref()));
         out.push('\n');
     }
     out

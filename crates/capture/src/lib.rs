@@ -5,13 +5,13 @@
 //! gives the simulation the same black-box measurement layer:
 //!
 //! - [`hub::CaptureHub`] implements [`mpw_sim::tap::FrameObserver`] and can
-//!   be attached to any number of `mpw_link` tap points. It records the
-//!   fully-encoded wire bytes with simulated-time timestamps and serializes
-//!   them to [pcapng](pcapng) files real Wireshark/tcpdump can open
+//!   be attached to any number of `mpw_link` tap points. It writes the
+//!   fully-encoded wire bytes with simulated-time timestamps, as the frames
+//!   pass, into a [pcapng](pcapng) file real Wireshark/tcpdump can open
 //!   (one capture interface per path and vantage, plus a dedicated channel
 //!   for link-discarded frames).
-//! - [`analyze`](analyze::analyze) replays a pcapng through
-//!   `mpw_tcp::wire::parse_packet` and reconstructs — purely from the bytes —
+//! - [`analyze`](analyze::analyze) replays a pcapng through the header-only
+//!   `mpw_tcp::wire::parse_headers` and reconstructs — purely from the bytes —
 //!   per-subflow RTT samples, retransmission counts, DSS-level out-of-order
 //!   delay, and per-path byte shares, so the in-stack metrics can be
 //!   cross-checked the way the paper's figures were produced.
@@ -31,7 +31,5 @@ pub mod hub;
 pub mod pcapng;
 
 pub use analyze::{analyze, WireAnalysis, WireConnection, WireSubflow};
-pub use hub::{CaptureHub, CapturedRecord, IfaceRole, LinkDir, RecordKind, SharedHub, Vantage, DROPS_IFACE};
-pub use pcapng::{
-    read_pcapng, read_pcapng_shared, PcapError, PcapFile, PcapInterface, PcapPacket, PcapWriter,
-};
+pub use hub::{CaptureHub, IfaceRole, LinkDir, SharedHub, Vantage, DROPS_IFACE};
+pub use pcapng::{read_pcapng, PcapError, PcapFile, PcapInterface, PcapPacket, PcapWriter};

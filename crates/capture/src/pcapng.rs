@@ -15,11 +15,17 @@
 //!
 //! The reader accepts anything the writer produces plus the common
 //! variations (unknown block types are skipped, unknown options ignored),
-//! and rejects truncated or byte-swapped input with a typed error.
+//! and rejects truncated or byte-swapped input with a typed error. It
+//! borrows: a [`PcapFile`] holds its packets as sub-slices of the buffer it
+//! was read from, so reading a capture back copies none of it.
+//!
+//! An option's length field is 16 bits: the writer clips an interface name
+//! or comment to the longest prefix of at most 65,535 bytes that ends on a
+//! `char` boundary, and the reader clips what lossy UTF-8 decoding inflated
+//! past that, so whatever the reader returns the writer stores whole.
 
 use core::fmt;
 
-use bytes::Bytes;
 use mpw_sim::SimTime;
 
 /// pcapng link type for user-defined encapsulation (LINKTYPE_USER0).
@@ -77,8 +83,14 @@ pub struct PcapWriter {
 impl PcapWriter {
     /// Start a new section.
     pub fn new() -> Self {
+        Self::with_capacity(4096)
+    }
+
+    /// Start a new section in a buffer of at least `capacity` bytes: a
+    /// writer that is told the size of its file up front never moves it.
+    pub fn with_capacity(capacity: usize) -> Self {
         let mut w = PcapWriter {
-            buf: Vec::with_capacity(4096),
+            buf: Vec::with_capacity(capacity),
             n_ifaces: 0,
         };
         // SHB: magic, version 1.0, unknown section length.
@@ -92,12 +104,13 @@ impl PcapWriter {
     }
 
     /// Declare a capture interface; returns its id for [`Self::packet`].
+    /// A name over 65,535 bytes is clipped (see the module docs).
     pub fn add_interface(&mut self, name: &str) -> u32 {
         let start = self.begin_block(BT_IDB);
         put_u16(&mut self.buf, LINKTYPE_USER0);
         put_u16(&mut self.buf, 0); // reserved
         put_u32(&mut self.buf, 0); // snaplen: unlimited
-        put_option(&mut self.buf, OPT_IF_NAME, name.as_bytes());
+        put_option(&mut self.buf, OPT_IF_NAME, clip_option(name).as_bytes());
         put_option(&mut self.buf, OPT_IF_TSRESOL, &[9]); // nanoseconds
         put_u16(&mut self.buf, OPT_END);
         put_u16(&mut self.buf, 0);
@@ -108,7 +121,8 @@ impl PcapWriter {
     }
 
     /// Append one packet. `comment`, when present, is stored as the EPB's
-    /// `opt_comment` (the capture uses it to label drop records).
+    /// `opt_comment` (the capture uses it to label drop records), clipped to
+    /// the 65,535 bytes an option can carry (see the module docs).
     ///
     /// Blocks are serialized straight into the writer's output buffer with a
     /// length back-patch, so a warmed-up writer appends packets without any
@@ -125,7 +139,7 @@ impl PcapWriter {
         self.buf.extend_from_slice(data);
         pad4(&mut self.buf);
         if let Some(c) = comment {
-            put_option(&mut self.buf, OPT_COMMENT, c.as_bytes());
+            put_option(&mut self.buf, OPT_COMMENT, clip_option(c).as_bytes());
             put_u16(&mut self.buf, OPT_END);
             put_u16(&mut self.buf, 0);
         }
@@ -135,6 +149,11 @@ impl PcapWriter {
     /// Finish the section and return the file bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
+    }
+
+    /// Bytes written so far.
+    pub(crate) fn len(&self) -> usize {
+        self.buf.len()
     }
 
     /// Open a block: write the type and a length placeholder, return the
@@ -176,52 +195,43 @@ pub struct PcapInterface {
 
 /// One packet read back from a file.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PcapPacket {
+pub struct PcapPacket<'a> {
     /// Interface id (index into [`PcapFile::interfaces`]).
     pub iface: u32,
     /// Capture timestamp, converted back to simulated time.
     pub at: SimTime,
-    /// Captured bytes — a refcounted sub-slice of the file buffer, not a
-    /// per-packet copy.
-    pub data: Bytes,
+    /// Captured bytes — a sub-slice of the buffer the file was read from,
+    /// not a copy.
+    pub data: &'a [u8],
     /// `opt_comment`, if present (drop records carry one).
     pub comment: Option<String>,
 }
 
-/// A fully parsed capture file.
+/// A fully parsed capture file, borrowing its packet bytes from the buffer
+/// handed to [`read_pcapng`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct PcapFile {
+pub struct PcapFile<'a> {
     /// Interfaces in declaration order.
     pub interfaces: Vec<PcapInterface>,
     /// Packets in file order.
-    pub packets: Vec<PcapPacket>,
+    pub packets: Vec<PcapPacket<'a>>,
 }
 
-impl PcapFile {
+impl PcapFile<'_> {
     /// Index of the interface with the given name, if any.
     pub fn iface_named(&self, name: &str) -> Option<u32> {
         self.interfaces.iter().position(|i| i.name == name).map(|i| i as u32)
     }
 }
 
-/// Parse a (little-endian, single-section) pcapng file from a plain byte
-/// slice. The input is copied once into a refcounted buffer which every
-/// [`PcapPacket::data`] then sub-slices; callers that already hold the file
-/// as [`Bytes`] should use [`read_pcapng_shared`] to skip even that copy.
-pub fn read_pcapng(data: &[u8]) -> Result<PcapFile, PcapError> {
-    read_pcapng_shared(&Bytes::copy_from_slice(data))
-}
-
 /// Parse a (little-endian, single-section) pcapng file without copying any
-/// packet bytes: every [`PcapPacket::data`] is a refcounted sub-slice of
-/// `src`.
+/// packet bytes: every [`PcapPacket::data`] is a sub-slice of `data`.
 ///
 /// The reader is total over arbitrary bytes: every read of the input goes
 /// through [`get_u32`]/[`get_u16`]/`slice::get`, so truncated or mangled
 /// files produce a typed [`PcapError`], never a panic. The `panic` lint
 /// wall (`crates/check/src/lint_engine/`) enforces this.
-pub fn read_pcapng_shared(src: &Bytes) -> Result<PcapFile, PcapError> {
-    let data: &[u8] = src.as_ref();
+pub fn read_pcapng(data: &[u8]) -> Result<PcapFile<'_>, PcapError> {
     let mut out = PcapFile::default();
     let mut at = 0usize;
     let mut first = true;
@@ -271,7 +281,7 @@ pub fn read_pcapng_shared(src: &Bytes) -> Result<PcapFile, PcapError> {
                 for (code, val) in OptionIter::new(opts) {
                     match code {
                         OPT_IF_NAME => {
-                            iface.name = String::from_utf8_lossy(val).into_owned();
+                            iface.name = option_string(val);
                         }
                         OPT_IF_TSRESOL => {
                             if let &[exp] = val {
@@ -298,9 +308,7 @@ pub fn read_pcapng_shared(src: &Bytes) -> Result<PcapFile, PcapError> {
                 let ts = (u64::from(ts_hi) << 32) | u64::from(ts_lo);
                 let caplen = get_u32(body, 12).ok_or(PcapError::Truncated)? as usize;
                 let packet_end = 20usize.checked_add(caplen).ok_or(PcapError::Truncated)?;
-                if body.get(20..packet_end).is_none() {
-                    return Err(PcapError::Truncated);
-                }
+                let packet = body.get(20..packet_end).ok_or(PcapError::Truncated)?;
                 let nanos = match idesc.tsresol_exp {
                     9 => ts,
                     exp if exp < 9 => ts.saturating_mul(10u64.pow(u32::from(9 - exp))),
@@ -319,18 +327,14 @@ pub fn read_pcapng_shared(src: &Bytes) -> Result<PcapFile, PcapError> {
                 if let Some(opts) = body.get(opts_at..) {
                     for (code, val) in OptionIter::new(opts) {
                         if code == OPT_COMMENT && comment.is_none() {
-                            comment = Some(String::from_utf8_lossy(val).into_owned());
+                            comment = Some(option_string(val));
                         }
                     }
                 }
-                // The payload is `body[20..packet_end]` and `body` starts 8
-                // bytes into the block, so its absolute range in `src` is
-                // `at + 28 .. at + 8 + packet_end` (bounds proven by the
-                // `body.get` check above).
                 out.packets.push(PcapPacket {
                     iface,
                     at: SimTime::from_nanos(nanos),
-                    data: src.slice(at + 28..at + 8 + packet_end),
+                    data: packet,
                     comment,
                 });
             }
@@ -392,6 +396,25 @@ fn get_u32(data: &[u8], at: usize) -> Option<u32> {
         .map(u32::from_le_bytes)
 }
 
+/// The longest prefix of `s` that fits an option's 16-bit length field and
+/// ends on a `char` boundary.
+fn clip_option(s: &str) -> &str {
+    let mut end = s.len().min(usize::from(u16::MAX));
+    while !s.is_char_boundary(end) {
+        end -= 1;
+    }
+    s.get(..end).unwrap_or(s)
+}
+
+/// An option value read back as text: decoded lossily, then clipped to what
+/// the writer stores whole.
+fn option_string(val: &[u8]) -> String {
+    let mut s = String::from_utf8_lossy(val).into_owned();
+    s.truncate(clip_option(&s).len());
+    s
+}
+
+/// `val` is at most 65,535 bytes: a string goes through [`clip_option`].
 fn put_option(out: &mut Vec<u8>, code: u16, val: &[u8]) {
     put_u16(out, code);
     put_u16(out, val.len() as u16);
@@ -431,20 +454,65 @@ mod tests {
     }
 
     #[test]
-    fn shared_read_is_zero_copy() {
+    fn read_is_zero_copy() {
         let mut w = PcapWriter::new();
         let i0 = w.add_interface("x");
         w.packet(i0, SimTime::from_millis(1), b"payload!", None);
-        let file_bytes = Bytes::from(w.into_bytes());
-        let f = read_pcapng_shared(&file_bytes).expect("parse");
-        let data = &f.packets[0].data;
-        assert_eq!(**data, *b"payload!");
-        let base = file_bytes.as_ref().as_ptr() as usize;
-        let p = data.as_ref().as_ptr() as usize;
+        let file_bytes = w.into_bytes();
+        let f = read_pcapng(&file_bytes).expect("parse");
+        let data = f.packets[0].data;
+        assert_eq!(*data, *b"payload!");
+        let base = file_bytes.as_ptr() as usize;
+        let p = data.as_ptr() as usize;
         assert!(
             p >= base && p + data.len() <= base + file_bytes.len(),
             "packet data must be a sub-slice of the file buffer"
         );
+    }
+
+    /// A comment (or interface name) longer than an option's 16-bit length
+    /// field used to be written whole behind a wrapped length, so the block
+    /// read back as something else. Reachable by re-writing a read-back
+    /// file: lossy decoding triples every invalid byte, so a 22 KB
+    /// non-UTF-8 `opt_comment` comes back as 66 KB (regression input in
+    /// tests/fuzz-corpus/pcapng/).
+    #[test]
+    fn overlong_comment_and_name_are_clipped_at_a_char_boundary() {
+        // 21,846 three-byte characters are 65,538 bytes: the longest
+        // prefix that fits is 21,845 of them, 65,535 bytes exactly.
+        let long = "\u{fffd}".repeat(21_846);
+        // One ASCII byte in front moves the boundary: 65,533 bytes fit.
+        let shifted = format!("x{long}");
+        let mut w = PcapWriter::new();
+        w.add_interface(&shifted);
+        w.packet(0, SimTime::ZERO, b"abc", Some(&long));
+        w.packet(0, SimTime::from_millis(1), b"next", None);
+        let bytes = w.into_bytes();
+        let f = read_pcapng(&bytes).expect("parse");
+        assert_eq!(f.interfaces[0].name, shifted[..1 + 3 * 21_844]);
+        assert_eq!(f.packets.len(), 2);
+        assert_eq!(f.packets[0].data, *b"abc");
+        assert_eq!(f.packets[0].comment.as_deref(), Some(&long[..3 * 21_845]));
+        assert_eq!(f.packets[1].data, *b"next");
+
+        // What the reader hands back, the writer stores whole: a 22 KB
+        // invalid-UTF-8 comment decodes to 66 KB and is clipped on the way
+        // in, so read → write → read is a fixpoint.
+        let mut raw = PcapWriter::new();
+        raw.add_interface("i");
+        raw.packet(0, SimTime::ZERO, b"abc", Some(&"y".repeat(22_000)));
+        let mut raw = raw.into_bytes();
+        for b in raw.iter_mut().filter(|b| **b == b'y') {
+            *b = 0xff;
+        }
+        let first = read_pcapng(&raw).expect("parse");
+        assert_eq!(first.packets[0].comment.as_deref(), Some(&long[..3 * 21_845]));
+        let mut again = PcapWriter::new();
+        again.add_interface(&first.interfaces[0].name);
+        let p = &first.packets[0];
+        again.packet(p.iface, p.at, p.data, p.comment.as_deref());
+        let again = again.into_bytes();
+        assert_eq!(read_pcapng(&again).expect("parse"), first);
     }
 
     #[test]
@@ -575,15 +643,16 @@ mod tests {
                     w.add_interface(&format!("path{i}:down@client"));
                 }
                 let mut want = Vec::new();
-                for (iface_raw, nanos, data, has_comment, comment) in pkts {
+                for (iface_raw, nanos, data, has_comment, comment) in &pkts {
                     let iface = iface_raw % n_ifaces;
-                    let at = SimTime::from_nanos(nanos);
+                    let at = SimTime::from_nanos(*nanos);
                     let comment = has_comment
-                        .then(|| String::from_utf8(comment).expect("ascii"));
-                    w.packet(iface, at, &data, comment.as_deref());
-                    want.push(PcapPacket { iface, at, data: data.into(), comment });
+                        .then(|| String::from_utf8(comment.clone()).expect("ascii"));
+                    w.packet(iface, at, data, comment.as_deref());
+                    want.push(PcapPacket { iface, at, data, comment });
                 }
-                let f = read_pcapng(&w.into_bytes()).expect("parse");
+                let bytes = w.into_bytes();
+                let f = read_pcapng(&bytes).expect("parse");
                 prop_assert_eq!(f.interfaces.len() as u32, n_ifaces);
                 for (i, iface) in f.interfaces.iter().enumerate() {
                     prop_assert_eq!(iface.tsresol_exp, 9);

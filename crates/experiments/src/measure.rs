@@ -132,10 +132,19 @@ pub fn run_measurement(scenario: &Scenario, seed: u64) -> Measurement {
 /// [`run_measurement`] yields for the same scenario and seed: taps observe
 /// without drawing randomness or scheduling events.
 pub fn run_measurement_captured(scenario: &Scenario, seed: u64) -> (Measurement, Vec<u8>) {
-    let hub = mpw_capture::CaptureHub::shared();
+    let hub = capture_hub(scenario.size);
     let (m, _tb) = run_measurement_inner(scenario, seed, false, Some(hub.clone()));
-    let pcap = hub.borrow().to_pcapng();
+    let pcap = hub.borrow_mut().finish();
     (m, pcap)
+}
+
+/// A capture hub sized for a download of `size` bytes, so the file is
+/// written in place and never moved. Four vantages see every frame twice
+/// over and the ACKs besides — 2.1–2.4 file bytes per payload byte on the
+/// paper's scenarios; three, plus 1 MiB for small objects' fixed share, has
+/// room to spare (pages never written are never resident).
+fn capture_hub(size: u64) -> mpw_capture::SharedHub {
+    mpw_capture::CaptureHub::shared(3 * size as usize + (1 << 20))
 }
 
 /// Result of a [`run_lossfree_download_windowed`] probe.
@@ -188,11 +197,7 @@ pub fn run_lossfree_download_windowed(
     capture: bool,
     mark: &mut dyn FnMut(u8),
 ) -> LossfreeProbe {
-    let hub = if capture {
-        Some(mpw_capture::CaptureHub::shared())
-    } else {
-        None
-    };
+    let hub = capture.then(|| capture_hub(size));
     // Pin per-subflow in-flight at 64 KiB (> the 50 KB path BDP, so the
     // links stay saturated). An uncapped congestion-avoidance window grows
     // for the whole transfer, and growing in-flight means freshly allocated
@@ -227,7 +232,7 @@ pub fn run_lossfree_download_windowed(
     let horizon = tb.world.now() + SimDuration::from_secs(600);
     let flow = tb.run_flow(slot, horizon, &who);
     let (_, rexmit_segs) = server_segments(&mut tb);
-    let pcap_bytes = hub.map(|h| h.borrow().to_pcapng().len()).unwrap_or(0);
+    let pcap_bytes = hub.map_or(0, |h| h.borrow_mut().finish().len());
     LossfreeProbe {
         bytes: flow.app_bytes,
         download_time_s: flow.download_time().map(|d| d.as_secs_f64()),

@@ -175,7 +175,19 @@ fn emit_regressions(dir: &std::path::Path) -> std::io::Result<()> {
         }
     }
     debug_assert!(patched, "if_tsresol option not found in writer output");
-    corpus::save(&dir.join("pcapng"), &[tsresol_81])?;
+    // pcapng: a 22,000-byte `opt_comment` that is not UTF-8. Lossy decoding
+    // triples it to 66,000 bytes, more than an option's 16-bit length field
+    // holds: the writer used to store all of it behind a wrapped length, and
+    // the rewritten file read back with a different comment (write-back
+    // equality; see `overlong_comment_and_name_are_clipped_at_a_char_boundary`).
+    let mut w = mpw_capture::PcapWriter::new();
+    w.add_interface("i");
+    w.packet(0, SimTime::ZERO, b"abc", Some(&"y".repeat(22_000)));
+    let mut long_comment = w.into_bytes();
+    for b in long_comment.iter_mut().filter(|b| **b == b'y') {
+        *b = 0xff;
+    }
+    corpus::save(&dir.join("pcapng"), &[tsresol_81, long_comment])?;
 
     // wire: a valid MP_JOIN SYN — under the planted-parser-bug feature this
     // is the minimal witness of the misparsed nonce; on the fixed parser it

@@ -353,7 +353,7 @@ fn run_pcapng(input: &[u8]) -> Outcome {
                 w.add_interface(&iface.name);
             }
             for p in &file.packets {
-                w.packet(p.iface, p.at, &p.data, p.comment.as_deref());
+                w.packet(p.iface, p.at, p.data, p.comment.as_deref());
             }
             let violation = match read_pcapng(&w.into_bytes()) {
                 Err(e) => Some(format!("rewritten capture failed to parse: {e:?}")),

@@ -3,7 +3,7 @@
 //! Every input under `tests/fuzz-corpus/<target>/` — coverage-novel
 //! campaign survivors plus the handcrafted witnesses of fixed bugs (the
 //! reassembly u64 overflow, the analyzer dseq overflow, the pcapng
-//! tsresol divide-by-zero) — must execute without any oracle violation on
+//! tsresol divide-by-zero and wrapped option length) — must execute without any oracle violation on
 //! every `cargo test`. A failure here means a fixed bug regressed.
 
 use std::path::PathBuf;

@@ -51,6 +51,16 @@ pub enum TapDir {
 /// timestamps but must not influence the simulation (no RNG draws, no event
 /// scheduling). This is what makes capture-on and capture-off runs of the
 /// same seed byte-identical in their metrics.
+///
+/// **The caller's side of the contract.** Calls arrive in non-decreasing
+/// simulated time. A [`dropped`](Self::dropped) or [`TapDir::Ingress`]
+/// observation is made when it happens, so its `at` is the current time; a
+/// [`TapDir::Egress`] observation is made when the delivery is scheduled
+/// and stamped with the arrival, so its `at` is the current time or later.
+/// Hence no observation is ever stamped earlier than the latest ingress or
+/// drop — which is what lets an observer write a time-sorted record as it
+/// goes, holding only the egress observations still in flight. `mpw-link`'s
+/// `LinkAgent` calls its taps this way; `mpw-capture`'s hub asserts it.
 pub trait FrameObserver {
     /// A frame crossed a tap point.
     ///

@@ -1098,6 +1098,19 @@ pub fn parse_any_shared(data: &Bytes) -> Result<Packet, WireError> {
     Ok(Packet::Tcp(ip, seg))
 }
 
+/// As [`parse_any`] with every length, version, checksum and option check,
+/// but header-only: a TCP segment comes back with an empty payload beside
+/// the payload's byte range within `data` (empty for a ping) — what the
+/// offline analyzer wants, which only ever asks how long a payload was.
+pub fn parse_headers(data: &[u8]) -> Result<(Packet, core::ops::Range<usize>), WireError> {
+    let (header, protocol) = network_header(data)?;
+    if protocol == PROTO_PING {
+        return parse_ping(header, data).map(|ping| (ping, 0..0));
+    }
+    let (ip, seg, (lo, hi)) = parse_tcp(header, protocol, data)?;
+    Ok((Packet::Tcp(ip, seg), lo..hi))
+}
+
 /// Read just the destination address of a serialized packet — the routing
 /// key a shared-access switch fans frames out on. Total: truncated or
 /// non-IPv4 bytes yield `None` instead of an error (the switch counts them

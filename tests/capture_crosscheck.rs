@@ -23,12 +23,15 @@ fn fig5_style(flow: FlowConfig) -> Scenario {
 }
 
 /// One captured 2 MB download, parsed back, analyzed and cross-checked
-/// against the stack under the default tolerances.
+/// against the stack under the default tolerances; `inspect` then looks at
+/// the report, the file (which borrows the capture held here) and the
+/// analysis.
 fn crosschecked(
     flow: FlowConfig,
     carrier: Carrier,
     seed: u64,
-) -> (CrosscheckReport, PcapFile, WireAnalysis) {
+    inspect: impl FnOnce(&CrosscheckReport, &PcapFile<'_>, &WireAnalysis),
+) {
     let sc = Scenario {
         carrier,
         ..fig5_style(flow)
@@ -42,52 +45,98 @@ fn crosschecked(
         "{carrier:?} seed {seed}: wire analysis diverges from stack metrics:\n{}",
         report.render()
     );
-    (report, file, wa)
+    inspect(&report, &file, &wa);
 }
 
 #[test]
 fn wire_analysis_matches_stack_metrics_mp() {
     for (carrier, seed) in [(Carrier::Att, 11), (Carrier::Sprint, 7), (Carrier::Att, 9)] {
-        let (report, file, wa) = crosschecked(FlowConfig::mp2(Coupling::Coupled), carrier, seed);
-        // Four vantages per path; the drops interface is lazy.
-        let roles: Vec<_> = file
-            .interfaces
-            .iter()
-            .filter(|i| i.name != DROPS_IFACE)
-            .map(|i| IfaceRole::parse(&i.name).expect("structured iface name"))
-            .collect();
-        assert_eq!(roles.len(), 8, "2 paths x 4 vantages");
-        assert!(!file.packets.is_empty(), "capture saw traffic");
-        // The multipath handshake itself must be visible on the wire.
-        let conn = &wa.connections[0];
-        assert!(conn.client_key.is_some(), "MP_CAPABLE key recovered from wire");
-        assert!(
-            conn.subflows.iter().any(|s| s.join_token.is_some()),
-            "MP_JOIN recovered from wire"
-        );
-        // Both subflows carried data, and the OFO shape was compared, not
-        // skipped for want of samples on either side (the Sprint pair is
-        // where reordering happens, §5.2).
-        let with_data = conn.subflows.iter().filter(|s| s.data_segs > 10).count();
-        assert!(
-            with_data >= 2,
-            "expected both subflows on the wire, got {with_data}"
-        );
-        assert!(
-            report
-                .comparisons
+        crosschecked(FlowConfig::mp2(Coupling::Coupled), carrier, seed, |report, file, wa| {
+            // Four vantages per path; the drops interface is declared only
+            // when a drop was seen.
+            let roles: Vec<_> = file
+                .interfaces
                 .iter()
-                .any(|c| c.name == "ofo_delayed_frac"),
-            "no OFO comparison for {carrier:?} seed {seed}:\n{}",
-            report.render()
-        );
+                .filter(|i| i.name != DROPS_IFACE)
+                .map(|i| IfaceRole::parse(&i.name).expect("structured iface name"))
+                .collect();
+            assert_eq!(roles.len(), 8, "2 paths x 4 vantages");
+            assert!(!file.packets.is_empty(), "capture saw traffic");
+            // The multipath handshake itself must be visible on the wire.
+            let conn = &wa.connections[0];
+            assert!(conn.client_key.is_some(), "MP_CAPABLE key recovered from wire");
+            assert!(
+                conn.subflows.iter().any(|s| s.join_token.is_some()),
+                "MP_JOIN recovered from wire"
+            );
+            // Both subflows carried data, and the OFO shape was compared, not
+            // skipped for want of samples on either side (the Sprint pair is
+            // where reordering happens, §5.2).
+            let with_data = conn.subflows.iter().filter(|s| s.data_segs > 10).count();
+            assert!(
+                with_data >= 2,
+                "expected both subflows on the wire, got {with_data}"
+            );
+            assert!(
+                report
+                    .comparisons
+                    .iter()
+                    .any(|c| c.name == "ofo_delayed_frac"),
+                "no OFO comparison for {carrier:?} seed {seed}:\n{}",
+                report.render()
+            );
+        });
     }
 }
 
 #[test]
 fn wire_analysis_matches_stack_metrics_sp() {
     for (flow, seed) in [(FlowConfig::SpWifi, 3), (FlowConfig::SpCellular, 5)] {
-        crosschecked(flow, Carrier::Att, seed);
+        crosschecked(flow, Carrier::Att, seed, |_, _, _| {});
+    }
+}
+
+/// FNV-1a-64 of a capture file.
+fn fnv1a(data: &[u8]) -> u64 {
+    data.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The capture is pinned by bytes: these are the files the collect-then-sort
+/// hub wrote at the commit before the streaming one replaced it (Home WiFi,
+/// warm-up on). Drop-free files declare 8 interfaces — the eagerly written
+/// `drops` block cut out again, on a full-size file in the last row — and
+/// lossy ones 9.
+#[test]
+fn pcapng_bytes_match_the_pinned_hashes() {
+    use DayPeriod::{Evening, Night};
+    let mp2 = FlowConfig::mp2(Coupling::Coupled);
+    let mp4 = FlowConfig::mp4(Coupling::Olia);
+    let (sp_wifi, sp_cell) = (FlowConfig::SpWifi, FlowConfig::SpCellular);
+    let rows = [
+        (Carrier::Att, mp2, Night, sizes::S64K, 2013, 147_052, 0xaecc_79a5_bff0_6c78, 0),
+        (Carrier::Att, mp2, Night, sizes::S2M, 11, 4_665_468, 0xc328_1dc4_a369_afda, 17),
+        (Carrier::Sprint, mp4, Evening, sizes::S2M, 11, 4_859_220, 0xb53c_7b05_fea6_3a8b, 48),
+        (Carrier::Att, sp_wifi, Evening, sizes::S64K, 2013, 142_820, 0xe4e6_1818_5e07_9fb9, 0),
+        (Carrier::Verizon, sp_cell, Night, sizes::S8M, 7919, 18_003_316, 0x4f1f_424e_e5c4_3612, 0),
+    ];
+    for (carrier, flow, period, size, seed, len, hash, drops) in rows {
+        let sc = Scenario {
+            wifi: WifiKind::Home,
+            carrier,
+            flow,
+            size,
+            period,
+            warmup: true,
+        };
+        let (_, pcap) = run_measurement_captured(&sc, seed);
+        let row = format!("{carrier:?} {flow:?} {period:?} {size} B seed {seed}");
+        assert_eq!(pcap.len(), len, "{row}: file length");
+        assert_eq!(fnv1a(&pcap), hash, "{row}: FNV-1a-64 {:016x}", fnv1a(&pcap));
+        let file = read_pcapng(&pcap).expect("capture parses back");
+        assert_eq!(file.interfaces.len(), if drops > 0 { 9 } else { 8 }, "{row}: interfaces");
+        assert_eq!(analyze(&file, SERVER_PORT).drop_records, drops, "{row}: drop records");
     }
 }
 
