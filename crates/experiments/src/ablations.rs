@@ -3,12 +3,13 @@
 //! paired sweep and reports the effect size.
 
 use mpw_http::{StreamingClient, StreamingProfile, Wget};
-use mpw_link::{Carrier, DayPeriod, LossModel};
+use mpw_link::{Carrier, LossModel};
 use mpw_metrics::{Summary, Table};
 use mpw_mptcp::{Coupling, Host, MptcpConfig, Scheduler, TransportSpec};
 use mpw_sim::SimTime;
 use serde::Serialize;
 
+use crate::artifacts::study;
 use crate::config::{sizes, FlowConfig, Scenario, WifiKind};
 use crate::measure::run_measurement;
 use crate::testbed::{Testbed, TestbedSpec};
@@ -47,14 +48,8 @@ impl AblationResult {
 }
 
 fn base_scenario(size: u64) -> Scenario {
-    Scenario {
-        wifi: WifiKind::Home,
-        carrier: Carrier::Att,
-        flow: FlowConfig::mp2(Coupling::Coupled),
-        size,
-        period: DayPeriod::Afternoon,
-        warmup: true,
-    }
+    let flow = FlowConfig::mp2(Coupling::Coupled);
+    study::scenario(WifiKind::Home, Carrier::Att, flow, size)
 }
 
 fn times_with<F: Fn(&mut Scenario)>(size: u64, reps: u64, seed: u64, tweak: F) -> Vec<f64> {

@@ -8,7 +8,7 @@ use mpw_metrics::{BoxPlot, Summary, Table};
 use mpw_mptcp::Coupling;
 use serde::Serialize;
 
-use crate::artifacts::{Artifact, Check};
+use crate::artifacts::{study, Artifact, Check};
 use crate::campaign::{group_by, run_campaign, Scale};
 use crate::config::{sizes, FlowConfig, Scenario, WifiKind};
 use crate::measure::Measurement;
@@ -25,23 +25,13 @@ pub fn backlog_size(scale: Scale) -> u64 {
 }
 
 fn scenarios(size: u64) -> Vec<Scenario> {
-    let mut v = Vec::new();
-    for coupling in [Coupling::Coupled, Coupling::Reno] {
-        for flow in [
-            FlowConfig::mp2(coupling),
-            FlowConfig::mp4(coupling),
-        ] {
-            v.push(Scenario {
-                wifi: WifiKind::Home,
-                carrier: Carrier::Att,
-                flow,
-                size,
-                period: mpw_link::DayPeriod::Afternoon,
-                warmup: true,
-            });
-        }
-    }
-    v
+    let flows = [
+        FlowConfig::mp2(Coupling::Coupled),
+        FlowConfig::mp4(Coupling::Coupled),
+        FlowConfig::mp2(Coupling::Reno),
+        FlowConfig::mp4(Coupling::Reno),
+    ];
+    study::grid(WifiKind::Home, Carrier::Att, &[size], &flows)
 }
 
 #[derive(Serialize)]
@@ -72,17 +62,13 @@ pub fn run(scale: Scale, seed: u64, workers: usize) -> Vec<Artifact> {
     let grouped = group_by(&ms, |m| label(m));
     let mut rows = Vec::new();
     for (lbl, group) in &grouped {
-        let times: Vec<f64> = group.iter().filter_map(|m| m.download_time_s).collect();
+        let times = study::secs(group);
         let b = BoxPlot::of(&times);
         let s = Summary::of(&times);
         fig11.row(vec![lbl.clone(), b.render(), s.pm(), s.n.to_string()]);
         rows.push((lbl.clone(), b, s));
     }
-    let mean = |lbl: &str| -> Option<f64> {
-        grouped.get(lbl).map(|g| {
-            Summary::of(&g.iter().filter_map(|m| m.download_time_s).collect::<Vec<_>>()).mean
-        })
-    };
+    let mean = |lbl: &str| grouped.get(lbl).map(|g| Summary::of(&study::secs(g)).mean);
 
     let checks = vec![
         Check::new(

@@ -2,117 +2,61 @@
 //! Figure 3 (cellular traffic share), Table 2 (path characteristics).
 
 use mpw_link::Carrier;
-use mpw_metrics::{BoxPlot, Summary, Table};
 use mpw_mptcp::Coupling;
-use serde::Serialize;
 
+use crate::artifacts::study::{self, Layout, Part, ShareBy, Study};
 use crate::artifacts::{Artifact, Check};
-use crate::campaign::{group_by, run_campaign, Scale};
+use crate::campaign::{run_campaign, Scale};
 use crate::config::{sizes, FlowConfig, Scenario, WifiKind};
 use crate::measure::Measurement;
 
 const SIZES: [u64; 4] = [sizes::S64K, sizes::S512K, sizes::S2M, sizes::S16M];
 
 fn scenarios() -> Vec<Scenario> {
-    let mut v = Vec::new();
     // SP-WiFi once (carrier field unused on the WiFi path).
-    for &size in &SIZES {
-        v.push(Scenario {
-            wifi: WifiKind::Home,
-            carrier: Carrier::Att,
-            flow: FlowConfig::SpWifi,
-            size,
-            period: mpw_link::DayPeriod::Afternoon,
-            warmup: true,
-        });
-    }
+    let mut v = study::grid(WifiKind::Home, Carrier::Att, &SIZES, &[FlowConfig::SpWifi]);
+    let per_carrier = [FlowConfig::SpCellular, FlowConfig::mp2(Coupling::Coupled)];
     for carrier in Carrier::ALL {
-        for &size in &SIZES {
-            for flow in [FlowConfig::SpCellular, FlowConfig::mp2(Coupling::Coupled)] {
-                v.push(Scenario {
-                    wifi: WifiKind::Home,
-                    carrier,
-                    flow,
-                    size,
-                    period: mpw_link::DayPeriod::Afternoon,
-                    warmup: true,
-                });
-            }
-        }
+        v.extend(study::grid(WifiKind::Home, carrier, &SIZES, &per_carrier));
     }
     v
 }
 
-fn config_label(m: &Measurement) -> String {
-    m.scenario.flow.label(m.scenario.carrier)
-}
-
-fn label_rank(label: &str) -> u8 {
-    // Paper's legend order: MP-ATT, MP-VZ, MP-Sprint, SP-WiFi, SP-ATT, ...
-    match label {
-        l if l.starts_with("MP-2") => 0,
-        "SP-WiFi" => 10,
-        "SP-AT&T" => 11,
-        "SP-Verizon" => 12,
-        "SP-Sprint" => 13,
-        _ => 20,
-    }
-}
-
-/// Group label for figure rows: MPTCP rows get the carrier appended.
-fn row_label(m: &Measurement) -> String {
-    if m.scenario.flow.is_mptcp() {
-        format!("MP-{}", m.scenario.carrier.name())
-    } else {
-        config_label(m)
-    }
-}
-
-#[derive(Serialize)]
-struct BaselineJson {
-    download_time_rows: Vec<(String, String, BoxPlot)>,
-    cellular_share_rows: Vec<(String, String, Summary)>,
-    path_stats_rows: Vec<(String, String, Summary, Summary)>,
-}
-
-fn secs(ms: &[&Measurement]) -> Vec<f64> {
-    ms.iter().filter_map(|m| m.download_time_s).collect()
+/// Figure rows: the single paths in the paper's legend order, then one
+/// MPTCP row per carrier, named after it.
+fn row_key(m: &Measurement) -> (u8, String) {
+    let sc = &m.scenario;
+    let rank = match (sc.flow, sc.carrier) {
+        (FlowConfig::SpWifi, _) => 0,
+        (FlowConfig::SpCellular, Carrier::Att) => 1,
+        (FlowConfig::SpCellular, Carrier::Verizon) => 2,
+        (FlowConfig::SpCellular, Carrier::Sprint) => 3,
+        (FlowConfig::Mp { .. }, carrier) => return (4, format!("MP-{}", carrier.name())),
+    };
+    (rank, sc.flow.label(sc.carrier))
 }
 
 /// Run the baseline campaign and render fig2, fig3, tab2.
 pub fn run(scale: Scale, seed: u64, workers: usize) -> Vec<Artifact> {
     let ms = run_campaign(&scenarios(), scale, seed, workers);
-
-    // ---------------- fig2: download-time boxplots ----------------
-    let mut fig2 = Table::new(
-        "Figure 2 — Baseline download time (s): min [q1 |median| q3] max",
-        &["size", "config", "download time (s)", "n"],
+    let study = Study::new(&ms, row_key);
+    // Table 2 lists the carriers alphabetically, then the WiFi backhaul.
+    let paths = study.path_stats(
+        &[
+            ("AT&T", "SP-AT&T"),
+            ("Sprint", "SP-Sprint"),
+            ("Verizon", "SP-Verizon"),
+            ("Comcast", "SP-WiFi"),
+        ],
+        &SIZES,
     );
-    let mut fig2_rows = Vec::new();
-    let grouped = group_by(&ms, |m| (m.scenario.size, label_rank(&row_label(m)), row_label(m)));
-    for ((size, _, label), group) in &grouped {
-        let b = BoxPlot::of(&secs(group));
-        fig2.row(vec![
-            sizes::label(*size),
-            label.clone(),
-            b.render(),
-            b.n.to_string(),
-        ]);
-        fig2_rows.push((sizes::label(*size), label.clone(), b));
-    }
 
-    // fig2 checks.
+    let median = |size: u64, label: &str| study.cell(size, label).map(|c| c.time.median);
     let mut checks2 = Vec::new();
     {
         // "MPTCP is robust in achieving performance at least close to the
-        // best single path" — for every carrier & size, MP median ≤ 1.5 ×
+        // best single path" — for every carrier & size, MP median ≤ 1.6 ×
         // best SP median.
-        let median = |size: u64, label: &str| -> Option<f64> {
-            grouped
-                .iter()
-                .find(|((s, _, l), _)| *s == size && l == label)
-                .map(|(_, g)| BoxPlot::of(&secs(g)).median)
-        };
         let mut ok = true;
         let mut detail = String::new();
         for carrier in Carrier::ALL {
@@ -125,11 +69,9 @@ pub fn run(scale: Scale, seed: u64, workers: usize) -> Vec<Artifact> {
                     if mp > best * 1.6 + 0.05 {
                         ok = false;
                         detail.push_str(&format!(
-                            "{}-{}: MP {:.2}s vs best SP {:.2}s; ",
+                            "{}-{}: MP {mp:.2}s vs best SP {best:.2}s; ",
                             carrier.name(),
-                            sizes::label(size),
-                            mp,
-                            best
+                            sizes::label(size)
                         ));
                     }
                 }
@@ -146,75 +88,29 @@ pub fn run(scale: Scale, seed: u64, workers: usize) -> Vec<Artifact> {
 
         // "For small flows single-path WiFi performs best."
         let w64 = median(sizes::S64K, "SP-WiFi");
-        let mut ok_small = true;
-        if let Some(w) = w64 {
-            for carrier in Carrier::ALL {
-                if let Some(c) = median(sizes::S64K, &format!("SP-{}", carrier.name())) {
-                    if c < w {
-                        ok_small = false;
-                    }
-                }
-            }
-        }
+        let beaten = |carrier: Carrier| {
+            let c = median(sizes::S64K, &format!("SP-{}", carrier.name()));
+            matches!((w64, c), (Some(w), Some(c)) if c < w)
+        };
         checks2.push(Check::new(
             "64 KB: SP-WiFi beats every SP-cellular",
-            ok_small,
+            !Carrier::ALL.into_iter().any(beaten),
             format!("SP-WiFi median {w64:?}s at 64 KB"),
         ));
 
         // "Sprint is the worst path at large sizes."
         let s16_sprint = median(sizes::S16M, "SP-Sprint");
         let s16_att = median(sizes::S16M, "SP-AT&T");
-        let ok_sprint = match (s16_sprint, s16_att) {
-            (Some(s), Some(a)) => s > 2.0 * a,
-            _ => false,
-        };
         checks2.push(Check::new(
             "16 MB: SP-Sprint ≫ SP-AT&T (3G vs LTE)",
-            ok_sprint,
+            matches!((s16_sprint, s16_att), (Some(s), Some(a)) if s > 2.0 * a),
             format!("Sprint {s16_sprint:?}s vs AT&T {s16_att:?}s"),
         ));
     }
 
-    // ---------------- fig3: cellular share ----------------
-    let mut fig3 = Table::new(
-        "Figure 3 — Fraction of MPTCP traffic carried by the cellular path",
-        &["size", "carrier", "cellular share", "n"],
-    );
-    let mut fig3_rows = Vec::new();
-    let mp_only: Vec<&Measurement> = ms.iter().filter(|m| m.scenario.flow.is_mptcp()).collect();
-    let g3 = {
-        let mut map: std::collections::BTreeMap<(u64, String), Vec<&Measurement>> =
-            Default::default();
-        for m in &mp_only {
-            map.entry((m.scenario.size, m.scenario.carrier.name().to_string()))
-                .or_default()
-                .push(m);
-        }
-        map
-    };
-    for ((size, carrier), group) in &g3 {
-        let shares: Vec<f64> = group.iter().map(|m| m.cellular_share).collect();
-        let s = Summary::of(&shares);
-        fig3.row(vec![
-            sizes::label(*size),
-            carrier.clone(),
-            format!("{:.3}±{:.3}", s.mean, s.std_err),
-            s.n.to_string(),
-        ]);
-        fig3_rows.push((sizes::label(*size), carrier.clone(), s));
-    }
-    let mut checks3 = Vec::new();
-    {
-        let share = |size: u64, carrier: &str| -> f64 {
-            g3.iter()
-                .find(|((s, c), _)| *s == size && c == carrier)
-                .map(|(_, g)| {
-                    g.iter().map(|m| m.cellular_share).sum::<f64>() / g.len() as f64
-                })
-                .unwrap_or(0.0)
-        };
-        checks3.push(Check::new(
+    let share = |size: u64, carrier: &str| study.share(size, &format!("MP-{carrier}"));
+    let checks3 = vec![
+        Check::new(
             "Cellular share grows with file size (AT&T)",
             share(sizes::S16M, "AT&T") > share(sizes::S64K, "AT&T"),
             format!(
@@ -222,8 +118,8 @@ pub fn run(scale: Scale, seed: u64, workers: usize) -> Vec<Artifact> {
                 share(sizes::S64K, "AT&T"),
                 share(sizes::S16M, "AT&T")
             ),
-        ));
-        checks3.push(Check::new(
+        ),
+        Check::new(
             "LTE offload exceeds Sprint 3G offload at 16 MB",
             share(sizes::S16M, "AT&T") > share(sizes::S16M, "Sprint"),
             format!(
@@ -231,133 +127,62 @@ pub fn run(scale: Scale, seed: u64, workers: usize) -> Vec<Artifact> {
                 share(sizes::S16M, "AT&T"),
                 share(sizes::S16M, "Sprint")
             ),
-        ));
-    }
+        ),
+    ];
 
-    // ---------------- tab2: loss rates and RTTs ----------------
-    let mut tab2 = Table::new(
-        "Table 2 — Baseline path characteristics (single-path TCP): loss % and RTT ms (mean±se)",
-        &["path", "size", "loss (%)", "RTT (ms)"],
-    );
-    let mut tab2_rows = Vec::new();
-    let sp_only: Vec<&Measurement> = ms
-        .iter()
-        .filter(|m| !m.scenario.flow.is_mptcp())
-        .collect();
-    let g2 = {
-        let mut map: std::collections::BTreeMap<(u8, String, u64), Vec<&Measurement>> =
-            Default::default();
-        for m in &sp_only {
-            let name = match m.scenario.flow {
-                FlowConfig::SpWifi => "Comcast".to_string(),
-                _ => m.scenario.carrier.name().to_string(),
-            };
-            let rank = if name == "Comcast" { 3 } else { 0 };
-            map.entry((rank, name, m.scenario.size)).or_default().push(m);
-        }
-        map
-    };
-    for ((_, name, size), group) in &g2 {
-        let losses: Vec<f64> = group
-            .iter()
-            .flat_map(|m| m.subflows.iter().map(|s| s.loss_pct()))
-            .collect();
-        let rtts: Vec<f64> = group
-            .iter()
-            .flat_map(|m| m.subflows.iter().filter_map(|s| s.mean_rtt_ms()))
-            .collect();
-        let ls = Summary::of(&losses);
-        let rs = Summary::of(&rtts);
-        tab2.row(vec![
-            name.clone(),
-            sizes::label(*size),
-            ls.pm_or_tilde(0.03),
-            rs.pm(),
-        ]);
-        tab2_rows.push((name.clone(), sizes::label(*size), ls, rs));
-    }
-    let mut checks_t2 = Vec::new();
-    {
-        let mean_rtt = |name: &str, size: u64| -> f64 {
-            g2.iter()
-                .find(|((_, n, s), _)| n == name && *s == size)
-                .map(|(_, g)| {
-                    let v: Vec<f64> = g
-                        .iter()
-                        .flat_map(|m| m.subflows.iter().filter_map(|s| s.mean_rtt_ms()))
-                        .collect();
-                    Summary::of(&v).mean
-                })
-                .unwrap_or(0.0)
-        };
-        let mean_loss = |name: &str, size: u64| -> f64 {
-            g2.iter()
-                .find(|((_, n, s), _)| n == name && *s == size)
-                .map(|(_, g)| {
-                    let v: Vec<f64> = g
-                        .iter()
-                        .flat_map(|m| m.subflows.iter().map(|s| s.loss_pct()))
-                        .collect();
-                    Summary::of(&v).mean
-                })
-                .unwrap_or(0.0)
-        };
-        checks_t2.push(Check::new(
+    let checks_t2 = vec![
+        Check::new(
             "Cellular RTT grows with file size (bufferbloat)",
-            mean_rtt("Verizon", sizes::S16M) > mean_rtt("Verizon", sizes::S64K) * 1.5,
+            paths.rtt("Verizon", sizes::S16M) > paths.rtt("Verizon", sizes::S64K) * 1.5,
             format!(
                 "Verizon 64KB {:.0} ms → 16MB {:.0} ms",
-                mean_rtt("Verizon", sizes::S64K),
-                mean_rtt("Verizon", sizes::S16M)
+                paths.rtt("Verizon", sizes::S64K),
+                paths.rtt("Verizon", sizes::S16M)
             ),
-        ));
-        checks_t2.push(Check::new(
+        ),
+        Check::new(
             "WiFi is lossy while LTE is ~loss-free",
-            mean_loss("Comcast", sizes::S2M) > 0.3 && mean_loss("AT&T", sizes::S512K) < 0.5,
+            paths.loss("Comcast", sizes::S2M) > 0.3 && paths.loss("AT&T", sizes::S512K) < 0.5,
             format!(
                 "Comcast 2MB loss {:.2}%, AT&T 512KB loss {:.2}%",
-                mean_loss("Comcast", sizes::S2M),
-                mean_loss("AT&T", sizes::S512K)
+                paths.loss("Comcast", sizes::S2M),
+                paths.loss("AT&T", sizes::S512K)
             ),
-        ));
-        checks_t2.push(Check::new(
+        ),
+        Check::new(
             "Sprint 3G RTTs are an order above WiFi",
-            mean_rtt("Sprint", sizes::S2M) > 6.0 * mean_rtt("Comcast", sizes::S2M),
+            paths.rtt("Sprint", sizes::S2M) > 6.0 * paths.rtt("Comcast", sizes::S2M),
             format!(
                 "Sprint 2MB {:.0} ms vs Comcast 2MB {:.0} ms",
-                mean_rtt("Sprint", sizes::S2M),
-                mean_rtt("Comcast", sizes::S2M)
+                paths.rtt("Sprint", sizes::S2M),
+                paths.rtt("Comcast", sizes::S2M)
             ),
-        ));
-    }
+        ),
+    ];
 
-    let json = mpw_metrics::to_json(&BaselineJson {
-        download_time_rows: fig2_rows,
-        cellular_share_rows: fig3_rows,
-        path_stats_rows: tab2_rows,
-    });
-
-    vec![
-        Artifact {
-            id: "fig2",
-            title: "Baseline download time: MPTCP and single-path TCP across carriers".into(),
-            text: fig2.render(),
-            json: json.clone(),
-            checks: checks2,
+    study.render(
+        Layout {
+            time: Part {
+                id: "fig2",
+                title: "Baseline download time: MPTCP and single-path TCP across carriers",
+                table: "Figure 2 — Baseline download time (s): min [q1 |median| q3] max",
+                checks: checks2,
+            },
+            mean_column: false,
+            share: Part {
+                id: "fig3",
+                title: "Baseline: fraction of traffic carried by each cellular carrier",
+                table: "Figure 3 — Fraction of MPTCP traffic carried by the cellular path",
+                checks: checks3,
+            },
+            share_by: ShareBy::Carrier,
+            path: Part {
+                id: "tab2",
+                title: "Baseline path characteristics: loss rates and RTTs",
+                table: "Table 2 — Baseline path characteristics (single-path TCP): loss % and RTT ms (mean±se)",
+                checks: checks_t2,
+            },
         },
-        Artifact {
-            id: "fig3",
-            title: "Baseline: fraction of traffic carried by each cellular carrier".into(),
-            text: fig3.render(),
-            json: json.clone(),
-            checks: checks3,
-        },
-        Artifact {
-            id: "tab2",
-            title: "Baseline path characteristics: loss rates and RTTs".into(),
-            text: tab2.render(),
-            json,
-            checks: checks_t2,
-        },
-    ]
+        paths,
+    )
 }

@@ -4,204 +4,86 @@
 //! paper skipped olia here "for the sake of time".
 
 use mpw_link::Carrier;
-use mpw_metrics::{BoxPlot, Summary, Table};
 use mpw_mptcp::Coupling;
-use serde::Serialize;
 
+use crate::artifacts::study::{self, Layout, Part, ShareBy, Study};
 use crate::artifacts::{Artifact, Check};
-use crate::campaign::{group_by, run_campaign, Scale};
-use crate::config::{sizes, FlowConfig, Scenario, WifiKind};
-use crate::measure::Measurement;
+use crate::campaign::{run_campaign, Scale};
+use crate::config::{sizes, FlowConfig, WifiKind};
 
 const SIZES: [u64; 4] = [sizes::S8K, sizes::S64K, sizes::S512K, sizes::S4M];
 const CUSTOMERS: u32 = 18; // "15 to 20 customers" on a Friday afternoon.
 
-fn scenarios() -> Vec<Scenario> {
-    let mut v = Vec::new();
-    for &size in &SIZES {
-        for flow in [
-            FlowConfig::SpWifi,
-            FlowConfig::SpCellular,
-            FlowConfig::mp2(Coupling::Coupled),
-            FlowConfig::mp2(Coupling::Reno),
-        ] {
-            v.push(Scenario {
-                wifi: WifiKind::Hotspot(CUSTOMERS),
-                carrier: Carrier::Att,
-                flow,
-                size,
-                period: mpw_link::DayPeriod::Afternoon,
-                warmup: true,
-            });
-        }
-    }
-    v
-}
-
-#[derive(Serialize)]
-struct HotspotJson {
-    download_time_rows: Vec<(String, String, BoxPlot)>,
-    cellular_share_rows: Vec<(String, String, Summary)>,
-    path_stats_rows: Vec<(String, String, Summary, Summary)>,
-}
-
-fn secs(ms: &[&Measurement]) -> Vec<f64> {
-    ms.iter().filter_map(|m| m.download_time_s).collect()
-}
-
 /// Run the hotspot campaign and render fig6, fig7, tab4.
 pub fn run(scale: Scale, seed: u64, workers: usize) -> Vec<Artifact> {
-    let ms = run_campaign(&scenarios(), scale, seed, workers);
-    let label = |m: &Measurement| m.scenario.flow.label(m.scenario.carrier);
+    let flows = [
+        FlowConfig::SpWifi,
+        FlowConfig::SpCellular,
+        FlowConfig::mp2(Coupling::Coupled),
+        FlowConfig::mp2(Coupling::Reno),
+    ];
+    let scenarios = study::grid(WifiKind::Hotspot(CUSTOMERS), Carrier::Att, &SIZES, &flows);
+    let ms = run_campaign(&scenarios, scale, seed, workers);
+    let study = Study::new(&ms, study::by_config);
+    let paths = study.path_stats(&study::WIFI_AND_ATT, &SIZES);
 
-    let mut fig6 = Table::new(
-        "Figure 6 — Coffee-shop download time (s), public WiFi with ~18 customers",
-        &["size", "config", "download time (s)", "n"],
-    );
-    let grouped = group_by(&ms, |m| (m.scenario.size, label(m)));
-    let mut fig6_rows = Vec::new();
-    for ((size, lbl), group) in &grouped {
-        let b = BoxPlot::of(&secs(group));
-        fig6.row(vec![sizes::label(*size), lbl.clone(), b.render(), b.n.to_string()]);
-        fig6_rows.push((sizes::label(*size), lbl.clone(), b));
-    }
-    let median = |size: u64, lbl: &str| -> Option<f64> {
-        grouped
-            .get(&(size, lbl.to_string()))
-            .map(|g| BoxPlot::of(&secs(g)).median)
-    };
+    let median = |size: u64, lbl: &str| study.cell(size, lbl).map(|c| c.time.median);
+    let wifi = median(sizes::S4M, "SP-WiFi");
+    let att = median(sizes::S4M, "SP-AT&T");
+    let mp = median(sizes::S4M, "MP-2 (coupled)");
+    let best_sp = wifi.zip(att).map(|(w, a)| w.min(a));
     let checks6 = vec![
         Check::new(
             "Loaded WiFi is no longer reliably best at 512 KB+",
-            match (median(sizes::S4M, "SP-WiFi"), median(sizes::S4M, "SP-AT&T")) {
-                (Some(w), Some(a)) => w > a * 0.8,
-                _ => false,
-            },
-            format!(
-                "4MB SP-WiFi {:?} vs SP-AT&T {:?}",
-                median(sizes::S4M, "SP-WiFi"),
-                median(sizes::S4M, "SP-AT&T")
-            ),
+            matches!((wifi, att), (Some(w), Some(a)) if w > a * 0.8),
+            format!("4MB SP-WiFi {wifi:?} vs SP-AT&T {att:?}"),
         ),
         Check::new(
             "MPTCP performs close to the best available path (4 MB)",
-            match (
-                median(sizes::S4M, "MP-2 (coupled)"),
-                median(sizes::S4M, "SP-WiFi"),
-                median(sizes::S4M, "SP-AT&T"),
-            ) {
-                (Some(mp), Some(w), Some(a)) => mp <= w.min(a) * 1.5,
-                _ => false,
-            },
-            format!(
-                "MP {:?} vs best SP {:?}",
-                median(sizes::S4M, "MP-2 (coupled)"),
-                median(sizes::S4M, "SP-WiFi")
-                    .zip(median(sizes::S4M, "SP-AT&T"))
-                    .map(|(a, b)| a.min(b))
-            ),
+            matches!((mp, best_sp), (Some(mp), Some(best)) if mp <= best * 1.5),
+            format!("MP {mp:?} vs best SP {best_sp:?}"),
         ),
     ];
 
-    let mut fig7 = Table::new(
-        "Figure 7 — Coffee shop: fraction of traffic on the cellular path",
-        &["size", "config", "cellular share", "n"],
-    );
-    let mut fig7_rows = Vec::new();
-    for ((size, lbl), group) in &grouped {
-        if !group[0].scenario.flow.is_mptcp() {
-            continue;
-        }
-        let s = Summary::of(&group.iter().map(|m| m.cellular_share).collect::<Vec<_>>());
-        fig7.row(vec![
-            sizes::label(*size),
-            lbl.clone(),
-            format!("{:.3}±{:.3}", s.mean, s.std_err),
-            s.n.to_string(),
-        ]);
-        fig7_rows.push((sizes::label(*size), lbl.clone(), s));
-    }
-    let share = |size: u64| -> f64 {
-        grouped
-            .get(&(size, "MP-2 (coupled)".to_string()))
-            .map(|g| g.iter().map(|m| m.cellular_share).sum::<f64>() / g.len() as f64)
-            .unwrap_or(0.0)
-    };
+    let share = study.share(sizes::S4M, "MP-2 (coupled)");
     let checks7 = vec![Check::new(
         "Lossy public WiFi pushes more traffic to cellular than home WiFi",
-        share(sizes::S4M) > 0.4,
-        format!("4MB cellular share {:.2}", share(sizes::S4M)),
+        share > 0.4,
+        format!("4MB cellular share {share:.2}"),
     )];
 
-    let mut tab4 = Table::new(
-        "Table 4 — Coffee-shop path characteristics (single-path): loss % and RTT ms",
-        &["path", "size", "loss (%)", "RTT (ms)"],
-    );
-    let mut tab4_rows = Vec::new();
-    for (name, flow) in [("WiFi", FlowConfig::SpWifi), ("AT&T", FlowConfig::SpCellular)] {
-        for &size in &SIZES {
-            let group: Vec<&Measurement> = ms
-                .iter()
-                .filter(|m| m.scenario.size == size && m.scenario.flow == flow)
-                .collect();
-            let losses: Vec<f64> = group
-                .iter()
-                .flat_map(|m| m.subflows.iter().map(|s| s.loss_pct()))
-                .collect();
-            let rtts: Vec<f64> = group
-                .iter()
-                .flat_map(|m| m.subflows.iter().filter_map(|s| s.mean_rtt_ms()))
-                .collect();
-            let ls = Summary::of(&losses);
-            let rs = Summary::of(&rtts);
-            tab4.row(vec![
-                name.into(),
-                sizes::label(size),
-                ls.pm_or_tilde(0.03),
-                rs.pm(),
-            ]);
-            tab4_rows.push((name.to_string(), sizes::label(size), ls, rs));
-        }
-    }
-    let hotspot_loss = tab4_rows
-        .iter()
-        .filter(|(n, ..)| n == "WiFi")
-        .map(|(_, _, l, _)| l.mean)
-        .sum::<f64>()
-        / SIZES.len() as f64;
+    let hotspot_loss =
+        SIZES.iter().map(|&s| paths.loss("WiFi", s)).sum::<f64>() / SIZES.len() as f64;
     let checks_t4 = vec![Check::new(
         "Hotspot WiFi loss ~3-5% (vs ~1.6% at home)",
         hotspot_loss > 2.0,
         format!("mean hotspot WiFi loss {hotspot_loss:.2}%"),
     )];
 
-    let json = mpw_metrics::to_json(&HotspotJson {
-        download_time_rows: fig6_rows,
-        cellular_share_rows: fig7_rows,
-        path_stats_rows: tab4_rows,
-    });
-
-    vec![
-        Artifact {
-            id: "fig6",
-            title: "Amherst coffee shop: public WiFi under heavy load".into(),
-            text: fig6.render(),
-            json: json.clone(),
-            checks: checks6,
+    study.render(
+        Layout {
+            time: Part {
+                id: "fig6",
+                title: "Amherst coffee shop: public WiFi under heavy load",
+                table: "Figure 6 — Coffee-shop download time (s), public WiFi with ~18 customers",
+                checks: checks6,
+            },
+            mean_column: false,
+            share: Part {
+                id: "fig7",
+                title: "Coffee shop: fraction of traffic carried by the cellular path",
+                table: "Figure 7 — Coffee shop: fraction of traffic on the cellular path",
+                checks: checks7,
+            },
+            share_by: ShareBy::Config,
+            path: Part {
+                id: "tab4",
+                title: "Coffee-shop path characteristics",
+                table:
+                    "Table 4 — Coffee-shop path characteristics (single-path): loss % and RTT ms",
+                checks: checks_t4,
+            },
         },
-        Artifact {
-            id: "fig7",
-            title: "Coffee shop: fraction of traffic carried by the cellular path".into(),
-            text: fig7.render(),
-            json: json.clone(),
-            checks: checks7,
-        },
-        Artifact {
-            id: "tab4",
-            title: "Coffee-shop path characteristics".into(),
-            text: tab4.render(),
-            json,
-            checks: checks_t4,
-        },
-    ]
+        paths,
+    )
 }

@@ -7,7 +7,7 @@ use mpw_metrics::{DistSummary, Summary, Table};
 use mpw_mptcp::Coupling;
 use serde::Serialize;
 
-use crate::artifacts::{Artifact, Check};
+use crate::artifacts::{study, Artifact, Check};
 use crate::campaign::{run_campaign, Scale};
 use crate::config::{sizes, FlowConfig, Scenario, WifiKind};
 use crate::measure::Measurement;
@@ -15,20 +15,9 @@ use crate::measure::Measurement;
 const SIZES: [u64; 4] = [sizes::S4M, sizes::S8M, sizes::S16M, sizes::S32M];
 
 fn scenarios() -> Vec<Scenario> {
-    let mut v = Vec::new();
-    for carrier in Carrier::ALL {
-        for &size in &SIZES {
-            v.push(Scenario {
-                wifi: WifiKind::Home,
-                carrier,
-                flow: FlowConfig::mp2(Coupling::Coupled),
-                size,
-                period: mpw_link::DayPeriod::Afternoon,
-                warmup: true,
-            });
-        }
-    }
-    v
+    let flow = [FlowConfig::mp2(Coupling::Coupled)];
+    let per_carrier = |carrier| study::grid(WifiKind::Home, carrier, &SIZES, &flow);
+    Carrier::ALL.into_iter().flat_map(per_carrier).collect()
 }
 
 /// RTT summaries pooled per (carrier, interface) by merging the streaming
@@ -285,27 +274,27 @@ pub fn run(scale: Scale, seed: u64, workers: usize) -> Vec<Artifact> {
         table6_ofo: t6_ofo,
     });
 
-    vec![
-        Artifact {
-            id: "fig12",
-            title: "Packet RTT distributions of MPTCP connections per carrier".into(),
-            text: fig12.render(),
-            json: json.clone(),
-            checks: checks12,
-        },
-        Artifact {
-            id: "fig13",
-            title: "Out-of-order delay distributions of MPTCP connections".into(),
-            text: fig13.render(),
-            json: json.clone(),
-            checks: checks13,
-        },
-        Artifact {
-            id: "tab6",
-            title: "MPTCP RTT and out-of-order delay statistics".into(),
-            text: tab6.render(),
-            json,
-            checks: checks_t6,
-        },
-    ]
+    study::triplet(
+        json,
+        [
+            (
+                "fig12",
+                "Packet RTT distributions of MPTCP connections per carrier",
+                fig12.render(),
+                checks12,
+            ),
+            (
+                "fig13",
+                "Out-of-order delay distributions of MPTCP connections",
+                fig13.render(),
+                checks13,
+            ),
+            (
+                "tab6",
+                "MPTCP RTT and out-of-order delay statistics",
+                tab6.render(),
+                checks_t6,
+            ),
+        ],
+    )
 }

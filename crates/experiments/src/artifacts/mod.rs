@@ -16,6 +16,9 @@
 //! | `handover`   | handover             | scripted WiFi-fade → LTE mobility |
 //! | `fleet`      | fleet                | shared-bottleneck contention sweep|
 //! | `inventory`  | tab1                 | (static: preset registry)         |
+//!
+//! `baseline`, `small`, `hotspot` and `large` are the same size ×
+//! configuration study and render through `study.rs`.
 
 pub mod backlog;
 pub mod baseline;
@@ -28,6 +31,7 @@ pub mod latency;
 pub mod simsyn;
 pub mod small;
 pub mod streaming;
+pub(crate) mod study;
 
 use serde::Serialize;
 
@@ -105,69 +109,72 @@ pub struct Group {
 }
 
 /// Registry of all groups, in the paper's presentation order.
-pub fn groups() -> Vec<Group> {
-    vec![
-        Group {
-            name: "inventory",
-            artifacts: &["tab1"],
-            run: inventory::run,
-        },
-        Group {
-            name: "baseline",
-            artifacts: &["fig2", "fig3", "tab2"],
-            run: baseline::run,
-        },
-        Group {
-            name: "small",
-            artifacts: &["fig4", "fig5", "tab3"],
-            run: small::run,
-        },
-        Group {
-            name: "hotspot",
-            artifacts: &["fig6", "fig7", "tab4"],
-            run: hotspot::run,
-        },
-        Group {
-            name: "simsyn",
-            artifacts: &["fig8"],
-            run: simsyn::run,
-        },
-        Group {
-            name: "large",
-            artifacts: &["fig9", "fig10", "tab5"],
-            run: large::run,
-        },
-        Group {
-            name: "backlog",
-            artifacts: &["fig11"],
-            run: backlog::run,
-        },
-        Group {
-            name: "latency",
-            artifacts: &["fig12", "fig13", "tab6"],
-            run: latency::run,
-        },
-        Group {
-            name: "streaming",
-            artifacts: &["tab7"],
-            run: streaming::run,
-        },
-        Group {
-            name: "handover",
-            artifacts: &["handover"],
-            run: handover::run,
-        },
-        Group {
-            name: "fleet",
-            artifacts: &["fleet"],
-            run: fleet::run,
-        },
-    ]
+static GROUPS: &[Group] = &[
+    Group {
+        name: "inventory",
+        artifacts: &["tab1"],
+        run: inventory::run,
+    },
+    Group {
+        name: "baseline",
+        artifacts: &["fig2", "fig3", "tab2"],
+        run: baseline::run,
+    },
+    Group {
+        name: "small",
+        artifacts: &["fig4", "fig5", "tab3"],
+        run: small::run,
+    },
+    Group {
+        name: "hotspot",
+        artifacts: &["fig6", "fig7", "tab4"],
+        run: hotspot::run,
+    },
+    Group {
+        name: "simsyn",
+        artifacts: &["fig8"],
+        run: simsyn::run,
+    },
+    Group {
+        name: "large",
+        artifacts: &["fig9", "fig10", "tab5"],
+        run: large::run,
+    },
+    Group {
+        name: "backlog",
+        artifacts: &["fig11"],
+        run: backlog::run,
+    },
+    Group {
+        name: "latency",
+        artifacts: &["fig12", "fig13", "tab6"],
+        run: latency::run,
+    },
+    Group {
+        name: "streaming",
+        artifacts: &["tab7"],
+        run: streaming::run,
+    },
+    Group {
+        name: "handover",
+        artifacts: &["handover"],
+        run: handover::run,
+    },
+    Group {
+        name: "fleet",
+        artifacts: &["fleet"],
+        run: fleet::run,
+    },
+];
+
+/// Every group, in the paper's presentation order.
+pub fn groups() -> &'static [Group] {
+    GROUPS
 }
 
-/// Find the group that produces `artifact_id`.
-pub fn group_for(artifact_id: &str) -> Option<Group> {
-    groups().into_iter().find(|g| {
-        g.name == artifact_id || g.artifacts.contains(&artifact_id)
-    })
+/// Find the group that produces `artifact_id` (or is named it).
+pub fn group_for(artifact_id: &str) -> Option<&'static Group> {
+    GROUPS
+        .iter()
+        .find(|g| g.name == artifact_id || g.artifacts.contains(&artifact_id))
 }

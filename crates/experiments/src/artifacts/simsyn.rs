@@ -12,7 +12,7 @@ use mpw_metrics::{BoxPlot, Summary, Table};
 use mpw_mptcp::{Coupling, SynMode};
 use serde::Serialize;
 
-use crate::artifacts::{Artifact, Check};
+use crate::artifacts::{study, Artifact, Check};
 use crate::campaign::Scale;
 use crate::config::{sizes, FlowConfig, Scenario, WifiKind};
 use crate::measure::run_measurement;
@@ -20,17 +20,14 @@ use crate::measure::run_measurement;
 const SIZES: [u64; 4] = [sizes::S8K, sizes::S64K, sizes::S512K, sizes::S2M];
 
 fn scenario(size: u64, syn_mode: SynMode, period: DayPeriod) -> Scenario {
+    let flow = FlowConfig::Mp {
+        paths: 2,
+        coupling: Coupling::Coupled,
+        syn_mode,
+    };
     Scenario {
-        wifi: WifiKind::Home,
-        carrier: Carrier::Att,
-        flow: FlowConfig::Mp {
-            paths: 2,
-            coupling: Coupling::Coupled,
-            syn_mode,
-        },
-        size,
         period,
-        warmup: true,
+        ..study::scenario(WifiKind::Home, Carrier::Att, flow, size)
     }
 }
 

@@ -2,231 +2,84 @@
 //! (cellular share), Table 3 (path characteristics). AT&T LTE + home WiFi.
 
 use mpw_link::Carrier;
-use mpw_metrics::{BoxPlot, Summary, Table};
-use mpw_mptcp::Coupling;
-use serde::Serialize;
 
+use crate::artifacts::study::{self, Layout, Part, ShareBy, Study};
 use crate::artifacts::{Artifact, Check};
-use crate::campaign::{group_by, run_campaign, Scale};
-use crate::config::{sizes, FlowConfig, Scenario, WifiKind};
-use crate::measure::Measurement;
+use crate::campaign::{run_campaign, Scale};
+use crate::config::{sizes, WifiKind};
 
 const SIZES: [u64; 4] = [sizes::S8K, sizes::S64K, sizes::S512K, sizes::S4M];
 
-fn configs() -> Vec<FlowConfig> {
-    let mut v = vec![FlowConfig::SpWifi, FlowConfig::SpCellular];
-    for coupling in Coupling::ALL {
-        v.push(FlowConfig::mp2(coupling));
-        v.push(FlowConfig::mp4(coupling));
-    }
-    v
-}
-
-fn scenarios() -> Vec<Scenario> {
-    let mut v = Vec::new();
-    for &size in &SIZES {
-        for flow in configs() {
-            v.push(Scenario {
-                wifi: WifiKind::Home,
-                carrier: Carrier::Att,
-                flow,
-                size,
-                period: mpw_link::DayPeriod::Afternoon,
-                warmup: true,
-            });
-        }
-    }
-    v
-}
-
-#[derive(Serialize)]
-struct SmallJson {
-    download_time_rows: Vec<(String, String, BoxPlot)>,
-    cellular_share_rows: Vec<(String, String, Summary)>,
-    path_stats_rows: Vec<(String, String, Summary, Summary)>,
-}
-
-fn secs(ms: &[&Measurement]) -> Vec<f64> {
-    ms.iter().filter_map(|m| m.download_time_s).collect()
-}
-
 /// Run the small-flow campaign and render fig4, fig5, tab3.
 pub fn run(scale: Scale, seed: u64, workers: usize) -> Vec<Artifact> {
-    let ms = run_campaign(&scenarios(), scale, seed, workers);
-    let label = |m: &Measurement| m.scenario.flow.label(m.scenario.carrier);
+    let scenarios = study::grid(
+        WifiKind::Home,
+        Carrier::Att,
+        &SIZES,
+        &study::sp_and_every_mp(),
+    );
+    let ms = run_campaign(&scenarios, scale, seed, workers);
+    let study = Study::new(&ms, study::by_config);
+    let paths = study.path_stats(&study::WIFI_AND_ATT, &SIZES);
 
-    // fig4: download times.
-    let mut fig4 = Table::new(
-        "Figure 4 — Small-flow download time (s): min [q1 |median| q3] max",
-        &["size", "config", "download time (s)", "n"],
-    );
-    let grouped = group_by(&ms, |m| (m.scenario.size, label(m)));
-    let mut fig4_rows = Vec::new();
-    for ((size, lbl), group) in &grouped {
-        let b = BoxPlot::of(&secs(group));
-        fig4.row(vec![sizes::label(*size), lbl.clone(), b.render(), b.n.to_string()]);
-        fig4_rows.push((sizes::label(*size), lbl.clone(), b));
-    }
-    let median = |size: u64, lbl: &str| -> Option<f64> {
-        grouped
-            .get(&(size, lbl.to_string()))
-            .map(|g| BoxPlot::of(&secs(g)).median)
-    };
-    let mut checks4 = Vec::new();
-    {
-        // "AT&T performs the worst when the file size is small (8 KB)."
-        let c = Check::new(
-            "8 KB: SP-AT&T is slowest (RTT-bound)",
-            match (median(sizes::S8K, "SP-AT&T"), median(sizes::S8K, "SP-WiFi")) {
-                (Some(att), Some(wifi)) => att > wifi,
-                _ => false,
-            },
-            format!(
-                "SP-AT&T {:?} vs SP-WiFi {:?}",
-                median(sizes::S8K, "SP-AT&T"),
-                median(sizes::S8K, "SP-WiFi")
-            ),
-        );
-        checks4.push(c);
-        // "4-path MPTCP outperforms 2-path, which outperforms single path"
-        // as size grows (4 MB).
-        let mp4 = median(sizes::S4M, "MP-4 (coupled)");
-        let mp2 = median(sizes::S4M, "MP-2 (coupled)");
-        let spw = median(sizes::S4M, "SP-WiFi");
-        let ok = match (mp4, mp2, spw) {
-            (Some(a), Some(b), Some(c)) => a <= b * 1.15 && b < c,
-            _ => false,
-        };
-        checks4.push(Check::new(
-            "4 MB: MP-4 ≤ MP-2 < SP-WiFi",
-            ok,
-            format!("MP-4 {mp4:?}, MP-2 {mp2:?}, SP-WiFi {spw:?}"),
-        ));
-        // "Different congestion controllers do not differ much for small
-        // flows." Individual runs can eat a tail-loss RTO (kernel 3.5 had
-        // no tail-loss probe; the paper's own 64 KB boxes have long
-        // whiskers), so compare lower quartiles, which track the
-        // controller rather than loss luck.
-        let q1 = |size: u64, lbl: &str| -> Option<f64> {
-            grouped
-                .get(&(size, lbl.to_string()))
-                .map(|g| BoxPlot::of(&secs(g)).q1)
-        };
-        let c = q1(sizes::S64K, "MP-2 (coupled)");
-        let o = q1(sizes::S64K, "MP-2 (olia)");
-        let r = q1(sizes::S64K, "MP-2 (reno)");
-        let ok = match (c, o, r) {
-            (Some(c), Some(o), Some(r)) => {
-                let hi = c.max(o).max(r);
-                let lo = c.min(o).min(r);
-                hi <= lo * 1.5 + 0.02
-            }
-            _ => false,
-        };
-        checks4.push(Check::new(
-            "64 KB: controllers indistinguishable (lower quartile)",
-            ok,
-            format!("q1: coupled {c:?}, olia {o:?}, reno {r:?}"),
-        ));
-    }
-
-    // fig5: cellular share of MPTCP configs.
-    let mut fig5 = Table::new(
-        "Figure 5 — Small flows: fraction of traffic on the cellular path",
-        &["size", "config", "cellular share", "n"],
-    );
-    let mut fig5_rows = Vec::new();
-    let mp_groups = group_by(
-        &ms,
-        |m| (m.scenario.size, label(m)),
-    );
-    for ((size, lbl), group) in &mp_groups {
-        if !group[0].scenario.flow.is_mptcp() {
-            continue;
-        }
-        let s = Summary::of(&group.iter().map(|m| m.cellular_share).collect::<Vec<_>>());
-        fig5.row(vec![
-            sizes::label(*size),
-            lbl.clone(),
-            format!("{:.3}±{:.3}", s.mean, s.std_err),
-            s.n.to_string(),
-        ]);
-        fig5_rows.push((sizes::label(*size), lbl.clone(), s));
-    }
-    let share = |size: u64, lbl: &str| -> f64 {
-        mp_groups
-            .get(&(size, lbl.to_string()))
-            .map(|g| g.iter().map(|m| m.cellular_share).sum::<f64>() / g.len() as f64)
-            .unwrap_or(0.0)
-    };
-    let checks5 = vec![
+    let median = |size: u64, lbl: &str| study.cell(size, lbl).map(|c| c.time.median);
+    // "AT&T performs the worst when the file size is small (8 KB)."
+    let att = median(sizes::S8K, "SP-AT&T");
+    let wifi = median(sizes::S8K, "SP-WiFi");
+    // "4-path MPTCP outperforms 2-path, which outperforms single path" as
+    // size grows (4 MB).
+    let mp4 = median(sizes::S4M, "MP-4 (coupled)");
+    let mp2 = median(sizes::S4M, "MP-2 (coupled)");
+    let spw = median(sizes::S4M, "SP-WiFi");
+    // "Different congestion controllers do not differ much for small
+    // flows." Individual runs can eat a tail-loss RTO (kernel 3.5 had no
+    // tail-loss probe; the paper's own 64 KB boxes have long whiskers), so
+    // compare lower quartiles, which track the controller rather than loss
+    // luck.
+    let q1 = |lbl: &str| study.cell(sizes::S64K, lbl).map(|c| c.time.q1);
+    let c = q1("MP-2 (coupled)");
+    let o = q1("MP-2 (olia)");
+    let r = q1("MP-2 (reno)");
+    let checks4 = vec![
         Check::new(
-            "Cellular share ~0 at 8 KB, grows toward ~50% at 4 MB (MP-2)",
-            share(sizes::S8K, "MP-2 (coupled)") < 0.2
-                && share(sizes::S4M, "MP-2 (coupled)") > 0.3,
-            format!(
-                "8KB {:.2} → 4MB {:.2}",
-                share(sizes::S8K, "MP-2 (coupled)"),
-                share(sizes::S4M, "MP-2 (coupled)")
-            ),
+            "8 KB: SP-AT&T is slowest (RTT-bound)",
+            matches!((att, wifi), (Some(att), Some(wifi)) if att > wifi),
+            format!("SP-AT&T {att:?} vs SP-WiFi {wifi:?}"),
         ),
         Check::new(
-            "4-path uses cellular even less than 2-path for tiny files",
-            share(sizes::S8K, "MP-4 (coupled)") <= share(sizes::S8K, "MP-2 (coupled)") + 0.05,
-            format!(
-                "MP-4 {:.2} vs MP-2 {:.2} at 8KB",
-                share(sizes::S8K, "MP-4 (coupled)"),
-                share(sizes::S8K, "MP-2 (coupled)")
-            ),
+            "4 MB: MP-4 ≤ MP-2 < SP-WiFi",
+            matches!((mp4, mp2, spw), (Some(a), Some(b), Some(c)) if a <= b * 1.15 && b < c),
+            format!("MP-4 {mp4:?}, MP-2 {mp2:?}, SP-WiFi {spw:?}"),
+        ),
+        Check::new(
+            "64 KB: controllers indistinguishable (lower quartile)",
+            match (c, o, r) {
+                (Some(c), Some(o), Some(r)) => c.max(o).max(r) <= c.min(o).min(r) * 1.5 + 0.02,
+                _ => false,
+            },
+            format!("q1: coupled {c:?}, olia {o:?}, reno {r:?}"),
         ),
     ];
 
-    // tab3: SP path characteristics.
-    let mut tab3 = Table::new(
-        "Table 3 — Small-flow path characteristics (single-path): loss % and RTT ms",
-        &["path", "size", "loss (%)", "RTT (ms)"],
-    );
-    let mut tab3_rows = Vec::new();
-    for (name, flow) in [("WiFi", FlowConfig::SpWifi), ("AT&T", FlowConfig::SpCellular)] {
-        for &size in &SIZES {
-            let group: Vec<&Measurement> = ms
-                .iter()
-                .filter(|m| m.scenario.size == size && m.scenario.flow == flow)
-                .collect();
-            let losses: Vec<f64> = group
-                .iter()
-                .flat_map(|m| m.subflows.iter().map(|s| s.loss_pct()))
-                .collect();
-            let rtts: Vec<f64> = group
-                .iter()
-                .flat_map(|m| m.subflows.iter().filter_map(|s| s.mean_rtt_ms()))
-                .collect();
-            let ls = Summary::of(&losses);
-            let rs = Summary::of(&rtts);
-            tab3.row(vec![
-                name.into(),
-                sizes::label(size),
-                ls.pm_or_tilde(0.03),
-                rs.pm(),
-            ]);
-            tab3_rows.push((name.to_string(), sizes::label(size), ls, rs));
-        }
-    }
-    let wifi_rtt_8k = tab3_rows
-        .iter()
-        .find(|(n, s, ..)| n == "WiFi" && s == "8KB")
-        .map(|(.., r)| r.mean)
-        .unwrap_or(0.0);
-    let att_rtt_8k = tab3_rows
-        .iter()
-        .find(|(n, s, ..)| n == "AT&T" && s == "8KB")
-        .map(|(.., r)| r.mean)
-        .unwrap_or(0.0);
-    let att_rtt_4m = tab3_rows
-        .iter()
-        .find(|(n, s, ..)| n == "AT&T" && s == "4MB")
-        .map(|(.., r)| r.mean)
-        .unwrap_or(0.0);
+    let mp2_8k = study.share(sizes::S8K, "MP-2 (coupled)");
+    let mp2_4m = study.share(sizes::S4M, "MP-2 (coupled)");
+    let mp4_8k = study.share(sizes::S8K, "MP-4 (coupled)");
+    let checks5 = vec![
+        Check::new(
+            "Cellular share ~0 at 8 KB, grows toward ~50% at 4 MB (MP-2)",
+            mp2_8k < 0.2 && mp2_4m > 0.3,
+            format!("8KB {mp2_8k:.2} → 4MB {mp2_4m:.2}"),
+        ),
+        Check::new(
+            "4-path uses cellular even less than 2-path for tiny files",
+            mp4_8k <= mp2_8k + 0.05,
+            format!("MP-4 {mp4_8k:.2} vs MP-2 {mp2_8k:.2} at 8KB"),
+        ),
+    ];
+
+    let wifi_rtt_8k = paths.rtt("WiFi", sizes::S8K);
+    let att_rtt_8k = paths.rtt("AT&T", sizes::S8K);
+    let att_rtt_4m = paths.rtt("AT&T", sizes::S4M);
     let checks_t3 = vec![
         Check::new(
             "Base RTTs: WiFi ~20-40 ms, AT&T ~60 ms",
@@ -240,33 +93,29 @@ pub fn run(scale: Scale, seed: u64, workers: usize) -> Vec<Artifact> {
         ),
     ];
 
-    let json = mpw_metrics::to_json(&SmallJson {
-        download_time_rows: fig4_rows,
-        cellular_share_rows: fig5_rows,
-        path_stats_rows: tab3_rows,
-    });
-
-    vec![
-        Artifact {
-            id: "fig4",
-            title: "Small-flow download time across subflow counts and controllers".into(),
-            text: fig4.render(),
-            json: json.clone(),
-            checks: checks4,
+    study.render(
+        Layout {
+            time: Part {
+                id: "fig4",
+                title: "Small-flow download time across subflow counts and controllers",
+                table: "Figure 4 — Small-flow download time (s): min [q1 |median| q3] max",
+                checks: checks4,
+            },
+            mean_column: false,
+            share: Part {
+                id: "fig5",
+                title: "Small flows: fraction of traffic carried by the cellular path",
+                table: "Figure 5 — Small flows: fraction of traffic on the cellular path",
+                checks: checks5,
+            },
+            share_by: ShareBy::Config,
+            path: Part {
+                id: "tab3",
+                title: "Small-flow path characteristics",
+                table: "Table 3 — Small-flow path characteristics (single-path): loss % and RTT ms",
+                checks: checks_t3,
+            },
         },
-        Artifact {
-            id: "fig5",
-            title: "Small flows: fraction of traffic carried by the cellular path".into(),
-            text: fig5.render(),
-            json: json.clone(),
-            checks: checks5,
-        },
-        Artifact {
-            id: "tab3",
-            title: "Small-flow path characteristics".into(),
-            text: tab3.render(),
-            json,
-            checks: checks_t3,
-        },
-    ]
+        paths,
+    )
 }

@@ -1,6 +1,7 @@
-//! Artifact plumbing: rendering, JSON validity, and the cheap static group.
+//! Artifact plumbing: rendering, JSON validity, the cheap static group and
+//! one campaign group end to end.
 
-use mpw_experiments::artifacts::inventory;
+use mpw_experiments::artifacts::{hotspot, inventory};
 use mpw_experiments::{Artifact, Check, Scale};
 
 #[test]
@@ -17,6 +18,27 @@ fn inventory_artifact_is_complete_and_valid() {
     // JSON payload parses.
     let v: serde_json::Value = serde_json::from_str(&a.json).expect("valid json");
     assert!(v.get("carriers").is_some());
+}
+
+#[test]
+fn hotspot_campaign_renders_its_triplet() {
+    let artifacts = hotspot::run(Scale::QUICK, 1, 1);
+    let ids: Vec<&str> = artifacts.iter().map(|a| a.id).collect();
+    assert_eq!(ids, ["fig6", "fig7", "tab4"]);
+    // 4 sizes × {SP-WiFi, SP-AT&T, MP-2 coupled, MP-2 reno}; the share table
+    // keeps the two multipath configurations, the path table the two single
+    // paths.
+    for a in &artifacts {
+        assert_eq!(a.json, artifacts[0].json, "{} carries its own payload", a.id);
+        let v: serde_json::Value = serde_json::from_str(&a.json).expect("valid json");
+        let rows = |key: &str| v.get(key).and_then(|r| r.as_array()).expect(key).len();
+        assert_eq!(rows("download_time_rows"), 16);
+        assert_eq!(rows("cellular_share_rows"), 8);
+        assert_eq!(rows("path_stats_rows"), 8);
+    }
+    // Title, header, rule, then one line per row.
+    let lines: Vec<usize> = artifacts.iter().map(|a| a.text.lines().count() - 3).collect();
+    assert_eq!(lines, [16, 8, 8]);
 }
 
 #[test]

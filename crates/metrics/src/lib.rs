@@ -3,7 +3,7 @@
 //! The statistics and rendering the paper's tables and figures need:
 //! sample mean ± standard error (Tables 2–7), box-and-whisker summaries
 //! (the download-time figures), empirical CCDFs with log-spaced series
-//! (Figures 12–13), aligned ASCII/CSV/JSON output, and handover metrics
+//! (Figures 12–13), aligned ASCII and JSON output, and handover metrics
 //! (stall time, recovery latency, per-epoch traffic shares) for the mobility
 //! scenarios of §7 (DESIGN.md §5.11). The tcptrace-style analysis of wire
 //! captures lives in `mpw-capture`.

@@ -20,8 +20,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::stats::Summary;
-
 /// Count / mean / M2 running moments (Welford), with min/max.
 ///
 /// ```
@@ -116,27 +114,6 @@ impl StreamingStats {
     /// Sample standard deviation.
     pub fn std_dev(&self) -> f64 {
         self.variance().sqrt()
-    }
-
-    /// Standard error of the mean.
-    pub fn std_err(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.std_dev() / (self.n as f64).sqrt()
-        }
-    }
-
-    /// Convert to the table-rendering [`Summary`] type.
-    pub fn to_summary(&self) -> Summary {
-        Summary {
-            n: self.n as usize,
-            mean: self.mean,
-            std_dev: self.std_dev(),
-            std_err: self.std_err(),
-            min: self.min,
-            max: self.max,
-        }
     }
 }
 
@@ -458,16 +435,12 @@ impl DistSummary {
     pub fn log_series(&self, points: usize, floor: f64) -> Vec<(f64, f64)> {
         self.hist.log_series(points, floor)
     }
-
-    /// Convert the moments to the table-rendering [`Summary`].
-    pub fn to_summary(&self) -> Summary {
-        self.stats.to_summary()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::Summary;
     use proptest::prelude::*;
 
     fn lcg(seed: u64) -> impl FnMut() -> f64 {
@@ -486,13 +459,11 @@ mod tests {
         for &x in &xs {
             s.push(x);
         }
-        let got = s.to_summary();
-        assert_eq!(got.n, batch.n);
-        assert!((got.mean - batch.mean).abs() < 1e-12);
-        assert!((got.std_dev - batch.std_dev).abs() < 1e-12);
-        assert!((got.std_err - batch.std_err).abs() < 1e-12);
-        assert_eq!(got.min, batch.min);
-        assert_eq!(got.max, batch.max);
+        assert_eq!(s.count() as usize, batch.n);
+        assert!((s.mean() - batch.mean).abs() < 1e-12);
+        assert!((s.std_dev() - batch.std_dev).abs() < 1e-12);
+        assert_eq!(s.min, batch.min);
+        assert_eq!(s.max, batch.max);
     }
 
     #[test]
@@ -518,7 +489,7 @@ mod tests {
     fn streaming_stats_empty_and_single() {
         let mut s = StreamingStats::new();
         assert!(s.is_empty());
-        assert_eq!(s.to_summary(), Summary::default());
+        assert_eq!((s.mean(), s.std_dev()), (0.0, 0.0));
         s.push(3.5);
         assert_eq!(s.mean(), 3.5);
         assert_eq!(s.std_dev(), 0.0);

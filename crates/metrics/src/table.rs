@@ -1,5 +1,5 @@
 //! Result rendering: aligned ASCII tables (what the experiment drivers
-//! print), CSV, and JSON export for regeneration/diffing.
+//! print) and JSON export for regeneration/diffing.
 
 use serde::Serialize;
 
@@ -26,16 +26,6 @@ impl Table {
         assert_eq!(cells.len(), self.headers.len(), "row arity mismatch");
         self.rows.push(cells);
         self
-    }
-
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
     }
 
     /// Render as aligned ASCII.
@@ -65,32 +55,6 @@ impl Table {
         out.push('\n');
         for row in &self.rows {
             out.push_str(&fmt_row(row, &widths));
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Render as CSV (quotes cells containing commas).
-    pub fn to_csv(&self) -> String {
-        let esc = |s: &str| {
-            if s.contains(',') || s.contains('"') {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.to_string()
-            }
-        };
-        let mut out = String::new();
-        out.push_str(
-            &self
-                .headers
-                .iter()
-                .map(|h| esc(h))
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.iter().map(|c| esc(c)).collect::<Vec<_>>().join(","));
             out.push('\n');
         }
         out
@@ -126,14 +90,6 @@ mod tests {
         // Columns align: "rtt" begins at the same offset in header and rows.
         let off = lines[1].find("rtt").unwrap();
         assert_eq!(&lines[3][off..off + 5], "70.06");
-    }
-
-    #[test]
-    fn csv_escapes() {
-        let mut t = Table::new("x", &["a", "b"]);
-        t.row(vec!["1,5".into(), "say \"hi\"".into()]);
-        let csv = t.to_csv();
-        assert_eq!(csv.lines().nth(1).unwrap(), "\"1,5\",\"say \"\"hi\"\"\"");
     }
 
     #[test]
