@@ -386,6 +386,18 @@ impl Host {
         self.pending_opens.len()
     }
 
+    /// Whether this host will do nothing more unless a frame reaches it: no
+    /// transport timeout or app wakeup is indexed, no open is queued or
+    /// warming, no slot waits to be pumped and the wakeup timer is not
+    /// armed. Only a frame from the network (or a harness call that
+    /// dirties a slot or queues an open) can end the state.
+    pub fn is_quiescent(&self) -> bool {
+        self.deadlines.is_empty()
+            && self.pending_opens.is_empty()
+            && self.dirty.is_empty()
+            && self.armed.is_none()
+    }
+
     /// Access a transport by slot.
     pub fn transport(&self, slot: usize) -> Option<&Transport> {
         self.slots.get(slot).map(|s| &s.transport)

@@ -1,6 +1,8 @@
-//! The work-count gate: three fixed runs — a 4 MB MP-2 coupled/AT&T
-//! download, a 4 MB SP-WiFi download and a 100-client smoke fleet, all seed
-//! 7 — must do *exactly* the work recorded in `WORK_budgets.json`: events
+//! The work-count gate: four fixed runs — a 4 MB MP-2 coupled/AT&T
+//! download, a 4 MB SP-WiFi download, a 100-client smoke fleet and an 8 KB
+//! MP-2 coupled/AT&T download (the campaigns' unit of work, where what a
+//! run does after its last byte is most of what it does), all seed 7 —
+//! must do *exactly* the work recorded in `WORK_budgets.json`: events
 //! processed, stale timer pops, frames accepted into the access links, and
 //! the data segments and retransmissions the server's sockets sent. The
 //! simulator is deterministic, so these counts repeat exactly on every
@@ -42,6 +44,7 @@ struct Budgets {
     mp2_coupled_att_4mb: Work,
     sp_wifi_4mb: Work,
     fleet_smoke_100: Work,
+    mp2_coupled_att_8kb: Work,
 }
 
 /// Read a finished run's counts through the public stats of its world, and
@@ -90,18 +93,19 @@ fn counts<'a>(
     }
 }
 
-fn download(flow: FlowConfig) -> Work {
+fn download(flow: FlowConfig, size: u64) -> Work {
     let scenario = Scenario {
         wifi: WifiKind::Home,
         carrier: Carrier::Att,
         flow,
-        size: sizes::S4M,
+        size,
         period: DayPeriod::Evening,
         warmup: true,
     };
     let (m, tb) = run_measurement_traced(&scenario, SEED, TraceLevel::Off);
-    assert_eq!(m.bytes, sizes::S4M, "{flow:?}: the download must complete");
-    counts(&flow.label(scenario.carrier), &tb.world, &tb.paths, tb.server)
+    assert_eq!(m.bytes, size, "{flow:?}: the download must complete");
+    let run = format!("{} {}", flow.label(scenario.carrier), sizes::label(size));
+    counts(&run, &tb.world, &tb.paths, tb.server)
 }
 
 fn fleet() -> Work {
@@ -112,9 +116,10 @@ fn fleet() -> Work {
 
 fn main() {
     let measured = Budgets {
-        mp2_coupled_att_4mb: download(FlowConfig::mp2(Coupling::Coupled)),
-        sp_wifi_4mb: download(FlowConfig::SpWifi),
+        mp2_coupled_att_4mb: download(FlowConfig::mp2(Coupling::Coupled), sizes::S4M),
+        sp_wifi_4mb: download(FlowConfig::SpWifi, sizes::S4M),
         fleet_smoke_100: fleet(),
+        mp2_coupled_att_8kb: download(FlowConfig::mp2(Coupling::Coupled), sizes::S8K),
     };
     let text = serde_json::to_string_pretty(&measured).expect("counts serialize") + "\n";
     if std::env::args().any(|a| a == "--bless") {

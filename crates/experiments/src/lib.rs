@@ -34,6 +34,6 @@ pub use handover::{
 };
 pub use measure::{
     run_lossfree_download_windowed, run_measurement, run_measurement_captured,
-    run_measurement_traced, LossfreeProbe, Measurement, SubflowMeasurement,
+    run_measurement_traced, LossfreeProbe, Measurement, MeasurementRun, SubflowMeasurement,
 };
 pub use testbed::{Testbed, TestbedSpec, CLIENT_ADDRS, SERVER_ADDRS, SERVER_PORT};

@@ -14,7 +14,7 @@ use mpw_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
 use crate::config::{FlowConfig, Scenario};
-use crate::testbed::{Testbed, TestbedSpec};
+use crate::testbed::{harvest, Testbed, TestbedSpec};
 
 /// Per-subflow (or per-path) measurement outputs.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -218,9 +218,9 @@ pub fn run_lossfree_download_windowed(
     let slot = tb.download(transport, size, SimTime::from_millis(100), false);
     let who = ("loss-free probe", seed);
 
-    // Up to the window start (one slice each: the flow is still running
-    // and the window is shorter than a slice): counters sampled *before*
-    // the mark so the sampling itself stays outside the measured window.
+    // Up to the window start (the flow is still running, so each call
+    // stops on its horizon): counters sampled *before* the mark so the
+    // sampling itself stays outside the measured window.
     tb.run_flow(slot, window.0, &who);
     let (segs_at_start, _) = server_segments(&mut tb);
     mark(0);
@@ -269,29 +269,84 @@ fn run_measurement_inner(
     exact: bool,
     capture: Option<mpw_capture::SharedHub>,
 ) -> (Measurement, Testbed) {
-    let wifi = scenario.wifi.spec(scenario.period);
-    let cellular = scenario.carrier.preset();
-    let horizon = horizon_for(scenario, &wifi, &cellular);
-    let technologies = [wifi.technology, cellular.technology];
-    let mut spec = TestbedSpec::two_path(seed, wifi, cellular);
-    spec.capture = capture;
-    spec.dual_homed_server = scenario.flow.needs_dual_homed_server();
-    let mut transport = scenario.flow.transport();
-    spec = spec.mirroring(&transport);
-    if !exact {
-        spec = spec.summaries_only();
-        transport = transport.summaries_only();
+    let mut run = MeasurementRun::start(scenario, seed, exact, capture);
+    run.run();
+    let m = run.harvest();
+    (m, run.tb)
+}
+
+/// One measurement in steps — build, run, harvest — for harnesses that
+/// look at the world in between. [`run_measurement`] and its siblings are
+/// `start`, `run`, `harvest` in a row.
+pub struct MeasurementRun<'a> {
+    /// The testbed, the download queued in it.
+    pub tb: Testbed,
+    scenario: &'a Scenario,
+    seed: u64,
+    slot: usize,
+    horizon: SimTime,
+    technologies: [Technology; 2],
+}
+
+impl<'a> MeasurementRun<'a> {
+    /// Build the testbed of `scenario` and queue its download at 100 ms.
+    /// `exact` keeps the per-sample RTT/OFO vectors (which a harvest
+    /// drains); `capture` taps every path onto the hub.
+    pub fn start(
+        scenario: &'a Scenario,
+        seed: u64,
+        exact: bool,
+        capture: Option<mpw_capture::SharedHub>,
+    ) -> Self {
+        let wifi = scenario.wifi.spec(scenario.period);
+        let cellular = scenario.carrier.preset();
+        let horizon = horizon_for(scenario, &wifi, &cellular);
+        let technologies = [wifi.technology, cellular.technology];
+        let mut spec = TestbedSpec::two_path(seed, wifi, cellular);
+        spec.capture = capture;
+        spec.dual_homed_server = scenario.flow.needs_dual_homed_server();
+        let mut transport = scenario.flow.transport();
+        spec = spec.mirroring(&transport);
+        if !exact {
+            spec = spec.summaries_only();
+            transport = transport.summaries_only();
+        }
+        let mut tb = Testbed::build(spec);
+        let slot = tb.download(
+            transport,
+            scenario.size,
+            SimTime::from_millis(100),
+            scenario.warmup,
+        );
+        MeasurementRun {
+            tb,
+            scenario,
+            seed,
+            slot,
+            horizon,
+            technologies,
+        }
     }
-    let mut tb = Testbed::build(spec);
-    let slot = tb.download(
-        transport,
-        scenario.size,
-        SimTime::from_millis(100),
-        scenario.warmup,
-    );
-    let flow = tb.run_flow(slot, horizon, &(seed, scenario));
-    let m = measurement(&mut tb, slot, &flow, technologies, scenario, seed);
-    (m, tb)
+
+    /// Run the download to its stop ([`Testbed::run_flow`]) or the
+    /// scenario's horizon.
+    pub fn run(&mut self) {
+        self.tb
+            .run_flow(self.slot, self.horizon, &(self.seed, self.scenario));
+    }
+
+    /// The measurement as the two hosts stand now.
+    pub fn harvest(&mut self) -> Measurement {
+        let flow = harvest(&self.tb.world, self.tb.client, self.slot);
+        measurement(
+            &mut self.tb,
+            self.slot,
+            &flow,
+            self.technologies,
+            self.scenario,
+            self.seed,
+        )
+    }
 }
 
 /// The measurement view of a harvested flow.

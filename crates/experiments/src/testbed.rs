@@ -9,7 +9,7 @@
 use std::fmt;
 
 use mpw_capture::SharedHub;
-use mpw_fleet::{client_flow, drive, open_flow, ClientFlow, Delivery, Drive, Topology};
+use mpw_fleet::{client_flow, drive, open_flow, quiescent, ClientFlow, Delivery, Drive, Topology};
 use mpw_http::Wget;
 use mpw_link::{BuiltPath, PathSpec};
 use mpw_mptcp::{Host, MptcpConfig, OpenRequest, TransportSpec};
@@ -85,6 +85,10 @@ impl TestbedSpec {
         self
     }
 }
+
+/// [`Testbed::run_flow`] harvests a finished flow that never quiesces at
+/// the next multiple of this after the call.
+pub const HARVEST_MARK: SimDuration = SimDuration::from_secs(5);
 
 /// A built testbed.
 pub struct Testbed {
@@ -183,26 +187,43 @@ impl Testbed {
         open_flow(&mut self.world, self.client, req)
     }
 
-    /// Run until the flow in client slot `slot` finishes its workload or
-    /// `horizon` is reached, and harvest it. Advances in short slices and
-    /// stops as soon as the flow is done: the background sources never go
-    /// idle, so running on to the horizon would burn wall-clock simulating
-    /// nothing but cross-traffic. `who` names the run if it livelocks.
+    /// Run until the flow in client slot `slot` has finished its workload
+    /// and nothing of it is left in the world, or `horizon` is reached, and
+    /// harvest it. The run advances in 100 ms slices and returns at the
+    /// first boundary where the flow is done and either the world is
+    /// quiescent ([`Self::is_quiescent`]) or the clock sits a whole number
+    /// of [`HARVEST_MARK`]s past the call. Past a quiescent boundary no
+    /// host runs again and the taps see no frame, so the harvest, the
+    /// capture and every counter of the two hosts are what any later stop
+    /// would read; only the immortal background sources, whose events are
+    /// all that is left, are cut short. A flow that finishes but never
+    /// quiesces (a peer retransmitting into a closed socket, say) falls
+    /// back to the marks. `who` names the run if it livelocks.
     pub fn run_flow(&mut self, slot: usize, horizon: SimTime, who: &dyn fmt::Debug) -> ClientFlow {
-        let client = self.client;
+        let hosts = [self.client, self.server];
+        let Testbed { world, paths, .. } = self;
+        let start = world.now();
         let cfg = Drive {
-            tick: SimDuration::from_secs(5),
+            tick: SimDuration::from_millis(100),
             horizon,
             mobility: None,
             ticker: None,
             who,
         };
         let mut flow = ClientFlow::default();
-        drive(&mut self.world, cfg, |world, _, _| {
-            flow = harvest(world, client, slot);
+        drive(world, cfg, |world, now, _| {
+            flow = harvest(world, hosts[0], slot);
             flow.finished_at.is_some()
+                && (now.saturating_since(start).as_nanos() % HARVEST_MARK.as_nanos() == 0
+                    || quiescent(world, &hosts, paths))
         });
         flow
+    }
+
+    /// Whether nothing foreground is left: both hosts quiescent and every
+    /// access link foreground-idle (see [`mpw_fleet::quiescent`]).
+    pub fn is_quiescent(&self) -> bool {
+        quiescent(&self.world, &[self.client, self.server], &self.paths)
     }
 }
 

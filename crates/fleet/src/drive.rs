@@ -2,6 +2,7 @@
 
 use std::fmt;
 
+use mpw_link::{BuiltPath, LinkAgent};
 use mpw_mptcp::{Host, OpenRequest};
 use mpw_scenario::{CompiledOp, PathBinding, ScenarioDriver};
 use mpw_sim::{AgentId, Event, RunOutcome, SimDuration, SimTime, World};
@@ -17,6 +18,28 @@ pub fn open_flow(world: &mut World, client: AgentId, req: OpenRequest) -> usize 
     host.queue_open(req);
     world.schedule(at, client, Event::Timer { token: Host::open_token() });
     slot
+}
+
+/// Whether nothing foreground is left in a world whose `hosts` exchange
+/// frames only over `paths`: every host is quiescent
+/// ([`Host::is_quiescent`]) and both links of every path are
+/// foreground-idle at the current instant ([`LinkAgent::foreground_idle`]). A [`Topology`](crate::Topology)
+/// world holds frames nowhere else — its switches and middleboxes forward
+/// at zero delay, within the instant `run_until` has completed — so once
+/// this holds no host can run again until the harness opens another flow:
+/// only background sources, their frames and the sinks still have events.
+/// Ids that do not name a host or a link count as not quiescent.
+pub fn quiescent(world: &World, hosts: &[AgentId], paths: &[BuiltPath]) -> bool {
+    let now = world.now();
+    let idle = |link| {
+        world
+            .agent::<LinkAgent>(link)
+            .is_some_and(|l| l.foreground_idle(now))
+    };
+    hosts
+        .iter()
+        .all(|&id| world.agent::<Host>(id).is_some_and(Host::is_quiescent))
+        && paths.iter().all(|p| idle(p.uplink) && idle(p.downlink))
 }
 
 /// How [`drive`] slices a run.
@@ -78,5 +101,41 @@ pub fn drive(
         if on_tick(world, now, &ops) || outcome == RunOutcome::Idle || stop >= cfg.horizon {
             break;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use mpw_link::NullSink;
+    use mpw_mptcp::host::OptionStrippingMiddlebox;
+    use mpw_sim::trace::TraceLevel;
+    use mpw_sim::{Frame, Switch};
+    use mpw_tcp::wire::{PingPacket, PROTO_PING};
+    use mpw_tcp::{encode_ping, Addr, IpHeader};
+
+    use super::*;
+
+    /// [`quiescent`] looks for waiting frames in the links only: the other
+    /// two agents a [`Topology`](crate::Topology) puts between hosts must
+    /// hand a frame on within the instant they receive it.
+    #[test]
+    fn switches_and_middleboxes_forward_at_zero_delay() {
+        let mut w = World::new(1, TraceLevel::Off);
+        let sink = w.add_agent(Box::new(NullSink::recording()));
+        let mut switch = Switch::new(|_| None);
+        switch.set_default_route((sink, 0));
+        let switch = w.add_agent(Box::new(switch));
+        let middlebox = w.add_agent(Box::new(OptionStrippingMiddlebox::new((switch, 0))));
+        let at = SimTime::from_micros(1234);
+        let ip = IpHeader {
+            src: Addr::new(10, 0, 1, 2),
+            dst: Addr::new(192, 168, 1, 1),
+            protocol: PROTO_PING,
+            ttl: 64,
+        };
+        let frame = Frame::new(encode_ping(&ip, &PingPacket { token: 7, reply: false }));
+        w.schedule(at, middlebox, Event::Frame { port: 0, frame });
+        w.run_until(at);
+        assert_eq!(w.agent::<NullSink>(sink).expect("sink").arrivals, vec![at]);
     }
 }

@@ -44,6 +44,14 @@ struct ClientState {
     /// the next think time would cross the horizon (the client then opens
     /// no further flows).
     think: Option<SimRng>,
+    /// Leading slots whose flows have finished. A finished flow's counters
+    /// are final, so a tick folds it into `settled_bytes` once and never
+    /// reads it again.
+    settled: usize,
+    /// Bytes the settled flows delivered.
+    settled_bytes: u64,
+    /// Every flow this client will ever open has settled: ticks skip it.
+    done: bool,
 }
 
 /// A built, running fleet world plus its harvest state.
@@ -179,7 +187,14 @@ pub fn run_fleet_windowed(
             }
             _ => None,
         };
-        clients.push(ClientState { agent, class, think });
+        clients.push(ClientState {
+            agent,
+            class,
+            think,
+            settled: 0,
+            settled_bytes: 0,
+            done: false,
+        });
     }
     topo.serve(SERVER_PORT, fleet_mptcp(8), fleet_tcp());
     let (wifi_path, cell_path) = (topo.nets[wifi].path, topo.nets[cell].path);
@@ -242,20 +257,28 @@ pub fn run_fleet_windowed(
         let mut total: u64 = 0;
         let mut all_done = true;
         for c in &mut clients {
-            let host = world.agent::<Host>(c.agent).expect("client host");
-            let mut latest = None;
-            for slot in 0..host.slot_count() {
-                latest = client_flow(host, slot);
-                let flow = latest.expect("live slot");
-                total += flow.delivered;
-                all_done &= flow.finished_at.is_some();
+            if c.done {
+                total += c.settled_bytes;
+                continue;
             }
-            // Every queued open has become a slot.
-            let opened_all = host.pending_open_count() == 0;
-            all_done &= opened_all;
-            let latest_done =
-                opened_all && latest.is_some_and(|flow| flow.finished_at.is_some());
-            let Some(think) = c.think.as_mut().filter(|_| latest_done) else {
+            let host = world.agent::<Host>(c.agent).expect("client host");
+            let slots = host.slot_count();
+            let mut live_bytes: u64 = 0;
+            for slot in c.settled..slots {
+                let flow = client_flow(host, slot).expect("live slot");
+                if flow.finished_at.is_some() && slot == c.settled {
+                    c.settled += 1;
+                    c.settled_bytes += flow.delivered;
+                } else {
+                    live_bytes += flow.delivered;
+                }
+            }
+            total += c.settled_bytes + live_bytes;
+            // Every queued open has become a slot, and every slot settled.
+            let settled_all = host.pending_open_count() == 0 && c.settled == slots;
+            c.done = settled_all && c.think.is_none();
+            all_done &= settled_all;
+            let Some(think) = c.think.as_mut().filter(|_| settled_all && slots > 0) else {
                 continue;
             };
             // One think-time draw per completed flow. Think clocks start at

@@ -11,8 +11,8 @@
 //!
 //! It also holds the host-level pieces every harness shares, the
 //! single-flow testbed of `mpw-experiments` included: the [`Topology`]
-//! builder, the flow driver ([`open_flow`], [`drive()`]) and the harvest
-//! ([`client_flow`], [`sender_subflows`]).
+//! builder, the flow driver ([`open_flow`], [`drive()`], [`quiescent`]) and
+//! the harvest ([`client_flow`], [`sender_subflows`]).
 //!
 //! Three layers on top of those:
 //!
@@ -42,7 +42,7 @@ pub mod spec;
 pub mod topology;
 
 pub use campaign::{run_campaign, FleetCampaign};
-pub use drive::{drive, open_flow, Drive};
+pub use drive::{drive, open_flow, quiescent, Drive};
 pub use engine::{run_fleet, run_fleet_windowed, FleetRun};
 pub use harvest::{
     client_flow, sender_subflows, subflow_deliveries, ClientFlow, SenderSubflow,

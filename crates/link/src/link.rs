@@ -197,6 +197,11 @@ pub struct LinkAgent {
     /// the link is lost until `set_down(false)`.
     down: bool,
     last_delivery: SimTime,
+    /// Foreground (untagged, `meta == 0`) frames queued or in service.
+    fg_held: usize,
+    /// Latest arrival time handed to a foreground frame: until the clock
+    /// reaches it, that frame is still propagating to the egress.
+    fg_last_arrival: SimTime,
     stats: LinkStats,
     /// Optional capture tap. `None` (the default) costs one branch per
     /// frame — capture machinery is entirely off-path until attached.
@@ -226,6 +231,8 @@ impl LinkAgent {
             rrc,
             down: false,
             last_delivery: SimTime::ZERO,
+            fg_held: 0,
+            fg_last_arrival: SimTime::ZERO,
             stats: LinkStats::default(),
             tap: None,
         }
@@ -331,6 +338,15 @@ impl LinkAgent {
         self.q_bytes
     }
 
+    /// Whether this link owes the egress nothing at `now`: no foreground
+    /// (untagged) frame is queued, in service, or delivered but still
+    /// propagating. Tagged background frames do not count: they end at the
+    /// sink every built path sets and taps skip them, so a link carrying
+    /// only cross traffic is idle to everything a measurement can observe.
+    pub fn foreground_idle(&self, now: SimTime) -> bool {
+        self.fg_held == 0 && self.fg_last_arrival <= now
+    }
+
     /// Resolve the RRC gate at `now`: returns the earliest time service may
     /// start, updating promotion state.
     fn rrc_gate(&mut self, now: SimTime) -> SimTime {
@@ -387,6 +403,9 @@ impl LinkAgent {
         let Some((frame, _)) = self.in_service.take() else {
             return;
         };
+        // Delivered or lost, the frame leaves the queue here.
+        let foreground = frame.meta == 0;
+        self.fg_held -= usize::from(foreground);
         let now = ctx.now();
         if let RrcState::Ready { last_active } = &mut self.rrc {
             *last_active = now;
@@ -459,10 +478,11 @@ impl LinkAgent {
         let jitter = self.cfg.jitter.draw(&mut self.rng);
         let arrive = (now + self.cfg.prop_delay + arq_delay + jitter).max(self.last_delivery);
         self.last_delivery = arrive;
-        let (dst, port) = if frame.meta != 0 {
-            self.sink.unwrap_or(self.egress)
-        } else {
+        let (dst, port) = if foreground {
+            self.fg_last_arrival = arrive;
             self.egress
+        } else {
+            self.sink.unwrap_or(self.egress)
         };
         self.stats.delivered += 1;
         self.stats.delivered_bytes += frame.wire_len() as u64;
@@ -503,6 +523,7 @@ impl Agent for LinkAgent {
                     return;
                 }
                 self.q_bytes += len;
+                self.fg_held += usize::from(frame.meta == 0);
                 self.stats.enqueued += 1;
                 self.stats.peak_queue_bytes = self.stats.peak_queue_bytes.max(self.q_bytes as u64);
                 self.q.push_back(frame);
@@ -917,6 +938,184 @@ mod tests {
         w.run_until_idle();
         // Only the untagged foreground frame was observed.
         assert_eq!(obs.borrow().frames.len(), 1);
+    }
+
+    fn tagged(n: usize) -> Frame {
+        Frame::tagged(Bytes::from(vec![0u8; n]), 7)
+    }
+
+    /// sinks <- link with a background sink set, as `build_path` wires it.
+    fn two_class_rig(cfg: LinkConfig) -> (World, AgentId) {
+        let mut w = World::new(1, TraceLevel::Off);
+        let fg_sink = w.add_agent(Box::new(NullSink::default()));
+        let bg_sink = w.add_agent(Box::new(NullSink::default()));
+        let rng = w.rng().stream("t");
+        let mut la = LinkAgent::new(cfg, rng, (fg_sink, 0));
+        la.set_sink((bg_sink, 0));
+        let link = w.add_agent(Box::new(la));
+        (w, link)
+    }
+
+    #[test]
+    fn foreground_idle_follows_an_untagged_frame_to_its_arrival() {
+        // 12 Mbps, 1500 B => 1 ms serialization each; prop 10 ms.
+        let (mut w, link) = two_class_rig(simple_cfg(12_000_000, 10, 1 << 20));
+        let idle = |w: &World| w.agent::<LinkAgent>(link).unwrap().foreground_idle(w.now());
+        assert!(idle(&w), "a fresh link owes nothing");
+        // Background in service, foreground queued behind it.
+        w.schedule(SimTime::ZERO, link, Event::Frame { port: 0, frame: tagged(1500) });
+        w.schedule(SimTime::ZERO, link, Event::Frame { port: 0, frame: frame(1500) });
+        w.run_until(SimTime::from_micros(500));
+        assert!(!idle(&w), "queued");
+        w.run_until(SimTime::from_micros(1500));
+        assert!(!idle(&w), "in service");
+        // Served at 2 ms, arrives at 12 ms: neither queued nor in service.
+        w.run_until(SimTime::from_millis(5));
+        assert_eq!(w.agent::<LinkAgent>(link).unwrap().queue_bytes(), 0);
+        assert!(!idle(&w), "delivered but still propagating");
+        w.run_until(SimTime::from_micros(11_999));
+        assert!(!idle(&w), "a microsecond short of the arrival");
+        w.run_until(SimTime::from_millis(12));
+        assert!(idle(&w), "arrived: everything due at 12 ms has run");
+    }
+
+    #[test]
+    fn foreground_idle_ignores_background_traffic() {
+        let (mut w, link) = two_class_rig(simple_cfg(12_000_000, 10, 1 << 20));
+        for _ in 0..5 {
+            w.schedule(SimTime::ZERO, link, Event::Frame { port: 0, frame: tagged(1500) });
+        }
+        // Queued, in service and propagating background frames all at once.
+        for at_us in [0, 500, 2500, 4999] {
+            w.run_until(SimTime::from_micros(at_us));
+            let la = w.agent::<LinkAgent>(link).unwrap();
+            assert!(la.foreground_idle(w.now()), "background only at {at_us} us");
+        }
+        assert!(w.agent::<LinkAgent>(link).unwrap().queue_bytes() > 0);
+    }
+
+    #[test]
+    fn a_lost_foreground_frame_leaves_the_link_idle() {
+        let mut cfg = simple_cfg(12_000_000, 10, 1500);
+        cfg.loss = LossModel::Bernoulli { p: 1.0 };
+        let (mut w, link) = two_class_rig(cfg);
+        // The first is lost by the channel at 1 ms, the second overflows.
+        for _ in 0..2 {
+            w.schedule(SimTime::ZERO, link, Event::Frame { port: 0, frame: frame(1500) });
+        }
+        w.run_until(SimTime::from_micros(500));
+        assert!(!w.agent::<LinkAgent>(link).unwrap().foreground_idle(w.now()));
+        w.run_until(SimTime::from_millis(1));
+        let la = w.agent::<LinkAgent>(link).unwrap();
+        assert_eq!((la.stats().dropped_channel, la.stats().dropped_overflow), (1, 1));
+        assert!(la.foreground_idle(w.now()), "nothing was handed an arrival time");
+    }
+
+    /// Per-class tallies a tap can keep: the classes differ in frame length.
+    #[derive(Default)]
+    struct ClassTally {
+        offered: u64,
+        refused: u64,
+        delivered: u64,
+        lost: u64,
+    }
+
+    #[derive(Default)]
+    struct ClassObserver {
+        fg: ClassTally,
+        bg: ClassTally,
+    }
+
+    const FG_LEN: usize = 1000;
+    const BG_LEN: usize = 1400;
+
+    impl ClassObserver {
+        fn class(&mut self, bytes: &Bytes) -> &mut ClassTally {
+            match bytes.len() {
+                FG_LEN => &mut self.fg,
+                BG_LEN => &mut self.bg,
+                n => panic!("frame of {n} bytes belongs to neither class"),
+            }
+        }
+    }
+
+    impl mpw_sim::tap::FrameObserver for ClassObserver {
+        fn frame(&mut self, _: SimTime, _: u32, dir: TapDir, bytes: &Bytes) {
+            match dir {
+                TapDir::Ingress => self.class(bytes).offered += 1,
+                TapDir::Egress => self.class(bytes).delivered += 1,
+            }
+        }
+        fn dropped(&mut self, _: SimTime, _: u32, reason: DropReason, bytes: &Bytes) {
+            match reason {
+                DropReason::QueueOverflow => self.class(bytes).refused += 1,
+                _ => self.class(bytes).lost += 1,
+            }
+        }
+    }
+
+    #[test]
+    fn each_class_conserves_frames() {
+        use std::cell::RefCell;
+        use std::rc::Rc;
+        // A queue that overflows, a channel that loses, ARQ that retries and
+        // gives up: every way a frame can leave, for both classes at once.
+        let mut cfg = simple_cfg(8_000_000, 5, 12_000);
+        cfg.loss = LossModel::Bernoulli { p: 0.4 };
+        cfg.arq = Some(ArqConfig {
+            retry_delay: SimDuration::from_millis(2),
+            max_retries: 1,
+        });
+        let (mut w, link) = two_class_rig(cfg);
+        let obs = Rc::new(RefCell::new(ClassObserver::default()));
+        w.agent_mut::<LinkAgent>(link).unwrap().set_tap(LinkTap {
+            observer: obs.clone(),
+            ingress: Some(0),
+            egress: Some(1),
+            drops: Some(2),
+            background: true,
+        });
+        // Bursts of both classes, offered at about twice the link rate.
+        let mut rng = SimRng::seeded(5);
+        let mut at = SimTime::ZERO;
+        for _ in 0..600 {
+            at += SimDuration::from_micros(rng.range_u64(0, 1200));
+            let f = if rng.chance(0.5) { frame(FG_LEN) } else { tagged(BG_LEN) };
+            w.schedule(at, link, Event::Frame { port: 0, frame: f });
+        }
+        let mut checked_busy = false;
+        for ms in (0..=400).step_by(7) {
+            w.run_until(SimTime::from_millis(ms));
+            let la = w.agent::<LinkAgent>(link).unwrap();
+            // The placeholder that holds the server busy through an ARQ
+            // capacity tax is not a frame of either class.
+            let in_service = la.in_service.iter().filter(|(f, _)| f.wire_len() > 0);
+            let held: Vec<&Frame> = la.q.iter().chain(in_service.map(|(f, _)| f)).collect();
+            let held_fg = held.iter().filter(|f| f.meta == 0).count();
+            assert_eq!(la.fg_held, held_fg, "the counter is the recount at {ms} ms");
+            let o = obs.borrow();
+            for (class, t, held) in [
+                ("foreground", &o.fg, held_fg),
+                ("background", &o.bg, held.len() - held_fg),
+            ] {
+                assert_eq!(
+                    t.offered - t.refused,
+                    t.delivered + t.lost + held as u64,
+                    "{class} at {ms} ms: enqueued = delivered + dropped + held"
+                );
+            }
+            let st = la.stats();
+            assert_eq!(st.enqueued, o.fg.offered + o.bg.offered - st.dropped_overflow);
+            assert_eq!(st.delivered, o.fg.delivered + o.bg.delivered);
+            assert_eq!(st.dropped_channel, o.fg.lost + o.bg.lost);
+            checked_busy |= held_fg > 0 && held.len() > held_fg;
+        }
+        let o = obs.borrow();
+        for t in [&o.fg, &o.bg] {
+            assert!(t.refused > 0 && t.lost > 0 && t.delivered > 0, "every exit was taken");
+        }
+        assert!(checked_busy, "some check saw both classes held at once");
+        assert!(w.agent::<LinkAgent>(link).unwrap().foreground_idle(w.now()));
     }
 
     #[test]
