@@ -81,6 +81,7 @@ impl App for SinkClient {
 struct Rig {
     world: World,
     client: AgentId,
+    server: AgentId,
     paths: Vec<BuiltPath>,
 }
 
@@ -123,7 +124,7 @@ fn build_rig(seed: u64, specs: &[PathSpec], total: usize) -> Rig {
             Box::new(move |_id| Box::new(BulkSender { total, sent: 0 })),
         );
     }
-    Rig { world, client, paths }
+    Rig { world, client, server, paths }
 }
 
 fn lifecycle_cfg(policy: HandoverPolicy, backup_ifs: Vec<u8>) -> MptcpConfig {
@@ -365,4 +366,48 @@ fn lifecycle_runs_are_deterministic() {
         (events, received, completed, rig.world.events_processed())
     };
     assert_eq!(run(), run());
+}
+
+/// An 8 KB download over WiFi is closed before the delayed MP_JOIN has
+/// crossed the cold cellular uplink. The server answers the orphan JOIN
+/// with a SYN-ACK; the client's subflow socket, closed by then, must
+/// refuse it with a reset (RFC 9293 §3.10.7.1) so the server stops — not
+/// stay silent while the server retransmits the SYN-ACK for a minute.
+#[test]
+fn a_join_that_outlives_the_connection_is_reset_not_ignored() {
+    let mut rig = build_rig(41, &[wifi_home(0.0), att_lte()], 8 << 10);
+    let cfg = MptcpConfig {
+        syn_mode: SynMode::Delayed,
+        max_subflows: 2,
+        ..MptcpConfig::default()
+    };
+    rig.open(cfg, SimTime::from_millis(10));
+    let join_subflow = |rig: &Rig| {
+        let server = rig.world.agent::<Host>(rig.server).unwrap();
+        let conn = server.transport(0)?.as_mp()?;
+        conn.subflows.get(1).map(|sf| (sf.sock.stats(), sf.sock.is_finished()))
+    };
+
+    // Step to the instant the server accepts the JOIN: the download is
+    // over and closed by then.
+    let mut now = SimTime::ZERO;
+    while join_subflow(&rig).is_none() {
+        now += SimDuration::from_millis(10);
+        assert!(now < SimTime::from_secs(5), "the JOIN never reached the server");
+        rig.world.run_until(now);
+    }
+    let (received, completed) = rig.client_app();
+    assert_eq!(received, 8 << 10);
+    let closed_at = completed.expect("the download completed before the JOIN arrived");
+    let (join, _) = join_subflow(&rig).unwrap();
+    assert!(closed_at < join.opened_at, "closed {closed_at}, JOIN at {}", join.opened_at);
+
+    // One second on, the orphan is gone and nothing is armed on either side.
+    rig.world.run_until(now + SimDuration::from_secs(1));
+    let (join, finished) = join_subflow(&rig).unwrap();
+    assert!(join.established_at.is_none() && finished, "the reset closed the orphan subflow");
+    for (who, id) in [("client", rig.client), ("server", rig.server)] {
+        let host = rig.world.agent::<Host>(id).unwrap();
+        assert!(host.is_quiescent(), "{who} still has a timer armed 1 s after the JOIN");
+    }
 }

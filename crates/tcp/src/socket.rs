@@ -823,6 +823,11 @@ impl TcpSocket {
 
     fn on_segment_inner(&mut self, seg: &TcpSegment, now: SimTime) {
         if self.state == TcpState::Closed {
+            // RFC 9293 §3.10.7.1: a closed socket answers anything but a
+            // reset with a reset. Silence would leave a peer whose SYN-ACK
+            // or FIN crossed our close retransmitting it, with backoff,
+            // until it gives up.
+            self.pending_reset |= !seg.has(tcp_flags::RST);
             return;
         }
         self.stats.segs_received += 1;

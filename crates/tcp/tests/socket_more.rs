@@ -5,7 +5,10 @@
 use bytes::Bytes;
 use mpw_sim::{SimDuration, SimTime};
 use mpw_tcp::testkit::{Side, SocketPair};
-use mpw_tcp::{CcConfig, NewReno, NoHooks, SeqNum, TcpConfig, TcpOption, TcpSocket, TcpState};
+use mpw_tcp::wire::tcp_flags;
+use mpw_tcp::{
+    CcConfig, NewReno, NoHooks, SeqNum, TcpConfig, TcpOption, TcpSegment, TcpSocket, TcpState,
+};
 
 fn ms(n: u64) -> SimDuration {
     SimDuration::from_millis(n)
@@ -97,6 +100,37 @@ fn close_in_syn_sent_deletes_the_socket() {
     sock.close();
     assert_eq!(sock.state(), TcpState::Closed);
     assert!(sock.is_finished());
+}
+
+/// RFC 9293 §3.10.7.1: a closed socket answers a late segment with one RST,
+/// and a late RST with nothing (two closed sockets must not trade resets).
+#[test]
+fn a_closed_socket_answers_with_a_reset() {
+    let (c_ep, s_ep) = mpw_tcp::testkit::test_endpoints();
+    let mut sock = TcpSocket::connect(
+        TcpConfig::default(),
+        Box::new(NewReno::new(CcConfig::default())),
+        Box::new(NoHooks),
+        c_ep,
+        s_ep,
+        0,
+        SeqNum(1),
+        SimTime::ZERO,
+    );
+    sock.close();
+    assert!(sock.poll_transmit(SimTime::ZERO).is_none(), "closing a SYN_SENT socket is silent");
+
+    let now = SimTime::from_millis(30);
+    let late = |flags| TcpSegment::bare(s_ep.port, c_ep.port, SeqNum(900), SeqNum(2), flags);
+    sock.on_segment(&late(tcp_flags::SYN | tcp_flags::ACK), now);
+    let rst = sock.poll_transmit(now).expect("a reset is owed");
+    assert!(rst.has(tcp_flags::RST));
+    assert!(sock.poll_transmit(now).is_none(), "exactly one");
+    assert_eq!(sock.next_timeout(), None);
+
+    sock.on_segment(&late(tcp_flags::RST), now);
+    assert!(sock.poll_transmit(now).is_none(), "a reset is never answered");
+    assert_eq!(sock.state(), TcpState::Closed);
 }
 
 #[test]
