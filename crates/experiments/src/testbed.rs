@@ -196,12 +196,13 @@ impl Testbed {
     /// host runs again and the taps see no frame, so the harvest, the
     /// capture and every counter of the two hosts are what any later stop
     /// would read; only the immortal background sources, whose events are
-    /// all that is left, are cut short. A flow that finishes but never
-    /// quiesces (a peer retransmitting into a closed socket, say) falls
-    /// back to the marks. `who` names the run if it livelocks.
+    /// all that is left, are cut short. A flow that has finished but not
+    /// quiesced by a mark (its close still under way, or stuck behind a
+    /// lost final ACK) is harvested there, as every run used to be
+    /// (DESIGN.md §5.15). `who` names the run if it livelocks.
     pub fn run_flow(&mut self, slot: usize, horizon: SimTime, who: &dyn fmt::Debug) -> ClientFlow {
-        let hosts = [self.client, self.server];
-        let Testbed { world, paths, .. } = self;
+        let Testbed { world, client, server, paths, .. } = self;
+        let hosts = [*client, *server];
         let start = world.now();
         let cfg = Drive {
             tick: SimDuration::from_millis(100),
@@ -212,7 +213,7 @@ impl Testbed {
         };
         let mut flow = ClientFlow::default();
         drive(world, cfg, |world, now, _| {
-            flow = harvest(world, hosts[0], slot);
+            flow = harvest(world, *client, slot);
             flow.finished_at.is_some()
                 && (now.saturating_since(start).as_nanos() % HARVEST_MARK.as_nanos() == 0
                     || quiescent(world, &hosts, paths))

@@ -23,12 +23,13 @@ pub fn open_flow(world: &mut World, client: AgentId, req: OpenRequest) -> usize 
 /// Whether nothing foreground is left in a world whose `hosts` exchange
 /// frames only over `paths`: every host is quiescent
 /// ([`Host::is_quiescent`]) and both links of every path are
-/// foreground-idle at the current instant ([`LinkAgent::foreground_idle`]). A [`Topology`](crate::Topology)
-/// world holds frames nowhere else — its switches and middleboxes forward
-/// at zero delay, within the instant `run_until` has completed — so once
-/// this holds no host can run again until the harness opens another flow:
-/// only background sources, their frames and the sinks still have events.
-/// Ids that do not name a host or a link count as not quiescent.
+/// foreground-idle at the current instant
+/// ([`LinkAgent::foreground_idle`]). A [`Topology`](crate::Topology) world
+/// holds frames nowhere else — its switches and middleboxes forward at
+/// zero delay, within the instant `run_until` has completed — so once this
+/// holds no host can run again until the harness opens another flow: only
+/// background sources, their frames and the sinks still have events. Ids
+/// that do not name a host or a link count as not quiescent.
 pub fn quiescent(world: &World, hosts: &[AgentId], paths: &[BuiltPath]) -> bool {
     let now = world.now();
     let idle = |link| {
