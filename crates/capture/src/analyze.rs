@@ -179,7 +179,7 @@ impl Coverage {
 struct SubflowState {
     conn: usize,
     /// Base for sequence unwrapping (first data seq seen at server tx).
-    base_seq: Option<u32>,
+    base_seq: Option<SeqNum>,
     /// First-transmission times keyed by unwrapped expected ack;
     /// bool = Karn-invalidated.
     pending_ack: BTreeMap<u64, (SimTime, bool)>,
@@ -347,9 +347,9 @@ pub fn analyze(file: &PcapFile<'_>, server_port: u16) -> WireAnalysis {
                         None => {
                             // Plain TCP (or DSS-less fallback): account in
                             // subflow sequence space.
-                            let base = *st.base_seq.get_or_insert(seg.seq.0);
-                            let start = unwrap_seq(base, seg.seq);
-                            st.sub_coverage.insert(start, start + len)
+                            let base = *st.base_seq.get_or_insert(seg.seq);
+                            unwrap_seq(base, seg.seq)
+                                .map_or(0, |start| st.sub_coverage.insert(start, start + len))
                         }
                     };
                     sub.delivered_bytes += novel;
@@ -371,24 +371,27 @@ pub fn analyze(file: &PcapFile<'_>, server_port: u16) -> WireAnalysis {
                 if len > 0 {
                     sub.data_segs += 1;
                     sub.bytes_sent += len;
-                    let base = *st.base_seq.get_or_insert(seg.seq.0);
-                    let offset = unwrap_seq(base, seg.seq);
-                    let expected_ack = offset + len;
-                    // New data sits above everything sent: no search then.
-                    let seen = match st.seen_seq.last() {
-                        Some(&top) if offset <= top => st.seen_seq.binary_search(&offset),
-                        _ => Err(st.seen_seq.len()),
-                    };
-                    match seen {
-                        Ok(_) => {
-                            sub.rexmit_segs += 1;
-                            if let Some(entry) = st.pending_ack.get_mut(&expected_ack) {
-                                entry.1 = true; // Karn
+                    let base = *st.base_seq.get_or_insert(seg.seq);
+                    // A segment below the base is counted above and left
+                    // out of the retransmission and RTT bookkeeping.
+                    if let Some(offset) = unwrap_seq(base, seg.seq) {
+                        let expected_ack = offset + len;
+                        // New data sits above everything sent: no search then.
+                        let seen = match st.seen_seq.last() {
+                            Some(&top) if offset <= top => st.seen_seq.binary_search(&offset),
+                            _ => Err(st.seen_seq.len()),
+                        };
+                        match seen {
+                            Ok(_) => {
+                                sub.rexmit_segs += 1;
+                                if let Some(entry) = st.pending_ack.get_mut(&expected_ack) {
+                                    entry.1 = true; // Karn
+                                }
                             }
-                        }
-                        Err(at) => {
-                            st.seen_seq.insert(at, offset);
-                            st.pending_ack.insert(expected_ack, (pkt.at, false));
+                            Err(at) => {
+                                st.seen_seq.insert(at, offset);
+                                st.pending_ack.insert(expected_ack, (pkt.at, false));
+                            }
                         }
                     }
                 }
@@ -399,8 +402,7 @@ pub fn analyze(file: &PcapFile<'_>, server_port: u16) -> WireAnalysis {
                     st.ack_seen = true;
                 }
                 if ack {
-                    if let Some(base) = st.base_seq {
-                        let a = unwrap_seq(base, seg.ack);
+                    if let Some(a) = st.base_seq.and_then(|base| unwrap_seq(base, seg.ack)) {
                         if let Some(&(sent, invalidated)) = st.pending_ack.get(&a) {
                             if !invalidated {
                                 let ms =
@@ -457,9 +459,11 @@ fn classify_new_subflow(
 }
 
 /// Offset of `x` above the flow's base sequence number; valid while a
-/// subflow carries < 2³¹ bytes, as in the reference analyzer.
-fn unwrap_seq(base: u32, x: SeqNum) -> u64 {
-    u64::from(x - SeqNum(base))
+/// subflow carries < 2³¹ bytes, as in the reference analyzer. `None` for an
+/// `x` below the base: two segments swapped at a vantage, or a capture that
+/// starts mid-flow, puts a later sequence number first.
+fn unwrap_seq(base: SeqNum, x: SeqNum) -> Option<u64> {
+    u64::try_from(x.distance(base)).ok()
 }
 
 /// Feed one DSS-mapped arrival into the connection's reassembly model and
@@ -634,6 +638,36 @@ mod tests {
         // Karn kills the 1001-range sample; the 1101 range was sent at 101
         // and cumulatively acked by the ack arriving at server at 345.
         assert_eq!(s.rtt_samples_ms, vec![244.0]);
+    }
+
+    #[test]
+    fn a_segment_below_the_first_one_seen_is_counted_but_not_sampled() {
+        // Two data segments swapped at the vantage: 1101 fixes the base, so
+        // 1001 lies below it — a negative offset, which unsigned
+        // subtraction turns into a debug panic or ~2³² in release.
+        let mut rig = Rig::new(1);
+        handshake(
+            &mut rig,
+            0,
+            0,
+            40_000,
+            CLIENT,
+            MptcpOption::Capable { key_local: 7, key_remote: None },
+        );
+        rig.seg(0, 100, false, data(40_000, 1101, 100, None), CLIENT);
+        rig.seg(0, 101, false, data(40_000, 1001, 100, None), CLIENT);
+        // An ACK below the base too, then the one that covers 1101..1201.
+        rig.seg(0, 150, true, ack_seg(40_000, 1001), CLIENT);
+        rig.seg(0, 340, true, ack_seg(40_000, 1201), CLIENT);
+        let a = rig.analyze();
+        let s = &a.connections[0].subflows[0];
+        assert_eq!(s.data_segs, 2);
+        assert_eq!(s.bytes_sent, 200);
+        assert_eq!(s.rexmit_segs, 0);
+        // Only the segment at the base is timed (sent 100, acked at 345) and
+        // only its bytes count as delivered in subflow sequence space.
+        assert_eq!(s.rtt_samples_ms, vec![245.0]);
+        assert_eq!(s.delivered_bytes, 100);
     }
 
     #[test]

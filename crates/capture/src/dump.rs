@@ -27,8 +27,8 @@ pub fn format_packet(iface: &str, at_nanos: u64, data: &[u8], comment: Option<&s
                 ip.dst,
                 seg.dst_port,
                 tcp_flags::tcpdump_str(seg.flags),
-                seg.seq.0,
-                seg.ack.0,
+                seg.seq,
+                seg.ack,
                 seg.window,
                 seg.payload.len(),
             );
@@ -74,7 +74,7 @@ fn format_mptcp(m: &MptcpOption) -> String {
                 let _ = write!(s, " dack {a}");
             }
             if let Some(m) = mapping {
-                let _ = write!(s, " map {}:{} len {}", m.dseq, m.subflow_seq.0, m.len);
+                let _ = write!(s, " map {}:{} len {}", m.dseq, m.subflow_seq, m.len);
             }
             if *data_fin {
                 s.push_str(" fin");

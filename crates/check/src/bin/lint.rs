@@ -1,11 +1,13 @@
 //! CLI for the lint engine (DESIGN.md §5.12).
 //!
-//! Runs all six walls — determinism, panic (strict decode surface +
-//! typed call-graph reachability), seq-arith (taint), handler-oracle,
-//! alloc, unsafe — over the workspace, prints the human report,
-//! optionally emits the JSON artifact, and gates against
-//! `LINT_budgets.json`: any unallowed finding fails, and per-rule
-//! allow-marker counts may not exceed their budgeted ceiling.
+//! Runs the four walls — determinism, panic (strict decode surface +
+//! typed call-graph reachability), handler-oracle, alloc — over the
+//! workspace, prints the human report, optionally emits the JSON
+//! artifact, and gates against `LINT_budgets.json`: any unallowed finding
+//! fails, per-rule allow-marker counts may not exceed their budgeted
+//! ceiling, and a budget row must name one of the four. (Sequence-number
+//! arithmetic and `unsafe` are the compiler's: a private `SeqNum` field
+//! and the workspace `unsafe_code` lint.)
 //!
 //! ```text
 //! lint [--root DIR] [--json] [--out PATH] [--budgets PATH] [--no-gate]
@@ -89,17 +91,13 @@ fn main() {
         std::process::exit(run_explain(&ws, &cfg, &id));
     }
 
-    let mut report = match lint_engine::run(&ws, &cfg) {
+    let report = match lint_engine::run(&ws, &cfg) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("lint: {e}");
             std::process::exit(2);
         }
     };
-    if let Err(e) = report.inventory_vendor(&root) {
-        eprintln!("lint: vendor inventory failed: {e}");
-        std::process::exit(2);
-    }
 
     print!("{}", report.human());
     if json {

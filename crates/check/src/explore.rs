@@ -33,7 +33,7 @@
 
 use std::collections::{HashSet, VecDeque};
 use std::fmt;
-use std::hash::Hasher;
+use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use bytes::Bytes;
@@ -289,8 +289,8 @@ impl Sut {
             "{:>9} {verb} {dir} sf{subflow} {} seq {} ack {} len {}{dseq}",
             format!("{:?}", self.now),
             tcp_flags::tcpdump_str(seg.flags),
-            seg.seq.0,
-            seg.ack.0,
+            seg.seq,
+            seg.ack,
             seg.payload.len(),
         ));
     }
@@ -644,8 +644,8 @@ fn hash_wire(h: &mut impl Hasher, w: &Wire) {
     h.write_u16(w.src.port);
     h.write_u32(w.dst.addr.0);
     h.write_u16(w.dst.port);
-    h.write_u32(w.seg.seq.0);
-    h.write_u32(w.seg.ack.0);
+    w.seg.seq.hash(h);
+    w.seg.ack.hash(h);
     h.write_u8(w.seg.flags);
     h.write_u16(w.seg.window);
     h.write(&w.seg.payload);

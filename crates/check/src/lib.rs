@@ -17,16 +17,16 @@
 //!   shrunk, replayable counterexample trace on failure.
 //! * **[`lint_engine`]** — the analysis engine behind every lint wall
 //!   (DESIGN.md §5.12): a hand-rolled Rust lexer, parser, name resolution
-//!   and dataflow, grounding six rules — `determinism` (wall clocks,
-//!   ambient randomness, hash-ordered collections in the protocol
-//!   crates), `panic` (a strict no-panic decode surface in the designated
-//!   parser modules *and* typed call-graph panic-reachability from the
-//!   protocol entry points), `seq-arith` (wraparound arithmetic on
-//!   seq-tainted values must funnel through the audited `tcp/seq.rs`),
-//!   `handler-oracle` (every handler exit runs the invariant oracle),
-//!   `alloc` (no per-segment heap constructs on the data path), and
-//!   `unsafe` (forbid-or-justify across first-party crates, `vendor/`
-//!   inventoried).
+//!   and the handler-exit analysis, grounding four rules — `determinism`
+//!   (wall clocks, ambient randomness, hash-ordered collections in the
+//!   protocol crates), `panic` (a strict no-panic decode surface in the
+//!   designated parser modules *and* typed call-graph panic-reachability
+//!   from the protocol entry points), `handler-oracle` (every handler exit
+//!   runs the invariant oracle) and `alloc` (no per-segment heap constructs
+//!   on the data path). Two further properties are the compiler's: raw
+//!   arithmetic on a sequence number does not type-check outside
+//!   `tcp/seq.rs` (`SeqNum`'s field is private), and `unsafe` is denied by
+//!   the workspace `unsafe_code` lint every member inherits.
 //!   Opt-outs are per-token `// lint: allow-<rule>(reason)` markers,
 //!   counted and ratcheted by `LINT_budgets.json`. The `lint` binary
 //!   emits the human and JSON reports CI gates on.

@@ -215,10 +215,10 @@ pub enum ExprKind {
     Lit,
     /// Path expression: segments with the token index of each segment.
     Path(Vec<(String, usize)>),
-    Unary { op: String, operand: Box<Expr> },
-    Binary { op: String, op_tok: usize, lhs: Box<Expr>, rhs: Box<Expr> },
-    Assign { op: String, lhs: Box<Expr>, rhs: Box<Expr> },
-    Cast { expr: Box<Expr>, ty: Ty, as_tok: usize },
+    Unary { operand: Box<Expr> },
+    Binary { lhs: Box<Expr>, rhs: Box<Expr> },
+    Assign { lhs: Box<Expr>, rhs: Box<Expr> },
+    Cast { expr: Box<Expr>, ty: Ty },
     /// Free/path call: `callee(args)`.
     Call { callee: Box<Expr>, args: Vec<Expr> },
     /// `recv.name(args)` — `name_tok` is the method ident token.
@@ -1573,20 +1573,18 @@ impl<'s> Parser<'s> {
                     if 23 < min_bp {
                         break;
                     }
-                    let as_tok = self.tid(0);
                     self.bump();
                     let ty = self.cast_ty();
                     lhs = Expr {
                         span: Span::new(lo, self.end()),
-                        kind: ExprKind::Cast { expr: Box::new(lhs), ty, as_tok },
+                        kind: ExprKind::Cast { expr: Box::new(lhs), ty },
                     };
                     continue;
                 }
                 _ => {}
             }
             // Binary / assignment / range operators.
-            let op = self.at(0).to_string();
-            let (lbp, rbp, assign, range) = match op.as_str() {
+            let (lbp, rbp, assign, range) = match self.at(0) {
                 "=" | "+=" | "-=" | "*=" | "/=" | "%=" | "^=" | "&=" | "|=" | "<<=" | ">>=" => (2, 1, true, false),
                 ".." | "..=" => (3, 4, false, true),
                 "||" => (5, 6, false, false),
@@ -1603,7 +1601,6 @@ impl<'s> Parser<'s> {
             if lbp < min_bp {
                 break;
             }
-            let op_tok = self.tid(0);
             self.bump();
             if range {
                 // Open-ended `a..` when no operand can follow.
@@ -1622,9 +1619,9 @@ impl<'s> Parser<'s> {
             lhs = Expr {
                 span: Span::new(lo, self.end()),
                 kind: if assign {
-                    ExprKind::Assign { op, lhs: Box::new(lhs), rhs: Box::new(rhs) }
+                    ExprKind::Assign { lhs: Box::new(lhs), rhs: Box::new(rhs) }
                 } else {
-                    ExprKind::Binary { op, op_tok, lhs: Box::new(lhs), rhs: Box::new(rhs) }
+                    ExprKind::Binary { lhs: Box::new(lhs), rhs: Box::new(rhs) }
                 },
             };
         }
@@ -1690,10 +1687,9 @@ impl<'s> Parser<'s> {
         let lo = self.start();
         let kind = match self.at(0) {
             "-" | "!" | "*" => {
-                let op = self.at(0).to_string();
                 self.bump();
                 let operand = self.expr_bp(25, allow_struct);
-                ExprKind::Unary { op, operand: Box::new(operand) }
+                ExprKind::Unary { operand: Box::new(operand) }
             }
             "&" | "&&" => {
                 let double = self.at(0) == "&&";

@@ -3,21 +3,20 @@
 //!
 //! The JSON report is what CI uploads as an artifact: every finding with
 //! `rule`/`file`/`line`/`col`/`message`, every *used* allow marker with
-//! its reason, per-rule allow counts, and the `vendor/` unsafe inventory.
+//! its reason, and per-rule allow counts.
 //! The budgets file pins the per-rule allow counts: any unallowed finding
 //! fails the gate outright, and allow-count *growth* beyond the checked-in
 //! budget fails too, so opt-outs cannot accrete silently. Shrinking below
-//! budget prints a ratchet hint instead.
+//! budget prints a ratchet hint instead, and a row naming a rule that does
+//! not exist (a wall that was retired, a typo) fails like growth does.
 //!
 //! JSON is emitted by hand (sorted keys, `\u{…}`-free ASCII escapes) —
 //! the engine is dependency-free, and byte-stable output keeps artifact
 //! diffs meaningful.
 
 use std::collections::BTreeMap;
-use std::path::Path;
 
-use super::{Allow, Finding, Workspace};
-use crate::lint_engine::lexer::{lex, TokKind};
+use super::{Allow, Finding, Workspace, RULES};
 
 /// Everything one engine run produced.
 pub struct Report {
@@ -34,8 +33,6 @@ pub struct Report {
     /// AST parse fallbacks across the workspace (must be zero: a fallback
     /// is a construct the analyses silently cannot see into).
     pub parse_fallbacks: usize,
-    /// `unsafe` token counts per vendored crate (exempt, inventoried).
-    pub vendor_unsafe: BTreeMap<String, usize>,
 }
 
 impl Report {
@@ -53,40 +50,7 @@ impl Report {
             files: ws.files.len(),
             fns: ws.files.iter().map(|f| f.ast.fn_count()).sum(),
             parse_fallbacks: ws.files.iter().map(|f| f.ast.fallbacks.len()).sum(),
-            vendor_unsafe: BTreeMap::new(),
         }
-    }
-
-    /// Count `unsafe` tokens per vendored crate under `root/vendor/`.
-    /// Exempt from the wall, but the inventory keeps the report honest
-    /// about how much unsafety the build actually links.
-    pub fn inventory_vendor(&mut self, root: &Path) -> std::io::Result<()> {
-        let vendor = root.join("vendor");
-        if !vendor.is_dir() {
-            return Ok(());
-        }
-        let mut dirs: Vec<_> = std::fs::read_dir(&vendor)?
-            .collect::<std::io::Result<Vec<_>>>()?
-            .into_iter()
-            .map(|e| e.path())
-            .filter(|p| p.is_dir())
-            .collect();
-        dirs.sort();
-        for d in dirs {
-            let name = d.file_name().unwrap_or_default().to_string_lossy().to_string();
-            let mut count = 0usize;
-            let mut files = Vec::new();
-            super::walk(&d, &mut files)?;
-            for p in files {
-                let src = std::fs::read_to_string(&p)?;
-                count += lex(&src)
-                    .iter()
-                    .filter(|t| t.kind == TokKind::Ident && t.text(&src) == "unsafe")
-                    .count();
-            }
-            self.vendor_unsafe.insert(name, count);
-        }
-        Ok(())
     }
 
     /// Human-readable summary to a writer-ish string.
@@ -101,21 +65,15 @@ impl Report {
             .iter()
             .map(|(r, n)| format!("{r}={n}"))
             .collect();
-        let vendor: Vec<String> = self
-            .vendor_unsafe
-            .iter()
-            .map(|(c, n)| format!("{c}={n}"))
-            .collect();
         out.push_str(&format!(
             "lint: {} finding(s), {} allow marker(s) [{}] across {} files / {} fns \
-             ({} parse fallbacks); vendor unsafe inventory [{}]\n",
+             ({} parse fallbacks)\n",
             self.findings.len(),
             self.allow_counts.values().sum::<usize>(),
             allows.join(", "),
             self.files,
             self.fns,
             self.parse_fallbacks,
-            vendor.join(", "),
         ));
         out
     }
@@ -161,14 +119,6 @@ impl Report {
             s.push_str(&format!("{}: {}", js(r), n));
         }
         s.push_str("},\n");
-        s.push_str("  \"vendor_unsafe\": {");
-        for (i, (c, n)) in self.vendor_unsafe.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&format!("{}: {}", js(c), n));
-        }
-        s.push_str("},\n");
         s.push_str(&format!(
             "  \"files\": {},\n  \"fns\": {},\n  \"parse_fallbacks\": {}\n}}\n",
             self.files, self.fns, self.parse_fallbacks
@@ -177,13 +127,22 @@ impl Report {
     }
 
     /// Gate against `LINT_budgets.json`: unallowed findings always fail;
-    /// per-rule allow counts may not exceed their budgeted ceiling.
+    /// per-rule allow counts may not exceed their budgeted ceiling, and
+    /// every budget row must name a rule that exists.
     /// Returns human-readable violations (empty = pass) and ratchet hints.
     pub fn gate(&self, budgets_src: &str) -> (Vec<String>, Vec<String>) {
         let mut violations = Vec::new();
         let mut hints = Vec::new();
         if !self.findings.is_empty() {
             violations.push(format!("{} unallowed finding(s)", self.findings.len()));
+        }
+        for rule in budgets_src.split("\"allow/").skip(1).filter_map(|r| r.split('"').next()) {
+            if !RULES.contains(&rule) {
+                violations.push(format!(
+                    "LINT_budgets.json row \"allow/{rule}\" names no rule (known: {})",
+                    RULES.join(", ")
+                ));
+            }
         }
         for (rule, &n) in &self.allow_counts {
             match budget_value(budgets_src, &format!("allow/{rule}")) {
@@ -239,10 +198,10 @@ mod tests {
 
     #[test]
     fn budget_value_parses_flat_json() {
-        let src = "{\n  \"allow/panic\": 12,\n  \"allow/seq-arith\": 6\n}\n";
+        let src = "{\n  \"allow/panic\": 12,\n  \"allow/alloc\": 6\n}\n";
         assert_eq!(budget_value(src, "allow/panic"), Some(12));
-        assert_eq!(budget_value(src, "allow/seq-arith"), Some(6));
-        assert_eq!(budget_value(src, "allow/alloc"), None);
+        assert_eq!(budget_value(src, "allow/alloc"), Some(6));
+        assert_eq!(budget_value(src, "allow/determinism"), None);
     }
 
     #[test]
@@ -267,12 +226,24 @@ mod tests {
     }
 
     #[test]
+    fn gate_rejects_a_budget_row_for_a_rule_that_does_not_exist() {
+        // Neither `seq-arith` nor `unsafe` is a rule (the compiler enforces
+        // both): a budget row for either would ratchet nothing.
+        let ws = Workspace::from_sources(vec![]);
+        let rep = Report::new(&ws, vec![], vec![]);
+        let (v, _) = rep.gate("{\"allow/panic\": 0, \"allow/seq-arith\": 4, \"allow/unsafe\": 9}");
+        assert_eq!(v.len(), 2, "{v:?}");
+        assert!(v[0].contains("\"allow/seq-arith\" names no rule"), "{v:?}");
+        assert!(v[1].contains("\"allow/unsafe\" names no rule"), "{v:?}");
+        assert!(rep.gate("{\"allow/panic\": 0, \"allow/alloc\": 0}").0.is_empty());
+    }
+
+    #[test]
     fn json_shape_is_stable() {
         let ws = Workspace::from_sources(vec![]);
         let rep = Report::new(&ws, vec![], vec![]);
         let j = rep.json();
         assert!(j.contains("\"findings\": []"));
         assert!(j.contains("\"allow_counts\": {}"));
-        assert!(j.contains("\"vendor_unsafe\": {}"));
     }
 }

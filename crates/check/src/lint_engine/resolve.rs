@@ -71,8 +71,6 @@ pub struct Resolved {
     /// the workspace (first definition wins on cross-crate name
     /// collisions, which the walls tolerate: field *types* matter).
     pub struct_fields: BTreeMap<String, BTreeMap<String, Ty>>,
-    /// Struct name → file index where it is declared.
-    pub struct_file: BTreeMap<String, usize>,
     /// Fn name → fn ids (the name-fallback index).
     pub by_name: BTreeMap<String, Vec<usize>>,
     /// `Type::method` / `module::fn` → fn id.
@@ -88,7 +86,6 @@ impl Resolved {
             fns: Vec::new(),
             calls: Vec::new(),
             struct_fields: BTreeMap::new(),
-            struct_file: BTreeMap::new(),
             by_name: BTreeMap::new(),
             by_qname: BTreeMap::new(),
             trait_impls: BTreeMap::new(),
@@ -163,7 +160,6 @@ fn collect_decls(
     for it in items {
         match &it.kind {
             ItemKind::Struct(s) => {
-                r.struct_file.entry(s.name.clone()).or_insert(fi);
                 let tbl = r.struct_fields.entry(s.name.clone()).or_default();
                 for (fname, ty) in &s.fields {
                     tbl.entry(fname.clone()).or_insert_with(|| ty.clone());
@@ -640,7 +636,7 @@ impl BodyCx<'_> {
 /// Strip reference/pointer/smart-pointer shells off a type and return the
 /// base head (`&mut wire::TcpSegment` → `TcpSegment`; `Box<dyn Agent>` →
 /// `Agent`; `Vec<u8>` stays `Vec`).
-pub fn strip_shells(ty: &Ty) -> String {
+fn strip_shells(ty: &Ty) -> String {
     for s in &ty.segs {
         match s.as_str() {
             "&" | "*" | "[]" | "()" => continue,

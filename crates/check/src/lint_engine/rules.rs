@@ -1,4 +1,4 @@
-//! The token-scanning walls: `determinism`, `panic`, `alloc`, `unsafe`.
+//! The token-scanning walls: `determinism`, `panic`, `alloc`.
 //!
 //! Each rule is a pure function from a scanned [`Workspace`] + [`Config`]
 //! to raw [`Finding`]s; the engine in [`super::run`] filters them through
@@ -338,30 +338,6 @@ pub fn panic(ws: &Workspace, cfg: &Config, r: &Resolved) -> (Vec<Finding>, Vec<P
 }
 
 // ---------------------------------------------------------------------------
-// seq naming contract (the seeds of `flow::seq_taint`)
-// ---------------------------------------------------------------------------
-
-/// Name segments marking a sequence-number value (the seq/dseq naming
-/// contract), and segments that mark a *derived quantity* (lengths,
-/// counts, indices) exempt from the wall.
-const SEQ_SEGMENTS: [&str; 4] = ["seq", "dseq", "dsn", "seqno"];
-const SEQ_EXEMPT_SEGMENTS: [&str; 6] = ["len", "count", "cnt", "idx", "off", "offset"];
-
-/// Whether `name` names a sequence-number value under the contract.
-pub fn seq_contract(name: &str) -> bool {
-    let mut has_seq = false;
-    for seg in name.split('_') {
-        if SEQ_SEGMENTS.contains(&seg) {
-            has_seq = true;
-        }
-        if SEQ_EXEMPT_SEGMENTS.contains(&seg) {
-            return false;
-        }
-    }
-    has_seq
-}
-
-// ---------------------------------------------------------------------------
 // alloc
 // ---------------------------------------------------------------------------
 
@@ -410,69 +386,6 @@ pub fn alloc(ws: &Workspace, cfg: &Config) -> Vec<Finding> {
     out
 }
 
-// ---------------------------------------------------------------------------
-// unsafe
-// ---------------------------------------------------------------------------
-
-/// The unsafe audit: every first-party crate must carry
-/// `#![forbid(unsafe_code)]` in its `lib.rs`, and any `unsafe` token in
-/// first-party code (including benches and tests, which are separate
-/// compilation units the lib attribute does not cover) needs a
-/// per-token `allow-unsafe(reason)` justification. `vendor/` is exempt
-/// but inventoried in the report.
-pub fn unsafe_audit(ws: &Workspace) -> Vec<Finding> {
-    let mut out = Vec::new();
-    let mut crates_seen: std::collections::BTreeSet<String> = Default::default();
-    for f in &ws.files {
-        if let Some(cd) = f.crate_dir() {
-            crates_seen.insert(cd.to_string());
-        }
-        for t in &f.toks {
-            if t.kind == TokKind::Ident && t.text(&f.src) == "unsafe" {
-                // `unsafe_code` inside the forbid attribute itself is an
-                // ident `unsafe_code`, not `unsafe` — no special case
-                // needed.
-                out.push(finding(
-                    "unsafe",
-                    f,
-                    t,
-                    "`unsafe` in first-party code: justify with allow-unsafe(reason) \
-                     or remove"
-                        .into(),
-                ));
-            }
-        }
-    }
-    for cd in crates_seen {
-        let lib = format!("{cd}/src/lib.rs");
-        let Some(f) = ws.file(&lib) else { continue };
-        if !has_forbid_unsafe(f) {
-            out.push(Finding {
-                rule: "unsafe".into(),
-                file: lib,
-                line: 1,
-                col: 1,
-                message: "crate lacks `#![forbid(unsafe_code)]`".into(),
-            });
-        }
-    }
-    out
-}
-
-/// Whether a lib root carries the inner `#![forbid(unsafe_code)]`.
-fn has_forbid_unsafe(f: &SourceFile) -> bool {
-    let code: Vec<&str> = f
-        .toks
-        .iter()
-        .filter(|t| !t.is_comment())
-        .map(|t| t.text(&f.src))
-        .collect();
-    code.windows(6).any(|w| {
-        w[0] == "#" && w[1] == "!" && w[2] == "[" && w[3] == "forbid" && w[4] == "("
-            && w[5] == "unsafe_code"
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -483,8 +396,6 @@ mod tests {
             determinism_paths: vec!["crates/x".into()],
             parser_modules: vec![rel.to_string()],
             alloc_modules: vec![rel.to_string()],
-            seq_paths: vec!["crates/x/src".into()],
-            seq_audited: vec![],
             reach_paths: vec!["crates/x/src".into()],
             entry_files: vec![],
             entry_prefixes: vec![],
@@ -624,16 +535,5 @@ mod tests {
         let (ws, cfg) = one("struct S {\n    options: Vec<\n        TcpOption,\n    >,\n}\nfn f(d: &[u8]) { let v = d.to_vec(); let _ = v; }\n");
         let fs = alloc(&ws, &cfg);
         assert_eq!(fs.len(), 2, "{fs:?}");
-    }
-
-    #[test]
-    fn unsafe_audit_requires_forbid_and_flags_tokens() {
-        let (ws, _) = one("pub fn f() { let p = 0 as *const u8; let _ = unsafe { *p }; }\n");
-        let fs = unsafe_audit(&ws);
-        assert_eq!(fs.len(), 2, "{fs:?}");
-        assert!(fs.iter().any(|f| f.message.contains("forbid")));
-        assert!(fs.iter().any(|f| f.message.contains("justify")));
-        let (ws2, _) = one("#![forbid(unsafe_code)]\npub fn f() {}\n");
-        assert!(unsafe_audit(&ws2).is_empty());
     }
 }

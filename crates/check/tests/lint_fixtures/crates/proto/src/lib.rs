@@ -6,9 +6,6 @@
 pub mod alloc_path;
 pub mod conflated;
 pub mod engine;
-pub mod flow;
 pub mod markers;
-pub mod seq;
 pub mod state;
-pub mod taint;
 pub mod wire;

@@ -373,7 +373,7 @@ impl SubflowHooks {
             return None;
         }
         Some(DssMapping {
-            dseq: dseq + (abs_start - s), // lint: allow-seq-arith(64-bit DSN offset cannot wrap)
+            dseq: dseq + (abs_start - s),
             subflow_seq: SeqNum(0), // filled by convention: equals segment seq
             len: len as u16,
         })
@@ -404,7 +404,6 @@ impl TcpHooks for SubflowHooks {
                 debug_assert!(mapping.is_some(), "data segment without DSS mapping");
                 let fin_here = shared
                     .tx_data_fin
-                    // lint: allow-seq-arith(64-bit DSN end-offset cannot wrap)
                     .is_some_and(|f| mapping.map(|m| m.dseq + m.len as u64) == Some(f));
                 Some(MptcpOption::Dss {
                     data_ack: Some(shared.data_ack_value()),
@@ -1337,7 +1336,6 @@ impl MptcpConnection {
         let mut moved = std::mem::take(&mut self.moved_scratch);
         moved.clear();
         for &(dseq, ref a) in self.assignments.iter() {
-            // lint: allow-seq-arith(64-bit DSN end-offset cannot wrap)
             if dead.contains(&a.subflow) && dseq + a.len as u64 > base {
                 moved.push((dseq, a.len));
             }
@@ -1456,7 +1454,7 @@ impl MptcpConnection {
                 // Fault injection (test-only): shift the recorded mapping
                 // back one byte so the wire DSS overlaps its predecessor.
                 let map_dseq = if self.inject_overlapping_dss && dseq > 0 {
-                    dseq - 1 // lint: allow-seq-arith(fault injection; dseq > 0 guards underflow)
+                    dseq - 1
                 } else {
                     dseq
                 };

@@ -10,6 +10,12 @@
 //! cargo bench -p mpw-experiments --bench alloc_gate
 //! ```
 
+// The one target in the workspace exempt from `unsafe_code = "deny"`
+// (root Cargo.toml): a counting allocator has to implement `GlobalAlloc`,
+// an unsafe trait whose every method is unsafe. The impl below is all the
+// unsafe there is — each method counts, then delegates verbatim to `System`.
+#![allow(unsafe_code)]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -51,24 +57,29 @@ fn count_op_sized(size: usize) {
     }
 }
 
-// The counting allocator is the one deliberate unsafe island in
-// first-party code: GlobalAlloc is an unsafe trait and every method
-// merely counts, then delegates verbatim to std's System allocator.
-unsafe impl GlobalAlloc for CountingAlloc { // lint: allow-unsafe(GlobalAlloc is an unsafe trait)
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 { // lint: allow-unsafe(GlobalAlloc method signature)
+// SAFETY: every method counts, then forwards its arguments unchanged to
+// `System`, so `GlobalAlloc`'s contract holds here exactly when it holds
+// there; what the caller guarantees (a valid layout, a pointer this
+// allocator returned) passes through untouched.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count_op_sized(layout.size());
-        unsafe { System.alloc(layout) } // lint: allow-unsafe(delegates to System)
+        // SAFETY: the caller's guarantees, forwarded as they are.
+        unsafe { System.alloc(layout) }
     }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 { // lint: allow-unsafe(GlobalAlloc method signature)
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         count_op_sized(layout.size());
-        unsafe { System.alloc_zeroed(layout) } // lint: allow-unsafe(delegates to System)
+        // SAFETY: the caller's guarantees, forwarded as they are.
+        unsafe { System.alloc_zeroed(layout) }
     }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 { // lint: allow-unsafe(GlobalAlloc method signature)
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count_op_sized(new_size);
-        unsafe { System.realloc(ptr, layout, new_size) } // lint: allow-unsafe(delegates to System)
+        // SAFETY: the caller's guarantees, forwarded as they are.
+        unsafe { System.realloc(ptr, layout, new_size) }
     }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) { // lint: allow-unsafe(GlobalAlloc method signature)
-        unsafe { System.dealloc(ptr, layout) } // lint: allow-unsafe(delegates to System)
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller's guarantees, forwarded as they are.
+        unsafe { System.dealloc(ptr, layout) }
     }
 }
 

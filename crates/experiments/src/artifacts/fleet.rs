@@ -45,7 +45,6 @@ fn base_spec(n: u32, seed: u64, mix: PathMix, size: u64) -> FleetSpec {
         workload: FleetWorkload::Download { size },
         horizon_ms: 240_000,
         goodput_bucket_ms: 250,
-        mobility: None,
     }
 }
 

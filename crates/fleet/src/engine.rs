@@ -12,7 +12,6 @@ use mpw_http::{StreamingClient, Wget};
 use mpw_link::{BuiltPath, NullSink};
 use mpw_metrics::{FleetReport, FlowRecord};
 use mpw_mptcp::{Host, MptcpConfig, OpenRequest, TransportSpec};
-use mpw_scenario::{compile, PathBinding, ScenarioDriver};
 use mpw_sim::{AgentId, SimDuration, SimRng, SimTime, World};
 use mpw_tcp::{Addr, CcConfig, Endpoint, TcpConfig};
 
@@ -209,16 +208,6 @@ pub fn run_fleet_windowed(
         }
     }
 
-    // --- mobility ---------------------------------------------------------
-    let mut driver = spec
-        .mobility
-        .as_ref()
-        .map(|s| ScenarioDriver::from_timeline(compile(s).expect("fleet scenario compiles")));
-    let bindings = [PathBinding {
-        uplink: wifi_path.uplink,
-        downlink: wifi_path.downlink,
-    }];
-
     // --- drive ------------------------------------------------------------
     let closed = matches!(spec.arrival, Arrival::Closed { .. });
     let think_mean_ms = match spec.arrival {
@@ -235,7 +224,7 @@ pub fn run_fleet_windowed(
     let cfg = Drive {
         tick: SimDuration::from_millis(spec.goodput_bucket_ms.max(1)),
         horizon,
-        mobility: driver.as_mut().map(|d| (d, &bindings[..])),
+        mobility: None,
         ticker: Some(ticker),
         who: spec,
     };

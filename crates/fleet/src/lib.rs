@@ -21,8 +21,7 @@
 //!   (staggered, open-loop Poisson-by-inversion, or closed-loop with
 //!   exponential think times — all pure functions of the seed), the
 //!   per-client workload (paper download sizes or the Table-7 streaming
-//!   pattern), and an optional `mpw-scenario` mobility script applied to
-//!   the shared WiFi path.
+//!   pattern).
 //! - [`run_fleet`] — builds the world and drives it with a sampling tick,
 //!   harvesting one [`FlowRecord`](mpw_metrics::FlowRecord) per flow and
 //!   folding them into a [`FleetReport`](mpw_metrics::FleetReport).

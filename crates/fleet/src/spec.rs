@@ -3,7 +3,6 @@
 
 use mpw_http::StreamingProfile;
 use mpw_link::{wifi_home, wifi_hotspot, Carrier, DayPeriod, PathSpec};
-use mpw_scenario::Scenario;
 use mpw_sim::SimRng;
 use serde::{Deserialize, Serialize};
 
@@ -168,9 +167,6 @@ pub struct FleetSpec {
     pub horizon_ms: u64,
     /// Goodput-timeline bucket width and engine sampling tick (ms).
     pub goodput_bucket_ms: u64,
-    /// Optional mobility script applied to the shared WiFi path (all
-    /// clients fade together — the whole coffee shop walks out at once).
-    pub mobility: Option<Scenario>,
 }
 
 impl FleetSpec {
@@ -188,7 +184,6 @@ impl FleetSpec {
             workload: FleetWorkload::Download { size: 64 << 10 },
             horizon_ms: 60_000,
             goodput_bucket_ms: 250,
-            mobility: None,
         }
     }
 }

@@ -155,7 +155,33 @@ fn emit_regressions(dir: &std::path::Path) -> std::io::Result<()> {
     );
     let mut hostile = w.into_bytes();
     hostile.insert(0, 0); // analyze envelope tag: totality-only
-    corpus::save(&dir.join("analyze"), &[hostile])?;
+
+    // analyze: two server data segments swapped at the vantage (seq 1101,
+    // then 1001). The first fixes the subflow's base, so the second lies
+    // below it: a negative offset, which unsigned subtraction turned into a
+    // debug panic and ~2³² in release (crates/capture/src/analyze.rs, see
+    // `a_segment_below_the_first_one_seen_is_counted_but_not_sampled`).
+    let mut w = mpw_capture::PcapWriter::new();
+    let down = w.add_interface("path0:down@server");
+    for (at_ms, seq) in [(1, 1101), (2, 1001)] {
+        let mut seg = TcpSegment::bare(
+            mpw_experiments::SERVER_PORT,
+            40_000,
+            SeqNum(seq),
+            SeqNum(1),
+            mpw_tcp::wire::tcp_flags::ACK,
+        );
+        seg.payload = Bytes::from(vec![0x55u8; 100]);
+        w.packet(
+            down,
+            SimTime::from_millis(at_ms),
+            &encode_packet(&ip(server, client), &seg),
+            None,
+        );
+    }
+    let mut swapped = w.into_bytes();
+    swapped.insert(0, 0);
+    corpus::save(&dir.join("analyze"), &[hostile, swapped])?;
 
     // pcapng: an IDB declaring if_tsresol 81 (10^-81-second units) plus an
     // EPB with a huge timestamp — the nanosecond divisor 10^72 wrapped to 0

@@ -11,7 +11,7 @@
 
 use core::fmt;
 use core::ops::{Add, AddAssign, Sub};
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 
 /// A TCP sequence number.
 ///
@@ -22,13 +22,52 @@ use serde::{Deserialize, Serialize};
 /// assert!(a.before(b));
 /// assert_eq!(b - a, 4);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-pub struct SeqNum(pub u32);
+///
+/// The raw 32 bits are private to this module: outside it a sequence number
+/// can be built ([`SeqNum()`]), compared, advanced by a length and
+/// subtracted from another, and nothing else. Reading the field, taking the
+/// value apart with a pattern, and turning it back into an integer (the wire
+/// codec's `pub(crate) to_wire`) each fail to compile from another crate, so
+/// raw `+`/`-`/`as u32`/`wrapping_*` on a sequence number cannot be written
+/// there:
+///
+/// ```compile_fail,E0616
+/// let raw = mpw_tcp::SeqNum(7).raw; // private field
+/// ```
+///
+/// ```compile_fail,E0532
+/// let mpw_tcp::SeqNum(raw) = mpw_tcp::SeqNum(7); // a fn is not a pattern
+/// ```
+///
+/// ```compile_fail,E0624
+/// let next = mpw_tcp::SeqNum(7).to_wire() + 1; // crate-private
+/// ```
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub struct SeqNum {
+    raw: u32,
+}
+
+/// The one way to make a [`SeqNum`] from raw bits (an initial sequence
+/// number, a parsed header field, a test literal). It shares the type's name
+/// so construction reads `SeqNum(x)` while the field stays private.
+#[allow(non_snake_case)]
+#[inline]
+pub const fn SeqNum(raw: u32) -> SeqNum {
+    SeqNum { raw }
+}
+
+// The wrapper costs nothing: four bytes, as the bare `u32` on the wire.
+const _: () = assert!(core::mem::size_of::<SeqNum>() == 4);
 
 impl SeqNum {
+    /// The raw bits, for the wire encoder only.
+    pub(crate) fn to_wire(self) -> u32 {
+        self.raw
+    }
+
     /// Signed distance from `other` to `self` (positive if `self` is after).
     pub fn distance(self, other: SeqNum) -> i32 {
-        self.0.wrapping_sub(other.0) as i32
+        self.raw.wrapping_sub(other.raw) as i32
     }
 
     /// `self < other` in sequence space.
@@ -78,13 +117,13 @@ impl SeqNum {
 impl Add<u32> for SeqNum {
     type Output = SeqNum;
     fn add(self, n: u32) -> SeqNum {
-        SeqNum(self.0.wrapping_add(n))
+        SeqNum(self.raw.wrapping_add(n))
     }
 }
 
 impl AddAssign<u32> for SeqNum {
     fn add_assign(&mut self, n: u32) {
-        self.0 = self.0.wrapping_add(n);
+        self.raw = self.raw.wrapping_add(n);
     }
 }
 
@@ -93,19 +132,32 @@ impl Sub<SeqNum> for SeqNum {
     /// Unsigned distance; callers must know `self` is not before `rhs`.
     fn sub(self, rhs: SeqNum) -> u32 {
         debug_assert!(self.after_eq(rhs), "negative SeqNum difference");
-        self.0.wrapping_sub(rhs.0)
+        self.raw.wrapping_sub(rhs.raw)
+    }
+}
+
+/// Serialized as the bare number.
+impl Serialize for SeqNum {
+    fn to_value(&self) -> Value {
+        self.raw.to_value()
+    }
+}
+
+impl Deserialize for SeqNum {
+    fn from_value(v: &Value) -> Result<SeqNum, DeError> {
+        u32::from_value(v).map(SeqNum)
     }
 }
 
 impl fmt::Debug for SeqNum {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "#{}", self.0)
+        write!(f, "#{}", self.raw)
     }
 }
 
 impl fmt::Display for SeqNum {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
+        write!(f, "{}", self.raw)
     }
 }
 
@@ -131,7 +183,7 @@ mod tests {
     fn ordering_across_wrap() {
         let a = SeqNum(u32::MAX - 10);
         let b = a + 20; // wraps
-        assert_eq!(b.0, 9);
+        assert_eq!(b, SeqNum(9));
         assert!(a.before(b));
         assert!(b.after(a));
         assert_eq!(b - a, 20);

@@ -667,8 +667,8 @@ fn encode_option(opt: &TcpOption, out: &mut Tail<'_>) {
         TcpOption::Sack(blocks) => {
             out.put([5, 2 + 8 * blocks.len() as u8]);
             for (lo, hi) in blocks {
-                out.put(lo.0.to_be_bytes());
-                out.put(hi.0.to_be_bytes());
+                out.put(lo.to_wire().to_be_bytes());
+                out.put(hi.to_wire().to_be_bytes());
             }
         }
         TcpOption::Mptcp(m) => match m {
@@ -714,7 +714,7 @@ fn encode_option(opt: &TcpOption, out: &mut Tail<'_>) {
                 }
                 if let Some(m) = mapping {
                     out.put(m.dseq.to_be_bytes());
-                    out.put(m.subflow_seq.0.to_be_bytes());
+                    out.put(m.subflow_seq.to_wire().to_be_bytes());
                     out.put(m.len.to_be_bytes());
                 }
             }
@@ -910,8 +910,8 @@ pub fn encode_packet(ip: &IpHeader, seg: &TcpSegment) -> Bytes {
     let tcp_start = out.len();
     out.put_u16(seg.src_port);
     out.put_u16(seg.dst_port);
-    out.put_u32(seg.seq.0);
-    out.put_u32(seg.ack.0);
+    out.put_u32(seg.seq.to_wire());
+    out.put_u32(seg.ack.to_wire());
     out.put_u8(0); // data offset placeholder
     out.put_u8(seg.flags);
     out.put_u16(seg.window);
@@ -1544,8 +1544,8 @@ mod tests {
                     out.put_u8(5);
                     out.put_u8(2 + 8 * blocks.len() as u8);
                     for (lo, hi) in blocks {
-                        out.put_u32(lo.0);
-                        out.put_u32(hi.0);
+                        out.put_u32(lo.to_wire());
+                        out.put_u32(hi.to_wire());
                     }
                 }
                 TcpOption::Mptcp(m) => match m {
@@ -1598,7 +1598,7 @@ mod tests {
                         }
                         if let Some(m) = mapping {
                             out.put_u64(m.dseq);
-                            out.put_u32(m.subflow_seq.0);
+                            out.put_u32(m.subflow_seq.to_wire());
                             out.put_u16(m.len);
                         }
                     }
@@ -1649,8 +1649,8 @@ mod tests {
         let tcp_start = out.len();
         out.put_u16(seg.src_port);
         out.put_u16(seg.dst_port);
-        out.put_u32(seg.seq.0);
-        out.put_u32(seg.ack.0);
+        out.put_u32(seg.seq.to_wire());
+        out.put_u32(seg.ack.to_wire());
         let data_off_words = ((TCP_HEADER_LEN + opt_len) / 4) as u8;
         out.put_u8(data_off_words << 4);
         out.put_u8(seg.flags);
