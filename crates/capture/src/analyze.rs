@@ -22,6 +22,10 @@
 //! hash; handshakes never interleave in the reproduced scenarios, and the
 //! join token is kept for reporting).
 
+// Strict decode surface (DESIGN.md §5.12): on top of the crate's panic
+// wall, no indexing and no assert (the list is in the root `clippy.toml`).
+#![deny(clippy::indexing_slicing, clippy::disallowed_macros)]
+
 use std::collections::BTreeMap;
 
 use mpw_metrics::{epoch_shares, DistSummary, EpochShare, EpochSpan};
@@ -492,6 +496,7 @@ fn ofo_arrival(conn: &mut (WireConnection, ConnState), start: u64, end: u64, at:
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_macros)]
 mod tests {
     use super::*;
     use crate::hub::CaptureHub;

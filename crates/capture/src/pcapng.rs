@@ -24,6 +24,10 @@
 //! `char` boundary, and the reader clips what lossy UTF-8 decoding inflated
 //! past that, so whatever the reader returns the writer stores whole.
 
+// Strict decode surface (DESIGN.md §5.12): on top of the crate's panic
+// wall, no indexing and no assert (the list is in the root `clippy.toml`).
+#![deny(clippy::indexing_slicing, clippy::disallowed_macros)]
+
 use core::fmt;
 
 use mpw_sim::SimTime;
@@ -127,6 +131,10 @@ impl PcapWriter {
     /// Blocks are serialized straight into the writer's output buffer with a
     /// length back-patch, so a warmed-up writer appends packets without any
     /// intermediate per-block allocation.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "writer side: data the program built; an undeclared interface is a caller bug"
+    )]
     pub fn packet(&mut self, iface: u32, at: SimTime, data: &[u8], comment: Option<&str>) {
         assert!(iface < self.n_ifaces, "packet on undeclared interface");
         let ts = at.as_nanos();
@@ -167,11 +175,17 @@ impl PcapWriter {
 
     /// Close a block: back-patch the total length and append the trailing
     /// duplicate the spec requires.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "writer-side internal invariant, not wire-derived input"
+    )]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "writer patches the length of a block it just opened"
+    )]
     fn end_block(&mut self, start: usize) {
-        // lint: allow-panic(writer-side internal invariant, not wire-derived input)
         debug_assert!((self.buf.len() - start).is_multiple_of(4), "block body must be padded");
         let total = (self.buf.len() - start + 4) as u32;
-        // lint: allow-panic(writer patches the length of a block it just opened)
         self.buf[start + 4..start + 8].copy_from_slice(&total.to_le_bytes());
         put_u32(&mut self.buf, total);
     }
@@ -229,8 +243,8 @@ impl PcapFile<'_> {
 ///
 /// The reader is total over arbitrary bytes: every read of the input goes
 /// through [`get_u32`]/[`get_u16`]/`slice::get`, so truncated or mangled
-/// files produce a typed [`PcapError`], never a panic. The `panic` lint
-/// wall (`crates/check/src/lint_engine/`) enforces this.
+/// files produce a typed [`PcapError`], never a panic. This module's
+/// `#![deny(clippy::…)]` enforces this.
 pub fn read_pcapng(data: &[u8]) -> Result<PcapFile<'_>, PcapError> {
     let mut out = PcapFile::default();
     let mut at = 0usize;
@@ -429,6 +443,7 @@ fn pad4(out: &mut Vec<u8>) {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_macros)]
 mod tests {
     use super::*;
 

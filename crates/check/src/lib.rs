@@ -15,28 +15,19 @@
 //!   [`mpw_mptcp::MptcpConnection`] machines, checking every invariant plus
 //!   end-to-end data integrity and eventual delivery, and printing a
 //!   shrunk, replayable counterexample trace on failure.
-//! * **[`lint_engine`]** — the analysis engine behind every lint wall
-//!   (DESIGN.md §5.12): a hand-rolled Rust lexer, parser, name resolution
-//!   and the handler-exit analysis, grounding four rules — `determinism`
-//!   (wall clocks, ambient randomness, hash-ordered collections in the
-//!   protocol crates), `panic` (a strict no-panic decode surface in the
-//!   designated parser modules *and* typed call-graph panic-reachability
-//!   from the protocol entry points), `handler-oracle` (every handler exit
-//!   runs the invariant oracle) and `alloc` (no per-segment heap constructs
-//!   on the data path). Two further properties are the compiler's: raw
-//!   arithmetic on a sequence number does not type-check outside
-//!   `tcp/seq.rs` (`SeqNum`'s field is private), and `unsafe` is denied by
-//!   the workspace `unsafe_code` lint every member inherits.
-//!   Opt-outs are per-token `// lint: allow-<rule>(reason)` markers,
-//!   counted and ratcheted by `LINT_budgets.json`. The `lint` binary
-//!   emits the human and JSON reports CI gates on.
-//!
-//! The engine replaced three earlier line-based textual scanners
-//! (`lint`, `parser_lint`, `alloc_lint`), whose `contains()` scans
-//! false-positived on strings/comments, skipped whole lines on one
-//! opt-out marker, and missed multi-line constructs; the fixture suite in
-//! `tests/lint_fixtures.rs` keeps regression tests for each of those
-//! soundness bugs.
+//! * **[`lint_engine`]** — the two token walls (DESIGN.md §5.12) over a
+//!   hand-rolled Rust lexer: `determinism` (wall clocks, ambient
+//!   randomness, hash-ordered collections in the protocol crates) and
+//!   `alloc` (no per-segment heap constructs on the data path). Neither has
+//!   an opt-out; the `lint` binary emits the human and JSON reports CI
+//!   gates on. The properties that need types are held by the tools that
+//!   have them: a panic on the decode surface or in the six stack crates is
+//!   a `cargo clippy` error (`#![deny(clippy::…)]`, waived per site by a
+//!   reasoned `#[expect]`), raw arithmetic on a sequence number does not
+//!   type-check outside `tcp/seq.rs` (`SeqNum`'s field is private), and
+//!   `unsafe` is denied by the workspace `unsafe_code` lint every member
+//!   inherits. `tests/workspace_lints.rs` pins those attributes, the
+//!   `clippy.toml` macro list and the per-file waiver counts.
 
 #![forbid(unsafe_code)]
 

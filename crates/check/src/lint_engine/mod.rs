@@ -1,61 +1,42 @@
-//! The lint engine behind every wall (DESIGN.md §5.12): dependency-free,
-//! hand-rolled, one pass per layer.
+//! The lint engine behind the two token walls (DESIGN.md §5.12):
+//! dependency-free, one pass over each file's tokens.
 //!
 //! * [`lexer`] — a full Rust lexer (strings, raw strings, byte literals,
 //!   nested block comments, lifetimes vs char literals) producing exact
 //!   token spans, so comments and string literals can never fire a wall;
-//! * [`parse`] — a total recursive-descent parser structuring every
-//!   workspace file into an AST with token spans (zero fallbacks and
-//!   well-nested spans, both asserted over the whole tree) that also
-//!   records which nodes a `#[cfg(test)]` gates;
-//! * [`resolve`] — name resolution over the AST: typed fn nodes, struct
-//!   field tables, and a call graph whose method edges are resolved
-//!   through receiver types (same-named methods on different types do not
-//!   conflate), degrading soundly to name fallback;
-//! * [`flow`] — the handler/oracle exit analysis: every handler exit must
-//!   run the `debug_check`/`validate` oracle ([`flow::handler_oracle`]);
-//! * [`rules`] — the token-scanning walls: `determinism`, `panic` (strict
-//!   decode surface **and** relaxed reachability on the resolved graph —
-//!   see [`rules::panic`]) and `alloc`;
-//! * [`report`] — human and machine-readable (JSON) output plus the
-//!   `LINT_budgets.json` ratchet on opt-out counts.
+//! * [`rules`] — the walls: `determinism` (wall clocks, ambient randomness
+//!   and hash-ordered collections in the protocol crates, their tests
+//!   included) and `alloc` (no per-segment heap construct in the data-path
+//!   modules, outside `#[cfg(test)]` code);
+//! * [`report`] — human and machine-readable (JSON) output.
 //!
-//! Opt-outs are per-token `// lint: allow-<rule>(reason)` comments: a
-//! marker suppresses **exactly one** finding of its rule on its own line
-//! (trailing form) or on the next code-bearing line (standalone form).
-//! Every marker must carry a reason; unused (stale) markers and unknown
-//! rule names are themselves findings, so the allowlist cannot rot.
+//! Neither wall has an opt-out: a finding fails the gate.
 //!
-//! Two things one might look for here are compile errors instead: raw
-//! arithmetic on a 32-bit sequence number (`mpw_tcp::SeqNum`'s bits are
-//! private to `tcp/seq.rs`) and `unsafe` (`[workspace.lints.rust]
-//! unsafe_code = "deny"`, inherited by every member;
-//! `tests/workspace_lints.rs` keeps the manifests honest).
+//! What else one might look for here needs types, and belongs to the tools
+//! that have them. A panic on the decode surface or in the six stack crates
+//! is a `cargo clippy` error (crate- and module-level `#![deny(clippy::…)]`,
+//! waived per site by `#[expect(clippy::…, reason = "…")]`); raw arithmetic
+//! on a 32-bit sequence number does not compile (`mpw_tcp::SeqNum`'s bits
+//! are private to `tcp/seq.rs`); `unsafe` is denied by `[workspace.lints.rust]`.
+//! `tests/workspace_lints.rs` keeps those attributes and manifests honest.
 
-pub mod flow;
 pub mod lexer;
-pub mod parse;
 pub mod report;
-pub mod resolve;
 pub mod rules;
 
 use std::fmt;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 use lexer::{lex, Tok};
 
-/// Rule names a marker may reference.
-pub const RULES: [&str; 4] = ["determinism", "panic", "alloc", "handler-oracle"];
-
-/// The marker prefix. A comment opts a token out with
-/// `lint: allow-<rule>(reason)`.
-pub const MARKER_PREFIX: &str = "lint:";
+/// The walls, by the name a [`Finding`] carries.
+pub const RULES: [&str; 2] = ["determinism", "alloc"];
 
 /// One lint finding.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Finding {
-    /// Which wall fired (one of [`RULES`], or `marker` for marker-syntax
-    /// problems).
+    /// Which wall fired (one of [`RULES`]).
     pub rule: String,
     /// Workspace-relative file.
     pub file: String,
@@ -65,13 +46,6 @@ pub struct Finding {
     pub col: u32,
     /// What and why.
     pub message: String,
-}
-
-impl Finding {
-    /// Stable id used by `lint --explain`: `rule@file:line:col`.
-    pub fn id(&self) -> String {
-        format!("{}@{}:{}:{}", self.rule, self.file, self.line, self.col)
-    }
 }
 
 impl fmt::Display for Finding {
@@ -84,22 +58,7 @@ impl fmt::Display for Finding {
     }
 }
 
-/// One parsed `allow-<rule>(reason)` marker.
-#[derive(Clone, Debug)]
-pub struct Allow {
-    /// The rule the marker opts out of.
-    pub rule: String,
-    /// The justification inside the parentheses.
-    pub reason: String,
-    /// Line the marker comment sits on.
-    pub marker_line: u32,
-    /// Line whose first finding of `rule` the marker suppresses.
-    pub target_line: u32,
-    /// Set once a finding has consumed this marker.
-    pub used: bool,
-}
-
-/// One lexed and parsed source file.
+/// One lexed source file.
 pub struct SourceFile {
     /// Workspace-relative path with forward slashes.
     pub rel: String,
@@ -107,29 +66,21 @@ pub struct SourceFile {
     pub src: String,
     /// Token stream.
     pub toks: Vec<Tok>,
-    /// Structured AST.
-    pub ast: parse::Ast,
-    /// Opt-out markers (outside test code), in source order.
-    pub allows: Vec<Allow>,
-    /// Marker-syntax findings discovered while parsing allows.
-    pub marker_findings: Vec<Finding>,
+    /// Token ranges gated on `cfg(test)` (see [`test_ranges`]).
+    test_ranges: Vec<Range<usize>>,
 }
 
 impl SourceFile {
-    /// Lex and parse one file from source text.
+    /// Lex one file from source text.
     pub fn parse(rel: &str, src: String) -> SourceFile {
         let toks = lex(&src);
-        let ast = parse::parse(&src, &toks);
-        let mut f = SourceFile {
-            rel: rel.to_string(),
-            src,
-            toks,
-            ast,
-            allows: Vec::new(),
-            marker_findings: Vec::new(),
-        };
-        collect_allows(&mut f);
-        f
+        let test_ranges = test_ranges(&src, &toks);
+        SourceFile { rel: rel.to_string(), src, toks, test_ranges }
+    }
+
+    /// Whether token index `tok` lies in code gated on `cfg(test)`.
+    pub fn in_test(&self, tok: usize) -> bool {
+        self.test_ranges.iter().any(|r| r.contains(&tok))
     }
 
     /// Whether the file lies under any of the given `/`-separated dir
@@ -143,90 +94,68 @@ impl SourceFile {
     }
 }
 
-/// Scan a file's comments for `lint: allow-<rule>(reason)` markers.
-///
-/// The reason runs to the first `)` — keep parentheses out of it (several
-/// markers may share one comment, so the first close must terminate).
-///
-/// Attachment: a comment with code before it on its own line targets that
-/// line; a standalone comment targets the next line bearing a code token.
-/// Markers inside `#[cfg(test)]` code are ignored entirely (test code may
-/// panic/allocate freely, so there is nothing to suppress).
-fn collect_allows(f: &mut SourceFile) {
-    for (ti, t) in f.toks.iter().enumerate() {
-        if !t.is_comment() || f.ast.in_test(ti) {
+/// The token ranges that only a test build compiles: from the `#` of each
+/// `#[cfg(..)]` whose predicate names `test` outside any `not(..)`
+/// (`cfg(test)`, `cfg(any(test, ..))`, `cfg(all(test, ..))` — code under
+/// `cfg(not(test))` ships, so it stays walled) to the end of what the
+/// attribute sits on: the `}` matching its first `{`, or the `;` or `,` that
+/// ends it first. Token-level, so one shape is read long: a `<` comparison
+/// in a gated match arm's guard hides the arm's closing `,`.
+fn test_ranges(src: &str, toks: &[Tok]) -> Vec<Range<usize>> {
+    let code: Vec<usize> = (0..toks.len()).filter(|&i| !toks[i].is_comment()).collect();
+    let text = |p: usize| code.get(p).map_or("", |&i| toks[i].text(src));
+    let mut out = Vec::new();
+    for start in 0..code.len() {
+        if [0, 1, 2, 3].map(|k| text(start + k)) != ["#", "[", "cfg", "("] {
             continue;
         }
-        let text = t.text(&f.src);
-        // A marker must open the comment (`// lint: …`); prose that merely
-        // mentions the syntax mid-sentence is not a marker.
-        let content = text
-            .trim_start_matches('/')
-            .trim_start_matches(['!', '*'])
-            .trim_start();
-        let Some(body) = content.strip_prefix(MARKER_PREFIX) else { continue };
-        if !body.contains("allow-") {
+        // The predicate: is `test` named outside any `not(..)`?
+        let (mut p, mut depth, mut not_depth, mut gates) = (start + 3, 0usize, None, false);
+        while p < code.len() {
+            match text(p) {
+                "(" => depth += 1,
+                ")" => {
+                    depth -= 1;
+                    if not_depth == Some(depth) {
+                        not_depth = None; // that was the `not(..)`'s own `)`
+                    }
+                }
+                "not" if not_depth.is_none() => not_depth = Some(depth),
+                "test" if not_depth.is_none() => gates = true,
+                _ => {}
+            }
+            p += 1;
+            if depth == 0 {
+                break;
+            }
+        }
+        if !gates {
             continue;
         }
-        // Trailing or standalone? Standalone iff no code token earlier on
-        // the marker's starting line.
-        let trailing = f.toks[..ti]
-            .iter()
-            .any(|p| !p.is_comment() && p.line == t.line);
-        let target_line = if trailing {
-            t.line
-        } else {
-            // Next code token's line (skipping comments); a dangling
-            // marker at EOF targets its own line and will read as stale.
-            f.toks[ti + 1..]
-                .iter()
-                .find(|p| !p.is_comment())
-                .map(|p| p.line)
-                .unwrap_or(t.line)
-        };
-        let mut rest = body;
-        while let Some(ap) = rest.find("allow-") {
-            rest = &rest[ap + "allow-".len()..];
-            let rule_end = rest
-                .find(|c: char| !(c.is_ascii_alphanumeric() || c == '-' || c == '_'))
-                .unwrap_or(rest.len());
-            let rule = rest[..rule_end].trim_end_matches('-').to_string();
-            let after = rest[rule_end..].trim_start();
-            let known = RULES.contains(&rule.as_str());
-            if !known {
-                f.marker_findings.push(Finding {
-                    rule: "marker".into(),
-                    file: f.rel.clone(),
-                    line: t.line,
-                    col: t.col,
-                    message: format!(
-                        "`allow-{rule}` names no rule (known: {})",
-                        RULES.join(", ")
-                    ),
-                });
-                continue;
+        // What the attribute sits on, from past its `]`.
+        let (mut depth, mut angle) = (0i32, 0i32);
+        p += 1;
+        while p < code.len() {
+            let t = text(p);
+            match t {
+                "(" | "[" | "{" => depth += 1,
+                ")" | "]" | "}" => depth -= 1,
+                "<" => angle += 1,
+                ">" => angle -= 1,
+                ">>" => angle -= 2,
+                _ => {}
             }
-            let reason = after.strip_prefix('(').and_then(|a| {
-                a.find(')').map(|c| a[..c].trim().to_string())
-            });
-            match reason {
-                Some(r) if !r.is_empty() => f.allows.push(Allow {
-                    rule,
-                    reason: r,
-                    marker_line: t.line,
-                    target_line,
-                    used: false,
-                }),
-                _ => f.marker_findings.push(Finding {
-                    rule: "marker".into(),
-                    file: f.rel.clone(),
-                    line: t.line,
-                    col: t.col,
-                    message: format!("`allow-{rule}` marker without a (reason)"),
-                }),
+            if depth < 0 {
+                break; // a last field or arm: the group around it closes
+            }
+            p += 1;
+            if depth == 0 && (t == "}" || t == ";" || (t == "," && angle <= 0)) {
+                break;
             }
         }
+        out.push(code[start]..code.get(p).copied().unwrap_or(toks.len()));
     }
+    out
 }
 
 /// The whole scanned workspace.
@@ -238,8 +167,8 @@ pub struct Workspace {
 }
 
 impl Workspace {
-    /// Load every `.rs` file under `crates/*/{src,tests,benches}` rooted
-    /// at `root`.
+    /// Load every `.rs` file under `crates/*/{src,tests,benches,examples}`
+    /// rooted at `root`.
     pub fn load(root: &Path) -> std::io::Result<Workspace> {
         let mut paths = Vec::new();
         let crates_dir = root.join("crates");
@@ -313,35 +242,16 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Which files each rule covers. [`Config::default_workspace`] is the real
+/// Which files each wall covers. [`Config::default_workspace`] is the real
 /// wall; fixtures construct custom configs.
 #[derive(Clone, Debug)]
 pub struct Config {
     /// Crate dirs under the determinism wall (src + tests + benches: test
     /// schedules must stay deterministic too).
     pub determinism_paths: Vec<String>,
-    /// Exact parser-module files under the strict panic surface
-    /// (panicking macros, `unwrap`/`expect`, and expression indexing all
-    /// forbidden outside test code). Every file must exist.
-    pub parser_modules: Vec<String>,
     /// Exact data-path files under the allocation wall. Every file must
     /// exist.
     pub alloc_modules: Vec<String>,
-    /// Dir prefixes whose fns participate in the panic-reachability call
-    /// graph.
-    pub reach_paths: Vec<String>,
-    /// Files whose `on_*`/`handle_*` fns are reachability entry points
-    /// (parser-module fns are always entries).
-    pub entry_files: Vec<String>,
-    /// Fn-name prefixes marking an entry point within `entry_files`.
-    pub entry_prefixes: Vec<String>,
-    /// Fn-name prefixes marking a *decode* entry point within the parser
-    /// modules. The strict panic surface covers exactly the
-    /// parser-module fns reachable from these (wire bytes flow through
-    /// them); encoder fns in the same files fall back to the relaxed
-    /// reachability rule, where asserts and indexing are the legal
-    /// invariant-oracle idiom.
-    pub parse_entry_prefixes: Vec<String>,
 }
 
 impl Config {
@@ -350,173 +260,92 @@ impl Config {
         let s = |v: &[&str]| v.iter().map(|s| s.to_string()).collect();
         Config {
             determinism_paths: s(&["crates/tcp", "crates/core", "crates/sim", "crates/fleet"]),
-            parser_modules: s(&[
-                "crates/tcp/src/wire.rs",
-                "crates/capture/src/pcapng.rs",
-                "crates/capture/src/analyze.rs",
-                "crates/scenario/src/parse.rs",
-            ]),
             alloc_modules: s(&[
                 "crates/tcp/src/wire.rs",
                 "crates/capture/src/pcapng.rs",
                 "crates/core/src/conn.rs",
             ]),
-            reach_paths: s(&[
-                "crates/tcp/src",
-                "crates/core/src",
-                "crates/sim/src",
-                "crates/capture/src",
-                "crates/scenario/src",
-                "crates/link/src",
-            ]),
-            entry_files: s(&[
-                "crates/tcp/src/socket.rs",
-                "crates/core/src/conn.rs",
-                "crates/core/src/host.rs",
-            ]),
-            entry_prefixes: s(&["on_", "handle_"]),
-            parse_entry_prefixes: s(&["parse", "read", "decode"]),
         }
     }
 }
 
-/// Every wall's raw findings (before allow-marker filtering), sorted and
-/// deduped by position. `lint --explain` uses this to locate suppressed
-/// findings too.
-pub fn raw_findings(ws: &Workspace, cfg: &Config) -> Vec<Finding> {
-    let r = resolve::Resolved::build(ws);
-    let mut raw: Vec<Finding> = Vec::new();
-    raw.extend(rules::determinism(ws, cfg));
-    raw.extend(rules::panic(ws, cfg, &r).0);
-    raw.extend(flow::handler_oracle(ws, cfg, &r));
-    raw.extend(rules::alloc(ws, cfg));
-    // Deterministic order: by file, line, col, rule.
-    raw.sort_by(|a, b| {
-        (&a.file, a.line, a.col, &a.rule).cmp(&(&b.file, b.line, b.col, &b.rule))
-    });
-    // One finding per (file, line, col, rule): nested fns can be reached
-    // twice (once via the outer body, once directly) with different call
-    // paths — keep the first.
-    raw.dedup_by(|a, b| {
-        (&a.file, a.line, a.col, &a.rule) == (&b.file, b.line, b.col, &b.rule)
-    });
-    raw
-}
-
-/// Run every wall over a loaded workspace: rule findings filtered through
-/// the allow markers, marker problems, and stale-marker findings.
+/// Run both walls over a loaded workspace; the findings come sorted by
+/// position.
 pub fn run(ws: &Workspace, cfg: &Config) -> Result<report::Report, String> {
     // Loud failure on a renamed walled file.
-    for want in cfg.parser_modules.iter().chain(&cfg.alloc_modules) {
+    for want in &cfg.alloc_modules {
         if ws.file(want).is_none() && !ws.files.is_empty() {
             return Err(format!(
                 "walled module {want} not found (renamed? update Config)"
             ));
         }
     }
-
-    let raw = raw_findings(ws, cfg);
-
-    // Filter through allow markers: each marker suppresses exactly one
-    // finding of its rule on its target line, in source order.
-    let mut allows: Vec<(String, Allow)> = Vec::new();
-    let mut findings = Vec::new();
-    let mut per_file: std::collections::BTreeMap<&str, Vec<Allow>> = ws
-        .files
-        .iter()
-        .map(|f| (f.rel.as_str(), f.allows.clone()))
-        .collect();
-    for fd in raw {
-        let consumed = per_file.get_mut(fd.file.as_str()).and_then(|list| {
-            list.iter_mut()
-                .find(|a| !a.used && a.rule == fd.rule && a.target_line == fd.line)
-        });
-        match consumed {
-            Some(a) => a.used = true,
-            None => findings.push(fd),
-        }
-    }
-    for f in &ws.files {
-        findings.extend(f.marker_findings.iter().cloned());
-    }
-    for (rel, list) in per_file {
-        for a in list {
-            if !a.used {
-                findings.push(Finding {
-                    rule: "marker".into(),
-                    file: rel.to_string(),
-                    line: a.marker_line,
-                    col: 1,
-                    message: format!(
-                        "stale `allow-{}` marker suppresses nothing (reason: {})",
-                        a.rule, a.reason
-                    ),
-                });
-            } else {
-                allows.push((rel.to_string(), a));
-            }
-        }
-    }
+    let mut findings = rules::determinism(ws, cfg);
+    findings.extend(rules::alloc(ws, cfg));
     findings.sort_by(|a, b| {
         (&a.file, a.line, a.col, &a.rule).cmp(&(&b.file, b.line, b.col, &b.rule))
     });
-    allows.sort_by(|a, b| (&a.0, a.1.marker_line).cmp(&(&b.0, b.1.marker_line)));
-
-    Ok(report::Report::new(ws, findings, allows))
+    Ok(report::Report { findings, files: ws.files.len() })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn ws(src: &str) -> Workspace {
-        Workspace::from_sources(vec![("crates/x/src/lib.rs", src.to_string())])
+    /// Whether the first token spelled `word` is test-gated.
+    fn gated(src: &str, word: &str) -> bool {
+        let f = SourceFile::parse("crates/x/src/lib.rs", src.to_string());
+        let at = f.toks.iter().position(|t| t.text(src) == word).expect("word present");
+        f.in_test(at)
     }
 
     #[test]
-    fn trailing_marker_targets_its_own_line() {
-        let w = ws("fn f() { g(); } // lint: allow-panic(reason here)\n");
-        let f = &w.files[0];
-        assert_eq!(f.allows.len(), 1);
-        assert_eq!(f.allows[0].rule, "panic");
-        assert_eq!(f.allows[0].reason, "reason here");
-        assert_eq!(f.allows[0].target_line, 1);
+    fn cfg_test_gates_exactly_its_item() {
+        let src = "fn real() {}\n#[cfg(test)]\nmod tests { #[test] fn t() { real(); } }\n\
+                   #[test]\nfn also_real() {}";
+        assert!(!gated(src, "real"));
+        assert!(gated(src, "cfg"), "the attribute itself is inside the range");
+        assert!(gated(src, "t"));
+        assert!(!gated(src, "also_real"), "code after a cfg(test) mod is not test code");
     }
 
     #[test]
-    fn standalone_marker_targets_next_code_line() {
-        let w = ws("fn f() {\n    // lint: allow-panic(checked above)\n\n    let x = 1;\n}\n");
-        let f = &w.files[0];
-        assert_eq!(f.allows[0].target_line, 4);
+    fn cfg_any_and_all_test_gate_but_not_test_does_not() {
+        assert!(gated("#[cfg(any(test, feature = \"x\"))]\nmod helpers { fn h() {} }", "h"));
+        assert!(gated("#[cfg(all(test, unix))]\nfn h() {}", "h"));
+        // `cfg(not(test))` code is exactly what ships: it must stay walled.
+        assert!(!gated("#[cfg(not(test))]\nfn h() {}", "h"));
+        assert!(!gated("#[cfg(all(unix, not(any(test, miri))))]\nfn h() {}", "h"));
+        assert!(gated("#[cfg(any(not(unix), test))]\nfn h() {}", "h"));
+        assert!(!gated("#[cfg(feature = \"test\")]\nfn h() {}", "h"));
+        assert!(!gated("#[cfg_attr(test, derive(Debug))]\nstruct h;", "h"));
     }
 
     #[test]
-    fn two_markers_in_one_comment() {
-        let w = ws("x(); // lint: allow-panic(a) allow-panic(b)\n");
-        assert_eq!(w.files[0].allows.len(), 2);
-    }
-
-    #[test]
-    fn missing_reason_and_unknown_rule_are_marker_findings() {
-        let w = ws("x(); // lint: allow-panic()\ny(); // lint: allow-bogus(why)\n");
-        let f = &w.files[0];
-        assert_eq!(f.allows.len(), 0);
-        assert_eq!(f.marker_findings.len(), 2);
-        assert!(f.marker_findings[0].message.contains("without a (reason)"));
-        assert!(f.marker_findings[1].message.contains("names no rule"));
-    }
-
-    #[test]
-    fn markers_inside_cfg_test_are_ignored() {
-        let w = ws("#[cfg(test)]\nmod t {\n // lint: allow-panic(x)\n fn f() {}\n}\n");
-        assert!(w.files[0].allows.is_empty());
-        assert!(w.files[0].marker_findings.is_empty());
+    fn cfg_test_gates_statements_arms_and_fields_not_their_neighbours() {
+        let src = "struct S { #[cfg(test)] probe: Map<u8, u8>, live: u32, #[cfg(test)] last: u8 }\n\
+                   #[cfg(test)]\n#[derive(Debug)]\nstruct Unit;\n\
+                   fn f<A, B>(k: u8) -> u8 {\n\
+                       #[cfg(test)]\n    let traced = k < 3;\n\
+                       match k { #[cfg(test)] 9 => nine(), _ => other() }\n\
+                   }";
+        for (word, want) in [
+            ("probe", true),
+            ("live", false),
+            ("last", true),
+            ("Unit", true),
+            ("f", false),
+            ("traced", true),
+            ("nine", true),
+            ("other", false),
+        ] {
+            assert_eq!(gated(src, word), want, "{word}");
+        }
     }
 
     #[test]
     fn under_any_matches_whole_path_components() {
-        let w = ws("fn f() {}\n");
-        let f = &w.files[0];
+        let f = SourceFile::parse("crates/x/src/lib.rs", "fn f() {}\n".to_string());
         assert!(f.under_any(&["crates/x/src".into()]));
         assert!(f.under_any(&["crates/x".into()]));
         assert!(!f.under_any(&["crates/xy".into()]));

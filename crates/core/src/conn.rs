@@ -1958,8 +1958,11 @@ impl MptcpConnection {
     #[allow(unused_variables)]
     fn debug_check(&self, site: &str) {
         #[cfg(any(debug_assertions, feature = "check-invariants"))]
+        #[expect(
+            clippy::panic,
+            reason = "invariant oracle: aborting on a violated protocol invariant is the check"
+        )]
         if let Err(e) = self.validate() {
-            // lint: allow-panic(invariant oracle: aborting on a violated protocol invariant is the check)
             panic!(
                 "MPTCP invariant violated after {site} (conn {}): {e}",
                 self.conn_id
@@ -2122,6 +2125,45 @@ mod tests {
         assert_eq!(carried.len(), 2);
         assert!(carried.iter().all(|s| s.payload.is_empty() && s.options.byte_len() == 32));
         assert_eq!(client.shared.borrow().peer_addrs, extra);
+    }
+
+    /// The oracle bites: with a connection-level invariant broken through a
+    /// private field (a reopen, due in an hour, on an interface the host
+    /// does not have), every entry point that ends in `post_event` aborts
+    /// under that label. The subflow sockets stay valid, so it is this
+    /// type's check that fires, not theirs.
+    #[test]
+    #[cfg(any(debug_assertions, feature = "check-invariants"))]
+    fn every_entry_point_runs_the_oracle_at_post_event() {
+        type Entry = fn(&mut MptcpConnection, SimTime);
+        let entries: [(&str, Entry); 6] = [
+            ("post_event", |c, now| c.post_event(now)),
+            ("on_segment", |c, now| {
+                let (local, remote) = (c.subflows[0].local, c.subflows[0].remote);
+                let dup = TcpSegment::bare(remote.port, local.port, SeqNum(0), SeqNum(0), tcp_flags::ACK);
+                c.on_segment(0, &dup, now)
+            }),
+            ("on_timer", |c, now| c.on_timer(now)),
+            ("poll_transmit", |c, now| drop(c.poll_transmit(now))),
+            ("notify_path_down", |c, now| c.notify_path_down(77, now)),
+            ("notify_signal", |c, now| c.notify_signal(77, true, now)),
+        ];
+        for (entry, enter) in entries {
+            let (mut client, _server) = established_pair();
+            client.pending_reopens.push(PendingReopen {
+                if_index: 99,
+                remote: SERVER,
+                attempt: 1,
+                due: SimTime::from_secs(3600),
+            });
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                enter(&mut client, SimTime::from_millis(1))
+            }));
+            let payload = caught.expect_err(entry);
+            let msg = payload.downcast_ref::<String>().expect("a formatted panic");
+            assert!(msg.starts_with("MPTCP invariant violated after post_event "), "{entry}: {msg}");
+            assert!(msg.contains("pending reopen names unknown interface 99"), "{entry}: {msg}");
+        }
     }
 
     /// The mapping ring: acks retire a prefix, new data finds its mapping at

@@ -684,6 +684,10 @@ mod tests {
         /// any path by LIA or OLIA never exceeds the single-path New Reno
         /// increase on that path (1/w_i) nor on the best path (max_j 1/w_j).
         #[test]
+        #[expect(
+            clippy::unreachable,
+            reason = "test code: the loop names only the two coupled algorithms"
+        )]
         fn coupled_increases_never_exceed_best_path_reno(
             windows in proptest::collection::vec(2u64..600, 2..5),
             rtts_ms in proptest::collection::vec(1u64..800, 4..5),

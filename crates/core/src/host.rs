@@ -300,6 +300,9 @@ pub struct Host {
     deadlines: BTreeMap<(SimTime, usize), ()>,
     /// Count of frames that found no matching socket.
     pub no_socket_drops: u64,
+    /// Count of frames that failed to parse (truncated, bad checksum, or
+    /// not this stack's wire format) and were dropped.
+    pub unparsed_frames: u64,
 }
 
 impl Host {
@@ -330,6 +333,7 @@ impl Host {
             dirty: BTreeSet::new(),
             deadlines: BTreeMap::new(),
             no_socket_drops: 0,
+            unparsed_frames: 0,
         }
     }
 
@@ -616,11 +620,6 @@ impl Host {
     }
 
     fn on_host_timer(&mut self, ctx: &mut Ctx<'_>) {
-        self.on_host_timer_inner(ctx);
-        self.debug_check("on_host_timer");
-    }
-
-    fn on_host_timer_inner(&mut self, ctx: &mut Ctx<'_>) {
         let now = ctx.now();
         // The handle is consumed by firing; rearm_timer will arm a fresh one.
         self.armed = None;
@@ -750,11 +749,6 @@ impl Host {
     }
 
     fn handle_ping(&mut self, ctx: &mut Ctx<'_>, ip: IpHeader, ping: PingPacket) {
-        self.handle_ping_inner(ctx, ip, ping);
-        self.debug_check("handle_ping");
-    }
-
-    fn handle_ping_inner(&mut self, ctx: &mut Ctx<'_>, ip: IpHeader, ping: PingPacket) {
         if !ping.reply {
             // Echo it back.
             let reply_ip = IpHeader {
@@ -785,11 +779,6 @@ impl Host {
     }
 
     fn handle_tcp(&mut self, ctx: &mut Ctx<'_>, ip: IpHeader, seg: &TcpSegment) {
-        self.handle_tcp_inner(ctx, ip, seg);
-        self.debug_check("handle_tcp");
-    }
-
-    fn handle_tcp_inner(&mut self, ctx: &mut Ctx<'_>, ip: IpHeader, seg: &TcpSegment) {
         let now = ctx.now();
         let local = Endpoint::new(ip.dst, seg.dst_port);
         let remote = Endpoint::new(ip.src, seg.src_port);
@@ -1005,8 +994,11 @@ impl Host {
     #[allow(unused_variables)]
     fn debug_check(&self, site: &str) {
         #[cfg(any(debug_assertions, feature = "check-invariants"))]
+        #[expect(
+            clippy::panic,
+            reason = "invariant oracle: aborting on a violated host invariant is the check"
+        )]
         if let Err(e) = self.validate() {
-            // lint: allow-panic(invariant oracle: aborting on a violated host invariant is the check)
             panic!("host invariant violated after {site}: {e}");
         }
     }
@@ -1022,9 +1014,8 @@ impl Agent for Host {
                 match parse_any_shared(&frame.bytes) {
                     Ok(Packet::Tcp(ip, seg)) => self.handle_tcp(ctx, ip, &seg),
                     Ok(Packet::Ping(ip, ping)) => self.handle_ping(ctx, ip, ping),
-                    Err(_) => {
-                        // Corrupt or foreign frame: drop silently.
-                    }
+                    // Corrupt or foreign frame: dropped, and counted.
+                    Err(_) => self.unparsed_frames += 1,
                 }
                 self.flush(ctx);
             }
@@ -1037,6 +1028,8 @@ impl Agent for Host {
                 }
             }
         }
+        // The host's only exit: whatever the event was, the oracle runs.
+        self.debug_check("handle");
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -1095,5 +1088,54 @@ impl std::fmt::Debug for Host {
             self.slots.len(),
             self.conn_id_base
         )
+    }
+}
+
+// The oracle is compiled out of a release build without `check-invariants`.
+#[cfg(all(test, any(debug_assertions, feature = "check-invariants")))]
+mod tests {
+    use super::*;
+    use mpw_sim::trace::TraceLevel;
+    use mpw_sim::World;
+    use mpw_tcp::wire::{encode_packet, PROTO_PING, PROTO_TCP};
+
+    /// The oracle bites: with the deadline index broken through a private
+    /// field (an entry, due in an hour, for a slot that does not exist),
+    /// every kind of event the host can be handed ends in the abort at
+    /// `handle`'s one exit — the two branches that run no handler of their
+    /// own (`Start`, the open timer) and the frame that does not parse
+    /// included.
+    #[test]
+    fn every_event_runs_the_oracle_at_the_one_exit() {
+        let addr = Addr::new(192, 168, 1, 1);
+        let ip = |protocol| IpHeader { src: Addr::new(10, 0, 1, 2), dst: addr, protocol, ttl: 64 };
+        let frame = |bytes| Some(Event::Frame { port: 0, frame: Frame::new(bytes) });
+        let seg = TcpSegment::bare(40_000, 9_999, SeqNum(5), SeqNum(0), tcp_flags::ACK);
+        // `None`: the `Start` the world itself delivers on its first run.
+        let events = [
+            ("start", None),
+            ("tcp frame", frame(encode_packet(&ip(PROTO_TCP), &seg))),
+            ("ping frame", frame(encode_ping(&ip(PROTO_PING), &PingPacket { token: 1, reply: false }))),
+            ("unparsed frame", frame(bytes::Bytes::from_static(b"not a packet"))),
+            ("open timer", Some(Event::Timer { token: TOKEN_OPEN })),
+            ("host timer", Some(Event::Timer { token: TOKEN_HOST_TIMER })),
+        ];
+        for (what, ev) in events {
+            let mut w = World::new(3, TraceLevel::Off);
+            let rng = w.rng().stream("host");
+            let host = w.add_agent(Box::new(Host::new(vec![addr], 0, rng)));
+            if let Some(ev) = ev {
+                w.run_until_idle();
+                w.schedule(w.now(), host, ev);
+            }
+            let h = w.agent_mut::<Host>(host).expect("the host");
+            h.deadlines.insert((SimTime::from_secs(3600), 7), ());
+            let caught =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| w.run_until_idle()));
+            let payload = caught.expect_err(what);
+            let msg = payload.downcast_ref::<String>().expect("a formatted panic");
+            assert!(msg.starts_with("host invariant violated after handle: "), "{what}: {msg}");
+            assert!(msg.contains("-> dead slot"), "{what}: {msg}");
+        }
     }
 }

@@ -101,6 +101,33 @@ fn segment_to_closed_port_draws_rst() {
 }
 
 #[test]
+fn unparsable_frames_are_counted_and_draw_nothing() {
+    // A raw-frame sink on the host's only link: whatever the host emitted,
+    // parsable or not, would count here.
+    let mut w = World::new(3, TraceLevel::Off);
+    let sink = w.add_agent(Box::new(NullSink::recording()));
+    let mut host = Host::new(vec![HOST_ADDR], 0, w.rng().stream("host"));
+    host.set_iface_link(0, sink);
+    let host = w.add_agent(Box::new(host));
+
+    let seg = TcpSegment::bare(40_000, 9_999, SeqNum(5), SeqNum(0), tcp_flags::ACK);
+    let good = tcp_frame(&seg, OTHER_ADDR, HOST_ADDR).bytes;
+    let truncated = good.slice(..good.len() - 3);
+    let mut flipped = good.to_vec();
+    *flipped.last_mut().unwrap() ^= 0x40; // inside the TCP checksum's cover
+    for (n, bytes) in [(1, truncated), (2, flipped.into())] {
+        assert!(wire::parse_any(&bytes).is_err());
+        w.schedule(w.now(), host, Event::Frame { port: 0, frame: Frame::new(bytes) });
+        w.run_until_idle();
+        let h = w.agent::<Host>(host).unwrap();
+        assert_eq!(h.unparsed_frames, n);
+        assert_eq!(h.no_socket_drops, 0);
+        assert!(h.is_quiescent());
+        assert_eq!(w.agent::<NullSink>(sink).unwrap().frames, 0);
+    }
+}
+
+#[test]
 fn rst_to_closed_port_is_not_answered() {
     // No RST storms: an incoming RST to nowhere is silently dropped.
     let (mut w, host, cap) = world_with_host();

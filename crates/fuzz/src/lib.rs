@@ -21,11 +21,11 @@
 //!   content-addressed ([`corpus`]) under `tests/fuzz-corpus/`, which
 //!   `cargo test` replays as plain unit tests forever after.
 //!
-//! The static half of the same story is the `panic` lint wall in
-//! `mpw-check` (`lint_engine`), which forbids panicking byte access in the
-//! designated parser modules and walks the call graph for panics reachable
-//! from the protocol entry points; this crate is the dynamic half that
-//! proves the surviving code is actually total.
+//! The static half of the same story is the panic wall `cargo clippy`
+//! holds (DESIGN.md §5.12), which forbids panicking byte access in the
+//! designated parser modules and panicking constructs throughout the six
+//! stack crates; this crate is the dynamic half that proves the surviving
+//! code is actually total.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

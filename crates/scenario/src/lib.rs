@@ -19,10 +19,20 @@
 //!
 //! Scenario files are accepted as JSON or a hand-rolled TOML subset
 //! ([`parse`]); both land in the same model, and the parser is total over
-//! arbitrary input (it sits under the workspace's panic-free parser lint
-//! wall and has a structure-aware fuzz target).
+//! arbitrary input (it is part of the strict decode surface clippy holds
+//! panic-free and has a structure-aware fuzz target).
 
 #![forbid(unsafe_code)]
+// The panic wall (DESIGN.md §5.12), held by `cargo clippy`: a site that must
+// abort carries an `#[expect(clippy::…, reason = "…")]` saying why.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 pub mod compile;
 pub mod driver;

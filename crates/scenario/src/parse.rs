@@ -2,8 +2,8 @@
 //! arbitrary input.
 //!
 //! Scenario files are a byte-facing surface (operators hand-edit them, CI
-//! feeds them to campaigns), so this module sits under the panic-free
-//! parser lint wall: no indexing, no unwraps — malformed input must come
+//! feeds them to campaigns), so this module is part of the strict decode
+//! surface: no indexing, no asserts, no unwraps — malformed input must come
 //! back as a [`ScenarioError`], never a panic.
 //!
 //! JSON goes through the (vendored) `serde_json` text parser into the
@@ -21,6 +21,10 @@
 //! Both formats produce the same `Value` tree, so one `Scenario`
 //! deserializer serves both and a scenario survives a format round-trip
 //! bit-identically (the fuzz target's fixpoint oracle).
+
+// Strict decode surface (DESIGN.md §5.12): on top of the crate's panic
+// wall, no indexing and no assert (the list is in the root `clippy.toml`).
+#![deny(clippy::indexing_slicing, clippy::disallowed_macros)]
 
 use serde::{Deserialize, Value};
 
@@ -500,6 +504,7 @@ fn insert_unique(
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_macros)]
 mod tests {
     use super::*;
     use crate::model::{Action, Direction};

@@ -361,6 +361,10 @@ impl Calendar {
     /// Remove the head of `lane` and advance the clock to it. `None` if it
     /// was a tombstone, which is discarded without touching the clock.
     #[inline]
+    #[expect(
+        clippy::expect_used,
+        reason = "the caller passes the lane `head` just named, so that lane has a head"
+    )]
     fn pop_head(&mut self, lane: Lane) -> Option<(AgentId, Event)> {
         let (at, dst, ev) = match lane {
             Lane::Now => {
@@ -654,6 +658,10 @@ impl World {
     /// Drop every tombstone from the timer heap (see [`Calendar::compact`]).
     fn compact(&mut self) {
         #[cfg(any(debug_assertions, feature = "check-invariants"))]
+        #[expect(
+            clippy::panic,
+            reason = "invariant oracle: aborting on a violated timer invariant is the check"
+        )]
         if let Err(e) = self.validate_timers() {
             panic!("timer invariant violated entering compaction: {e}");
         }

@@ -19,6 +19,16 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+// The panic wall (DESIGN.md §5.12), held by `cargo clippy`: a site that must
+// abort carries an `#[expect(clippy::…, reason = "…")]` saying why.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 mod engine;
 pub mod jobs;

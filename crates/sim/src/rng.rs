@@ -59,10 +59,13 @@ struct ChaCha8 {
 const CHACHA_CONSTS: [u32; 4] = [0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574];
 
 impl ChaCha8 {
+    #[expect(
+        clippy::expect_used,
+        reason = "chunks_exact guarantees every chunk is 4 bytes"
+    )]
     fn from_seed(seed: [u8; 32]) -> Self {
         let mut key = [0u32; 8];
         for (i, chunk) in seed.chunks_exact(4).enumerate() {
-            // lint: allow-panic(chunks_exact guarantees every chunk is 4 bytes)
             key[i] = u32::from_le_bytes(chunk.try_into().expect("4-byte chunk"));
         }
         ChaCha8 { key, counter: 0, buf: [0; 16], idx: 16 }

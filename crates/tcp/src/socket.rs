@@ -759,8 +759,11 @@ impl TcpSocket {
     #[allow(unused_variables)]
     fn debug_check(&self, site: &str) {
         #[cfg(any(debug_assertions, feature = "check-invariants"))]
+        #[expect(
+            clippy::panic,
+            reason = "invariant oracle: aborting on a violated protocol invariant is the check"
+        )]
         if let Err(e) = self.validate() {
-            // lint: allow-panic(invariant oracle: aborting on a violated protocol invariant is the check)
             panic!(
                 "TCP invariant violated after {site} ({:?} {:?}->{:?}): {e}",
                 self.state, self.local, self.remote
@@ -1667,5 +1670,52 @@ impl TcpSocket {
                 self.state,
                 TcpState::Established | TcpState::CloseWait
             )
+    }
+}
+
+// The oracle is compiled out of a release build without `check-invariants`.
+#[cfg(all(test, any(debug_assertions, feature = "check-invariants")))]
+mod tests {
+    use super::*;
+    use crate::cc::{CcConfig, NewReno};
+    use crate::hooks::NoHooks;
+    use crate::testkit::test_endpoints;
+
+    /// The oracle bites: with the flight accounting broken through a private
+    /// field, every wrapped entry point aborts, and names itself. (`accept`,
+    /// the fifth wrapped fn, is a constructor: there is no socket to break
+    /// before it runs, so no input can make its check fire.)
+    #[test]
+    fn every_wrapped_entry_point_runs_the_oracle_under_its_own_label() {
+        type Entry = fn(&mut TcpSocket, SimTime);
+        let entries: [(&str, Entry); 4] = [
+            ("on_segment", |s, now| {
+                s.on_segment(&TcpSegment::bare(80, 4000, SeqNum(7), SeqNum(0), tcp_flags::ACK), now)
+            }),
+            ("on_timer", |s, now| s.on_timer(now)),
+            ("poll_transmit", |s, now| drop(s.poll_transmit(now))),
+            ("close", |s, _| s.close()),
+        ];
+        for (site, enter) in entries {
+            let (local, remote) = test_endpoints();
+            let mut s = TcpSocket::connect(
+                TcpConfig::default(),
+                Box::new(NewReno::new(CcConfig::default())),
+                Box::new(NoHooks),
+                local,
+                remote,
+                0,
+                SeqNum(1_000),
+                SimTime::ZERO,
+            );
+            s.flight_bytes += 1;
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                enter(&mut s, SimTime::ZERO)
+            }));
+            let payload = caught.expect_err(site);
+            let msg = payload.downcast_ref::<String>().expect("a formatted panic");
+            assert!(msg.starts_with(&format!("TCP invariant violated after {site} ")), "{msg}");
+            assert!(msg.contains("flight accounting drifted"), "{msg}");
+        }
     }
 }

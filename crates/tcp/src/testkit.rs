@@ -206,6 +206,7 @@ impl SocketPair {
     }
 
     /// Advance the harness until `deadline` or until nothing is pending.
+    #[expect(clippy::expect_used, reason = "test harness: pops the frame it just peeked")]
     pub fn run_until(&mut self, deadline: SimTime) {
         self.flush();
         while let Some(t) = self.next_event_time() {
@@ -262,6 +263,10 @@ impl SocketPair {
     }
 
     /// Convenience: write `data` on the given side.
+    #[expect(
+        clippy::expect_used,
+        reason = "test harness: deliberate abort on API misuse before accept"
+    )]
     pub fn send(&mut self, side: Side, data: &[u8]) {
         let data = Bytes::copy_from_slice(data);
         match side {
@@ -269,7 +274,6 @@ impl SocketPair {
                 assert_eq!(self.client.send(data.clone()), data.len());
             }
             Side::Server => {
-                // lint: allow-panic(test harness: deliberate abort on API misuse before accept)
                 let s = self.server.as_mut().expect("server not yet created");
                 assert_eq!(s.send(data.clone()), data.len());
             }

@@ -15,6 +15,10 @@
 //! the arriving frame. The mpw-check lint wall forbids reintroducing
 //! `Vec`-per-segment idioms here.
 
+// Strict decode surface (DESIGN.md §5.12): on top of the crate's panic
+// wall, no indexing and no assert (the list is in the root `clippy.toml`).
+#![deny(clippy::indexing_slicing, clippy::disallowed_macros)]
+
 use bytes::{BufMut, Bytes, BytesMut};
 use core::fmt;
 use serde::{de_err, expect_seq, Deserialize, DeError, Serialize, Value};
@@ -485,6 +489,10 @@ pub struct TcpSegment {
     pub payload: Bytes,
 }
 
+#[expect(
+    clippy::disallowed_macros,
+    reason = "a size pin evaluated at compile time: it fails the build and never runs"
+)]
 const _: () = assert!(std::mem::size_of::<TcpSegment>() <= 128);
 
 impl TcpSegment {
@@ -604,9 +612,9 @@ fn checksum(data: &[u8]) -> u16 {
 //
 // Every read of wire-derived bytes in the decode paths below goes through
 // these total accessors (or `slice::get`): no input, however truncated or
-// mangled, can panic the parser. The `panic` lint wall
-// (`crates/check/src/lint_engine/`) forbids direct indexing and
-// unwrap/expect/panic in this file outside `#[cfg(test)]`.
+// mangled, can panic the parser. The module-level `#![deny(clippy::…)]`
+// above forbids direct indexing, asserts and unwrap/expect/panic in this
+// file outside `#[cfg(test)]`.
 
 fn get_u8(b: &[u8], at: usize) -> Option<u8> {
     b.get(at).copied()
@@ -892,6 +900,11 @@ fn parse_options(mut buf: &[u8]) -> Result<OptionList, WireError> {
 /// header, options, payload — with the length, data-offset and checksum
 /// fields back-patched at the end. No intermediate option buffer exists;
 /// with a warm buffer pool the encode allocates nothing.
+#[expect(
+    clippy::indexing_slicing,
+    clippy::disallowed_macros,
+    reason = "writer side: data the program built; it back-patches a buffer it just filled"
+)]
 pub fn encode_packet(ip: &IpHeader, seg: &TcpSegment) -> Bytes {
     let mut out = BytesMut::with_capacity(
         IP_HEADER_LEN + TCP_HEADER_LEN + MAX_OPTIONS_LEN + seg.payload.len(),
@@ -1043,6 +1056,10 @@ pub struct PingPacket {
 }
 
 /// Serialize a ping probe.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "writer side: data the program built; it back-patches a buffer it just filled"
+)]
 pub fn encode_ping(ip: &IpHeader, ping: &PingPacket) -> Bytes {
     let total = IP_HEADER_LEN + 9;
     let mut out = BytesMut::with_capacity(total);
@@ -1164,6 +1181,7 @@ pub fn strip_mptcp_options(data: &[u8]) -> Bytes {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_macros)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
