@@ -578,6 +578,15 @@ pub struct Subflow {
     pub dead: bool,
 }
 
+/// Close `sock` from inside the housekeeping pass and say whether its state
+/// moved. A socket still in SYN-SENT is deleted on the spot, and the pass
+/// reads socket states: one that moves under it owes the next pass.
+fn close_moved_state(sock: &mut TcpSocket) -> bool {
+    let state = sock.state();
+    sock.close();
+    sock.state() != state
+}
+
 #[derive(Clone, Copy, Debug)]
 struct Assignment {
     subflow: usize,
@@ -639,6 +648,11 @@ pub struct ConnStats {
     pub per_subflow_delivered: Vec<u64>,
     /// Whether the connection fell back to plain TCP.
     pub fell_back: bool,
+    /// Housekeeping passes run so far: one per segment in, timer or
+    /// notification, plus the `poll_transmit`s that found one owed. An
+    /// exact, machine-independent count (`work_gate` prints it per server
+    /// data segment).
+    pub housekeeping_passes: u64,
 }
 
 /// An MPTCP connection endpoint (client or server side).
@@ -685,6 +699,13 @@ pub struct MptcpConnection {
     rng: SimRng,
     next_port: u16,
     last_penalty_at: SimTime,
+    /// Housekeeping is owed: something `post_event_inner` reads may have
+    /// changed since its last pass (DESIGN.md §5.4). Everything that can
+    /// change such state sets it; `poll_transmit` runs the pass only when
+    /// it is set. Bookkeeping about the pass, not connection state, so it
+    /// stays out of `fingerprint()`.
+    housekeeping_owed: bool,
+    housekeeping_passes: u64,
     /// Test-only fault injection: record fresh DSS mappings shifted back by
     /// one byte, silently corrupting the dseq space (ISSUE 3's planted bug).
     inject_overlapping_dss: bool,
@@ -747,6 +768,8 @@ impl MptcpConnection {
             rng,
             next_port,
             last_penalty_at: SimTime::ZERO,
+            housekeeping_owed: true,
+            housekeeping_passes: 0,
             inject_overlapping_dss: false,
             opened_at: now,
         };
@@ -821,6 +844,8 @@ impl MptcpConnection {
             rng,
             next_port: 0,
             last_penalty_at: SimTime::ZERO,
+            housekeeping_owed: true,
+            housekeeping_passes: 0,
             inject_overlapping_dss: false,
             opened_at: now,
         };
@@ -949,6 +974,7 @@ impl MptcpConnection {
             return;
         }
         self.accept_subflow(local, remote, HsRole::JoinServer, syn, now);
+        self.housekeeping_owed = true;
     }
 
     /// Launch MP_JOIN subflows for every unused (local interface, remote
@@ -1003,6 +1029,7 @@ impl MptcpConnection {
         let take = data.len().min(self.send_space());
         if take > 0 {
             self.conn_buf.push(data.slice(..take));
+            self.housekeeping_owed = true;
         }
         take
     }
@@ -1015,6 +1042,7 @@ impl MptcpConnection {
     /// Close the sending direction (queues DATA_FIN after pending data).
     pub fn close(&mut self) {
         self.app_closed = true;
+        self.housekeeping_owed = true;
     }
 
     /// Pop in-order connection-level data for the application.
@@ -1075,6 +1103,7 @@ impl MptcpConnection {
                 shared.flows.iter().map(|f| f.delivered_bytes).collect()
             },
             fell_back: self.fell_back(),
+            housekeeping_passes: self.housekeeping_passes,
         }
     }
 
@@ -1137,23 +1166,53 @@ impl MptcpConnection {
         }
     }
 
-    /// Emit the next owed segment from any subflow. Runs the full
-    /// housekeeping pass first, so application-level actions (send/close)
-    /// take effect on the next poll regardless of how the connection is
-    /// driven.
+    /// Emit the next owed segment from any subflow. Runs the housekeeping
+    /// pass first when one is owed, so application-level actions
+    /// (send/close) take effect on the next poll regardless of how the
+    /// connection is driven.
     pub fn poll_transmit(&mut self, now: SimTime) -> Option<(usize, TcpSegment)> {
-        self.post_event(now);
+        // Two clauses of the pass read the clock and not only state: a
+        // reopen comes due, and penalization's 100 ms throttle lapses.
+        if self.housekeeping_owed
+            || self.cfg.penalization
+            || self.pending_reopens.iter().any(|p| p.due <= now)
+        {
+            self.post_event(now);
+        } else {
+            self.debug_check_clean(now);
+        }
         for (i, sf) in self.subflows.iter_mut().enumerate() {
+            let state = sf.sock.state();
             if let Some(seg) = sf.sock.poll_transmit(now) {
+                // An emission changes what the pass reads in two ways: the
+                // socket's state moves (FIN, RST), or signalling is still
+                // queued behind the segment and the ACK that will carry it
+                // must be owed again.
+                let shared = self.shared.borrow();
+                let fl = &shared.flows[i];
+                if sf.sock.state() != state
+                    || fl.pending_prio.is_some()
+                    || !fl.pending_add_addr.is_empty()
+                {
+                    self.housekeeping_owed = true;
+                }
                 return Some((i, seg));
             }
         }
         None
     }
 
+    /// Mark housekeeping owed after a mutation this type cannot see: the
+    /// host hands out `&mut Transport` (`Host::transport_mut`).
+    pub(crate) fn owe_housekeeping(&mut self) {
+        self.housekeeping_owed = true;
+    }
+
     /// Housekeeping after any event: advance acks, launch joins, advertise
     /// addresses, reinject from dead subflows, schedule new data.
     pub fn post_event(&mut self, now: SimTime) {
+        self.housekeeping_owed = false;
+        self.housekeeping_passes += 1;
         self.post_event_inner(now);
         self.debug_check("post_event");
     }
@@ -1263,11 +1322,7 @@ impl MptcpConnection {
         if !self.is_client && !self.addr_advertised && first_established {
             self.addr_advertised = true;
             let secondary = Endpoint::new(self.local_addrs[1], self.subflows[0].local.port);
-            {
-                let mut shared = self.shared.borrow_mut();
-                shared.flows[0].pending_add_addr.push_back((2, secondary));
-            }
-            self.subflows[0].sock.push_ack();
+            self.queue_add_addr(0, 2, secondary);
         }
         self.lifecycle_poll(now);
         self.reinject_from_dead_subflows();
@@ -1281,7 +1336,7 @@ impl MptcpConnection {
         // (simultaneous-SYN mode) are orphans: delete them now instead of
         // letting their SYN retries run to RTO exhaustion.
         for sf in &mut self.subflows[1..] {
-            sf.sock.close();
+            self.housekeeping_owed |= close_moved_state(&mut sf.sock);
         }
         // Plain TCP on subflow 0: shovel conn_buf into the socket directly.
         let sock = &mut self.subflows[0].sock;
@@ -1520,7 +1575,7 @@ impl MptcpConnection {
         drop(shared);
         if ours_done {
             for sf in &mut self.subflows {
-                sf.sock.close();
+                self.housekeeping_owed |= close_moved_state(&mut sf.sock);
             }
         }
         // Receiver side: if the peer is done and we have nothing to send
@@ -1532,9 +1587,16 @@ impl MptcpConnection {
             drop(shared);
             for sf in &mut self.subflows {
                 sf.sock.push_ack();
-                sf.sock.close();
+                self.housekeeping_owed |= close_moved_state(&mut sf.sock);
             }
         }
+    }
+
+    /// Queue an ADD_ADDR on subflow `idx` and owe the ACK that carries it.
+    fn queue_add_addr(&mut self, idx: usize, addr_id: u8, addr: Endpoint) {
+        self.shared.borrow_mut().flows[idx].pending_add_addr.push_back((addr_id, addr));
+        self.subflows[idx].sock.push_ack();
+        self.housekeeping_owed = true;
     }
 
     /// Change a subflow's priority mid-connection (RFC 6824 MP_PRIO): the
@@ -1546,6 +1608,7 @@ impl MptcpConnection {
             sf.backup = backup;
             self.shared.borrow_mut().flows[idx].pending_prio = Some(backup);
             sf.sock.push_ack();
+            self.housekeeping_owed = true;
         }
     }
 
@@ -1958,15 +2021,47 @@ impl MptcpConnection {
     #[allow(unused_variables)]
     fn debug_check(&self, site: &str) {
         #[cfg(any(debug_assertions, feature = "check-invariants"))]
-        #[expect(
-            clippy::panic,
-            reason = "invariant oracle: aborting on a violated protocol invariant is the check"
-        )]
-        if let Err(e) = self.validate() {
+        self.require(self.validate(), site);
+    }
+
+    #[cfg(any(debug_assertions, feature = "check-invariants"))]
+    #[expect(
+        clippy::panic,
+        reason = "invariant oracle: aborting on a violated protocol invariant is the check"
+    )]
+    fn require(&self, held: Result<(), String>, site: &str) {
+        if let Err(e) = held {
             panic!(
                 "MPTCP invariant violated after {site} (conn {}): {e}",
                 self.conn_id
             );
+        }
+    }
+
+    /// The oracle of the housekeeping flag: a pass over a connection that
+    /// is not marked must change nothing `fingerprint()` covers. It runs
+    /// that pass anyway and aborts if the state moved — some mutator forgot
+    /// to mark — then checks the invariants as `post_event` does.
+    #[inline]
+    #[allow(unused_variables)]
+    fn debug_check_clean(&mut self, now: SimTime) {
+        #[cfg(any(debug_assertions, feature = "check-invariants"))]
+        {
+            let hash = |c: &Self| {
+                let mut h = std::collections::hash_map::DefaultHasher::new();
+                c.fingerprint(&mut h);
+                std::hash::Hasher::finish(&h)
+            };
+            let before = hash(self);
+            self.post_event_inner(now);
+            let clean = if hash(self) == before {
+                Ok(())
+            } else {
+                Err("housekeeping on a clean connection changed state: \
+                     a mutator did not mark it"
+                    .to_string())
+            };
+            self.require(clean.and_then(|()| self.validate()), "post_event");
         }
     }
 
@@ -2082,10 +2177,9 @@ mod tests {
             (2, Endpoint::new(Addr::new(192, 168, 2, 1), 8080)),
             (3, Endpoint::new(Addr::new(192, 168, 3, 1), 8080)),
         ];
-        {
-            let mut shared = server.shared.borrow_mut();
-            shared.flows[0].pending_prio = Some(false);
-            shared.flows[0].pending_add_addr.extend(extra);
+        server.set_subflow_backup(0, false);
+        for (id, addr) in extra {
+            server.queue_add_addr(0, id, addr);
         }
         assert_eq!(server.send(Bytes::from(vec![0x5a; 2 * 1400])), 2 * 1400);
         let carried = carry(&mut server, &mut client, now);
@@ -2119,9 +2213,13 @@ mod tests {
         let extra: Vec<_> = (2..6u8)
             .map(|id| (id, Endpoint::new(Addr::new(192, 168, id, 1), 8080)))
             .collect();
-        server.shared.borrow_mut().flows[0].pending_add_addr.extend(extra.iter().copied());
+        for &(id, addr) in &extra {
+            server.queue_add_addr(0, id, addr);
+        }
         let carried = carry(&mut server, &mut client, now);
-        // DSS with a data-ack is 12 bytes: two ADD_ADDRs per pure ACK.
+        // DSS with a data-ack is 12 bytes: two ADD_ADDRs per pure ACK. The
+        // first leaves two queued behind it, so its emission owes the pass
+        // that keeps the second ACK owed.
         assert_eq!(carried.len(), 2);
         assert!(carried.iter().all(|s| s.payload.is_empty() && s.options.byte_len() == 32));
         assert_eq!(client.shared.borrow().peer_addrs, extra);
@@ -2164,6 +2262,34 @@ mod tests {
             assert!(msg.starts_with("MPTCP invariant violated after post_event "), "{entry}: {msg}");
             assert!(msg.contains("pending reopen names unknown interface 99"), "{entry}: {msg}");
         }
+    }
+
+    /// The housekeeping flag's oracle bites: a `close()` that forgets to
+    /// mark — planted here by setting its field directly — leaves a DATA_FIN
+    /// for a pass nobody owes, and the next `poll_transmit` aborts on it.
+    #[test]
+    #[cfg(any(debug_assertions, feature = "check-invariants"))]
+    fn a_mutator_that_forgets_to_mark_trips_the_clean_connection_oracle() {
+        let now = SimTime::from_millis(1);
+        let (mut client, _server) = established_pair();
+        assert!(!client.housekeeping_owed, "a drained connection owes nothing");
+        assert!(client.poll_transmit(now).is_none(), "and a pass over it is a no-op");
+
+        client.app_closed = true;
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            drop(client.poll_transmit(now))
+        }));
+        let payload = caught.expect_err("the unmarked close");
+        let msg = payload.downcast_ref::<String>().expect("a formatted panic");
+        assert!(msg.contains("housekeeping on a clean connection changed state"), "{msg}");
+
+        // The real `close()` marks, and the pass it owes queues the DATA_FIN.
+        let (mut client, _server) = established_pair();
+        client.close();
+        let (_, seg) = client.poll_transmit(now).expect("the DATA_FIN's ACK");
+        assert!(seg.options.iter().any(|o| {
+            matches!(o, TcpOption::Mptcp(MptcpOption::Dss { data_fin: true, .. }))
+        }));
     }
 
     /// The mapping ring: acks retire a prefix, new data finds its mapping at

@@ -410,12 +410,16 @@ impl Host {
     /// Mutable transport access. Marks the slot dirty: external mutators
     /// (the handover runner's cross-layer signals, the lifecycle manager)
     /// may produce frames or move deadlines, so the next flush must pump
-    /// this slot even though no network event touched it.
+    /// this slot even though no network event touched it — and owes the
+    /// connection a housekeeping pass, since the caller can reach state
+    /// (`subflows`, `cfg`) no marking method guards.
     pub fn transport_mut(&mut self, slot: usize) -> Option<&mut Transport> {
-        if slot < self.slots.len() {
-            self.dirty.insert(slot);
+        let transport = &mut self.slots.get_mut(slot)?.transport;
+        self.dirty.insert(slot);
+        if let Transport::Mp(c) = transport {
+            c.owe_housekeeping();
         }
-        self.slots.get_mut(slot).map(|s| &mut s.transport)
+        Some(transport)
     }
 
     /// Access an application by slot, downcast to `T`.

@@ -10,7 +10,10 @@
 //! and one that adds an event per flow fails here on a noise-free number.
 //! Beside the gated counts each run prints the calendar's lane counters
 //! (`EngineStats::{same_instant_deliveries, timer_deliveries, peak_pending}`)
-//! as facts: exact too, but they describe the engine, not behaviour.
+//! as facts: exact too, but they describe the engine, not behaviour. The
+//! two MP-2 downloads also print the server connection's housekeeping
+//! passes per data segment sent (`ConnStats::housekeeping_passes`) — what
+//! the MPTCP layer re-derives per segment, as a count.
 //! A bench target beside `alloc_gate` so it builds with the release profile.
 //!
 //! ```text
@@ -61,7 +64,7 @@ fn counts<'a>(
         .filter_map(|id| world.agent::<LinkAgent>(id))
         .map(|l| l.stats().enqueued)
         .sum();
-    let (mut data_segs, mut rexmit_segs) = (0u64, 0u64);
+    let (mut data_segs, mut rexmit_segs, mut passes) = (0u64, 0u64, 0u64);
     let host = world.agent::<Host>(server).expect("server host");
     for slot in 0..host.slot_count() {
         let mut add = |st: mpw_tcp::SocketStats| {
@@ -69,7 +72,10 @@ fn counts<'a>(
             rexmit_segs += st.rexmit_segs;
         };
         match host.transport(slot) {
-            Some(Transport::Mp(c)) => c.subflows.iter().for_each(|s| add(s.sock.stats())),
+            Some(Transport::Mp(c)) => {
+                c.subflows.iter().for_each(|s| add(s.sock.stats()));
+                passes += c.stats().housekeeping_passes;
+            }
             Some(Transport::Sp(s)) => add(s.stats()),
             None => {}
         }
@@ -84,6 +90,13 @@ fn counts<'a>(
         engine.peak_pending,
         engine.compactions
     );
+    if passes > 0 {
+        eprintln!(
+            "{run}: {passes} server housekeeping passes for {data_segs} data segments, \
+             {:.3} a segment (a fact, not gated)",
+            passes as f64 / data_segs as f64
+        );
+    }
     Work {
         events_processed: world.events_processed(),
         stale_timer_pops: engine.stale_timer_pops,

@@ -7,6 +7,7 @@
 //! offsets are data-sequence numbers) — there it also timestamps arrivals to
 //! measure the paper's out-of-order delay metric (§3.3).
 
+use std::cell::Cell;
 use std::collections::{BTreeMap, VecDeque};
 
 use bytes::{Bytes, BytesMut};
@@ -22,6 +23,10 @@ pub struct SendBuffer {
     base: u64,
     /// Offset one past the last byte written.
     end: u64,
+    /// Index in `chunks` of the chunk the last in-sequence read stopped in
+    /// (one past the last chunk when it consumed it). A lookup cache only:
+    /// no result depends on its value.
+    cursor: Cell<usize>,
 }
 
 impl SendBuffer {
@@ -62,6 +67,11 @@ impl SendBuffer {
 
     /// Copy out `len` bytes starting at absolute `offset` (clamped to what
     /// is buffered). Used for both first transmissions and retransmissions.
+    ///
+    /// A sender reads its stream in order, so the chunk holding `offset` is
+    /// the one at the cursor or shortly after it; only a read that starts
+    /// below the cursor's chunk (a retransmission, a reinjection) searches,
+    /// and it leaves the cursor where the in-sequence reader will want it.
     pub fn read(&self, offset: u64, len: usize) -> Bytes {
         debug_assert!(offset >= self.base, "reading acked data");
         if offset < self.base {
@@ -73,22 +83,35 @@ impl SendBuffer {
         if offset >= end {
             return Bytes::new();
         }
-        // Fast path: entirely within one chunk.
-        let idx = self
-            .chunks
-            .partition_point(|(start, data)| start + data.len() as u64 <= offset);
+        let cursor = self.cursor.get();
+        let in_sequence = self.chunks.get(cursor).is_some_and(|(start, _)| *start <= offset);
+        let mut idx = if in_sequence {
+            cursor
+        } else {
+            self.chunks
+                .partition_point(|(start, data)| start + data.len() as u64 <= offset)
+        };
         let mut out: Option<BytesMut> = None;
         let mut first: Option<Bytes> = None;
-        let mut cursor = offset;
-        for (start, data) in self.chunks.iter().skip(idx) {
-            if cursor >= end {
+        let mut pos = offset;
+        while pos < end {
+            let Some((start, data)) = self.chunks.get(idx) else {
                 break;
+            };
+            let chunk_end = start + data.len() as u64;
+            if chunk_end <= pos {
+                idx += 1; // the cursor's chunk lies behind the send point
+                continue;
             }
-            debug_assert!(*start <= cursor);
-            let begin_in_chunk = (cursor - start) as usize;
-            let take = ((end - cursor) as usize).min(data.len() - begin_in_chunk);
+            debug_assert!(*start <= pos);
+            let begin_in_chunk = (pos - start) as usize;
+            let take = ((end - pos) as usize).min(data.len() - begin_in_chunk);
             let slice = data.slice(begin_in_chunk..begin_in_chunk + take);
-            cursor += take as u64;
+            pos += take as u64;
+            if pos == chunk_end {
+                idx += 1;
+            }
+            // One chunk holds most reads whole: its slice goes out as is.
             match (&mut out, first.take()) {
                 (None, None) => first = Some(slice),
                 (None, Some(head)) => {
@@ -100,6 +123,9 @@ impl SendBuffer {
                 (Some(buf), _) => buf.extend_from_slice(&slice),
             }
         }
+        if in_sequence {
+            self.cursor.set(idx);
+        }
         match (out, first) {
             (Some(buf), _) => buf.freeze(),
             (None, Some(b)) => b,
@@ -108,13 +134,21 @@ impl SendBuffer {
     }
 
     /// Check the buffer's structural invariants: chunks form a contiguous,
-    /// gap-free cover of exactly `[base, end)`.
+    /// gap-free cover of exactly `[base, end)`, and the read cursor names a
+    /// chunk or the slot the next push fills.
     ///
     /// Cheap enough to run after every mutation in tests; campaign builds
     /// never call it (see `TcpSocket::debug_check`).
     pub fn validate(&self) -> Result<(), String> {
         if self.base > self.end {
             return Err(format!("send_buf base {} > end {}", self.base, self.end));
+        }
+        if self.cursor.get() > self.chunks.len() {
+            return Err(format!(
+                "send_buf read cursor {} past the {} chunks held",
+                self.cursor.get(),
+                self.chunks.len()
+            ));
         }
         if self.chunks.is_empty() {
             if self.base != self.end {
@@ -157,6 +191,7 @@ impl SendBuffer {
             let chunk_end = start + data.len() as u64;
             if chunk_end <= new_base {
                 self.chunks.pop_front();
+                self.cursor.set(self.cursor.get().saturating_sub(1));
             } else if *start < new_base {
                 let trim = (new_base - start) as usize;
                 if let Some((start, data)) = self.chunks.pop_front() {
@@ -260,20 +295,26 @@ impl Assembler {
         self.duplicate_bytes
     }
 
-    /// Up to `max` ranges `[lo, hi)` describing out-of-order data, most
-    /// recently useful first — the receiver's SACK blocks.
-    pub fn sack_ranges(&self, max: usize) -> Vec<(u64, u64)> {
+    /// The first `max` maximal ranges `[lo, hi)` of out-of-order data, in
+    /// ascending offset order — the receiver's SACK blocks. (RFC 2018 asks
+    /// for the most recently changed block first; this receiver has always
+    /// reported the lowest ones, see EXPERIMENTS.md "Honest divergences".)
+    /// Lazy: it walks the store only as far as the last range it yields.
+    pub fn sack_ranges(&self, max: usize) -> impl Iterator<Item = (u64, u64)> + '_ {
+        let mut segs = self
+            .segs
+            .iter()
+            .map(|(&start, (data, _))| (start, start + data.len() as u64))
+            .peekable();
         // Merge adjacent stored segments into maximal ranges.
-        let mut ranges: Vec<(u64, u64)> = Vec::new();
-        for (&start, (data, _)) in &self.segs {
-            let end = start + data.len() as u64;
-            match ranges.last_mut() {
-                Some((_, last_end)) if *last_end == start => *last_end = end,
-                _ => ranges.push((start, end)),
+        std::iter::from_fn(move || {
+            let (lo, mut hi) = segs.next()?;
+            while let Some((_, end)) = segs.next_if(|&(start, _)| start == hi) {
+                hi = end;
             }
-        }
-        ranges.truncate(max);
-        ranges
+            Some((lo, hi))
+        })
+        .take(max)
     }
 
     /// Insert payload at `offset`, arriving `now`. Returns accepted byte
@@ -567,6 +608,77 @@ mod tests {
             assert_eq!(sb.push(Bytes::new()), (0, 0));
             assert!(sb.is_empty());
         }
+
+        /// The sender has read up to chunk 6 when an ack pops chunks 0–2; a
+        /// retransmission then reads from below the cursor, and the send
+        /// point carries on from where it was.
+        #[test]
+        fn read_below_the_cursor_after_advance_popped_chunks() {
+            let mut sb = SendBuffer::new();
+            for i in 0..8u8 {
+                sb.push(Bytes::from(vec![i; 4]));
+            }
+            for i in 0..6u64 {
+                assert_eq!(sb.read(i * 4, 4), Bytes::from(vec![i as u8; 4]));
+            }
+            assert_eq!(sb.cursor.get(), 6);
+            sb.advance(13); // chunks 0–2 go, chunk 3 loses its first byte
+            assert_eq!(sb.cursor.get(), 3, "the cursor follows its chunk");
+            assert_eq!(sb.read(13, 5), b(&[3, 3, 3, 4, 4]));
+            assert_eq!(sb.cursor.get(), 3, "a read below the cursor leaves it");
+            assert_eq!(sb.read(24, 8), b(&[6, 6, 6, 6, 7, 7, 7, 7]));
+            assert_eq!(sb.cursor.get(), 5);
+            sb.validate().expect("send buffer invariants");
+        }
+
+        proptest! {
+            /// Random pushes, reads (at the send point, below it, across
+            /// chunks, past `end`) and advances (mid-chunk, whole chunks,
+            /// backwards) return what a flat `Vec<u8>` of the whole stream
+            /// holds, wherever the cursor happens to be.
+            #[test]
+            fn reads_agree_with_a_flat_model(
+                ops in proptest::collection::vec((0u8..8, any::<u64>(), 1usize..48), 1..120),
+            ) {
+                let mut sb = SendBuffer::new();
+                let mut stream: Vec<u8> = Vec::new();
+                let (mut base, mut send_point) = (0usize, 0usize);
+                for (op, pick, len) in ops {
+                    let held = stream.len() - base;
+                    match op {
+                        0 | 1 => {
+                            let from = stream.len();
+                            let data: Vec<u8> = (from..from + len).map(|i| (i * 31 % 251) as u8).collect();
+                            stream.extend_from_slice(&data);
+                            prop_assert_eq!(sb.push(Bytes::from(data)), (from as u64, stream.len() as u64));
+                        }
+                        // In sequence, as a sender reads; elsewhere in the
+                        // buffer, as a retransmission does; past `end`.
+                        2..=5 => {
+                            let at = match op {
+                                2 | 3 => send_point.max(base),
+                                4 => base + (pick as usize) % (held + 1),
+                                _ => stream.len() + (pick as usize) % 3,
+                            };
+                            let want = &stream[at.min(stream.len())..(at + len).min(stream.len())];
+                            prop_assert_eq!(&sb.read(at as u64, len)[..], want);
+                            if op < 4 {
+                                send_point = at + want.len();
+                            }
+                        }
+                        // Whole chunks and mid-chunk alike; `base - 1` is a
+                        // backwards advance and must be ignored.
+                        _ => {
+                            let to = (base + (pick as usize) % (held + 2)).saturating_sub(1);
+                            sb.advance(to as u64);
+                            base = base.max(to.min(stream.len()));
+                        }
+                    }
+                    prop_assert_eq!((sb.base(), sb.end()), (base as u64, stream.len() as u64));
+                    sb.validate().expect("send buffer invariants");
+                }
+            }
+        }
     }
 
     mod assembler {
@@ -638,8 +750,9 @@ mod tests {
             a.insert(10, b(b"xx"), SimTime::ZERO);
             a.insert(12, b(b"yy"), SimTime::ZERO);
             a.insert(20, b(b"zz"), SimTime::ZERO);
-            assert_eq!(a.sack_ranges(4), vec![(10, 14), (20, 22)]);
-            assert_eq!(a.sack_ranges(1), vec![(10, 14)]);
+            assert_eq!(a.sack_ranges(4).collect::<Vec<_>>(), [(10, 14), (20, 22)]);
+            assert_eq!(a.sack_ranges(1).collect::<Vec<_>>(), [(10, 14)]);
+            assert_eq!(a.sack_ranges(0).count(), 0);
         }
 
         #[test]

@@ -23,7 +23,9 @@ use crate::cc::CongestionControl;
 use crate::hooks::{TcpHooks, TxKind};
 use crate::rtt::RttEstimator;
 use crate::seq::SeqNum;
-use crate::wire::{tcp_flags, Endpoint, OptionList, TcpOption, TcpSegment, MAX_OPTIONS_LEN};
+use crate::wire::{
+    tcp_flags, Endpoint, OptionList, SackBlocks, TcpOption, TcpSegment, MAX_OPTIONS_LEN,
+};
 
 /// TCP connection states (RFC 793).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -1404,17 +1406,13 @@ impl TcpSocket {
         if max_blocks == 0 {
             return None;
         }
-        let ranges = self.asm.sack_ranges(max_blocks.min(3));
-        if ranges.is_empty() {
-            return None;
-        }
         let base = self.irs + 1;
-        Some(TcpOption::Sack(
-            ranges
-                .into_iter()
-                .map(|(lo, hi)| (base + lo as u32, base + hi as u32))
-                .collect(),
-        ))
+        let blocks: SackBlocks = self
+            .asm
+            .sack_ranges(max_blocks.min(3))
+            .map(|(lo, hi)| (base + lo as u32, base + hi as u32))
+            .collect();
+        (!blocks.is_empty()).then_some(TcpOption::Sack(blocks))
     }
 
     fn finish_segment(&mut self, mut seg: TcpSegment, kind: TxKind, now: SimTime) -> TcpSegment {
