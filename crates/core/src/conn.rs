@@ -64,20 +64,6 @@ pub enum HandoverPolicy {
 pub struct LifecycleConfig {
     /// Master switch: detect subflow death and re-establish replacements.
     pub reopen: bool,
-    /// Consecutive RTOs before a subflow is declared *dead* (scheduling a
-    /// reopen). Kept above the scheduler's 2-RTO stall gate so traffic
-    /// failover always precedes teardown.
-    pub death_rtos: u32,
-    /// Backoff before the first reopen attempt of a path.
-    pub backoff_initial: SimDuration,
-    /// Cap on the exponential reopen backoff.
-    pub backoff_max: SimDuration,
-    /// Deterministic jitter fraction in `[0, 1)`: each backoff is stretched
-    /// by up to this fraction, drawn from the connection's seeded RNG (so
-    /// replays reproduce it exactly).
-    pub backoff_jitter: f64,
-    /// Give up on a path after this many consecutive failed reopens.
-    pub max_reopen_attempts: u32,
     /// Reaction to advance degradation signals ([`MptcpConnection::notify_signal`]).
     pub policy: HandoverPolicy,
 }
@@ -86,15 +72,13 @@ impl Default for LifecycleConfig {
     fn default() -> Self {
         LifecycleConfig {
             reopen: false,
-            death_rtos: 3,
-            backoff_initial: SimDuration::from_millis(200),
-            backoff_max: SimDuration::from_secs(30),
-            backoff_jitter: 0.2,
-            max_reopen_attempts: 8,
             policy: HandoverPolicy::MakeBeforeBreak,
         }
     }
 }
+
+/// Give up on a path after this many consecutive failed reopens.
+const MAX_REOPEN_ATTEMPTS: u32 = 8;
 
 /// One entry of the connection's handover log — consumed by the metrics
 /// layer to compute recovery latency and per-epoch attribution. Times are
@@ -1151,7 +1135,7 @@ impl MptcpConnection {
     }
 
     /// Earliest timer deadline over all subflows and pending reopens. The
-    /// host folds this into its single wakeup timer, so scheduled path
+    /// host arms its slot's engine timer by it, so scheduled path
     /// re-establishments fire even on an otherwise idle connection.
     pub fn next_timeout(&self) -> Option<SimTime> {
         let socks = self
@@ -1626,11 +1610,6 @@ impl MptcpConnection {
         &self.lifecycle_log
     }
 
-    /// Drain the handover event log (metrics collection).
-    pub fn take_lifecycle_events(&mut self) -> Vec<LifecycleEvent> {
-        std::mem::take(&mut self.lifecycle_log)
-    }
-
     /// Explicit link-down notification from the harness (the scenario
     /// engine's `Down` event): declare every subflow on `if_index` dead
     /// immediately instead of waiting for the RTO stall signal — the
@@ -1709,7 +1688,7 @@ impl MptcpConnection {
                 1
             }
         };
-        if attempt > self.cfg.lifecycle.max_reopen_attempts {
+        if attempt > MAX_REOPEN_ATTEMPTS {
             return;
         }
         let due = now + self.reopen_backoff(attempt);
@@ -1718,18 +1697,18 @@ impl MptcpConnection {
     }
 
     /// Exponential backoff with deterministic jitter: `initial * 2^(n-1)`,
-    /// capped at `backoff_max`, stretched by up to `backoff_jitter` drawn
-    /// from the connection RNG (seeded, so replays match exactly).
+    /// capped, stretched by up to the jitter fraction drawn from the
+    /// connection RNG (seeded, so replays match exactly).
     fn reopen_backoff(&mut self, attempt: u32) -> SimDuration {
-        let lc = &self.cfg.lifecycle;
-        let base = lc.backoff_initial.as_nanos() as u128;
+        const BACKOFF_INITIAL: SimDuration = SimDuration::from_millis(200);
+        const BACKOFF_MAX: SimDuration = SimDuration::from_secs(30);
+        const BACKOFF_JITTER: f64 = 0.2;
+        let base = BACKOFF_INITIAL.as_nanos() as u128;
         let shift = attempt.saturating_sub(1).min(20);
-        let cap = lc.backoff_max.as_nanos() as u128;
+        let cap = BACKOFF_MAX.as_nanos() as u128;
         let mut ns = base.saturating_mul(1u128 << shift).min(cap);
-        if lc.backoff_jitter > 0.0 {
-            let u = (self.rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
-            ns += (ns as f64 * lc.backoff_jitter * u) as u128;
-        }
+        let u = (self.rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
+        ns += (ns as f64 * BACKOFF_JITTER * u) as u128;
         SimDuration::from_nanos(ns.min(u64::MAX as u128) as u64)
     }
 
@@ -1747,14 +1726,15 @@ impl MptcpConnection {
             return;
         }
         // 1. Death detection: socket gone, or stalled past the threshold.
+        // Kept above the scheduler's 2-RTO stall gate so traffic failover
+        // always precedes teardown.
+        const DEATH_RTOS: u32 = 3;
         for idx in 0..self.subflows.len() {
             let sf = &self.subflows[idx];
             if sf.dead {
                 continue;
             }
-            if sf.sock.is_finished()
-                || sf.sock.consecutive_rtos() >= self.cfg.lifecycle.death_rtos
-            {
+            if sf.sock.is_finished() || sf.sock.consecutive_rtos() >= DEATH_RTOS {
                 self.mark_path_dead(idx, now);
             }
         }
@@ -1860,10 +1840,10 @@ impl MptcpConnection {
                     self.local_addrs.len()
                 ));
             }
-            if p.attempt == 0 || p.attempt > self.cfg.lifecycle.max_reopen_attempts {
+            if p.attempt == 0 || p.attempt > MAX_REOPEN_ATTEMPTS {
                 return Err(format!(
-                    "pending reopen attempt {} outside [1, {}]",
-                    p.attempt, self.cfg.lifecycle.max_reopen_attempts
+                    "pending reopen attempt {} outside [1, {MAX_REOPEN_ATTEMPTS}]",
+                    p.attempt
                 ));
             }
         }

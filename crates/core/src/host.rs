@@ -8,6 +8,12 @@
 //! by destination address), and parses/demultiplexes everything that
 //! arrives — including MP_JOIN SYNs matched by connection token, exactly as
 //! the kernel implementation does.
+//!
+//! The host keeps no calendar of its own. Each connection slot holds one
+//! cancellable engine timer at the earlier of its transport's next timeout
+//! and its app's next wakeup, and each warming open holds one for its 2 s
+//! ping deadline. Slots due at the same instant fire as separate events, in
+//! the engine's `(at, seq)` order.
 
 use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet};
@@ -217,9 +223,23 @@ struct Slot {
     /// immutable and the subflow vector only grows (replacements append),
     /// so registration is append-only: each call covers only the tail.
     registered_subflows: usize,
-    /// The deadline currently recorded for this slot in the host's
-    /// deadline index (min of transport timeout and app wakeup).
-    deadline: Option<SimTime>,
+    /// This slot's engine wakeup (token `TOKEN_SLOT | slot`): the live
+    /// handle and the instant [`Slot::wakeup`] asked for when it was set.
+    timer: Option<(TimerHandle, SimTime)>,
+}
+
+impl Slot {
+    fn new(transport: Transport, app: Box<dyn App>, conn_id: u32) -> Self {
+        Slot { transport, app, conn_id, registered_subflows: 0, timer: None }
+    }
+
+    /// The earlier of the transport's next timeout and the app's next wakeup.
+    fn wakeup(&self) -> Option<SimTime> {
+        match (self.transport.next_timeout(), self.app.next_wakeup()) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        }
+    }
 }
 
 /// A queued outgoing connection request (activated by a scheduled timer).
@@ -242,16 +262,19 @@ pub struct OpenRequest {
 enum PendingOpen {
     /// Waiting for its activation time.
     Queued(OpenRequest),
-    /// Pings sent; waiting for replies or deadline.
+    /// Pings sent; waiting for replies or deadline. `timer` (token
+    /// `TOKEN_OPEN`) fires at `deadline`.
     Warming {
         req: OpenRequest,
         tokens_left: u8,
         deadline: SimTime,
+        timer: TimerHandle,
     },
 }
 
-const TOKEN_HOST_TIMER: u64 = 0x1000_0000_0000_0001;
 const TOKEN_OPEN: u64 = 0x1000_0000_0000_0002;
+/// Slot `i`'s wakeup carries token `TOKEN_SLOT | i`.
+const TOKEN_SLOT: u64 = 0x2000_0000_0000_0000;
 
 /// Host agent. See module docs.
 pub struct Host {
@@ -275,29 +298,22 @@ pub struct Host {
     /// JOIN SYNs that arrived before their MP_CAPABLE (simultaneous mode).
     pending_joins: Vec<(u32, Endpoint, Endpoint, TcpSegment, SimTime)>,
     pending_opens: Vec<PendingOpen>,
-    /// Ping replies expected: token → (if_index asked).
-    pings_inflight: BTreeMap<u64, u8>,
     /// Completed ping RTTs.
     pub ping_rtts: Vec<SimDuration>,
+    /// Warm-up pings awaiting a reply: token → send time.
     ping_sent_at: BTreeMap<u64, SimTime>,
     next_conn_id: u32,
     conn_id_base: u32,
     rng: SimRng,
-    /// The single cancellable wakeup timer covering every transport
-    /// deadline (RTO, delayed ACK, app wakeups, pending opens). Holds the
-    /// live handle and the instant it fires; rescheduled in place when the
-    /// earliest deadline moves, so no stale timer events ever fire.
-    armed: Option<(TimerHandle, SimTime)>,
     /// Slots touched since the last flush (incoming segment, fired timer,
     /// external mutation, fresh open). `flush` pumps exactly these, in
     /// ascending slot order, so per-event work scales with the slots an
     /// event actually concerns — not with the host's total population.
     dirty: BTreeSet<usize>,
-    /// (deadline, slot) index over every slot with a pending transport
-    /// timeout or app wakeup. `rearm_timer` reads only the first entry and
-    /// the host timer pops due entries, replacing the former O(slots) scan
-    /// per event.
-    deadlines: BTreeMap<(SimTime, usize), ()>,
+    /// Mutant for the oracle's bite test: `update_deadline` keeps a slot's
+    /// timer when its deadline moves later.
+    #[cfg(test)]
+    keep_later_timers: bool,
     /// Count of frames that found no matching socket.
     pub no_socket_drops: u64,
     /// Count of frames that failed to parse (truncated, bad checksum, or
@@ -323,15 +339,14 @@ impl Host {
             tokens: BTreeMap::new(),
             pending_joins: Vec::new(),
             pending_opens: Vec::new(),
-            pings_inflight: BTreeMap::new(),
             ping_rtts: Vec::new(),
             ping_sent_at: BTreeMap::new(),
             next_conn_id: conn_id_base,
             conn_id_base,
             rng,
-            armed: None,
             dirty: BTreeSet::new(),
-            deadlines: BTreeMap::new(),
+            #[cfg(test)]
+            keep_later_timers: false,
             no_socket_drops: 0,
             unparsed_frames: 0,
         }
@@ -391,15 +406,13 @@ impl Host {
     }
 
     /// Whether this host will do nothing more unless a frame reaches it: no
-    /// transport timeout or app wakeup is indexed, no open is queued or
-    /// warming, no slot waits to be pumped and the wakeup timer is not
-    /// armed. Only a frame from the network (or a harness call that
-    /// dirties a slot or queues an open) can end the state.
+    /// open is queued or warming, no slot waits to be pumped and no slot
+    /// holds a wakeup. Only a frame from the network (or a harness call
+    /// that dirties a slot or queues an open) can end the state.
     pub fn is_quiescent(&self) -> bool {
-        self.deadlines.is_empty()
-            && self.pending_opens.is_empty()
+        self.pending_opens.is_empty()
             && self.dirty.is_empty()
-            && self.armed.is_none()
+            && self.slots.iter().all(|s| s.timer.is_none())
     }
 
     /// Access a transport by slot.
@@ -409,7 +422,7 @@ impl Host {
 
     /// Mutable transport access. Marks the slot dirty: external mutators
     /// (the handover runner's cross-layer signals, the lifecycle manager)
-    /// may produce frames or move deadlines, so the next flush must pump
+    /// may produce frames or move wakeups, so the next flush must pump
     /// this slot even though no network event touched it — and owes the
     /// connection a housekeeping pass, since the caller can reach state
     /// (`subflows`, `cfg`) no marking method guards.
@@ -489,10 +502,9 @@ impl Host {
             // progress. An app may write *in response to* data consumed in
             // this very flush (e.g. the streaming client requesting the
             // next block the moment the previous one completes); that write
-            // must be pumped now — the host wakeup timer only covers
-            // transport deadlines and app wakeups, not buffered-but-unsent
-            // data, so leaving it unpumped can deadlock an otherwise idle
-            // connection.
+            // must be pumped now — the slot's wakeup only covers transport
+            // timeouts and app wakeups, not buffered-but-unsent data, so
+            // leaving it unpumped can deadlock an otherwise idle connection.
             loop {
                 // Drive the app (it may produce data / close). What it wrote
                 // is scheduled by the housekeeping pass every
@@ -530,9 +542,8 @@ impl Host {
                     break;
                 }
             }
-            self.update_deadline(i);
+            self.update_deadline(i, ctx);
         }
-        self.rearm_timer(ctx);
     }
 
     /// Register any demux entries this slot does not have yet. Subflow
@@ -561,91 +572,45 @@ impl Host {
         self.slots[slot].registered_subflows = upto;
     }
 
-    /// Refresh the deadline index entry for one slot after pumping it.
-    fn update_deadline(&mut self, i: usize) {
-        let s = &self.slots[i];
-        let next = match (s.transport.next_timeout(), s.app.next_wakeup()) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        if next == s.deadline {
+    /// Arm, move or cancel slot `i`'s engine timer so that it fires at
+    /// [`Slot::wakeup`], sliding a live timer rather than layering a second.
+    fn update_deadline(&mut self, i: usize, ctx: &mut Ctx<'_>) {
+        let s = &mut self.slots[i];
+        let next = s.wakeup();
+        let set = s.timer.map(|(_, at)| at);
+        #[cfg(test)]
+        if self.keep_later_timers && set.zip(next).is_some_and(|(a, n)| n > a) {
             return;
         }
-        if let Some(old) = s.deadline {
-            self.deadlines.remove(&(old, i));
+        if next == set {
+            return;
         }
-        if let Some(new) = next {
-            self.deadlines.insert((new, i), ());
-        }
-        self.slots[i].deadline = next;
-    }
-
-    fn rearm_timer(&mut self, ctx: &mut Ctx<'_>) {
-        // The deadline index keeps every slot's earliest deadline sorted;
-        // only the queued opens (a handful at a time) still need a fold.
-        let mut next: Option<SimTime> =
-            self.deadlines.keys().next().map(|&(t, _)| t);
-        let mut fold = |t: Option<SimTime>| {
-            if let Some(t) = t {
-                next = Some(next.map_or(t, |c: SimTime| c.min(t)));
-            }
-        };
-        for p in &self.pending_opens {
-            match p {
-                PendingOpen::Queued(r) => fold(Some(r.at)),
-                PendingOpen::Warming { deadline, .. } => fold(Some(*deadline)),
-            }
-        }
-        let Some(next) = next else {
-            // Nothing due any more: cancel the wakeup outright.
-            if let Some((h, _)) = self.armed.take() {
+        let old = s.timer.take();
+        let Some(at) = next else {
+            if let Some((h, _)) = old {
                 ctx.cancel_timer(h);
             }
             return;
         };
-        let now = ctx.now();
-        let due = next.max(now);
-        match self.armed {
-            Some((_, at)) if at == due => {}
-            Some((h, _)) => {
-                // The earliest deadline moved (either direction): slide the
-                // existing timer instead of layering a second one.
-                let delay = due.saturating_since(now);
-                let h = ctx
-                    .reschedule_timer(h, delay)
-                    .unwrap_or_else(|| ctx.arm_timer(delay, TOKEN_HOST_TIMER));
-                self.armed = Some((h, due));
-            }
-            None => {
-                let delay = due.saturating_since(now);
-                self.armed = Some((ctx.arm_timer(delay, TOKEN_HOST_TIMER), due));
-            }
-        }
+        let delay = at.saturating_since(ctx.now());
+        let h = old
+            .and_then(|(h, _)| ctx.reschedule_timer(h, delay))
+            .unwrap_or_else(|| ctx.arm_timer(delay, TOKEN_SLOT | i as u64));
+        s.timer = Some((h, at));
     }
 
-    fn on_host_timer(&mut self, ctx: &mut Ctx<'_>) {
+    /// Slot `i`'s wakeup fired: run its transport's due timers and pump it.
+    fn on_slot_timer(&mut self, i: usize, ctx: &mut Ctx<'_>) {
         let now = ctx.now();
-        // The handle is consumed by firing; rearm_timer will arm a fresh one.
-        self.armed = None;
-        // Pop exactly the due slots off the deadline index instead of
-        // scanning every slot. Each popped slot is marked dirty so the
-        // flush below pumps it and re-derives its next deadline.
-        while let Some(&(t, i)) = self.deadlines.keys().next() {
-            if t > now {
-                break;
-            }
-            self.deadlines.remove(&(t, i));
-            self.slots[i].deadline = None;
-            if self.slots[i]
-                .transport
-                .next_timeout()
-                .is_some_and(|d| d <= now)
-            {
-                self.slots[i].transport.on_timer(now);
-            }
-            self.dirty.insert(i);
+        let Some(s) = self.slots.get_mut(i) else {
+            return;
+        };
+        // Firing consumed the handle; the flush arms a fresh one if owed.
+        s.timer = None;
+        if s.transport.next_timeout().is_some_and(|d| d <= now) {
+            s.transport.on_timer(now);
         }
-        self.process_opens(ctx);
+        self.dirty.insert(i);
         self.flush(ctx);
     }
 
@@ -670,16 +635,17 @@ impl Host {
                             if let Some(egress) = self.egress_for(req.warmup_if, req.remote.addr)
                             {
                                 ctx.send_frame(egress, 0, SimDuration::ZERO, Frame::new(bytes));
-                                self.pings_inflight.insert(token, req.warmup_if);
                                 self.ping_sent_at.insert(token, now);
                                 tokens_left += 1;
                             }
                         }
                         if tokens_left > 0 {
+                            let wait = SimDuration::from_secs(2);
                             keep.push(PendingOpen::Warming {
                                 req,
                                 tokens_left,
-                                deadline: now + SimDuration::from_secs(2),
+                                deadline: now + wait,
+                                timer: ctx.arm_timer(wait, TOKEN_OPEN),
                             });
                             continue;
                         }
@@ -690,14 +656,18 @@ impl Host {
                     req,
                     tokens_left,
                     deadline,
+                    timer,
                 } => {
                     if tokens_left == 0 || now >= deadline {
+                        // A no-op when this very timer is what fired.
+                        ctx.cancel_timer(timer);
                         self.open_now(req, now);
                     } else {
                         keep.push(PendingOpen::Warming {
                             req,
                             tokens_left,
                             deadline,
+                            timer,
                         });
                     }
                 }
@@ -741,13 +711,7 @@ impl Host {
             }
         };
         let slot = self.slots.len();
-        self.slots.push(Slot {
-            transport,
-            app: req.app,
-            conn_id,
-            registered_subflows: 0,
-            deadline: None,
-        });
+        self.slots.push(Slot::new(transport, req.app, conn_id));
         self.dirty.insert(slot);
         self.register_demux(slot);
     }
@@ -769,10 +733,8 @@ impl Host {
             return;
         }
         // A reply to one of our warm-up pings.
-        if self.pings_inflight.remove(&ping.token).is_some() {
-            if let Some(sent) = self.ping_sent_at.remove(&ping.token) {
-                self.ping_rtts.push(ctx.now().saturating_since(sent));
-            }
+        if let Some(sent) = self.ping_sent_at.remove(&ping.token) {
+            self.ping_rtts.push(ctx.now().saturating_since(sent));
             for p in &mut self.pending_opens {
                 if let PendingOpen::Warming { tokens_left, .. } = p {
                     *tokens_left = tokens_left.saturating_sub(1);
@@ -865,13 +827,7 @@ impl Host {
                 ))
             };
             let slot = self.slots.len();
-            self.slots.push(Slot {
-                transport,
-                app,
-                conn_id,
-                registered_subflows: 0,
-                deadline: None,
-            });
+            self.slots.push(Slot::new(transport, app, conn_id));
             self.dirty.insert(slot);
             self.register_demux(slot);
             // Any JOINs that raced ahead of this MP_CAPABLE?
@@ -917,9 +873,8 @@ impl Host {
     }
 
     /// Host-level structural invariants: every demux and token entry must
-    /// point at a live slot, and the two warm-up ping maps (token →
-    /// interface, token → send time) must track the same token set — they
-    /// are always inserted and removed together.
+    /// point at a live slot, and after every event each slot's wakeup timer
+    /// must be set at exactly what its transport and app want.
     #[cfg(any(debug_assertions, feature = "check-invariants"))]
     fn validate(&self) -> Result<(), String> {
         for (&(local, remote), &(slot, _)) in &self.demux {
@@ -938,39 +893,13 @@ impl Host {
                 ));
             }
         }
-        if self.pings_inflight.len() != self.ping_sent_at.len()
-            || !self.pings_inflight.keys().eq(self.ping_sent_at.keys())
-        {
-            return Err(format!(
-                "ping bookkeeping diverged: {} inflight vs {} send times",
-                self.pings_inflight.len(),
-                self.ping_sent_at.len()
-            ));
-        }
-        // Deadline index ↔ per-slot deadline cache must agree exactly:
-        // every index entry names a live slot that recorded that instant,
-        // and every recorded instant appears in the index.
-        for &(t, slot) in self.deadlines.keys() {
-            if slot >= self.slots.len() {
-                return Err(format!(
-                    "deadline index ({t:?}, {slot}) -> dead slot (have {})",
-                    self.slots.len()
-                ));
-            }
-            if self.slots[slot].deadline != Some(t) {
-                return Err(format!(
-                    "deadline index ({t:?}, {slot}) disagrees with slot cache {:?}",
-                    self.slots[slot].deadline
-                ));
-            }
-        }
         for (i, s) in self.slots.iter().enumerate() {
-            if let Some(t) = s.deadline {
-                if !self.deadlines.contains_key(&(t, i)) {
-                    return Err(format!(
-                        "slot {i} caches deadline {t:?} missing from the index"
-                    ));
-                }
+            let set = s.timer.map(|(_, at)| at);
+            if set != s.wakeup() {
+                return Err(format!(
+                    "slot {i} wakeup set at {set:?} but its transport and app want {:?}",
+                    s.wakeup()
+                ));
             }
             let have = match &s.transport {
                 Transport::Mp(c) => c.subflows.len(),
@@ -1011,9 +940,7 @@ impl Host {
 impl Agent for Host {
     fn handle(&mut self, ev: Event, ctx: &mut Ctx<'_>) {
         match ev {
-            Event::Start => {
-                self.rearm_timer(ctx);
-            }
+            Event::Start => {}
             Event::Frame { frame, .. } => {
                 match parse_any_shared(&frame.bytes) {
                     Ok(Packet::Tcp(ip, seg)) => self.handle_tcp(ctx, ip, &seg),
@@ -1027,8 +954,8 @@ impl Agent for Host {
                 if token == TOKEN_OPEN {
                     self.process_opens(ctx);
                     self.flush(ctx);
-                } else if token == TOKEN_HOST_TIMER {
-                    self.on_host_timer(ctx);
+                } else if token & TOKEN_SLOT != 0 {
+                    self.on_slot_timer((token & !TOKEN_SLOT) as usize, ctx);
                 }
             }
         }
@@ -1103,12 +1030,35 @@ mod tests {
     use mpw_sim::World;
     use mpw_tcp::wire::{encode_packet, PROTO_PING, PROTO_TCP};
 
-    /// The oracle bites: with the deadline index broken through a private
-    /// field (an entry, due in an hour, for a slot that does not exist),
-    /// every kind of event the host can be handed ends in the abort at
-    /// `handle`'s one exit — the two branches that run no handler of their
-    /// own (`Start`, the open timer) and the frame that does not parse
-    /// included.
+    /// An app that only asks to be woken at the instant it holds.
+    struct Alarm(Option<SimTime>);
+
+    impl App for Alarm {
+        fn poll(&mut self, _conn: &mut Transport, _now: SimTime) {}
+        fn next_wakeup(&self) -> Option<SimTime> {
+            self.0
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    /// The message of the panic `f` ends in, if it panics (empty for a
+    /// payload that is not a formatted message).
+    fn panic_message(f: impl FnOnce()) -> Option<String> {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).err()?;
+        Some(payload.downcast_ref::<String>().cloned().unwrap_or_default())
+    }
+
+    /// The oracle bites: with the token map broken through a private field
+    /// (an entry for a slot that does not exist), every kind of event the
+    /// host can be handed ends in the abort at `handle`'s one exit — the
+    /// two branches that run no handler of their own (`Start`, the open
+    /// timer), the frame that does not parse and a slot timer naming no
+    /// slot included.
     #[test]
     fn every_event_runs_the_oracle_at_the_one_exit() {
         let addr = Addr::new(192, 168, 1, 1);
@@ -1122,7 +1072,7 @@ mod tests {
             ("ping frame", frame(encode_ping(&ip(PROTO_PING), &PingPacket { token: 1, reply: false }))),
             ("unparsed frame", frame(bytes::Bytes::from_static(b"not a packet"))),
             ("open timer", Some(Event::Timer { token: TOKEN_OPEN })),
-            ("host timer", Some(Event::Timer { token: TOKEN_HOST_TIMER })),
+            ("slot timer", Some(Event::Timer { token: TOKEN_SLOT })),
         ];
         for (what, ev) in events {
             let mut w = World::new(3, TraceLevel::Off);
@@ -1132,14 +1082,50 @@ mod tests {
                 w.run_until_idle();
                 w.schedule(w.now(), host, ev);
             }
-            let h = w.agent_mut::<Host>(host).expect("the host");
-            h.deadlines.insert((SimTime::from_secs(3600), 7), ());
-            let caught =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| w.run_until_idle()));
-            let payload = caught.expect_err(what);
-            let msg = payload.downcast_ref::<String>().expect("a formatted panic");
+            w.agent_mut::<Host>(host).expect("the host").tokens.insert(7, 7);
+            let msg = panic_message(|| {
+                w.run_until_idle();
+            })
+            .expect(what);
             assert!(msg.starts_with("host invariant violated after handle: "), "{what}: {msg}");
             assert!(msg.contains("-> dead slot"), "{what}: {msg}");
+        }
+    }
+
+    /// The wakeup clause bites: a mutant `update_deadline` that keeps a
+    /// slot's timer when the slot's deadline moves later aborts at the exit
+    /// of the event that moved it, while the same script without the
+    /// mutant slides the timer and runs clean.
+    #[test]
+    fn a_timer_kept_behind_a_later_deadline_trips_the_oracle() {
+        let ms = SimTime::from_millis;
+        for mutant in [false, true] {
+            let mut w = World::new(3, TraceLevel::Off);
+            let mut host = Host::new(vec![Addr::new(192, 168, 1, 1)], 0, w.rng().stream("host"));
+            host.keep_later_timers = mutant;
+            // No interface link: the SYN goes nowhere, and the alarm at
+            // 50 ms is the slot's deadline, ahead of the SYN's 1 s RTO.
+            let spec = TransportSpec::Plain { tcp: TcpConfig::default(), cc: CcConfig::default(), if_index: 0 };
+            let remote = Endpoint::new(Addr::new(10, 0, 1, 2), 8080);
+            let app = Box::new(Alarm(Some(ms(50))));
+            host.queue_open(OpenRequest { at: SimTime::ZERO, spec, remote, app, warmup_pings: 0, warmup_if: 0 });
+            let host = w.add_agent(Box::new(host));
+            w.schedule(SimTime::ZERO, host, Event::Timer { token: TOKEN_OPEN });
+            w.run_until(ms(10));
+            let timer_at = |w: &World| w.agent::<Host>(host).expect("the host").slots[0].timer.map(|(_, at)| at);
+            assert_eq!(timer_at(&w), Some(ms(50)));
+            let h = w.agent_mut::<Host>(host).expect("the host");
+            h.app_mut::<Alarm>(0).expect("the alarm").0 = Some(ms(80));
+            w.schedule(ms(10), host, Event::Timer { token: TOKEN_OPEN });
+            let msg = panic_message(|| {
+                w.run_until(ms(20));
+            });
+            if mutant {
+                let msg = msg.expect("the mutant must trip the oracle");
+                assert!(msg.starts_with("host invariant violated after handle: slot 0 "), "{msg}");
+            } else {
+                assert_eq!((msg, timer_at(&w)), (None, Some(ms(80))));
+            }
         }
     }
 }

@@ -1,18 +1,27 @@
 //! Host-agent behaviours in isolation: ping echo, RST generation for
-//! unknown destinations, listener demux, and middlebox stripping counters.
+//! unknown destinations, listener demux, wakeups and middlebox counters.
 
 use std::any::Any;
 
 use mpw_link::NullSink;
 use mpw_mptcp::host::OptionStrippingMiddlebox;
-use mpw_mptcp::{Host, MptcpConfig};
+use mpw_mptcp::{App, Host, MptcpConfig, NullApp, OpenRequest, Transport, TransportSpec};
 use mpw_sim::trace::TraceLevel;
-use mpw_sim::{Agent, AgentId, Ctx, Event, Frame, SimTime, World};
+use mpw_sim::{Agent, AgentId, Ctx, Event, Frame, SimDuration, SimTime, World};
 use mpw_tcp::wire::{self, tcp_flags, PingPacket};
-use mpw_tcp::{Addr, MptcpOption, SeqNum, TcpOption, TcpSegment};
+use mpw_tcp::{Addr, Endpoint, MptcpOption, SeqNum, TcpOption, TcpSegment};
 
 const HOST_ADDR: Addr = Addr::new(192, 168, 1, 1);
 const OTHER_ADDR: Addr = Addr::new(10, 0, 1, 2);
+
+/// Queue a plain TCP open to `OTHER_ADDR:8080` on `host` at `at`.
+fn open_at(w: &mut World, host: AgentId, at: SimTime, app: Box<dyn App>, warmup_pings: u8) {
+    let spec = TransportSpec::Plain { tcp: Default::default(), cc: Default::default(), if_index: 0 };
+    let remote = Endpoint::new(OTHER_ADDR, 8080);
+    let req = OpenRequest { at, spec, remote, app, warmup_pings, warmup_if: 1 };
+    w.agent_mut::<Host>(host).unwrap().queue_open(req);
+    w.schedule(at, host, Event::Timer { token: Host::open_token() });
+}
 
 /// Captures every frame it receives, parsed.
 #[derive(Default)]
@@ -213,6 +222,78 @@ fn plain_syn_is_accepted_as_plain_tcp() {
         })
         .expect("SYN-ACK");
     assert!(synack.mptcp().is_none(), "plain TCP gets no MPTCP options");
+}
+
+#[test]
+fn vanished_warmup_pings_open_on_the_two_second_deadline() {
+    // The cellular egress swallows both pings, so only the warming open's
+    // own deadline can let the SYN out on WiFi.
+    let mut w = World::new(3, TraceLevel::Off);
+    let wifi = w.add_agent(Box::new(NullSink::recording()));
+    let cell = w.add_agent(Box::new(NullSink::recording()));
+    let mut host = Host::new(vec![HOST_ADDR, Addr::new(10, 0, 2, 2)], 0, w.rng().stream("host"));
+    host.set_iface_link(0, wifi);
+    host.set_iface_link(1, cell);
+    let host = w.add_agent(Box::new(host));
+    let at = SimTime::from_millis(50);
+    open_at(&mut w, host, at, Box::new(NullApp), 2);
+    // Past the deadline, before the SYN's 1 s retransmission.
+    w.run_until(at + SimDuration::from_millis(2500));
+    let syn_at = at + SimDuration::from_secs(2);
+    assert_eq!(w.agent::<NullSink>(cell).unwrap().frames, 2, "both pings left");
+    assert_eq!(w.agent::<NullSink>(wifi).unwrap().arrivals, vec![syn_at]);
+    let h = w.agent::<Host>(host).unwrap();
+    assert!(h.ping_rtts.is_empty());
+    assert_eq!(h.transport(0).unwrap().opened_at(), syn_at);
+}
+
+/// Closes its side the moment the connection is up: a connection that
+/// lives only to be torn down.
+struct Closer(bool);
+
+impl App for Closer {
+    fn poll(&mut self, conn: &mut Transport, _now: SimTime) {
+        if conn.is_established() && !std::mem::replace(&mut self.0, true) {
+            conn.close();
+        }
+    }
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
+#[test]
+fn two_slots_keep_separate_wakeups_until_both_leave_time_wait() {
+    // Zero-delay wiring: each connection opens and closes within its open
+    // instant and then holds only its 500 ms TIME_WAIT — slot 0 until
+    // 500 ms, slot 1 until 800 ms.
+    let mut w = World::new(3, TraceLevel::Off);
+    let client = w.add_agent(Box::new(Host::new(vec![HOST_ADDR], 0, w.rng().stream("client"))));
+    let mut server = Host::new(vec![OTHER_ADDR], 1_000, w.rng().stream("server"));
+    server.set_iface_link(0, client);
+    let factory = Box::new(|_| Box::new(Closer(false)) as Box<dyn App>);
+    server.listen(8080, MptcpConfig::default(), Default::default(), factory);
+    let server = w.add_agent(Box::new(server));
+    w.agent_mut::<Host>(client).unwrap().set_iface_link(0, server);
+    let ms = SimTime::from_millis;
+    for at in [ms(0), ms(300)] {
+        open_at(&mut w, client, at, Box::new(Closer(false)), 0);
+    }
+    let finished = |w: &World| {
+        let h = w.agent::<Host>(client).unwrap();
+        let done = |slot| h.transport(slot).unwrap().is_finished();
+        (done(0), done(1), h.is_quiescent())
+    };
+    w.run_until(ms(400));
+    assert_eq!(finished(&w), (false, false, false), "both in TIME_WAIT");
+    w.run_until(ms(600));
+    assert_eq!(finished(&w), (true, false, false), "slot 0's wakeup fired alone");
+    w.run_until(ms(900));
+    assert_eq!(finished(&w), (true, true, true), "quiescent once both are closed");
+    assert!(w.agent::<Host>(server).unwrap().is_quiescent());
 }
 
 #[test]

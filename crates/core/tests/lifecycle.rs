@@ -133,7 +133,7 @@ fn lifecycle_cfg(policy: HandoverPolicy, backup_ifs: Vec<u8>) -> MptcpConfig {
         syn_mode: SynMode::Delayed,
         max_subflows: 2,
         backup_ifs,
-        lifecycle: LifecycleConfig { reopen: true, policy, ..LifecycleConfig::default() },
+        lifecycle: LifecycleConfig { reopen: true, policy },
         ..MptcpConfig::default()
     }
 }

@@ -58,11 +58,6 @@ impl Rng {
     pub fn chance(&mut self, num: u64, den: u64) -> bool {
         den != 0 && self.next_u64() % den < num
     }
-
-    /// An independent child generator (split).
-    pub fn fork(&mut self) -> Rng {
-        Rng::new(self.next_u64())
-    }
 }
 
 #[cfg(test)]

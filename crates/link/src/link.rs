@@ -248,11 +248,6 @@ impl LinkAgent {
         self.tap = Some(tap);
     }
 
-    /// Detach the capture tap, if any.
-    pub fn clear_tap(&mut self) {
-        self.tap = None;
-    }
-
     #[inline]
     fn tap_frame(&self, at: SimTime, dir: TapDir, frame: &Frame) {
         if let Some(tap) = &self.tap {
@@ -283,11 +278,6 @@ impl LinkAgent {
     /// client walks out of WiFi range).
     pub fn set_loss(&mut self, loss: LossModel) {
         self.cfg.loss = loss;
-    }
-
-    /// Replace the ARQ configuration mid-run.
-    pub fn set_arq(&mut self, arq: Option<ArqConfig>) {
-        self.cfg.arq = arq;
     }
 
     /// Replace the service-rate process mid-run (bandwidth ramps, capacity

@@ -78,13 +78,6 @@ pub struct Timeline {
     pub ops: Vec<CompiledOp>,
 }
 
-impl Timeline {
-    /// Time of the last operation, if any.
-    pub fn last_at(&self) -> Option<SimTime> {
-        self.ops.last().map(|o| o.at)
-    }
-}
-
 /// Linear interpolation on u64 endpoints, exact in integer arithmetic.
 fn lerp_u64(from: u64, to: u64, i: u64, n: u64) -> u64 {
     if n == 0 {

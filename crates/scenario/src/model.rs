@@ -325,17 +325,6 @@ impl ScenarioBuilder {
         })
     }
 
-    /// Add an event on one direction of `path`.
-    pub fn at_dir(self, at_ms: u64, path: usize, dir: Direction, action: Action) -> Self {
-        self.event(TimedEvent {
-            at_ms,
-            path,
-            dir,
-            label: None,
-            action,
-        })
-    }
-
     /// Add a labelled event (opens a new analysis epoch).
     pub fn labelled(self, at_ms: u64, path: usize, label: &str, action: Action) -> Self {
         self.event(TimedEvent {

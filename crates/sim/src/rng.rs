@@ -195,12 +195,6 @@ impl SimRng {
         lo + ((u128::from(self.inner.next_u64()) * u128::from(span)) >> 64) as u64
     }
 
-    /// Uniform float in `[lo, hi)`.
-    pub fn range_f64(&mut self, lo: f64, hi: f64) -> f64 {
-        assert!(lo < hi, "empty range");
-        lo + self.uniform() * (hi - lo)
-    }
-
     /// Uniform `f64` in `(0, 1]` — safe to pass to `ln()`.
     fn uniform_open(&mut self) -> f64 {
         ((self.inner.next_u64() >> 11) + 1) as f64 * (1.0 / (1u64 << 53) as f64)

@@ -52,11 +52,6 @@ impl Switch {
     pub fn set_default_route(&mut self, egress: (AgentId, u16)) {
         self.default_route = Some(egress);
     }
-
-    /// Number of registered routes.
-    pub fn route_count(&self) -> usize {
-        self.routes.len()
-    }
 }
 
 impl Agent for Switch {

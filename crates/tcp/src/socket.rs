@@ -63,12 +63,8 @@ pub struct TcpConfig {
     pub recv_buffer: usize,
     /// Window-scale shift we advertise.
     pub window_scale: u8,
-    /// Delayed-ACK timeout (`None` disables delaying).
-    pub delayed_ack: Option<SimDuration>,
     /// Record every RTT sample (needed for Figure 12 distributions).
     pub record_rtt_samples: bool,
-    /// TIME_WAIT dwell before the socket can be reaped.
-    pub time_wait: SimDuration,
     /// Give up (reset) after this many consecutive RTOs.
     pub max_consecutive_rtos: u32,
 }
@@ -80,9 +76,7 @@ impl Default for TcpConfig {
             send_buffer: 512 * 1024,
             recv_buffer: 8 * 1024 * 1024,
             window_scale: 9,
-            delayed_ack: Some(SimDuration::from_millis(40)),
             record_rtt_samples: true,
-            time_wait: SimDuration::from_millis(500),
             max_consecutive_rtos: 10,
         }
     }
@@ -1199,16 +1193,14 @@ impl TcpSocket {
         let in_order = off <= was_next && self.asm.next_expected() > was_next;
         let filled_or_ooo = !in_order || self.asm.out_of_order_bytes() > 0;
         self.segs_since_ack += 1;
-        if filled_or_ooo || accepted == 0 {
+        if filled_or_ooo || accepted == 0 || self.segs_since_ack >= 2 {
             // Out-of-order, hole-filling, or duplicate: ack immediately
-            // (RFC 5681 §4.2).
-            self.ack_urgency = AckUrgency::Immediate;
-        } else if self.segs_since_ack >= 2 || self.cfg.delayed_ack.is_none() {
+            // (RFC 5681 §4.2); in order, ack every second segment.
             self.ack_urgency = AckUrgency::Immediate;
         } else if self.ack_urgency < AckUrgency::Delayed {
+            const DELAYED_ACK: SimDuration = SimDuration::from_millis(40);
             self.ack_urgency = AckUrgency::Delayed;
-            self.delack_deadline =
-                Some(now + self.cfg.delayed_ack.unwrap_or(SimDuration::ZERO));
+            self.delack_deadline = Some(now + DELAYED_ACK);
         }
     }
 
@@ -1256,7 +1248,8 @@ impl TcpSocket {
     }
 
     fn enter_time_wait(&mut self, now: SimTime) {
-        self.time_wait_deadline = Some(now + self.cfg.time_wait);
+        const TIME_WAIT: SimDuration = SimDuration::from_millis(500);
+        self.time_wait_deadline = Some(now + TIME_WAIT);
         self.rto_deadline = None;
     }
 
