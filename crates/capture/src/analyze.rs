@@ -64,8 +64,6 @@ pub struct WireSubflow {
     pub delivered_bytes: u64,
     /// RTT sample distribution (ms).
     pub rtt: DistSummary,
-    /// Exact RTT samples (ms), in arrival order.
-    pub rtt_samples_ms: Vec<f64>,
 }
 
 /// Wire-derived per-connection statistics.
@@ -293,7 +291,6 @@ pub fn analyze(file: &PcapFile<'_>, server_port: u16) -> WireAnalysis {
                         bytes_sent: 0,
                         delivered_bytes: 0,
                         rtt: DistSummary::new(),
-                        rtt_samples_ms: Vec::new(),
                     },
                     SubflowState {
                         conn,
@@ -409,10 +406,7 @@ pub fn analyze(file: &PcapFile<'_>, server_port: u16) -> WireAnalysis {
                     if let Some(a) = st.base_seq.and_then(|base| unwrap_seq(base, seg.ack)) {
                         if let Some(&(sent, invalidated)) = st.pending_ack.get(&a) {
                             if !invalidated {
-                                let ms =
-                                    pkt.at.saturating_since(sent).as_secs_f64() * 1e3;
-                                sub.rtt.push(ms);
-                                sub.rtt_samples_ms.push(ms);
+                                sub.rtt.push(pkt.at.saturating_since(sent).as_secs_f64() * 1e3);
                             }
                         }
                         while st.pending_ack.first_key_value().is_some_and(|(&k, _)| k <= a) {
@@ -642,7 +636,7 @@ mod tests {
         assert_eq!(s.bytes_sent, 300);
         // Karn kills the 1001-range sample; the 1101 range was sent at 101
         // and cumulatively acked by the ack arriving at server at 345.
-        assert_eq!(s.rtt_samples_ms, vec![244.0]);
+        assert_eq!((s.rtt.count(), s.rtt.min(), s.rtt.max()), (1, 244.0, 244.0));
     }
 
     #[test]
@@ -671,7 +665,7 @@ mod tests {
         assert_eq!(s.rexmit_segs, 0);
         // Only the segment at the base is timed (sent 100, acked at 345) and
         // only its bytes count as delivered in subflow sequence space.
-        assert_eq!(s.rtt_samples_ms, vec![245.0]);
+        assert_eq!((s.rtt.count(), s.rtt.min(), s.rtt.max()), (1, 245.0, 245.0));
         assert_eq!(s.delivered_bytes, 100);
     }
 

@@ -225,7 +225,6 @@ fn mptcp_config(cfg: &CheckConfig) -> MptcpConfig {
     c.coupling = cfg.coupling;
     c.syn_mode = cfg.syn_mode;
     c.max_subflows = 2;
-    c.record_ofo_samples = false;
     c
 }
 

@@ -16,7 +16,7 @@ use std::rc::Rc;
 
 use bytes::Bytes;
 use mpw_sim::{SimDuration, SimRng, SimTime};
-use mpw_tcp::buf::{Assembler, OfoSample, SendBuffer};
+use mpw_tcp::buf::{Assembler, SendBuffer};
 use mpw_tcp::wire::{tcp_flags, DssMapping};
 use mpw_tcp::{
     Addr, CcConfig, Endpoint, MptcpOption, OptionList, SeqNum, TcpConfig, TcpHooks, TcpOption,
@@ -172,9 +172,7 @@ pub struct MptcpConfig {
     /// or stalled — the "backup mode" of Paasch et al. that the paper
     /// contrasts with full-MPTCP mode (§7).
     pub backup_ifs: Vec<u8>,
-    /// Record exact per-range out-of-order delay samples at the connection
-    /// level (capture cross-checks). The constant-memory streaming summary is
-    /// always maintained; campaigns run with this off.
+    /// Ignored; stays while `benchmark/` names it (ROADMAP 7(i)).
     pub record_ofo_samples: bool,
     /// Path lifecycle: subflow-death detection and re-establishment.
     pub lifecycle: LifecycleConfig,
@@ -193,19 +191,9 @@ impl Default for MptcpConfig {
             penalization: false,
             max_subflows: 2,
             backup_ifs: Vec::new(),
-            record_ofo_samples: true,
+            record_ofo_samples: false,
             lifecycle: LifecycleConfig::default(),
         }
-    }
-}
-
-impl MptcpConfig {
-    /// This configuration with exact per-sample RTT and out-of-order delay
-    /// recording off (see [`TcpConfig::summaries_only`]).
-    pub fn summaries_only(mut self) -> Self {
-        self.tcp = self.tcp.summaries_only();
-        self.record_ofo_samples = false;
-        self
     }
 }
 
@@ -716,7 +704,7 @@ impl MptcpConnection {
             token: token_from_key(local_key),
             remote_capable: None,
             recv_buffer: cfg.recv_buffer,
-            rx: Assembler::new(0, cfg.record_ofo_samples),
+            rx: Assembler::new(0, false),
             peer_data_ack: 0,
             peer_data_fin: None,
             data_fin_needs_ack: false,
@@ -789,7 +777,7 @@ impl MptcpConnection {
             token: token_from_key(client_key),
             remote_capable: Some(true),
             recv_buffer: cfg.recv_buffer,
-            rx: Assembler::new(0, cfg.record_ofo_samples),
+            rx: Assembler::new(0, false),
             peer_data_ack: 0,
             peer_data_fin: None,
             data_fin_needs_ack: false,
@@ -1100,14 +1088,8 @@ impl MptcpConnection {
         self.shared.borrow().flows.get(idx).map_or(0, |f| f.delivered_bytes)
     }
 
-    /// Drain connection-level out-of-order delay samples (§3.3). Exact
-    /// samples exist only when `record_ofo_samples` is set.
-    pub fn take_ofo_samples(&mut self) -> Vec<OfoSample> {
-        self.shared.borrow_mut().rx.take_ofo_samples()
-    }
-
-    /// Streaming summary of connection-level out-of-order delays in
-    /// milliseconds (always maintained, constant memory).
+    /// Streaming summary of connection-level out-of-order delays (§3.3) in
+    /// milliseconds (constant memory).
     pub fn ofo_summary(&self) -> mpw_metrics::DistSummary {
         self.shared.borrow().rx.ofo_summary().clone()
     }

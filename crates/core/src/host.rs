@@ -44,21 +44,6 @@ pub enum TransportSpec {
     Mptcp(MptcpConfig),
 }
 
-impl TransportSpec {
-    /// This transport with exact per-sample recording off (see
-    /// [`TcpConfig::summaries_only`]).
-    pub fn summaries_only(self) -> Self {
-        match self {
-            TransportSpec::Plain { tcp, cc, if_index } => TransportSpec::Plain {
-                tcp: tcp.summaries_only(),
-                cc,
-                if_index,
-            },
-            TransportSpec::Mptcp(cfg) => TransportSpec::Mptcp(cfg.summaries_only()),
-        }
-    }
-}
-
 /// A live transport: either an MPTCP connection or a plain TCP socket.
 // A handful of these exist per host (one per connection slot), so the
 // size spread between variants is not worth the indirection of boxing.

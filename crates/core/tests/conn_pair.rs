@@ -434,17 +434,14 @@ fn ofo_samples_reflect_path_asymmetry() {
             break;
         }
     }
-    let samples = p.client.take_ofo_samples();
-    assert!(!samples.is_empty());
+    let ofo = p.client.ofo_summary();
+    assert!(!ofo.is_empty());
     // With 10 ms vs 40 ms paths, some packets waited roughly the RTT gap.
-    let max_delay = samples.iter().map(|s| s.delay).max().unwrap();
     assert!(
-        max_delay >= SimDuration::from_millis(20),
-        "expected visible reordering delay, max {max_delay}"
+        ofo.max() >= 20.0,
+        "expected visible reordering delay, max {} ms",
+        ofo.max()
     );
-    // Total sampled bytes equal the delivered stream.
-    let bytes: u64 = samples.iter().map(|s| s.bytes as u64).sum();
-    assert_eq!(bytes, p.client.delivered_offset());
 }
 
 #[test]

@@ -354,11 +354,9 @@ mod tests {
                 data_segs_sent: 100,
                 rexmit_segs: 2,
                 rtt,
-                rtt_samples_ms: Vec::new(),
                 established: true,
             }],
             ofo: DistSummary::new(),
-            ofo_samples_ms: Vec::new(),
             fell_back: false,
         }
     }

@@ -203,14 +203,10 @@ pub fn crosscheck(m: &Measurement, wa: &WireAnalysis, tol: &Tolerances) -> Cross
         );
     }
 
-    // OFO shape: fraction of delayed samples. Compare via the streaming
-    // summary when exact stack samples are off (campaign mode).
+    // OFO shape: fraction of delayed samples, the stack's from its
+    // streaming summary, the wire's from the analyzer's exact samples.
     if m.ofo.count() > 0 && conn.ofo.count() > 0 {
-        let f_stack = if m.ofo_samples_ms.is_empty() {
-            m.ofo.frac_above(10.0)
-        } else {
-            delayed_frac(&m.ofo_samples_ms)
-        };
+        let f_stack = m.ofo.frac_above(10.0);
         let f_wire = delayed_frac(&conn.ofo_samples_ms);
         check(
             "ofo_delayed_frac".into(),

@@ -257,13 +257,8 @@ pub fn run_handover(spec: &HandoverSpec) -> HandoverMeasurement {
         cfg.lifecycle.policy = spec.policy;
     }
     let tb_spec = TestbedSpec::two_path(spec.seed, wifi, cellular).mirroring(&transport);
-    let mut tb = Testbed::build(tb_spec.summaries_only());
-    let slot = tb.download(
-        transport.summaries_only(),
-        spec.size,
-        SimTime::from_millis(100),
-        true,
-    );
+    let mut tb = Testbed::build(tb_spec);
+    let slot = tb.download(transport, spec.size, SimTime::from_millis(100), true);
     let bindings: Vec<PathBinding> = tb
         .paths
         .iter()

@@ -1,9 +1,8 @@
 //! Running one measurement and harvesting its metrics.
 //!
-//! Campaign runs keep memory flat: per-sample RTT/OFO vectors are disabled
-//! and the constant-memory streaming summaries ([`DistSummary`]) carry the
-//! distributions instead. [`run_measurement_traced`] keeps the exact vectors
-//! on.
+//! Memory stays flat in download size: every per-packet RTT and
+//! out-of-order delay lands in a constant-memory streaming summary
+//! ([`DistSummary`]), the one record of each distribution.
 
 use mpw_fleet::{sender_subflows, subflow_deliveries, ClientFlow};
 use mpw_link::{LinkConfig, PathSpec, Technology};
@@ -30,11 +29,8 @@ pub struct SubflowMeasurement {
     /// Retransmitted segments (loss-rate numerator, §3.3).
     pub rexmit_segs: u64,
     /// Streaming summary of per-packet RTTs in milliseconds (server side,
-    /// tcptrace rule). Always populated, regardless of exact recording.
+    /// tcptrace rule).
     pub rtt: DistSummary,
-    /// Exact per-packet RTT samples in milliseconds. Only populated in
-    /// traced runs; campaigns leave it empty and use [`Self::rtt`].
-    pub rtt_samples_ms: Vec<f64>,
     /// Whether the subflow ever established.
     pub established: bool,
 }
@@ -78,9 +74,6 @@ pub struct Measurement {
     /// Streaming summary of connection-level out-of-order delays in
     /// milliseconds. Always populated for MPTCP runs.
     pub ofo: DistSummary,
-    /// Exact connection-level out-of-order delay samples in milliseconds.
-    /// Only populated in traced runs; campaigns use [`Self::ofo`].
-    pub ofo_samples_ms: Vec<f64>,
     /// Whether MPTCP fell back to plain TCP.
     pub fell_back: bool,
 }
@@ -119,11 +112,8 @@ fn horizon_for(scenario: &Scenario, wifi: &PathSpec, cellular: &PathSpec) -> Sim
 }
 
 /// Run one measurement to completion (or horizon) and harvest metrics.
-///
-/// Campaign mode: exact per-sample recording is off, distributions come
-/// from the streaming summaries, memory stays flat in download size.
 pub fn run_measurement(scenario: &Scenario, seed: u64) -> Measurement {
-    run_measurement_inner(scenario, seed, false, None).0
+    run_measurement_inner(scenario, seed, None).0
 }
 
 /// As [`run_measurement`], but with wire capture taps attached at the
@@ -133,7 +123,7 @@ pub fn run_measurement(scenario: &Scenario, seed: u64) -> Measurement {
 /// without drawing randomness or scheduling events.
 pub fn run_measurement_captured(scenario: &Scenario, seed: u64) -> (Measurement, Vec<u8>) {
     let hub = capture_hub(scenario.size);
-    let (m, _tb) = run_measurement_inner(scenario, seed, false, Some(hub.clone()));
+    let (m, _tb) = run_measurement_inner(scenario, seed, Some(hub.clone()));
     let pcap = hub.borrow_mut().finish();
     (m, pcap)
 }
@@ -187,9 +177,9 @@ fn lossfree_path() -> PathSpec {
 /// simulated times (the run loop slices `run_until` at the boundaries,
 /// which preserves event order), so the window contents are deterministic.
 ///
-/// Campaign-mode metrics recording (streaming summaries only) keeps the
-/// measurement itself off the heap; segment counters are sampled *outside*
-/// the marks so the harvesting does not pollute the window.
+/// Streaming summaries keep the measurement itself off the heap; segment
+/// counters are sampled *outside* the marks so the harvesting does not
+/// pollute the window.
 pub fn run_lossfree_download_windowed(
     size: u64,
     seed: u64,
@@ -208,12 +198,10 @@ pub fn run_lossfree_download_windowed(
         cfg.tcp.send_buffer = 64 * 1024;
         cfg.conn_send_buffer = 512 * 1024;
     }
-    let mut spec = TestbedSpec::two_path(seed, lossfree_path(), lossfree_path())
-        .mirroring(&transport)
-        .summaries_only();
+    let mut spec =
+        TestbedSpec::two_path(seed, lossfree_path(), lossfree_path()).mirroring(&transport);
     spec.capture = hub.clone();
     spec.server_tcp.send_buffer = 64 * 1024;
-    let transport = transport.summaries_only();
     let mut tb = Testbed::build(spec);
     let slot = tb.download(transport, size, SimTime::from_millis(100), false);
     let who = ("loss-free probe", seed);
@@ -222,16 +210,16 @@ pub fn run_lossfree_download_windowed(
     // stops on its horizon): counters sampled *before* the mark so the
     // sampling itself stays outside the measured window.
     tb.run_flow(slot, window.0, &who);
-    let (segs_at_start, _) = server_segments(&mut tb);
+    let (segs_at_start, _) = server_segments(&tb);
     mark(0);
     tb.run_flow(slot, window.1, &who);
     mark(1);
-    let (segs_at_end, _) = server_segments(&mut tb);
+    let (segs_at_end, _) = server_segments(&tb);
 
     // On to completion (bounded, in slices, as in measurement runs).
     let horizon = tb.world.now() + SimDuration::from_secs(600);
     let flow = tb.run_flow(slot, horizon, &who);
-    let (_, rexmit_segs) = server_segments(&mut tb);
+    let (_, rexmit_segs) = server_segments(&tb);
     let pcap_bytes = hub.map_or(0, |h| h.borrow_mut().finish().len());
     LossfreeProbe {
         bytes: flow.app_bytes,
@@ -243,8 +231,8 @@ pub fn run_lossfree_download_windowed(
 }
 
 /// Data segments sent and retransmitted by the server's only connection.
-fn server_segments(tb: &mut Testbed) -> (u64, u64) {
-    let host = tb.world.agent_mut::<Host>(tb.server).expect("server");
+fn server_segments(tb: &Testbed) -> (u64, u64) {
+    let host = tb.world.agent::<Host>(tb.server).expect("server");
     sender_subflows(host, 0)
         .iter()
         .fold((0, 0), |(sent, rexmit), s| {
@@ -253,23 +241,22 @@ fn server_segments(tb: &mut Testbed) -> (u64, u64) {
 }
 
 /// As [`run_measurement`], but the entry point that also hands back the
-/// testbed, with exact per-sample recording on. The third argument is the
-/// benchmark's shim (see [`TraceLevel`]) and selects nothing.
+/// testbed. The third argument is the benchmark's shim (see
+/// [`TraceLevel`]) and selects nothing.
 pub fn run_measurement_traced(
     scenario: &Scenario,
     seed: u64,
     _: TraceLevel,
 ) -> (Measurement, Testbed) {
-    run_measurement_inner(scenario, seed, true, None)
+    run_measurement_inner(scenario, seed, None)
 }
 
 fn run_measurement_inner(
     scenario: &Scenario,
     seed: u64,
-    exact: bool,
     capture: Option<mpw_capture::SharedHub>,
 ) -> (Measurement, Testbed) {
-    let mut run = MeasurementRun::start(scenario, seed, exact, capture);
+    let mut run = MeasurementRun::start(scenario, seed, capture);
     run.run();
     let m = run.harvest();
     (m, run.tb)
@@ -289,13 +276,11 @@ pub struct MeasurementRun<'a> {
 }
 
 impl<'a> MeasurementRun<'a> {
-    /// Build the testbed of `scenario` and queue its download at 100 ms.
-    /// `exact` keeps the per-sample RTT/OFO vectors (which a harvest
-    /// drains); `capture` taps every path onto the hub.
+    /// Build the testbed of `scenario` and queue its download at 100 ms;
+    /// `capture` taps every path onto the hub.
     pub fn start(
         scenario: &'a Scenario,
         seed: u64,
-        exact: bool,
         capture: Option<mpw_capture::SharedHub>,
     ) -> Self {
         let wifi = scenario.wifi.spec(scenario.period);
@@ -305,12 +290,8 @@ impl<'a> MeasurementRun<'a> {
         let mut spec = TestbedSpec::two_path(seed, wifi, cellular);
         spec.capture = capture;
         spec.dual_homed_server = scenario.flow.needs_dual_homed_server();
-        let mut transport = scenario.flow.transport();
+        let transport = scenario.flow.transport();
         spec = spec.mirroring(&transport);
-        if !exact {
-            spec = spec.summaries_only();
-            transport = transport.summaries_only();
-        }
         let mut tb = Testbed::build(spec);
         let slot = tb.download(
             transport,
@@ -335,11 +316,11 @@ impl<'a> MeasurementRun<'a> {
             .run_flow(self.slot, self.horizon, &(self.seed, self.scenario));
     }
 
-    /// The measurement as the two hosts stand now.
-    pub fn harvest(&mut self) -> Measurement {
+    /// The measurement as the two hosts stand now. Reads them only.
+    pub fn harvest(&self) -> Measurement {
         let flow = harvest(&self.tb.world, self.tb.client, self.slot);
         measurement(
-            &mut self.tb,
+            &self.tb,
             self.slot,
             &flow,
             self.technologies,
@@ -351,7 +332,7 @@ impl<'a> MeasurementRun<'a> {
 
 /// The measurement view of a harvested flow.
 fn measurement(
-    tb: &mut Testbed,
+    tb: &Testbed,
     slot: usize,
     flow: &ClientFlow,
     technologies: [Technology; 2],
@@ -360,24 +341,18 @@ fn measurement(
 ) -> Measurement {
     // Client side: per-subflow delivered bytes and connection-level
     // out-of-order delays.
-    let host = tb.world.agent_mut::<Host>(tb.client).expect("client");
+    let host = tb.world.agent::<Host>(tb.client).expect("client");
     let delivered = subflow_deliveries(host, slot);
-    let (ofo, ofo_samples_ms) = match host.transport_mut(slot) {
-        Some(Transport::Mp(c)) => (
-            c.ofo_summary(),
-            c.take_ofo_samples()
-                .iter()
-                .map(|s| s.delay.as_secs_f64() * 1e3)
-                .collect(),
-        ),
-        _ => (DistSummary::new(), Vec::new()),
+    let ofo = match host.transport(slot) {
+        Some(Transport::Mp(c)) => c.ofo_summary(),
+        _ => DistSummary::new(),
     };
 
     // Server side: the data sender's per-subflow loss and RTT samples. The
     // server's matching slot is its only accepted connection (slot 0), its
     // subflows in the client's order; a plain-TCP server connection
     // carried exactly the body.
-    let host = tb.world.agent_mut::<Host>(tb.server).expect("server");
+    let host = tb.world.agent::<Host>(tb.server).expect("server");
     let plain = host.transport(0).is_some_and(|t| t.as_sp().is_some());
     let subflows: Vec<SubflowMeasurement> = sender_subflows(host, 0)
         .into_iter()
@@ -397,7 +372,6 @@ fn measurement(
                 data_segs_sent: s.stats.data_segs_sent,
                 rexmit_segs: s.stats.rexmit_segs,
                 rtt: s.rtt,
-                rtt_samples_ms: s.rtt_samples_ms,
                 established: s.stats.established_at.is_some(),
             }
         })
@@ -423,7 +397,6 @@ fn measurement(
         cellular_share,
         subflows,
         ofo,
-        ofo_samples_ms,
         fell_back: flow.fell_back,
     }
 }

@@ -38,7 +38,7 @@ pub struct TestbedSpec {
     /// is the data sender, so its controller is the one that matters.
     pub server_mptcp: MptcpConfig,
     /// TCP configuration for plain (non-MPTCP) connections the server
-    /// accepts — lets campaigns disable exact per-sample recording.
+    /// accepts.
     pub server_tcp: TcpConfig,
     /// Optional wire-capture hub. When set, every path gets the paper's
     /// four tcpdump vantages (both link directions, seen at both ends)
@@ -74,14 +74,6 @@ impl TestbedSpec {
                 ..cfg.clone()
             };
         }
-        self
-    }
-
-    /// This spec with the server's exact per-sample recording off
-    /// (campaign mode: the streaming summaries carry the distributions).
-    pub fn summaries_only(mut self) -> Self {
-        self.server_mptcp = self.server_mptcp.summaries_only();
-        self.server_tcp = self.server_tcp.summaries_only();
         self
     }
 }

@@ -47,10 +47,9 @@ struct Tally {
 /// to compare).
 fn check(scenario: &Scenario, seed: u64) -> bool {
     let hub = CaptureHub::shared(0);
-    let mut run = MeasurementRun::start(scenario, seed, false, Some(hub.clone()));
+    let mut run = MeasurementRun::start(scenario, seed, Some(hub.clone()));
     run.run();
     let stop = run.tb.world.now();
-    // Read before the harvest: harvesting dirties the slots it reads.
     let quiescent = run.tb.is_quiescent();
     let at_stop = serde_json::to_string(&run.harvest()).expect("measurement serializes");
     let who = format!("{scenario:?} seed {seed} stopped at {stop:?}");

@@ -69,19 +69,11 @@ pub struct FleetRun {
     pub server: AgentId,
 }
 
-/// Fleets run with exact per-sample recording off: the constant-memory
-/// summaries are enough for aggregate reports, and N×samples would
-/// dominate memory at thousands of flows.
-fn fleet_tcp() -> TcpConfig {
-    TcpConfig::default().summaries_only()
-}
-
 fn fleet_mptcp(max_subflows: usize) -> MptcpConfig {
     MptcpConfig {
         max_subflows,
         ..MptcpConfig::default()
     }
-    .summaries_only()
 }
 
 /// One flow open of a client of `class` at `at`.
@@ -90,7 +82,7 @@ fn flow_request(class: ClientClass, spec: &FleetSpec, at: SimTime) -> OpenReques
         at,
         spec: match class {
             ClientClass::WifiOnly | ClientClass::LteOnly => TransportSpec::Plain {
-                tcp: fleet_tcp(),
+                tcp: TcpConfig::default(),
                 cc: CcConfig::default(),
                 if_index: 0,
             },
@@ -195,7 +187,7 @@ pub fn run_fleet_windowed(
             done: false,
         });
     }
-    topo.serve(SERVER_PORT, fleet_mptcp(8), fleet_tcp());
+    topo.serve(SERVER_PORT, fleet_mptcp(8), TcpConfig::default());
     let (wifi_path, cell_path) = (topo.nets[wifi].path, topo.nets[cell].path);
     let mut world = topo.world;
 

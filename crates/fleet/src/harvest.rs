@@ -98,34 +98,25 @@ pub struct SenderSubflow {
     pub stats: SocketStats,
     /// Streaming summary of per-packet RTTs in milliseconds.
     pub rtt: DistSummary,
-    /// Exact per-packet RTT samples in milliseconds since the previous
-    /// harvest (empty unless the socket records them).
-    pub rtt_samples_ms: Vec<f64>,
 }
 
 impl SenderSubflow {
-    fn of(sock: &mut TcpSocket) -> SenderSubflow {
+    fn of(sock: &TcpSocket) -> SenderSubflow {
         SenderSubflow {
             client_addr: sock.remote().addr,
             stats: sock.stats(),
             rtt: sock.rtt().summary().clone(),
-            rtt_samples_ms: sock
-                .take_rtt_samples()
-                .iter()
-                .map(|(_, d)| d.as_secs_f64() * 1e3)
-                .collect(),
         }
     }
 }
 
 /// Harvest server slot `slot`, one record per subflow in creation order.
-/// Drains the exact RTT samples recorded so far.
-pub fn sender_subflows(host: &mut Host, slot: usize) -> Vec<SenderSubflow> {
-    match host.transport_mut(slot) {
+pub fn sender_subflows(host: &Host, slot: usize) -> Vec<SenderSubflow> {
+    match host.transport(slot) {
         Some(Transport::Mp(conn)) => conn
             .subflows
-            .iter_mut()
-            .map(|sf| SenderSubflow::of(&mut sf.sock))
+            .iter()
+            .map(|sf| SenderSubflow::of(&sf.sock))
             .collect(),
         Some(Transport::Sp(sock)) => vec![SenderSubflow::of(sock)],
         None => Vec::new(),

@@ -115,7 +115,7 @@ mod tests {
             RateLevel { bits_per_sec: 12_000_000, mean_dwell: SimDuration::from_millis(100) },
         ]);
         let mut rng = SimRng::seeded(2);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for ms in 0..5_000 {
             seen.insert(p.rate_at(SimTime::from_millis(ms), &mut rng));
         }

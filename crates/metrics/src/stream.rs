@@ -14,9 +14,9 @@
 //! * [`DistSummary`] — the composition used by the measurement harness:
 //!   exact moments + histogram shape, serializable and mergeable.
 //!
-//! The exact-sample paths (`Vec<f64>` accumulation) remain available
-//! behind the recording flags of the TCP/MPTCP layers for the capture
-//! cross-check; campaigns run with them off.
+//! Each RTT and out-of-order delay sample the TCP/MPTCP layers take lands
+//! in one [`DistSummary`] and nowhere else; only the wire analyzer keeps
+//! an exact vector, as the capture cross-check's reference side.
 
 use serde::{Deserialize, Serialize};
 

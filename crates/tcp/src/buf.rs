@@ -12,7 +12,7 @@ use std::collections::{BTreeMap, VecDeque};
 
 use bytes::{Bytes, BytesMut};
 use mpw_metrics::DistSummary;
-use mpw_sim::{SimDuration, SimTime};
+use mpw_sim::SimTime;
 
 /// The sender-side stream buffer: bytes the application has written that are
 /// not yet cumulatively acknowledged.
@@ -206,18 +206,6 @@ impl SendBuffer {
     }
 }
 
-/// One out-of-order delay observation: the packet's payload became in-order
-/// `delay` after it arrived at the receive buffer.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct OfoSample {
-    /// When the bytes became deliverable (in data-sequence order).
-    pub at: SimTime,
-    /// Time spent waiting in the receive buffer.
-    pub delay: SimDuration,
-    /// Number of payload bytes in the range this sample describes.
-    pub bytes: u32,
-}
-
 /// Out-of-order reassembly store over absolute stream offsets.
 #[derive(Debug)]
 pub struct Assembler {
@@ -231,10 +219,8 @@ pub struct Assembler {
     ready: VecDeque<(u64, Bytes)>,
     ready_bytes: usize,
     ooo_bytes: usize,
-    /// Out-of-order delay samples (recorded only if enabled).
-    ofo: Option<Vec<OfoSample>>,
-    /// Streaming summary of out-of-order delays in milliseconds, weighted
-    /// per promoted range (always on; constant memory).
+    /// Streaming summary of out-of-order delays in milliseconds, one sample
+    /// per promoted range (constant memory).
     ofo_summary: DistSummary,
     /// Total payload bytes accepted (deduplicated).
     accepted: u64,
@@ -248,9 +234,9 @@ pub struct Assembler {
 }
 
 impl Assembler {
-    /// New assembler expecting offset `start` first. `record_ofo` enables
-    /// out-of-order delay sampling (used at the MPTCP connection level).
-    pub fn new(start: u64, record_ofo: bool) -> Self {
+    /// New assembler expecting offset `start` first. `_record_ofo` is
+    /// ignored; stays while `benchmark/` names it (ROADMAP 7(i)).
+    pub fn new(start: u64, _record_ofo: bool) -> Self {
         Assembler {
             segs: BTreeMap::new(),
             next: start,
@@ -261,7 +247,6 @@ impl Assembler {
             ready: VecDeque::with_capacity(256),
             ready_bytes: 0,
             ooo_bytes: 0,
-            ofo: record_ofo.then(Vec::new),
             ofo_summary: DistSummary::new(),
             accepted: 0,
             duplicate_bytes: 0,
@@ -355,13 +340,6 @@ impl Assembler {
             self.accepted += len as u64;
             self.duplicate_bytes += orig - len as u64;
             self.ofo_summary.push(0.0);
-            if let Some(samples) = &mut self.ofo {
-                samples.push(OfoSample {
-                    at: now,
-                    delay: SimDuration::ZERO,
-                    bytes: len as u32,
-                });
-            }
             self.ready.push_back((start, data));
             return len;
         }
@@ -416,13 +394,6 @@ impl Assembler {
             self.ready_bytes += len;
             let delay = now.saturating_since(arrived);
             self.ofo_summary.push(delay.as_secs_f64() * 1e3);
-            if let Some(samples) = &mut self.ofo {
-                samples.push(OfoSample {
-                    at: now,
-                    delay,
-                    bytes: len as u32,
-                });
-            }
             self.ready.push_back((off, piece));
         }
         accepted
@@ -436,17 +407,9 @@ impl Assembler {
     }
 
     /// Streaming summary of out-of-order delays (ms), one sample per
-    /// promoted range. Populated whether or not exact recording is on.
+    /// promoted range.
     pub fn ofo_summary(&self) -> &DistSummary {
         &self.ofo_summary
-    }
-
-    /// Drain recorded out-of-order delay samples.
-    pub fn take_ofo_samples(&mut self) -> Vec<OfoSample> {
-        match &mut self.ofo {
-            Some(v) => std::mem::take(v),
-            None => Vec::new(),
-        }
     }
 
     /// Feed an order-relevant summary (in-order point, out-of-order ranges,
@@ -540,6 +503,7 @@ impl Assembler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mpw_sim::SimDuration;
     use proptest::prelude::*;
 
     fn b(s: &[u8]) -> Bytes {
@@ -757,45 +721,25 @@ mod tests {
 
         #[test]
         fn ofo_delay_measures_hole_wait() {
-            let mut a = Assembler::new(0, true);
+            let mut a = Assembler::new(0, false);
             let t0 = SimTime::from_millis(100);
             let t1 = SimTime::from_millis(160);
             // Packet for [2,4) arrives early, waits for [0,2).
             a.insert(2, b(b"cd"), t0);
             a.insert(0, b(b"ab"), t1);
-            let samples = a.take_ofo_samples();
-            assert_eq!(samples.len(), 2);
-            // The filling packet itself is in-order: zero delay.
-            assert_eq!(samples[0].delay, SimDuration::ZERO);
-            assert_eq!(samples[0].bytes, 2);
-            // The early packet waited 60 ms.
-            assert_eq!(samples[1].delay, SimDuration::from_millis(60));
-            assert_eq!(samples[1].at, t1);
+            // One sample per promoted range: the filling packet itself is
+            // in-order (zero delay), the early one waited 60 ms.
+            let s = a.ofo_summary();
+            assert_eq!((s.count(), s.min(), s.max()), (2, 0.0, 60.0));
         }
 
         #[test]
         fn ofo_in_order_samples_are_zero() {
-            let mut a = Assembler::new(0, true);
+            let mut a = Assembler::new(0, false);
             a.insert(0, b(b"ab"), SimTime::from_millis(5));
             a.insert(2, b(b"cd"), SimTime::from_millis(9));
-            let samples = a.take_ofo_samples();
-            assert!(samples.iter().all(|s| s.delay == SimDuration::ZERO));
-        }
-
-        #[test]
-        fn ofo_summary_streams_without_recording() {
-            let mut a = Assembler::new(0, false);
-            let t0 = SimTime::from_millis(100);
-            let t1 = SimTime::from_millis(150);
-            a.insert(2, b(b"cd"), t0);
-            a.insert(0, b(b"ab"), t1);
-            // Exact recording is off...
-            assert!(a.take_ofo_samples().is_empty());
-            // ...but the streaming summary still saw both promoted ranges.
             let s = a.ofo_summary();
-            assert_eq!(s.count(), 2);
-            assert_eq!(s.min(), 0.0);
-            assert_eq!(s.max(), 50.0);
+            assert_eq!((s.count(), s.min(), s.max()), (2, 0.0, 0.0));
         }
 
         #[test]
@@ -849,7 +793,7 @@ mod tests {
                 }
                 rng.shuffle(&mut segs);
 
-                let mut a = Assembler::new(0, true);
+                let mut a = Assembler::new(0, false);
                 let mut t = SimTime::ZERO;
                 for (off, data) in segs {
                     t += SimDuration::from_millis(1);
@@ -866,9 +810,6 @@ mod tests {
                 prop_assert_eq!(out, stream);
                 prop_assert_eq!(a.buffered_bytes(), 0);
                 prop_assert_eq!(a.accepted_bytes(), len as u64);
-                // Every byte accounted: samples cover the whole stream.
-                let total: u64 = a.take_ofo_samples().iter().map(|s| s.bytes as u64).sum();
-                prop_assert_eq!(total, len as u64);
             }
         }
     }

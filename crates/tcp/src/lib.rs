@@ -34,7 +34,7 @@ pub mod socket;
 pub mod testkit;
 pub mod wire;
 
-pub use buf::{Assembler, OfoSample, SendBuffer};
+pub use buf::{Assembler, SendBuffer};
 pub use cc::{CcConfig, CongestionControl, NewReno};
 pub use hooks::{NoHooks, TcpHooks, TxKind};
 pub use rtt::RttEstimator;

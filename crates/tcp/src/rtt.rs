@@ -1,13 +1,12 @@
 //! Round-trip-time estimation and retransmission timeout (RFC 6298).
 //!
 //! Karn's rule is enforced by the caller (the socket never feeds samples
-//! from retransmitted segments). A constant-memory [`DistSummary`] of every
-//! accepted sample (in milliseconds) is always maintained for the paper's
-//! Figure 12 distributions; exact per-sample recording remains available
-//! behind `record_samples`.
+//! from retransmitted segments). Every accepted sample (in milliseconds)
+//! lands in one constant-memory [`DistSummary`], the only record the
+//! paper's Figure 12 distributions are read from.
 
 use mpw_metrics::DistSummary;
-use mpw_sim::{SimDuration, SimTime};
+use mpw_sim::SimDuration;
 
 /// RFC 6298 constants.
 const ALPHA: f64 = 1.0 / 8.0;
@@ -25,18 +24,15 @@ pub struct RttEstimator {
     max_rto: SimDuration,
     /// Granularity clock G from RFC 6298 (we use 1 ms).
     granularity: SimDuration,
-    /// All accepted samples (for distribution analysis), if enabled.
-    samples: Option<Vec<(SimTime, SimDuration)>>,
-    /// Streaming summary of accepted samples in milliseconds (always on).
+    /// Streaming summary of accepted samples in milliseconds.
     summary: DistSummary,
     latest: Option<SimDuration>,
-    sample_count: u64,
 }
 
-impl RttEstimator {
-    /// New estimator with the conventional initial RTO of 1 s (RFC 6298
-    /// recommends 1 s; Linux uses 1 s with a 200 ms floor).
-    pub fn new(record_samples: bool) -> Self {
+impl Default for RttEstimator {
+    /// The conventional initial RTO of 1 s (RFC 6298 recommends 1 s; Linux
+    /// uses 1 s with a 200 ms floor).
+    fn default() -> Self {
         RttEstimator {
             srtt: None,
             rttvar: SimDuration::ZERO,
@@ -45,21 +41,17 @@ impl RttEstimator {
             min_rto: SimDuration::from_millis(200),
             max_rto: SimDuration::from_secs(60),
             granularity: SimDuration::from_millis(1),
-            samples: record_samples.then(Vec::new),
             summary: DistSummary::new(),
             latest: None,
-            sample_count: 0,
         }
     }
+}
 
+impl RttEstimator {
     /// Feed one RTT sample (from a segment that was *not* retransmitted).
-    pub fn on_sample(&mut self, at: SimTime, rtt: SimDuration) {
-        self.sample_count += 1;
+    pub fn on_sample(&mut self, rtt: SimDuration) {
         self.latest = Some(rtt);
         self.summary.push(rtt.as_secs_f64() * 1e3);
-        if let Some(v) = &mut self.samples {
-            v.push((at, rtt));
-        }
         let srtt = match self.srtt {
             None => {
                 self.rttvar = rtt / 2;
@@ -109,26 +101,9 @@ impl RttEstimator {
         self.rttvar
     }
 
-    /// Number of samples accepted.
-    pub fn sample_count(&self) -> u64 {
-        self.sample_count
-    }
-
     /// Streaming summary of all accepted samples, in milliseconds.
     pub fn summary(&self) -> &DistSummary {
         &self.summary
-    }
-
-    /// All recorded samples (empty if recording is disabled).
-    pub fn samples(&self) -> &[(SimTime, SimDuration)] {
-        self.samples.as_deref().unwrap_or(&[])
-    }
-
-    /// Drain recorded samples, leaving the estimator state intact.
-    pub fn take_samples(&mut self) -> Vec<(SimTime, SimDuration)> {
-        self.samples.take().inspect(|_v| {
-            self.samples = Some(Vec::new());
-        }).unwrap_or_default()
     }
 }
 
@@ -142,8 +117,8 @@ mod tests {
 
     #[test]
     fn first_sample_initializes_per_rfc() {
-        let mut e = RttEstimator::new(false);
-        e.on_sample(SimTime::ZERO, ms(100));
+        let mut e = RttEstimator::default();
+        e.on_sample(ms(100));
         assert_eq!(e.srtt(), Some(ms(100)));
         assert_eq!(e.rttvar(), ms(50));
         // RTO = SRTT + 4*RTTVAR = 100 + 200 = 300 ms.
@@ -152,9 +127,9 @@ mod tests {
 
     #[test]
     fn steady_samples_tighten_rto() {
-        let mut e = RttEstimator::new(false);
-        for i in 0..100 {
-            e.on_sample(SimTime::from_millis(i * 10), ms(50));
+        let mut e = RttEstimator::default();
+        for _ in 0..100 {
+            e.on_sample(ms(50));
         }
         assert_eq!(e.srtt(), Some(ms(50)));
         // Variance decays toward zero; RTO hits the 200 ms floor.
@@ -163,18 +138,18 @@ mod tests {
 
     #[test]
     fn variable_samples_widen_rto() {
-        let mut e = RttEstimator::new(false);
+        let mut e = RttEstimator::default();
         for i in 0..50 {
             let rtt = if i % 2 == 0 { ms(50) } else { ms(450) };
-            e.on_sample(SimTime::from_millis(i * 10), rtt);
+            e.on_sample(rtt);
         }
         assert!(e.rto() > ms(700), "rto {:?}", e.rto());
     }
 
     #[test]
     fn backoff_doubles_and_caps() {
-        let mut e = RttEstimator::new(false);
-        e.on_sample(SimTime::ZERO, ms(100));
+        let mut e = RttEstimator::default();
+        e.on_sample(ms(100));
         let base = e.rto();
         e.backoff();
         assert_eq!(e.rto(), base * 2);
@@ -188,11 +163,11 @@ mod tests {
 
     #[test]
     fn new_sample_clears_backoff() {
-        let mut e = RttEstimator::new(false);
-        e.on_sample(SimTime::ZERO, ms(100));
+        let mut e = RttEstimator::default();
+        e.on_sample(ms(100));
         e.backoff();
         e.backoff();
-        e.on_sample(SimTime::from_millis(500), ms(100));
+        e.on_sample(ms(100));
         // Second identical sample: rttvar decays to 37.5 ms → RTO 250 ms,
         // and crucially the backoff multiplier is gone.
         assert_eq!(e.rto(), ms(250));
@@ -200,51 +175,20 @@ mod tests {
 
     #[test]
     fn initial_rto_is_one_second() {
-        let e = RttEstimator::new(false);
+        let e = RttEstimator::default();
         assert_eq!(e.rto(), SimDuration::from_secs(1));
     }
 
     #[test]
-    fn recording_keeps_all_samples() {
-        let mut e = RttEstimator::new(true);
-        for i in 0..10 {
-            e.on_sample(SimTime::from_millis(i), ms(40 + i));
-        }
-        assert_eq!(e.samples().len(), 10);
-        assert_eq!(e.sample_count(), 10);
-        let drained = e.take_samples();
-        assert_eq!(drained.len(), 10);
-        assert!(e.samples().is_empty());
-        // Recording continues after draining.
-        e.on_sample(SimTime::from_millis(99), ms(77));
-        assert_eq!(e.samples().len(), 1);
-    }
-
-    #[test]
-    fn non_recording_keeps_count_only() {
-        let mut e = RttEstimator::new(false);
-        e.on_sample(SimTime::ZERO, ms(10));
-        assert!(e.samples().is_empty());
-        assert_eq!(e.sample_count(), 1);
-    }
-
-    #[test]
-    fn summary_streams_regardless_of_recording() {
-        let mut e = RttEstimator::new(false);
+    fn summary_streams_every_sample() {
+        let mut e = RttEstimator::default();
         for i in 0..100 {
-            e.on_sample(SimTime::from_millis(i * 10), ms(40 + (i % 20)));
+            e.on_sample(ms(40 + (i % 20)));
         }
         let s = e.summary();
         assert_eq!(s.count(), 100);
-        assert!(e.samples().is_empty());
         assert!((s.mean() - 49.5).abs() < 1e-9);
         assert_eq!(s.min(), 40.0);
         assert_eq!(s.max(), 59.0);
-        // Draining exact samples must not disturb the summary.
-        let mut r = RttEstimator::new(true);
-        r.on_sample(SimTime::ZERO, ms(25));
-        r.take_samples();
-        assert_eq!(r.summary().count(), 1);
-        assert_eq!(r.summary().mean(), 25.0);
     }
 }

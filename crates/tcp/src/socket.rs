@@ -63,7 +63,7 @@ pub struct TcpConfig {
     pub recv_buffer: usize,
     /// Window-scale shift we advertise.
     pub window_scale: u8,
-    /// Record every RTT sample (needed for Figure 12 distributions).
+    /// Ignored; stays while `benchmark/` names it (ROADMAP 7(i)).
     pub record_rtt_samples: bool,
     /// Give up (reset) after this many consecutive RTOs.
     pub max_consecutive_rtos: u32,
@@ -76,19 +76,9 @@ impl Default for TcpConfig {
             send_buffer: 512 * 1024,
             recv_buffer: 8 * 1024 * 1024,
             window_scale: 9,
-            record_rtt_samples: true,
+            record_rtt_samples: false,
             max_consecutive_rtos: 10,
         }
-    }
-}
-
-impl TcpConfig {
-    /// This configuration with exact per-sample RTT recording off: the
-    /// constant-memory streaming summary still carries the distribution,
-    /// and memory stays flat in transfer size (campaigns, fleets).
-    pub fn summaries_only(mut self) -> Self {
-        self.record_rtt_samples = false;
-        self
     }
 }
 
@@ -348,9 +338,8 @@ impl TcpSocket {
         iss: SeqNum,
         now: SimTime,
     ) -> Self {
-        let record = cfg.record_rtt_samples;
         TcpSocket {
-            rtt: RttEstimator::new(record),
+            rtt: RttEstimator::default(),
             asm: Assembler::new(0, false),
             state: TcpState::Closed,
             local,
@@ -446,11 +435,6 @@ impl TcpSocket {
     /// The RTT estimator (per-flow samples for Figure 12).
     pub fn rtt(&self) -> &RttEstimator {
         &self.rtt
-    }
-
-    /// Drain recorded RTT samples.
-    pub fn take_rtt_samples(&mut self) -> Vec<(SimTime, SimDuration)> {
-        self.rtt.take_samples()
     }
 
     /// Congestion controller (for inspection / coupling updates).
@@ -854,7 +838,7 @@ impl TcpSocket {
                     self.state = TcpState::Established;
                     self.stats.established_at = Some(now);
                     // The SYN round trip is a valid RTT sample.
-                    self.rtt.on_sample(now, now.saturating_since(self.stats.opened_at));
+                    self.rtt.on_sample(now.saturating_since(self.stats.opened_at));
                     self.hooks.on_rx(seg, 0, now);
                     self.hooks.on_established(now);
                 }
@@ -872,7 +856,7 @@ impl TcpSocket {
                     self.need_synack = false;
                     self.consecutive_rtos = 0;
                     self.rto_deadline = None;
-                    self.rtt.on_sample(now, now.saturating_since(self.stats.opened_at));
+                    self.rtt.on_sample(now.saturating_since(self.stats.opened_at));
                     self.hooks.on_established(now);
                     self.update_peer_window(seg);
                     // Fall through to normal processing for any payload.
@@ -1166,7 +1150,7 @@ impl TcpSocket {
             }
         }
         if let Some((sent, at)) = sample {
-            self.rtt.on_sample(at, at.saturating_since(sent));
+            self.rtt.on_sample(at.saturating_since(sent));
         }
     }
 
