@@ -25,8 +25,9 @@
 //! past that, so whatever the reader returns the writer stores whole.
 
 // Strict decode surface (DESIGN.md §5.12): on top of the crate's panic
-// wall, no indexing and no assert (the list is in the root `clippy.toml`).
-#![deny(clippy::indexing_slicing, clippy::disallowed_macros)]
+// wall, no indexing and no assert; and, as a data-path module of the alloc
+// wall, no `to_vec` (both lists are in the root `clippy.toml`).
+#![deny(clippy::indexing_slicing, clippy::disallowed_macros, clippy::disallowed_methods)]
 
 use core::fmt;
 

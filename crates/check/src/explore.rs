@@ -31,7 +31,7 @@
 //! violation the path is shrunk by greedy action deletion and printed as a
 //! tcpdump-style transcript of its replay.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -773,7 +773,7 @@ fn explore_inner(cfg: &CheckConfig) -> ExploreResult {
             return res;
         }
     };
-    let mut seen: HashSet<u64> = HashSet::new();
+    let mut seen: BTreeSet<u64> = BTreeSet::new();
     seen.insert(root.fingerprint());
     res.states = 1;
     let mut stack: Vec<Vec<Action>> = vec![Vec::new()];

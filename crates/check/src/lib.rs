@@ -1,6 +1,6 @@
 //! mpw-check: correctness tooling for the mpwild MPTCP stack.
 //!
-//! Three facilities, described in DESIGN.md §5.8 and §5.12:
+//! Two facilities, described in DESIGN.md §5.8:
 //!
 //! * **Invariant oracles** live in the protocol crates themselves
 //!   (`TcpSocket::validate`, `MptcpConnection::validate`,
@@ -15,19 +15,15 @@
 //!   [`mpw_mptcp::MptcpConnection`] machines, checking every invariant plus
 //!   end-to-end data integrity and eventual delivery, and printing a
 //!   shrunk, replayable counterexample trace on failure.
-//! * **[`lint_engine`]** — the two token walls (DESIGN.md §5.12) over a
-//!   hand-rolled Rust lexer: `determinism` (wall clocks, ambient
-//!   randomness, hash-ordered collections in the protocol crates) and
-//!   `alloc` (no per-segment heap constructs on the data path). Neither has
-//!   an opt-out; the `lint` binary emits the human and JSON reports CI
-//!   gates on. The properties that need types are held by the tools that
-//!   have them: a panic on the decode surface or in the six stack crates is
-//!   a `cargo clippy` error (`#![deny(clippy::…)]`, waived per site by a
-//!   reasoned `#[expect]`), raw arithmetic on a sequence number does not
-//!   type-check outside `tcp/seq.rs` (`SeqNum`'s field is private), and
-//!   `unsafe` is denied by the workspace `unsafe_code` lint every member
-//!   inherits. `tests/workspace_lints.rs` pins those attributes, the
-//!   `clippy.toml` macro list and the per-file waiver counts.
+//!
+//! The static walls are the compiler's and clippy's (DESIGN.md §5.12):
+//! determinism (`disallowed_types`, every member and target), alloc
+//! (`disallowed_methods` in the three data-path modules), panics
+//! (`#![deny(clippy::…)]`, waived per site by a reasoned `#[expect]`),
+//! sequence-number arithmetic (`SeqNum`'s field is private) and `unsafe`
+//! (the workspace `unsafe_code` lint). `tests/workspace_lints.rs` pins the
+//! attributes, the `clippy.toml` lists and the per-file waiver counts.
+//! [`lint_engine`] is a no-op kept for the names `benchmark/` binds.
 
 #![forbid(unsafe_code)]
 

@@ -3,8 +3,8 @@
 //! Debug builds replay ~10× slower than release, so the clean-exploration
 //! test here uses reduced bounds; the CI `check` job runs the release
 //! binary at default depth with `--min-states 10000` for the full-scale
-//! acceptance criterion. The lint walls (including the determinism wall
-//! once housed here) are exercised end to end by `tests/lint_fixtures.rs`.
+//! acceptance criterion. The determinism wall once housed here is clippy's
+//! `disallowed_types` now; CI's `clippy` job proves it bites.
 
 use mpw_check::explore::{explore, format_trace, CheckConfig, Inject};
 use mpw_mptcp::conn::SynMode;

@@ -1,7 +1,6 @@
-//! Three walls are the compiler's and clippy's, not the lint engine's, and
-//! each is switched on by attributes and manifests. The tools enforce the
-//! lints; these tests enforce that nothing has quietly stepped out from
-//! under them.
+//! Every static wall is the compiler's or clippy's, and each is switched on
+//! by attributes, manifests and `clippy.toml`. The tools enforce the lints;
+//! these tests enforce that nothing has quietly stepped out from under them.
 //!
 //! * `unsafe`: the root manifest denies `unsafe_code` for the workspace and
 //!   every member inherits it — no member without `[lints] workspace =
@@ -11,6 +10,10 @@
 //!   top, `clippy.toml` names that family, and the waivers are counted per
 //!   file — a new `#[expect(clippy::…)]` fails here until [`WAIVERS`] says
 //!   so, and an `#[allow]` of a wall lint is not a way round.
+//! * determinism and alloc: the workspace denies `disallowed_types` (hash
+//!   maps and sets, wall clocks) everywhere and allows `disallowed_methods`
+//!   (`to_vec`) except in the three data-path modules that deny it. Neither
+//!   is ever allowed back, bar `wire.rs`'s `mod tests` and its `to_vec`s.
 
 use std::path::{Path, PathBuf};
 
@@ -99,14 +102,15 @@ const PARSER_MODULES: [&str; 4] = [
 ];
 const MODULE_WALL: [&str; 2] = ["clippy::indexing_slicing", "clippy::disallowed_macros"];
 /// Every file with `#[expect(clippy::…)]` attributes, and how many: the
-/// waivers of the panic wall, each with its reason at the site (the table
-/// with the reasons is DESIGN.md §5.12). 15 today; `coupling.rs`'s is on a
-/// test.
-const WAIVERS: [(&str, usize); 9] = [
+/// waivers of the panic and determinism walls, each with its reason at the
+/// site (the table with the reasons is DESIGN.md §5.12). 16 today;
+/// `coupling.rs`'s is on a test, `repro.rs`'s is the determinism wall's.
+const WAIVERS: [(&str, usize); 10] = [
     ("crates/capture/src/pcapng.rs", 3),
     ("crates/core/src/conn.rs", 1),
     ("crates/core/src/coupling.rs", 1),
     ("crates/core/src/host.rs", 1),
+    ("crates/experiments/src/bin/repro.rs", 1),
     ("crates/sim/src/engine.rs", 2),
     ("crates/sim/src/rng.rs", 1),
     ("crates/tcp/src/socket.rs", 1),
@@ -131,6 +135,43 @@ fn denies(code: &str, lints: &[&str]) -> bool {
         .any(|(list, _)| lints.iter().all(|l| list.split(',').any(|x| x == *l)))
 }
 
+/// How many `allow(..)` lists in `code` (squeezed) name `lint`, and how many
+/// of those sit right on `mod tests`.
+fn allowed(code: &str, lint: &str) -> (usize, usize) {
+    let naming: Vec<bool> = code
+        .split("allow(")
+        .skip(1)
+        .filter_map(|rest| rest.split_once(")]"))
+        .filter(|(list, _)| list.split(',').any(|x| x == lint))
+        .map(|(_, after)| after.starts_with("modtests{"))
+        .collect();
+    (naming.len(), naming.iter().filter(|&&on_mod_tests| on_mod_tests).count())
+}
+
+/// The entries of `clippy.toml`'s `key = [..]` list, squeezed.
+fn clippy_list(root: &Path, key: &str) -> String {
+    let toml = std::fs::read_to_string(root.join("clippy.toml")).expect("clippy.toml");
+    let code: Vec<&str> = toml.lines().filter(|l| !l.trim_start().starts_with('#')).collect();
+    let code = squeezed(&code.join("\n"));
+    let list = code.split_once(&format!("{key}=[")).and_then(|(_, rest)| rest.split_once(']'));
+    list.map_or(String::new(), |(list, _)| list.to_string())
+}
+
+/// Every `.rs` file under `dirs`, relative to `root`, with its squeezed code.
+fn sources(root: &Path, dirs: &[&str]) -> Vec<(String, String)> {
+    let mut all = Vec::new();
+    for dir in dirs {
+        files(&root.join(dir), &mut all);
+    }
+    all.iter()
+        .filter(|p| p.extension().is_some_and(|e| e == "rs"))
+        .map(|f| {
+            let rel = f.strip_prefix(root).unwrap_or(f).to_string_lossy().replace('\\', "/");
+            (rel, squeezed(&std::fs::read_to_string(f).expect("readable source")))
+        })
+        .collect()
+}
+
 #[test]
 fn the_panic_wall_is_switched_on_and_its_waivers_are_the_counted_ones() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
@@ -143,11 +184,11 @@ fn the_panic_wall_is_switched_on_and_its_waivers_are_the_counted_ones() {
     for module in PARSER_MODULES {
         assert!(denies(&code(module), &MODULE_WALL), "{module} no longer denies {MODULE_WALL:?}");
     }
-    let clippy_toml = code("clippy.toml");
+    let macros = clippy_list(&root, "disallowed-macros");
     for name in ["assert", "assert_eq", "assert_ne"] {
         for path in [format!("core::{name}"), format!("core::debug_{name}")] {
             assert!(
-                clippy_toml.contains(&format!("{{path=\"{path}\"")),
+                macros.contains(&format!("{{path=\"{path}\"")),
                 "clippy.toml's disallowed-macros no longer lists {path}"
             );
         }
@@ -155,13 +196,7 @@ fn the_panic_wall_is_switched_on_and_its_waivers_are_the_counted_ones() {
 
     // Spelled in two pieces so this file does not match itself.
     let waiver = format!("expect({}", "clippy::");
-    let mut all = Vec::new();
-    for dir in ["crates", "src", "tests", "examples"] {
-        files(&root.join(dir), &mut all);
-    }
-    for f in all.iter().filter(|p| p.extension().is_some_and(|e| e == "rs")) {
-        let rel = f.strip_prefix(&root).unwrap_or(f).to_string_lossy().replace('\\', "/");
-        let src = code(&rel);
+    for (rel, src) in sources(&root, &["crates", "src", "tests", "examples"]) {
         let have = src.matches(&waiver).count();
         let want = WAIVERS.iter().find(|(file, _)| *file == rel).map_or(0, |&(_, n)| n);
         assert_eq!(have, want, "{rel}: its count of clippy waivers moved — update WAIVERS and DESIGN.md §5.12");
@@ -171,10 +206,46 @@ fn the_panic_wall_is_switched_on_and_its_waivers_are_the_counted_ones() {
         // Inside the wall the only `#[allow]` of a wall lint is the parser
         // modules' `mod tests` using the assert family.
         for lint in CRATE_WALL.iter().chain(&MODULE_WALL) {
-            let have = src.matches(&format!("allow({lint}")).count();
-            let on_mod_tests = src.matches(&format!("#[allow({lint})]modtests{{")).count();
             let want = usize::from(*lint == "clippy::disallowed_macros" && PARSER_MODULES.contains(&rel.as_str()));
-            assert_eq!((have, on_mod_tests), (want, want), "{rel}: #[allow({lint})] steps round the panic wall");
+            assert_eq!(allowed(&src, lint), (want, want), "{rel}: #[allow({lint})] steps round the panic wall");
         }
+    }
+}
+
+/// The determinism wall: what `clippy.toml`'s `disallowed-types` lists.
+const DISALLOWED_TYPES: [&str; 4] =
+    ["std::collections::HashMap", "std::collections::HashSet", "std::time::Instant", "std::time::SystemTime"];
+/// The alloc wall: the data-path modules that deny `disallowed_methods`,
+/// which lists `slice::to_vec`.
+const ALLOC_MODULES: [&str; 3] =
+    ["crates/tcp/src/wire.rs", "crates/capture/src/pcapng.rs", "crates/core/src/conn.rs"];
+
+#[test]
+fn the_determinism_and_alloc_walls_are_switched_on_and_never_allowed_back() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let code = |rel: &str| squeezed(&std::fs::read_to_string(root.join(rel)).expect(rel));
+
+    let root_manifest = std::fs::read_to_string(root.join("Cargo.toml")).expect("root Cargo.toml");
+    for (lint, level) in [("disallowed_types", "\"deny\""), ("disallowed_methods", "\"allow\"")] {
+        assert!(
+            table_has(&root_manifest, "[workspace.lints.clippy]", lint, level),
+            "root Cargo.toml no longer sets {lint} = {level} under [workspace.lints.clippy]"
+        );
+    }
+    let (types, methods) = (clippy_list(&root, "disallowed-types"), clippy_list(&root, "disallowed-methods"));
+    for path in DISALLOWED_TYPES {
+        assert!(types.contains(&format!("{{path=\"{path}\"")), "clippy.toml's disallowed-types no longer lists {path}");
+    }
+    assert!(methods.contains("{path=\"slice::to_vec\""), "clippy.toml's disallowed-methods no longer lists slice::to_vec");
+    for module in ALLOC_MODULES {
+        assert!(denies(&code(module), &["clippy::disallowed_methods"]), "{module} no longer denies clippy::disallowed_methods");
+    }
+
+    // A site that must read the wall clock carries a counted `#[expect]`
+    // (WAIVERS); only `wire.rs`'s tests may copy slices.
+    for (rel, src) in sources(&root, &["crates", "vendor", "src", "tests", "examples"]) {
+        assert_eq!(allowed(&src, "clippy::disallowed_types"), (0, 0), "{rel}: an #[allow] steps round the determinism wall");
+        let want = usize::from(rel == ALLOC_MODULES[0]);
+        assert_eq!(allowed(&src, "clippy::disallowed_methods"), (want, want), "{rel}: an #[allow] steps round the alloc wall");
     }
 }

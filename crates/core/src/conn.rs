@@ -10,6 +10,10 @@
 //! advertised window (§3.1 of the paper). The connection-level reassembler
 //! timestamps arrivals to produce the paper's out-of-order-delay metric.
 
+// A data-path module of the alloc wall (DESIGN.md §5.12): no `to_vec` (the
+// list is in the root `clippy.toml`).
+#![deny(clippy::disallowed_methods)]
+
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;

@@ -98,6 +98,10 @@ fn main() {
     let (mut passed, mut checked) = (0, 0);
     for group in selected {
         eprintln!(">> running group '{}' …", group.name);
+        #[expect(
+            clippy::disallowed_types,
+            reason = "wall-clock progress on stderr; never reaches results/"
+        )]
         let started = std::time::Instant::now();
         let artifacts = (group.run)(scale, seed, workers);
         eprintln!(

@@ -12,12 +12,13 @@
 //! the list is those bytes, canonically re-encoded), SACK blocks live inline in
 //! [`SackBlocks`], [`encode_packet`] serializes into a single pooled buffer,
 //! and [`parse_packet_shared`] returns the payload as an O(1) sub-slice of
-//! the arriving frame. The mpw-check lint wall forbids reintroducing
-//! `Vec`-per-segment idioms here.
+//! the arriving frame. The alloc wall forbids copying a slice into a fresh
+//! `Vec` here.
 
 // Strict decode surface (DESIGN.md §5.12): on top of the crate's panic
-// wall, no indexing and no assert (the list is in the root `clippy.toml`).
-#![deny(clippy::indexing_slicing, clippy::disallowed_macros)]
+// wall, no indexing and no assert; and, as a data-path module of the alloc
+// wall, no `to_vec` (both lists are in the root `clippy.toml`).
+#![deny(clippy::indexing_slicing, clippy::disallowed_macros, clippy::disallowed_methods)]
 
 use bytes::{BufMut, Bytes, BytesMut};
 use core::fmt;
@@ -1181,7 +1182,7 @@ pub fn strip_mptcp_options(data: &[u8]) -> Bytes {
 }
 
 #[cfg(test)]
-#[allow(clippy::disallowed_macros)]
+#[allow(clippy::disallowed_macros, clippy::disallowed_methods)]
 mod tests {
     use super::*;
     use proptest::prelude::*;

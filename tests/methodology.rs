@@ -88,7 +88,7 @@ fn every_artifact_id_resolves_to_exactly_one_group() {
     // The registry covers all 21 artifacts exactly once.
     let all: Vec<&str> = groups().iter().flat_map(|g| g.artifacts).copied().collect();
     assert_eq!(all.len(), 21);
-    let unique: std::collections::HashSet<&str> = all.iter().copied().collect();
+    let unique: std::collections::BTreeSet<&str> = all.iter().copied().collect();
     assert_eq!(unique.len(), 21);
 }
 
