@@ -6,13 +6,15 @@
 //! download rides WiFi + cellular; mid-transfer the WiFi signal fades and
 //! the link blacks out, traffic shifts to cellular, and when the WiFi link
 //! returns the lifecycle manager re-establishes a replacement subflow with
-//! capped exponential backoff. The scenario engine mutates links at exact
-//! sim times and the runner mirrors the cross-layer signals into the
-//! client connection:
+//! capped exponential backoff. The timeline is [`HandoverSpec::scenario`]:
+//! one `WifiFade` (which ends in the blackout), then `LinkUp`, `SetRate`,
+//! `SetLoss` and `SetBackup` at the restore. The scenario engine mutates
+//! both directions of the WiFi link at exact sim times and the runner
+//! mirrors the cross-layer signals into the client connection:
 //!
-//! * `Op::SetBackup` (the fade's signal-strength trigger) becomes
-//!   [`MptcpConnection::notify_signal`] — under make-before-break the
-//!   connection demotes the fading path via MP_PRIO *before* it dies,
+//! * `Op::SetBackup` (the fade's signal-strength trigger and the restore)
+//!   becomes [`MptcpConnection::notify_signal`] — under make-before-break
+//!   the connection demotes the fading path via MP_PRIO *before* it dies,
 //! * `LinkOp::Down(true)` becomes [`MptcpConnection::notify_path_down`] —
 //!   the OS "interface down" event that declares the path dead instantly
 //!   (RTO-stall detection covers radios that die without notice).
@@ -120,7 +122,6 @@ impl HandoverSpec {
                     floor_bps: 256_000,
                     over_ms: self.fade_over_ms,
                     steps: 5,
-                    stay_up: false,
                 },
             )
             .labelled(up_at, 0, "restored", Action::LinkUp)
@@ -243,7 +244,7 @@ pub fn run_handover(spec: &HandoverSpec) -> HandoverMeasurement {
         .ops
         .iter()
         .filter_map(|op| match op.op {
-            Op::Link { path, op: LinkOp::Down(true), .. } => Some((op.at, path as u8)),
+            Op::Link { path, op: LinkOp::Down(true) } => Some((op.at, path as u8)),
             _ => None,
         })
         .collect();

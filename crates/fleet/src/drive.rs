@@ -52,9 +52,11 @@ pub struct Drive<'a> {
     /// A mobility timeline and the paths it is bound to; slices also end at
     /// each of its operations, which are applied at their exact times.
     pub mobility: Option<(&'a mut ScenarioDriver, &'a [PathBinding])>,
-    /// An agent to wake at every slice boundary, for worlds whose event heap
-    /// can drain between flows: `run_until` leaves the clock alone on an
-    /// empty heap, and the wake-up keeps it moving to the boundary.
+    /// An agent to wake at every slice boundary: `run_until` leaves the clock
+    /// alone on an empty heap, and the wake-up keeps it moving to the
+    /// boundary. Only the fleet passes one, and its heap does not drain (the
+    /// background sources keep it populated), so there it changes no result
+    /// and is kept because the work gate's fleet row counts its wakeups.
     pub ticker: Option<AgentId>,
     /// Names the run (seed and scenario or spec) if it has to be aborted.
     pub who: &'a dyn fmt::Debug,
@@ -63,8 +65,8 @@ pub struct Drive<'a> {
 /// Run `world` in slices until `on_tick` reports the run done, the horizon
 /// is reached, or the event heap drains. After each slice the mobility
 /// operations now due are applied, then `on_tick(world, now, ops)` is called
-/// with the harness-level operations among them (MP_PRIO triggers,
-/// background surges) for the caller to act on. Slicing `run_until`
+/// with the harness-level operations among them (the MP_PRIO triggers) for
+/// the caller to act on. Slicing `run_until`
 /// preserves the exact event order, so the slice length never changes a
 /// result.
 ///

@@ -12,7 +12,7 @@ use mpw_http::{StreamingClient, Wget};
 use mpw_link::{BuiltPath, NullSink};
 use mpw_metrics::{FleetReport, FlowRecord};
 use mpw_mptcp::{Host, MptcpConfig, OpenRequest, TransportSpec};
-use mpw_sim::{AgentId, SimDuration, SimRng, SimTime, World};
+use mpw_sim::{AgentId, SimDuration, SimTime, World};
 use mpw_tcp::{Addr, CcConfig, Endpoint, TcpConfig};
 
 use crate::drive::{drive, open_flow, Drive};
@@ -39,10 +39,6 @@ fn cell_addr(i: u32) -> Addr {
 struct ClientState {
     agent: AgentId,
     class: ClientClass,
-    /// Closed-loop think-time RNG: `None` for open-loop arrivals, and once
-    /// the next think time would cross the horizon (the client then opens
-    /// no further flows).
-    think: Option<SimRng>,
     /// Leading slots whose flows have finished. A finished flow's counters
     /// are final, so a tick folds it into `settled_bytes` once and never
     /// reads it again.
@@ -114,17 +110,11 @@ fn arrival_schedule(spec: &FleetSpec, world: &World) -> Vec<SimTime> {
                 })
                 .collect()
         }
-        Arrival::Closed { think_mean_ms } => (0..spec.n_clients)
-            .map(|i| {
-                let mut rng = world.rng().substream("fleet.think", u64::from(i));
-                SimTime::from_nanos((rng.exponential(think_mean_ms as f64) * 1e6) as u64)
-            })
-            .collect(),
     }
 }
 
 /// Build the world described by `spec`, run it to the horizon (or until
-/// every open-loop flow completes), and harvest the aggregate report.
+/// every flow completes), and harvest the aggregate report.
 pub fn run_fleet(spec: &FleetSpec) -> FleetRun {
     run_fleet_windowed(spec, None, &mut |_| {})
 }
@@ -165,23 +155,15 @@ pub fn run_fleet_windowed(
             ClientClass::Multipath => &[(wifi_addr(i), wifi), (cell_addr(i), cell)],
         };
         let rng = topo.world.rng().substream("fleet.client", u64::from(i));
-        // 256 conn ids per client keeps ids unique across the fleet even
-        // under closed-loop churn.
+        // 256 conn ids per client keeps ids unique across the fleet.
         let addrs = ifaces.iter().map(|&(addr, _)| addr).collect();
         let agent = topo.add_client(addrs, i * 256, rng);
         for (if_index, &(addr, net)) in ifaces.iter().enumerate() {
             topo.attach(agent, if_index, addr, net);
         }
-        let think = match spec.arrival {
-            Arrival::Closed { .. } => {
-                Some(topo.world.rng().substream("fleet.think", u64::from(i)))
-            }
-            _ => None,
-        };
         clients.push(ClientState {
             agent,
             class,
-            think,
             settled: 0,
             settled_bytes: 0,
             done: false,
@@ -201,13 +183,10 @@ pub fn run_fleet_windowed(
     }
 
     // --- drive ------------------------------------------------------------
-    let closed = matches!(spec.arrival, Arrival::Closed { .. });
-    let think_mean_ms = match spec.arrival {
-        Arrival::Closed { think_mean_ms } => think_mean_ms as f64,
-        _ => 0.0,
-    };
-    // Woken at every tick boundary (see [`Drive::ticker`]): between
-    // closed-loop flows the heap can drain. A sink ignores timers.
+    // Woken at every tick boundary (see [`Drive::ticker`]). The access
+    // networks' background sources already keep the heap from draining, so
+    // the wakeups change no result; they stay because the work gate's fleet
+    // row counts them. A sink ignores timers.
     let ticker = world.add_agent(Box::new(NullSink::default()));
     let mut report = FleetReport::new(spec.goodput_bucket_ms);
     report.clients = u64::from(spec.n_clients);
@@ -232,9 +211,7 @@ pub fn run_fleet_windowed(
             }
         }
 
-        // Aggregate goodput sample (fleet-wide delivered-byte delta), and
-        // for the closed loop: one think time after a client's latest flow
-        // finishes, open the next one.
+        // Aggregate goodput sample (fleet-wide delivered-byte delta).
         let mut total: u64 = 0;
         let mut all_done = true;
         for c in &mut clients {
@@ -256,28 +233,14 @@ pub fn run_fleet_windowed(
             }
             total += c.settled_bytes + live_bytes;
             // Every queued open has become a slot, and every slot settled.
-            let settled_all = host.pending_open_count() == 0 && c.settled == slots;
-            c.done = settled_all && c.think.is_none();
-            all_done &= settled_all;
-            let Some(think) = c.think.as_mut().filter(|_| settled_all && slots > 0) else {
-                continue;
-            };
-            // One think-time draw per completed flow. Think clocks start at
-            // the sampling tick where the completion is observed (≤ one
-            // bucket after the true finish time).
-            let gap = SimDuration::from_nanos((think.exponential(think_mean_ms) * 1e6) as u64);
-            let at = now + gap;
-            if at < horizon {
-                open_flow(world, c.agent, flow_request(c.class, spec, at));
-            } else {
-                c.think = None;
-            }
+            c.done = host.pending_open_count() == 0 && c.settled == slots;
+            all_done &= c.done;
         }
         if total > delivered_cum {
             report.absorb_goodput(now.as_nanos() / 1_000_000, total - delivered_cum);
             delivered_cum = total;
         }
-        !closed && all_done
+        all_done
     });
 
     // --- harvest ----------------------------------------------------------
@@ -376,20 +339,6 @@ mod tests {
         assert_eq!(
             mpw_metrics::to_json(&a.report),
             mpw_metrics::to_json(&b.report)
-        );
-    }
-
-    #[test]
-    fn closed_loop_reopens_flows() {
-        let mut spec = FleetSpec::smoke(3, 9);
-        spec.workload = FleetWorkload::Download { size: 8 << 10 };
-        spec.arrival = Arrival::Closed { think_mean_ms: 500 };
-        spec.horizon_ms = 20_000;
-        let run = run_fleet(&spec);
-        assert!(
-            run.report.flows_started > 3,
-            "closed loop should open repeat flows, got {}",
-            run.report.flows_started
         );
     }
 }

@@ -18,10 +18,9 @@
 //!
 //! - [`FleetSpec`] — the declarative description: population size and path
 //!   mix, the access networks (`mpw-link` presets), an arrival process
-//!   (staggered, open-loop Poisson-by-inversion, or closed-loop with
-//!   exponential think times — all pure functions of the seed), the
-//!   per-client workload (paper download sizes or the Table-7 streaming
-//!   pattern).
+//!   (staggered or open-loop Poisson-by-inversion — both pure functions of
+//!   the seed), the per-client workload (paper download sizes or the
+//!   Table-7 streaming pattern).
 //! - [`run_fleet`] — builds the world and drives it with a sampling tick,
 //!   harvesting one [`FlowRecord`](mpw_metrics::FlowRecord) per flow and
 //!   folding them into a [`FleetReport`](mpw_metrics::FleetReport).

@@ -116,14 +116,6 @@ pub enum Arrival {
         /// Mean inter-arrival gap (ms).
         mean_gap_ms: u64,
     },
-    /// Closed loop: every client starts after an exponential think time
-    /// and opens a fresh flow one think time after each completion, until
-    /// the horizon. Think draws come from the per-client
-    /// `fleet.think.<i>` substream.
-    Closed {
-        /// Mean think time (ms).
-        think_mean_ms: u64,
-    },
 }
 
 /// What each client does per flow.

@@ -67,7 +67,6 @@ fn arrival_processes_are_seed_pure() {
     for arrival in [
         Arrival::Staggered { gap_ms: 15 },
         Arrival::Poisson { mean_gap_ms: 40 },
-        Arrival::Closed { think_mean_ms: 800 },
     ] {
         let mut s = spec(6, 9);
         s.arrival = arrival;

@@ -73,11 +73,10 @@ pub const PCAPNG_TOKENS: &[&[u8]] = &[
     &[0x93, 0x00],                         // LINKTYPE_USER0 (147)
 ];
 
-/// Scenario-file tokens: JSON/TOML keys, action and direction variant
-/// names, numeric spellings, and TOML syntax fragments. A dictionary hit
-/// lands the mutant inside the scenario grammar (a renamed action, a
-/// duplicated key, a float where an integer was) instead of bouncing off
-/// the first tokenizer check.
+/// Scenario-file tokens: JSON/TOML keys, action variant names, numeric
+/// spellings, and TOML syntax fragments. A dictionary hit lands the mutant
+/// inside the scenario grammar (a renamed action, a duplicated key, a float
+/// where an integer was) instead of bouncing off the first tokenizer check.
 pub const SCENARIO_TOKENS: &[&[u8]] = &[
     // Field names, quoted as they appear in both formats.
     b"\"name\"",
@@ -85,41 +84,23 @@ pub const SCENARIO_TOKENS: &[&[u8]] = &[
     b"\"events\"",
     b"\"at_ms\"",
     b"\"path\"",
-    b"\"dir\"",
     b"\"label\"",
     b"\"action\"",
     b"\"bits_per_sec\"",
     b"\"from_bps\"",
-    b"\"to_bps\"",
     b"\"over_ms\"",
     b"\"steps\"",
-    b"\"delay_us\"",
-    b"\"from_us\"",
-    b"\"to_us\"",
     b"\"mean_loss\"",
     b"\"bursty\"",
-    b"\"for_ms\"",
-    b"\"settle_loss\"",
     b"\"floor_bps\"",
-    b"\"stay_up\"",
-    b"\"bytes_per_sec\"",
     b"\"backup\"",
-    // Action and direction variant names.
+    // Action variant names.
     b"\"SetRate\"",
-    b"\"RampRate\"",
-    b"\"SetDelay\"",
-    b"\"RampDelay\"",
     b"\"SetLoss\"",
-    b"\"LossBurst\"",
     b"\"LinkDown\"",
     b"\"LinkUp\"",
     b"\"WifiFade\"",
-    b"\"RrcIdle\"",
-    b"\"BgSurge\"",
     b"\"SetBackup\"",
-    b"\"Uplink\"",
-    b"\"Downlink\"",
-    b"\"Both\"",
     // TOML structure and value spellings.
     b"[[events]]",
     b"[events.action.WifiFade]",

@@ -191,47 +191,23 @@ pub fn assembler_seed(rng: &mut Rng) -> Vec<u8> {
 fn random_scenario_action(rng: &mut Rng) -> mpw_scenario::Action {
     use mpw_scenario::Action;
     let bps = |rng: &mut Rng| 1 + rng.below(50_000_000) as u64;
-    // Loss means stay below the 0.25 bursty/burst bound so most seeds also
+    // Loss means stay below the 0.25 bursty bound so most seeds also
     // validate (the oracles still accept invalid-but-parsed scenarios).
     let loss = |rng: &mut Rng| rng.below(249) as f64 / 1000.0;
-    match rng.below(12) {
+    match rng.below(6) {
         0 => Action::SetRate { bits_per_sec: bps(rng) },
-        1 => Action::RampRate {
-            from_bps: bps(rng),
-            to_bps: bps(rng),
-            over_ms: rng.below(20_000) as u64,
-            steps: 1 + rng.below(8) as u32,
-        },
-        2 => Action::SetDelay { delay_us: rng.below(400_000) as u64 },
-        3 => Action::RampDelay {
-            from_us: rng.below(400_000) as u64,
-            to_us: rng.below(400_000) as u64,
-            over_ms: rng.below(20_000) as u64,
-            steps: 1 + rng.below(8) as u32,
-        },
-        4 => Action::SetLoss { mean_loss: loss(rng), bursty: rng.chance(1, 2) },
-        5 => Action::LossBurst {
-            mean_loss: loss(rng),
-            for_ms: 1 + rng.below(10_000) as u64,
-            settle_loss: loss(rng),
-        },
-        6 => Action::LinkDown,
-        7 => Action::LinkUp,
-        8 => {
+        1 => Action::SetLoss { mean_loss: loss(rng), bursty: rng.chance(1, 2) },
+        2 => Action::LinkDown,
+        3 => Action::LinkUp,
+        4 => {
             let (a, b) = (bps(rng), bps(rng));
             Action::WifiFade {
                 from_bps: a.max(b),
                 floor_bps: a.min(b),
                 over_ms: rng.below(5_000) as u64,
                 steps: 1 + rng.below(8) as u32,
-                stay_up: rng.chance(1, 4),
             }
         }
-        9 => Action::RrcIdle,
-        10 => Action::BgSurge {
-            bytes_per_sec: 1 + rng.below(3_000_000) as u64,
-            for_ms: 1 + rng.below(10_000) as u64,
-        },
         _ => Action::SetBackup { backup: rng.chance(1, 2) },
     }
 }
@@ -241,11 +217,6 @@ fn random_scenario_event(rng: &mut Rng) -> mpw_scenario::TimedEvent {
     mpw_scenario::TimedEvent {
         at_ms: rng.below(600_000) as u64,
         path: rng.below(4),
-        dir: match rng.below(3) {
-            0 => mpw_scenario::Direction::Uplink,
-            1 => mpw_scenario::Direction::Downlink,
-            _ => mpw_scenario::Direction::Both,
-        },
         label: rng
             .chance(1, 3)
             .then(|| LABELS[rng.below(LABELS.len())].to_string()),
@@ -258,39 +229,20 @@ fn random_scenario_event(rng: &mut Rng) -> mpw_scenario::TimedEvent {
 /// grammar the JSON path never touches. Floats use `{:?}` (shortest
 /// round-trip form) so `0.0` keeps its dot and stays a float.
 fn render_scenario_toml(s: &mpw_scenario::Scenario) -> String {
-    use mpw_scenario::{Action, Direction};
+    use mpw_scenario::Action;
     let action_toml = |a: &Action| -> String {
         match a {
             Action::SetRate { bits_per_sec } => {
                 format!("{{ SetRate = {{ bits_per_sec = {bits_per_sec} }} }}")
             }
-            Action::RampRate { from_bps, to_bps, over_ms, steps } => format!(
-                "{{ RampRate = {{ from_bps = {from_bps}, to_bps = {to_bps}, \
-                 over_ms = {over_ms}, steps = {steps} }} }}"
-            ),
-            Action::SetDelay { delay_us } => {
-                format!("{{ SetDelay = {{ delay_us = {delay_us} }} }}")
-            }
-            Action::RampDelay { from_us, to_us, over_ms, steps } => format!(
-                "{{ RampDelay = {{ from_us = {from_us}, to_us = {to_us}, \
-                 over_ms = {over_ms}, steps = {steps} }} }}"
-            ),
             Action::SetLoss { mean_loss, bursty } => format!(
                 "{{ SetLoss = {{ mean_loss = {mean_loss:?}, bursty = {bursty} }} }}"
             ),
-            Action::LossBurst { mean_loss, for_ms, settle_loss } => format!(
-                "{{ LossBurst = {{ mean_loss = {mean_loss:?}, for_ms = {for_ms}, \
-                 settle_loss = {settle_loss:?} }} }}"
-            ),
             Action::LinkDown => "\"LinkDown\"".into(),
             Action::LinkUp => "\"LinkUp\"".into(),
-            Action::WifiFade { from_bps, floor_bps, over_ms, steps, stay_up } => format!(
+            Action::WifiFade { from_bps, floor_bps, over_ms, steps } => format!(
                 "{{ WifiFade = {{ from_bps = {from_bps}, floor_bps = {floor_bps}, \
-                 over_ms = {over_ms}, steps = {steps}, stay_up = {stay_up} }} }}"
-            ),
-            Action::RrcIdle => "\"RrcIdle\"".into(),
-            Action::BgSurge { bytes_per_sec, for_ms } => format!(
-                "{{ BgSurge = {{ bytes_per_sec = {bytes_per_sec}, for_ms = {for_ms} }} }}"
+                 over_ms = {over_ms}, steps = {steps} }} }}"
             ),
             Action::SetBackup { backup } => {
                 format!("{{ SetBackup = {{ backup = {backup} }} }}")
@@ -305,9 +257,6 @@ fn render_scenario_toml(s: &mpw_scenario::Scenario) -> String {
         out.push_str("\n[[events]]\n");
         out.push_str(&format!("at_ms = {}\n", ev.at_ms));
         out.push_str(&format!("path = {}\n", ev.path));
-        if ev.dir != Direction::Both {
-            out.push_str(&format!("dir = \"{:?}\"\n", ev.dir));
-        }
         if let Some(label) = &ev.label {
             out.push_str(&format!("label = \"{label}\"\n"));
         }

@@ -566,8 +566,8 @@ fn run_assembler(input: &[u8]) -> Outcome {
 }
 
 /// Compile-expansion budget for the scenario target: validation caps each
-/// ramp at `mpw_scenario::MAX_STEPS` ops, but a file with many maximal
-/// ramps could still ask for a huge timeline, so the compile oracle is
+/// fade at `mpw_scenario::MAX_STEPS` steps, but a file with many maximal
+/// fades could still ask for a huge timeline, so the compile oracle is
 /// skipped (not failed) past this total.
 const SCENARIO_COMPILE_BUDGET: u64 = 100_000;
 
@@ -575,17 +575,11 @@ fn scenario_action_code(action: &mpw_scenario::Action) -> u8 {
     use mpw_scenario::Action;
     match action {
         Action::SetRate { .. } => 0,
-        Action::RampRate { .. } => 1,
-        Action::SetDelay { .. } => 2,
-        Action::RampDelay { .. } => 3,
-        Action::SetLoss { .. } => 4,
-        Action::LossBurst { .. } => 5,
-        Action::LinkDown => 6,
-        Action::LinkUp => 7,
-        Action::WifiFade { .. } => 8,
-        Action::RrcIdle => 9,
-        Action::BgSurge { .. } => 10,
-        Action::SetBackup { .. } => 11,
+        Action::SetLoss { .. } => 1,
+        Action::LinkDown => 2,
+        Action::LinkUp => 3,
+        Action::WifiFade { .. } => 4,
+        Action::SetBackup { .. } => 5,
     }
 }
 
@@ -623,11 +617,6 @@ fn run_scenario(input: &[u8]) -> Outcome {
     fp.push(len_bucket(parsed.events.len()));
     for ev in &parsed.events {
         fp.push(scenario_action_code(&ev.action));
-        fp.push(match ev.dir {
-            mpw_scenario::Direction::Uplink => 0,
-            mpw_scenario::Direction::Downlink => 1,
-            mpw_scenario::Direction::Both => 2,
-        });
         fp.push(ev.label.is_some() as u8);
     }
     // Serialize→reparse fixpoint: canonical JSON of any parsed scenario
@@ -651,9 +640,7 @@ fn run_scenario(input: &[u8]) -> Outcome {
         .events
         .iter()
         .map(|ev| match ev.action {
-            mpw_scenario::Action::RampRate { steps, .. }
-            | mpw_scenario::Action::RampDelay { steps, .. }
-            | mpw_scenario::Action::WifiFade { steps, .. } => u64::from(steps),
+            mpw_scenario::Action::WifiFade { steps, .. } => u64::from(steps),
             _ => 1,
         })
         .sum();
@@ -741,15 +728,15 @@ mod tests {
     }
 
     #[test]
-    fn oversized_ramps_skip_the_compile_oracle_without_blowing_up() {
-        // 20 maximal ramps ask for 200k compiled ops — over the budget, so
+    fn oversized_fades_skip_the_compile_oracle_without_blowing_up() {
+        // 20 maximal fades ask for 400k compiled ops — over the budget, so
         // the target must return (quickly, allocation-free) with no
         // violation rather than materialize the timeline.
         let mut events = String::new();
         for _ in 0..20 {
             events.push_str(
-                "{\"at_ms\":0,\"action\":{\"RampRate\":{\"from_bps\":1,\
-                 \"to_bps\":2,\"over_ms\":10,\"steps\":10000}}},",
+                "{\"at_ms\":0,\"action\":{\"WifiFade\":{\"from_bps\":2,\
+                 \"floor_bps\":1,\"over_ms\":10,\"steps\":10000}}},",
             );
         }
         events.pop();

@@ -287,14 +287,6 @@ impl LinkAgent {
         self.cfg.rate = rate;
     }
 
-    /// Replace the one-way propagation delay mid-run (RTT ramps, route
-    /// changes). Order preservation still holds: a frame finishing service
-    /// after the change is clamped to `last_delivery`, so shrinking the
-    /// delay never reorders in-flight frames.
-    pub fn set_delay(&mut self, prop_delay: SimDuration) {
-        self.cfg.prop_delay = prop_delay;
-    }
-
     /// Administratively take the link down or bring it back up. While down,
     /// newly arriving frames are dropped at ingress and frames finishing
     /// service are lost, so the transport sees a total blackout rather than
@@ -307,15 +299,6 @@ impl LinkAgent {
     /// Whether the link is administratively down.
     pub fn is_down(&self) -> bool {
         self.down
-    }
-
-    /// Force the radio back to RRC idle (scenario event): the next frame
-    /// pays the full idle→active promotion delay again. No-op on links
-    /// without an RRC model.
-    pub fn force_rrc_idle(&mut self) {
-        if self.cfg.rrc.is_some() {
-            self.rrc = RrcState::Promoting { ready_at: SimTime::MAX };
-        }
     }
 
     /// Snapshot of counters.
@@ -1124,27 +1107,6 @@ mod tests {
         assert_eq!(
             s.arrivals,
             vec![SimTime::from_millis(1), SimTime::from_millis(12)]
-        );
-    }
-
-    #[test]
-    fn set_delay_applies_without_reordering() {
-        let (mut w, link, sink) = rig(simple_cfg(12_000_000, 50, 1 << 20));
-        w.schedule(SimTime::ZERO, link, Event::Frame { port: 0, frame: frame(1500) });
-        // The first frame finishes service at 1 ms with prop 50 ms, so its
-        // delivery (at 51 ms) is already committed. Shrink the delay to
-        // 1 ms: a second frame sent at 2 ms would nominally arrive at
-        // 3+1=4 ms but is clamped behind the committed delivery.
-        w.run_until(SimTime::from_millis(2));
-        w.agent_mut::<LinkAgent>(link)
-            .unwrap()
-            .set_delay(SimDuration::from_millis(1));
-        w.schedule(SimTime::from_millis(2), link, Event::Frame { port: 0, frame: frame(1500) });
-        w.run_until_idle();
-        let s = w.agent::<NullSink>(sink).unwrap();
-        assert_eq!(
-            s.arrivals,
-            vec![SimTime::from_millis(51), SimTime::from_millis(51)]
         );
     }
 

@@ -8,7 +8,7 @@
 //! while let Some(at) = driver.next_at() {
 //!     world.run_until(at);                       // exact sim time
 //!     let pending = driver.apply_due(&mut world, &bindings, at)?;
-//!     ... apply MP_PRIO / background ops via the hosts ...
+//!     ... apply the MP_PRIO triggers via the hosts ...
 //! }
 //! world.run_until(horizon);
 //! ```
@@ -23,7 +23,7 @@ use mpw_sim::{AgentId, SimTime, World};
 
 use crate::compile::{compile, CompiledOp, LinkOp, Op, Timeline};
 use crate::error::ScenarioError;
-use crate::model::{Direction, Scenario};
+use crate::model::Scenario;
 
 /// Agent ids of one bidirectional path's two link directions.
 #[derive(Clone, Copy, Debug)]
@@ -62,10 +62,9 @@ impl ScenarioDriver {
     }
 
     /// Apply every operation due at or before `now`. Link operations are
-    /// applied directly through the [`LinkAgent`] mutators; harness-level
-    /// operations (MP_PRIO triggers, background surges) are returned in
-    /// timeline order for the caller — which owns the hosts and traffic
-    /// sources — to act on.
+    /// applied directly to both directions of the path through the
+    /// [`LinkAgent`] mutators; MP_PRIO triggers are returned in timeline
+    /// order for the caller — which owns the hosts — to act on.
     pub fn apply_due(
         &mut self,
         world: &mut World,
@@ -80,30 +79,23 @@ impl ScenarioDriver {
             let op = op.clone();
             self.next += 1;
             match op.op {
-                Op::Link { path, dir, ref op } => {
+                Op::Link { path, ref op } => {
                     let b = bindings.get(path).ok_or(ScenarioError::PathOutOfRange {
                         path,
                         bound: bindings.len(),
                     })?;
-                    let ids: &[AgentId] = match dir {
-                        Direction::Uplink => &[b.uplink],
-                        Direction::Downlink => &[b.downlink],
-                        Direction::Both => &[b.uplink, b.downlink],
-                    };
-                    for &id in ids {
+                    for id in [b.uplink, b.downlink] {
                         let link = world
                             .agent_mut::<LinkAgent>(id)
                             .ok_or(ScenarioError::BadBinding { path })?;
                         match op {
                             LinkOp::Rate(r) => link.set_rate(r.clone()),
-                            LinkOp::Delay(d) => link.set_delay(*d),
                             LinkOp::Loss(l) => link.set_loss(l.clone()),
                             LinkOp::Down(d) => link.set_down(*d),
-                            LinkOp::RrcIdle => link.force_rrc_idle(),
                         }
                     }
                 }
-                Op::SetBackup { .. } | Op::BgSurge { .. } => pending.push(op),
+                Op::SetBackup { .. } => pending.push(op),
             }
         }
         Ok(pending)
@@ -176,7 +168,8 @@ mod tests {
     fn harness_ops_are_surfaced_not_applied() {
         let scenario = Scenario::builder("prio")
             .at(10, 0, Action::SetBackup { backup: true })
-            .at(20, 0, Action::BgSurge { bytes_per_sec: 1_000_000, for_ms: 30 })
+            .at(20, 0, Action::SetBackup { backup: false })
+            .at(30, 0, Action::SetBackup { backup: true })
             .build()
             .expect("valid");
         let (mut w, binding, _sink) = rig();
@@ -186,8 +179,8 @@ mod tests {
             .expect("apply");
         assert_eq!(pending.len(), 2);
         assert!(matches!(pending[0].op, Op::SetBackup { path: 0, backup: true }));
-        assert!(matches!(pending[1].op, Op::BgSurge { until, .. }
-            if until == SimTime::from_millis(50)));
+        assert!(matches!(pending[1].op, Op::SetBackup { path: 0, backup: false }));
+        assert_eq!(driver.next_at(), Some(SimTime::from_millis(30)));
     }
 
     #[test]

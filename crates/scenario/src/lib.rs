@@ -1,15 +1,15 @@
 //! # mpw-scenario — deterministic mobility/handover scenarios
 //!
 //! The paper's subject is *wireless* MPTCP: WiFi that fades when the user
-//! walks away, cellular radios that idle and must re-promote, links that
-//! die and come back. Steady-state campaigns cannot exercise any of that,
-//! so this crate turns the simulator into a mobility testbed: a
-//! [`Scenario`] is a declarative, serde-round-trippable list of timed
-//! events — bandwidth/RTT ramps, Gilbert–Elliott loss bursts, link
-//! down/up, WiFi signal fades, RRC demotion, background-traffic surges,
-//! and MP_PRIO demote/restore triggers — that a [`ScenarioDriver`] applies
-//! to the running world at exact sim times through the `LinkAgent`
-//! mutators.
+//! walks away, links that die and come back. Steady-state campaigns cannot
+//! exercise any of that, so this crate turns the simulator into a mobility
+//! testbed: a [`Scenario`] is a declarative, serde-round-trippable list of
+//! timed events that a [`ScenarioDriver`] applies to both directions of a
+//! path in the running world at exact sim times through the `LinkAgent`
+//! mutators. The vocabulary is what the handover artifact and the benchmark
+//! script use: the composite `WifiFade`, `SetRate`, `SetLoss`,
+//! `LinkDown`/`LinkUp`, and the MP_PRIO demote/restore trigger
+//! `SetBackup`.
 //!
 //! Determinism is the load-bearing property: compilation
 //! ([`compile::compile`]) is pure arithmetic, application uses the
@@ -43,5 +43,5 @@ pub mod parse;
 pub use compile::{compile, CompiledOp, LinkOp, Op, Timeline};
 pub use driver::{PathBinding, ScenarioDriver};
 pub use error::ScenarioError;
-pub use model::{Action, Direction, Epoch, Scenario, ScenarioBuilder, TimedEvent, MAX_STEPS};
+pub use model::{Action, Epoch, Scenario, ScenarioBuilder, TimedEvent, MAX_STEPS};
 pub use parse::{from_json, from_str, from_toml, to_json};

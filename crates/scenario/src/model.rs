@@ -1,37 +1,22 @@
 //! The declarative scenario model.
 //!
 //! A [`Scenario`] is a named list of [`TimedEvent`]s: at an exact sim time,
-//! on one path and direction, perform one [`Action`]. Events are plain data
-//! (serde round-trippable, builder-constructible) so a scenario file fully
-//! determines a run together with the seed — replay is byte-identical.
+//! on both directions of one path, perform one [`Action`]. Events are plain
+//! data (serde round-trippable, builder-constructible) so a scenario file
+//! fully determines a run together with the seed — replay is byte-identical.
 //!
-//! Composite actions (ramps, bursts, fades) stay declarative here and are
-//! expanded into primitive link operations by [`crate::compile`]; nothing in
-//! the model samples randomness or reads clocks.
+//! The one composite action, [`Action::WifiFade`], stays declarative here
+//! and is expanded into primitive link operations by [`crate::compile`];
+//! nothing in the model samples randomness or reads clocks.
 
 use serde::{Deserialize, Serialize};
 
 use crate::error::ScenarioError;
 
-/// Upper bound on ramp/fade `steps`: each step becomes one compiled
+/// Upper bound on fade `steps`: each step becomes one compiled
 /// operation, so this bounds compile expansion on adversarial scenario
 /// files (the same role `MAX_DEPTH` plays in [`crate::parse`]).
 pub const MAX_STEPS: u32 = 10_000;
-
-/// Which direction(s) of a bidirectional path an event applies to.
-///
-/// `Uplink` is client→server, `Downlink` server→client, matching the
-/// testbed's `BuiltPath` naming.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Direction {
-    /// Client → server only.
-    Uplink,
-    /// Server → client only.
-    Downlink,
-    /// Both directions (the default: real-world fades hit the whole radio).
-    #[default]
-    Both,
-}
 
 /// One timed scenario action.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -40,34 +25,6 @@ pub enum Action {
     SetRate {
         /// New rate in bits per second (must be > 0).
         bits_per_sec: u64,
-    },
-    /// Linear bandwidth ramp: `steps` equal jumps from `from_bps` (applied
-    /// at the event time) to `to_bps` (reached `over_ms` later).
-    RampRate {
-        /// Rate at the start of the ramp.
-        from_bps: u64,
-        /// Rate at the end of the ramp.
-        to_bps: u64,
-        /// Ramp duration in milliseconds.
-        over_ms: u64,
-        /// Number of jumps (1..=[`MAX_STEPS`]).
-        steps: u32,
-    },
-    /// Set the one-way propagation delay immediately.
-    SetDelay {
-        /// New propagation delay in microseconds.
-        delay_us: u64,
-    },
-    /// Linear RTT ramp (per-direction propagation delay).
-    RampDelay {
-        /// Delay at the start of the ramp, microseconds.
-        from_us: u64,
-        /// Delay at the end of the ramp, microseconds.
-        to_us: u64,
-        /// Ramp duration in milliseconds.
-        over_ms: u64,
-        /// Number of jumps (1..=[`MAX_STEPS`]).
-        steps: u32,
     },
     /// Replace the channel loss process.
     SetLoss {
@@ -78,17 +35,6 @@ pub enum Action {
         #[serde(default)]
         bursty: bool,
     },
-    /// A Gilbert–Elliott loss burst: bursty loss at `mean_loss` for
-    /// `for_ms`, then settle at `settle_loss` (also bursty; `0` = no loss).
-    LossBurst {
-        /// Mean loss during the burst (must be < 0.25).
-        mean_loss: f64,
-        /// Burst duration in milliseconds.
-        for_ms: u64,
-        /// Mean loss after the burst (default 0 = lossless).
-        #[serde(default)]
-        settle_loss: f64,
-    },
     /// Administratively take the link down (total blackout).
     LinkDown,
     /// Bring the link back up.
@@ -97,8 +43,8 @@ pub enum Action {
     /// service rate decays geometrically from `from_bps` to `floor_bps`
     /// over `over_ms` in `steps` jumps while burst loss rises; a
     /// signal-strength trigger fires at fade start (so the connection can
-    /// demote the path to MP_PRIO backup), and unless `stay_up` is set the
-    /// link goes fully down at the end of the fade.
+    /// demote the path to MP_PRIO backup), and the link goes fully down at
+    /// the end of the fade.
     WifiFade {
         /// Rate at fade start.
         from_bps: u64,
@@ -108,19 +54,6 @@ pub enum Action {
         over_ms: u64,
         /// Number of decay jumps (1..=[`MAX_STEPS`]).
         steps: u32,
-        /// Keep the link (barely) alive at the floor instead of dropping it.
-        #[serde(default)]
-        stay_up: bool,
-    },
-    /// Force the cellular radio to RRC idle: the next frame pays the full
-    /// idle→active promotion delay again. No-op on links without RRC.
-    RrcIdle,
-    /// Background cross-traffic surge through the same drop-tail queue.
-    BgSurge {
-        /// Surge intensity in payload bytes per second.
-        bytes_per_sec: u64,
-        /// Surge duration in milliseconds.
-        for_ms: u64,
     },
     /// MP_PRIO trigger: ask the connection to demote (`backup = true`) or
     /// restore (`backup = false`) the subflows on this path.
@@ -130,7 +63,8 @@ pub enum Action {
     },
 }
 
-/// One event: an [`Action`] at an exact sim time on one path/direction.
+/// One event: an [`Action`] at an exact sim time on both directions of one
+/// path.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct TimedEvent {
     /// Sim time of the event, in milliseconds since run start.
@@ -138,9 +72,6 @@ pub struct TimedEvent {
     /// Path index (testbed path 0 = WiFi, 1 = cellular by convention).
     #[serde(default)]
     pub path: usize,
-    /// Direction(s) affected.
-    #[serde(default)]
-    pub dir: Direction,
     /// Optional epoch label: a labelled event opens a new analysis epoch
     /// (see [`Scenario::epochs`]).
     #[serde(default)]
@@ -209,20 +140,6 @@ impl Scenario {
                         return bad("SetRate rate must be > 0");
                     }
                 }
-                Action::RampRate { from_bps, to_bps, steps, .. } => {
-                    if *from_bps == 0 || *to_bps == 0 {
-                        return bad("RampRate rates must be > 0");
-                    }
-                    if *steps == 0 || *steps > MAX_STEPS {
-                        return bad("RampRate needs steps in [1, MAX_STEPS]");
-                    }
-                }
-                Action::SetDelay { .. } => {}
-                Action::RampDelay { steps, .. } => {
-                    if *steps == 0 || *steps > MAX_STEPS {
-                        return bad("RampDelay needs steps in [1, MAX_STEPS]");
-                    }
-                }
                 Action::SetLoss { mean_loss, bursty } => {
                     if !(0.0..=1.0).contains(mean_loss) {
                         return bad("SetLoss mean_loss must be in [0, 1]");
@@ -231,15 +148,7 @@ impl Scenario {
                         return bad("bursty SetLoss needs mean_loss < 0.25");
                     }
                 }
-                Action::LossBurst { mean_loss, settle_loss, .. } => {
-                    if !(0.0..0.25).contains(mean_loss) {
-                        return bad("LossBurst mean_loss must be in [0, 0.25)");
-                    }
-                    if !(0.0..0.25).contains(settle_loss) {
-                        return bad("LossBurst settle_loss must be in [0, 0.25)");
-                    }
-                }
-                Action::LinkDown | Action::LinkUp | Action::RrcIdle => {}
+                Action::LinkDown | Action::LinkUp | Action::SetBackup { .. } => {}
                 Action::WifiFade { from_bps, floor_bps, steps, .. } => {
                     if *floor_bps == 0 || *from_bps == 0 {
                         return bad("WifiFade rates must be > 0");
@@ -251,20 +160,9 @@ impl Scenario {
                         return bad("WifiFade needs steps in [1, MAX_STEPS]");
                     }
                 }
-                Action::BgSurge { bytes_per_sec, for_ms } => {
-                    if *bytes_per_sec == 0 || *for_ms == 0 {
-                        return bad("BgSurge needs bytes_per_sec > 0 and for_ms > 0");
-                    }
-                }
-                Action::SetBackup { .. } => {}
             }
         }
         Ok(())
-    }
-
-    /// Largest path index referenced by any event (None if eventless).
-    pub fn max_path(&self) -> Option<usize> {
-        self.events.iter().map(|e| e.path).max()
     }
 
     /// The labelled epochs of this scenario over `[0, horizon_ms)`: each
@@ -319,7 +217,6 @@ impl ScenarioBuilder {
         self.event(TimedEvent {
             at_ms,
             path,
-            dir: Direction::Both,
             label: None,
             action,
         })
@@ -330,7 +227,6 @@ impl ScenarioBuilder {
         self.event(TimedEvent {
             at_ms,
             path,
-            dir: Direction::Both,
             label: Some(label.to_string()),
             action,
         })
@@ -362,48 +258,30 @@ mod tests {
                 floor_bps: 500_000,
                 over_ms: 1_000,
                 steps: 4,
-                stay_up: false,
             })
             .labelled(9_000, 0, "recover", Action::LinkUp)
             .build()
             .expect("valid");
         assert_eq!(s.events.len(), 2);
-        assert_eq!(s.max_path(), Some(0));
     }
 
     #[test]
     fn validation_rejects_degenerate_events() {
+        let fade = |steps| Action::WifiFade { from_bps: 2, floor_bps: 1, over_ms: 10, steps };
         let bad = Scenario::builder("x")
             .at(0, 0, Action::SetRate { bits_per_sec: 0 })
             .build();
         assert!(bad.is_err());
-        let bad = Scenario::builder("x")
-            .at(0, 0, Action::RampRate {
-                from_bps: 1,
-                to_bps: 2,
-                over_ms: 10,
-                steps: 0,
-            })
-            .build();
+        let bad = Scenario::builder("x").at(0, 0, fade(0)).build();
         assert!(bad.is_err());
         let bad = Scenario::builder("x")
-            .at(0, 0, Action::LossBurst {
-                mean_loss: 0.5,
-                for_ms: 100,
-                settle_loss: 0.0,
-            })
+            .at(0, 0, Action::SetLoss { mean_loss: 0.5, bursty: true })
             .build();
         assert!(bad.is_err());
         // The step cap bounds compile expansion on adversarial files.
-        let bad = Scenario::builder("x")
-            .at(0, 0, Action::RampRate {
-                from_bps: 1,
-                to_bps: 2,
-                over_ms: 10,
-                steps: MAX_STEPS + 1,
-            })
-            .build();
+        let bad = Scenario::builder("x").at(0, 0, fade(MAX_STEPS + 1)).build();
         assert!(bad.is_err());
+        assert!(Scenario::builder("x").at(0, 0, fade(MAX_STEPS)).build().is_ok());
     }
 
     #[test]

@@ -66,14 +66,7 @@ pub fn from_toml(text: &str) -> Result<Scenario, ScenarioError> {
 /// fuzz target's fixpoint oracle.)
 fn check_finite(scenario: &Scenario) -> Result<(), ScenarioError> {
     for (i, ev) in scenario.events.iter().enumerate() {
-        let finite = match &ev.action {
-            Action::SetLoss { mean_loss, .. } => mean_loss.is_finite(),
-            Action::LossBurst { mean_loss, settle_loss, .. } => {
-                mean_loss.is_finite() && settle_loss.is_finite()
-            }
-            _ => true,
-        };
-        if !finite {
+        if matches!(ev.action, Action::SetLoss { mean_loss, .. } if !mean_loss.is_finite()) {
             return Err(ScenarioError::Shape(format!(
                 "event #{i}: non-finite loss probability"
             )));
@@ -507,7 +500,6 @@ fn insert_unique(
 #[allow(clippy::disallowed_macros)]
 mod tests {
     use super::*;
-    use crate::model::{Action, Direction};
 
     const FADE_TOML: &str = r#"
 # WiFi fade into LTE handover.
@@ -569,9 +561,9 @@ at_ms = 1
 dir = "Uplink"
 action = { SetRate = { bits_per_sec = 1_000_000 } }
 "#;
+        // `dir` is not a field: like any unknown key, it is ignored.
         let s = from_toml(text).expect("parse");
         assert_eq!(s.name, "tAb\n");
-        assert_eq!(s.events[0].dir, Direction::Uplink);
         assert!(matches!(
             s.events[0].action,
             Action::SetRate { bits_per_sec: 1_000_000 }
@@ -603,6 +595,10 @@ action = { SetRate = { bits_per_sec = 1_000_000 } }
         assert!(matches!(err, ScenarioError::Shape(_)), "{err}");
         let err = from_json("{\"title\": 3}").expect_err("shape");
         assert!(matches!(err, ScenarioError::Shape(_)), "{err}");
+        // An action name outside the vocabulary is a shape error too.
+        let err = from_toml("name = \"x\"\n[[events]]\nat_ms = 0\naction = \"Teleport\"\n")
+            .expect_err("unknown action");
+        assert!(matches!(err, ScenarioError::Shape(_)), "{err}");
         let err = from_json("{nope").expect_err("syntax");
         assert!(matches!(err, ScenarioError::Syntax { .. }), "{err}");
     }
@@ -618,8 +614,8 @@ action = { SetRate = { bits_per_sec = 1_000_000 } }
         let err = from_json(json).expect_err("infinite loss");
         assert!(matches!(err, ScenarioError::Shape(_)), "{err}");
         let toml = "name = \"inf\"\n[[events]]\nat_ms = 0\n\
-                    action = { LossBurst = { mean_loss = 0.1, for_ms = 1, settle_loss = 1e999 } }\n";
-        let err = from_toml(toml).expect_err("infinite settle");
+                    action = { SetLoss = { mean_loss = 1e999, bursty = true } }\n";
+        let err = from_toml(toml).expect_err("infinite loss");
         assert!(matches!(err, ScenarioError::Shape(_)), "{err}");
     }
 

@@ -3,7 +3,7 @@
 //! trip identically, and compilation must be a pure function of the
 //! scenario (same input, same timeline, every time).
 
-use mpw_scenario::{compile, from_json, to_json, Action, Direction, Scenario, TimedEvent};
+use mpw_scenario::{compile, from_json, to_json, Action, Scenario, TimedEvent};
 use proptest::prelude::*;
 
 /// Every action variant, constrained to values that pass validation so the
@@ -11,7 +11,7 @@ use proptest::prelude::*;
 /// (the vendored proptest has no `prop_oneof!`).
 fn arb_action() -> impl Strategy<Value = Action> {
     (
-        0u8..12,
+        0u8..6,
         1u64..100_000_000,
         1u64..100_000_000,
         0u64..20_000,
@@ -21,48 +21,24 @@ fn arb_action() -> impl Strategy<Value = Action> {
     )
         .prop_map(|(variant, a, b, over_ms, steps, loss, flag)| match variant {
             0 => Action::SetRate { bits_per_sec: a },
-            1 => Action::RampRate { from_bps: a, to_bps: b, over_ms, steps },
-            2 => Action::SetDelay { delay_us: a % 1_000_000 },
-            3 => Action::RampDelay {
-                from_us: a % 1_000_000,
-                to_us: b % 1_000_000,
-                over_ms,
-                steps,
-            },
-            4 => Action::SetLoss { mean_loss: loss, bursty: flag },
-            5 => Action::LossBurst {
-                mean_loss: loss,
-                for_ms: over_ms.max(1),
-                settle_loss: loss / 2.0,
-            },
-            6 => Action::LinkDown,
-            7 => Action::LinkUp,
-            8 => Action::WifiFade {
+            1 => Action::SetLoss { mean_loss: loss, bursty: flag },
+            2 => Action::LinkDown,
+            3 => Action::LinkUp,
+            4 => Action::WifiFade {
                 from_bps: a.max(b),
                 floor_bps: a.min(b),
                 over_ms,
                 steps,
-                stay_up: flag,
-            },
-            9 => Action::RrcIdle,
-            10 => Action::BgSurge {
-                bytes_per_sec: a,
-                for_ms: over_ms.max(1),
             },
             _ => Action::SetBackup { backup: flag },
         })
 }
 
 fn arb_event() -> impl Strategy<Value = TimedEvent> {
-    (0u64..600_000, 0usize..4, 0u8..3, 0u8..8, arb_action()).prop_map(
-        |(at_ms, path, dir, label_sel, action)| TimedEvent {
+    (0u64..600_000, 0usize..4, 0u8..8, arb_action()).prop_map(
+        |(at_ms, path, label_sel, action)| TimedEvent {
             at_ms,
             path,
-            dir: match dir {
-                0 => Direction::Uplink,
-                1 => Direction::Downlink,
-                _ => Direction::Both,
-            },
             // None plus a small label vocabulary: epoch labels are short
             // human words, and duplicates exercise the epoch logic.
             label: ["fade", "restored", "surge", "idle"]
