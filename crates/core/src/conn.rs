@@ -1093,7 +1093,7 @@ impl MptcpConnection {
     }
 
     /// Streaming summary of connection-level out-of-order delays (§3.3) in
-    /// milliseconds (constant memory).
+    /// milliseconds (bounded memory).
     pub fn ofo_summary(&self) -> mpw_metrics::DistSummary {
         self.shared.borrow().rx.ofo_summary().clone()
     }

@@ -1,8 +1,9 @@
 //! The allocation-regression gate: a counting global allocator measures
 //! heap activity inside a steady-state window of a loss-free MPTCP download
-//! (plain and captured) and of a 20-client fleet, and fails the run if any
-//! count exceeds its checked-in budget in `ALLOC_budgets.json` (zero for
-//! the plain data path). A bench target so it builds with the release
+//! (plain and captured) and of a 20-client fleet, and the peak live heap of
+//! a whole 100-client fleet run, and fails the run if any reading exceeds
+//! its checked-in budget in `ALLOC_budgets.json` (zero heap ops for the
+//! plain data path). A bench target so it builds with the release
 //! profile, and in this crate because `mpw-check` is not in its dependency
 //! graph: the invariant oracles stay out of the count.
 //!
@@ -23,11 +24,16 @@ use mpw_experiments::run_lossfree_download_windowed;
 use mpw_sim::SimTime;
 
 /// Heap-operation counter wrapping the system allocator. Counts every
-/// `alloc`/`alloc_zeroed`/`realloc` (frees are not interesting to the
-/// gate); one relaxed fetch_add per operation.
+/// `alloc`/`alloc_zeroed`/`realloc` (frees are not heap ops to the gate),
+/// and tracks live bytes: allocations add, `dealloc` subtracts, `realloc`
+/// adjusts by the size difference, and the high-water mark follows.
 struct CountingAlloc;
 
 static ALLOC_OPS: AtomicU64 = AtomicU64::new(0);
+/// Bytes currently allocated through this allocator.
+static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
+/// High-water mark of `LIVE_BYTES` since the last [`reset_peak`].
+static PEAK_BYTES: AtomicU64 = AtomicU64::new(0);
 /// Debug aid: when armed (MPW_ALLOC_PANIC=N, counts down inside the
 /// window), the N-th heap op panics with a backtrace pointing at the
 /// offender. The swap-to-zero disarms before panicking so the panic
@@ -57,6 +63,15 @@ fn count_op_sized(size: usize) {
     }
 }
 
+fn grow_live(bytes: usize) {
+    let live = LIVE_BYTES.fetch_add(bytes as u64, Ordering::Relaxed) + bytes as u64;
+    PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
+}
+
+fn shrink_live(bytes: usize) {
+    LIVE_BYTES.fetch_sub(bytes as u64, Ordering::Relaxed);
+}
+
 // SAFETY: every method counts, then forwards its arguments unchanged to
 // `System`, so `GlobalAlloc`'s contract holds here exactly when it holds
 // there; what the caller guarantees (a valid layout, a pointer this
@@ -65,19 +80,36 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count_op_sized(layout.size());
         // SAFETY: the caller's guarantees, forwarded as they are.
-        unsafe { System.alloc(layout) }
+        let ptr = unsafe { System.alloc(layout) };
+        if !ptr.is_null() {
+            grow_live(layout.size());
+        }
+        ptr
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         count_op_sized(layout.size());
         // SAFETY: the caller's guarantees, forwarded as they are.
-        unsafe { System.alloc_zeroed(layout) }
+        let ptr = unsafe { System.alloc_zeroed(layout) };
+        if !ptr.is_null() {
+            grow_live(layout.size());
+        }
+        ptr
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count_op_sized(new_size);
         // SAFETY: the caller's guarantees, forwarded as they are.
-        unsafe { System.realloc(ptr, layout, new_size) }
+        let new = unsafe { System.realloc(ptr, layout, new_size) };
+        if !new.is_null() {
+            if new_size >= layout.size() {
+                grow_live(new_size - layout.size());
+            } else {
+                shrink_live(layout.size() - new_size);
+            }
+        }
+        new
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        shrink_live(layout.size());
         // SAFETY: the caller's guarantees, forwarded as they are.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -90,11 +122,19 @@ fn alloc_ops() -> u64 {
     ALLOC_OPS.load(Ordering::Relaxed)
 }
 
+/// Restart the high-water mark at the current live heap; returns it.
+fn reset_peak() -> u64 {
+    let live = LIVE_BYTES.load(Ordering::Relaxed);
+    PEAK_BYTES.store(live, Ordering::Relaxed);
+    live
+}
+
 /// One allocation-gate measurement: the probe's key in
-/// `ALLOC_budgets.json` and the heap ops it counted inside its window.
+/// `ALLOC_budgets.json`, its reading and what the reading counts.
 struct AllocRow {
     key: &'static str,
-    allocs_in_window: u64,
+    measured: u64,
+    unit: &'static str,
 }
 
 /// Steady-state observation window: by 300 ms the handshake, MP_JOIN and
@@ -197,15 +237,50 @@ fn run_alloc_probes() -> Vec<AllocRow> {
             "{key}: {allocs} heap ops over {segs} segments in the {}..{} ms window",
             ALLOC_WINDOW_MS.0, ALLOC_WINDOW_MS.1
         );
-        rows.push(AllocRow { key, allocs_in_window: allocs });
+        rows.push(AllocRow {
+            key,
+            measured: allocs,
+            unit: "heap ops in the steady-state window",
+        });
     }
     {
         let _ = fleet_alloc_probe(7);
         let (allocs, events) = fleet_alloc_probe(7);
         eprintln!("fleet_pump_allocs: {allocs} heap ops over {events} events in the 2000..3000 ms window");
-        rows.push(AllocRow { key: "fleet_pump_allocs", allocs_in_window: allocs });
+        rows.push(AllocRow {
+            key: "fleet_pump_allocs",
+            measured: allocs,
+            unit: "heap ops in the steady-state window",
+        });
     }
+    // Last: the heap-op probes above start from whatever earlier probes
+    // left in the thread-local buffer pool, and this one leaves plenty.
+    let kib = fleet_footprint_probe(7);
+    rows.push(AllocRow {
+        key: "fleet_peak_live_kib",
+        measured: kib,
+        unit: "KiB peak live heap",
+    });
     rows
+}
+
+/// Footprint probe: the peak live heap of one whole 100-client smoke
+/// fleet, above what was live when it started, in KiB. Per-connection
+/// state dominates it: a buffer sized for the worst case rather than for
+/// what the connection holds shows up here ×100.
+fn fleet_footprint_probe(seed: u64) -> u64 {
+    let spec = mpw_fleet::FleetSpec::smoke(100, seed);
+    let base = reset_peak();
+    let run = mpw_fleet::run_fleet(&spec);
+    let peak = PEAK_BYTES.load(Ordering::Relaxed);
+    assert!(run.report.bytes > 0, "footprint fleet moved no bytes");
+    drop(run);
+    let kib = (peak - base) / 1024;
+    eprintln!(
+        "fleet_peak_live_kib: {kib} KiB live at peak above the {} KiB at probe start",
+        base / 1024
+    );
+    kib
 }
 
 /// The regression gate: every probe must stay within its checked-in budget.
@@ -219,14 +294,17 @@ fn check_alloc_budgets(rows: &[AllocRow]) {
             .get(row.key)
             .and_then(serde_json::Value::as_u64)
             .unwrap_or_else(|| panic!("ALLOC_budgets.json lacks an integer {}", row.key));
-        if row.allocs_in_window > budget {
+        if row.measured > budget {
             eprintln!(
-                "ALLOC REGRESSION: {} = {} heap ops in the steady-state window, budget {}",
-                row.key, row.allocs_in_window, budget
+                "ALLOC REGRESSION: {} = {} {}, budget {}",
+                row.key, row.measured, row.unit, budget
             );
             bad = true;
         } else {
-            eprintln!("{}: {} heap ops <= budget {}", row.key, row.allocs_in_window, budget);
+            eprintln!(
+                "{}: {} {} <= budget {}",
+                row.key, row.measured, row.unit, budget
+            );
         }
     }
     if bad {

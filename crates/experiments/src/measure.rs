@@ -1,7 +1,7 @@
 //! Running one measurement and harvesting its metrics.
 //!
 //! Memory stays flat in download size: every per-packet RTT and
-//! out-of-order delay lands in a constant-memory streaming summary
+//! out-of-order delay lands in a bounded-memory streaming summary
 //! ([`DistSummary`]), the one record of each distribution.
 
 use mpw_fleet::{sender_subflows, subflow_deliveries, ClientFlow};

@@ -220,7 +220,7 @@ pub struct Assembler {
     ready_bytes: usize,
     ooo_bytes: usize,
     /// Streaming summary of out-of-order delays in milliseconds, one sample
-    /// per promoted range (constant memory).
+    /// per promoted range (bounded memory).
     ofo_summary: DistSummary,
     /// Total payload bytes accepted (deduplicated).
     accepted: u64,
@@ -241,10 +241,11 @@ impl Assembler {
             segs: BTreeMap::new(),
             next: start,
             origin: start,
-            // Pre-sized so steady-state bursts (bounded by the congestion
-            // window) never grow the queue mid-transfer; the allocation
-            // gate holds the post-handshake data path to zero heap ops.
-            ready: VecDeque::with_capacity(256),
+            // Grows to the depth the receive path reaches (a server's
+            // request side: one entry; a download's: what one hole or one
+            // drain interval releases), not to the congestion window's
+            // worst case up front.
+            ready: VecDeque::new(),
             ready_bytes: 0,
             ooo_bytes: 0,
             ofo_summary: DistSummary::new(),

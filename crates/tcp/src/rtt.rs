@@ -2,7 +2,7 @@
 //!
 //! Karn's rule is enforced by the caller (the socket never feeds samples
 //! from retransmitted segments). Every accepted sample (in milliseconds)
-//! lands in one constant-memory [`DistSummary`], the only record the
+//! lands in one bounded-memory [`DistSummary`], the only record the
 //! paper's Figure 12 distributions are read from.
 
 use mpw_metrics::DistSummary;
