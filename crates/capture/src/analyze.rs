@@ -67,7 +67,7 @@ pub struct WireSubflow {
 }
 
 /// Wire-derived per-connection statistics.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct WireConnection {
     /// Client key from MP_CAPABLE, if the connection negotiated MPTCP.
     pub client_key: Option<u64>,
@@ -75,8 +75,6 @@ pub struct WireConnection {
     pub subflows: Vec<WireSubflow>,
     /// Out-of-order delay distribution at the receiver (ms).
     pub ofo: DistSummary,
-    /// Exact out-of-order delay samples (ms), in promotion order.
-    pub ofo_samples_ms: Vec<f64>,
     /// Unique connection-level payload bytes seen arriving at the client.
     pub delivered_bytes: u64,
     /// Novel-byte delivery events `(arrival, path, bytes)` in arrival
@@ -122,19 +120,6 @@ pub struct WireAnalysis {
     pub pings: u64,
     /// Packets that failed to parse (foreign or corrupt).
     pub unparsed: u64,
-}
-
-impl Default for WireConnection {
-    fn default() -> Self {
-        WireConnection {
-            client_key: None,
-            subflows: Vec::new(),
-            ofo: DistSummary::new(),
-            ofo_samples_ms: Vec::new(),
-            delivered_bytes: 0,
-            deliveries: Vec::new(),
-        }
-    }
 }
 
 /// Merged-interval set over u64 sequence space; `insert` returns how many
@@ -485,7 +470,6 @@ fn ofo_arrival(conn: &mut (WireConnection, ConnState), start: u64, end: u64, at:
         *next = e;
         let ms = at.saturating_since(arrived).as_secs_f64() * 1e3;
         wc.ofo.push(ms);
-        wc.ofo_samples_ms.push(ms);
     }
 }
 
@@ -699,7 +683,8 @@ mod tests {
         assert_eq!(c.subflows[1].join_token, Some(9));
         // Delays: [0,100) immediate 0 ms; [100,200) fills on arrival 0 ms;
         // [200,300) waited from 115 to 175 = 60 ms.
-        assert_eq!(c.ofo_samples_ms, vec![0.0, 0.0, 60.0]);
+        let ofo = (c.ofo.count(), c.ofo.min(), c.ofo.max(), c.ofo.sum);
+        assert_eq!(ofo, (3, 0.0, 60.0, 60.0));
         assert_eq!(c.delivered_bytes, 300);
         // Byte shares: 200 B via path0, 100 B via path1.
         assert_eq!(c.subflows[0].delivered_bytes, 200);
@@ -785,7 +770,7 @@ mod tests {
         assert_eq!(c.client_key, None);
         assert_eq!(c.subflows[0].delivered_bytes, 150);
         assert_eq!(c.delivered_bytes, 150);
-        assert!(c.ofo_samples_ms.is_empty());
+        assert!(c.ofo.is_empty());
     }
 
     /// Regression for a fuzzer find: a DSS mapping with dseq near u64::MAX

@@ -867,7 +867,7 @@ impl MptcpConnection {
             iss,
             now,
         );
-        self.subflows.push(Subflow {
+        self.push_subflow(Subflow {
             sock,
             if_index,
             local,
@@ -875,6 +875,14 @@ impl MptcpConnection {
             backup,
             dead: false,
         });
+    }
+
+    /// Append a subflow, growing the vector by exactly one. A connection
+    /// holds a handful of subflows, and a `Subflow` is under 1 KiB, where
+    /// std's first growth step would reserve four of them.
+    fn push_subflow(&mut self, sf: Subflow) {
+        self.subflows.reserve_exact(1);
+        self.subflows.push(sf);
     }
 
     fn accept_subflow(
@@ -919,7 +927,7 @@ impl MptcpConnection {
             syn,
             now,
         );
-        self.subflows.push(Subflow {
+        self.push_subflow(Subflow {
             sock,
             if_index,
             local,

@@ -696,6 +696,11 @@ impl Host {
             }
         };
         let slot = self.slots.len();
+        // Most hosts open one connection: a `Slot` is under 1 KiB, where
+        // std's first growth step would reserve four of them.
+        if slot == 0 {
+            self.slots.reserve_exact(1);
+        }
         self.slots.push(Slot::new(transport, req.app, conn_id));
         self.dirty.insert(slot);
         self.register_demux(slot);

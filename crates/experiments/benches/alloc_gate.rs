@@ -18,7 +18,7 @@
 #![allow(unsafe_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use mpw_experiments::run_lossfree_download_windowed;
 use mpw_sim::SimTime;
@@ -40,19 +40,70 @@ static PEAK_BYTES: AtomicU64 = AtomicU64::new(0);
 /// machinery's own allocations don't recurse.
 static PANIC_AFTER: AtomicU64 = AtomicU64::new(0);
 
-/// Debug aid: when MPW_ALLOC_SIZES is set, bucket window allocations by
-/// requested size (log2 buckets) to identify offenders without backtraces.
-static SIZE_HIST: [AtomicU64; 32] = [const { AtomicU64::new(0) }; 32];
-static HIST_ON: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
+/// Debug aid: when MPW_ALLOC_SIZES is set, every heap op inside a probed
+/// span (the steady-state windows and the whole footprint run) is tallied
+/// by its exact requested size in an allocation-free open-addressing table,
+/// and the span's report names the sizes with the most bytes, so an
+/// offender reads as "4000 B × 101" without a backtrace.
+const SIZE_SLOTS: usize = 4096;
+/// Requested size + 1 per slot (0 = free).
+static SIZE_KEYS: [AtomicU64; SIZE_SLOTS] = [const { AtomicU64::new(0) }; SIZE_SLOTS];
+static SIZE_OPS: [AtomicU64; SIZE_SLOTS] = [const { AtomicU64::new(0) }; SIZE_SLOTS];
+/// Ops whose size found no free slot.
+static SIZE_UNTALLIED: AtomicU64 = AtomicU64::new(0);
+static SIZES_ON: AtomicBool = AtomicBool::new(false);
+/// Sizes each report lists.
+const TOP_SIZES: usize = 5;
+
+fn tally_size(size: usize) {
+    let key = size as u64 + 1;
+    let mut i = (key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 52) as usize % SIZE_SLOTS;
+    for _ in 0..SIZE_SLOTS {
+        match SIZE_KEYS[i].compare_exchange(0, key, Ordering::Relaxed, Ordering::Relaxed) {
+            Ok(_) => {}
+            Err(k) if k == key => {}
+            Err(_) => {
+                i = (i + 1) % SIZE_SLOTS;
+                continue;
+            }
+        }
+        SIZE_OPS[i].fetch_add(1, Ordering::Relaxed);
+        return;
+    }
+    SIZE_UNTALLIED.fetch_add(1, Ordering::Relaxed);
+}
+
+/// Print the [`TOP_SIZES`] request sizes with the most bytes tallied over
+/// `span`, then clear the table. Call with the tally off: this allocates.
+fn report_sizes(span: &str) {
+    let mut rows: Vec<(u64, u64)> = SIZE_KEYS
+        .iter()
+        .zip(&SIZE_OPS)
+        .filter_map(|(k, n)| {
+            let key = k.swap(0, Ordering::Relaxed);
+            let ops = n.swap(0, Ordering::Relaxed);
+            (key > 0).then(|| (key - 1, ops))
+        })
+        .collect();
+    rows.sort_by_key(|&(size, ops)| std::cmp::Reverse((size * ops, size)));
+    let ops: u64 = rows.iter().map(|&(_, n)| n).sum();
+    let untallied = SIZE_UNTALLIED.swap(0, Ordering::Relaxed);
+    eprintln!(
+        "  {span}: {ops} heap ops over {} request sizes ({untallied} untallied); most bytes:",
+        rows.len()
+    );
+    for &(size, n) in rows.iter().take(TOP_SIZES) {
+        eprintln!("    {size} B × {n} = {} KiB", size * n / 1024);
+    }
+}
 
 static PANIC_SIZE_MIN: AtomicU64 = AtomicU64::new(0);
 static PANIC_SIZE_MAX: AtomicU64 = AtomicU64::new(u64::MAX);
 
 fn count_op_sized(size: usize) {
     ALLOC_OPS.fetch_add(1, Ordering::Relaxed);
-    if HIST_ON.load(Ordering::Relaxed) {
-        let b = (usize::BITS - size.max(1).leading_zeros() - 1).min(31) as usize;
-        SIZE_HIST[b].fetch_add(1, Ordering::Relaxed);
+    if SIZES_ON.load(Ordering::Relaxed) {
+        tally_size(size);
     }
     if PANIC_AFTER.load(Ordering::Relaxed) > 0
         && (size as u64) >= PANIC_SIZE_MIN.load(Ordering::Relaxed)
@@ -176,23 +227,12 @@ fn alloc_probe(capture: bool, seed: u64) -> (u64, u64) {
         &mut |phase| {
             snaps[usize::from(phase)] = alloc_ops();
             PANIC_AFTER.store(if phase == 0 { armed } else { 0 }, Ordering::Relaxed);
-            if sizes_on {
-                HIST_ON.store(phase == 0, Ordering::Relaxed);
-                if phase == 1 {
-                    for (b, c) in SIZE_HIST.iter().enumerate() {
-                        let n = c.swap(0, Ordering::Relaxed);
-                        if n > 0 {
-                            eprintln!(
-                                "  alloc size 2^{b} ({}..{}): {n}",
-                                1usize << b,
-                                (1usize << b) * 2 - 1
-                            );
-                        }
-                    }
-                }
-            }
+            SIZES_ON.store(sizes_on && phase == 0, Ordering::Relaxed);
         },
     );
+    if sizes_on {
+        report_sizes(if capture { "captured window" } else { "plain window" });
+    }
     assert_eq!(probe.bytes, ALLOC_PROBE_SIZE, "probe download must complete");
     assert_eq!(probe.rexmit_segs, 0, "probe must be loss-free");
     assert!(probe.window_segments > 0, "window saw no data segments");
@@ -270,8 +310,11 @@ fn run_alloc_probes() -> Vec<AllocRow> {
 /// what the connection holds shows up here ×100.
 fn fleet_footprint_probe(seed: u64) -> u64 {
     let spec = mpw_fleet::FleetSpec::smoke(100, seed);
+    let sizes_on = std::env::var_os("MPW_ALLOC_SIZES").is_some();
     let base = reset_peak();
+    SIZES_ON.store(sizes_on, Ordering::Relaxed);
     let run = mpw_fleet::run_fleet(&spec);
+    SIZES_ON.store(false, Ordering::Relaxed);
     let peak = PEAK_BYTES.load(Ordering::Relaxed);
     assert!(run.report.bytes > 0, "footprint fleet moved no bytes");
     drop(run);
@@ -280,6 +323,9 @@ fn fleet_footprint_probe(seed: u64) -> u64 {
         "fleet_peak_live_kib: {kib} KiB live at peak above the {} KiB at probe start",
         base / 1024
     );
+    if sizes_on {
+        report_sizes("footprint run");
+    }
     kib
 }
 

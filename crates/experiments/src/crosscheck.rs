@@ -15,7 +15,9 @@
 //!   matches inside the socket, the wire at the link tap), so queueing at
 //!   the host boundary can shift individual samples.
 //! - **Out-of-order delay**: the fraction of delayed (>10 ms) samples must
-//!   agree within 0.15, the shape metric §5.2 cares about. Segment-level
+//!   agree within 0.15, the shape metric §5.2 cares about. Both sides read
+//!   it from a `DistSummary` histogram, so they share one bucketing; the
+//!   granularity of what they time still differs. Segment-level
 //!   granularity differs: the stack times SACK-held byte ranges, the wire
 //!   times DSS mappings held in reassembly.
 //! - **Cellular byte share**: absolute difference < 0.05. The wire
@@ -97,13 +99,6 @@ impl CrosscheckReport {
         }
         out
     }
-}
-
-fn delayed_frac(samples: &[f64]) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    samples.iter().filter(|&&d| d > 10.0).count() as f64 / samples.len() as f64
 }
 
 /// Match a wire subflow to the stack subflow on the same client interface:
@@ -203,11 +198,11 @@ pub fn crosscheck(m: &Measurement, wa: &WireAnalysis, tol: &Tolerances) -> Cross
         );
     }
 
-    // OFO shape: fraction of delayed samples, the stack's from its
-    // streaming summary, the wire's from the analyzer's exact samples.
+    // OFO shape: fraction of delayed samples, read from the stack's and
+    // the analyzer's summaries alike, so both sides share one bucketing.
     if m.ofo.count() > 0 && conn.ofo.count() > 0 {
         let f_stack = m.ofo.frac_above(10.0);
-        let f_wire = delayed_frac(&conn.ofo_samples_ms);
+        let f_wire = conn.ofo.frac_above(10.0);
         check(
             "ofo_delayed_frac".into(),
             f_stack,

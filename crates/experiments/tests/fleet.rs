@@ -87,7 +87,7 @@ fn mixed_fleet_report_is_internally_consistent() {
     assert_eq!(r.bytes, r.wifi_bytes + r.cell_bytes);
     // The mixed 5/3/2 draw at N=60 produces all three classes.
     assert_eq!(r.fct_by_class.len(), 3, "classes: {:?}", r.fct_by_class.keys());
-    let by_class: u64 = r.fct_by_class.values().map(|d| d.count).sum();
+    let by_class: u64 = r.fct_by_class.values().map(|d| d.count()).sum();
     assert_eq!(by_class, r.flows_started);
     let jain = r.fairness.jain();
     assert!(jain > 0.0 && jain <= 1.0, "Jain index out of range: {jain}");

@@ -2,110 +2,22 @@
 //! fairness, per-technology byte shares, and an aggregate goodput timeline
 //! over hundreds-to-thousands of concurrent flows (DESIGN.md §5.14).
 //!
-//! Everything here folds in **integer** arithmetic (u64 adds and exact
-//! histogram-bucket counts), so aggregation is associative and commutative:
-//! a [`FleetReport`] merged from K shards in any order is byte-identical to
-//! the unsharded fold. That property is what lets sharded campaigns run on
-//! any worker count and still gate CI on exact JSON equality — the same
-//! bar the single-scenario replay check sets. (The floating-point
-//! [`StreamingStats`](crate::StreamingStats) Chan-merge is deliberately
-//! *not* used here: it is accurate but not associative.)
+//! Everything here folds exactly, so aggregation is associative and
+//! commutative: a [`FleetReport`] merged from K shards in any order is
+//! byte-identical to the unsharded fold. Counters are u64 adds and
+//! histogram buckets are exact counts. Completion times are whole
+//! microseconds, so the f64 sum in their [`DistSummary`] holds integers
+//! and every addition is exact below 2⁵³ µs (≈285 years of summed flow
+//! time): the sum does not depend on the order of the folds either. That
+//! property is what lets sharded campaigns run on any worker count and
+//! still gate CI on exact JSON equality — the same bar the
+//! single-scenario replay check sets.
 
 use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
-use crate::stream::LogHistogram;
-
-/// An exactly-mergeable distribution over integer samples (flow-completion
-/// times in microseconds, per-flow rates in kbit/s).
-///
-/// Count/sum/min/max are exact u64 folds; quantiles come from the shared
-/// fixed-layout [`LogHistogram`], whose element-wise merge is also exact.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct ExactDist {
-    /// Number of samples.
-    pub count: u64,
-    /// Exact sum of all samples.
-    pub sum: u64,
-    /// Smallest sample (0 when empty).
-    pub min: u64,
-    /// Largest sample (0 when empty).
-    pub max: u64,
-    /// Fixed-layout histogram for quantile queries.
-    pub hist: LogHistogram,
-}
-
-impl Default for ExactDist {
-    fn default() -> Self {
-        ExactDist::new()
-    }
-}
-
-impl ExactDist {
-    /// Empty distribution.
-    pub fn new() -> Self {
-        ExactDist {
-            count: 0,
-            sum: 0,
-            min: 0,
-            max: 0,
-            hist: LogHistogram::new(),
-        }
-    }
-
-    /// Absorb one sample.
-    pub fn push(&mut self, x: u64) {
-        if self.count == 0 {
-            self.min = x;
-            self.max = x;
-        } else {
-            self.min = self.min.min(x);
-            self.max = self.max.max(x);
-        }
-        self.count += 1;
-        self.sum += x;
-        self.hist.push(x as f64);
-    }
-
-    /// Fold another distribution in (exact; any merge order gives the same
-    /// bytes).
-    pub fn merge(&mut self, other: &ExactDist) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            self.min = other.min;
-            self.max = other.max;
-        } else {
-            self.min = self.min.min(other.min);
-            self.max = self.max.max(other.max);
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.hist.merge(&other.hist);
-    }
-
-    /// Sample mean (0 when empty). Display-only — never folded back in.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Approximate quantile from the histogram (exact min/max at the ends).
-    pub fn quantile(&self, q: f64) -> f64 {
-        if q <= 0.0 {
-            return self.min as f64;
-        }
-        if q >= 1.0 {
-            return self.max as f64;
-        }
-        self.hist.quantile(q)
-    }
-}
+use crate::stream::DistSummary;
 
 /// Jain's fairness index over per-flow rates, folded exactly.
 ///
@@ -234,7 +146,7 @@ pub struct FlowRecord {
 /// The fleet-wide aggregate: everything the contention artifacts and the
 /// CI smoke gate read. Built by folding [`FlowRecord`]s (plus goodput
 /// samples) and merged across shards with [`FleetReport::merge`] — both
-/// folds are integer-exact, so any sharding of the same records yields
+/// folds are exact, so any sharding of the same records yields
 /// byte-identical JSON.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct FleetReport {
@@ -251,9 +163,9 @@ pub struct FleetReport {
     /// Bytes carried by cellular.
     pub cell_bytes: u64,
     /// Flow-completion times (µs) over completed flows.
-    pub fct: ExactDist,
+    pub fct: DistSummary,
     /// Completion times split by population class.
-    pub fct_by_class: BTreeMap<String, ExactDist>,
+    pub fct_by_class: BTreeMap<String, DistSummary>,
     /// Jain's fairness over completed flows' rates.
     pub fairness: Fairness,
     /// Aggregate delivered-bytes timeline.
@@ -272,7 +184,7 @@ impl FleetReport {
             bytes: 0,
             wifi_bytes: 0,
             cell_bytes: 0,
-            fct: ExactDist::new(),
+            fct: DistSummary::new(),
             fct_by_class: BTreeMap::new(),
             fairness: Fairness::default(),
             goodput: GoodputTimeline::new(bucket_ms),
@@ -289,11 +201,11 @@ impl FleetReport {
         self.late_blocks += r.late_blocks;
         if r.completed {
             self.flows_completed += 1;
-            self.fct.push(r.fct_us);
+            self.fct.push(r.fct_us as f64);
             self.fct_by_class
                 .entry(r.class.clone())
                 .or_default()
-                .push(r.fct_us);
+                .push(r.fct_us as f64);
             self.fairness.push(r.rate_kbps);
         }
     }
@@ -351,6 +263,7 @@ impl FleetReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn rec(client: u32, class: &str, fct_us: u64, bytes: u64) -> FlowRecord {
         FlowRecord {
@@ -365,26 +278,6 @@ mod tests {
             rate_kbps: (bytes * 8_000).checked_div(fct_us).unwrap_or(0),
             late_blocks: 0,
         }
-    }
-
-    #[test]
-    fn exact_dist_merge_equals_sequential_fold() {
-        let xs: Vec<u64> = (1..=500).map(|i| i * 37 % 9973).collect();
-        let mut whole = ExactDist::new();
-        for &x in &xs {
-            whole.push(x);
-        }
-        let mut left = ExactDist::new();
-        let mut right = ExactDist::new();
-        for (i, &x) in xs.iter().enumerate() {
-            if i % 3 == 0 {
-                left.push(x);
-            } else {
-                right.push(x);
-            }
-        }
-        left.merge(&right);
-        assert_eq!(left, whole);
     }
 
     #[test]
@@ -415,16 +308,91 @@ mod tests {
         assert!((t.mean_kbps() - 100.0).abs() < 1e-9);
     }
 
-    #[test]
-    fn report_merge_is_exact() {
-        let records: Vec<FlowRecord> = (0..200)
-            .map(|i| rec(i, if i % 2 == 0 { "mp2" } else { "wifi" }, 1000 + i as u64 * 13, 10_000))
-            .collect();
-        let whole = FleetReport::from_records(50, 200, &records);
-        let mut a = FleetReport::from_records(50, 120, &records[..120]);
-        let b = FleetReport::from_records(50, 80, &records[120..]);
-        a.merge(&b);
-        assert_eq!(crate::to_json(&a), crate::to_json(&whole));
+    const CLASSES: [&str; 4] = ["wifi", "lte", "mp2", "mp4"];
+
+    proptest! {
+        /// Shard merges are exact, the contract the fleet campaign's worker
+        /// pool relies on: worker count and shard split are implementation
+        /// detail. Completion times span 1 µs to 10¹⁰ µs, flows complete or
+        /// not; up to eight shards are cut at random split points or dealt
+        /// at random (round-robin past the end of the deal, so `i % 3` is
+        /// among them), and the shard reports fold in a shuffled order. The
+        /// JSON equals the sequential fold's byte for byte.
+        #[test]
+        fn report_merge_is_exact(
+            flows in proptest::collection::vec(
+                (
+                    (0u32..=10, any::<u64>()).prop_map(|(k, r)| 1 + r % 10u64.pow(k)),
+                    0usize..CLASSES.len(),
+                    any::<bool>(),
+                    0u64..64_000_000,
+                    0u64..10_000,
+                    0u64..20,
+                ),
+                0..300,
+            ),
+            cuts in proptest::collection::vec(0usize..300, 0..8),
+            dealt in any::<bool>(),
+            deal in proptest::collection::vec(0usize..8, 0..300),
+            keys in proptest::collection::vec(any::<u64>(), 8..9),
+        ) {
+            let records: Vec<FlowRecord> = flows
+                .iter()
+                .enumerate()
+                .map(|(i, &(fct_us, class, completed, bytes, rate_kbps, late_blocks))| FlowRecord {
+                    completed,
+                    rate_kbps,
+                    late_blocks,
+                    ..rec(i as u32, CLASSES[class], fct_us, bytes)
+                })
+                .collect();
+            let whole = FleetReport::from_records(50, records.len() as u64, &records);
+            let shards = cuts.len() + 1;
+            let mut parts: Vec<Vec<FlowRecord>> = vec![Vec::new(); shards];
+            if dealt {
+                for (i, r) in records.iter().enumerate() {
+                    parts[deal.get(i).copied().unwrap_or(i) % shards].push(r.clone());
+                }
+            } else {
+                let mut ends: Vec<usize> = cuts.iter().map(|&c| c.min(records.len())).collect();
+                ends.sort_unstable();
+                ends.push(records.len());
+                let mut start = 0;
+                for (part, end) in parts.iter_mut().zip(ends) {
+                    part.extend_from_slice(&records[start..end]);
+                    start = end;
+                }
+            }
+            let mut order: Vec<usize> = (0..shards).collect();
+            order.sort_by_key(|&i| keys[i]);
+            let mut merged = FleetReport::new(50);
+            for i in order {
+                merged.merge(&FleetReport::from_records(50, parts[i].len() as u64, &parts[i]));
+            }
+            prop_assert_eq!(crate::to_json(&merged), crate::to_json(&whole));
+        }
+
+        #[test]
+        fn goodput_samples_merge_exactly(
+            samples in proptest::collection::vec((0u64..100_000, 0u64..1_000_000), 0..200),
+            split in 0usize..200,
+        ) {
+            let mut whole = FleetReport::new(250);
+            for &(at, b) in &samples {
+                whole.absorb_goodput(at, b);
+            }
+            let cut = split.min(samples.len());
+            let mut a = FleetReport::new(250);
+            let mut b = FleetReport::new(250);
+            for &(at, bytes) in &samples[..cut] {
+                a.absorb_goodput(at, bytes);
+            }
+            for &(at, bytes) in &samples[cut..] {
+                b.absorb_goodput(at, bytes);
+            }
+            a.merge(&b);
+            prop_assert_eq!(crate::to_json(&a), crate::to_json(&whole));
+        }
     }
 
     #[test]
@@ -435,6 +403,6 @@ mod tests {
         assert_eq!(report.flows_started, 1);
         assert_eq!(report.flows_completed, 0);
         assert_eq!(report.bytes, 4096);
-        assert_eq!(report.fct.count, 0);
+        assert_eq!(report.fct.count(), 0);
     }
 }

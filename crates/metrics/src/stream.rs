@@ -6,117 +6,19 @@
 //! hundreds of thousands of RTT observations per subflow. The types here
 //! absorb samples one at a time in O(1) space:
 //!
-//! * [`StreamingStats`] — count / mean / M2 (Welford) plus min/max, with
-//!   numerically stable pairwise merge (Chan et al.).
 //! * [`LogHistogram`] — a log-bucketed histogram (16 buckets per octave)
-//!   that stores only the window of buckets its samples touched, at most
-//!   480, supporting mergeable quantiles, CDF/CCDF queries and the
-//!   log-spaced series the CCDF figures plot.
-//! * [`DistSummary`] — the composition used by the measurement harness:
-//!   exact moments + histogram shape, serializable and mergeable.
+//!   with exact count, min and max, that stores only the window of buckets
+//!   its samples touched, at most 480, supporting mergeable quantiles,
+//!   CDF/CCDF queries and the log-spaced series the CCDF figures plot.
+//! * [`DistSummary`] — the one distribution the rest of the workspace
+//!   keeps: that histogram plus the sum of its samples, so the mean is
+//!   exact too; serializable and mergeable.
 //!
 //! Each RTT and out-of-order delay sample the TCP/MPTCP layers take lands
-//! in one [`DistSummary`] and nowhere else; only the wire analyzer keeps
-//! an exact vector, as the capture cross-check's reference side.
+//! in one [`DistSummary`] and nowhere else; the wire analyzer keeps the
+//! same type, so the capture cross-check compares like with like.
 
 use serde::{Deserialize, Serialize, Value};
-
-/// Count / mean / M2 running moments (Welford), with min/max.
-///
-/// ```
-/// use mpw_metrics::StreamingStats;
-/// let mut s = StreamingStats::new();
-/// for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] { s.push(x); }
-/// assert!((s.mean() - 5.0).abs() < 1e-12);
-/// assert!((s.std_dev() - (32.0f64 / 7.0).sqrt()).abs() < 1e-12);
-/// ```
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
-pub struct StreamingStats {
-    /// Sample count.
-    pub n: u64,
-    /// Running mean.
-    pub mean: f64,
-    /// Sum of squared deviations from the mean (Welford's M2).
-    pub m2: f64,
-    /// Minimum seen (0 when empty).
-    pub min: f64,
-    /// Maximum seen (0 when empty).
-    pub max: f64,
-}
-
-impl StreamingStats {
-    /// Empty accumulator.
-    pub fn new() -> Self {
-        StreamingStats::default()
-    }
-
-    /// Absorb one sample (non-finite values are ignored).
-    pub fn push(&mut self, x: f64) {
-        if !x.is_finite() {
-            return;
-        }
-        if self.n == 0 {
-            self.min = x;
-            self.max = x;
-        } else {
-            self.min = self.min.min(x);
-            self.max = self.max.max(x);
-        }
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-    }
-
-    /// Absorb another accumulator (Chan et al. parallel combination).
-    pub fn merge(&mut self, other: &StreamingStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *other;
-            return;
-        }
-        let n1 = self.n as f64;
-        let n2 = other.n as f64;
-        let delta = other.mean - self.mean;
-        let n = n1 + n2;
-        self.mean += delta * n2 / n;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / n;
-        self.n += other.n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
-    /// Sample count as usize.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Whether no sample has been absorbed.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// Running mean (0 when empty).
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Sample variance (n−1 denominator; 0 for fewer than two samples).
-    pub fn variance(&self) -> f64 {
-        if self.n > 1 {
-            self.m2 / (self.n - 1) as f64
-        } else {
-            0.0
-        }
-    }
-
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-}
 
 /// Buckets per octave (relative bucket width 2^(1/16) ≈ 4.4%).
 const SUB: u32 = 16;
@@ -152,7 +54,7 @@ const SLACK: usize = 4 * SUB as usize;
 /// let p50 = h.quantile(0.5);
 /// assert!((p50 / 500.0 - 1.0).abs() < 0.05);
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct LogHistogram {
     /// Counts of buckets `lo .. lo + counts.len()` (absolute indices into
     /// the layout, see [`LogHistogram`]); buckets outside hold zero.
@@ -169,12 +71,6 @@ pub struct LogHistogram {
     min: f64,
     /// Exact largest sample (0 when empty).
     max: f64,
-}
-
-impl Default for LogHistogram {
-    fn default() -> Self {
-        LogHistogram::new()
-    }
 }
 
 impl PartialEq for LogHistogram {
@@ -237,15 +133,7 @@ impl LogHistogram {
     /// Empty histogram. It holds no bucket storage until the first sample
     /// that lands in a finite bucket.
     pub fn new() -> Self {
-        LogHistogram {
-            counts: Vec::new(),
-            lo: 0,
-            underflow: 0,
-            overflow: 0,
-            n: 0,
-            min: 0.0,
-            max: 0.0,
-        }
+        LogHistogram::default()
     }
 
     /// Lower edge of finite bucket `i`.
@@ -469,7 +357,8 @@ impl LogHistogram {
     }
 
     /// `(x, P(X > x))` pairs at `points` log-spaced x values spanning the
-    /// observed range — same contract as [`crate::Ccdf::log_series`].
+    /// observed range — ready to plot on the paper's log–log axes. Zero or
+    /// negative samples are anchored at `floor`.
     pub fn log_series(&self, points: usize, floor: f64) -> Vec<(f64, f64)> {
         if self.n == 0 || points == 0 {
             return Vec::new();
@@ -486,15 +375,22 @@ impl LogHistogram {
     }
 }
 
-/// Streaming distribution summary: exact moments ([`StreamingStats`]) plus
-/// histogram shape ([`LogHistogram`]). Bounded memory, mergeable, and
-/// serializable — the replacement for `Vec<f64>` sample accumulation in
-/// measurement outputs.
+/// Streaming distribution summary: the histogram ([`LogHistogram`], which
+/// also holds the exact count, min and max) plus the sum of the samples.
+/// Bounded memory, mergeable, and serializable — the replacement for
+/// `Vec<f64>` sample accumulation in measurement outputs.
+///
+/// ```
+/// use mpw_metrics::DistSummary;
+/// let mut d = DistSummary::new();
+/// for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0, f64::NAN] { d.push(x); }
+/// assert_eq!((d.count(), d.mean(), d.min(), d.max()), (8, 5.0, 2.0, 9.0));
+/// ```
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct DistSummary {
-    /// Running moments (exact mean / variance / min / max).
-    pub stats: StreamingStats,
-    /// Log-bucketed shape (quantiles, CDF/CCDF queries).
+    /// Sum of the finite samples.
+    pub sum: f64,
+    /// Log-bucketed shape (count, min, max, quantiles, CDF/CCDF queries).
     pub hist: LogHistogram,
 }
 
@@ -504,41 +400,48 @@ impl DistSummary {
         DistSummary::default()
     }
 
-    /// Absorb one sample.
+    /// Absorb one sample (non-finite values are ignored, as the histogram
+    /// ignores them).
     pub fn push(&mut self, x: f64) {
-        self.stats.push(x);
+        if x.is_finite() {
+            self.sum += x;
+        }
         self.hist.push(x);
     }
 
     /// Merge another summary.
     pub fn merge(&mut self, other: &DistSummary) {
-        self.stats.merge(&other.stats);
+        self.sum += other.sum;
         self.hist.merge(&other.hist);
     }
 
     /// Samples absorbed.
     pub fn count(&self) -> u64 {
-        self.stats.n
+        self.hist.count()
     }
 
     /// Whether no sample has been absorbed.
     pub fn is_empty(&self) -> bool {
-        self.stats.n == 0
+        self.hist.is_empty()
     }
 
-    /// Exact running mean.
+    /// Mean, `sum / count` (0 when empty).
     pub fn mean(&self) -> f64 {
-        self.stats.mean
+        if self.is_empty() {
+            0.0
+        } else {
+            self.sum / self.count() as f64
+        }
     }
 
-    /// Exact minimum.
+    /// Exact minimum (0 when empty).
     pub fn min(&self) -> f64 {
-        self.stats.min
+        self.hist.min()
     }
 
-    /// Exact maximum.
+    /// Exact maximum (0 when empty).
     pub fn max(&self) -> f64 {
-        self.stats.max
+        self.hist.max()
     }
 
     /// Approximate q-quantile (≤ ~2% relative error, exact at the ends).
@@ -565,7 +468,6 @@ impl DistSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::Summary;
     use proptest::prelude::*;
 
     fn lcg(seed: u64) -> impl FnMut() -> f64 {
@@ -574,55 +476,6 @@ mod tests {
             s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             (s >> 11) as f64 / (1u64 << 53) as f64
         }
-    }
-
-    #[test]
-    fn streaming_stats_match_batch_summary() {
-        let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        let batch = Summary::of(&xs);
-        let mut s = StreamingStats::new();
-        for &x in &xs {
-            s.push(x);
-        }
-        assert_eq!(s.count() as usize, batch.n);
-        assert!((s.mean() - batch.mean).abs() < 1e-12);
-        assert!((s.std_dev() - batch.std_dev).abs() < 1e-12);
-        assert_eq!(s.min, batch.min);
-        assert_eq!(s.max, batch.max);
-    }
-
-    #[test]
-    fn streaming_stats_merge_equals_concat() {
-        let mut rnd = lcg(7);
-        let xs: Vec<f64> = (0..500).map(|_| rnd() * 100.0).collect();
-        let (a, b) = xs.split_at(137);
-        let mut sa = StreamingStats::new();
-        let mut sb = StreamingStats::new();
-        a.iter().for_each(|&x| sa.push(x));
-        b.iter().for_each(|&x| sb.push(x));
-        sa.merge(&sb);
-        let mut whole = StreamingStats::new();
-        xs.iter().for_each(|&x| whole.push(x));
-        assert_eq!(sa.n, whole.n);
-        assert!((sa.mean - whole.mean).abs() < 1e-9);
-        assert!((sa.std_dev() - whole.std_dev()).abs() < 1e-9);
-        assert_eq!(sa.min, whole.min);
-        assert_eq!(sa.max, whole.max);
-    }
-
-    #[test]
-    fn streaming_stats_empty_and_single() {
-        let mut s = StreamingStats::new();
-        assert!(s.is_empty());
-        assert_eq!((s.mean(), s.std_dev()), (0.0, 0.0));
-        s.push(3.5);
-        assert_eq!(s.mean(), 3.5);
-        assert_eq!(s.std_dev(), 0.0);
-        let mut t = StreamingStats::new();
-        t.merge(&s);
-        assert_eq!(t.mean(), 3.5);
-        s.merge(&StreamingStats::new());
-        assert_eq!(s.n, 1);
     }
 
     #[test]
@@ -646,14 +499,13 @@ mod tests {
     }
 
     #[test]
-    fn log_histogram_frac_le_matches_ccdf() {
+    fn log_histogram_frac_above_matches_exact_count() {
         let xs: Vec<f64> = (1..=1000).map(|i| i as f64).collect();
         let mut h = LogHistogram::new();
         xs.iter().for_each(|&x| h.push(x));
-        let c = crate::Ccdf::of(&xs);
         for x in [1.0, 10.0, 123.0, 500.0, 999.0, 1000.0, 2000.0] {
             let got = h.frac_above(x);
-            let exact = c.at(x);
+            let exact = xs.iter().filter(|&&v| v > x).count() as f64 / xs.len() as f64;
             assert!(
                 (got - exact).abs() < 0.03,
                 "x={x}: hist {got} exact {exact}"
@@ -719,17 +571,35 @@ mod tests {
     #[test]
     fn dist_summary_composes_and_serializes() {
         let mut d = DistSummary::new();
-        (1..=100).for_each(|i| d.push(i as f64));
-        assert_eq!(d.count(), 100);
-        assert!((d.mean() - 50.5).abs() < 1e-9);
-        assert!((d.quantile(0.5) / 50.0 - 1.0).abs() < 0.1);
+        // Dyadic samples (k/8): every partial sum is exact, and so is the
+        // mean, 50.5 / 8.
+        (1..=100).for_each(|i| d.push(i as f64 / 8.0));
+        assert_eq!((d.count(), d.sum, d.mean()), (100, 631.25, 6.3125));
+        assert_eq!((d.min(), d.max()), (0.125, 12.5));
+        assert!((d.quantile(0.5) / 6.25 - 1.0).abs() < 0.1);
+        // Non-finite samples leave count, sum and mean where they were.
+        for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            d.push(x);
+            assert_eq!((d.count(), d.sum, d.mean()), (100, 631.25, 6.3125), "{x}");
+        }
+        assert_eq!(DistSummary::new().mean(), 0.0);
         let json = crate::to_json(&d);
         let v = serde_json::from_str::<serde_json::Value>(&json).expect("parse");
         let back = DistSummary::from_value(&v).expect("roundtrip");
         assert_eq!(back, d);
+        assert_eq!(crate::to_json(&back), json);
+        // Merging with an empty summary is the identity, either way round.
         let mut e = DistSummary::new();
         e.merge(&d);
         assert_eq!(e, d);
+        e.merge(&DistSummary::new());
+        assert_eq!(e, d);
+        // A split stream merges back to the whole.
+        let (mut a, mut b) = (DistSummary::new(), DistSummary::new());
+        (1..=40).for_each(|i| a.push(i as f64 / 8.0));
+        (41..=100).for_each(|i| b.push(i as f64 / 8.0));
+        a.merge(&b);
+        assert_eq!(a, d);
     }
 
     /// The dense histogram of the fixed-budget era, kept verbatim as the
