@@ -32,7 +32,7 @@ const SEED: u64 = 7;
 const BUDGETS: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../WORK_budgets.json");
 
 /// The exact counts of one run.
-#[derive(Debug, PartialEq, Serialize, Deserialize)]
+#[derive(PartialEq, Serialize, Deserialize)]
 struct Work {
     events_processed: u64,
     stale_timer_pops: u64,
@@ -42,7 +42,7 @@ struct Work {
 }
 
 /// The checked-in file: one [`Work`] per fixed run.
-#[derive(Debug, PartialEq, Serialize, Deserialize)]
+#[derive(PartialEq, Serialize, Deserialize)]
 struct Budgets {
     mp2_coupled_att_4mb: Work,
     sp_wifi_4mb: Work,
@@ -135,23 +135,38 @@ fn main() {
         mp2_coupled_att_8kb: download(FlowConfig::mp2(Coupling::Coupled), sizes::S8K),
     };
     let text = serde_json::to_string_pretty(&measured).expect("counts serialize") + "\n";
+    let recorded = std::fs::read_to_string(BUDGETS).expect("read WORK_budgets.json");
+    let recorded: Option<Budgets> = serde_json::from_str(&recorded).ok();
     if std::env::args().any(|a| a == "--bless") {
         std::fs::write(BUDGETS, &text).expect("write WORK_budgets.json");
         eprintln!("WORK_budgets.json re-recorded:\n{text}");
+        recorded.iter().flat_map(|r| moved(r, &measured)).for_each(|l| eprintln!("  {l}"));
         return;
     }
-    let recorded: Budgets = serde_json::from_str(
-        &std::fs::read_to_string(BUDGETS).expect("read WORK_budgets.json"),
-    )
-    .expect("parse WORK_budgets.json");
+    let recorded = recorded.expect("parse WORK_budgets.json");
     if recorded != measured {
         eprintln!(
-            "WORK COUNT CHANGE: the fixed runs no longer do the recorded work.\n\
-             recorded: {recorded:?}\nmeasured: {measured:?}\n\
+            "WORK COUNT CHANGE: the fixed runs no longer do the recorded work:\n  {}\n\
              If the change is meant, re-record with: \
-             cargo bench -p mpw-experiments --bench work_gate -- --bless"
+             cargo bench -p mpw-experiments --bench work_gate -- --bless",
+            moved(&recorded, &measured).join("\n  ")
         );
         std::process::exit(1);
     }
     eprintln!("work counts equal WORK_budgets.json:\n{text}");
+}
+
+/// One `run.count: recorded → measured` line per count that differs.
+fn moved(recorded: &Budgets, measured: &Budgets) -> Vec<String> {
+    let [old, new] = [recorded, measured].map(|b| serde_json::to_value(b).expect("serialize"));
+    let mut lines = Vec::new();
+    for (run, counts) in old.as_object().into_iter().flatten() {
+        for (count, was) in counts.as_object().into_iter().flatten() {
+            let (was, now) = (was.as_u64(), new.get(run).and_then(|c| c.get(count)?.as_u64()));
+            if was != now {
+                lines.push(format!("{run}.{count}: {} → {}", was.unwrap_or(0), now.unwrap_or(0)));
+            }
+        }
+    }
+    lines
 }

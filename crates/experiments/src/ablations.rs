@@ -52,26 +52,20 @@ fn base_scenario(size: u64) -> Scenario {
     study::scenario(WifiKind::Home, Carrier::Att, flow, size)
 }
 
-fn times_with<F: Fn(&mut Scenario)>(size: u64, reps: u64, seed: u64, tweak: F) -> Vec<f64> {
-    (0..reps)
-        .filter_map(|i| {
-            let mut sc = base_scenario(size);
-            tweak(&mut sc);
-            run_measurement(&sc, seed + i * 101).download_time_s
-        })
-        .collect()
-}
-
 /// §3.1 "connection parameters": initial ssthresh 64 KB vs Linux's infinite
 /// default. Infinite ssthresh lets the (lossless) cellular subflow slow-start
 /// without bound, inflating cellular RTT — the degradation the paper
 /// explicitly configured away.
 pub fn ablate_ssthresh(reps: u64, seed: u64) -> AblationResult {
-    let size = sizes::S4M;
-    let paper = times_with(size, reps, seed, |_| {});
-    // `times_with` cannot express the CcConfig change through Scenario, so
-    // the alternative arm drives the testbed directly.
-    let alt = run_ssthresh_infinite(size, reps, seed);
+    let run = |initial_ssthresh: usize, i: u64| -> Option<f64> {
+        let mp = MptcpConfig {
+            cc: mpw_tcp::CcConfig { initial_ssthresh, ..Default::default() },
+            ..MptcpConfig::default()
+        };
+        mp_download_secs(&base_scenario(sizes::S4M), seed + i * 101, mp, 400)
+    };
+    let paper: Vec<f64> = (0..reps).filter_map(|i| run(64 << 10, i)).collect();
+    let alt: Vec<f64> = (0..reps).filter_map(|i| run(usize::MAX, i)).collect();
     AblationResult::of(
         "initial ssthresh: 64 KB (paper) vs infinite (Linux default)",
         "4 MB download, MP-2 coupled over WiFi+LTE",
@@ -94,21 +88,6 @@ fn mp_download_secs(sc: &Scenario, seed: u64, mp: MptcpConfig, horizon_s: u64) -
 /// `sc`'s two-path testbed with the server mirroring the client's transport.
 fn mp_testbed(sc: &Scenario, seed: u64, client: &TransportSpec) -> TestbedSpec {
     TestbedSpec::two_path(seed, sc.wifi.spec(sc.period), sc.carrier.preset()).mirroring(client)
-}
-
-fn run_ssthresh_infinite(size: u64, reps: u64, seed: u64) -> Vec<f64> {
-    (0..reps)
-        .filter_map(|i| {
-            let mp = MptcpConfig {
-                cc: mpw_tcp::CcConfig {
-                    initial_ssthresh: usize::MAX,
-                    ..Default::default()
-                },
-                ..MptcpConfig::default()
-            };
-            mp_download_secs(&base_scenario(size), seed + i * 101, mp, 400)
-        })
-        .collect()
 }
 
 /// §3.1 "no subflow penalty": the v0.86 penalization mechanism the paper

@@ -34,9 +34,7 @@ use mpw_metrics::{
     PathEvent, PathEventKind, StallReport,
 };
 use mpw_mptcp::{HandoverPolicy, Host, LifecycleEvent, Transport, TransportSpec};
-use mpw_scenario::{
-    compile, Action, LinkOp, Op, PathBinding, Scenario as Mobility, ScenarioDriver,
-};
+use mpw_scenario::{Action, LinkOp, Op, Scenario as Mobility, ScenarioDriver};
 use mpw_sim::{AgentId, Event, SimDuration, SimTime, World};
 
 use crate::config::{FlowConfig, WifiKind};
@@ -237,19 +235,6 @@ fn with_client_conn(
 /// Run one handover measurement to completion (or horizon).
 pub fn run_handover(spec: &HandoverSpec) -> HandoverMeasurement {
     let scenario = spec.scenario();
-    let timeline = compile(&scenario).expect("spec scenarios compile");
-    // Cross-layer link-down notifications: every Down(true) in the
-    // timeline is mirrored to the client connection at its exact time.
-    let mut downs: Vec<(SimTime, u8)> = timeline
-        .ops
-        .iter()
-        .filter_map(|op| match op.op {
-            Op::Link { path, op: LinkOp::Down(true) } => Some((op.at, path as u8)),
-            _ => None,
-        })
-        .collect();
-    downs.reverse(); // pop() yields earliest-first
-
     let wifi = spec.wifi.spec(spec.period);
     let cellular = spec.carrier.preset();
     let mut transport = FlowConfig::mp2(mpw_mptcp::Coupling::Coupled).transport();
@@ -260,12 +245,7 @@ pub fn run_handover(spec: &HandoverSpec) -> HandoverMeasurement {
     let tb_spec = TestbedSpec::two_path(spec.seed, wifi, cellular).mirroring(&transport);
     let mut tb = Testbed::build(tb_spec);
     let slot = tb.download(transport, spec.size, SimTime::from_millis(100), true);
-    let bindings: Vec<PathBinding> = tb
-        .paths
-        .iter()
-        .map(|p| PathBinding { uplink: p.uplink, downlink: p.downlink })
-        .collect();
-    let mut driver = ScenarioDriver::from_timeline(timeline);
+    let mut driver = ScenarioDriver::new(&scenario, &tb.paths).expect("spec scenarios compile");
 
     // Horizon: the outage plus the whole transfer at a conservative
     // cellular-only budget (Sprint EVDO class). Completion stops the run
@@ -282,27 +262,26 @@ pub fn run_handover(spec: &HandoverSpec) -> HandoverMeasurement {
     let cfg = Drive {
         tick: SAMPLE_TICK,
         horizon,
-        mobility: Some((&mut driver, &bindings)),
-        ticker: None,
+        mobility: Some(&mut driver),
         who: spec,
     };
     drive(&mut tb.world, cfg, |world, now, ops| {
-        // Scenario ops due at this instant: link mutations were applied by
-        // the driver; MP_PRIO triggers and link-down mirrors go to the
-        // client connection, followed by an immediate flush.
+        // Scenario ops due at this instant, in timeline order: link
+        // mutations were applied by the driver; MP_PRIO triggers and
+        // link-down mirrors go to the client connection, followed by an
+        // immediate flush.
         for op in ops {
-            if let Op::SetBackup { path, backup } = op.op {
-                with_client_conn(world, client, slot, now, |c| {
+            match op.op {
+                Op::SetBackup { path, backup } => with_client_conn(world, client, slot, now, |c| {
                     c.notify_signal(path as u8, backup, now);
-                });
+                }),
+                Op::Link { path, op: LinkOp::Down(true) } => {
+                    with_client_conn(world, client, slot, now, |c| {
+                        c.notify_path_down(path as u8, now);
+                    });
+                }
+                Op::Link { .. } => {}
             }
-        }
-        while let Some(&(at, path)) = downs.last() {
-            if at > now {
-                break;
-            }
-            downs.pop();
-            with_client_conn(world, client, slot, now, |c| c.notify_path_down(path, now));
         }
         let flow = harvest(world, client, slot);
         progress.push((now, flow.app_bytes));

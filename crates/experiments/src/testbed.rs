@@ -200,7 +200,6 @@ impl Testbed {
             tick: SimDuration::from_millis(100),
             horizon,
             mobility: None,
-            ticker: None,
             who,
         };
         let mut flow = ClientFlow::default();

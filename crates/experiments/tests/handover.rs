@@ -6,8 +6,9 @@
 //! must replay byte-identically, regardless of worker count.
 
 use mpw_experiments::{run_handover, run_handover_campaign, sizes, HandoverSpec};
-use mpw_metrics::to_json;
+use mpw_metrics::{to_json, PathEventKind};
 use mpw_mptcp::HandoverPolicy;
+use mpw_sim::SimTime;
 
 /// A handover small enough for the test suite: 8 MB, fade at 1 s, 2 s
 /// blackout. The transfer outlives the outage on cellular alone, so the
@@ -79,11 +80,18 @@ fn make_before_break_demotes_on_the_signal() {
     let mbb = run_handover(&small_fade(HandoverPolicy::MakeBeforeBreak, 13));
     // The MP_PRIO trigger is delivered at fade onset and logged.
     assert!(
-        mbb.events.iter().any(|e| matches!(
-            e.kind,
-            mpw_metrics::PathEventKind::SignalWeak
-        )),
+        mbb.events.iter().any(|e| matches!(e.kind, PathEventKind::SignalWeak)),
         "the fade's signal trigger must reach the connection"
+    );
+    // The scripted blackout at the fade's end reaches it too, at that exact
+    // instant: the interface-down notice, not a later RTO-stall verdict.
+    let down_at = SimTime::from_millis(mbb.spec.fade_at_ms + mbb.spec.fade_over_ms);
+    assert!(
+        mbb.events
+            .iter()
+            .any(|e| e.kind == PathEventKind::Down && e.if_index == 0 && e.at == down_at),
+        "the WiFi path must be declared dead at {down_at:?}, events: {:?}",
+        mbb.events
     );
 }
 

@@ -4,7 +4,7 @@ use std::fmt;
 
 use mpw_link::{BuiltPath, LinkAgent};
 use mpw_mptcp::{Host, OpenRequest};
-use mpw_scenario::{CompiledOp, PathBinding, ScenarioDriver};
+use mpw_scenario::{CompiledOp, ScenarioDriver};
 use mpw_sim::{AgentId, Event, RunOutcome, SimDuration, SimTime, World};
 
 /// Queue `req` on `client` and schedule the timer that activates it at
@@ -49,15 +49,9 @@ pub struct Drive<'a> {
     pub tick: SimDuration,
     /// Hard stop.
     pub horizon: SimTime,
-    /// A mobility timeline and the paths it is bound to; slices also end at
-    /// each of its operations, which are applied at their exact times.
-    pub mobility: Option<(&'a mut ScenarioDriver, &'a [PathBinding])>,
-    /// An agent to wake at every slice boundary: `run_until` leaves the clock
-    /// alone on an empty heap, and the wake-up keeps it moving to the
-    /// boundary. Only the fleet passes one, and its heap does not drain (the
-    /// background sources keep it populated), so there it changes no result
-    /// and is kept because the work gate's fleet row counts its wakeups.
-    pub ticker: Option<AgentId>,
+    /// A mobility timeline bound to its paths; slices also end at each of
+    /// its operations, which are applied at their exact times.
+    pub mobility: Option<&'a mut ScenarioDriver>,
     /// Names the run (seed and scenario or spec) if it has to be aborted.
     pub who: &'a dyn fmt::Debug,
 }
@@ -65,10 +59,11 @@ pub struct Drive<'a> {
 /// Run `world` in slices until `on_tick` reports the run done, the horizon
 /// is reached, or the event heap drains. After each slice the mobility
 /// operations now due are applied, then `on_tick(world, now, ops)` is called
-/// with the harness-level operations among them (the MP_PRIO triggers) for
-/// the caller to act on. Slicing `run_until`
-/// preserves the exact event order, so the slice length never changes a
-/// result.
+/// with all of them, in timeline order, for the caller to act on. A heap
+/// that drains mid-slice leaves the clock at its last event, so `on_tick`
+/// runs once more at that instant and the run ends there. Slicing
+/// `run_until` preserves the exact event order, so the slice length never
+/// changes a result.
 ///
 /// # Panics
 ///
@@ -81,11 +76,8 @@ pub fn drive(
 ) {
     loop {
         let mut stop = (world.now() + cfg.tick).min(cfg.horizon);
-        if let Some(at) = cfg.mobility.as_ref().and_then(|(d, _)| d.next_at()) {
+        if let Some(at) = cfg.mobility.as_ref().and_then(|d| d.next_at()) {
             stop = stop.min(at);
-        }
-        if let Some(ticker) = cfg.ticker {
-            world.schedule(stop, ticker, Event::Timer { token: 0 });
         }
         let outcome = world.run_until(stop);
         let now = world.now();
@@ -96,9 +88,9 @@ pub fn drive(
             cfg.who,
         );
         let ops = match &mut cfg.mobility {
-            Some((driver, bindings)) => driver
-                .apply_due(world, bindings, now)
-                .expect("bindings cover every scenario path"),
+            Some(driver) => driver
+                .apply_due(world, now)
+                .expect("every scenario path is a link pair"),
             None => Vec::new(),
         };
         if on_tick(world, now, &ops) || outcome == RunOutcome::Idle || stop >= cfg.horizon {
@@ -140,5 +132,29 @@ mod tests {
         w.schedule(at, middlebox, Event::Frame { port: 0, frame });
         w.run_until(at);
         assert_eq!(w.agent::<NullSink>(sink).expect("sink").arrivals, vec![at]);
+    }
+
+    /// A heap that drains before the horizon ends the run: `on_tick` sees
+    /// every slice boundary up to the drain, then the drain instant itself
+    /// (the clock stays at the last event), and is not called again.
+    #[test]
+    fn a_drained_heap_ends_the_run_at_its_last_event() {
+        let mut w = World::new(1, TraceLevel::Off);
+        let sink = w.add_agent(Box::new(NullSink::default()));
+        w.schedule(SimTime::from_millis(250), sink, Event::Timer { token: 0 });
+        let cfg = Drive {
+            tick: SimDuration::from_millis(100),
+            horizon: SimTime::from_secs(1),
+            mobility: None,
+            who: &"drain",
+        };
+        let mut ticks = Vec::new();
+        drive(&mut w, cfg, |_, now, ops| {
+            assert!(ops.is_empty());
+            ticks.push(now);
+            false
+        });
+        assert_eq!(ticks, [100, 200, 250].map(SimTime::from_millis));
+        assert_eq!(w.now(), SimTime::from_millis(250));
     }
 }

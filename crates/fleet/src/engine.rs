@@ -9,7 +9,7 @@
 //! artifacts sweep.
 
 use mpw_http::{StreamingClient, Wget};
-use mpw_link::{BuiltPath, NullSink};
+use mpw_link::BuiltPath;
 use mpw_metrics::{FleetReport, FlowRecord};
 use mpw_mptcp::{Host, MptcpConfig, OpenRequest, TransportSpec};
 use mpw_sim::{AgentId, SimDuration, SimTime, World};
@@ -183,11 +183,6 @@ pub fn run_fleet_windowed(
     }
 
     // --- drive ------------------------------------------------------------
-    // Woken at every tick boundary (see [`Drive::ticker`]). The access
-    // networks' background sources already keep the heap from draining, so
-    // the wakeups change no result; they stay because the work gate's fleet
-    // row counts them. A sink ignores timers.
-    let ticker = world.add_agent(Box::new(NullSink::default()));
     let mut report = FleetReport::new(spec.goodput_bucket_ms);
     report.clients = u64::from(spec.n_clients);
     let mut delivered_cum: u64 = 0;
@@ -196,7 +191,6 @@ pub fn run_fleet_windowed(
         tick: SimDuration::from_millis(spec.goodput_bucket_ms.max(1)),
         horizon,
         mobility: None,
-        ticker: Some(ticker),
         who: spec,
     };
     drive(&mut world, cfg, |world, now, _ops| {

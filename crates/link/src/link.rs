@@ -187,7 +187,7 @@ pub struct LinkAgent {
     sink: Option<(AgentId, u16)>,
     q: VecDeque<Frame>,
     q_bytes: usize,
-    in_service: Option<(Frame, u32)>,
+    in_service: Option<Frame>,
     /// Cancellable handle of the pending service/resume completion timer.
     /// Handles go stale on fire, so no generation counter is needed to
     /// reject superseded timers.
@@ -367,13 +367,13 @@ impl LinkAgent {
         let start = self.rrc_gate(now).max(now);
         let rate = self.cfg.rate.rate_at(start, &mut self.rng);
         let ser = serialization_delay(frame.wire_len(), rate);
-        self.in_service = Some((frame, 0));
+        self.in_service = Some(frame);
         let delay = start.saturating_since(now) + ser;
         self.service_timer = Some(ctx.arm_timer(delay, TOKEN_SERVICE));
     }
 
     fn finish_service(&mut self, ctx: &mut Ctx<'_>) {
-        let Some((frame, _)) = self.in_service.take() else {
+        let Some(frame) = self.in_service.take() else {
             return;
         };
         // Delivered or lost, the frame leaves the queue here.
@@ -439,7 +439,7 @@ impl LinkAgent {
             let ser = serialization_delay(frame.wire_len(), rate);
             let resume = ser * tries as u64;
             // Hold the server busy with a zero-length placeholder.
-            self.in_service = Some((Frame::new(bytes::Bytes::new()), 0));
+            self.in_service = Some(Frame::new(bytes::Bytes::new()));
             self.service_timer = Some(ctx.arm_timer(resume, TOKEN_RESUME));
         }
 
@@ -1062,8 +1062,8 @@ mod tests {
             let la = w.agent::<LinkAgent>(link).unwrap();
             // The placeholder that holds the server busy through an ARQ
             // capacity tax is not a frame of either class.
-            let in_service = la.in_service.iter().filter(|(f, _)| f.wire_len() > 0);
-            let held: Vec<&Frame> = la.q.iter().chain(in_service.map(|(f, _)| f)).collect();
+            let in_service = la.in_service.iter().filter(|f| f.wire_len() > 0);
+            let held: Vec<&Frame> = la.q.iter().chain(in_service).collect();
             let held_fg = held.iter().filter(|f| f.meta == 0).count();
             assert_eq!(la.fg_held, held_fg, "the counter is the recount at {ms} ms");
             let o = obs.borrow();

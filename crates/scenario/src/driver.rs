@@ -1,14 +1,16 @@
 //! The scenario driver: applies a compiled timeline to a running world.
 //!
 //! The harness owns the event loop; the driver is a cursor over the sorted
-//! timeline. The intended slicing pattern (the same one
-//! `run_lossfree_download_windowed` uses for measurement marks) is:
+//! timeline. The intended slicing pattern (the one `mpw_fleet::drive` runs)
+//! is:
 //!
 //! ```text
+//! let mut driver = ScenarioDriver::new(&scenario, &paths)?;
 //! while let Some(at) = driver.next_at() {
 //!     world.run_until(at);                       // exact sim time
-//!     let pending = driver.apply_due(&mut world, &bindings, at)?;
-//!     ... apply the MP_PRIO triggers via the hosts ...
+//!     for op in driver.apply_due(&mut world, at)? {
+//!         ... act on the op via the hosts (MP_PRIO, link-down notices) ...
+//!     }
 //! }
 //! world.run_until(horizon);
 //! ```
@@ -18,37 +20,34 @@
 //! whose links had been pre-programmed — replays from the same (scenario,
 //! seed) pair reproduce every metric bit for bit.
 
-use mpw_link::LinkAgent;
-use mpw_sim::{AgentId, SimTime, World};
+use mpw_link::{BuiltPath, LinkAgent};
+use mpw_sim::{SimTime, World};
 
 use crate::compile::{compile, CompiledOp, LinkOp, Op, Timeline};
 use crate::error::ScenarioError;
 use crate::model::Scenario;
 
-/// Agent ids of one bidirectional path's two link directions.
-#[derive(Clone, Copy, Debug)]
-pub struct PathBinding {
-    /// Client → server direction.
-    pub uplink: AgentId,
-    /// Server → client direction.
-    pub downlink: AgentId,
-}
-
-/// Cursor over a compiled timeline, applying link ops to a [`World`].
+/// Cursor over a compiled timeline, applying link ops to the paths it was
+/// bound to.
 pub struct ScenarioDriver {
     timeline: Timeline,
+    paths: Vec<BuiltPath>,
     next: usize,
 }
 
 impl ScenarioDriver {
-    /// Compile a scenario into a driver.
-    pub fn new(scenario: &Scenario) -> Result<ScenarioDriver, ScenarioError> {
-        Ok(ScenarioDriver::from_timeline(compile(scenario)?))
-    }
-
-    /// Wrap an already-compiled timeline.
-    pub fn from_timeline(timeline: Timeline) -> ScenarioDriver {
-        ScenarioDriver { timeline, next: 0 }
+    /// Compile a scenario and bind it to `paths`, indexed by the scenario's
+    /// path numbers. A scenario naming a path past the end of `paths` is
+    /// refused here, not when its op comes due.
+    pub fn new(scenario: &Scenario, paths: &[BuiltPath]) -> Result<ScenarioDriver, ScenarioError> {
+        let timeline = compile(scenario)?;
+        for op in &timeline.ops {
+            let (Op::Link { path, .. } | Op::SetBackup { path, .. }) = op.op;
+            if path >= paths.len() {
+                return Err(ScenarioError::PathOutOfRange { path, bound: paths.len() });
+            }
+        }
+        Ok(ScenarioDriver { timeline, paths: paths.to_vec(), next: 0 })
     }
 
     /// Sim time of the next unapplied operation.
@@ -61,44 +60,39 @@ impl ScenarioDriver {
         self.next >= self.timeline.ops.len()
     }
 
-    /// Apply every operation due at or before `now`. Link operations are
-    /// applied directly to both directions of the path through the
-    /// [`LinkAgent`] mutators; MP_PRIO triggers are returned in timeline
-    /// order for the caller — which owns the hosts — to act on.
+    /// Apply every operation due at or before `now` and return them all in
+    /// timeline order. Link operations are applied directly to both
+    /// directions of the path through the [`LinkAgent`] mutators; the caller,
+    /// which owns the hosts, acts on the rest (MP_PRIO triggers) and on any
+    /// op it also wants to mirror to a connection (a link going down).
     pub fn apply_due(
         &mut self,
         world: &mut World,
-        bindings: &[PathBinding],
         now: SimTime,
     ) -> Result<Vec<CompiledOp>, ScenarioError> {
-        let mut pending = Vec::new();
+        let mut due = Vec::new();
         while let Some(op) = self.timeline.ops.get(self.next) {
             if op.at > now {
                 break;
             }
-            let op = op.clone();
             self.next += 1;
-            match op.op {
-                Op::Link { path, ref op } => {
-                    let b = bindings.get(path).ok_or(ScenarioError::PathOutOfRange {
-                        path,
-                        bound: bindings.len(),
-                    })?;
-                    for id in [b.uplink, b.downlink] {
-                        let link = world
-                            .agent_mut::<LinkAgent>(id)
-                            .ok_or(ScenarioError::BadBinding { path })?;
-                        match op {
-                            LinkOp::Rate(r) => link.set_rate(r.clone()),
-                            LinkOp::Loss(l) => link.set_loss(l.clone()),
-                            LinkOp::Down(d) => link.set_down(*d),
-                        }
+            if let Op::Link { path, ref op } = op.op {
+                // `new` checked every path against the bound ones.
+                let b = self.paths[path];
+                for id in [b.uplink, b.downlink] {
+                    let link = world
+                        .agent_mut::<LinkAgent>(id)
+                        .ok_or(ScenarioError::BadBinding { path })?;
+                    match op {
+                        LinkOp::Rate(r) => link.set_rate(r.clone()),
+                        LinkOp::Loss(l) => link.set_loss(l.clone()),
+                        LinkOp::Down(d) => link.set_down(*d),
                     }
                 }
-                Op::SetBackup { .. } => pending.push(op),
             }
+            due.push(op.clone());
         }
-        Ok(pending)
+        Ok(due)
     }
 }
 
@@ -109,9 +103,9 @@ mod tests {
     use bytes::Bytes;
     use mpw_link::{Jitter, LinkConfig, LossModel, NullSink, RateProcess};
     use mpw_sim::trace::TraceLevel;
-    use mpw_sim::{Event, Frame, SimDuration};
+    use mpw_sim::{AgentId, Event, Frame, SimDuration};
 
-    fn rig() -> (World, PathBinding, AgentId) {
+    fn rig() -> (World, BuiltPath, AgentId) {
         let mut w = World::new(7, TraceLevel::Off);
         let sink = w.add_agent(Box::new(NullSink::recording()));
         let cfg = LinkConfig {
@@ -127,7 +121,7 @@ mod tests {
         let rng_d = w.rng().stream("scenario.test.down");
         let up = w.add_agent(Box::new(LinkAgent::new(cfg.clone(), rng_u, (sink, 0))));
         let down = w.add_agent(Box::new(LinkAgent::new(cfg, rng_d, (sink, 0))));
-        (w, PathBinding { uplink: up, downlink: down }, sink)
+        (w, BuiltPath { uplink: up, downlink: down, bg_sink: sink }, sink)
     }
 
     #[test]
@@ -137,29 +131,28 @@ mod tests {
             .at(150, 0, Action::LinkUp)
             .build()
             .expect("valid");
-        let (mut w, binding, sink) = rig();
-        let mut driver = ScenarioDriver::new(&scenario).expect("compile");
-        let bindings = [binding];
+        let (mut w, path, sink) = rig();
+        let mut driver = ScenarioDriver::new(&scenario, &[path]).expect("compile");
         // Frame at 60 ms dies in the blackout; frame at 200 ms survives.
         w.schedule(
             SimTime::from_millis(60),
-            binding.uplink,
+            path.uplink,
             Event::Frame { port: 0, frame: Frame::new(Bytes::from(vec![0u8; 1500])) },
         );
         w.schedule(
             SimTime::from_millis(200),
-            binding.uplink,
+            path.uplink,
             Event::Frame { port: 0, frame: Frame::new(Bytes::from(vec![0u8; 1500])) },
         );
         while let Some(at) = driver.next_at() {
             w.run_until(at);
-            let pending = driver.apply_due(&mut w, &bindings, at).expect("apply");
-            assert!(pending.is_empty());
+            let due = driver.apply_due(&mut w, at).expect("apply");
+            assert!(matches!(due[..], [CompiledOp { op: Op::Link { path: 0, .. }, .. }]));
         }
         w.run_until_idle();
         let s = w.agent::<NullSink>(sink).unwrap();
         assert_eq!(s.arrivals, vec![SimTime::from_millis(211)]);
-        let st = w.agent::<LinkAgent>(binding.uplink).unwrap().stats();
+        let st = w.agent::<LinkAgent>(path.uplink).unwrap().stats();
         assert_eq!(st.dropped_down, 1);
         assert!(driver.finished());
     }
@@ -172,15 +165,36 @@ mod tests {
             .at(30, 0, Action::SetBackup { backup: true })
             .build()
             .expect("valid");
-        let (mut w, binding, _sink) = rig();
-        let mut driver = ScenarioDriver::new(&scenario).expect("compile");
-        let pending = driver
-            .apply_due(&mut w, &[binding], SimTime::from_millis(25))
-            .expect("apply");
-        assert_eq!(pending.len(), 2);
-        assert!(matches!(pending[0].op, Op::SetBackup { path: 0, backup: true }));
-        assert!(matches!(pending[1].op, Op::SetBackup { path: 0, backup: false }));
+        let (mut w, path, _sink) = rig();
+        let mut driver = ScenarioDriver::new(&scenario, &[path]).expect("compile");
+        let due = driver.apply_due(&mut w, SimTime::from_millis(25)).expect("apply");
+        assert_eq!(due.len(), 2);
+        assert!(matches!(due[0].op, Op::SetBackup { path: 0, backup: true }));
+        assert!(matches!(due[1].op, Op::SetBackup { path: 0, backup: false }));
         assert_eq!(driver.next_at(), Some(SimTime::from_millis(30)));
+    }
+
+    /// Every due op comes back, link ops included, in timeline order: a
+    /// harness mirroring link-downs to its connections sees them between
+    /// the MP_PRIO triggers they were scripted between.
+    #[test]
+    fn link_ops_come_back_in_timeline_order() {
+        let scenario = Scenario::builder("order")
+            .at(10, 0, Action::SetBackup { backup: true })
+            .at(20, 0, Action::LinkDown)
+            .at(30, 0, Action::SetBackup { backup: false })
+            .build()
+            .expect("valid");
+        let (mut w, path, _sink) = rig();
+        let mut driver = ScenarioDriver::new(&scenario, &[path]).expect("compile");
+        let due = driver.apply_due(&mut w, SimTime::from_millis(30)).expect("apply");
+        let ats: Vec<SimTime> = due.iter().map(|o| o.at).collect();
+        assert_eq!(ats, [10, 20, 30].map(SimTime::from_millis));
+        assert!(matches!(due[0].op, Op::SetBackup { path: 0, backup: true }));
+        assert!(matches!(due[1].op, Op::Link { path: 0, op: LinkOp::Down(true) }));
+        assert!(matches!(due[2].op, Op::SetBackup { path: 0, backup: false }));
+        assert!(w.agent::<LinkAgent>(path.uplink).unwrap().is_down());
+        assert!(driver.finished());
     }
 
     #[test]
@@ -189,11 +203,8 @@ mod tests {
             .at(10, 3, Action::LinkDown)
             .build()
             .expect("valid");
-        let (mut w, binding, _) = rig();
-        let mut driver = ScenarioDriver::new(&scenario).expect("compile");
-        let err = driver
-            .apply_due(&mut w, &[binding], SimTime::from_millis(10))
-            .expect_err("must fail");
+        let (_, path, _) = rig();
+        let err = ScenarioDriver::new(&scenario, &[path]).err().expect("must fail");
         assert_eq!(err, ScenarioError::PathOutOfRange { path: 3, bound: 1 });
     }
 }

@@ -41,7 +41,7 @@ pub mod model;
 pub mod parse;
 
 pub use compile::{compile, CompiledOp, LinkOp, Op, Timeline};
-pub use driver::{PathBinding, ScenarioDriver};
+pub use driver::ScenarioDriver;
 pub use error::ScenarioError;
 pub use model::{Action, Epoch, Scenario, ScenarioBuilder, TimedEvent, MAX_STEPS};
 pub use parse::{from_json, from_str, from_toml, to_json};

@@ -42,6 +42,6 @@ pub use seq::SeqNum;
 pub use socket::{SocketStats, TcpConfig, TcpSocket, TcpState};
 pub use wire::{
     encode_packet, encode_ping, parse_any, parse_any_shared, parse_headers, parse_packet,
-    parse_packet_shared, peek_ip_dst, strip_mptcp_options, Addr, DssMapping, Endpoint, IpHeader,
-    MptcpOption, OptionList, Packet, PingPacket, SackBlocks, TcpOption, TcpSegment, WireError,
+    peek_ip_dst, strip_mptcp_options, Addr, DssMapping, Endpoint, IpHeader, MptcpOption,
+    OptionList, Packet, PingPacket, SackBlocks, TcpOption, TcpSegment, WireError,
 };

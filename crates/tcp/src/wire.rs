@@ -11,7 +11,7 @@
 //! an inline [`OptionList`] (a real TCP header caps options at 40 bytes, so
 //! the list is those bytes, canonically re-encoded), SACK blocks live inline in
 //! [`SackBlocks`], [`encode_packet`] serializes into a single pooled buffer,
-//! and [`parse_packet_shared`] returns the payload as an O(1) sub-slice of
+//! and [`parse_any_shared`] returns a TCP payload as an O(1) sub-slice of
 //! the arriving frame. The alloc wall forbids copying a slice into a fresh
 //! `Vec` here.
 
@@ -961,21 +961,11 @@ pub fn encode_packet(ip: &IpHeader, seg: &TcpSegment) -> Bytes {
 
 /// Parse wire bytes into (network header, TCP segment), verifying checksums.
 /// The payload is copied; hot paths that hold the whole frame as [`Bytes`]
-/// should use [`parse_packet_shared`] instead.
+/// should use [`parse_any_shared`] instead.
 pub fn parse_packet(data: &[u8]) -> Result<(IpHeader, TcpSegment), WireError> {
     let (header, protocol) = network_header(data)?;
     let (ip, mut seg, (lo, hi)) = parse_tcp(header, protocol, data)?;
     seg.payload = Bytes::copy_from_slice(data.get(lo..hi).unwrap_or(&[]));
-    Ok((ip, seg))
-}
-
-/// As [`parse_packet`], but the payload comes back as an O(1) sub-slice
-/// sharing `data`'s buffer — the zero-copy receive path.
-pub fn parse_packet_shared(data: &Bytes) -> Result<(IpHeader, TcpSegment), WireError> {
-    let (header, protocol) = network_header(data)?;
-    let (ip, mut seg, (lo, hi)) = parse_tcp(header, protocol, data)?;
-    // The range was bounds-checked against `data` during parsing.
-    seg.payload = data.slice(lo..hi);
     Ok((ip, seg))
 }
 
@@ -1332,8 +1322,8 @@ mod tests {
         })]
         .into();
         let bytes = encode_packet(&ip(), &seg);
-        let (h1, copied) = parse_packet(&bytes).unwrap();
-        let (h2, shared) = parse_packet_shared(&bytes).unwrap();
+        let Packet::Tcp(h1, copied) = parse_any(&bytes).unwrap() else { panic!("tcp") };
+        let Packet::Tcp(h2, shared) = parse_any_shared(&bytes).unwrap() else { panic!("tcp") };
         assert_eq!(h1, h2);
         assert_eq!(copied, shared);
         // The shared payload points into the frame buffer itself.
