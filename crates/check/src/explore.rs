@@ -25,11 +25,12 @@
 //! all data delivered, both directions closed — so anything else is
 //! reported as a deadlock / eventual-delivery violation.
 //!
-//! States are re-reached by deterministic replay of their action prefix
-//! from the fixed initial state (connections are not cloneable, and replay
-//! keeps the checker honest: a counterexample *is* its action list). On a
-//! violation the path is shrunk by greedy action deletion and printed as a
-//! tcpdump-style transcript of its replay.
+//! The search forks its frontier: a child state is a clone of its parent
+//! with one more action applied, so no state is rebuilt from the root. A
+//! counterexample is still its action list: on a violation the path is
+//! shrunk by greedy action deletion, each candidate judged by deterministic
+//! replay from the fixed initial state, and printed as a tcpdump-style
+//! transcript of its replay.
 
 use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
@@ -196,6 +197,7 @@ struct Wire {
 }
 
 /// The closed two-endpoint system the checker drives.
+#[derive(Clone)]
 struct Sut {
     cfg: CheckConfig,
     now: SimTime,
@@ -673,11 +675,25 @@ fn panic_message(p: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Deterministically re-execute `path` from the initial state. Oracle
-/// panics (the `debug_check` walls inside the stack) are caught and
-/// converted into violations.
-fn replay(cfg: &CheckConfig, path: &[Action], with_trace: bool) -> Replayed {
-    let mut sut = match catch_unwind(AssertUnwindSafe(|| Sut::new(cfg, with_trace))) {
+/// Apply one action to `sut`, then run the safety oracle. `Ok(false)`: the
+/// action is not enabled. Oracle panics (the `debug_check` walls inside the
+/// stack) are caught and converted into violations.
+fn step(sut: &mut Sut, a: Action) -> Result<bool, String> {
+    let r = catch_unwind(AssertUnwindSafe(|| {
+        sut.apply(a).and_then(|feasible| {
+            if feasible {
+                sut.health_check().map(|()| true)
+            } else {
+                Ok(false)
+            }
+        })
+    }));
+    r.unwrap_or_else(|p| Err(panic_message(p)))
+}
+
+/// Deterministically re-execute `path` from the initial state.
+fn replay(cfg: &CheckConfig, path: &[Action]) -> Replayed {
+    let mut sut = match catch_unwind(AssertUnwindSafe(|| Sut::new(cfg, false))) {
         Ok(Ok(s)) => s,
         Ok(Err(e)) => return Replayed::Violation { message: e },
         Err(p) => {
@@ -685,29 +701,17 @@ fn replay(cfg: &CheckConfig, path: &[Action], with_trace: bool) -> Replayed {
         }
     };
     for &a in path {
-        let r = catch_unwind(AssertUnwindSafe(|| {
-            sut.apply(a).and_then(|feasible| {
-                if feasible {
-                    sut.health_check().map(|()| true)
-                } else {
-                    Ok(false)
-                }
-            })
-        }));
-        match r {
-            Ok(Ok(true)) => {}
-            Ok(Ok(false)) => return Replayed::Infeasible,
-            Ok(Err(e)) => return Replayed::Violation { message: e },
-            Err(p) => {
-                return Replayed::Violation { message: panic_message(p) }
-            }
+        match step(&mut sut, a) {
+            Ok(true) => {}
+            Ok(false) => return Replayed::Infeasible,
+            Err(message) => return Replayed::Violation { message },
         }
     }
     Replayed::Ok(Box::new(sut))
 }
 
 fn violates(cfg: &CheckConfig, path: &[Action]) -> Option<String> {
-    match replay(cfg, path, false) {
+    match replay(cfg, path) {
         Replayed::Violation { message } => Some(message),
         Replayed::Infeasible => None,
         Replayed::Ok(sut) => {
@@ -756,16 +760,16 @@ fn with_quiet_panics<T>(f: impl FnOnce() -> T) -> T {
 
 /// Exhaustively explore every schedule up to the config's bounds.
 ///
-/// DFS over action prefixes with fingerprint deduplication; states are
-/// re-entered by replay (the machines are deliberately not cloneable).
-/// Stops at the first violation and returns it with a shrunk schedule.
+/// DFS with fingerprint deduplication over cloned states, each carried with
+/// the action list that reaches it. Stops at the first violation and
+/// returns it with a schedule shrunk by replay.
 pub fn explore(cfg: &CheckConfig) -> ExploreResult {
     with_quiet_panics(|| explore_inner(cfg))
 }
 
 fn explore_inner(cfg: &CheckConfig) -> ExploreResult {
     let mut res = ExploreResult::default();
-    let root = match replay(cfg, &[], false) {
+    let root = match replay(cfg, &[]) {
         Replayed::Ok(s) => s,
         Replayed::Infeasible => unreachable!("empty schedule is always feasible"),
         Replayed::Violation { message } => {
@@ -776,20 +780,10 @@ fn explore_inner(cfg: &CheckConfig) -> ExploreResult {
     let mut seen: BTreeSet<u64> = BTreeSet::new();
     seen.insert(root.fingerprint());
     res.states = 1;
-    let mut stack: Vec<Vec<Action>> = vec![Vec::new()];
+    let mut stack: Vec<(Box<Sut>, Vec<Action>)> = vec![(root, Vec::new())];
 
-    while let Some(path) = stack.pop() {
+    while let Some((node, path)) = stack.pop() {
         res.deepest = res.deepest.max(path.len());
-        let node = match replay(cfg, &path, false) {
-            Replayed::Ok(s) => s,
-            // Both arms are unreachable for paths the search itself built
-            // (they were replayed cleanly once already), but stay defensive.
-            Replayed::Infeasible => continue,
-            Replayed::Violation { message } => {
-                res.violation = Some(Violation { path: shrink(cfg, path), message });
-                return res;
-            }
-        };
         let actions = node.enabled();
         if actions.is_empty() {
             res.quiescent += 1;
@@ -802,24 +796,24 @@ fn explore_inner(cfg: &CheckConfig) -> ExploreResult {
         if path.len() >= cfg.depth {
             continue;
         }
-        drop(node);
         for a in actions {
             let mut child = path.clone();
             child.push(a);
             res.transitions += 1;
-            match replay(cfg, &child, false) {
-                Replayed::Ok(s) => {
-                    if seen.insert(s.fingerprint()) {
+            let mut sut = node.clone();
+            match step(&mut sut, a) {
+                Ok(true) => {
+                    if seen.insert(sut.fingerprint()) {
                         res.states += 1;
                         if cfg.max_states > 0 && res.states >= cfg.max_states {
                             res.truncated = true;
                             return res;
                         }
-                        stack.push(child);
+                        stack.push((sut, child));
                     }
                 }
-                Replayed::Infeasible => {}
-                Replayed::Violation { message } => {
+                Ok(false) => {}
+                Err(message) => {
                     res.violation = Some(Violation { path: shrink(cfg, child), message });
                     return res;
                 }
@@ -897,20 +891,54 @@ mod tests {
     #[test]
     fn replay_is_deterministic() {
         let cfg = CheckConfig { depth: 4, ..CheckConfig::default() };
-        let a = replay(&cfg, &[], false);
-        let b = replay(&cfg, &[], false);
+        let a = replay(&cfg, &[]);
+        let b = replay(&cfg, &[]);
         let (Replayed::Ok(a), Replayed::Ok(b)) = (a, b) else {
             panic!("root replay failed");
         };
         assert_eq!(a.fingerprint(), b.fingerprint());
         // One in-order handshake step, replayed twice, agrees too.
         let p = [Action::Deliver(NetDir::C2s, 0)];
-        let (Replayed::Ok(a), Replayed::Ok(b)) =
-            (replay(&cfg, &p, false), replay(&cfg, &p, false))
-        else {
+        let (Replayed::Ok(a), Replayed::Ok(b)) = (replay(&cfg, &p), replay(&cfg, &p)) else {
             panic!("step replay failed");
         };
         assert_eq!(a.fingerprint(), b.fingerprint());
+    }
+
+    /// The search's frontier holds clones; the first few hundred states it
+    /// reaches, each re-derived by replaying its path from the root, must
+    /// fingerprint the same.
+    #[test]
+    fn clone_frontier_matches_replay() {
+        let cfg = CheckConfig::default();
+        let Replayed::Ok(root) = replay(&cfg, &[]) else {
+            panic!("root replay failed");
+        };
+        let mut seen = BTreeSet::from([root.fingerprint()]);
+        let mut stack = vec![(root, Vec::new())];
+        let mut checked = 0;
+        while let Some((node, path)) = stack.pop() {
+            let Replayed::Ok(replayed) = replay(&cfg, &path) else {
+                panic!("{path:?} does not replay");
+            };
+            assert_eq!(node.fingerprint(), replayed.fingerprint(), "after {path:?}");
+            checked += 1;
+            if checked == 300 {
+                return;
+            }
+            if path.len() >= cfg.depth {
+                continue;
+            }
+            for a in node.enabled() {
+                let mut child = node.clone();
+                if step(&mut child, a) == Ok(true) && seen.insert(child.fingerprint()) {
+                    let mut p = path.clone();
+                    p.push(a);
+                    stack.push((child, p));
+                }
+            }
+        }
+        panic!("the search ran dry after {checked} states");
     }
 
     #[test]
@@ -918,7 +946,7 @@ mod tests {
         // Alternate-until-quiescent delivery must finish the whole story:
         // handshake, join, upload, DATA_FIN both ways, subflow teardown.
         let cfg = CheckConfig { depth: 0, ..CheckConfig::default() };
-        let Replayed::Ok(mut sut) = replay(&cfg, &[], false) else {
+        let Replayed::Ok(mut sut) = replay(&cfg, &[]) else {
             panic!("root replay failed");
         };
         for _ in 0..10_000 {

@@ -1,8 +1,11 @@
 //! The MPTCP connection: subflow management, DSS data-sequence mapping,
 //! connection-level reassembly, scheduling, and reinjection.
 //!
-//! One [`MptcpConnection`] owns N [`Subflow`]s (each wrapping an
-//! `mpw_tcp::TcpSocket` whose hooks attach/harvest MPTCP options). The
+//! One [`MptcpConnection`] owns N [`Subflow`]s, each wrapping an
+//! `mpw_tcp::TcpSocket`. A socket holds no reference back: for each call the
+//! connection lends it a [`SubflowCx`] over its own state, through which the
+//! socket attaches and harvests MPTCP options and reaches its coupled
+//! congestion window. The
 //! connection keeps a single data-sequence space: application bytes enter
 //! `conn_buf`, the scheduler assigns MSS-sized chunks to subflows (recording
 //! the DSS mapping), and the receiving side reassembles by data sequence
@@ -14,22 +17,19 @@
 // list is in the root `clippy.toml`).
 #![deny(clippy::disallowed_methods)]
 
-use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::rc::Rc;
 
 use bytes::Bytes;
 use mpw_sim::{SimDuration, SimRng, SimTime};
 use mpw_tcp::buf::{Assembler, SendBuffer};
 use mpw_tcp::wire::{tcp_flags, DssMapping};
 use mpw_tcp::{
-    Addr, CcConfig, Endpoint, MptcpOption, OptionList, SeqNum, TcpConfig, TcpHooks, TcpOption,
-    TcpSegment,
-    TcpSocket, TxKind,
+    Addr, Cc, CcConfig, Endpoint, MptcpOption, NoHooks, OptionList, SeqNum, TcpConfig, TcpHooks,
+    TcpOption, TcpSegment, TcpSocket, TxKind,
 };
 use serde::{Deserialize, Serialize};
 
-use crate::coupling::{CoupledCc, Coupling, CouplingState};
+use crate::coupling::{Coupling, CouplingState};
 use crate::key::{key_from_seed, token_from_key};
 use crate::scheduler::{Scheduler, SchedulerState, SubflowView};
 
@@ -201,7 +201,7 @@ impl Default for MptcpConfig {
     }
 }
 
-/// Role a subflow's hooks play in the MPTCP handshake.
+/// The part a subflow plays in the MPTCP handshake.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum HsRole {
     /// Client side of the first subflow (sends MP_CAPABLE).
@@ -223,7 +223,7 @@ enum HsRole {
 /// subflow-level acks retire mappings as a prefix, and the mapping a new
 /// data segment needs is the one at `cursor` or the one after it. Only a
 /// retransmission, which starts below the cursor's mapping, searches.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 struct TxMaps {
     ring: VecDeque<(u64, u32, u64)>,
     /// Index in `ring` of the mapping the subflow's `snd_nxt` was last
@@ -254,11 +254,33 @@ impl TxMaps {
         let i = self.ring.partition_point(|&(s, l, _)| s + l as u64 <= abs);
         self.ring.get(i).copied().filter(|&(s, _, _)| s <= abs)
     }
+
+    /// The DSS mapping of a data segment `[abs_start, abs_start + len)`, if
+    /// one mapping covers it.
+    fn dss_for_data(&mut self, abs_start: u64, len: usize) -> Option<DssMapping> {
+        // For new data `tx_segment_limit` has just left the cursor here.
+        let (s, l, dseq) = self.find(abs_start)?;
+        if abs_start + len as u64 > s + l as u64 {
+            return None;
+        }
+        Some(DssMapping {
+            dseq: dseq + (abs_start - s),
+            subflow_seq: SeqNum(0), // filled by convention: equals segment seq
+            len: len as u16,
+        })
+    }
 }
 
-/// Per-subflow state shared between the connection and the hooks.
-#[derive(Debug, Default)]
+/// Per-subflow connection state, which the subflow's calls reach through
+/// its [`SubflowCx`].
+#[derive(Clone, Debug)]
 struct SubflowShared {
+    /// The part this subflow plays in the MPTCP handshake.
+    role: HsRole,
+    /// MP_JOIN nonce.
+    nonce: u32,
+    /// The 'B' bit its MP_JOIN carries: the backup state it opened with.
+    join_backup: bool,
     /// Mappings for transmitted, not yet subflow-acked data.
     tx_maps: TxMaps,
     /// ADD_ADDR advertisements queued until a segment has room for them.
@@ -267,19 +289,13 @@ struct SubflowShared {
     pending_prio: Option<bool>,
     /// MP_PRIO received from the peer, to apply to this subflow.
     prio_rx: Option<bool>,
-    /// Subflow handshake completed.
-    established: bool,
-    /// Subflow saw a connection reset / close.
-    closed: bool,
     /// Novel payload bytes this subflow delivered into the connection-level
     /// receive buffer (traffic-share metric, Figures 3/5/7/10).
     delivered_bytes: u64,
-    /// When the subflow reached established.
-    established_at: Option<SimTime>,
 }
 
-/// Connection state shared between subflow hooks and the connection.
-#[derive(Debug)]
+/// Connection state the subflows' calls reach through their [`SubflowCx`].
+#[derive(Clone, Debug)]
 struct ConnShared {
     local_key: u64,
     remote_key: Option<u64>,
@@ -321,62 +337,46 @@ impl ConnShared {
     }
 }
 
-/// The hooks object installed into each subflow socket.
-struct SubflowHooks {
-    shared: Rc<RefCell<ConnShared>>,
+/// What subflow `idx`'s socket borrows from its connection for one call:
+/// the connection state its MPTCP options read and write, and its coupled
+/// congestion window ([`Cc::Lent`]).
+struct SubflowCx<'a> {
+    shared: &'a mut ConnShared,
+    coupling: &'a mut CouplingState,
     idx: usize,
-    role: HsRole,
-    nonce: u32,
-    backup: bool,
 }
 
-impl std::fmt::Debug for SubflowHooks {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "SubflowHooks(idx={}, role={:?})", self.idx, self.role)
+/// Lends a subflow socket its coupled window for a call that only reads it.
+struct LentCwnd(usize);
+
+impl TcpHooks for LentCwnd {
+    fn cwnd(&self) -> usize {
+        self.0
     }
 }
 
-impl SubflowHooks {
-    fn dss_for_data(
-        &self,
-        shared: &mut ConnShared,
-        abs_start: u64,
-        len: usize,
-    ) -> Option<DssMapping> {
-        // For new data `tx_segment_limit` has just left the cursor here.
-        let (s, l, dseq) = shared.flows[self.idx].tx_maps.find(abs_start)?;
-        if abs_start + len as u64 > s + l as u64 {
-            return None;
-        }
-        Some(DssMapping {
-            dseq: dseq + (abs_start - s),
-            subflow_seq: SeqNum(0), // filled by convention: equals segment seq
-            len: len as u16,
-        })
-    }
-}
-
-impl TcpHooks for SubflowHooks {
-    fn tx_options(&mut self, kind: TxKind, _now: SimTime, opts: &mut OptionList) {
-        let mut shared = self.shared.borrow_mut();
+impl TcpHooks for SubflowCx<'_> {
+    fn tx_options(&mut self, kind: TxKind, opts: &mut OptionList) {
+        let shared = &mut *self.shared;
         if shared.remote_capable == Some(false) {
             return; // fallback: plain TCP from here on
         }
         let key_local = shared.local_key;
         let capable = |key_remote| MptcpOption::Capable { key_local, key_remote };
+        let fl = &mut shared.flows[self.idx];
         let join = MptcpOption::Join {
             token: shared.token,
-            nonce: self.nonce,
-            backup: self.backup,
+            nonce: fl.nonce,
+            backup: fl.join_backup,
         };
-        let own = match (kind, self.role) {
+        let own = match (kind, fl.role) {
             (TxKind::Syn, HsRole::CapableClient) => Some(capable(None)),
             (TxKind::SynAck, HsRole::CapableServer) => Some(capable(None)),
             (TxKind::HandshakeAck, HsRole::CapableClient) => Some(capable(shared.remote_key)),
             (TxKind::Syn, HsRole::JoinClient) | (TxKind::SynAck, HsRole::JoinServer) => Some(join),
             (TxKind::Syn | TxKind::SynAck | TxKind::HandshakeAck, _) => None,
             (TxKind::Data { abs_start, len, .. }, _) => {
-                let mapping = self.dss_for_data(&mut shared, abs_start, len);
+                let mapping = fl.tx_maps.dss_for_data(abs_start, len);
                 debug_assert!(mapping.is_some(), "data segment without DSS mapping");
                 let fin_here = shared
                     .tx_data_fin
@@ -427,19 +427,20 @@ impl TcpHooks for SubflowHooks {
         }
     }
 
-    fn on_rx(&mut self, seg: &TcpSegment, _payload_abs_start: u64, now: SimTime) {
-        let mut shared = self.shared.borrow_mut();
+    fn on_rx(&mut self, seg: &TcpSegment, now: SimTime) {
+        let shared = &mut *self.shared;
+        let role = shared.flows[self.idx].role;
         let mut saw_mptcp = false;
         for opt in &seg.options {
             let TcpOption::Mptcp(m) = opt else { continue };
             saw_mptcp = true;
             match m {
                 MptcpOption::Capable { key_local, .. } => {
-                    if self.role == HsRole::CapableClient && shared.remote_key.is_none() {
+                    if role == HsRole::CapableClient && shared.remote_key.is_none() {
                         shared.remote_key = Some(key_local);
                         shared.remote_capable = Some(true);
                     }
-                    if self.role == HsRole::CapableServer {
+                    if role == HsRole::CapableServer {
                         shared.remote_capable = Some(true);
                     }
                 }
@@ -495,7 +496,7 @@ impl TcpHooks for SubflowHooks {
         }
         // Detect fallback: the first subflow's SYN-ACK without any MPTCP
         // option means a middlebox stripped it (or the peer is plain TCP).
-        if self.role == HsRole::CapableClient
+        if role == HsRole::CapableClient
             && seg.has(tcp_flags::SYN)
             && seg.has(tcp_flags::ACK)
             && !saw_mptcp
@@ -506,36 +507,43 @@ impl TcpHooks for SubflowHooks {
     }
 
     fn rcv_window(&self) -> Option<usize> {
-        let shared = self.shared.borrow();
-        if shared.remote_capable == Some(false) {
+        if self.shared.remote_capable == Some(false) {
             None
         } else {
-            Some(shared.free_rx_window())
+            Some(self.shared.free_rx_window())
         }
     }
 
     fn tx_segment_limit(&mut self, abs_start: u64) -> Option<usize> {
-        let mut shared = self.shared.borrow_mut();
-        if shared.remote_capable == Some(false) {
+        if self.shared.remote_capable == Some(false) {
             return None;
         }
-        let (s, l, _) = shared.flows[self.idx].tx_maps.find(abs_start)?;
+        let (s, l, _) = self.shared.flows[self.idx].tx_maps.find(abs_start)?;
         Some((s + l as u64 - abs_start) as usize)
     }
 
-    fn on_established(&mut self, now: SimTime) {
-        let mut shared = self.shared.borrow_mut();
-        let fl = &mut shared.flows[self.idx];
-        fl.established = true;
-        fl.established_at = Some(now);
+    fn cwnd(&self) -> usize {
+        self.coupling.cwnd(self.idx)
     }
 
-    fn on_closed(&mut self, _now: SimTime) {
-        self.shared.borrow_mut().flows[self.idx].closed = true;
+    fn on_ack(&mut self, bytes_acked: usize, srtt: Option<SimDuration>) {
+        self.coupling.on_ack(self.idx, bytes_acked);
+        if let Some(srtt) = srtt {
+            self.coupling.on_rtt_update(self.idx, srtt);
+        }
+    }
+
+    fn on_loss_event(&mut self, flight_bytes: usize) {
+        self.coupling.on_loss_event(self.idx, flight_bytes);
+    }
+
+    fn on_rto(&mut self, flight_bytes: usize) {
+        self.coupling.on_rto(self.idx, flight_bytes);
     }
 }
 
 /// One subflow of an MPTCP connection.
+#[derive(Clone)]
 pub struct Subflow {
     /// The TCP state machine carrying this subflow.
     pub sock: TcpSocket,
@@ -576,7 +584,7 @@ struct Assignment {
 /// data-acks) is a `pop_front` — no per-segment allocator traffic, unlike
 /// the `BTreeMap` this replaced. Reinjection after a subflow dies may
 /// re-insert a lower dseq; that rare case pays an O(n) shift.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 struct Assignments {
     entries: VecDeque<(u64, Assignment)>,
 }
@@ -632,15 +640,17 @@ pub struct ConnStats {
 }
 
 /// An MPTCP connection endpoint (client or server side).
+#[derive(Clone)]
 pub struct MptcpConnection {
     /// Configuration in force.
     pub cfg: MptcpConfig,
     /// Connection identifier (unique per run, used in traces).
     pub conn_id: u32,
-    shared: Rc<RefCell<ConnShared>>,
+    shared: ConnShared,
     /// Subflows in creation order; index 0 is the MP_CAPABLE subflow.
     pub subflows: Vec<Subflow>,
-    coupling: Rc<RefCell<CouplingState>>,
+    /// Every subflow's congestion window, in subflow order.
+    coupling: CouplingState,
     sched: SchedulerState,
     conn_buf: SendBuffer,
     /// dseq → assignment, for reinjection bookkeeping.
@@ -690,6 +700,14 @@ pub struct MptcpConnection {
     pub opened_at: SimTime,
 }
 
+// A connection owns everything it holds: a shared cell (`Rc`) or an
+// unbounded `Box<dyn …>` field would make it `!Send`, and this fail to
+// compile.
+const _: fn() = || {
+    fn ok<T: Clone + Send>() {}
+    ok::<MptcpConnection>();
+};
+
 impl MptcpConnection {
     /// Active (client) open. `local_addrs[0]` is the default path (WiFi in
     /// the paper); `remote` is the server's primary endpoint.
@@ -702,7 +720,7 @@ impl MptcpConnection {
         now: SimTime,
     ) -> Self {
         let local_key = key_from_seed(rng.next_u64());
-        let shared = Rc::new(RefCell::new(ConnShared {
+        let shared = ConnShared {
             local_key,
             remote_key: None,
             token: token_from_key(local_key),
@@ -715,7 +733,7 @@ impl MptcpConnection {
             tx_data_fin: None,
             peer_addrs: Vec::new(),
             flows: Vec::new(),
-        }));
+        };
         let coupling = CouplingState::new(cfg.coupling, cfg.cc.mss);
         let next_port = 40_000u16.wrapping_add((conn_id as u16).wrapping_mul(31));
         let mut conn = MptcpConnection {
@@ -775,7 +793,7 @@ impl MptcpConnection {
             _ => None,
         })?;
         let local_key = key_from_seed(rng.next_u64());
-        let shared = Rc::new(RefCell::new(ConnShared {
+        let shared = ConnShared {
             local_key,
             remote_key: Some(client_key),
             token: token_from_key(client_key),
@@ -788,7 +806,7 @@ impl MptcpConnection {
             tx_data_fin: None,
             peer_addrs: Vec::new(),
             flows: Vec::new(),
-        }));
+        };
         let coupling = CouplingState::new(cfg.coupling, cfg.cc.mss);
         // A multi-homed server advertises its secondary interface; whether
         // the client joins it is capped by the client's max_subflows (the
@@ -831,7 +849,7 @@ impl MptcpConnection {
 
     /// The connection token (server join demultiplexing key).
     pub fn token(&self) -> u32 {
-        self.shared.borrow().token
+        self.shared.token
     }
 
     fn alloc_port(&mut self) -> u16 {
@@ -840,27 +858,43 @@ impl MptcpConnection {
         40_000 + (p % 20_000)
     }
 
-    fn make_cc(&self) -> Box<CoupledCc> {
-        Box::new(CoupledCc::new(self.coupling.clone(), self.cfg.cc))
+    /// Subflow `idx`'s socket, with the context its calls borrow from the
+    /// rest of the connection.
+    fn subflow_mut(&mut self, idx: usize) -> Option<(&mut TcpSocket, SubflowCx<'_>)> {
+        let sf = self.subflows.get_mut(idx)?;
+        let cx = SubflowCx {
+            shared: &mut self.shared,
+            coupling: &mut self.coupling,
+            idx,
+        };
+        Some((&mut sf.sock, cx))
+    }
+
+    /// Register a new subflow's connection state and coupled window; the
+    /// socket goes in at the same index.
+    fn add_flow(&mut self, role: HsRole, join_backup: bool) {
+        self.shared.flows.push(SubflowShared {
+            role,
+            nonce: self.rng.next_u64() as u32,
+            join_backup,
+            tx_maps: TxMaps::default(),
+            pending_add_addr: VecDeque::new(),
+            pending_prio: None,
+            prio_rx: None,
+            delivered_bytes: 0,
+        });
+        self.coupling.register(&self.cfg.cc);
     }
 
     fn spawn_subflow(&mut self, if_index: u8, remote: Endpoint, role: HsRole, now: SimTime) {
-        let idx = self.subflows.len();
         let backup = self.cfg.backup_ifs.contains(&if_index);
-        self.shared.borrow_mut().flows.push(SubflowShared::default());
-        let hooks = Box::new(SubflowHooks {
-            shared: self.shared.clone(),
-            idx,
-            role,
-            nonce: self.rng.next_u64() as u32,
-            backup,
-        });
+        self.add_flow(role, backup);
         let local = Endpoint::new(self.local_addrs[if_index as usize], self.alloc_port());
         let iss = SeqNum(self.rng.next_u64() as u32);
         let sock = TcpSocket::connect(
             self.cfg.tcp.clone(),
-            self.make_cc(),
-            hooks,
+            Cc::Lent,
+            Box::new(NoHooks),
             local,
             remote,
             if_index,
@@ -901,14 +935,7 @@ impl MptcpConnection {
                 TcpOption::Mptcp(MptcpOption::Join { backup: true, .. })
             )
         });
-        self.shared.borrow_mut().flows.push(SubflowShared::default());
-        let hooks = Box::new(SubflowHooks {
-            shared: self.shared.clone(),
-            idx,
-            role,
-            nonce: self.rng.next_u64() as u32,
-            backup,
-        });
+        self.add_flow(role, backup);
         let iss = SeqNum(self.rng.next_u64() as u32);
         // The server-side if_index is the index of the local address.
         let if_index = self
@@ -918,8 +945,8 @@ impl MptcpConnection {
             .unwrap_or(0) as u8;
         let sock = TcpSocket::accept(
             self.cfg.tcp.clone(),
-            self.make_cc(),
-            hooks,
+            Cc::Lent,
+            Box::new(NoHooks),
             local,
             remote,
             if_index,
@@ -927,6 +954,12 @@ impl MptcpConnection {
             syn,
             now,
         );
+        SubflowCx {
+            shared: &mut self.shared,
+            coupling: &mut self.coupling,
+            idx,
+        }
+        .on_rx(syn, now);
         self.push_subflow(Subflow {
             sock,
             if_index,
@@ -1034,8 +1067,7 @@ impl MptcpConnection {
         if self.fell_back() {
             return self.subflows[0].sock.recv().map(|(_, d)| d);
         }
-        let mut shared = self.shared.borrow_mut();
-        shared.rx.pop_ready().map(|(_, d)| d)
+        self.shared.rx.pop_ready().map(|(_, d)| d)
     }
 
     /// In-order bytes delivered so far (download progress).
@@ -1043,7 +1075,7 @@ impl MptcpConnection {
         if self.fell_back() {
             return self.subflows[0].sock.recv_offset();
         }
-        self.shared.borrow().rx.next_expected()
+        self.shared.rx.next_expected()
     }
 
     /// Whether the peer signalled DATA_FIN and all data was delivered.
@@ -1051,7 +1083,7 @@ impl MptcpConnection {
         if self.fell_back() {
             return self.subflows[0].sock.peer_closed();
         }
-        let shared = self.shared.borrow();
+        let shared = &self.shared;
         shared
             .peer_data_fin
             .is_some_and(|f| shared.rx.next_expected() >= f)
@@ -1059,7 +1091,7 @@ impl MptcpConnection {
 
     /// Whether this connection fell back to single-path TCP.
     pub fn fell_back(&self) -> bool {
-        self.shared.borrow().remote_capable == Some(false)
+        self.shared.remote_capable == Some(false)
     }
 
     /// Whether the connection is fully terminated (all subflows closed).
@@ -1074,7 +1106,7 @@ impl MptcpConnection {
 
     /// Statistics snapshot.
     pub fn stats(&self) -> ConnStats {
-        let shared = self.shared.borrow();
+        let shared = &self.shared;
         ConnStats {
             bytes_delivered: if self.fell_back() {
                 self.subflows[0].sock.recv_offset()
@@ -1097,13 +1129,13 @@ impl MptcpConnection {
         if self.fell_back() {
             return if idx == 0 { self.subflows[0].sock.recv_offset() } else { 0 };
         }
-        self.shared.borrow().flows.get(idx).map_or(0, |f| f.delivered_bytes)
+        self.shared.flows.get(idx).map_or(0, |f| f.delivered_bytes)
     }
 
     /// Streaming summary of connection-level out-of-order delays (§3.3) in
     /// milliseconds (bounded memory).
     pub fn ofo_summary(&self) -> mpw_metrics::DistSummary {
-        self.shared.borrow().rx.ofo_summary().clone()
+        self.shared.rx.ofo_summary().clone()
     }
 
     // ------------------------------------------------------------------
@@ -1112,17 +1144,19 @@ impl MptcpConnection {
 
     /// Feed a segment to subflow `idx`.
     pub fn on_segment(&mut self, idx: usize, seg: &TcpSegment, now: SimTime) {
-        if let Some(sf) = self.subflows.get_mut(idx) {
-            sf.sock.on_segment(seg, now);
+        if let Some((sock, mut cx)) = self.subflow_mut(idx) {
+            sock.on_segment_with(&mut cx, seg, now);
         }
         self.post_event(now);
     }
 
     /// Fire due timers on every subflow.
     pub fn on_timer(&mut self, now: SimTime) {
-        for sf in &mut self.subflows {
-            if sf.sock.next_timeout().is_some_and(|d| d <= now) {
-                sf.sock.on_timer(now);
+        for idx in 0..self.subflows.len() {
+            if let Some((sock, mut cx)) = self.subflow_mut(idx) {
+                if sock.next_timeout().is_some_and(|d| d <= now) {
+                    sock.on_timer_with(&mut cx, now);
+                }
             }
         }
         self.post_event(now);
@@ -1159,23 +1193,24 @@ impl MptcpConnection {
         } else {
             self.debug_check_clean(now);
         }
-        for (i, sf) in self.subflows.iter_mut().enumerate() {
-            let state = sf.sock.state();
-            if let Some(seg) = sf.sock.poll_transmit(now) {
-                // An emission changes what the pass reads in two ways: the
-                // socket's state moves (FIN, RST), or signalling is still
-                // queued behind the segment and the ACK that will carry it
-                // must be owed again.
-                let shared = self.shared.borrow();
-                let fl = &shared.flows[i];
-                if sf.sock.state() != state
-                    || fl.pending_prio.is_some()
-                    || !fl.pending_add_addr.is_empty()
-                {
-                    self.housekeeping_owed = true;
-                }
-                return Some((i, seg));
+        for i in 0..self.subflows.len() {
+            let Some((sock, mut cx)) = self.subflow_mut(i) else {
+                continue;
+            };
+            let state = sock.state();
+            let Some(seg) = sock.poll_transmit_with(&mut cx, now) else {
+                continue;
+            };
+            // An emission changes what the pass reads in two ways: the
+            // socket's state moves (FIN, RST), or signalling is still
+            // queued behind the segment and the ACK that will carry it
+            // must be owed again.
+            let moved = sock.state() != state;
+            let fl = &self.shared.flows[i];
+            if moved || fl.pending_prio.is_some() || !fl.pending_add_addr.is_empty() {
+                self.housekeeping_owed = true;
             }
+            return Some((i, seg));
         }
         None
     }
@@ -1201,15 +1236,13 @@ impl MptcpConnection {
             self.pump_fallback();
             return;
         }
-        let (peer_data_ack, first_established, data_flowing) = {
-            let shared = self.shared.borrow();
-            (
-                shared.peer_data_ack,
-                shared.flows.first().is_some_and(|f| f.established),
-                // Data has moved in either direction on the first subflow.
-                shared.rx.next_expected() > 0 || shared.peer_data_ack > 0,
-            )
-        };
+        let peer_data_ack = self.shared.peer_data_ack;
+        let first_established = self
+            .subflows
+            .first()
+            .is_some_and(|s| s.sock.stats().established_at.is_some());
+        // Data has moved in either direction on the first subflow.
+        let data_flowing = self.shared.rx.next_expected() > 0 || peer_data_ack > 0;
         // Trim the connection-level buffer on data-acks.
         if peer_data_ack > self.conn_buf.base() {
             let upto = peer_data_ack.min(self.conn_buf.end());
@@ -1227,14 +1260,11 @@ impl MptcpConnection {
         // only safe to forget once its subflow bytes can never be
         // retransmitted. (Connection-level data-acks are not enough — the
         // subflow must still complete its own byte stream.)
-        {
-            let mut shared = self.shared.borrow_mut();
-            for (fl, sf) in shared.flows.iter_mut().zip(&mut self.subflows) {
-                fl.tx_maps.prune(sf.sock.acked_offset());
-                // Signalling a segment had no room for: keep an ACK owed.
-                if fl.pending_prio.is_some() || !fl.pending_add_addr.is_empty() {
-                    sf.sock.push_ack();
-                }
+        for (fl, sf) in self.shared.flows.iter_mut().zip(&mut self.subflows) {
+            fl.tx_maps.prune(sf.sock.acked_offset());
+            // Signalling a segment had no room for: keep an ACK owed.
+            if fl.pending_prio.is_some() || !fl.pending_add_addr.is_empty() {
+                sf.sock.push_ack();
             }
         }
         // Drain (and discard) subflow-level in-order payload: MPTCP delivery
@@ -1245,26 +1275,15 @@ impl MptcpConnection {
         // A freshly arrived DATA_FIN must be data-acked even if no data or
         // subflow-level ACK is otherwise owed, or the closing peer waits
         // forever for `peer_data_ack` to cover its FIN.
-        {
-            let needs_ack = {
-                let mut shared = self.shared.borrow_mut();
-                std::mem::take(&mut shared.data_fin_needs_ack)
-            };
-            if needs_ack {
-                for sf in &mut self.subflows {
-                    sf.sock.push_ack();
-                }
+        if std::mem::take(&mut self.shared.data_fin_needs_ack) {
+            for sf in &mut self.subflows {
+                sf.sock.push_ack();
             }
         }
         // Apply MP_PRIO changes the peer requested for our subflows.
-        {
-            let mut shared = self.shared.borrow_mut();
-            for (i, fl) in shared.flows.iter_mut().enumerate() {
-                if let Some(backup) = fl.prio_rx.take() {
-                    if let Some(sf) = self.subflows.get_mut(i) {
-                        sf.backup = backup;
-                    }
-                }
+        for (fl, sf) in self.shared.flows.iter_mut().zip(&mut self.subflows) {
+            if let Some(backup) = fl.prio_rx.take() {
+                sf.backup = backup;
             }
         }
         // Delayed joins: Linux v0.86 fired the MP_JOINs from its worker
@@ -1281,15 +1300,13 @@ impl MptcpConnection {
         }
         // Client: join toward addresses the server advertised (4-path).
         if self.is_client && self.joins_launched {
-            let new_remotes: Vec<Endpoint> = {
-                let shared = self.shared.borrow();
-                shared
-                    .peer_addrs
-                    .iter()
-                    .map(|&(_, ep)| ep)
-                    .filter(|ep| !self.remote_addrs.contains(ep))
-                    .collect()
-            };
+            let new_remotes: Vec<Endpoint> = self
+                .shared
+                .peer_addrs
+                .iter()
+                .map(|&(_, ep)| ep)
+                .filter(|ep| !self.remote_addrs.contains(ep))
+                .collect();
             if !new_remotes.is_empty() {
                 self.remote_addrs.extend(new_remotes);
                 self.joins_launched = false;
@@ -1401,11 +1418,17 @@ impl MptcpConnection {
         // least one of them the *peer's* advertised (shared-buffer) window
         // is the binding constraint — the situation mptcp_rcv_buf_optimization
         // reacted to in v0.86.
+        let lent = |i: usize| LentCwnd(self.coupling.cwnd(i));
         let all_blocked = self
             .subflows
             .iter()
-            .all(|s| !s.sock.is_established() || s.sock.tx_window_space() == 0);
-        let rwnd_binding = self.subflows.iter().any(|s| s.sock.rwnd_limited());
+            .enumerate()
+            .all(|(i, s)| !s.sock.is_established() || s.sock.tx_window_space(&lent(i)) == 0);
+        let rwnd_binding = self
+            .subflows
+            .iter()
+            .enumerate()
+            .any(|(i, s)| s.sock.rwnd_limited(&lent(i)));
         if !all_blocked || !rwnd_binding {
             return;
         }
@@ -1417,11 +1440,8 @@ impl MptcpConnection {
             .filter(|(_, s)| s.sock.is_established())
             .max_by_key(|(_, s)| s.sock.rtt().srtt().unwrap_or(SimDuration::MAX));
         if let Some((i, _)) = slowest {
-            let mut st = self.coupling.borrow_mut();
-            if i < st.flows_len() {
-                st.halve_flow(i, self.cfg.cc.mss);
-                self.last_penalty_at = now;
-            }
+            self.coupling.halve_flow(i);
+            self.last_penalty_at = now;
         }
     }
 
@@ -1467,7 +1487,7 @@ impl MptcpConnection {
                 index: i,
                 established: s.sock.is_established(),
                 srtt: s.sock.rtt().srtt(),
-                cwnd_space: s.sock.tx_window_space(),
+                cwnd_space: s.sock.tx_window_space(&LentCwnd(self.coupling.cwnd(i))),
                 buffer_space: s.sock.send_space(),
                 backup: s.backup,
                 stalled: s.dead || s.sock.is_stalled() || s.sock.is_finished(),
@@ -1491,8 +1511,7 @@ impl MptcpConnection {
                 } else {
                     dseq
                 };
-                let mut shared = self.shared.borrow_mut();
-                shared.flows[pick]
+                self.shared.flows[pick]
                     .tx_maps
                     .ring
                     .push_back((sub_abs, pushed as u32, map_dseq));
@@ -1521,28 +1540,23 @@ impl MptcpConnection {
     /// Drive DATA_FIN and subflow teardown once the application closed.
     fn progress_close(&mut self) {
         let all_assigned = self.next_unassigned >= self.conn_buf.end() && self.reinject.is_empty();
-        if self.app_closed && all_assigned {
-            let mut shared = self.shared.borrow_mut();
-            if shared.tx_data_fin.is_none() {
-                shared.tx_data_fin = Some(self.conn_buf.end());
-                drop(shared);
-                // Nudge a pure ACK out so the DATA_FIN travels even with no
-                // data pending.
-                for sf in &mut self.subflows {
-                    sf.sock.push_ack();
-                }
+        if self.app_closed && all_assigned && self.shared.tx_data_fin.is_none() {
+            self.shared.tx_data_fin = Some(self.conn_buf.end());
+            // Nudge a pure ACK out so the DATA_FIN travels even with no
+            // data pending.
+            for sf in &mut self.subflows {
+                sf.sock.push_ack();
             }
         }
         // Once our DATA_FIN is data-acked and the peer's (if any) consumed,
         // close the subflow sockets.
-        let shared = self.shared.borrow();
-        let ours_done = match shared.tx_data_fin {
+        let ours_done = match self.shared.tx_data_fin {
             // Closed once the peer data-acks the FIN, or once every subflow
             // stream is fully acknowledged at the subflow level (the peer
             // then provably holds all data and the FIN signal travels on
             // the reliable subflow FINs themselves).
             Some(f) => {
-                shared.peer_data_ack > f
+                self.shared.peer_data_ack > f
                     || self
                         .subflows
                         .iter()
@@ -1550,7 +1564,6 @@ impl MptcpConnection {
             }
             None => false,
         };
-        drop(shared);
         if ours_done {
             for sf in &mut self.subflows {
                 self.housekeeping_owed |= close_moved_state(&mut sf.sock);
@@ -1560,9 +1573,7 @@ impl MptcpConnection {
         // (pure download client), close our direction too.
         if self.peer_closed() && !self.app_closed && self.conn_buf.end() == 0 {
             self.app_closed = true;
-            let mut shared = self.shared.borrow_mut();
-            shared.tx_data_fin = Some(0);
-            drop(shared);
+            self.shared.tx_data_fin = Some(0);
             for sf in &mut self.subflows {
                 sf.sock.push_ack();
                 self.housekeeping_owed |= close_moved_state(&mut sf.sock);
@@ -1572,7 +1583,9 @@ impl MptcpConnection {
 
     /// Queue an ADD_ADDR on subflow `idx` and owe the ACK that carries it.
     fn queue_add_addr(&mut self, idx: usize, addr_id: u8, addr: Endpoint) {
-        self.shared.borrow_mut().flows[idx].pending_add_addr.push_back((addr_id, addr));
+        self.shared.flows[idx]
+            .pending_add_addr
+            .push_back((addr_id, addr));
         self.subflows[idx].sock.push_ack();
         self.housekeeping_owed = true;
     }
@@ -1584,7 +1597,7 @@ impl MptcpConnection {
     pub fn set_subflow_backup(&mut self, idx: usize, backup: bool) {
         if let Some(sf) = self.subflows.get_mut(idx) {
             sf.backup = backup;
-            self.shared.borrow_mut().flows[idx].pending_prio = Some(backup);
+            self.shared.flows[idx].pending_prio = Some(backup);
             sf.sock.push_ack();
             self.housekeeping_owed = true;
         }
@@ -1592,7 +1605,7 @@ impl MptcpConnection {
 
     /// Per-subflow established timestamps (subflow utilization analysis).
     pub fn subflow_established_at(&self, idx: usize) -> Option<SimTime> {
-        self.shared.borrow().flows.get(idx)?.established_at
+        self.subflows.get(idx)?.sock.stats().established_at
     }
 
     // ------------------------------------------------------------------
@@ -1801,7 +1814,7 @@ impl MptcpConnection {
     /// tests/checkers.
     #[doc(hidden)]
     pub fn inject_unclamped_cc(&mut self) {
-        self.coupling.borrow_mut().inject_unclamped_increase();
+        self.coupling.inject_unclamped_increase();
     }
 
     /// Check the connection-level protocol invariants. Always compiled
@@ -1814,7 +1827,7 @@ impl MptcpConnection {
                 .validate()
                 .map_err(|e| format!("subflow {i}: {e}"))?;
         }
-        if let Some(v) = self.coupling.borrow().violation() {
+        if let Some(v) = self.coupling.violation() {
             return Err(format!("coupling: {v}"));
         }
         if self.next_unassigned < self.conn_buf.base() || self.next_unassigned > self.conn_buf.end()
@@ -1847,7 +1860,7 @@ impl MptcpConnection {
             return Ok(());
         }
 
-        let shared = self.shared.borrow();
+        let shared = &self.shared;
         // --- DSS coverage: assignments ∪ reinject partition the assigned,
         // --- un-data-acked dseq space [conn_buf.base(), next_unassigned)
         let mut ranges: Vec<(u64, u64, &str)> = Vec::new();
@@ -2057,7 +2070,7 @@ impl MptcpConnection {
             h.write_u64(d);
             h.write_u32(l);
         }
-        let shared = self.shared.borrow();
+        let shared = &self.shared;
         h.write_u8(match shared.remote_capable {
             None => 0,
             Some(false) => 1,
@@ -2068,8 +2081,9 @@ impl MptcpConnection {
         h.write_u64(shared.tx_data_fin.unwrap_or(u64::MAX));
         h.write_u8(u8::from(shared.data_fin_needs_ack));
         shared.rx.fingerprint(h);
-        for fl in &shared.flows {
-            h.write_u8(u8::from(fl.established) | (u8::from(fl.closed) << 1));
+        for (fl, sf) in shared.flows.iter().zip(&self.subflows) {
+            let established = sf.sock.stats().established_at.is_some();
+            h.write_u8(u8::from(established) | (u8::from(sf.sock.is_finished()) << 1));
             h.write_u64(fl.delivered_bytes);
             for &(s, l, d) in &fl.tx_maps.ring {
                 h.write_u64(s);
@@ -2077,11 +2091,10 @@ impl MptcpConnection {
                 h.write_u64(d);
             }
         }
-        drop(shared);
-        for sf in &self.subflows {
+        for (i, sf) in self.subflows.iter().enumerate() {
             h.write_u8(sf.if_index);
             h.write_u8(u8::from(sf.backup) | (u8::from(sf.dead) << 1));
-            sf.sock.fingerprint(h);
+            sf.sock.fingerprint(&LentCwnd(self.coupling.cwnd(i)), h);
         }
         // Lifecycle state (due times excluded: untimed exploration).
         for p in &self.pending_reopens {
@@ -2107,12 +2120,29 @@ mod tests {
     /// Carry everything `from` owes to `to` over the wire codec (so an
     /// options area the encoder cannot hold would panic here), returning
     /// the segments as the receiver parsed them.
-    fn carry(from: &mut MptcpConnection, to: &mut MptcpConnection, now: SimTime) -> Vec<TcpSegment> {
+    fn carry(
+        from: &mut MptcpConnection,
+        to: &mut MptcpConnection,
+        now: SimTime,
+    ) -> Vec<TcpSegment> {
+        carry_lossy(from, to, now, |_| false)
+    }
+
+    /// [`carry`], losing the segments `lose` picks.
+    fn carry_lossy(
+        from: &mut MptcpConnection,
+        to: &mut MptcpConnection,
+        now: SimTime,
+        mut lose: impl FnMut(&TcpSegment) -> bool,
+    ) -> Vec<TcpSegment> {
         let mut carried = Vec::new();
         while let Some((idx, seg)) = from.poll_transmit(now) {
             let sf = &from.subflows[idx];
             let ip = IpHeader { src: sf.local.addr, dst: sf.remote.addr, protocol: PROTO_TCP, ttl: 64 };
             let (_, seg) = parse_packet(&encode_packet(&ip, &seg)).expect("own encoding parses");
+            if lose(&seg) {
+                continue;
+            }
             to.on_segment(0, &seg, now);
             carried.push(seg);
         }
@@ -2172,9 +2202,11 @@ mod tests {
         assert_eq!(kinds(&carried[0]), ["dss+map", "prio", "add_addr 2"]);
         assert_eq!(carried[0].options.byte_len(), 40, "the first segment's options area is full");
         assert_eq!(kinds(&carried[1]), ["dss+map", "add_addr 3"]);
-        let learnt: Vec<_> = client.shared.borrow().peer_addrs.clone();
-        assert_eq!(learnt, extra, "the peer learns both addresses, in order");
-        let shared = server.shared.borrow();
+        assert_eq!(
+            client.shared.peer_addrs, extra,
+            "the peer learns both addresses, in order"
+        );
+        let shared = &server.shared;
         assert!(shared.flows[0].pending_prio.is_none() && shared.flows[0].pending_add_addr.is_empty());
     }
 
@@ -2196,7 +2228,7 @@ mod tests {
         // that keeps the second ACK owed.
         assert_eq!(carried.len(), 2);
         assert!(carried.iter().all(|s| s.payload.is_empty() && s.options.byte_len() == 32));
-        assert_eq!(client.shared.borrow().peer_addrs, extra);
+        assert_eq!(client.shared.peer_addrs, extra);
     }
 
     /// The oracle bites: with a connection-level invariant broken through a
@@ -2302,5 +2334,83 @@ mod tests {
         assert_eq!(maps.find(at), None, "nothing is mapped past the written stream");
         maps.prune(at);
         assert!(maps.ring.is_empty() && maps.cursor == 0);
+    }
+
+    /// A pair driven by `carry_lossy`, one round per step.
+    #[derive(Clone)]
+    struct Run {
+        client: MptcpConnection,
+        server: MptcpConnection,
+        now: SimTime,
+        /// Segments offered to the wire so far.
+        sent: usize,
+    }
+
+    impl Run {
+        /// 10 ms on: fire due timers, then carry each side's segments to
+        /// the other, losing the ones whose running count is in `lost`.
+        fn step(&mut self, lost: &[usize]) {
+            self.now += SimDuration::from_millis(10);
+            let now = self.now;
+            for conn in [&mut self.client, &mut self.server] {
+                if conn.next_timeout().is_some_and(|t| t <= now) {
+                    conn.on_timer(now);
+                }
+            }
+            let sent = &mut self.sent;
+            let mut lose = |_: &TcpSegment| {
+                *sent += 1;
+                lost.contains(sent)
+            };
+            carry_lossy(&mut self.server, &mut self.client, now, &mut lose);
+            carry_lossy(&mut self.client, &mut self.server, now, &mut lose);
+        }
+
+        /// Both fingerprints and the oracle's verdict on both connections.
+        fn snapshot(&self) -> (u64, u64, Result<(), String>) {
+            let fingerprint = |c: &MptcpConnection| {
+                let mut h = std::collections::hash_map::DefaultHasher::new();
+                c.fingerprint(&mut h);
+                std::hash::Hasher::finish(&h)
+            };
+            let valid = self.client.validate().and_then(|()| self.server.validate());
+            (fingerprint(&self.client), fingerprint(&self.server), valid)
+        }
+    }
+
+    proptest::proptest! {
+        /// A cloned connection shares no state with its original (the
+        /// connection state and the coupled windows it used to share with
+        /// its sockets included): driving the original on leaves the
+        /// clone's fingerprint and oracle verdict where they were. Then the
+        /// clone, fed the same inputs, retraces the original step by step.
+        #[test]
+        fn a_cloned_connection_is_independent_and_retraces_its_original(
+            len in 1usize..60_000,
+            clone_at in 0usize..40,
+            k in 1usize..40,
+            lost in proptest::collection::vec(1usize..60, 0..3),
+        ) {
+            let (client, mut server) = established_pair();
+            server.send(Bytes::from(vec![0x5a; len]));
+            server.close();
+            let mut run = Run { client, server, now: SimTime::ZERO, sent: 0 };
+            for _ in 0..clone_at {
+                run.step(&lost);
+            }
+            let mut twin = run.clone();
+            let at_clone = twin.snapshot();
+            let mut steps = Vec::new();
+            for _ in 0..k {
+                run.step(&lost);
+                steps.push(run.snapshot());
+            }
+            proptest::prop_assert_eq!(twin.snapshot(), at_clone);
+            for want in steps {
+                twin.step(&lost);
+                proptest::prop_assert_eq!(twin.snapshot(), want);
+            }
+            proptest::prop_assert_eq!(twin.client.delivered_offset(), run.client.delivered_offset());
+        }
     }
 }

@@ -10,16 +10,15 @@
 //!   al., which adds the `α_i` re-balancing term that moves window from
 //!   max-window paths to "best" paths.
 //!
-//! Subflows each own a [`CoupledCc`] handle; handles share a
-//! [`CouplingState`] registry through `Rc<RefCell<…>>` (the simulation is
-//! single-threaded by design). Slow start is per-subflow standard TCP, as in
-//! the Linux MPTCP implementation the paper measured.
+//! A connection owns one [`CouplingState`] holding every subflow's window.
+//! A subflow socket holds none ([`mpw_tcp::Cc::Lent`]): the connection lends
+//! it the state for the length of each call, and the call drives flow `i`
+//! through [`CouplingState::on_ack`] and its siblings. Slow start is
+//! per-subflow standard TCP, as in the Linux MPTCP implementation the paper
+//! measured.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
-use mpw_sim::{SimDuration, SimTime};
-use mpw_tcp::{CcConfig, CongestionControl};
+use mpw_sim::SimDuration;
+use mpw_tcp::CcConfig;
 use serde::{Deserialize, Serialize};
 
 /// Which coupling algorithm to run — the experiment axis of Figures 4/9.
@@ -47,7 +46,7 @@ impl Coupling {
     }
 }
 
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 struct SubflowCc {
     /// Congestion window in bytes.
     cwnd: usize,
@@ -58,11 +57,13 @@ struct SubflowCc {
     epoch_bytes: f64,
     /// Bytes acked in the previous loss epoch (OLIA's l0).
     prev_epoch_bytes: f64,
+    /// Fractional congestion-avoidance growth not yet applied, in MSS.
+    ca_frac: f64,
     alive: bool,
 }
 
-/// Shared registry of all subflows of one MPTCP connection.
-#[derive(Debug)]
+/// The congestion windows of all subflows of one MPTCP connection.
+#[derive(Clone, Debug)]
 pub struct CouplingState {
     algo: Coupling,
     mss: usize,
@@ -77,15 +78,15 @@ pub struct CouplingState {
 }
 
 impl CouplingState {
-    /// New shared state for the given algorithm.
-    pub fn new(algo: Coupling, mss: usize) -> Rc<RefCell<Self>> {
-        Rc::new(RefCell::new(CouplingState {
+    /// No subflows yet, coupled by `algo`.
+    pub fn new(algo: Coupling, mss: usize) -> Self {
+        CouplingState {
             algo,
             mss,
             flows: Vec::new(),
             violation: None,
             unclamped: false,
-        }))
+        }
     }
 
     /// First fairness-bound violation observed, if any.
@@ -126,16 +127,95 @@ impl CouplingState {
         }
     }
 
-    fn register(&mut self, cfg: &CcConfig) -> usize {
+    /// Add a subflow's window; returns its index.
+    pub fn register(&mut self, cfg: &CcConfig) -> usize {
         self.flows.push(SubflowCc {
             cwnd: cfg.mss * cfg.initial_window_segments,
             ssthresh: cfg.initial_ssthresh,
             rtt: 0.1,
             epoch_bytes: 0.0,
             prev_epoch_bytes: 0.0,
+            ca_frac: 0.0,
             alive: true,
         });
         self.flows.len() - 1
+    }
+
+    /// Flow `i`'s congestion window in bytes.
+    pub fn cwnd(&self, i: usize) -> usize {
+        self.flows[i].cwnd
+    }
+
+    /// Whether flow `i` is in slow start.
+    pub fn in_slow_start(&self, i: usize) -> bool {
+        self.flows[i].cwnd < self.flows[i].ssthresh
+    }
+
+    /// Mark flow `i` dead: it stops counting toward the coupling terms.
+    pub fn retire(&mut self, i: usize) {
+        self.flows[i].alive = false;
+    }
+
+    /// An ACK advanced flow `i`'s `snd_una` by `bytes_acked`.
+    pub fn on_ack(&mut self, i: usize, bytes_acked: usize) {
+        let mss = self.mss;
+        self.flows[i].epoch_bytes += bytes_acked as f64;
+        let (cwnd, ssthresh) = (self.flows[i].cwnd, self.flows[i].ssthresh);
+        if cwnd < ssthresh {
+            // Per-subflow standard slow start, full byte counting.
+            self.flows[i].cwnd = cwnd + bytes_acked.min(cwnd);
+            return;
+        }
+        let w_i_mss = cwnd as f64 / mss as f64;
+        let inc_per_mss_acked = match self.algo {
+            Coupling::Reno => 1.0 / w_i_mss,
+            Coupling::Coupled => {
+                let alpha = self.lia_alpha();
+                let w_total_mss = self.total_cwnd() as f64 / mss as f64;
+                (alpha / w_total_mss).min(1.0 / w_i_mss)
+            }
+            Coupling::Olia => self.olia_increase(i),
+        };
+        #[cfg(any(debug_assertions, feature = "check-invariants"))]
+        self.record_increase_violation(i, inc_per_mss_acked);
+        // Accumulate fractional MSS growth.
+        let fl = &mut self.flows[i];
+        fl.ca_frac += bytes_acked as f64 / mss as f64 * inc_per_mss_acked;
+        if fl.ca_frac.abs() >= 1.0 {
+            let whole = fl.ca_frac.trunc();
+            fl.ca_frac -= whole;
+            let delta = (whole * mss as f64) as i64;
+            let next = fl.cwnd as i64 + delta;
+            fl.cwnd = next.max(2 * mss as i64) as usize;
+        }
+    }
+
+    /// A fast-retransmit loss event on flow `i`, with the FlightSize at
+    /// detection: halve, and start a new OLIA loss epoch.
+    pub fn on_loss_event(&mut self, i: usize, flight_bytes: usize) {
+        let mss = self.mss;
+        let fl = &mut self.flows[i];
+        fl.ssthresh = (flight_bytes.max(fl.cwnd) / 2).max(2 * mss);
+        fl.cwnd = fl.ssthresh;
+        fl.prev_epoch_bytes = fl.epoch_bytes;
+        fl.epoch_bytes = 0.0;
+        fl.ca_frac = 0.0;
+    }
+
+    /// Flow `i`'s retransmission timer fired: collapse to one segment.
+    pub fn on_rto(&mut self, i: usize, flight_bytes: usize) {
+        let mss = self.mss;
+        let fl = &mut self.flows[i];
+        fl.ssthresh = (flight_bytes.max(fl.cwnd) / 2).max(2 * mss);
+        fl.cwnd = mss;
+        fl.prev_epoch_bytes = fl.epoch_bytes;
+        fl.epoch_bytes = 0.0;
+        fl.ca_frac = 0.0;
+    }
+
+    /// Flow `i`'s smoothed RTT estimate changed.
+    pub fn on_rtt_update(&mut self, i: usize, srtt: SimDuration) {
+        self.flows[i].rtt = srtt.as_secs_f64().max(1e-4);
     }
 
     /// Total congestion window over live subflows, in bytes.
@@ -143,18 +223,13 @@ impl CouplingState {
         self.flows.iter().filter(|f| f.alive).map(|f| f.cwnd).sum()
     }
 
-    /// Number of registered subflows.
-    pub fn flows_len(&self) -> usize {
-        self.flows.len()
-    }
-
-    /// Externally halve one subflow's window (the v0.86 penalization
+    /// Externally halve flow `i`'s window (the v0.86 penalization
     /// mechanism acts from outside the normal loss path).
-    pub fn halve_flow(&mut self, idx: usize, mss: usize) {
-        if let Some(f) = self.flows.get_mut(idx) {
-            f.cwnd = (f.cwnd / 2).max(2 * mss);
-            f.ssthresh = f.cwnd;
-        }
+    pub fn halve_flow(&mut self, i: usize) {
+        let mss = self.mss;
+        let f = &mut self.flows[i];
+        f.cwnd = (f.cwnd / 2).max(2 * mss);
+        f.ssthresh = f.cwnd;
     }
 
     /// Windows in MSS units with RTTs, for the coupling formulas.
@@ -256,123 +331,6 @@ impl CouplingState {
     }
 }
 
-/// A per-subflow congestion controller coupled through a shared
-/// [`CouplingState`].
-#[derive(Debug)]
-pub struct CoupledCc {
-    shared: Rc<RefCell<CouplingState>>,
-    idx: usize,
-    cfg: CcConfig,
-    ca_frac: f64,
-}
-
-impl CoupledCc {
-    /// Register a new subflow in the shared state.
-    pub fn new(shared: Rc<RefCell<CouplingState>>, cfg: CcConfig) -> Self {
-        let idx = shared.borrow_mut().register(&cfg);
-        CoupledCc {
-            shared,
-            idx,
-            cfg,
-            ca_frac: 0.0,
-        }
-    }
-
-    /// Subflow index within the shared registry.
-    pub fn index(&self) -> usize {
-        self.idx
-    }
-
-    /// Mark the subflow dead (it stops counting toward coupling terms).
-    pub fn retire(&mut self) {
-        self.shared.borrow_mut().flows[self.idx].alive = false;
-    }
-
-    fn with<R>(&self, f: impl FnOnce(&mut SubflowCc) -> R) -> R {
-        f(&mut self.shared.borrow_mut().flows[self.idx])
-    }
-}
-
-impl CongestionControl for CoupledCc {
-    fn on_ack(&mut self, bytes_acked: usize, _now: SimTime) {
-        let mss = self.cfg.mss;
-        let mut st = self.shared.borrow_mut();
-        st.flows[self.idx].epoch_bytes += bytes_acked as f64;
-        let (cwnd, ssthresh) = {
-            let fl = &st.flows[self.idx];
-            (fl.cwnd, fl.ssthresh)
-        };
-        if cwnd < ssthresh {
-            // Per-subflow standard slow start, full byte counting.
-            st.flows[self.idx].cwnd = cwnd + bytes_acked.min(cwnd);
-            return;
-        }
-        let algo = st.algo;
-        let w_i_mss = cwnd as f64 / mss as f64;
-        let inc_per_mss_acked = match algo {
-            Coupling::Reno => 1.0 / w_i_mss,
-            Coupling::Coupled => {
-                let alpha = st.lia_alpha();
-                let w_total_mss = st.total_cwnd() as f64 / mss as f64;
-                (alpha / w_total_mss).min(1.0 / w_i_mss)
-            }
-            Coupling::Olia => st.olia_increase(self.idx),
-        };
-        #[cfg(any(debug_assertions, feature = "check-invariants"))]
-        st.record_increase_violation(self.idx, inc_per_mss_acked);
-        drop(st);
-        // Accumulate fractional MSS growth.
-        self.ca_frac += bytes_acked as f64 / mss as f64 * inc_per_mss_acked;
-        if self.ca_frac.abs() >= 1.0 {
-            let whole = self.ca_frac.trunc();
-            self.ca_frac -= whole;
-            let delta = (whole * mss as f64) as i64;
-            self.with(|fl| {
-                let next = fl.cwnd as i64 + delta;
-                fl.cwnd = next.max(2 * mss as i64) as usize;
-            });
-        }
-    }
-
-    fn on_loss_event(&mut self, flight_bytes: usize, _now: SimTime) {
-        let mss = self.cfg.mss;
-        self.with(|fl| {
-            fl.ssthresh = (flight_bytes.max(fl.cwnd) / 2).max(2 * mss);
-            fl.cwnd = fl.ssthresh;
-            fl.prev_epoch_bytes = fl.epoch_bytes;
-            fl.epoch_bytes = 0.0;
-        });
-        self.ca_frac = 0.0;
-    }
-
-    fn on_rto(&mut self, flight_bytes: usize, _now: SimTime) {
-        let mss = self.cfg.mss;
-        self.with(|fl| {
-            fl.ssthresh = (flight_bytes.max(fl.cwnd) / 2).max(2 * mss);
-            fl.cwnd = mss;
-            fl.prev_epoch_bytes = fl.epoch_bytes;
-            fl.epoch_bytes = 0.0;
-        });
-        self.ca_frac = 0.0;
-    }
-
-    fn on_rtt_update(&mut self, srtt: SimDuration) {
-        self.with(|fl| fl.rtt = srtt.as_secs_f64().max(1e-4));
-    }
-
-    fn cwnd(&self) -> usize {
-        self.shared.borrow().flows[self.idx].cwnd
-    }
-
-    fn ssthresh(&self) -> usize {
-        self.shared.borrow().flows[self.idx].ssthresh
-    }
-
-    fn name(&self) -> &'static str {
-        self.shared.borrow().algo.name()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -385,68 +343,68 @@ mod tests {
         }
     }
 
-    fn two_flows(algo: Coupling) -> (CoupledCc, CoupledCc) {
-        let shared = CouplingState::new(algo, 1400);
-        (
-            CoupledCc::new(shared.clone(), cfg()),
-            CoupledCc::new(shared, cfg()),
-        )
+    /// Flows 0 and 1, coupled by `algo`.
+    fn two_flows(algo: Coupling) -> CouplingState {
+        let mut st = CouplingState::new(algo, 1400);
+        st.register(&cfg());
+        st.register(&cfg());
+        st
     }
 
-    fn drive_to_ca(cc: &mut CoupledCc) {
+    fn drive_to_ca(st: &mut CouplingState, i: usize) {
         // Ack until out of slow start.
         for _ in 0..200 {
-            cc.on_ack(1400, SimTime::ZERO);
+            st.on_ack(i, 1400);
         }
-        assert!(!cc.in_slow_start());
+        assert!(!st.in_slow_start(i));
     }
 
     #[test]
     fn slow_start_is_uncoupled_and_standard() {
-        let (mut a, _b) = two_flows(Coupling::Coupled);
-        let w0 = a.cwnd();
+        let mut st = two_flows(Coupling::Coupled);
+        let w0 = st.cwnd(0);
         let mut acked = 0;
         while acked < w0 {
-            a.on_ack(1400, SimTime::ZERO);
+            st.on_ack(0, 1400);
             acked += 1400;
         }
-        assert_eq!(a.cwnd(), 2 * w0);
+        assert_eq!(st.cwnd(0), 2 * w0);
     }
 
     #[test]
     fn reno_coupling_matches_single_path_growth() {
-        let (mut a, _b) = two_flows(Coupling::Reno);
-        drive_to_ca(&mut a);
-        let w = a.cwnd();
+        let mut st = two_flows(Coupling::Reno);
+        drive_to_ca(&mut st, 0);
+        let w = st.cwnd(0);
         let mut acked = 0;
         while acked < w {
-            a.on_ack(1400, SimTime::ZERO);
+            st.on_ack(0, 1400);
             acked += 1400;
         }
         // +1 MSS per window per RTT, like plain New Reno.
         assert!(
-            (a.cwnd() as i64 - (w + 1400) as i64).abs() <= 1400,
+            (st.cwnd(0) as i64 - (w + 1400) as i64).abs() <= 1400,
             "w {w} -> {}",
-            a.cwnd()
+            st.cwnd(0)
         );
     }
 
     #[test]
     fn coupled_grows_slower_than_reno() {
         let grow = |algo| {
-            let (mut a, mut b) = two_flows(algo);
-            a.on_rtt_update(SimDuration::from_millis(50));
-            b.on_rtt_update(SimDuration::from_millis(50));
-            drive_to_ca(&mut a);
-            drive_to_ca(&mut b);
-            let w = a.cwnd();
+            let mut st = two_flows(algo);
+            st.on_rtt_update(0, SimDuration::from_millis(50));
+            st.on_rtt_update(1, SimDuration::from_millis(50));
+            drive_to_ca(&mut st, 0);
+            drive_to_ca(&mut st, 1);
+            let w = st.cwnd(0);
             // Eight windows' worth of acks on each flow (LIA's increase is
             // fractional per window; give it room to materialize).
             for _ in 0..(8 * w / 1400) {
-                a.on_ack(1400, SimTime::ZERO);
-                b.on_ack(1400, SimTime::ZERO);
+                st.on_ack(0, 1400);
+                st.on_ack(1, 1400);
             }
-            a.cwnd() - w
+            st.cwnd(0) - w
         };
         let reno = grow(Coupling::Reno);
         let coupled = grow(Coupling::Coupled);
@@ -464,68 +422,63 @@ mod tests {
 
     #[test]
     fn lia_alpha_on_identical_paths() {
-        let shared = CouplingState::new(Coupling::Coupled, 1400);
-        let a = CoupledCc::new(shared.clone(), cfg());
-        let _b = CoupledCc::new(shared.clone(), cfg());
-        let _ = a; // windows equal, rtts equal (defaults)
-        let alpha = shared.borrow().lia_alpha();
+        // Windows equal, rtts equal (defaults).
+        let st = two_flows(Coupling::Coupled);
+        let alpha = st.lia_alpha();
         // w_total * (w/rtt²) / (2w/rtt)² = 2w * w/rtt² / 4w²/rtt² = 1/2.
         assert!((alpha - 0.5).abs() < 1e-9, "alpha {alpha}");
     }
 
     #[test]
     fn coupled_prefers_lower_rtt_path() {
-        let (mut fast, mut slow) = two_flows(Coupling::Coupled);
-        fast.on_rtt_update(SimDuration::from_millis(20));
-        slow.on_rtt_update(SimDuration::from_millis(200));
-        drive_to_ca(&mut fast);
-        drive_to_ca(&mut slow);
+        let (fast, slow) = (0, 1);
+        let mut st = two_flows(Coupling::Coupled);
+        st.on_rtt_update(fast, SimDuration::from_millis(20));
+        st.on_rtt_update(slow, SimDuration::from_millis(200));
+        drive_to_ca(&mut st, fast);
+        drive_to_ca(&mut st, slow);
         // Equal windows; ack both at rates proportional to 1/rtt: the fast
         // path sees 10× the acks.
-        let wf = fast.cwnd();
-        let ws = slow.cwnd();
+        let wf = st.cwnd(fast);
+        let ws = st.cwnd(slow);
         for _ in 0..1000 {
             for _ in 0..10 {
-                fast.on_ack(1400, SimTime::ZERO);
+                st.on_ack(fast, 1400);
             }
-            slow.on_ack(1400, SimTime::ZERO);
+            st.on_ack(slow, 1400);
         }
-        let df = fast.cwnd() as i64 - wf as i64;
-        let ds = slow.cwnd() as i64 - ws as i64;
+        let df = st.cwnd(fast) as i64 - wf as i64;
+        let ds = st.cwnd(slow) as i64 - ws as i64;
         assert!(df > ds, "fast path should grow more: {df} vs {ds}");
     }
 
     #[test]
     fn olia_rebalances_toward_better_path() {
-        let shared = CouplingState::new(Coupling::Olia, 1400);
-        let mut good = CoupledCc::new(shared.clone(), cfg());
-        let mut congested = CoupledCc::new(shared.clone(), cfg());
-        good.on_rtt_update(SimDuration::from_millis(50));
-        congested.on_rtt_update(SimDuration::from_millis(50));
-        drive_to_ca(&mut good);
-        drive_to_ca(&mut congested);
+        let (good, congested) = (0, 1);
+        let mut st = two_flows(Coupling::Olia);
+        st.on_rtt_update(good, SimDuration::from_millis(50));
+        st.on_rtt_update(congested, SimDuration::from_millis(50));
+        drive_to_ca(&mut st, good);
+        drive_to_ca(&mut st, congested);
         // The congested path loses regularly (short epochs); the good path
         // never loses (long epochs) but was left with a smaller window.
         for _ in 0..6 {
             for _ in 0..50 {
-                congested.on_ack(1400, SimTime::ZERO);
+                st.on_ack(congested, 1400);
             }
-            congested.on_loss_event(congested.cwnd(), SimTime::ZERO);
+            st.on_loss_event(congested, st.cwnd(congested));
         }
         for _ in 0..400 {
-            good.on_ack(1400, SimTime::ZERO);
+            st.on_ack(good, 1400);
         }
         // Force the asymmetry OLIA reacts to: congested somehow holds the
         // larger window (e.g. after the good path collapsed).
-        {
-            let mut st = shared.borrow_mut();
-            st.flows[0].cwnd = 30 * 1400; // good, best quality
-            st.flows[1].cwnd = 80 * 1400; // congested, max window
-            st.flows[0].ssthresh = 1400;
-            st.flows[1].ssthresh = 1400;
-        }
-        let inc_good = shared.borrow().olia_increase(0);
-        let inc_congested = shared.borrow().olia_increase(1);
+        st.flows[good].cwnd = 30 * 1400; // best quality
+        st.flows[congested].cwnd = 80 * 1400; // max window
+        st.flows[good].ssthresh = 1400;
+        st.flows[congested].ssthresh = 1400;
+        let inc_good = st.olia_increase(good);
+        let inc_congested = st.olia_increase(congested);
         assert!(
             inc_good > inc_congested,
             "OLIA should favour the best path: {inc_good} vs {inc_congested}"
@@ -538,17 +491,17 @@ mod tests {
         // On two identical paths OLIA's base term gives 1/4 of reno's
         // per-path growth for each (denominator is the doubled rate sum),
         // i.e., aggregate growth ≈ half of a single TCP — non-aggressive.
-        let (mut a, mut b) = two_flows(Coupling::Olia);
-        a.on_rtt_update(SimDuration::from_millis(50));
-        b.on_rtt_update(SimDuration::from_millis(50));
-        drive_to_ca(&mut a);
-        drive_to_ca(&mut b);
-        let w = a.cwnd();
+        let mut st = two_flows(Coupling::Olia);
+        st.on_rtt_update(0, SimDuration::from_millis(50));
+        st.on_rtt_update(1, SimDuration::from_millis(50));
+        drive_to_ca(&mut st, 0);
+        drive_to_ca(&mut st, 1);
+        let w = st.cwnd(0);
         for _ in 0..(w / 1400) {
-            a.on_ack(1400, SimTime::ZERO);
-            b.on_ack(1400, SimTime::ZERO);
+            st.on_ack(0, 1400);
+            st.on_ack(1, 1400);
         }
-        let growth = a.cwnd() as i64 - w as i64;
+        let growth = st.cwnd(0) as i64 - w as i64;
         assert!(
             growth <= 1400,
             "OLIA per-window growth {growth} exceeds one MSS"
@@ -557,24 +510,22 @@ mod tests {
 
     #[test]
     fn loss_halves_and_rto_collapses() {
-        let (mut a, _b) = two_flows(Coupling::Olia);
-        drive_to_ca(&mut a);
-        let w = a.cwnd();
-        a.on_loss_event(a.cwnd(), SimTime::ZERO);
-        assert_eq!(a.cwnd(), w / 2);
-        a.on_rto(a.cwnd(), SimTime::ZERO);
-        assert_eq!(a.cwnd(), 1400);
+        let mut st = two_flows(Coupling::Olia);
+        drive_to_ca(&mut st, 0);
+        let w = st.cwnd(0);
+        st.on_loss_event(0, st.cwnd(0));
+        assert_eq!(st.cwnd(0), w / 2);
+        st.on_rto(0, st.cwnd(0));
+        assert_eq!(st.cwnd(0), 1400);
     }
 
     #[test]
     fn retired_flow_leaves_coupling_terms() {
-        let shared = CouplingState::new(Coupling::Coupled, 1400);
-        let a = CoupledCc::new(shared.clone(), cfg());
-        let mut b = CoupledCc::new(shared.clone(), cfg());
-        let total_before = shared.borrow().total_cwnd();
-        b.retire();
-        let total_after = shared.borrow().total_cwnd();
-        assert_eq!(total_after, a.cwnd());
+        let mut st = two_flows(Coupling::Coupled);
+        let total_before = st.total_cwnd();
+        st.retire(1);
+        let total_after = st.total_cwnd();
+        assert_eq!(total_after, st.cwnd(0));
         assert!(total_after < total_before);
     }
 
@@ -582,10 +533,10 @@ mod tests {
     fn single_path_coupled_behaves_like_reno() {
         // With one subflow, alpha = w * (w/rtt²) / (w/rtt)² = 1 → increase
         // min(1/w, 1/w) = reno.
-        let shared = CouplingState::new(Coupling::Coupled, 1400);
-        let mut a = CoupledCc::new(shared.clone(), cfg());
-        drive_to_ca(&mut a);
-        let alpha = shared.borrow().lia_alpha();
+        let mut st = CouplingState::new(Coupling::Coupled, 1400);
+        st.register(&cfg());
+        drive_to_ca(&mut st, 0);
+        let alpha = st.lia_alpha();
         assert!((alpha - 1.0).abs() < 1e-9, "alpha {alpha}");
     }
 
@@ -593,28 +544,23 @@ mod tests {
     /// the New Reno bound: flow 0 is small-window/short-RTT with the best
     /// loss history (so it gets the positive α term) while flow 1 holds the
     /// max window behind a huge RTT, leaving flow 0 dominating the rate sum.
-    fn asymmetric_olia_state() -> Rc<RefCell<CouplingState>> {
-        let shared = CouplingState::new(Coupling::Olia, 1400);
-        let _a = CoupledCc::new(shared.clone(), cfg());
-        let _b = CoupledCc::new(shared.clone(), cfg());
-        {
-            let mut st = shared.borrow_mut();
-            st.flows[0].cwnd = 10 * 1400;
-            st.flows[0].rtt = 0.01;
-            st.flows[0].epoch_bytes = 1e6;
-            st.flows[0].ssthresh = 1400;
-            st.flows[1].cwnd = 20 * 1400;
-            st.flows[1].rtt = 2.0;
-            st.flows[1].epoch_bytes = 1.0;
-            st.flows[1].ssthresh = 1400;
-        }
-        shared
+    fn asymmetric_olia_state() -> CouplingState {
+        let mut st = two_flows(Coupling::Olia);
+        st.flows[0].cwnd = 10 * 1400;
+        st.flows[0].rtt = 0.01;
+        st.flows[0].epoch_bytes = 1e6;
+        st.flows[0].ssthresh = 1400;
+        st.flows[1].cwnd = 20 * 1400;
+        st.flows[1].rtt = 2.0;
+        st.flows[1].epoch_bytes = 1.0;
+        st.flows[1].ssthresh = 1400;
+        st
     }
 
     #[test]
     fn olia_clamp_holds_the_reno_bound_where_raw_term_breaks_it() {
-        let shared = asymmetric_olia_state();
-        let inc = shared.borrow().olia_increase(0);
+        let mut st = asymmetric_olia_state();
+        let inc = st.olia_increase(0);
         let w0 = 10.0;
         assert!(
             inc <= 1.0 / w0 + 1e-9,
@@ -622,8 +568,8 @@ mod tests {
         );
         // The same state with the clamp removed *does* break the bound —
         // i.e., the clamp is load-bearing, not vacuous.
-        shared.borrow_mut().inject_unclamped_increase();
-        let raw = shared.borrow().olia_increase(0);
+        st.inject_unclamped_increase();
+        let raw = st.olia_increase(0);
         assert!(
             raw > 1.0 / w0 + 1e-6,
             "expected the unclamped increase {raw} to break 1/w_0"
@@ -632,23 +578,18 @@ mod tests {
 
     #[test]
     fn injected_unclamped_bug_is_caught_by_the_increase_oracle() {
-        let shared = asymmetric_olia_state();
-        let mut a = CoupledCc::new(shared.clone(), cfg());
-        // Re-point handle 'a' at flow 0 by constructing state fresh: the
-        // two registration handles above were dropped, so build a real
-        // driver for flow index 2 instead — give it the same shape.
-        {
-            let mut st = shared.borrow_mut();
-            st.flows[2].cwnd = 10 * 1400;
-            st.flows[2].rtt = 0.01;
-            st.flows[2].epoch_bytes = 2e6; // strictly best quality
-            st.flows[2].ssthresh = 1400;
-            st.flows[1].alive = true;
-            st.flows[0].alive = false; // keep the 2-path asymmetry
-            st.inject_unclamped_increase();
-        }
-        a.on_ack(1400, SimTime::ZERO);
-        let st = shared.borrow();
+        let mut st = asymmetric_olia_state();
+        // Drive a third flow shaped like flow 0, and retire flow 0 to keep
+        // the 2-path asymmetry.
+        let a = st.register(&cfg());
+        st.flows[a].cwnd = 10 * 1400;
+        st.flows[a].rtt = 0.01;
+        st.flows[a].epoch_bytes = 2e6; // strictly best quality
+        st.flows[a].ssthresh = 1400;
+        st.flows[1].alive = true;
+        st.flows[0].alive = false;
+        st.inject_unclamped_increase();
+        st.on_ack(a, 1400);
         assert!(
             st.violation().is_some(),
             "unclamped OLIA increase went unnoticed"
@@ -659,21 +600,20 @@ mod tests {
     #[test]
     fn clamped_controllers_never_record_violations() {
         for algo in Coupling::ALL {
-            let (mut a, mut b) = two_flows(algo);
-            a.on_rtt_update(SimDuration::from_millis(10));
-            b.on_rtt_update(SimDuration::from_millis(300));
-            drive_to_ca(&mut a);
-            drive_to_ca(&mut b);
+            let mut st = two_flows(algo);
+            st.on_rtt_update(0, SimDuration::from_millis(10));
+            st.on_rtt_update(1, SimDuration::from_millis(300));
+            drive_to_ca(&mut st, 0);
+            drive_to_ca(&mut st, 1);
             for _ in 0..500 {
-                a.on_ack(1400, SimTime::ZERO);
+                st.on_ack(0, 1400);
             }
-            b.on_ack(1400, SimTime::ZERO);
-            let shared = a.shared.borrow();
+            st.on_ack(1, 1400);
             assert!(
-                shared.violation().is_none(),
+                st.violation().is_none(),
                 "{}: spurious violation {:?}",
                 algo.name(),
-                shared.violation()
+                st.violation()
             );
         }
     }
@@ -695,17 +635,15 @@ mod tests {
         ) {
             let mss = 1400usize;
             for algo in [Coupling::Coupled, Coupling::Olia] {
-                let shared = CouplingState::new(algo, mss);
+                let mut st = CouplingState::new(algo, mss);
                 for (i, &w) in windows.iter().enumerate() {
-                    let _handle = CoupledCc::new(shared.clone(), cfg());
-                    let mut st = shared.borrow_mut();
-                    let fl = st.flows.last_mut().unwrap();
+                    let fl = st.register(&cfg());
+                    let fl = &mut st.flows[fl];
                     fl.cwnd = w as usize * mss;
                     fl.rtt = rtts_ms[i % rtts_ms.len()] as f64 / 1e3;
                     fl.epoch_bytes = epochs[i % epochs.len()] as f64;
                     fl.prev_epoch_bytes = epochs[(i + 1) % epochs.len()] as f64;
                 }
-                let st = shared.borrow();
                 let best: f64 = windows.iter().map(|&w| 1.0 / w as f64).fold(0.0, f64::max);
                 for (i, &w) in windows.iter().enumerate() {
                     let w_i = w as f64;

@@ -21,8 +21,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use mpw_sim::{Agent, AgentId, Ctx, Event, Frame, SimDuration, SimRng, SimTime, TimerHandle};
 use mpw_tcp::wire::{tcp_flags, PingPacket};
 use mpw_tcp::{
-    encode_packet, encode_ping, parse_any_shared, Addr, CcConfig, Endpoint, IpHeader, MptcpOption,
-    NewReno, NoHooks, Packet, SeqNum, TcpConfig, TcpOption, TcpSegment, TcpSocket,
+    encode_packet, encode_ping, parse_any_shared, Addr, Cc, CcConfig, Endpoint, IpHeader,
+    MptcpOption, NewReno, NoHooks, Packet, SeqNum, TcpConfig, TcpOption, TcpSegment, TcpSocket,
 };
 
 use crate::conn::{MptcpConfig, MptcpConnection};
@@ -674,7 +674,7 @@ impl Host {
                 let iss = SeqNum(self.rng.next_u64() as u32);
                 Transport::Sp(TcpSocket::connect(
                     tcp,
-                    Box::new(NewReno::new(cc)),
+                    Cc::Own(NewReno::new(cc)),
                     Box::new(NoHooks),
                     local,
                     req.remote,
@@ -806,7 +806,7 @@ impl Host {
                 let iss = SeqNum(self.rng.next_u64() as u32);
                 Transport::Sp(TcpSocket::accept(
                     tcp,
-                    Box::new(NewReno::new(cc)),
+                    Cc::Own(NewReno::new(cc)),
                     Box::new(NoHooks),
                     local,
                     remote,

@@ -49,7 +49,7 @@ pub use conn::{
     ConnStats, HandoverPolicy, LifecycleConfig, LifecycleEvent, MptcpConfig, MptcpConnection,
     Subflow, SynMode,
 };
-pub use coupling::{CoupledCc, Coupling, CouplingState};
+pub use coupling::{Coupling, CouplingState};
 pub use host::{App, AppFactory, Host, NullApp, OpenRequest, Transport, TransportSpec};
 pub use key::{key_from_seed, token_from_key};
 pub use scheduler::{Scheduler, SchedulerState, SubflowView};

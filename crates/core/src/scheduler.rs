@@ -47,7 +47,7 @@ impl SubflowView {
 }
 
 /// Stateful scheduler instance (round-robin needs a cursor).
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct SchedulerState {
     rr_cursor: usize,
 }

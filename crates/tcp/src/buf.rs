@@ -16,7 +16,7 @@ use mpw_sim::SimTime;
 
 /// The sender-side stream buffer: bytes the application has written that are
 /// not yet cumulatively acknowledged.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct SendBuffer {
     chunks: VecDeque<(u64, Bytes)>,
     /// Offset of the first byte still buffered (== highest cumulative ack).
@@ -207,7 +207,7 @@ impl SendBuffer {
 }
 
 /// Out-of-order reassembly store over absolute stream offsets.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct Assembler {
     /// Out-of-order ranges keyed by start offset: (data, arrival time).
     segs: BTreeMap<u64, (Bytes, SimTime)>,

@@ -1,37 +1,29 @@
 //! Congestion control.
 //!
 //! The socket owns the loss-detection machinery (dupacks, SACK, RTO) and
-//! reports *events* to a pluggable [`CongestionControl`] object, which owns
-//! the window. Single-path New Reno lives here; the MPTCP couplings
-//! (coupled/LIA, OLIA, uncoupled Reno — §2.2.2 of the paper) are implemented
-//! in the `mpw-mptcp` crate against this same trait, since they need state
-//! shared across subflows.
+//! reports *events* to whichever side holds its window ([`Cc`]). A plain
+//! socket holds its own New Reno, defined here. An MPTCP subflow's window
+//! sits with its connection, coupled with the other subflows' (coupled/LIA,
+//! OLIA, uncoupled Reno — §2.2.2 of the paper, in the `mpw-mptcp` crate),
+//! and the connection lends it to each socket call through
+//! [`TcpHooks`](crate::TcpHooks).
 
-use core::fmt;
-use mpw_sim::{SimDuration, SimTime};
+/// Who holds a socket's congestion window.
+#[derive(Clone, Debug)]
+pub enum Cc {
+    /// A plain socket's own New Reno window.
+    Own(NewReno),
+    /// An MPTCP subflow's window: its connection holds it and lends it to
+    /// every call through the caller's [`TcpHooks`](crate::TcpHooks).
+    Lent,
+}
 
-/// A congestion-window algorithm driven by ACK/loss events from the socket.
-pub trait CongestionControl: fmt::Debug {
-    /// An ACK advanced the sender's `snd_una` by `bytes_acked` on this flow.
-    fn on_ack(&mut self, bytes_acked: usize, now: SimTime);
-    /// A loss event was detected via fast retransmit (once per window).
-    /// `flight_bytes` is the FlightSize at detection (RFC 5681 uses it for
-    /// the new ssthresh).
-    fn on_loss_event(&mut self, flight_bytes: usize, now: SimTime);
-    /// The retransmission timer fired: collapse to the loss window.
-    fn on_rto(&mut self, flight_bytes: usize, now: SimTime);
-    /// The smoothed RTT estimate changed (couplings need `rtt_i`).
-    fn on_rtt_update(&mut self, srtt: SimDuration);
-    /// Current congestion window in bytes.
-    fn cwnd(&self) -> usize;
-    /// Current slow-start threshold in bytes.
-    fn ssthresh(&self) -> usize;
-    /// Whether the flow is in slow start.
-    fn in_slow_start(&self) -> bool {
-        self.cwnd() < self.ssthresh()
+/// `benchmark/` hands the socket constructors a boxed New Reno; stays while
+/// it does (ROADMAP 7(i)).
+impl From<Box<NewReno>> for Cc {
+    fn from(cc: Box<NewReno>) -> Self {
+        Cc::Own(*cc)
     }
-    /// Algorithm name for reporting ("reno", "coupled", "olia").
-    fn name(&self) -> &'static str;
 }
 
 /// Parameters shared by window algorithms.
@@ -82,10 +74,9 @@ impl NewReno {
     fn mss(&self) -> usize {
         self.cfg.mss
     }
-}
 
-impl CongestionControl for NewReno {
-    fn on_ack(&mut self, bytes_acked: usize, _now: SimTime) {
+    /// An ACK advanced the sender's `snd_una` by `bytes_acked`.
+    pub fn on_ack(&mut self, bytes_acked: usize) {
         if self.cwnd < self.ssthresh {
             // Slow start with full byte counting (as modern Linux does):
             // stretch ACKs — common when the receiver delays or the link
@@ -102,31 +93,36 @@ impl CongestionControl for NewReno {
         }
     }
 
-    fn on_loss_event(&mut self, flight_bytes: usize, _now: SimTime) {
+    /// A loss event was detected via fast retransmit (once per window).
+    /// `flight_bytes` is the FlightSize at detection (RFC 5681 uses it for
+    /// the new ssthresh).
+    pub fn on_loss_event(&mut self, flight_bytes: usize) {
         // RFC 5681 §3.1: ssthresh = max(FlightSize/2, 2*SMSS).
         self.ssthresh = (flight_bytes.max(self.cwnd) / 2).max(2 * self.mss());
         self.cwnd = self.ssthresh;
         self.ca_credit = 0;
     }
 
-    fn on_rto(&mut self, flight_bytes: usize, _now: SimTime) {
+    /// The retransmission timer fired: collapse to the loss window.
+    pub fn on_rto(&mut self, flight_bytes: usize) {
         self.ssthresh = (flight_bytes.max(self.cwnd) / 2).max(2 * self.mss());
         self.cwnd = self.mss();
         self.ca_credit = 0;
     }
 
-    fn on_rtt_update(&mut self, _srtt: SimDuration) {}
-
-    fn cwnd(&self) -> usize {
+    /// Current congestion window in bytes.
+    pub fn cwnd(&self) -> usize {
         self.cwnd
     }
 
-    fn ssthresh(&self) -> usize {
+    /// Current slow-start threshold in bytes.
+    pub fn ssthresh(&self) -> usize {
         self.ssthresh
     }
 
-    fn name(&self) -> &'static str {
-        "reno"
+    /// Whether the flow is in slow start.
+    pub fn in_slow_start(&self) -> bool {
+        self.cwnd < self.ssthresh
     }
 }
 
@@ -152,7 +148,7 @@ mod tests {
         // ACK a full window's worth in MSS chunks: cwnd should double.
         let mut acked = 0;
         while acked < start {
-            cc.on_ack(1400, SimTime::ZERO);
+            cc.on_ack(1400);
             acked += 1400;
         }
         assert_eq!(cc.cwnd(), 2 * start);
@@ -162,7 +158,7 @@ mod tests {
     fn slow_start_exits_at_ssthresh() {
         let mut cc = reno();
         for _ in 0..200 {
-            cc.on_ack(1400, SimTime::ZERO);
+            cc.on_ack(1400);
         }
         assert!(!cc.in_slow_start());
         // Growth is now linear, not exponential: one full window of ACKs
@@ -170,7 +166,7 @@ mod tests {
         let w = cc.cwnd();
         let mut acked = 0;
         while acked < w {
-            cc.on_ack(1400, SimTime::ZERO);
+            cc.on_ack(1400);
             acked += 1400;
         }
         assert_eq!(cc.cwnd(), w + 1400);
@@ -180,10 +176,10 @@ mod tests {
     fn loss_halves_window() {
         let mut cc = reno();
         for _ in 0..100 {
-            cc.on_ack(1400, SimTime::ZERO);
+            cc.on_ack(1400);
         }
         let before = cc.cwnd();
-        cc.on_loss_event(cc.cwnd(), SimTime::ZERO);
+        cc.on_loss_event(cc.cwnd());
         assert_eq!(cc.cwnd(), before / 2);
         assert_eq!(cc.ssthresh(), before / 2);
         assert!(!cc.in_slow_start());
@@ -193,10 +189,10 @@ mod tests {
     fn rto_collapses_to_one_segment() {
         let mut cc = reno();
         for _ in 0..100 {
-            cc.on_ack(1400, SimTime::ZERO);
+            cc.on_ack(1400);
         }
         let before = cc.cwnd();
-        cc.on_rto(cc.cwnd(), SimTime::ZERO);
+        cc.on_rto(cc.cwnd());
         assert_eq!(cc.cwnd(), 1400);
         assert_eq!(cc.ssthresh(), before / 2);
         assert!(cc.in_slow_start());
@@ -206,7 +202,7 @@ mod tests {
     fn window_never_collapses_below_two_mss_threshold() {
         let mut cc = reno();
         for _ in 0..10 {
-            cc.on_loss_event(cc.cwnd(), SimTime::ZERO);
+            cc.on_loss_event(cc.cwnd());
         }
         assert!(cc.ssthresh() >= 2 * 1400);
         assert!(cc.cwnd() >= 2 * 1400);
@@ -219,7 +215,7 @@ mod tests {
             ..CcConfig::default()
         });
         for _ in 0..10_000 {
-            cc.on_ack(1400, SimTime::ZERO);
+            cc.on_ack(1400);
         }
         assert!(cc.in_slow_start());
         assert!(cc.cwnd() > 10_000_000);
@@ -229,13 +225,13 @@ mod tests {
     fn ack_credit_does_not_leak_across_loss() {
         let mut cc = reno();
         for _ in 0..100 {
-            cc.on_ack(1400, SimTime::ZERO);
+            cc.on_ack(1400);
         }
         // Accumulate partial CA credit, then lose: credit must reset.
-        cc.on_ack(700, SimTime::ZERO);
-        cc.on_loss_event(cc.cwnd(), SimTime::ZERO);
+        cc.on_ack(700);
+        cc.on_loss_event(cc.cwnd());
         let w = cc.cwnd();
-        cc.on_ack(1400, SimTime::ZERO);
+        cc.on_ack(1400);
         // A single MSS ack right after loss must not bump the window yet.
         assert_eq!(cc.cwnd(), w);
     }

@@ -1,14 +1,19 @@
-//! Extension hooks that let the MPTCP layer ride on top of the TCP socket.
+//! What a socket's owner lends it for the length of one call.
 //!
-//! A plain single-path socket has no hooks. An MPTCP subflow installs a
-//! [`TcpHooks`] implementation that (a) contributes MPTCP options to every
-//! outgoing segment (MP_CAPABLE / MP_JOIN on handshakes, DSS on data and
-//! ACKs), (b) observes every incoming segment (harvesting DSS mappings and
-//! data-ACKs, and feeding the connection-level receive buffer), and (c) can
-//! override the advertised receive window with the *shared* MPTCP
-//! connection-level buffer space (§3.1 "receive memory allocation").
+//! A socket holds no reference to anything outside itself (the smoltcp
+//! idiom): an entry point that needs more takes a [`TcpHooks`] context from
+//! its caller. A plain single-path socket's caller lends [`NoHooks`]. An
+//! MPTCP subflow's connection lends a view of its own state, through which
+//! the socket (a) adds MPTCP options to every outgoing segment (MP_CAPABLE /
+//! MP_JOIN on handshakes, DSS on data and ACKs), (b) hands over every
+//! incoming segment (harvesting DSS mappings and data-ACKs, and feeding the
+//! connection-level receive buffer), (c) advertises the *shared* MPTCP
+//! connection-level buffer space as its receive window (§3.1 "receive
+//! memory allocation"), and (d) reaches its congestion window, which the
+//! connection holds coupled with the other subflows'
+//! ([`Cc::Lent`](crate::Cc::Lent)).
 
-use mpw_sim::SimTime;
+use mpw_sim::{SimDuration, SimTime};
 
 use crate::wire::{OptionList, TcpSegment};
 
@@ -37,8 +42,9 @@ pub enum TxKind {
     Fin,
 }
 
-/// Observer/extender for one TCP socket.
-pub trait TcpHooks: std::fmt::Debug {
+/// The context one socket call borrows from the socket's owner. Every
+/// method defaults to what a plain socket needs: nothing.
+pub trait TcpHooks {
     /// Append options for an outgoing segment directly into the segment's
     /// inline [`OptionList`] — no per-segment `Vec` exists on this path.
     ///
@@ -49,12 +55,11 @@ pub trait TcpHooks: std::fmt::Debug {
     /// queued that `push` refuses must stay queued with the implementor for
     /// a later segment — the socket does not retry and nothing downstream
     /// reports it. SACK blocks take whatever is left afterwards.
-    fn tx_options(&mut self, kind: TxKind, now: SimTime, out: &mut OptionList);
+    fn tx_options(&mut self, _kind: TxKind, _out: &mut OptionList) {}
 
     /// Called for every valid incoming segment, after the socket has updated
-    /// its own state. `payload_abs_start` is the absolute stream offset of
-    /// the first payload byte (meaningful when the segment has payload).
-    fn on_rx(&mut self, seg: &TcpSegment, payload_abs_start: u64, now: SimTime);
+    /// its own state.
+    fn on_rx(&mut self, _seg: &TcpSegment, _now: SimTime) {}
 
     /// Override for the advertised receive window (bytes of buffer space).
     /// `None` means use the socket's own buffer accounting.
@@ -71,18 +76,26 @@ pub trait TcpHooks: std::fmt::Debug {
         None
     }
 
-    /// The connection reached `Established`.
-    fn on_established(&mut self, _now: SimTime) {}
+    /// The congestion window in bytes of a socket that holds
+    /// [`Cc::Lent`](crate::Cc::Lent). This and the three methods below are
+    /// called only for such a socket.
+    fn cwnd(&self) -> usize {
+        0
+    }
 
-    /// The socket was reset or closed by the peer.
-    fn on_closed(&mut self, _now: SimTime) {}
+    /// An ACK advanced the sender's `snd_una` by `bytes_acked`; `srtt` is
+    /// the smoothed RTT estimate after it (couplings need `rtt_i`).
+    fn on_ack(&mut self, _bytes_acked: usize, _srtt: Option<SimDuration>) {}
+
+    /// A fast-retransmit loss event, with the FlightSize at detection.
+    fn on_loss_event(&mut self, _flight_bytes: usize) {}
+
+    /// The retransmission timer fired.
+    fn on_rto(&mut self, _flight_bytes: usize) {}
 }
 
-/// The no-op hooks used by plain single-path TCP.
+/// The context of a plain single-path socket: no options, its own window.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NoHooks;
 
-impl TcpHooks for NoHooks {
-    fn tx_options(&mut self, _kind: TxKind, _now: SimTime, _out: &mut OptionList) {}
-    fn on_rx(&mut self, _seg: &TcpSegment, _payload_abs_start: u64, _now: SimTime) {}
-}
+impl TcpHooks for NoHooks {}

@@ -3,14 +3,15 @@
 //! This crate implements the single-path TCP substrate the paper's MPTCP
 //! stack builds on: wire format (including the RFC 6824 MPTCP option
 //! encodings), wrapping sequence arithmetic, RFC 6298 retransmission, SACK,
-//! New Reno congestion control behind a pluggable [`CongestionControl`]
-//! trait, window scaling, and delayed ACKs — configured the way the paper's
+//! New Reno congestion control (or a window its owner lends, [`Cc`]),
+//! window scaling, and delayed ACKs — configured the way the paper's
 //! testbed was (initial window 10, initial ssthresh 64 KB, SACK on, no
 //! metadata caching between connections; §3.1).
 //!
 //! Sockets are pure state machines driven by `on_segment` / `on_timer` /
-//! `poll_transmit` (the smoltcp idiom); hosts and the MPTCP connection layer
-//! live in `mpw-mptcp`.
+//! `poll_transmit` (the smoltcp idiom): a socket holds no reference to its
+//! owner, which lends it [`TcpHooks`] for each call. Hosts and the MPTCP
+//! connection layer live in `mpw-mptcp`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -35,7 +36,7 @@ pub mod testkit;
 pub mod wire;
 
 pub use buf::{Assembler, SendBuffer};
-pub use cc::{CcConfig, CongestionControl, NewReno};
+pub use cc::{Cc, CcConfig, NewReno};
 pub use hooks::{NoHooks, TcpHooks, TxKind};
 pub use rtt::RttEstimator;
 pub use seq::SeqNum;

@@ -19,8 +19,8 @@ use bytes::Bytes;
 use mpw_sim::{SimDuration, SimTime};
 
 use crate::buf::{Assembler, SendBuffer};
-use crate::cc::CongestionControl;
-use crate::hooks::{TcpHooks, TxKind};
+use crate::cc::Cc;
+use crate::hooks::{NoHooks, TcpHooks, TxKind};
 use crate::rtt::RttEstimator;
 use crate::seq::SeqNum;
 use crate::wire::{
@@ -141,7 +141,7 @@ struct TxInfo {
 /// and pops at the front (cumulative ACKs), so a ring buffer serves every
 /// lookup by binary search and — unlike the `BTreeMap` it replaced — touches
 /// the allocator only on rare capacity growth, never per segment.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 struct Flight {
     entries: VecDeque<(u64, TxInfo)>,
 }
@@ -210,6 +210,7 @@ enum AckUrgency {
 }
 
 /// The TCP socket state machine. See the module docs for the driving model.
+#[derive(Clone)]
 pub struct TcpSocket {
     cfg: TcpConfig,
     state: TcpState,
@@ -217,8 +218,7 @@ pub struct TcpSocket {
     remote: Endpoint,
     /// Which local interface this socket is bound to (routing by the host).
     pub if_index: u8,
-    hooks: Box<dyn TcpHooks>,
-    cc: Box<dyn CongestionControl>,
+    cc: Cc,
     rtt: RttEstimator,
 
     // --- send side ---
@@ -267,6 +267,13 @@ pub struct TcpSocket {
     stats: SocketStats,
 }
 
+// A socket owns everything it holds: a shared cell (`Rc`) or an unbounded
+// `Box<dyn …>` field would make it `!Send`, and this fail to compile.
+const _: fn() = || {
+    fn ok<T: Clone + Send>() {}
+    ok::<TcpSocket>();
+};
+
 impl std::fmt::Debug for TcpSocket {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TcpSocket")
@@ -281,19 +288,23 @@ impl std::fmt::Debug for TcpSocket {
 }
 
 impl TcpSocket {
-    /// Active open: create a socket in SynSent that will emit a SYN.
+    /// Active open: create a socket in SynSent that will emit a SYN. `cc`
+    /// is a plain socket's New Reno, or [`Cc::Lent`] for an MPTCP subflow.
+    /// `_hooks` is ignored (the caller lends hooks to each call); it stays
+    /// while `benchmark/` passes it (ROADMAP 7(i)).
     #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::boxed_local, reason = "ROADMAP 7(i)")]
     pub fn connect(
         cfg: TcpConfig,
-        cc: Box<dyn CongestionControl>,
-        hooks: Box<dyn TcpHooks>,
+        cc: impl Into<Cc>,
+        _hooks: Box<NoHooks>,
         local: Endpoint,
         remote: Endpoint,
         if_index: u8,
         iss: SeqNum,
         now: SimTime,
     ) -> Self {
-        let mut s = Self::blank(cfg, cc, hooks, local, remote, if_index, iss, now);
+        let mut s = Self::blank(cfg, cc.into(), local, remote, if_index, iss, now);
         s.state = TcpState::SynSent;
         s.need_syn = true;
         s.arm_rto(now);
@@ -301,12 +312,15 @@ impl TcpSocket {
     }
 
     /// Passive open: a listener accepted `syn` and creates the peer socket
-    /// in SynRcvd; it will emit a SYN-ACK.
+    /// in SynRcvd; it will emit a SYN-ACK. No hooks see `syn`: an MPTCP
+    /// connection reads it itself. `cc` and `_hooks` are as for
+    /// [`connect`](Self::connect).
     #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::boxed_local, reason = "ROADMAP 7(i)")]
     pub fn accept(
         cfg: TcpConfig,
-        cc: Box<dyn CongestionControl>,
-        hooks: Box<dyn TcpHooks>,
+        cc: impl Into<Cc>,
+        _hooks: Box<NoHooks>,
         local: Endpoint,
         remote: Endpoint,
         if_index: u8,
@@ -314,14 +328,13 @@ impl TcpSocket {
         syn: &TcpSegment,
         now: SimTime,
     ) -> Self {
-        let mut s = Self::blank(cfg, cc, hooks, local, remote, if_index, iss, now);
+        let mut s = Self::blank(cfg, cc.into(), local, remote, if_index, iss, now);
         s.state = TcpState::SynRcvd;
         s.irs = syn.seq;
         s.process_handshake_options(&syn.options);
         s.peer_window = syn.window as usize; // unscaled on SYN
         s.need_synack = true;
         s.stats.segs_received = 1;
-        s.hooks.on_rx(syn, 0, now);
         s.arm_rto(now);
         s.debug_check("accept");
         s
@@ -330,8 +343,7 @@ impl TcpSocket {
     #[allow(clippy::too_many_arguments)]
     fn blank(
         cfg: TcpConfig,
-        cc: Box<dyn CongestionControl>,
-        hooks: Box<dyn TcpHooks>,
+        cc: Cc,
         local: Endpoint,
         remote: Endpoint,
         if_index: u8,
@@ -345,7 +357,6 @@ impl TcpSocket {
             local,
             remote,
             if_index,
-            hooks,
             cc,
             iss,
             send_buf: SendBuffer::new(),
@@ -437,9 +448,13 @@ impl TcpSocket {
         &self.rtt
     }
 
-    /// Congestion controller (for inspection / coupling updates).
-    pub fn cc(&self) -> &dyn CongestionControl {
-        self.cc.as_ref()
+    /// Congestion window in bytes: the socket's own, or the one `cx`
+    /// lends ([`Cc::Lent`]). A plain socket's caller passes [`NoHooks`].
+    pub fn cwnd(&self, cx: &impl TcpHooks) -> usize {
+        match &self.cc {
+            Cc::Own(cc) => cc.cwnd(),
+            Cc::Lent => cx.cwnd(),
+        }
     }
 
     /// Options seen on the peer's SYN / SYN-ACK (the MPTCP layer reads
@@ -467,12 +482,13 @@ impl TcpSocket {
     /// congestion and flow-control windows, accounting for SACKed data no
     /// longer in the pipe. The MPTCP scheduler keys on this: during dupack
     /// stretches the pipe drains, and feeding fresh data keeps the ACK clock
-    /// alive (the limited-transmit effect, RFC 3042).
-    pub fn tx_window_space(&self) -> usize {
+    /// alive (the limited-transmit effect, RFC 3042). `cx` as for
+    /// [`cwnd`](Self::cwnd).
+    pub fn tx_window_space(&self, cx: &impl TcpHooks) -> usize {
         if !self.is_established() {
             return 0;
         }
-        let wnd = self.cc.cwnd().min(self.peer_window);
+        let wnd = self.cwnd(cx).min(self.peer_window);
         let unsent = (self.send_buf.end() - self.snd_nxt) as usize;
         wnd.saturating_sub(self.pipe() + unsent)
     }
@@ -510,7 +526,7 @@ impl TcpSocket {
     /// SYN-SENT), which is how never-established MPTCP join subflows die.
     pub fn close(&mut self) {
         if self.state == TcpState::SynSent {
-            self.enter_closed(self.stats.opened_at);
+            self.enter_closed();
         } else {
             self.fin_queued = true;
         }
@@ -523,9 +539,9 @@ impl TcpSocket {
     }
 
     /// Whether the peer's advertised window, not our congestion window, is
-    /// the binding constraint right now.
-    pub fn rwnd_limited(&self) -> bool {
-        self.is_established() && self.peer_window < self.cc.cwnd()
+    /// the binding constraint right now. `cx` as for [`cwnd`](Self::cwnd).
+    pub fn rwnd_limited(&self, cx: &impl TcpHooks) -> bool {
+        self.is_established() && self.peer_window < self.cwnd(cx)
     }
 
     /// Whether the path looks dead: two or more consecutive retransmission
@@ -754,8 +770,8 @@ impl TcpSocket {
     /// Feed an order-relevant summary of the socket state into `h` — the
     /// model checker's state fingerprint. Absolute times are deliberately
     /// excluded (the exploration is untimed); what matters is which timers
-    /// are armed, not when they fire.
-    pub fn fingerprint(&self, h: &mut dyn std::hash::Hasher) {
+    /// are armed, not when they fire. `cx` as for [`cwnd`](Self::cwnd).
+    pub fn fingerprint(&self, cx: &impl TcpHooks, h: &mut dyn std::hash::Hasher) {
         h.write_u8(self.state as u8);
         h.write_u64(self.snd_una);
         h.write_u64(self.snd_nxt);
@@ -790,7 +806,7 @@ impl TcpSocket {
         h.write_u64(self.fin_rcvd_at.unwrap_or(u64::MAX));
         h.write_usize(self.peer_window);
         h.write_u32(self.consecutive_rtos);
-        h.write_usize(self.cc.cwnd());
+        h.write_usize(self.cwnd(cx));
         self.asm.fingerprint(h);
     }
 
@@ -798,13 +814,18 @@ impl TcpSocket {
     // Incoming segments
     // ------------------------------------------------------------------
 
-    /// Process one incoming segment addressed to this socket.
+    /// Process one incoming segment addressed to a plain socket.
     pub fn on_segment(&mut self, seg: &TcpSegment, now: SimTime) {
-        self.on_segment_inner(seg, now);
+        self.on_segment_with(&mut NoHooks, seg, now);
+    }
+
+    /// Process one incoming segment, with the context `cx` lends.
+    pub fn on_segment_with(&mut self, cx: &mut impl TcpHooks, seg: &TcpSegment, now: SimTime) {
+        self.on_segment_inner(cx, seg, now);
         self.debug_check("on_segment");
     }
 
-    fn on_segment_inner(&mut self, seg: &TcpSegment, now: SimTime) {
+    fn on_segment_inner(&mut self, cx: &mut impl TcpHooks, seg: &TcpSegment, now: SimTime) {
         if self.state == TcpState::Closed {
             // RFC 9293 §3.10.7.1: a closed socket answers anything but a
             // reset with a reset. Silence would leave a peer whose SYN-ACK
@@ -816,7 +837,7 @@ impl TcpSocket {
         self.stats.segs_received += 1;
 
         if seg.has(tcp_flags::RST) {
-            self.enter_closed(now);
+            self.enter_closed();
             return;
         }
 
@@ -839,8 +860,7 @@ impl TcpSocket {
                     self.stats.established_at = Some(now);
                     // The SYN round trip is a valid RTT sample.
                     self.rtt.on_sample(now.saturating_since(self.stats.opened_at));
-                    self.hooks.on_rx(seg, 0, now);
-                    self.hooks.on_established(now);
+                    cx.on_rx(seg, now);
                 }
                 return;
             }
@@ -857,7 +877,6 @@ impl TcpSocket {
                     self.consecutive_rtos = 0;
                     self.rto_deadline = None;
                     self.rtt.on_sample(now.saturating_since(self.stats.opened_at));
-                    self.hooks.on_established(now);
                     self.update_peer_window(seg);
                     // Fall through to normal processing for any payload.
                 } else {
@@ -869,11 +888,10 @@ impl TcpSocket {
 
         // --- ACK processing ---
         if seg.has(tcp_flags::ACK) {
-            self.process_ack(seg, now);
+            self.process_ack(cx, seg, now);
         }
 
         // --- payload ---
-        let payload_abs = self.rx_abs(seg.seq).max(0) as u64;
         if !seg.payload.is_empty() {
             self.process_payload(seg, now);
         }
@@ -889,7 +907,7 @@ impl TcpSocket {
         }
         self.maybe_consume_fin(now);
 
-        self.hooks.on_rx(seg, payload_abs, now);
+        cx.on_rx(seg, now);
     }
 
     fn process_handshake_options(&mut self, opts: &OptionList) {
@@ -911,7 +929,7 @@ impl TcpSocket {
         }
     }
 
-    fn process_ack(&mut self, seg: &TcpSegment, now: SimTime) {
+    fn process_ack(&mut self, cx: &mut impl TcpHooks, seg: &TcpSegment, now: SimTime) {
         let ack_abs = self.ack_abs(seg.ack);
         if ack_abs < 0 || ack_abs as u64 > self.snd_nxt + 1 {
             return; // Old or absurd ack — including its window field.
@@ -944,9 +962,9 @@ impl TcpSocket {
             self.dupacks = 0;
             self.consecutive_rtos = 0;
             if bytes_acked > 0 {
-                self.cc.on_ack(bytes_acked, now);
-                if let Some(srtt) = self.rtt.srtt() {
-                    self.cc.on_rtt_update(srtt);
+                match &mut self.cc {
+                    Cc::Own(cc) => cc.on_ack(bytes_acked),
+                    Cc::Lent => cx.on_ack(bytes_acked, self.rtt.srtt()),
                 }
             }
             if self.in_recovery {
@@ -993,7 +1011,7 @@ impl TcpSocket {
                 || (sack_advanced && self.sack_loss_indicated()))
                 && !self.in_recovery
             {
-                self.enter_recovery(now);
+                self.enter_recovery(cx);
             } else if self.in_recovery && sack_advanced {
                 // Keep the pipe full during recovery.
                 self.queue_first_unsacked();
@@ -1062,11 +1080,14 @@ impl TcpSocket {
         self.sacked_bytes > 3 * self.cfg.mss
     }
 
-    fn enter_recovery(&mut self, now: SimTime) {
+    fn enter_recovery(&mut self, cx: &mut impl TcpHooks) {
         self.in_recovery = true;
         self.recover = self.snd_nxt;
         self.recovery_cursor = self.snd_una;
-        self.cc.on_loss_event(self.flight_bytes, now);
+        match &mut self.cc {
+            Cc::Own(cc) => cc.on_loss_event(self.flight_bytes),
+            Cc::Lent => cx.on_loss_event(self.flight_bytes),
+        }
         self.stats.loss_events += 1;
         self.queue_rexmit_at_una();
     }
@@ -1226,7 +1247,7 @@ impl TcpSocket {
                 self.enter_time_wait(now);
                 self.state = TcpState::TimeWait;
             }
-            TcpState::LastAck => self.enter_closed(now),
+            TcpState::LastAck => self.enter_closed(),
             _ => {}
         }
     }
@@ -1237,13 +1258,12 @@ impl TcpSocket {
         self.rto_deadline = None;
     }
 
-    fn enter_closed(&mut self, now: SimTime) {
+    fn enter_closed(&mut self) {
         self.state = TcpState::Closed;
         self.rto_deadline = None;
         self.persist_deadline = None;
         self.delack_deadline = None;
         self.time_wait_deadline = None;
-        self.hooks.on_closed(now);
     }
 
     // ------------------------------------------------------------------
@@ -1271,19 +1291,24 @@ impl TcpSocket {
         t
     }
 
-    /// Handle timer expirations up to `now`.
+    /// Handle a plain socket's timer expirations up to `now`.
     pub fn on_timer(&mut self, now: SimTime) {
-        self.on_timer_inner(now);
+        self.on_timer_with(&mut NoHooks, now);
+    }
+
+    /// Handle timer expirations up to `now`, with the context `cx` lends.
+    pub fn on_timer_with(&mut self, cx: &mut impl TcpHooks, now: SimTime) {
+        self.on_timer_inner(cx, now);
         self.debug_check("on_timer");
     }
 
-    fn on_timer_inner(&mut self, now: SimTime) {
+    fn on_timer_inner(&mut self, cx: &mut impl TcpHooks, now: SimTime) {
         if self.state == TcpState::Closed {
             return;
         }
         if let Some(d) = self.time_wait_deadline {
             if now >= d {
-                self.enter_closed(now);
+                self.enter_closed();
                 return;
             }
         }
@@ -1304,17 +1329,17 @@ impl TcpSocket {
         }
         if let Some(d) = self.rto_deadline {
             if now >= d {
-                self.handle_rto(now);
+                self.handle_rto(cx, now);
             }
         }
     }
 
-    fn handle_rto(&mut self, now: SimTime) {
+    fn handle_rto(&mut self, cx: &mut impl TcpHooks, now: SimTime) {
         self.stats.rtos += 1;
         self.consecutive_rtos += 1;
         if self.consecutive_rtos > self.cfg.max_consecutive_rtos {
             self.pending_reset = true;
-            self.enter_closed(now);
+            self.enter_closed();
             return;
         }
         self.rtt.backoff();
@@ -1328,7 +1353,10 @@ impl TcpSocket {
                 self.arm_rto(now);
             }
             _ => {
-                self.cc.on_rto(self.flight_bytes, now);
+                match &mut self.cc {
+                    Cc::Own(cc) => cc.on_rto(self.flight_bytes),
+                    Cc::Lent => cx.on_rto(self.flight_bytes),
+                }
                 self.in_recovery = false;
                 self.dupacks = 0;
                 // All unsacked in-flight data is presumed lost; retransmit
@@ -1360,14 +1388,16 @@ impl TcpSocket {
         self.flight_bytes - self.sacked_bytes - self.queued_bytes
     }
 
-    fn rcv_window_bytes(&self) -> usize {
-        self.hooks
-            .rcv_window()
-            .unwrap_or_else(|| self.cfg.recv_buffer.saturating_sub(self.asm.buffered_bytes()))
+    fn rcv_window_bytes(&self, cx: &impl TcpHooks) -> usize {
+        cx.rcv_window().unwrap_or_else(|| {
+            self.cfg
+                .recv_buffer
+                .saturating_sub(self.asm.buffered_bytes())
+        })
     }
 
-    fn window_field(&self, on_syn: bool) -> u16 {
-        let w = self.rcv_window_bytes();
+    fn window_field(&self, cx: &impl TcpHooks, on_syn: bool) -> u16 {
+        let w = self.rcv_window_bytes(cx);
         if on_syn {
             w.min(65_535) as u16
         } else {
@@ -1392,7 +1422,12 @@ impl TcpSocket {
         (!blocks.is_empty()).then_some(TcpOption::Sack(blocks))
     }
 
-    fn finish_segment(&mut self, mut seg: TcpSegment, kind: TxKind, now: SimTime) -> TcpSegment {
+    fn finish_segment(
+        &mut self,
+        cx: &mut impl TcpHooks,
+        mut seg: TcpSegment,
+        kind: TxKind,
+    ) -> TcpSegment {
         let on_syn = seg.has(tcp_flags::SYN);
         // The segment's own list is filled in place. The handshake options
         // are 9 bytes and a SACK option is sized to what is left, so those
@@ -1404,14 +1439,14 @@ impl TcpSocket {
             let _ = opts.push(TcpOption::WindowScale(self.cfg.window_scale));
             let _ = opts.push(TcpOption::SackPermitted);
         }
-        self.hooks.tx_options(kind, now, opts);
+        cx.tx_options(kind, opts);
         // Fill remaining option space with SACK blocks on non-SYN ACKs.
         if !on_syn {
             if let Some(sack) = self.sack_option(MAX_OPTIONS_LEN - opts.byte_len()) {
                 let _ = opts.push(sack);
             }
         }
-        seg.window = self.window_field(on_syn);
+        seg.window = self.window_field(cx, on_syn);
         self.stats.segs_sent += 1;
         if !seg.payload.is_empty() {
             self.stats.data_segs_sent += 1;
@@ -1440,14 +1475,24 @@ impl TcpSocket {
         tcp_flags::ACK
     }
 
-    /// Emit the next owed segment, if any. Call repeatedly until `None`.
+    /// Emit a plain socket's next owed segment, if any. Call repeatedly
+    /// until `None`.
     pub fn poll_transmit(&mut self, now: SimTime) -> Option<TcpSegment> {
-        let seg = self.poll_transmit_inner(now);
+        self.poll_transmit_with(&mut NoHooks, now)
+    }
+
+    /// Emit the next owed segment, with the context `cx` lends.
+    pub fn poll_transmit_with(
+        &mut self,
+        cx: &mut impl TcpHooks,
+        now: SimTime,
+    ) -> Option<TcpSegment> {
+        let seg = self.poll_transmit_inner(cx, now);
         self.debug_check("poll_transmit");
         seg
     }
 
-    fn poll_transmit_inner(&mut self, now: SimTime) -> Option<TcpSegment> {
+    fn poll_transmit_inner(&mut self, cx: &mut impl TcpHooks, now: SimTime) -> Option<TcpSegment> {
         if self.pending_reset {
             self.pending_reset = false;
             let seg = TcpSegment::bare(
@@ -1458,7 +1503,7 @@ impl TcpSocket {
                 tcp_flags::RST | tcp_flags::ACK,
             );
             if self.state != TcpState::Closed {
-                self.enter_closed(now);
+                self.enter_closed();
             }
             self.stats.segs_sent += 1;
             return Some(seg);
@@ -1476,7 +1521,7 @@ impl TcpSocket {
                 SeqNum(0),
                 tcp_flags::SYN,
             );
-            return Some(self.finish_segment(seg, TxKind::Syn, now));
+            return Some(self.finish_segment(cx, seg, TxKind::Syn));
         }
         if self.need_synack {
             self.need_synack = false;
@@ -1487,7 +1532,7 @@ impl TcpSocket {
                 self.rcv_nxt_wire(),
                 tcp_flags::SYN | tcp_flags::ACK,
             );
-            return Some(self.finish_segment(seg, TxKind::SynAck, now));
+            return Some(self.finish_segment(cx, seg, TxKind::SynAck));
         }
         if self.need_hs_ack {
             self.need_hs_ack = false;
@@ -1498,7 +1543,7 @@ impl TcpSocket {
                 self.rcv_nxt_wire(),
                 self.ack_flag(),
             );
-            return Some(self.finish_segment(seg, TxKind::HandshakeAck, now));
+            return Some(self.finish_segment(cx, seg, TxKind::HandshakeAck));
         }
         if !self.is_established() && self.state != TcpState::TimeWait {
             return None;
@@ -1516,7 +1561,7 @@ impl TcpSocket {
             }
             // The first retransmission of a recovery goes out regardless;
             // later ones respect the (halved) window.
-            if self.pipe() + info.len as usize > self.cc.cwnd() && self.pipe() > 0 {
+            if self.pipe() + info.len as usize > self.cwnd(cx) && self.pipe() > 0 {
                 break;
             }
             self.rexmit_queue.pop_front();
@@ -1539,24 +1584,24 @@ impl TcpSocket {
             seg.payload = payload;
             self.arm_rto(now);
             return Some(self.finish_segment(
+                cx,
                 seg,
                 TxKind::Data {
                     abs_start: off,
                     len: info.len as usize,
                     rexmit: true,
                 },
-                now,
             ));
         }
 
         // New data.
         if self.can_send_data() {
-            let wnd = self.cc.cwnd().min(self.peer_window);
+            let wnd = self.cwnd(cx).min(self.peer_window);
             let pipe = self.pipe();
             if pipe < wnd {
                 let avail = (self.send_buf.end() - self.snd_nxt) as usize;
                 let mut len = avail.min(self.peer_mss).min(wnd - pipe);
-                if let Some(limit) = self.hooks.tx_segment_limit(self.snd_nxt) {
+                if let Some(limit) = cx.tx_segment_limit(self.snd_nxt) {
                     len = len.min(limit);
                 }
                 if len > 0 {
@@ -1586,13 +1631,13 @@ impl TcpSocket {
                         self.arm_rto(now);
                     }
                     return Some(self.finish_segment(
+                        cx,
                         seg,
                         TxKind::Data {
                             abs_start: off,
                             len,
                             rexmit: false,
                         },
-                        now,
                     ));
                 }
             }
@@ -1621,7 +1666,7 @@ impl TcpSocket {
                 self.ack_flag() | tcp_flags::FIN,
             );
             self.arm_rto(now);
-            return Some(self.finish_segment(seg, TxKind::Fin, now));
+            return Some(self.finish_segment(cx, seg, TxKind::Fin));
         }
 
         // Pure ACK.
@@ -1633,7 +1678,7 @@ impl TcpSocket {
                 self.rcv_nxt_wire(),
                 self.ack_flag(),
             );
-            return Some(self.finish_segment(seg, TxKind::Ack, now));
+            return Some(self.finish_segment(cx, seg, TxKind::Ack));
         }
 
         None
@@ -1653,7 +1698,6 @@ impl TcpSocket {
 mod tests {
     use super::*;
     use crate::cc::{CcConfig, NewReno};
-    use crate::hooks::NoHooks;
     use crate::testkit::test_endpoints;
 
     /// The oracle bites: with the flight accounting broken through a private

@@ -12,7 +12,7 @@ use std::collections::BinaryHeap;
 use bytes::Bytes;
 use mpw_sim::{SimDuration, SimTime};
 
-use crate::cc::{CcConfig, NewReno};
+use crate::cc::{Cc, CcConfig, NewReno};
 use crate::hooks::NoHooks;
 use crate::seq::SeqNum;
 use crate::socket::{TcpConfig, TcpSocket};
@@ -27,7 +27,7 @@ pub enum Side {
     Server,
 }
 
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 struct InFlight {
     deliver_at: SimTime,
     seq: u64,
@@ -54,6 +54,7 @@ impl Ord for InFlight {
 }
 
 /// Deterministic two-socket test harness.
+#[derive(Clone)]
 pub struct SocketPair {
     /// The client socket.
     pub client: TcpSocket,
@@ -113,7 +114,7 @@ impl SocketPair {
         server_cc: CcConfig,
     ) -> Self {
         let (c_ep, s_ep) = test_endpoints();
-        let cc = Box::new(NewReno::new(client_cc));
+        let cc = Cc::Own(NewReno::new(client_cc));
         let client = TcpSocket::connect(
             client_cfg,
             cc,
@@ -225,7 +226,7 @@ impl SocketPair {
                     Side::Server => match &mut self.server {
                         None => {
                             let (c_ep, s_ep) = test_endpoints();
-                            let cc = Box::new(NewReno::new(self.server_cc));
+                            let cc = Cc::Own(NewReno::new(self.server_cc));
                             self.server = Some(TcpSocket::accept(
                                 self.server_cfg.clone(),
                                 cc,

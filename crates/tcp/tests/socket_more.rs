@@ -1,6 +1,8 @@
 //! Additional TCP state-machine coverage: flow control / zero-window
 //! behaviour, handshake option capture, window accounting used by the MPTCP
-//! scheduler, and close-in-handshake semantics.
+//! scheduler, close-in-handshake semantics, and cloned sockets.
+
+use std::hash::Hasher;
 
 use bytes::Bytes;
 use mpw_sim::{SimDuration, SimTime};
@@ -75,12 +77,12 @@ fn tx_window_space_tracks_cwnd_and_flight() {
     let mut p = SocketPair::new(ms(10));
     p.run_for(ms(50));
     let s = p.server.as_mut().unwrap();
-    let space0 = s.tx_window_space();
+    let space0 = s.tx_window_space(&NoHooks);
     assert!(space0 > 0);
-    assert!(space0 <= s.cc().cwnd());
+    assert!(space0 <= s.cwnd(&NoHooks));
     // Filling the buffer with exactly the window leaves no space.
     s.send(Bytes::from(vec![0u8; space0]));
-    assert_eq!(s.tx_window_space(), 0);
+    assert_eq!(s.tx_window_space(&NoHooks), 0);
 }
 
 #[test]
@@ -160,9 +162,9 @@ fn rwnd_limited_flags_peer_window_constraint() {
     p.run_for(ms(50));
     let s = p.server.as_ref().unwrap();
     // 8 KB peer buffer < 14 KB initial cwnd.
-    assert!(s.rwnd_limited());
+    assert!(s.rwnd_limited(&NoHooks));
     let q = SocketPair::new(ms(10));
-    assert!(!q.client.rwnd_limited(), "not before establishment");
+    assert!(!q.client.rwnd_limited(&NoHooks), "not before establishment");
 }
 
 #[test]
@@ -230,4 +232,56 @@ fn max_consecutive_rtos_abandons_a_dead_peer() {
     p.send(Side::Client, b"into the void");
     p.run_for(SimDuration::from_secs(120));
     assert_eq!(p.client.state(), TcpState::Closed, "should give up");
+}
+
+/// Both sockets' fingerprints and the oracle's verdict on them (the server's
+/// once the SYN has created it).
+fn snapshot(p: &SocketPair) -> (u64, Option<u64>, Result<(), String>) {
+    let fingerprint = |s: &TcpSocket| {
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        s.fingerprint(&NoHooks, &mut h);
+        h.finish()
+    };
+    let valid = p
+        .client
+        .validate()
+        .and_then(|()| p.server.as_ref().map_or(Ok(()), TcpSocket::validate));
+    (
+        fingerprint(&p.client),
+        p.server.as_ref().map(fingerprint),
+        valid,
+    )
+}
+
+proptest::proptest! {
+    /// A clone shares no state with its original: driving the original on
+    /// leaves the clone's fingerprints and oracle verdict where they were.
+    /// Then the clone, fed the same inputs, retraces the original step by
+    /// step.
+    #[test]
+    fn a_cloned_socket_is_independent_and_retraces_its_original(
+        clone_at in 0usize..60,
+        k in 1usize..40,
+        drops in proptest::collection::vec(0u64..80, 0..4),
+    ) {
+        let mut p = SocketPair::new(ms(10));
+        p.drop_schedule = drops;
+        p.send(Side::Client, &[0x5a; 64 * 1024]);
+        for _ in 0..clone_at {
+            p.run_for(ms(5));
+        }
+        let mut twin = p.clone();
+        let at_clone = snapshot(&twin);
+        let mut steps = Vec::new();
+        for _ in 0..k {
+            p.run_for(ms(5));
+            steps.push(snapshot(&p));
+        }
+        proptest::prop_assert_eq!(snapshot(&twin), at_clone);
+        for want in steps {
+            twin.run_for(ms(5));
+            proptest::prop_assert_eq!(snapshot(&twin), want);
+        }
+        proptest::prop_assert_eq!(twin.server_received, p.server_received);
+    }
 }
