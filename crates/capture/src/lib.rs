@@ -7,7 +7,7 @@
 //! - [`hub::CaptureHub`] implements [`mpw_sim::tap::FrameObserver`] and can
 //!   be attached to any number of `mpw_link` tap points. It writes the
 //!   fully-encoded wire bytes with simulated-time timestamps, as the frames
-//!   pass, into a [pcapng](pcapng) file real Wireshark/tcpdump can open
+//!   pass, into a [pcapng] file real Wireshark/tcpdump can open
 //!   (one capture interface per path and vantage, plus a dedicated channel
 //!   for link-discarded frames).
 //! - [`analyze`](analyze::analyze) replays a pcapng through the header-only

@@ -243,7 +243,7 @@ impl PcapFile<'_> {
 /// packet bytes: every [`PcapPacket::data`] is a sub-slice of `data`.
 ///
 /// The reader is total over arbitrary bytes: every read of the input goes
-/// through [`get_u32`]/[`get_u16`]/`slice::get`, so truncated or mangled
+/// through `get_u32`/`get_u16`/`slice::get`, so truncated or mangled
 /// files produce a typed [`PcapError`], never a panic. This module's
 /// `#![deny(clippy::…)]` enforces this.
 pub fn read_pcapng(data: &[u8]) -> Result<PcapFile<'_>, PcapError> {

@@ -3,7 +3,7 @@
 //!
 //! One [`MptcpConnection`] owns N [`Subflow`]s, each wrapping an
 //! `mpw_tcp::TcpSocket`. A socket holds no reference back: for each call the
-//! connection lends it a [`SubflowCx`] over its own state, through which the
+//! connection lends it a `SubflowCx` over its own state, through which the
 //! socket attaches and harvests MPTCP options and reaches its coupled
 //! congestion window. The
 //! connection keeps a single data-sequence space: application bytes enter

@@ -169,7 +169,7 @@ impl Transport {
 }
 
 /// An application driven by the host whenever its transport makes progress.
-pub trait App: 'static {
+pub trait App: Any {
     /// Advance the application state machine.
     fn poll(&mut self, conn: &mut Transport, now: SimTime);
     /// Next instant this app wants to be polled even without network events
@@ -177,10 +177,6 @@ pub trait App: 'static {
     fn next_wakeup(&self) -> Option<SimTime> {
         None
     }
-    /// Downcast support so the harness can read results.
-    fn as_any(&self) -> &dyn Any;
-    /// Mutable downcast support.
-    fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
 /// A no-op application (server side of raw byte sinks, tests).
@@ -188,12 +184,6 @@ pub struct NullApp;
 
 impl App for NullApp {
     fn poll(&mut self, _conn: &mut Transport, _now: SimTime) {}
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 /// Factory producing the server-side application for each accepted
@@ -421,17 +411,20 @@ impl Host {
     }
 
     /// Access an application by slot, downcast to `T`.
-    pub fn app<T: 'static>(&self, slot: usize) -> Option<&T> {
-        self.slots.get(slot)?.app.as_any().downcast_ref()
+    pub fn app<T: App>(&self, slot: usize) -> Option<&T> {
+        // Upcast the boxed app, not the `Box` (see `World::agent`).
+        let app: &dyn Any = &*self.slots.get(slot)?.app;
+        app.downcast_ref()
     }
 
     /// Mutable application access. Dirties the slot like
     /// [`Host::transport_mut`] — a mutated app may have fresh data to send.
-    pub fn app_mut<T: 'static>(&mut self, slot: usize) -> Option<&mut T> {
+    pub fn app_mut<T: App>(&mut self, slot: usize) -> Option<&mut T> {
         if slot < self.slots.len() {
             self.dirty.insert(slot);
         }
-        self.slots.get_mut(slot)?.app.as_any_mut().downcast_mut()
+        let app: &mut dyn Any = &mut *self.slots.get_mut(slot)?.app;
+        app.downcast_mut()
     }
 
     /// Connection id of a slot.
@@ -952,13 +945,6 @@ impl Agent for Host {
         // The host's only exit: whatever the event was, the oracle runs.
         self.debug_check("handle");
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 /// A transparent middlebox that strips MPTCP options from every TCP segment
@@ -992,12 +978,6 @@ impl Agent for OptionStrippingMiddlebox {
             );
         }
     }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 impl std::fmt::Debug for Host {
@@ -1027,12 +1007,6 @@ mod tests {
         fn poll(&mut self, _conn: &mut Transport, _now: SimTime) {}
         fn next_wakeup(&self) -> Option<SimTime> {
             self.0
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 
@@ -1080,6 +1054,29 @@ mod tests {
             assert!(msg.starts_with("host invariant violated after handle: "), "{what}: {msg}");
             assert!(msg.contains("-> dead slot"), "{what}: {msg}");
         }
+    }
+
+    /// `app`/`app_mut` reach the boxed app itself: the right type reads and
+    /// writes it, a wrong type or a slot that does not exist reads `None`.
+    #[test]
+    fn app_downcasts_reach_the_app_not_its_box() {
+        let ms = SimTime::from_millis;
+        let mut w = World::new(3, TraceLevel::Off);
+        let mut host = Host::new(vec![Addr::new(192, 168, 1, 1)], 0, w.rng().stream("host"));
+        let spec = TransportSpec::Plain { tcp: TcpConfig::default(), cc: CcConfig::default(), if_index: 0 };
+        let remote = Endpoint::new(Addr::new(10, 0, 1, 2), 8080);
+        let app = Box::new(Alarm(Some(ms(50))));
+        host.queue_open(OpenRequest { at: SimTime::ZERO, spec, remote, app, warmup_pings: 0, warmup_if: 0 });
+        let host = w.add_agent(Box::new(host));
+        w.schedule(SimTime::ZERO, host, Event::Timer { token: TOKEN_OPEN });
+        w.run_until(ms(10));
+        let h = w.agent_mut::<Host>(host).expect("the host");
+        assert_eq!(h.app::<Alarm>(0).map(|a| a.0), Some(Some(ms(50))));
+        assert!(h.app::<NullApp>(0).is_none());
+        assert!(h.app_mut::<NullApp>(0).is_none());
+        assert!(h.app::<Alarm>(1).is_none());
+        h.app_mut::<Alarm>(0).expect("app_mut downcast").0 = None;
+        assert_eq!(h.app::<Alarm>(0).map(|a| a.0), Some(None));
     }
 
     /// The wakeup clause bites: a mutant `update_deadline` that keeps a

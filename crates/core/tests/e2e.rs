@@ -2,8 +2,6 @@
 //! models, hosts, and connections — the integration layer every experiment
 //! driver builds on.
 
-use std::any::Any;
-
 use bytes::Bytes;
 use mpw_link::{att_lte, build_path, sprint_evdo, wifi_home, BuiltPath, LossModel, PathSpec};
 use mpw_mptcp::host::OptionStrippingMiddlebox;
@@ -47,12 +45,6 @@ impl App for BulkSender {
         }
         conn.close();
     }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 /// Client app: read everything; record completion.
@@ -86,12 +78,6 @@ impl App for SinkClient {
             self.completed_at = Some(now);
             conn.close();
         }
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -168,12 +154,6 @@ fn build_rig(seed: u64, specs: &[PathSpec], server_ifs: usize, strip_path0: bool
 struct NullServerFactoryPlaceholder;
 impl App for NullServerFactoryPlaceholder {
     fn poll(&mut self, _conn: &mut Transport, _now: SimTime) {}
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 impl Rig {

@@ -1,8 +1,6 @@
 //! Host-agent behaviours in isolation: ping echo, RST generation for
 //! unknown destinations, listener demux, wakeups and middlebox counters.
 
-use std::any::Any;
-
 use mpw_link::NullSink;
 use mpw_mptcp::host::OptionStrippingMiddlebox;
 use mpw_mptcp::{App, Host, MptcpConfig, NullApp, OpenRequest, Transport, TransportSpec};
@@ -36,12 +34,6 @@ impl Agent for Capture {
                 self.packets.push(p);
             }
         }
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -256,12 +248,6 @@ impl App for Closer {
         if conn.is_established() && !std::mem::replace(&mut self.0, true) {
             conn.close();
         }
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

@@ -3,8 +3,6 @@
 //! break-before-make vs make-before-break handover policies — the
 //! connection-layer half of the mobility scenarios (DESIGN.md §5.11).
 
-use std::any::Any;
-
 use bytes::Bytes;
 use mpw_link::{att_lte, build_path, wifi_home, BuiltPath, LinkAgent, PathSpec};
 use mpw_mptcp::{
@@ -43,12 +41,6 @@ impl App for BulkSender {
         }
         conn.close();
     }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 struct SinkClient {
@@ -65,12 +57,6 @@ impl App for SinkClient {
             self.completed_at = Some(now);
             conn.close();
         }
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

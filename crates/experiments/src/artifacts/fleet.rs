@@ -5,9 +5,11 @@
 //!
 //! 1. **N=1 degenerate case** — a one-client multipath fleet must
 //!    reproduce the single-flow testbed measurement within the DESIGN
-//!    §5.7 cross-check tolerances (the two builds of the one topology
-//!    differ in delivery mode — a switch hop — and in RNG stream labels,
-//!    so this is a tolerance comparison, not byte equality).
+//!    §5.7 cross-check tolerances. Both are the one-client topology, but
+//!    they draw different weather from two inputs: the access networks'
+//!    RNG stream labels (`fleet.wifi`/`fleet.cell` vs `path0`/`path1`)
+//!    and the first open (0 ms vs 100 ms); so this is a tolerance
+//!    comparison, not byte equality.
 //! 2. **Contention sweep** — single-class fleets (all-WiFi, all-LTE,
 //!    all-MP2) at increasing N downloading the same object
 //!    simultaneously. At N=1 the paper's "MPTCP wins for large sizes"

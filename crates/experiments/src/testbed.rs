@@ -9,7 +9,7 @@
 use std::fmt;
 
 use mpw_capture::SharedHub;
-use mpw_fleet::{client_flow, drive, open_flow, quiescent, ClientFlow, Delivery, Drive, Topology};
+use mpw_fleet::{client_flow, drive, open_flow, quiescent, ClientFlow, Drive, Topology};
 use mpw_http::Wget;
 use mpw_link::{BuiltPath, PathSpec};
 use mpw_mptcp::{Host, MptcpConfig, OpenRequest, TransportSpec};
@@ -109,20 +109,17 @@ impl Testbed {
         let client = topo.add_client(client_addrs.to_vec(), 0, c_rng);
         let server = topo.add_server(SERVER_ADDRS[..server_ifs].to_vec(), s_rng);
         for (i, pspec) in spec.paths.iter().enumerate() {
-            let delivery = Delivery::Direct {
-                client,
-                strip_mptcp: spec.strip_mptcp_on_path0 && i == 0,
-            };
-            let net = topo.add_access(pspec, &format!("path{i}"), delivery);
+            let strip = spec.strip_mptcp_on_path0 && i == 0;
+            let iface = [(client, i, client_addrs[i])];
+            let net = topo.add_access(pspec, &format!("path{i}"), &iface, strip);
             if let Some(hub) = &spec.capture {
                 let vantages = hub.borrow_mut().add_path(i as u8);
                 topo.tap(net, hub.clone(), vantages);
             }
-            topo.attach(client, i, client_addrs[i], net);
         }
         topo.serve(SERVER_PORT, spec.server_mptcp, spec.server_tcp);
         Testbed {
-            paths: topo.nets.iter().map(|n| n.path).collect(),
+            paths: topo.paths,
             world: topo.world,
             client,
             server,

@@ -1,7 +1,9 @@
 //! Fleet acceptance regressions: the N=1 degenerate case must land within
-//! the DESIGN §5.7 cross-check tolerances of the single-flow testbed, and
-//! campaign aggregation must be bitwise immune to worker counts and shard
-//! splits (the CI smoke gate in miniature).
+//! the DESIGN §5.7 cross-check tolerances of the single-flow testbed (the
+//! two draw different weather: other access-network stream labels and a
+//! first open at 0 ms, not 100 ms), and campaign aggregation must be
+//! bitwise immune to worker counts and shard splits (the CI smoke gate in
+//! miniature).
 
 use mpw_experiments::{run_measurement, sizes, FlowConfig, Scenario, Tolerances, WifiKind};
 use mpw_fleet::{run_campaign, run_fleet, FleetCampaign, FleetSpec, FleetWorkload, PathMix};

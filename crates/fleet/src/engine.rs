@@ -4,7 +4,8 @@
 //! cellular) of the [`Topology`]: every client sends into the shared uplink
 //! agent — so the drop-tail queue sees the sum of their load — and the
 //! shared downlink's egress is a switch fanning frames back out by
-//! destination IP. Queueing delay, bufferbloat, and loss are therefore
+//! destination IP (or the client itself, on a network only one client
+//! joined). Queueing delay, bufferbloat, and loss are therefore
 //! emergent properties of the population, exactly the effect the contention
 //! artifacts sweep.
 
@@ -18,7 +19,7 @@ use mpw_tcp::{Addr, CcConfig, Endpoint, TcpConfig};
 use crate::drive::{drive, open_flow, Drive};
 use crate::harvest::{client_flow, ClientFlow};
 use crate::spec::{Arrival, ClientClass, FleetSpec, FleetWorkload};
-use crate::topology::{Delivery, Topology};
+use crate::topology::Topology;
 
 /// Server address/port for fleet worlds (one single-homed server; clients
 /// join their second subflow against the same address, which the join
@@ -128,38 +129,27 @@ pub fn run_fleet_windowed(
     window: Option<(SimTime, SimTime)>,
     mark: &mut dyn FnMut(u8),
 ) -> FleetRun {
-    // --- topology: server, the two shared access networks, population -----
+    // --- topology: population, server, the two shared access networks -----
     let mut topo = Topology::new(spec.seed);
-    let s_rng = topo.world.rng().stream("fleet.server");
-    let server = topo.add_server(vec![SERVER_ADDR], s_rng);
-    let wifi_sw = topo.add_switch();
-    let cell_sw = topo.add_switch();
-    let wifi = topo.add_access(
-        &spec.wifi.spec(spec.period),
-        "fleet.wifi",
-        Delivery::Shared { switch: wifi_sw },
-    );
-    let cell = topo.add_access(
-        &spec.carrier.preset(),
-        "fleet.cell",
-        Delivery::Shared { switch: cell_sw },
-    );
     let mut mix_rng = topo.world.rng().stream("fleet.mix");
     let mut clients = Vec::with_capacity(spec.n_clients as usize);
+    // `(agent, if_index, addr)` of every client interface on the WiFi (0)
+    // and cellular (1) network.
+    let mut on_net: [Vec<_>; 2] = Default::default();
     for i in 0..spec.n_clients {
         let class = spec.mix.draw(&mut mix_rng);
-        // Interface k of the client attaches to access network ifaces[k].
+        // Interface k of the client joins network ifaces[k].1.
         let ifaces: &[(Addr, usize)] = match class {
-            ClientClass::WifiOnly => &[(wifi_addr(i), wifi)],
-            ClientClass::LteOnly => &[(cell_addr(i), cell)],
-            ClientClass::Multipath => &[(wifi_addr(i), wifi), (cell_addr(i), cell)],
+            ClientClass::WifiOnly => &[(wifi_addr(i), 0)],
+            ClientClass::LteOnly => &[(cell_addr(i), 1)],
+            ClientClass::Multipath => &[(wifi_addr(i), 0), (cell_addr(i), 1)],
         };
         let rng = topo.world.rng().substream("fleet.client", u64::from(i));
         // 256 conn ids per client keeps ids unique across the fleet.
         let addrs = ifaces.iter().map(|&(addr, _)| addr).collect();
         let agent = topo.add_client(addrs, i * 256, rng);
         for (if_index, &(addr, net)) in ifaces.iter().enumerate() {
-            topo.attach(agent, if_index, addr, net);
+            on_net[net].push((agent, if_index, addr));
         }
         clients.push(ClientState {
             agent,
@@ -169,8 +159,12 @@ pub fn run_fleet_windowed(
             done: false,
         });
     }
+    let s_rng = topo.world.rng().stream("fleet.server");
+    let server = topo.add_server(vec![SERVER_ADDR], s_rng);
+    let wifi = topo.add_access(&spec.wifi.spec(spec.period), "fleet.wifi", &on_net[0], false);
+    let cell = topo.add_access(&spec.carrier.preset(), "fleet.cell", &on_net[1], false);
     topo.serve(SERVER_PORT, fleet_mptcp(8), TcpConfig::default());
-    let (wifi_path, cell_path) = (topo.nets[wifi].path, topo.nets[cell].path);
+    let (wifi_path, cell_path) = (topo.paths[wifi], topo.paths[cell]);
     let mut world = topo.world;
 
     // --- first arrivals ---------------------------------------------------

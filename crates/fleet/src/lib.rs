@@ -45,5 +45,5 @@ pub use engine::{run_fleet, run_fleet_windowed, FleetRun};
 pub use harvest::{
     client_flow, sender_subflows, subflow_deliveries, ClientFlow, SenderSubflow,
 };
-pub use topology::{AccessNet, Delivery, Topology};
+pub use topology::Topology;
 pub use spec::{Arrival, ClientClass, FleetSpec, FleetWorkload, PathMix, WifiKind};

@@ -3,12 +3,12 @@
 //!
 //! The paper's testbed (§3.1, Figure 1) is the one-client case, each access
 //! network delivering straight to that client; a fleet is the N-client
-//! case, each network's downlink fanning out through an [`mpw_sim::Switch`]
-//! by destination address while every client transmits into the one shared
-//! uplink queue — so bufferbloat and loss there are emergent properties of
-//! the population. The builder is a sequence of steps the caller invokes in
-//! the order it wants the agents created: creation order and the RNG stream
-//! labels feed event tie-breaking, so both are the caller's data.
+//! case, a network that serves two or more clients fanning its downlink out
+//! through an [`mpw_sim::Switch`] by destination address while every client
+//! transmits into the one shared uplink queue — so bufferbloat and loss
+//! there are emergent properties of the population. The builder is a
+//! sequence of steps the caller invokes in the order it wants the agents
+//! created; the RNG stream labels are the caller's data.
 
 use mpw_http::HttpServer;
 use mpw_link::{build_path, BuiltPath, LinkAgent, LinkTap, PathSpec};
@@ -22,41 +22,12 @@ use mpw_tcp::{peek_ip_dst, Addr, CcConfig, TcpConfig};
 /// Connection ids the server hands out start here, clear of every client's.
 const SERVER_CONN_ID_BASE: u32 = 1 << 16;
 
-/// Where an access network's downlink delivers.
-#[derive(Clone, Copy, Debug)]
-pub enum Delivery {
-    /// Straight to one client host. `strip_mptcp` puts an
-    /// option-stripping middlebox in each direction (the AT&T port-80
-    /// proxy of §3.1).
-    Direct {
-        /// The client.
-        client: AgentId,
-        /// Insert the middleboxes.
-        strip_mptcp: bool,
-    },
-    /// Through a switch (from [`Topology::add_switch`]) that fans frames
-    /// out to every attached client by destination address.
-    Shared {
-        /// The switch.
-        switch: AgentId,
-    },
-}
-
-/// One built access network.
-#[derive(Clone, Copy, Debug)]
-pub struct AccessNet {
-    /// Its link agents.
-    pub path: BuiltPath,
-    /// The downlink fan-out switch of a shared network.
-    pub switch: Option<AgentId>,
-}
-
 /// A world under construction: hosts, access networks and their wiring.
 pub struct Topology {
     /// The simulation world.
     pub world: World,
-    /// Access networks in build order.
-    pub nets: Vec<AccessNet>,
+    /// The link agents of each access network, in build order.
+    pub paths: Vec<BuiltPath>,
     server: Option<AgentId>,
 }
 
@@ -69,7 +40,7 @@ impl Topology {
     pub fn new(seed: u64) -> Topology {
         Topology {
             world: World::new(seed, TraceLevel::Off),
-            nets: Vec::new(),
+            paths: Vec::new(),
             server: None,
         }
     }
@@ -93,49 +64,51 @@ impl Topology {
             .add_agent(Box::new(Host::new(addrs, conn_id_base, rng)))
     }
 
-    /// Add a destination-address switch for a shared access network.
-    pub fn add_switch(&mut self) -> AgentId {
-        self.world.add_agent(Box::new(Switch::new(classify_dst)))
-    }
-
-    /// Build one access network between its clients and the server; returns
-    /// its index in [`Self::nets`]. `label` scopes the RNG streams of its
-    /// links and background sources.
-    pub fn add_access(&mut self, spec: &PathSpec, label: &str, delivery: Delivery) -> usize {
+    /// Build one access network between the server and `clients`, each
+    /// given as `(agent, if_index, addr)`: interface `if_index` (address
+    /// `addr`) of that client transmits into the network's uplink, and the
+    /// server routes `addr` back down its downlink. The downlink delivers
+    /// straight to a lone client, and through a [`Switch`] that fans frames
+    /// out by destination address when there are two or more. `label`
+    /// scopes the RNG streams of its links and background sources.
+    /// `strip_mptcp` puts an option-stripping middlebox in each direction
+    /// (the AT&T port-80 proxy of §3.1) and needs exactly one client.
+    /// Returns the network's index in [`Self::paths`].
+    pub fn add_access(
+        &mut self,
+        spec: &PathSpec,
+        label: &str,
+        clients: &[(AgentId, usize, Addr)],
+        strip_mptcp: bool,
+    ) -> usize {
         let server = self.server();
-        let index = self.nets.len();
-        let (to_client, to_server, switch) = match delivery {
-            Delivery::Direct { client, strip_mptcp: true } => {
+        let index = self.paths.len();
+        let (to_client, to_server) = match *clients {
+            [(client, ..)] if strip_mptcp => {
                 let up = OptionStrippingMiddlebox::new((server, 0));
                 let up = self.world.add_agent(Box::new(up));
                 let down = OptionStrippingMiddlebox::new((client, 0));
                 let down = self.world.add_agent(Box::new(down));
-                ((down, 0), (up, 0), None)
+                ((down, 0), (up, 0))
             }
-            Delivery::Direct { client, strip_mptcp: false } => {
-                ((client, index as u16), (server, index as u16), None)
+            _ if strip_mptcp => panic!("an option-stripping access network serves one client"),
+            [(client, if_index, _)] => ((client, if_index as u16), (server, index as u16)),
+            _ => {
+                let mut switch = Switch::new(classify_dst);
+                for &(client, _, addr) in clients {
+                    switch.add_route(u64::from(addr.0), (client, 0));
+                }
+                let switch = self.world.add_agent(Box::new(switch));
+                ((switch, 0), (server, 0))
             }
-            Delivery::Shared { switch } => ((switch, 0), (server, 0), Some(switch)),
         };
         let path = build_path(&mut self.world, spec, to_client, to_server, label);
-        self.nets.push(AccessNet { path, switch });
-        index
-    }
-
-    /// Attach interface `if_index` (address `addr`) of `client` to access
-    /// network `net`: the client transmits into its uplink, the server (and
-    /// the switch of a shared network) routes `addr` back down it.
-    pub fn attach(&mut self, client: AgentId, if_index: usize, addr: Addr, net: usize) {
-        let AccessNet { path, switch } = self.nets[net];
-        self.host_mut(client).set_iface_link(if_index, path.uplink);
-        if let Some(switch) = switch {
-            self.world
-                .agent_mut::<Switch>(switch)
-                .expect("switch agent")
-                .add_route(u64::from(addr.0), (client, 0));
+        for &(client, if_index, addr) in clients {
+            self.host_mut(client).set_iface_link(if_index, path.uplink);
+            self.host_mut(server).add_route(addr, path.downlink);
         }
-        let server = self.server();
-        self.host_mut(server).add_route(addr, path.downlink);
+        self.paths.push(path);
+        index
     }
 
     /// Observe access network `net` at the paper's four tcpdump vantages,
@@ -145,7 +118,7 @@ impl Topology {
     /// are stamped with the transmit-side vantage they would have crossed.
     pub fn tap(&mut self, net: usize, observer: SharedObserver, vantages: (u32, u32, u32, u32)) {
         let (uc, us, sd, cd) = vantages;
-        let path = self.nets[net].path;
+        let path = self.paths[net];
         for (link, ingress, egress) in [(path.uplink, uc, us), (path.downlink, sd, cd)] {
             self.world
                 .agent_mut::<LinkAgent>(link)
@@ -163,7 +136,7 @@ impl Topology {
     /// Make the server answer on `port` with an [`HttpServer`] per accepted
     /// connection; its default route is the first access network.
     pub fn serve(&mut self, port: u16, mptcp: MptcpConfig, tcp: TcpConfig) {
-        let downlink = self.nets[0].path.downlink;
+        let downlink = self.paths[0].downlink;
         let server = self.server();
         let host = self.host_mut(server);
         host.set_iface_link(0, downlink);
@@ -177,5 +150,73 @@ impl Topology {
 
     fn host_mut(&mut self, id: AgentId) -> &mut Host {
         self.world.agent_mut::<Host>(id).expect("host agent")
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::drive::open_flow;
+    use crate::harvest::client_flow;
+    use mpw_http::Wget;
+    use mpw_mptcp::{OpenRequest, TransportSpec};
+    use mpw_sim::SimTime;
+    use mpw_tcp::Endpoint;
+
+    const SERVER: Addr = Addr::new(192, 168, 1, 1);
+
+    /// `n` one-interface clients on one wired network, each downloading
+    /// 16 KB from the server; returns the world after 10 s and the ids of
+    /// its `Switch` agents.
+    fn download_over_one_net(n: u8) -> (World, Vec<AgentId>) {
+        let mut topo = Topology::new(7);
+        let clients: Vec<_> = (0..n)
+            .map(|i| {
+                let addr = Addr::new(10, 0, 0, i + 2);
+                let rng = topo.world.rng().substream("client", u64::from(i));
+                (topo.add_client(vec![addr], u32::from(i) * 256, rng), 0, addr)
+            })
+            .collect();
+        let rng = topo.world.rng().stream("server");
+        topo.add_server(vec![SERVER], rng);
+        topo.add_access(&mpw_link::wired_lan(), "net", &clients, false);
+        topo.serve(8080, MptcpConfig::default(), TcpConfig::default());
+        for &(client, ..) in &clients {
+            let req = OpenRequest {
+                at: SimTime::ZERO,
+                spec: TransportSpec::Plain { tcp: TcpConfig::default(), cc: CcConfig::default(), if_index: 0 },
+                remote: Endpoint::new(SERVER, 8080),
+                app: Box::new(Wget::new(16 << 10, false)),
+                warmup_pings: 0,
+                warmup_if: 0,
+            };
+            open_flow(&mut topo.world, client, req);
+        }
+        topo.world.run_until(SimTime::from_secs(10));
+        for &(client, ..) in &clients {
+            let host = topo.world.agent::<Host>(client).expect("client host");
+            let flow = client_flow(host, 0).expect("the download");
+            assert_eq!(flow.app_bytes, 16 << 10, "client {client} over {n} clients");
+        }
+        // The wired network has no background sources: its downlink is the
+        // last agent built.
+        let last = topo.paths[0].downlink;
+        let switches = (0..=last).filter(|&id| topo.world.agent::<Switch>(id).is_some()).collect();
+        (topo.world, switches)
+    }
+
+    #[test]
+    fn a_lone_client_gets_its_frames_straight_from_the_downlink() {
+        let (_, switches) = download_over_one_net(1);
+        assert_eq!(switches, []);
+    }
+
+    #[test]
+    fn two_clients_share_the_network_through_one_switch() {
+        let (world, switches) = download_over_one_net(2);
+        let [switch] = switches[..] else { panic!("one switch, not {switches:?}") };
+        let switch = world.agent::<Switch>(switch).expect("switch agent");
+        assert!(switch.forwarded > 0);
+        assert_eq!(switch.unrouted, 0);
     }
 }

@@ -3,8 +3,6 @@
 //! Opens, sends one `GET /object?size=N`, reads the body, records the
 //! paper's download-time metric (first SYN → last body byte, §3.3), closes.
 
-use std::any::Any;
-
 use mpw_mptcp::{App, Transport};
 use mpw_sim::{SimDuration, SimTime};
 
@@ -138,12 +136,5 @@ impl App for Wget {
         if self.is_done() {
             conn.close();
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }

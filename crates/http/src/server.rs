@@ -5,7 +5,6 @@
 //! streaming client can fetch periodic blocks over one connection. The
 //! connection closes when the client closes its direction.
 
-use std::any::Any;
 use std::collections::VecDeque;
 
 use mpw_mptcp::{App, Transport};
@@ -131,12 +130,5 @@ impl App for HttpServer {
             self.closing = true;
             conn.close();
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }

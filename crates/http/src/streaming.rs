@@ -8,8 +8,6 @@
 //! playout deadline (late blocks = rebuffering risk — the §5.2 connection
 //! between out-of-order delay and real-time quality).
 
-use std::any::Any;
-
 use mpw_mptcp::{App, Transport};
 use mpw_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
@@ -258,12 +256,5 @@ impl App for StreamingClient {
             Phase::Idle { next_at, .. } => Some(next_at),
             _ => None,
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }

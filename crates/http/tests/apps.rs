@@ -2,6 +2,8 @@
 //! client driven over a minimal in-memory transport pair (plain TCP wrapped
 //! in the MPTCP `Transport` facade), independent of the network simulator.
 
+use std::any::Any;
+
 use bytes::Bytes;
 use mpw_http::{HttpServer, StreamingClient, StreamingProfile, Wget};
 use mpw_mptcp::{App, Transport};
@@ -53,6 +55,18 @@ impl AppPair {
             wire: Vec::new(),
             delay: SimDuration::from_millis(10),
         }
+    }
+
+    /// The client app as a `T` (upcast the boxed app, not the `Box`).
+    fn client_as<T: App>(&self) -> &T {
+        let app: &dyn Any = &*self.client_app;
+        app.downcast_ref().expect("client app type")
+    }
+
+    /// The server app as a `T`.
+    fn server_as<T: App>(&self) -> &T {
+        let app: &dyn Any = &*self.server_app;
+        app.downcast_ref().expect("server app type")
     }
 
     fn pump(&mut self) {
@@ -156,12 +170,12 @@ fn wget_downloads_and_verifies_an_object() {
         Box::new(HttpServer::new()),
     );
     p.run_for(SimDuration::from_secs(30));
-    let w = p.client_app.as_any().downcast_ref::<Wget>().unwrap();
+    let w = p.client_as::<Wget>();
     assert!(w.is_done());
     assert_eq!(w.result.bytes, 100_000);
     assert_eq!(w.result.corrupt_bytes, 0);
     assert!(w.result.download_time().unwrap() > SimDuration::from_millis(20));
-    let s = p.server_app.as_any().downcast_ref::<HttpServer>().unwrap();
+    let s = p.server_as::<HttpServer>();
     assert_eq!(s.requests_served, 1);
     assert_eq!(s.body_bytes_sent, 100_000);
 }
@@ -170,7 +184,7 @@ fn wget_downloads_and_verifies_an_object() {
 fn wget_zero_byte_object_completes_instantly_after_header() {
     let mut p = AppPair::new(Box::new(Wget::new(0, true)), Box::new(HttpServer::new()));
     p.run_for(SimDuration::from_secs(5));
-    let w = p.client_app.as_any().downcast_ref::<Wget>().unwrap();
+    let w = p.client_as::<Wget>();
     assert!(w.is_done());
     assert_eq!(w.result.bytes, 0);
 }
@@ -188,17 +202,13 @@ fn streaming_session_issues_periodic_requests_over_keepalive() {
         Box::new(HttpServer::new()),
     );
     p.run_for(SimDuration::from_secs(30));
-    let c = p
-        .client_app
-        .as_any()
-        .downcast_ref::<StreamingClient>()
-        .unwrap();
+    let c = p.client_as::<StreamingClient>();
     assert!(c.is_done(), "session finished");
     assert_eq!(c.results.len(), 6, "prefetch + 5 blocks");
     assert_eq!(c.results[0].bytes, 60_000);
     assert!(c.results[1..].iter().all(|r| r.bytes == 20_000));
     // All six objects served over ONE keep-alive connection.
-    let s = p.server_app.as_any().downcast_ref::<HttpServer>().unwrap();
+    let s = p.server_as::<HttpServer>();
     assert_eq!(s.requests_served, 6);
     // On a quiet 20 ms-RTT wire every block is on time.
     assert_eq!(c.late_blocks, 0);
@@ -225,22 +235,16 @@ fn server_survives_pipelined_requests() {
                 self.got += d.len();
             }
         }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
-        }
     }
     let mut p = AppPair::new(
         Box::new(Pipeliner { sent: false, got: 0 }),
         Box::new(HttpServer::new()),
     );
     p.run_for(SimDuration::from_secs(10));
-    let s = p.server_app.as_any().downcast_ref::<HttpServer>().unwrap();
+    let s = p.server_as::<HttpServer>();
     assert_eq!(s.requests_served, 2);
     assert_eq!(s.body_bytes_sent, 12_000);
-    let c = p.client_app.as_any().downcast_ref::<Pipeliner>().unwrap();
+    let c = p.client_as::<Pipeliner>();
     // Bodies plus two response heads.
     assert!(c.got > 12_000);
 }
@@ -258,16 +262,10 @@ fn server_rejects_malformed_request_by_closing() {
             }
             while conn.recv().is_some() {}
         }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
-        }
     }
     let mut p = AppPair::new(Box::new(Garbage { sent: false }), Box::new(HttpServer::new()));
     p.run_for(SimDuration::from_secs(10));
-    let s = p.server_app.as_any().downcast_ref::<HttpServer>().unwrap();
+    let s = p.server_as::<HttpServer>();
     assert_eq!(s.requests_served, 0);
     // Server closed its direction; client observes EOF.
     assert!(p.client.peer_closed());
@@ -293,18 +291,12 @@ fn not_found_path_gets_404_and_zero_body() {
                 }
             }
         }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
-        }
     }
     let mut p = AppPair::new(
         Box::new(AskWrong { sent: false, status: None, reader: mpw_http::HeaderReader::new() }),
         Box::new(HttpServer::new()),
     );
     p.run_for(SimDuration::from_secs(5));
-    let c = p.client_app.as_any().downcast_ref::<AskWrong>().unwrap();
+    let c = p.client_as::<AskWrong>();
     assert_eq!(c.status, Some(404));
 }

@@ -5,8 +5,6 @@
 //! reproduce that contention with on/off sources that inject tagged frames
 //! into the *same* drop-tail queues the measured flow traverses.
 
-use std::any::Any;
-
 use bytes::Bytes;
 use mpw_sim::{
     serialization_delay, Agent, AgentId, Ctx, Event, Frame, SimDuration, SimRng, TimerHandle,
@@ -143,13 +141,6 @@ impl Agent for OnOffSource {
             }
             Event::Frame { .. } => {}
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

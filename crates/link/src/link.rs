@@ -7,7 +7,6 @@
 //! hides loss from TCP at the cost of delay), RRC promotion gating, and
 //! propagation delay with optional jitter. Delivery order is preserved.
 
-use std::any::Any;
 use std::collections::VecDeque;
 
 use mpw_sim::tap::{DropReason, SharedObserver, TapDir};
@@ -514,13 +513,6 @@ impl Agent for LinkAgent {
             }
         }
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 /// A terminal agent that counts and discards every frame it receives. Used
@@ -559,12 +551,6 @@ impl Agent for NullSink {
                 self.arrivals.push(ctx.now());
             }
         }
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

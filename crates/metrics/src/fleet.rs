@@ -93,7 +93,7 @@ impl GoodputTimeline {
     }
 
     /// Fold another timeline in (same bucket width by construction — both
-    /// sides of every merge come from the same [`FleetSpec`]-derived
+    /// sides of every merge come from the same `FleetSpec`-derived
     /// report shape).
     pub fn merge(&mut self, other: &GoodputTimeline) {
         for (&start, &bytes) in &other.buckets {

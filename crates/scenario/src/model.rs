@@ -6,7 +6,7 @@
 //! fully determines a run together with the seed — replay is byte-identical.
 //!
 //! The one composite action, [`Action::WifiFade`], stays declarative here
-//! and is expanded into primitive link operations by [`crate::compile`];
+//! and is expanded into primitive link operations by [`crate::compile()`];
 //! nothing in the model samples randomness or reads clocks.
 
 use serde::{Deserialize, Serialize};

@@ -120,10 +120,21 @@ pub trait Agent: Any {
     /// Handle one event. All side effects go through `ctx`.
     fn handle(&mut self, ev: Event, ctx: &mut Ctx<'_>);
 
-    /// Downcast support for post-run result extraction.
-    fn as_any(&self) -> &dyn Any;
-    /// Downcast support for post-run result extraction.
-    fn as_any_mut(&mut self) -> &mut dyn Any;
+    /// Upcast to `Any`. [`World::agent`] upcasts the trait object itself;
+    /// this stays while `benchmark/` overrides it (ROADMAP 7(i)).
+    fn as_any(&self) -> &dyn Any
+    where
+        Self: Sized,
+    {
+        self
+    }
+    /// Mutable twin of [`Agent::as_any`] (ROADMAP 7(i)).
+    fn as_any_mut(&mut self) -> &mut dyn Any
+    where
+        Self: Sized,
+    {
+        self
+    }
 }
 
 /// Handle to a cancellable timer armed with [`Ctx::arm_timer`].
@@ -638,12 +649,16 @@ impl World {
 
     /// Borrow an agent by id, downcast to its concrete type.
     pub fn agent<T: Agent>(&self, id: AgentId) -> Option<&T> {
-        self.agents.get(id as usize)?.as_any().downcast_ref::<T>()
+        // Upcast the boxed agent, not the `Box`: a `&Box<dyn Agent>` is
+        // itself `Any` and would downcast to `None` for every `T`.
+        let agent: &dyn Any = &**self.agents.get(id as usize)?;
+        agent.downcast_ref()
     }
 
     /// Mutably borrow an agent by id, downcast to its concrete type.
     pub fn agent_mut<T: Agent>(&mut self, id: AgentId) -> Option<&mut T> {
-        self.agents.get_mut(id as usize)?.as_any_mut().downcast_mut::<T>()
+        let agent: &mut dyn Any = &mut **self.agents.get_mut(id as usize)?;
+        agent.downcast_mut()
     }
 
     fn ensure_started(&mut self) {
@@ -767,12 +782,6 @@ mod tests {
                 Event::Timer { token } => self.timers_seen.push(token),
             }
         }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
     }
 
     fn frame() -> Frame {
@@ -820,12 +829,6 @@ mod tests {
                 if let Event::Timer { token } = ev {
                     self.tokens.push(token);
                 }
-            }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
             }
         }
         let mut w = World::new(1, TraceLevel::Off);
@@ -877,20 +880,19 @@ mod tests {
 
     #[test]
     fn downcast_wrong_type_is_none() {
-        struct Other;
+        struct Other(u32);
         impl Agent for Other {
             fn handle(&mut self, _: Event, _: &mut Ctx<'_>) {}
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
-            }
         }
         let mut w = World::new(1, TraceLevel::Off);
-        let a = w.add_agent(Box::new(Other));
+        let a = w.add_agent(Box::new(Other(7)));
         assert!(w.agent::<Echo>(a).is_none());
-        assert!(w.agent::<Other>(a).is_some());
+        assert!(w.agent_mut::<Echo>(a).is_none());
+        assert!(w.agent::<Other>(a + 1).is_none());
+        // The right type reaches the agent itself, not its `Box`.
+        assert_eq!(w.agent::<Other>(a).map(|o| o.0), Some(7));
+        w.agent_mut::<Other>(a).expect("agent_mut downcast").0 = 9;
+        assert_eq!(w.agent::<Other>(a).map(|o| o.0), Some(9));
     }
 
     #[test]
@@ -939,12 +941,6 @@ mod tests {
                 Event::Timer { token } => self.fired.push((ctx.now(), token)),
                 Event::Frame { .. } => {}
             }
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 
@@ -1009,12 +1005,6 @@ mod tests {
                     Event::Frame { .. } => {}
                 }
             }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
-            }
         }
         let mut w = World::new(1, TraceLevel::Off);
         let a = w.add_agent(Box::new(Stale { h: None, fired: 0 }));
@@ -1047,12 +1037,6 @@ mod tests {
                     }
                     Event::Frame { .. } => {}
                 }
-            }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
             }
         }
         let mut w = World::new(1, TraceLevel::Off);
@@ -1090,12 +1074,6 @@ mod tests {
                         self.h = Some(ctx.arm_timer(SimDuration::from_millis(1), 1));
                     }
                 }
-            }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
             }
         }
         let mut w = World::new(1, TraceLevel::Off);
@@ -1138,12 +1116,6 @@ mod tests {
                     Event::Timer { token } => self.fired.push(token),
                     Event::Frame { .. } => {}
                 }
-            }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
             }
         }
         let mut w = World::new(1, TraceLevel::Off);
@@ -1257,12 +1229,6 @@ mod tests {
                     }
                 }
             }
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 

@@ -9,7 +9,6 @@
 //! itself stays protocol-agnostic (the fleet engine passes the IP
 //! destination peeker from `mpw-tcp`).
 
-use std::any::Any;
 use std::collections::BTreeMap;
 
 use crate::engine::{Agent, AgentId, Ctx, Event, Frame};
@@ -69,13 +68,6 @@ impl Agent for Switch {
             }
         }
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 #[cfg(test)]
@@ -94,12 +86,6 @@ mod tests {
             if let Event::Frame { port, frame } = ev {
                 self.got.push((port, frame.meta));
             }
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 

@@ -47,7 +47,7 @@ pub struct SeqNum {
     raw: u32,
 }
 
-/// The one way to make a [`SeqNum`] from raw bits (an initial sequence
+/// The one way to make a [`SeqNum`](struct@SeqNum) from raw bits (an initial sequence
 /// number, a parsed header field, a test literal). It shares the type's name
 /// so construction reads `SeqNum(x)` while the field stays private.
 #[allow(non_snake_case)]

@@ -610,7 +610,7 @@ impl TcpSocket {
     ///
     /// Always compiled (the `mpw-check` model checker calls it explicitly,
     /// even in release builds); the hot-path entry points only run it via
-    /// [`TcpSocket::debug_check`], which compiles away unless
+    /// `TcpSocket::debug_check`, which compiles away unless
     /// `debug_assertions` or the `check-invariants` feature is active.
     pub fn validate(&self) -> Result<(), String> {
         // --- send side: SND.UNA ≤ SND.NXT, wraparound-safely ---
