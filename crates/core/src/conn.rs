@@ -20,6 +20,7 @@
 use std::collections::VecDeque;
 
 use bytes::Bytes;
+use mpw_metrics::{PathEvent, PathEventKind};
 use mpw_sim::{SimDuration, SimRng, SimTime};
 use mpw_tcp::buf::{Assembler, SendBuffer};
 use mpw_tcp::wire::{tcp_flags, DssMapping};
@@ -83,61 +84,6 @@ impl Default for LifecycleConfig {
 
 /// Give up on a path after this many consecutive failed reopens.
 const MAX_REOPEN_ATTEMPTS: u32 = 8;
-
-/// One entry of the connection's handover log — consumed by the metrics
-/// layer to compute recovery latency and per-epoch attribution. Times are
-/// absolute sim times.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LifecycleEvent {
-    /// A subflow was declared dead (RTO stall, socket death, or an explicit
-    /// link-down notification).
-    PathDead {
-        /// Index of the dead subflow.
-        subflow: usize,
-        /// Its client interface.
-        if_index: u8,
-        /// When death was declared.
-        at: SimTime,
-    },
-    /// A replacement join was scheduled after backoff.
-    ReopenScheduled {
-        /// Interface the replacement will use.
-        if_index: u8,
-        /// 1-based consecutive attempt number for this path.
-        attempt: u32,
-        /// When the replacement SYN is due.
-        due: SimTime,
-    },
-    /// The replacement SYN actually left.
-    ReopenLaunched {
-        /// Index of the replacement subflow.
-        subflow: usize,
-        /// Its client interface.
-        if_index: u8,
-        /// Attempt number being executed.
-        attempt: u32,
-        /// Launch time.
-        at: SimTime,
-    },
-    /// A previously dead path carries again: its replacement established.
-    PathRecovered {
-        /// Index of the (new) established subflow.
-        subflow: usize,
-        /// The recovered interface.
-        if_index: u8,
-        /// When the replacement established.
-        at: SimTime,
-    },
-    /// An advance degradation signal was delivered by the harness.
-    Signal {
-        /// Interface the signal concerns.
-        if_index: u8,
-        /// `true` = fading/weak; `false` = restored.
-        weak: bool,
-        /// Signal time.
-        at: SimTime,
-    },
-}
 
 /// A scheduled subflow re-establishment.
 #[derive(Clone, Copy, Debug)]
@@ -672,8 +618,8 @@ pub struct MptcpConnection {
     /// Consecutive failed-reopen counters per (interface, remote) pair;
     /// reset to zero when a replacement establishes.
     reopen_attempts: Vec<(u8, Endpoint, u32)>,
-    /// Handover event log (drained by the metrics layer).
-    lifecycle_log: Vec<LifecycleEvent>,
+    /// Handover event log, in the metrics layer's own vocabulary.
+    lifecycle_log: Vec<PathEvent>,
     is_client: bool,
     app_closed: bool,
     /// Local interface addresses (client) or host addresses (server).
@@ -1612,9 +1558,15 @@ impl MptcpConnection {
     // Path lifecycle: death detection and re-establishment (DESIGN.md §5.11)
     // ------------------------------------------------------------------
 
-    /// The handover event log so far.
-    pub fn lifecycle_events(&self) -> &[LifecycleEvent] {
+    /// The handover event log so far. A `ReopenScheduled` entry is stamped
+    /// with its due time, when the replacement SYN will leave, which is what
+    /// backoff analysis wants.
+    pub fn lifecycle_events(&self) -> &[PathEvent] {
         &self.lifecycle_log
+    }
+
+    fn log_path_event(&mut self, kind: PathEventKind, if_index: u8, at: SimTime) {
+        self.lifecycle_log.push(PathEvent { kind, if_index, at });
     }
 
     /// Explicit link-down notification from the harness (the scenario
@@ -1642,7 +1594,8 @@ impl MptcpConnection {
         if self.fell_back() {
             return;
         }
-        self.lifecycle_log.push(LifecycleEvent::Signal { if_index, weak, at: now });
+        let kind = if weak { PathEventKind::SignalWeak } else { PathEventKind::SignalStrong };
+        self.log_path_event(kind, if_index, now);
         if self.cfg.lifecycle.policy == HandoverPolicy::MakeBeforeBreak {
             for idx in 0..self.subflows.len() {
                 if self.subflows[idx].if_index == if_index && !self.subflows[idx].dead {
@@ -1667,7 +1620,7 @@ impl MptcpConnection {
     fn mark_path_dead(&mut self, idx: usize, now: SimTime) {
         let (if_index, remote) = (self.subflows[idx].if_index, self.subflows[idx].remote);
         self.subflows[idx].dead = true;
-        self.lifecycle_log.push(LifecycleEvent::PathDead { subflow: idx, if_index, at: now });
+        self.log_path_event(PathEventKind::Down, if_index, now);
         if !self.cfg.lifecycle.reopen {
             return;
         }
@@ -1700,7 +1653,7 @@ impl MptcpConnection {
         }
         let due = now + self.reopen_backoff(attempt);
         self.pending_reopens.push(PendingReopen { if_index, remote, attempt, due });
-        self.lifecycle_log.push(LifecycleEvent::ReopenScheduled { if_index, attempt, due });
+        self.log_path_event(PathEventKind::ReopenScheduled, if_index, due);
     }
 
     /// Exponential backoff with deterministic jitter: `initial * 2^(n-1)`,
@@ -1753,20 +1706,16 @@ impl MptcpConnection {
             if att == 0 {
                 continue;
             }
-            let recovered = self.subflows.iter().position(|s| {
+            let recovered = self.subflows.iter().any(|s| {
                 s.if_index == ifx
                     && s.remote == rem
                     && !s.dead
                     && s.sock.is_established()
                     && !s.sock.is_stalled()
             });
-            if let Some(idx) = recovered {
+            if recovered {
                 self.reopen_attempts[j].2 = 0;
-                self.lifecycle_log.push(LifecycleEvent::PathRecovered {
-                    subflow: idx,
-                    if_index: ifx,
-                    at: now,
-                });
+                self.log_path_event(PathEventKind::Recovered, ifx, now);
             }
         }
         // 3. Launch due reopens (respecting the live-subflow cap).
@@ -1784,14 +1733,8 @@ impl MptcpConnection {
             if covered || self.live_subflow_count() >= self.cfg.max_subflows {
                 continue;
             }
-            let idx = self.subflows.len();
             self.spawn_subflow(p.if_index, p.remote, HsRole::JoinClient, now);
-            self.lifecycle_log.push(LifecycleEvent::ReopenLaunched {
-                subflow: idx,
-                if_index: p.if_index,
-                attempt: p.attempt,
-                at: now,
-            });
+            self.log_path_event(PathEventKind::ReopenLaunched, p.if_index, now);
         }
     }
 

@@ -193,7 +193,6 @@ pub type AppFactory = Box<dyn FnMut(u32) -> Box<dyn App>>;
 struct Slot {
     transport: Transport,
     app: Box<dyn App>,
-    conn_id: u32,
     /// Subflows already present in the demux. Subflow endpoints are
     /// immutable and the subflow vector only grows (replacements append),
     /// so registration is append-only: each call covers only the tail.
@@ -204,8 +203,8 @@ struct Slot {
 }
 
 impl Slot {
-    fn new(transport: Transport, app: Box<dyn App>, conn_id: u32) -> Self {
-        Slot { transport, app, conn_id, registered_subflows: 0, timer: None }
+    fn new(transport: Transport, app: Box<dyn App>) -> Self {
+        Slot { transport, app, registered_subflows: 0, timer: None }
     }
 
     /// The earlier of the transport's next timeout and the app's next wakeup.
@@ -263,7 +262,6 @@ pub struct Host {
     /// Listening port (servers).
     listen_port: Option<u16>,
     listen_mptcp_cfg: MptcpConfig,
-    listen_plain_tcp: (TcpConfig, CcConfig),
     app_factory: Option<AppFactory>,
     slots: Vec<Slot>,
     /// (local, remote) → (slot, subflow) demux.
@@ -307,7 +305,6 @@ impl Host {
             routes: BTreeMap::new(),
             listen_port: None,
             listen_mptcp_cfg: MptcpConfig::default(),
-            listen_plain_tcp: (TcpConfig::default(), CcConfig::default()),
             app_factory: None,
             slots: Vec::new(),
             demux: BTreeMap::new(),
@@ -337,18 +334,12 @@ impl Host {
         self.routes.insert(dst, link);
     }
 
-    /// Listen on `port`, accepting both MPTCP and plain TCP, creating one
-    /// app per accepted connection.
-    pub fn listen(
-        &mut self,
-        port: u16,
-        mptcp_cfg: MptcpConfig,
-        plain: (TcpConfig, CcConfig),
-        factory: AppFactory,
-    ) {
+    /// Listen on `port`, accepting both MPTCP (with `mptcp_cfg`) and plain
+    /// TCP (with the default configuration), creating one app per accepted
+    /// connection.
+    pub fn listen(&mut self, port: u16, mptcp_cfg: MptcpConfig, factory: AppFactory) {
         self.listen_port = Some(port);
         self.listen_mptcp_cfg = mptcp_cfg;
-        self.listen_plain_tcp = plain;
         self.app_factory = Some(factory);
     }
 
@@ -425,11 +416,6 @@ impl Host {
         }
         let app: &mut dyn Any = &mut *self.slots.get_mut(slot)?.app;
         app.downcast_mut()
-    }
-
-    /// Connection id of a slot.
-    pub fn conn_id(&self, slot: usize) -> Option<u32> {
-        self.slots.get(slot).map(|s| s.conn_id)
     }
 
     // ------------------------------------------------------------------
@@ -694,7 +680,7 @@ impl Host {
         if slot == 0 {
             self.slots.reserve_exact(1);
         }
-        self.slots.push(Slot::new(transport, req.app, conn_id));
+        self.slots.push(Slot::new(transport, req.app));
         self.dirty.insert(slot);
         self.register_demux(slot);
     }
@@ -790,7 +776,6 @@ impl Host {
                     None => return,
                 }
             } else {
-                let (tcp, cc) = self.listen_plain_tcp.clone();
                 let if_index = self
                     .addrs
                     .iter()
@@ -798,8 +783,8 @@ impl Host {
                     .unwrap_or(0) as u8;
                 let iss = SeqNum(self.rng.next_u64() as u32);
                 Transport::Sp(TcpSocket::accept(
-                    tcp,
-                    Cc::Own(NewReno::new(cc)),
+                    TcpConfig::default(),
+                    Cc::Own(NewReno::new(CcConfig::default())),
                     Box::new(NoHooks),
                     local,
                     remote,
@@ -810,7 +795,7 @@ impl Host {
                 ))
             };
             let slot = self.slots.len();
-            self.slots.push(Slot::new(transport, app, conn_id));
+            self.slots.push(Slot::new(transport, app));
             self.dirty.insert(slot);
             self.register_demux(slot);
             // Any JOINs that raced ahead of this MP_CAPABLE?

@@ -46,7 +46,7 @@ pub mod key;
 pub mod scheduler;
 
 pub use conn::{
-    ConnStats, HandoverPolicy, LifecycleConfig, LifecycleEvent, MptcpConfig, MptcpConnection,
+    ConnStats, HandoverPolicy, LifecycleConfig, MptcpConfig, MptcpConnection,
     Subflow, SynMode,
 };
 pub use coupling::{Coupling, CouplingState};

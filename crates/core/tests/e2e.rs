@@ -137,7 +137,6 @@ fn build_rig(seed: u64, specs: &[PathSpec], server_ifs: usize, strip_path0: bool
         host.listen(
             8080,
             MptcpConfig { max_subflows: 8, ..MptcpConfig::default() },
-            Default::default(),
             Box::new(|_conn_id| Box::new(NullServerFactoryPlaceholder)),
         );
     }
@@ -162,7 +161,6 @@ impl Rig {
         host.listen(
             8080,
             MptcpConfig { max_subflows: 8, ..MptcpConfig::default() },
-            Default::default(),
             Box::new(move |_id| Box::new(BulkSender { total, sent: 0 })),
         );
     }

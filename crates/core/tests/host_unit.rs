@@ -150,7 +150,6 @@ fn listener_accepts_capable_syn_and_answers_synack() {
         h.listen(
             8080,
             MptcpConfig::default(),
-            Default::default(),
             Box::new(|_| Box::new(mpw_mptcp::NullApp)),
         );
     }
@@ -192,7 +191,6 @@ fn plain_syn_is_accepted_as_plain_tcp() {
         h.listen(
             8080,
             MptcpConfig::default(),
-            Default::default(),
             Box::new(|_| Box::new(mpw_mptcp::NullApp)),
         );
     }
@@ -261,7 +259,7 @@ fn two_slots_keep_separate_wakeups_until_both_leave_time_wait() {
     let mut server = Host::new(vec![OTHER_ADDR], 1_000, w.rng().stream("server"));
     server.set_iface_link(0, client);
     let factory = Box::new(|_| Box::new(Closer(false)) as Box<dyn App>);
-    server.listen(8080, MptcpConfig::default(), Default::default(), factory);
+    server.listen(8080, MptcpConfig::default(), factory);
     let server = w.add_agent(Box::new(server));
     w.agent_mut::<Host>(client).unwrap().set_iface_link(0, server);
     let ms = SimTime::from_millis;

@@ -5,9 +5,10 @@
 
 use bytes::Bytes;
 use mpw_link::{att_lte, build_path, wifi_home, BuiltPath, LinkAgent, PathSpec};
+use mpw_metrics::{PathEvent, PathEventKind};
 use mpw_mptcp::{
-    App, Coupling, HandoverPolicy, Host, LifecycleConfig, LifecycleEvent, MptcpConfig,
-    OpenRequest, SynMode, Transport, TransportSpec,
+    App, Coupling, HandoverPolicy, Host, LifecycleConfig, MptcpConfig, OpenRequest, SynMode,
+    Transport, TransportSpec,
 };
 use mpw_sim::trace::TraceLevel;
 use mpw_sim::{AgentId, Event, SimDuration, SimTime, World};
@@ -106,7 +107,6 @@ fn build_rig(seed: u64, specs: &[PathSpec], total: usize) -> Rig {
         host.listen(
             8080,
             MptcpConfig { max_subflows: 8, ..MptcpConfig::default() },
-            Default::default(),
             Box::new(move |_id| Box::new(BulkSender { total, sent: 0 })),
         );
     }
@@ -171,7 +171,7 @@ impl Rig {
         (app.received, app.completed_at)
     }
 
-    fn events(&mut self) -> Vec<LifecycleEvent> {
+    fn events(&mut self) -> Vec<PathEvent> {
         let host = self.world.agent_mut::<Host>(self.client).unwrap();
         host.transport(0)
             .unwrap()
@@ -213,21 +213,15 @@ fn blackout_recovers_with_replacement_subflow() {
     assert_eq!(received, 32_000_000);
 
     let events = rig.events();
-    let dead_at = events.iter().find_map(|e| match e {
-        LifecycleEvent::PathDead { if_index: 0, at, .. } => Some(*at),
-        _ => None,
-    });
+    // When the first event of `kind` on WiFi was logged.
+    let at_first = |kind| events.iter().find(|e| e.kind == kind && e.if_index == 0).map(|e| e.at);
+    let dead_at = at_first(PathEventKind::Down);
     assert_eq!(dead_at, Some(down_at), "link-down note must kill the path at once");
     assert!(
-        events.iter().any(|e| matches!(e,
-            LifecycleEvent::ReopenLaunched { if_index: 0, .. })),
+        at_first(PathEventKind::ReopenLaunched).is_some(),
         "a replacement join must have been launched: {events:?}"
     );
-    let recovered_at = events.iter().find_map(|e| match e {
-        LifecycleEvent::PathRecovered { if_index: 0, at, .. } => Some(*at),
-        _ => None,
-    });
-    let rec = recovered_at.expect("WiFi path must re-establish after the outage");
+    let rec = at_first(PathEventKind::Recovered).expect("WiFi path must re-establish");
     assert!(rec > up_at, "recovery {rec} must postdate link restoration {up_at}");
     // The replacement subflow is a fresh slot beyond the original two.
     let host = rig.world.agent_mut::<Host>(rig.client).unwrap();
@@ -275,21 +269,25 @@ fn reopen_attempts_back_off_exponentially() {
     rig.world.run_until(SimTime::from_secs(52));
 
     let events = rig.events();
-    // Pair each ReopenScheduled with the PathDead logged immediately before
-    // it (mark_path_dead emits them back to back) to recover the backoff.
-    let mut backoffs: Vec<(u32, SimDuration)> = Vec::new();
+    // Pair each ReopenScheduled (stamped at its due time) with the Down
+    // logged immediately before it (mark_path_dead emits them back to
+    // back) to recover the backoff. The link stays down, so the n-th pair
+    // is attempt n.
+    let mut backoffs: Vec<SimDuration> = Vec::new();
     for w in events.windows(2) {
-        if let [LifecycleEvent::PathDead { at, .. }, LifecycleEvent::ReopenScheduled { attempt, due, .. }] = w
-        {
-            backoffs.push((*attempt, due.saturating_since(*at)));
+        if let [dead, scheduled] = w {
+            let kinds = (dead.kind, scheduled.kind);
+            if kinds == (PathEventKind::Down, PathEventKind::ReopenScheduled) {
+                backoffs.push(scheduled.at.saturating_since(dead.at));
+            }
         }
     }
     assert!(
         backoffs.len() >= 3,
         "expected several reopen attempts during a 50 s outage: {events:?}"
     );
-    for (i, (attempt, d)) in backoffs.iter().enumerate() {
-        assert_eq!(*attempt as usize, i + 1, "attempts must be consecutive");
+    for (i, d) in backoffs.iter().enumerate() {
+        let attempt = i + 1;
         // initial * 2^(n-1) ≤ backoff < initial * 2^(n-1) * (1 + jitter)
         let base = SimDuration::from_millis(200).as_nanos() << i;
         assert!(
@@ -298,7 +296,7 @@ fn reopen_attempts_back_off_exponentially() {
         );
     }
     for w in backoffs.windows(2) {
-        assert!(w[1].1 > w[0].1, "backoff must grow: {backoffs:?}");
+        assert!(w[1] > w[0], "backoff must grow: {backoffs:?}");
     }
 }
 

@@ -348,6 +348,7 @@ mod tests {
             bytes: size,
             cellular_share: share,
             subflows: vec![SubflowMeasurement {
+                client: mpw_tcp::Endpoint::default(),
                 if_index: 0,
                 technology: Technology::WifiHome,
                 delivered_bytes: size,

@@ -101,11 +101,11 @@ impl CrosscheckReport {
     }
 }
 
-/// Match a wire subflow to the stack subflow on the same client interface:
-/// wire path indices come from capture interface names, which the testbed
-/// assigns per client interface, so they align with `if_index`.
+/// Match a wire subflow to the stack subflow with the same client endpoint,
+/// the 4-tuple half the client picks fresh for every subflow. (A path
+/// index would not do: a 4-path run has two subflows on each path.)
 fn wire_for<'a>(wire: &'a [WireSubflow], stack: &SubflowMeasurement) -> Option<&'a WireSubflow> {
-    wire.iter().find(|w| w.path == stack.if_index)
+    wire.iter().find(|w| w.client == stack.client)
 }
 
 /// Compare the in-stack measurement of a single-download run against the

@@ -31,9 +31,9 @@ use mpw_fleet::{drive, Drive};
 use mpw_link::Carrier;
 use mpw_metrics::{
     bytes_in_transition, epoch_shares, stall_report, EpochShare, EpochSpan, HandoverReport,
-    PathEvent, PathEventKind, StallReport,
+    PathEvent, StallReport,
 };
-use mpw_mptcp::{HandoverPolicy, Host, LifecycleEvent, Transport, TransportSpec};
+use mpw_mptcp::{HandoverPolicy, Host, Transport, TransportSpec};
 use mpw_scenario::{Action, LinkOp, Op, Scenario as Mobility, ScenarioDriver};
 use mpw_sim::{AgentId, Event, SimDuration, SimTime, World};
 
@@ -146,7 +146,7 @@ pub struct HandoverMeasurement {
     pub fell_back: bool,
     /// Subflows the connection ever had (2 + replacements).
     pub subflows_total: usize,
-    /// Lifecycle timeline, converted for the metrics layer.
+    /// The connection's path-lifecycle log.
     pub events: Vec<PathEvent>,
     /// Outage pairing + recovery-latency distribution.
     pub report: HandoverReport,
@@ -172,46 +172,6 @@ impl HandoverMeasurement {
     pub fn epoch(&self, label: &str) -> Option<&EpochShare> {
         self.epoch_shares.iter().find(|e| e.label == label)
     }
-}
-
-/// Convert the stack's lifecycle log into the metrics layer's neutral
-/// timeline. `ReopenScheduled` is stamped with its *due* time — when the
-/// replacement SYN will leave — which is what backoff analysis wants.
-fn convert_events(events: &[LifecycleEvent]) -> Vec<PathEvent> {
-    events
-        .iter()
-        .map(|e| match *e {
-            LifecycleEvent::PathDead { if_index, at, .. } => PathEvent {
-                kind: PathEventKind::Down,
-                if_index,
-                at,
-            },
-            LifecycleEvent::ReopenScheduled { if_index, due, .. } => PathEvent {
-                kind: PathEventKind::ReopenScheduled,
-                if_index,
-                at: due,
-            },
-            LifecycleEvent::ReopenLaunched { if_index, at, .. } => PathEvent {
-                kind: PathEventKind::ReopenLaunched,
-                if_index,
-                at,
-            },
-            LifecycleEvent::PathRecovered { if_index, at, .. } => PathEvent {
-                kind: PathEventKind::Recovered,
-                if_index,
-                at,
-            },
-            LifecycleEvent::Signal { if_index, weak, at } => PathEvent {
-                kind: if weak {
-                    PathEventKind::SignalWeak
-                } else {
-                    PathEventKind::SignalStrong
-                },
-                if_index,
-                at,
-            },
-        })
-        .collect()
 }
 
 /// Mutate the client connection and schedule an immediate host flush so any
@@ -309,7 +269,7 @@ fn harvest_handover(
     let flow = harvest(&tb.world, tb.client, slot);
     let host = tb.world.agent::<Host>(tb.client).expect("client host");
     let events = match host.transport(slot) {
-        Some(Transport::Mp(conn)) => convert_events(conn.lifecycle_events()),
+        Some(Transport::Mp(conn)) => conn.lifecycle_events().to_vec(),
         _ => Vec::new(),
     };
     let report = HandoverReport::from_events(&events);

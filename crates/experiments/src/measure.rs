@@ -4,12 +4,13 @@
 //! out-of-order delay lands in a bounded-memory streaming summary
 //! ([`DistSummary`]), the one record of each distribution.
 
-use mpw_fleet::{sender_subflows, subflow_deliveries, ClientFlow};
+use mpw_fleet::{sender_subflows, ClientFlow};
 use mpw_link::{LinkConfig, PathSpec, Technology};
 use mpw_metrics::DistSummary;
 use mpw_mptcp::{Host, Transport, TransportSpec};
 use mpw_sim::trace::TraceLevel;
 use mpw_sim::{SimDuration, SimTime};
+use mpw_tcp::Endpoint;
 use serde::{Deserialize, Serialize};
 
 use crate::config::{FlowConfig, Scenario};
@@ -18,6 +19,9 @@ use crate::testbed::{harvest, Testbed, TestbedSpec};
 /// Per-subflow (or per-path) measurement outputs.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct SubflowMeasurement {
+    /// The client's endpoint on this subflow: it names the subflow on both
+    /// hosts and on the wire.
+    pub client: Endpoint,
     /// Which client interface carried it (0 = WiFi, 1 = cellular).
     pub if_index: u8,
     /// Access technology of that interface.
@@ -68,8 +72,8 @@ pub struct Measurement {
     pub bytes: u64,
     /// Fraction of delivered traffic carried by the cellular path.
     pub cellular_share: f64,
-    /// Per-path details (index 0 = WiFi path, 1 = cellular path; single-path
-    /// runs have one entry).
+    /// Per-subflow details, in the server's subflow order (single-path runs
+    /// have one entry).
     pub subflows: Vec<SubflowMeasurement>,
     /// Streaming summary of connection-level out-of-order delays in
     /// milliseconds. Always populated for MPTCP runs.
@@ -201,7 +205,6 @@ pub fn run_lossfree_download_windowed(
     let mut spec =
         TestbedSpec::two_path(seed, lossfree_path(), lossfree_path()).mirroring(&transport);
     spec.capture = hub.clone();
-    spec.server_tcp.send_buffer = 64 * 1024;
     let mut tb = Testbed::build(spec);
     let slot = tb.download(transport, size, SimTime::from_millis(100), false);
     let who = ("loss-free probe", seed);
@@ -339,36 +342,36 @@ fn measurement(
     scenario: &Scenario,
     seed: u64,
 ) -> Measurement {
-    // Client side: per-subflow delivered bytes and connection-level
-    // out-of-order delays.
+    // Client side: connection-level out-of-order delays, and the receiving
+    // end of every subflow.
     let host = tb.world.agent::<Host>(tb.client).expect("client");
-    let delivered = subflow_deliveries(host, slot);
-    let ofo = match host.transport(slot) {
-        Some(Transport::Mp(c)) => c.ofo_summary(),
-        _ => DistSummary::new(),
+    let client = host.transport(slot).expect("client connection");
+    let ofo = match client {
+        Transport::Mp(c) => c.ofo_summary(),
+        Transport::Sp(_) => DistSummary::new(),
     };
 
     // Server side: the data sender's per-subflow loss and RTT samples. The
-    // server's matching slot is its only accepted connection (slot 0), its
-    // subflows in the client's order; a plain-TCP server connection
-    // carried exactly the body.
+    // server's matching slot is its only accepted connection (slot 0). Each
+    // server subflow reads its interface and delivered bytes off its twin on
+    // the client, the subflow with the same client endpoint; a plain-TCP
+    // server connection carried exactly the body.
     let host = tb.world.agent::<Host>(tb.server).expect("server");
     let plain = host.transport(0).is_some_and(|t| t.as_sp().is_some());
     let subflows: Vec<SubflowMeasurement> = sender_subflows(host, 0)
         .into_iter()
-        .enumerate()
-        .map(|(i, s)| {
-            // Map the server subflow to the client interface via the
-            // *client's* address on the subflow.
-            let if_index = client_if_of(s.client_addr);
+        .map(|s| {
+            let (if_index, delivered) = client_twin(client, s.client).unwrap_or_else(|| {
+                panic!(
+                    "{seed} {scenario:?}: server subflow {:?} has no client twin",
+                    s.client
+                )
+            });
             SubflowMeasurement {
+                client: s.client,
                 if_index,
                 technology: technologies[usize::from(if_index)],
-                delivered_bytes: if plain {
-                    flow.app_bytes
-                } else {
-                    delivered.get(i).copied().unwrap_or_default()
-                },
+                delivered_bytes: if plain { flow.app_bytes } else { delivered },
                 data_segs_sent: s.stats.data_segs_sent,
                 rexmit_segs: s.stats.rexmit_segs,
                 rtt: s.rtt,
@@ -377,12 +380,8 @@ fn measurement(
         })
         .collect();
 
-    let total: u64 = subflows.iter().map(|s| s.delivered_bytes).sum();
-    let cellular: u64 = subflows
-        .iter()
-        .filter(|s| s.if_index == 1)
-        .map(|s| s.delivered_bytes)
-        .sum();
+    let [wifi, cellular] = flow.per_if;
+    let total = wifi + cellular;
     let cellular_share = if total > 0 {
         cellular as f64 / total as f64
     } else {
@@ -401,9 +400,16 @@ fn measurement(
     }
 }
 
-fn client_if_of(addr: mpw_tcp::Addr) -> u8 {
-    crate::testbed::CLIENT_ADDRS
-        .iter()
-        .position(|a| *a == addr)
-        .unwrap_or(0) as u8
+/// The interface of the client subflow at `endpoint` and the payload bytes
+/// it received.
+fn client_twin(client: &Transport, endpoint: Endpoint) -> Option<(u8, u64)> {
+    match client {
+        Transport::Mp(conn) => {
+            let i = conn.subflows.iter().position(|sf| sf.local == endpoint)?;
+            Some((conn.subflows[i].if_index, conn.subflow_delivered(i)))
+        }
+        Transport::Sp(sock) => {
+            (sock.local() == endpoint).then(|| (sock.if_index, sock.recv_offset()))
+        }
+    }
 }

@@ -14,7 +14,7 @@ use mpw_http::Wget;
 use mpw_link::{BuiltPath, PathSpec};
 use mpw_mptcp::{Host, MptcpConfig, OpenRequest, TransportSpec};
 use mpw_sim::{AgentId, SimDuration, SimTime, World};
-use mpw_tcp::{Addr, Endpoint, TcpConfig};
+use mpw_tcp::{Addr, Endpoint};
 
 /// Client interface addresses: index 0 = WiFi (the default path), 1 = cellular.
 pub const CLIENT_ADDRS: [Addr; 2] = [Addr::new(10, 0, 1, 2), Addr::new(10, 0, 2, 2)];
@@ -37,9 +37,6 @@ pub struct TestbedSpec {
     /// switched congestion controllers *at the server* (§3.2) — the server
     /// is the data sender, so its controller is the one that matters.
     pub server_mptcp: MptcpConfig,
-    /// TCP configuration for plain (non-MPTCP) connections the server
-    /// accepts.
-    pub server_tcp: TcpConfig,
     /// Optional wire-capture hub. When set, every path gets the paper's
     /// four tcpdump vantages (both link directions, seen at both ends)
     /// registered on the hub and tapped on the link agents. Taps are pure
@@ -59,7 +56,6 @@ impl TestbedSpec {
                 max_subflows: 8,
                 ..MptcpConfig::default()
             },
-            server_tcp: TcpConfig::default(),
             capture: None,
         }
     }
@@ -117,7 +113,7 @@ impl Testbed {
                 topo.tap(net, hub.clone(), vantages);
             }
         }
-        topo.serve(SERVER_PORT, spec.server_mptcp, spec.server_tcp);
+        topo.serve(SERVER_PORT, spec.server_mptcp);
         Testbed {
             paths: topo.paths,
             world: topo.world,

@@ -37,16 +37,14 @@ fn cell_addr(i: u32) -> Addr {
     Addr::new(10, 1, (i >> 8) as u8, (i & 0xff) as u8)
 }
 
+/// A client opens at most one flow, in slot 0.
 struct ClientState {
     agent: AgentId,
     class: ClientClass,
-    /// Leading slots whose flows have finished. A finished flow's counters
-    /// are final, so a tick folds it into `settled_bytes` once and never
-    /// reads it again.
-    settled: usize,
-    /// Bytes the settled flows delivered.
-    settled_bytes: u64,
-    /// Every flow this client will ever open has settled: ticks skip it.
+    /// Bytes its flow has delivered so far.
+    bytes: u64,
+    /// Its flow has finished, or it never opens one: its counters are
+    /// final, so ticks skip it.
     done: bool,
 }
 
@@ -56,7 +54,8 @@ pub struct FleetRun {
     pub world: World,
     /// Aggregate report (records already folded in).
     pub report: FleetReport,
-    /// Per-flow records in deterministic (client, flow) order.
+    /// Per-flow records, one per client that opened its flow, in client
+    /// order.
     pub records: Vec<FlowRecord>,
     /// Shared-path agent ids, for taps and assertions.
     pub wifi_path: BuiltPath,
@@ -154,8 +153,7 @@ pub fn run_fleet_windowed(
         clients.push(ClientState {
             agent,
             class,
-            settled: 0,
-            settled_bytes: 0,
+            bytes: 0,
             done: false,
         });
     }
@@ -163,16 +161,18 @@ pub fn run_fleet_windowed(
     let server = topo.add_server(vec![SERVER_ADDR], s_rng);
     let wifi = topo.add_access(&spec.wifi.spec(spec.period), "fleet.wifi", &on_net[0], false);
     let cell = topo.add_access(&spec.carrier.preset(), "fleet.cell", &on_net[1], false);
-    topo.serve(SERVER_PORT, fleet_mptcp(8), TcpConfig::default());
+    topo.serve(SERVER_PORT, fleet_mptcp(8));
     let (wifi_path, cell_path) = (topo.paths[wifi], topo.paths[cell]);
     let mut world = topo.world;
 
     // --- first arrivals ---------------------------------------------------
     let arrivals = arrival_schedule(spec, &world);
     let horizon = SimTime::from_millis(spec.horizon_ms);
-    for (c, &at) in clients.iter().zip(&arrivals) {
+    for (c, &at) in clients.iter_mut().zip(&arrivals) {
         if at < horizon {
             open_flow(&mut world, c.agent, flow_request(c.class, spec, at));
+        } else {
+            c.done = true;
         }
     }
 
@@ -200,30 +200,17 @@ pub fn run_fleet_windowed(
         }
 
         // Aggregate goodput sample (fleet-wide delivered-byte delta).
-        let mut total: u64 = 0;
         let mut all_done = true;
-        for c in &mut clients {
-            if c.done {
-                total += c.settled_bytes;
-                continue;
-            }
+        for c in clients.iter_mut().filter(|c| !c.done) {
             let host = world.agent::<Host>(c.agent).expect("client host");
-            let slots = host.slot_count();
-            let mut live_bytes: u64 = 0;
-            for slot in c.settled..slots {
-                let flow = client_flow(host, slot).expect("live slot");
-                if flow.finished_at.is_some() && slot == c.settled {
-                    c.settled += 1;
-                    c.settled_bytes += flow.delivered;
-                } else {
-                    live_bytes += flow.delivered;
-                }
+            // No slot yet: the open is still queued.
+            if let Some(flow) = client_flow(host, 0) {
+                c.bytes = flow.delivered;
+                c.done = flow.finished_at.is_some();
             }
-            total += c.settled_bytes + live_bytes;
-            // Every queued open has become a slot, and every slot settled.
-            c.done = host.pending_open_count() == 0 && c.settled == slots;
             all_done &= c.done;
         }
+        let total: u64 = clients.iter().map(|c| c.bytes).sum();
         if total > delivered_cum {
             report.absorb_goodput(now.as_nanos() / 1_000_000, total - delivered_cum);
             delivered_cum = total;
@@ -233,11 +220,10 @@ pub fn run_fleet_windowed(
 
     // --- harvest ----------------------------------------------------------
     let mut records = Vec::new();
-    for c in &clients {
+    for (i, c) in (0..).zip(&clients) {
         let host = world.agent::<Host>(c.agent).expect("client host");
-        for slot in 0..host.slot_count() {
-            let flow = client_flow(host, slot).expect("live slot");
-            records.push(flow_record(&flow, host.conn_id(slot).unwrap_or(0) / 256, c.class));
+        if let Some(flow) = client_flow(host, 0) {
+            records.push(flow_record(&flow, i, c.class));
         }
     }
     for r in &records {

@@ -3,12 +3,18 @@
 //! One client-side and one server-side harvest; the per-flow records of
 //! every harness ([`FlowRecord`](mpw_metrics::FlowRecord) here, the
 //! measurement types of `mpw-experiments`) are views of what they return.
+//! Each fact is read where it is recorded: the bytes each interface
+//! received come from the receiver ([`ClientFlow::per_if`]), the segment
+//! counts and RTTs from the sender ([`SenderSubflow`]). The two ends list
+//! their subflows in different orders (on four paths they do differ), so a
+//! server subflow finds its client twin by [`SenderSubflow::client`], the
+//! endpoint the client picked for it, never by position.
 
 use mpw_http::{StreamingClient, Wget};
 use mpw_metrics::DistSummary;
 use mpw_mptcp::{Host, Transport};
 use mpw_sim::{SimDuration, SimTime};
-use mpw_tcp::{Addr, SocketStats, TcpSocket};
+use mpw_tcp::{Endpoint, SocketStats, TcpSocket};
 
 /// The receiver's half of one flow: what a client slot holds right now.
 /// Plain counters, cheap enough to sample every tick.
@@ -75,24 +81,13 @@ pub fn client_flow(host: &Host, slot: usize) -> Option<ClientFlow> {
     Some(flow)
 }
 
-/// Payload bytes each subflow of client slot `slot` has received, in
-/// subflow creation order — the same order the server's subflows of the
-/// connection are in.
-pub fn subflow_deliveries(host: &Host, slot: usize) -> Vec<u64> {
-    match host.transport(slot) {
-        Some(Transport::Mp(conn)) => (0..conn.subflows.len())
-            .map(|i| conn.subflow_delivered(i))
-            .collect(),
-        Some(Transport::Sp(sock)) => vec![sock.recv_offset()],
-        None => Vec::new(),
-    }
-}
-
 /// The sender's half of one subflow (or of a plain TCP connection).
 #[derive(Clone, Debug)]
 pub struct SenderSubflow {
-    /// The client's address on this subflow — names the client interface.
-    pub client_addr: Addr,
+    /// The client's endpoint on this subflow. The client gives every
+    /// subflow a fresh port, so the endpoint names the subflow on both ends
+    /// and on the wire.
+    pub client: Endpoint,
     /// The socket's counters: segments sent and retransmitted (the loss-rate
     /// numerator, §3.3), establishment time.
     pub stats: SocketStats,
@@ -103,7 +98,7 @@ pub struct SenderSubflow {
 impl SenderSubflow {
     fn of(sock: &TcpSocket) -> SenderSubflow {
         SenderSubflow {
-            client_addr: sock.remote().addr,
+            client: sock.remote(),
             stats: sock.stats(),
             rtt: sock.rtt().summary().clone(),
         }

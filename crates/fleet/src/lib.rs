@@ -42,8 +42,6 @@ pub mod topology;
 pub use campaign::{run_campaign, FleetCampaign};
 pub use drive::{drive, open_flow, quiescent, Drive};
 pub use engine::{run_fleet, run_fleet_windowed, FleetRun};
-pub use harvest::{
-    client_flow, sender_subflows, subflow_deliveries, ClientFlow, SenderSubflow,
-};
+pub use harvest::{client_flow, sender_subflows, ClientFlow, SenderSubflow};
 pub use topology::Topology;
 pub use spec::{Arrival, ClientClass, FleetSpec, FleetWorkload, PathMix, WifiKind};

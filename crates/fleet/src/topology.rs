@@ -17,7 +17,7 @@ use mpw_mptcp::{Host, MptcpConfig};
 use mpw_sim::tap::SharedObserver;
 use mpw_sim::trace::TraceLevel;
 use mpw_sim::{AgentId, Frame, SimRng, Switch, World};
-use mpw_tcp::{peek_ip_dst, Addr, CcConfig, TcpConfig};
+use mpw_tcp::{peek_ip_dst, Addr};
 
 /// Connection ids the server hands out start here, clear of every client's.
 const SERVER_CONN_ID_BASE: u32 = 1 << 16;
@@ -135,7 +135,7 @@ impl Topology {
 
     /// Make the server answer on `port` with an [`HttpServer`] per accepted
     /// connection; its default route is the first access network.
-    pub fn serve(&mut self, port: u16, mptcp: MptcpConfig, tcp: TcpConfig) {
+    pub fn serve(&mut self, port: u16, mptcp: MptcpConfig) {
         let downlink = self.paths[0].downlink;
         let server = self.server();
         let host = self.host_mut(server);
@@ -143,7 +143,6 @@ impl Topology {
         host.listen(
             port,
             mptcp,
-            (tcp, CcConfig::default()),
             Box::new(|_conn_id| Box::new(HttpServer::new())),
         );
     }
@@ -161,7 +160,7 @@ mod tests {
     use mpw_http::Wget;
     use mpw_mptcp::{OpenRequest, TransportSpec};
     use mpw_sim::SimTime;
-    use mpw_tcp::Endpoint;
+    use mpw_tcp::{CcConfig, Endpoint, TcpConfig};
 
     const SERVER: Addr = Addr::new(192, 168, 1, 1);
 
@@ -180,7 +179,7 @@ mod tests {
         let rng = topo.world.rng().stream("server");
         topo.add_server(vec![SERVER], rng);
         topo.add_access(&mpw_link::wired_lan(), "net", &clients, false);
-        topo.serve(8080, MptcpConfig::default(), TcpConfig::default());
+        topo.serve(8080, MptcpConfig::default());
         for &(client, ..) in &clients {
             let req = OpenRequest {
                 at: SimTime::ZERO,

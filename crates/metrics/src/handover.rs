@@ -9,8 +9,8 @@
 //! feed the same reductions:
 //!
 //! * a **path event timeline** ([`PathEvent`]) — downs, reopen attempts,
-//!   recoveries and signal-strength notifications, mirrored from the
-//!   connection's lifecycle log by the measurement harness,
+//!   recoveries and signal-strength notifications; the MPTCP connection
+//!   logs these very values, so the harness copies its log as it is,
 //! * a **progress trace** — `(time, cumulative delivered bytes)` samples of
 //!   the receiving application,
 //! * **delivery deltas** — `(time, path, novel bytes)` attribution events,
@@ -26,8 +26,8 @@ use serde::{Deserialize, Serialize};
 
 use crate::stream::DistSummary;
 
-/// What happened to a path — the metrics-side mirror of the MPTCP layer's
-/// lifecycle log (which this crate cannot depend on; the harness converts).
+/// What happened to a path: the vocabulary of the MPTCP connection's
+/// lifecycle log.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum PathEventKind {
     /// The path (or its current subflow) was declared dead.
