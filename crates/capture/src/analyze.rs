@@ -28,7 +28,7 @@
 
 use std::collections::BTreeMap;
 
-use mpw_metrics::{epoch_shares, DistSummary, EpochShare, EpochSpan};
+use mpw_metrics::DistSummary;
 use mpw_sim::SimTime;
 use mpw_tcp::wire::{parse_headers, Endpoint, MptcpOption, Packet, TcpSegment};
 use mpw_tcp::SeqNum;
@@ -77,9 +77,6 @@ pub struct WireConnection {
     pub ofo: DistSummary,
     /// Unique connection-level payload bytes seen arriving at the client.
     pub delivered_bytes: u64,
-    /// Novel-byte delivery events `(arrival, path, bytes)` in arrival
-    /// order — the raw material for scenario-labelled epoch shares.
-    pub deliveries: Vec<(SimTime, u8, u64)>,
 }
 
 impl WireConnection {
@@ -97,15 +94,6 @@ impl WireConnection {
             .map(|s| s.delivered_bytes)
             .sum();
         cell as f64 / total as f64
-    }
-
-    /// Attribute this connection's novel-byte deliveries to the labelled
-    /// epochs of the scenario that drove the run (the wire-level analogue
-    /// of the in-stack per-epoch traffic shares). The caller converts the
-    /// scenario engine's epochs into [`EpochSpan`]s — typically
-    /// `Scenario::epochs(horizon_ms)` mapped through `SimTime::from_millis`.
-    pub fn epoch_shares(&self, epochs: &[EpochSpan]) -> Vec<EpochShare> {
-        epoch_shares(&self.deliveries, epochs)
     }
 }
 
@@ -341,9 +329,6 @@ pub fn analyze(file: &PcapFile<'_>, server_port: u16) -> WireAnalysis {
                     sub.delivered_bytes += novel;
                     if let Some((wc, _)) = conns.get_mut(st.conn) {
                         wc.delivered_bytes += novel;
-                        if novel > 0 {
-                            wc.deliveries.push((pkt.at, sub.path, novel));
-                        }
                     }
                 }
             }
@@ -690,53 +675,6 @@ mod tests {
         assert_eq!(c.subflows[0].delivered_bytes, 200);
         assert_eq!(c.subflows[1].delivered_bytes, 100);
         assert!((c.cellular_share() - 1.0 / 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn epoch_shares_label_wire_deliveries() {
-        let mut rig = Rig::new(2);
-        handshake(
-            &mut rig,
-            0,
-            0,
-            40_000,
-            CLIENT,
-            MptcpOption::Capable { key_local: 7, key_remote: None },
-        );
-        handshake(
-            &mut rig,
-            1,
-            30,
-            40_001,
-            CLIENT2,
-            MptcpOption::Join { token: 9, nonce: 1, backup: false },
-        );
-        // Client-side arrivals: path0 at 105 and 175, path1 at 115.
-        rig.seg(0, 100, false, data(40_000, 1001, 100, Some(0)), CLIENT);
-        rig.seg(1, 110, false, data(40_001, 2001, 100, Some(200)), CLIENT2);
-        rig.seg(0, 170, false, data(40_000, 1101, 100, Some(100)), CLIENT);
-        let a = rig.analyze();
-        let c = &a.connections[0];
-        assert_eq!(c.deliveries.len(), 3);
-        let spans = [
-            EpochSpan {
-                label: "start".into(),
-                start: SimTime::ZERO,
-                end: SimTime::from_millis(150),
-            },
-            EpochSpan {
-                label: "fade".into(),
-                start: SimTime::from_millis(150),
-                end: SimTime::from_millis(1000),
-            },
-        ];
-        let shares = c.epoch_shares(&spans);
-        assert_eq!(shares.len(), 2);
-        assert_eq!(shares[0].label, "start");
-        assert_eq!(shares[0].total, 200);
-        assert!((shares[0].non_primary_share() - 0.5).abs() < 1e-9);
-        assert_eq!(shares[1].total, 100);
-        assert_eq!(shares[1].non_primary_share(), 0.0);
     }
 
     #[test]

@@ -662,57 +662,10 @@ impl MptcpConnection {
         conn_id: u32,
         local_addrs: Vec<Addr>,
         remote: Endpoint,
-        mut rng: SimRng,
+        rng: SimRng,
         now: SimTime,
     ) -> Self {
-        let local_key = key_from_seed(rng.next_u64());
-        let shared = ConnShared {
-            local_key,
-            remote_key: None,
-            token: token_from_key(local_key),
-            remote_capable: None,
-            recv_buffer: cfg.recv_buffer,
-            rx: Assembler::new(0, false),
-            peer_data_ack: 0,
-            peer_data_fin: None,
-            data_fin_needs_ack: false,
-            tx_data_fin: None,
-            peer_addrs: Vec::new(),
-            flows: Vec::new(),
-        };
-        let coupling = CouplingState::new(cfg.coupling, cfg.cc.mss);
-        let next_port = 40_000u16.wrapping_add((conn_id as u16).wrapping_mul(31));
-        let mut conn = MptcpConnection {
-            cfg,
-            conn_id,
-            shared,
-            subflows: Vec::new(),
-            coupling,
-            sched: SchedulerState::default(),
-            conn_buf: SendBuffer::new(),
-            assignments: Assignments::default(),
-            next_unassigned: 0,
-            reinject: VecDeque::new(),
-            sched_views: Vec::new(),
-            dead_scratch: Vec::new(),
-            moved_scratch: Vec::new(),
-            pending_reopens: Vec::new(),
-            reopen_attempts: Vec::new(),
-            lifecycle_log: Vec::new(),
-            is_client: true,
-            app_closed: false,
-            local_addrs,
-            remote_addrs: vec![remote],
-            joins_launched: false,
-            addr_advertised: true, // clients do not advertise in our testbed
-            rng,
-            next_port,
-            last_penalty_at: SimTime::ZERO,
-            housekeeping_owed: true,
-            housekeeping_passes: 0,
-            inject_overlapping_dss: false,
-            opened_at: now,
-        };
+        let mut conn = Self::new(cfg, conn_id, None, local_addrs, remote, rng, now);
         conn.spawn_subflow(0, remote, HsRole::CapableClient, now);
         if conn.cfg.syn_mode == SynMode::Simultaneous {
             conn.launch_joins(now);
@@ -731,19 +684,38 @@ impl MptcpConnection {
         remote: Endpoint,
         local_addrs: Vec<Addr>,
         syn: &TcpSegment,
-        mut rng: SimRng,
+        rng: SimRng,
         now: SimTime,
     ) -> Option<Self> {
         let client_key = syn.options.iter().find_map(|o| match o {
             TcpOption::Mptcp(MptcpOption::Capable { key_local, .. }) => Some(key_local),
             _ => None,
         })?;
+        let mut conn = Self::new(cfg, conn_id, Some(client_key), local_addrs, remote, rng, now);
+        conn.accept_subflow(local, remote, HsRole::CapableServer, syn, now);
+        Some(conn)
+    }
+
+    /// A connection with no subflow yet. The role follows from what is
+    /// known of the peer's key: a server has the client's from its
+    /// MP_CAPABLE SYN (`client_key`), a client learns the server's from the
+    /// SYN-ACK. The local key is the first draw from `rng`.
+    fn new(
+        cfg: MptcpConfig,
+        conn_id: u32,
+        client_key: Option<u64>,
+        local_addrs: Vec<Addr>,
+        remote: Endpoint,
+        mut rng: SimRng,
+        now: SimTime,
+    ) -> Self {
         let local_key = key_from_seed(rng.next_u64());
+        let is_client = client_key.is_none();
         let shared = ConnShared {
             local_key,
-            remote_key: Some(client_key),
-            token: token_from_key(client_key),
-            remote_capable: Some(true),
+            remote_key: client_key,
+            token: token_from_key(client_key.unwrap_or(local_key)),
+            remote_capable: client_key.map(|_| true),
             recv_buffer: cfg.recv_buffer,
             rx: Assembler::new(0, false),
             peer_data_ack: 0,
@@ -754,11 +726,18 @@ impl MptcpConnection {
             flows: Vec::new(),
         };
         let coupling = CouplingState::new(cfg.coupling, cfg.cc.mss);
+        let next_port = if is_client {
+            40_000u16.wrapping_add((conn_id as u16).wrapping_mul(31))
+        } else {
+            0
+        };
         // A multi-homed server advertises its secondary interface; whether
         // the client joins it is capped by the client's max_subflows (the
         // paper's 2-path vs 4-path axis is "is the second server NIC up").
-        let advertise = local_addrs.len() > 1;
-        let mut conn = MptcpConnection {
+        // Clients advertise nothing in our testbed, and servers never
+        // initiate joins.
+        let addr_advertised = is_client || local_addrs.len() <= 1;
+        MptcpConnection {
             cfg,
             conn_id,
             shared,
@@ -775,22 +754,20 @@ impl MptcpConnection {
             pending_reopens: Vec::new(),
             reopen_attempts: Vec::new(),
             lifecycle_log: Vec::new(),
-            is_client: false,
+            is_client,
             app_closed: false,
             local_addrs,
             remote_addrs: vec![remote],
-            joins_launched: true, // servers never initiate joins
-            addr_advertised: !advertise,
+            joins_launched: !is_client,
+            addr_advertised,
             rng,
-            next_port: 0,
+            next_port,
             last_penalty_at: SimTime::ZERO,
             housekeeping_owed: true,
             housekeeping_passes: 0,
             inject_overlapping_dss: false,
             opened_at: now,
-        };
-        conn.accept_subflow(local, remote, HsRole::CapableServer, syn, now);
-        Some(conn)
+        }
     }
 
     /// The connection token (server join demultiplexing key).

@@ -226,12 +226,18 @@ pub struct OpenRequest {
     pub remote: Endpoint,
     /// Client application.
     pub app: Box<dyn App>,
-    /// Send this many warm-up pings first (2 in the paper, §3.2) and wait
-    /// for the replies (or 2 s) before opening the connection.
-    pub warmup_pings: u8,
-    /// Which interface carries the warm-up pings (the cellular one).
-    pub warmup_if: u8,
+    /// Send the paper's two warm-up pings on the cellular interface first
+    /// (§3.2) and wait for the replies (or 2 s) before opening the
+    /// connection.
+    pub warmup: bool,
 }
+
+/// Warm-up pings before a connection opens: the paper sent two to wake the
+/// cellular radio before each measurement (§3.2).
+const WARMUP_PINGS: u8 = 2;
+/// The interface the warm-up pings leave on (§3.2: the cellular one), taken
+/// modulo the host's interface count.
+const WARMUP_IF: u8 = 1;
 
 enum PendingOpen {
     /// Waiting for its activation time.
@@ -355,9 +361,9 @@ impl Host {
         TOKEN_OPEN
     }
 
-    /// Primary address of this host.
-    pub fn addr(&self, if_index: usize) -> Addr {
-        self.addrs[if_index]
+    /// Interface addresses, indexed by `if_index`.
+    pub fn addrs(&self) -> &[Addr] {
+        &self.addrs
     }
 
     /// Number of transports (established or not).
@@ -585,18 +591,18 @@ impl Host {
         for p in pending.drain(..) {
             match p {
                 PendingOpen::Queued(req) if req.at <= now => {
-                    if req.warmup_pings > 0 {
+                    if req.warmup {
                         let mut tokens_left = 0;
-                        for _ in 0..req.warmup_pings {
+                        for _ in 0..WARMUP_PINGS {
                             let token = self.rng.next_u64();
                             let ip = IpHeader {
-                                src: self.addrs[req.warmup_if as usize % self.addrs.len()],
+                                src: self.addrs[WARMUP_IF as usize % self.addrs.len()],
                                 dst: req.remote.addr,
                                 protocol: mpw_tcp::wire::PROTO_PING,
                                 ttl: 64,
                             };
                             let bytes = encode_ping(&ip, &PingPacket { token, reply: false });
-                            if let Some(egress) = self.egress_for(req.warmup_if, req.remote.addr)
+                            if let Some(egress) = self.egress_for(WARMUP_IF, req.remote.addr)
                             {
                                 ctx.send_frame(egress, 0, SimDuration::ZERO, Frame::new(bytes));
                                 self.ping_sent_at.insert(token, now);
@@ -1051,7 +1057,7 @@ mod tests {
         let spec = TransportSpec::Plain { tcp: TcpConfig::default(), cc: CcConfig::default(), if_index: 0 };
         let remote = Endpoint::new(Addr::new(10, 0, 1, 2), 8080);
         let app = Box::new(Alarm(Some(ms(50))));
-        host.queue_open(OpenRequest { at: SimTime::ZERO, spec, remote, app, warmup_pings: 0, warmup_if: 0 });
+        host.queue_open(OpenRequest { at: SimTime::ZERO, spec, remote, app, warmup: false });
         let host = w.add_agent(Box::new(host));
         w.schedule(SimTime::ZERO, host, Event::Timer { token: TOKEN_OPEN });
         w.run_until(ms(10));
@@ -1080,7 +1086,7 @@ mod tests {
             let spec = TransportSpec::Plain { tcp: TcpConfig::default(), cc: CcConfig::default(), if_index: 0 };
             let remote = Endpoint::new(Addr::new(10, 0, 1, 2), 8080);
             let app = Box::new(Alarm(Some(ms(50))));
-            host.queue_open(OpenRequest { at: SimTime::ZERO, spec, remote, app, warmup_pings: 0, warmup_if: 0 });
+            host.queue_open(OpenRequest { at: SimTime::ZERO, spec, remote, app, warmup: false });
             let host = w.add_agent(Box::new(host));
             w.schedule(SimTime::ZERO, host, Event::Timer { token: TOKEN_OPEN });
             w.run_until(ms(10));

@@ -173,8 +173,7 @@ impl Rig {
             spec,
             remote: server_ep,
             app: Box::new(SinkClient::new(verify)),
-            warmup_pings: 0,
-            warmup_if: 0,
+            warmup: false,
         });
         self.world
             .schedule(at, self.client, Event::Timer { token: Host::open_token() });

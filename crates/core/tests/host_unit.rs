@@ -13,10 +13,10 @@ const HOST_ADDR: Addr = Addr::new(192, 168, 1, 1);
 const OTHER_ADDR: Addr = Addr::new(10, 0, 1, 2);
 
 /// Queue a plain TCP open to `OTHER_ADDR:8080` on `host` at `at`.
-fn open_at(w: &mut World, host: AgentId, at: SimTime, app: Box<dyn App>, warmup_pings: u8) {
+fn open_at(w: &mut World, host: AgentId, at: SimTime, app: Box<dyn App>, warmup: bool) {
     let spec = TransportSpec::Plain { tcp: Default::default(), cc: Default::default(), if_index: 0 };
     let remote = Endpoint::new(OTHER_ADDR, 8080);
-    let req = OpenRequest { at, spec, remote, app, warmup_pings, warmup_if: 1 };
+    let req = OpenRequest { at, spec, remote, app, warmup };
     w.agent_mut::<Host>(host).unwrap().queue_open(req);
     w.schedule(at, host, Event::Timer { token: Host::open_token() });
 }
@@ -226,7 +226,7 @@ fn vanished_warmup_pings_open_on_the_two_second_deadline() {
     host.set_iface_link(1, cell);
     let host = w.add_agent(Box::new(host));
     let at = SimTime::from_millis(50);
-    open_at(&mut w, host, at, Box::new(NullApp), 2);
+    open_at(&mut w, host, at, Box::new(NullApp), true);
     // Past the deadline, before the SYN's 1 s retransmission.
     w.run_until(at + SimDuration::from_millis(2500));
     let syn_at = at + SimDuration::from_secs(2);
@@ -264,7 +264,7 @@ fn two_slots_keep_separate_wakeups_until_both_leave_time_wait() {
     w.agent_mut::<Host>(client).unwrap().set_iface_link(0, server);
     let ms = SimTime::from_millis;
     for at in [ms(0), ms(300)] {
-        open_at(&mut w, client, at, Box::new(Closer(false)), 0);
+        open_at(&mut w, client, at, Box::new(Closer(false)), false);
     }
     let finished = |w: &World| {
         let h = w.agent::<Host>(client).unwrap();

@@ -133,8 +133,7 @@ impl Rig {
             spec: TransportSpec::Mptcp(cfg),
             remote: Endpoint::new(SERVER_ADDR, 8080),
             app: Box::new(SinkClient { received: 0, completed_at: None }),
-            warmup_pings: 0,
-            warmup_if: 0,
+            warmup: false,
         });
         self.world
             .schedule(at, client, Event::Timer { token: Host::open_token() });

@@ -3,7 +3,7 @@
 //! paired sweep and reports the effect size.
 
 use mpw_http::{StreamingClient, StreamingProfile, Wget};
-use mpw_link::{Carrier, LossModel};
+use mpw_link::{Carrier, LossModel, PathSpec};
 use mpw_metrics::{Summary, Table};
 use mpw_mptcp::{Coupling, Host, MptcpConfig, Scheduler, TransportSpec};
 use mpw_sim::SimTime;
@@ -12,7 +12,7 @@ use serde::Serialize;
 use crate::artifacts::study;
 use crate::config::{sizes, FlowConfig, Scenario, WifiKind};
 use crate::measure::run_measurement;
-use crate::testbed::{Testbed, TestbedSpec};
+use crate::testbed::Testbed;
 
 /// One ablation outcome: mean download times with the mechanism on and off.
 #[derive(Clone, Debug, Serialize)]
@@ -77,17 +77,16 @@ pub fn ablate_ssthresh(reps: u64, seed: u64) -> AblationResult {
 /// Download time of `sc.size` bytes over `sc`'s paths with both ends
 /// running the MPTCP configuration `mp`.
 fn mp_download_secs(sc: &Scenario, seed: u64, mp: MptcpConfig, horizon_s: u64) -> Option<f64> {
-    let transport = TransportSpec::Mptcp(mp);
-    let spec = mp_testbed(sc, seed, &transport);
     let wget = Box::new(Wget::new(sc.size, false));
     let horizon = SimTime::from_secs(horizon_s);
-    let (_, _, flow) = Testbed::run_single(spec, transport, wget, horizon);
+    let (_, _, flow) =
+        Testbed::run_single(seed, paths(sc), TransportSpec::Mptcp(mp), wget, horizon);
     flow.download_time().map(|d| d.as_secs_f64())
 }
 
-/// `sc`'s two-path testbed with the server mirroring the client's transport.
-fn mp_testbed(sc: &Scenario, seed: u64, client: &TransportSpec) -> TestbedSpec {
-    TestbedSpec::two_path(seed, sc.wifi.spec(sc.period), sc.carrier.preset()).mirroring(client)
+/// `sc`'s two access paths.
+fn paths(sc: &Scenario) -> [PathSpec; 2] {
+    [sc.wifi.spec(sc.period), sc.carrier.preset()]
 }
 
 /// §3.1 "no subflow penalty": the v0.86 penalization mechanism the paper
@@ -138,7 +137,8 @@ pub fn ablate_scheduler(reps: u64, seed: u64) -> AblationResult {
             ..MptcpConfig::default()
         });
         let (tb, slot, _) = Testbed::run_single(
-            mp_testbed(&sc, seed + i * 101, &transport),
+            seed + i * 101,
+            paths(&sc),
             transport,
             Box::new(StreamingClient::new(profile)),
             SimTime::from_secs(120),
@@ -178,16 +178,15 @@ pub fn ablate_cellular_arq(reps: u64, seed: u64) -> AblationResult {
             return run_measurement(&sc, seed + i * 101).download_time_s;
         }
         // ARQ off: surface a 2% Bernoulli loss to TCP instead.
-        let wifi = sc.wifi.spec(sc.period);
-        let mut cell = sc.carrier.preset();
+        let [wifi, mut cell] = paths(&sc);
         cell.down.arq = None;
         cell.down.loss = LossModel::Bernoulli { p: 0.02 };
         cell.up.arq = None;
         cell.up.loss = LossModel::Bernoulli { p: 0.01 };
-        let spec = TestbedSpec::two_path(seed + i * 101, wifi, cell);
         let wget = Box::new(Wget::new(size, false));
+        let horizon = SimTime::from_secs(400);
         let (_, _, flow) =
-            Testbed::run_single(spec, sc.flow.transport(), wget, SimTime::from_secs(400));
+            Testbed::run_single(seed + i * 101, [wifi, cell], sc.flow.transport(), wget, horizon);
         flow.download_time().map(|d| d.as_secs_f64())
     };
     let paper: Vec<f64> = (0..reps).filter_map(|i| run(true, i)).collect();

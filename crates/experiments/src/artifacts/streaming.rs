@@ -14,7 +14,7 @@ use serde::Serialize;
 use crate::artifacts::{Artifact, Check};
 use crate::campaign::Scale;
 use crate::config::{FlowConfig, WifiKind};
-use crate::testbed::{Testbed, TestbedSpec};
+use crate::testbed::Testbed;
 
 /// Scaled-down profiles keep regeneration fast while preserving the
 /// prefetch : block : period structure; FULL scale uses the real sizes.
@@ -76,13 +76,13 @@ fn run_session(
     carrier: Carrier,
 ) -> (Option<f64>, Vec<f64>, u32, u32) {
     let wifi = WifiKind::Home.spec(mpw_link::DayPeriod::Evening);
-    let spec = TestbedSpec::two_path(seed, wifi, carrier.preset());
     // Sessions are long: prefetch + blocks × period + margin.
     let horizon = 120
         + (profile.prefetch + profile.block * profile.blocks as u64) / 100_000
         + (profile.period.as_secs_f64() as u64 + 1) * profile.blocks as u64;
     let (tb, slot, _) = Testbed::run_single(
-        spec,
+        seed,
+        [wifi, carrier.preset()],
         flow.transport(),
         Box::new(StreamingClient::new(profile)),
         SimTime::from_secs(horizon),

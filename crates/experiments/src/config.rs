@@ -99,11 +99,6 @@ impl FlowConfig {
             }),
         }
     }
-
-    /// Whether the server's second interface must be up (4-path).
-    pub fn needs_dual_homed_server(&self) -> bool {
-        matches!(self, FlowConfig::Mp { paths, .. } if *paths > 2)
-    }
 }
 
 /// One fully specified measurement scenario.
@@ -177,12 +172,5 @@ mod tests {
         assert_eq!(sizes::label(sizes::S8K), "8KB");
         assert_eq!(sizes::label(sizes::S512K), "512KB");
         assert_eq!(sizes::label(sizes::S16M), "16MB");
-    }
-
-    #[test]
-    fn four_path_needs_dual_homed_server() {
-        assert!(FlowConfig::mp4(Coupling::Reno).needs_dual_homed_server());
-        assert!(!FlowConfig::mp2(Coupling::Reno).needs_dual_homed_server());
-        assert!(!FlowConfig::SpWifi.needs_dual_homed_server());
     }
 }

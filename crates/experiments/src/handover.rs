@@ -38,7 +38,7 @@ use mpw_scenario::{Action, LinkOp, Op, Scenario as Mobility, ScenarioDriver};
 use mpw_sim::{AgentId, Event, SimDuration, SimTime, World};
 
 use crate::config::{FlowConfig, WifiKind};
-use crate::testbed::{harvest, Testbed, TestbedSpec};
+use crate::testbed::{harvest, Testbed};
 
 /// Delivery must pause at least this long to count as an application stall.
 /// One minimum RTO: shorter pauses are ordinary retransmission noise.
@@ -202,9 +202,8 @@ pub fn run_handover(spec: &HandoverSpec) -> HandoverMeasurement {
         cfg.lifecycle.reopen = true;
         cfg.lifecycle.policy = spec.policy;
     }
-    let tb_spec = TestbedSpec::two_path(spec.seed, wifi, cellular).mirroring(&transport);
-    let mut tb = Testbed::build(tb_spec);
-    let slot = tb.download(transport, spec.size, SimTime::from_millis(100), true);
+    let mut tb = Testbed::build(spec.seed, [wifi, cellular], transport, None);
+    let slot = tb.download(spec.size, SimTime::from_millis(100), true);
     let mut driver = ScenarioDriver::new(&scenario, &tb.paths).expect("spec scenarios compile");
 
     // Horizon: the outage plus the whole transfer at a conservative

@@ -36,4 +36,4 @@ pub use measure::{
     run_lossfree_download_windowed, run_measurement, run_measurement_captured,
     run_measurement_traced, LossfreeProbe, Measurement, MeasurementRun, SubflowMeasurement,
 };
-pub use testbed::{Testbed, TestbedSpec, CLIENT_ADDRS, SERVER_ADDRS, SERVER_PORT};
+pub use testbed::{Testbed, CLIENT_ADDRS, SERVER_ADDRS, SERVER_PORT};

@@ -14,7 +14,7 @@ use mpw_tcp::Endpoint;
 use serde::{Deserialize, Serialize};
 
 use crate::config::{FlowConfig, Scenario};
-use crate::testbed::{harvest, Testbed, TestbedSpec};
+use crate::testbed::{harvest, Testbed};
 
 /// Per-subflow (or per-path) measurement outputs.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -202,11 +202,8 @@ pub fn run_lossfree_download_windowed(
         cfg.tcp.send_buffer = 64 * 1024;
         cfg.conn_send_buffer = 512 * 1024;
     }
-    let mut spec =
-        TestbedSpec::two_path(seed, lossfree_path(), lossfree_path()).mirroring(&transport);
-    spec.capture = hub.clone();
-    let mut tb = Testbed::build(spec);
-    let slot = tb.download(transport, size, SimTime::from_millis(100), false);
+    let mut tb = Testbed::build(seed, [lossfree_path(), lossfree_path()], transport, hub.clone());
+    let slot = tb.download(size, SimTime::from_millis(100), false);
     let who = ("loss-free probe", seed);
 
     // Up to the window start (the flow is still running, so each call
@@ -290,18 +287,8 @@ impl<'a> MeasurementRun<'a> {
         let cellular = scenario.carrier.preset();
         let horizon = horizon_for(scenario, &wifi, &cellular);
         let technologies = [wifi.technology, cellular.technology];
-        let mut spec = TestbedSpec::two_path(seed, wifi, cellular);
-        spec.capture = capture;
-        spec.dual_homed_server = scenario.flow.needs_dual_homed_server();
-        let transport = scenario.flow.transport();
-        spec = spec.mirroring(&transport);
-        let mut tb = Testbed::build(spec);
-        let slot = tb.download(
-            transport,
-            scenario.size,
-            SimTime::from_millis(100),
-            scenario.warmup,
-        );
+        let mut tb = Testbed::build(seed, [wifi, cellular], scenario.flow.transport(), capture);
+        let slot = tb.download(scenario.size, SimTime::from_millis(100), scenario.warmup);
         MeasurementRun {
             tb,
             scenario,

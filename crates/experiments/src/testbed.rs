@@ -1,10 +1,11 @@
 //! The paper's testbed (§3.1, Figure 1), as a reusable simulation topology.
 //!
-//! A dual-homed server ("UMass") reachable through up to two access paths
-//! from the mobile client: its WiFi interface and one cellular carrier.
-//! For 4-path experiments the server's secondary interface is enabled and
-//! advertised via ADD_ADDR. An option-stripping middlebox can be inserted
-//! (the AT&T port-80 proxy scenario).
+//! One flow from the mobile client to the server ("UMass"), over one
+//! access path per client interface: its WiFi and one cellular carrier.
+//! The flow decides both ends: the server runs the client's MPTCP
+//! configuration (the paper switched congestion controllers at the server,
+//! the data sender, §3.2) and enables its secondary interface, advertised
+//! via ADD_ADDR, only for 4-path runs.
 
 use std::fmt;
 
@@ -12,7 +13,7 @@ use mpw_capture::SharedHub;
 use mpw_fleet::{client_flow, drive, open_flow, quiescent, ClientFlow, Drive, Topology};
 use mpw_http::Wget;
 use mpw_link::{BuiltPath, PathSpec};
-use mpw_mptcp::{Host, MptcpConfig, OpenRequest, TransportSpec};
+use mpw_mptcp::{App, Host, MptcpConfig, OpenRequest, TransportSpec};
 use mpw_sim::{AgentId, SimDuration, SimTime, World};
 use mpw_tcp::{Addr, Endpoint};
 
@@ -22,57 +23,6 @@ pub const CLIENT_ADDRS: [Addr; 2] = [Addr::new(10, 0, 1, 2), Addr::new(10, 0, 2,
 pub const SERVER_ADDRS: [Addr; 2] = [Addr::new(192, 168, 1, 1), Addr::new(192, 168, 2, 1)];
 /// The Apache port (8080 — AT&T's proxy mangled port 80, §3.1).
 pub const SERVER_PORT: u16 = 8080;
-
-/// Testbed construction parameters.
-pub struct TestbedSpec {
-    /// Root RNG seed for the whole world.
-    pub seed: u64,
-    /// One access path per client interface (index 0 = WiFi).
-    pub paths: Vec<PathSpec>,
-    /// Enable the server's secondary interface (4-path experiments).
-    pub dual_homed_server: bool,
-    /// Insert MPTCP-option-stripping middleboxes on path 0.
-    pub strip_mptcp_on_path0: bool,
-    /// MPTCP configuration for connections the server accepts. The paper
-    /// switched congestion controllers *at the server* (§3.2) — the server
-    /// is the data sender, so its controller is the one that matters.
-    pub server_mptcp: MptcpConfig,
-    /// Optional wire-capture hub. When set, every path gets the paper's
-    /// four tcpdump vantages (both link directions, seen at both ends)
-    /// registered on the hub and tapped on the link agents. Taps are pure
-    /// observation, so a captured run is event-identical to a plain one.
-    pub capture: Option<SharedHub>,
-}
-
-impl TestbedSpec {
-    /// Standard 2-path testbed: one WiFi spec + one cellular spec.
-    pub fn two_path(seed: u64, wifi: PathSpec, cellular: PathSpec) -> Self {
-        TestbedSpec {
-            seed,
-            paths: vec![wifi, cellular],
-            dual_homed_server: false,
-            strip_mptcp_on_path0: false,
-            server_mptcp: MptcpConfig {
-                max_subflows: 8,
-                ..MptcpConfig::default()
-            },
-            capture: None,
-        }
-    }
-
-    /// This spec with the server running the client's MPTCP configuration
-    /// (the paper switched congestion controller and scheduler at the
-    /// server, the data sender — §3.2), with room for every subflow.
-    pub fn mirroring(mut self, client: &TransportSpec) -> Self {
-        if let TransportSpec::Mptcp(cfg) = client {
-            self.server_mptcp = MptcpConfig {
-                max_subflows: 8,
-                ..cfg.clone()
-            };
-        }
-        self
-    }
-}
 
 /// [`Testbed::run_flow`] harvests a finished flow that never quiesces at
 /// the next multiple of this after the call.
@@ -88,86 +38,86 @@ pub struct Testbed {
     pub server: AgentId,
     /// Built paths (per client interface).
     pub paths: Vec<BuiltPath>,
-    /// The server's primary endpoint.
-    pub server_ep: Endpoint,
+    /// The flow this testbed carries.
+    transport: TransportSpec,
 }
 
 impl Testbed {
-    /// Build the topology from a spec: the one-client case of the shared
-    /// [`Topology`], every access path delivering straight to the client.
-    /// The server listens with an `HttpServer` per accepted connection.
-    pub fn build(spec: TestbedSpec) -> Testbed {
-        let mut topo = Topology::new(spec.seed);
-        let client_addrs = &CLIENT_ADDRS[..spec.paths.len()];
-        let server_ifs = if spec.dual_homed_server { 2 } else { 1 };
+    /// Build the testbed of one flow running `transport`: the one-client
+    /// case of the shared [`Topology`], each access path delivering
+    /// straight to the client. The server listens with an `HttpServer` per
+    /// accepted connection and the client's MPTCP configuration, with room
+    /// for every subflow (the default configuration for a single-path
+    /// flow); it is dual-homed iff the flow wants more than two subflows.
+    /// `capture` gives every path the paper's four tcpdump vantages,
+    /// registered on the hub and tapped on the link agents; taps are pure
+    /// observation, so a captured run is event-identical to a plain one.
+    pub fn build(
+        seed: u64,
+        paths: [PathSpec; 2],
+        transport: TransportSpec,
+        capture: Option<SharedHub>,
+    ) -> Testbed {
+        let server_mptcp = match &transport {
+            TransportSpec::Mptcp(cfg) => cfg.clone(),
+            TransportSpec::Plain { .. } => MptcpConfig::default(),
+        };
+        let server_ifs = if server_mptcp.max_subflows > 2 { 2 } else { 1 };
+        let mut topo = Topology::new(seed);
         let c_rng = topo.world.rng().stream("host.client");
         let s_rng = topo.world.rng().stream("host.server");
-        let client = topo.add_client(client_addrs.to_vec(), 0, c_rng);
+        let client = topo.add_client(CLIENT_ADDRS.to_vec(), 0, c_rng);
         let server = topo.add_server(SERVER_ADDRS[..server_ifs].to_vec(), s_rng);
-        for (i, pspec) in spec.paths.iter().enumerate() {
-            let strip = spec.strip_mptcp_on_path0 && i == 0;
-            let iface = [(client, i, client_addrs[i])];
-            let net = topo.add_access(pspec, &format!("path{i}"), &iface, strip);
-            if let Some(hub) = &spec.capture {
+        for (i, pspec) in paths.iter().enumerate() {
+            let net = topo.add_access(pspec, &format!("path{i}"), &[(client, i, CLIENT_ADDRS[i])]);
+            if let Some(hub) = &capture {
                 let vantages = hub.borrow_mut().add_path(i as u8);
                 topo.tap(net, hub.clone(), vantages);
             }
         }
-        topo.serve(SERVER_PORT, spec.server_mptcp);
+        topo.serve(SERVER_PORT, MptcpConfig { max_subflows: 8, ..server_mptcp });
         Testbed {
             paths: topo.paths,
             world: topo.world,
             client,
             server,
-            server_ep: Endpoint::new(SERVER_ADDRS[0], SERVER_PORT),
+            transport,
         }
     }
 
-    /// Build `spec`, open one flow running `app` over `transport` at 100 ms
-    /// (after the paper's warm-up pings) and run it to completion or
-    /// `horizon`. Returns the testbed, the flow's client slot and its
-    /// harvest.
+    /// Build the testbed of `transport` over `paths`, open its flow running
+    /// `app` at 100 ms (after the paper's warm-up pings) and run it to
+    /// completion or `horizon`. Returns the testbed, the flow's client slot
+    /// and its harvest.
     pub fn run_single(
-        spec: TestbedSpec,
+        seed: u64,
+        paths: [PathSpec; 2],
         transport: TransportSpec,
-        app: Box<dyn mpw_mptcp::App>,
+        app: Box<dyn App>,
         horizon: SimTime,
     ) -> (Testbed, usize, ClientFlow) {
-        let seed = spec.seed;
-        let mut tb = Testbed::build(spec);
-        let slot = tb.open_with_app(transport, app, SimTime::from_millis(100), true);
+        let mut tb = Testbed::build(seed, paths, transport, None);
+        let slot = tb.open_with_app(app, SimTime::from_millis(100), true);
         let flow = tb.run_flow(slot, horizon, &("single flow, seed", seed));
         (tb, slot, flow)
     }
 
-    /// Queue a wget download of `size` bytes starting at `at`, optionally
-    /// preceded by the paper's two warm-up pings on the cellular interface.
-    /// Returns the client slot index the result will appear in.
-    pub fn download(
-        &mut self,
-        spec: TransportSpec,
-        size: u64,
-        at: SimTime,
-        warmup_pings: bool,
-    ) -> usize {
-        self.open_with_app(spec, Box::new(Wget::new(size, false)), at, warmup_pings)
+    /// Queue the flow as a wget download of `size` bytes starting at `at`,
+    /// optionally preceded by the paper's two warm-up pings on the
+    /// cellular interface. Returns the client slot index the result will
+    /// appear in.
+    pub fn download(&mut self, size: u64, at: SimTime, warmup: bool) -> usize {
+        self.open_with_app(Box::new(Wget::new(size, false)), at, warmup)
     }
 
-    /// Queue an arbitrary app-driven connection (e.g. a streaming session).
-    pub fn open_with_app(
-        &mut self,
-        spec: TransportSpec,
-        app: Box<dyn mpw_mptcp::App>,
-        at: SimTime,
-        warmup_pings: bool,
-    ) -> usize {
+    /// Queue the flow driven by an arbitrary app (e.g. a streaming session).
+    pub fn open_with_app(&mut self, app: Box<dyn App>, at: SimTime, warmup: bool) -> usize {
         let req = OpenRequest {
             at,
-            spec,
-            remote: self.server_ep,
+            spec: self.transport.clone(),
+            remote: Endpoint::new(SERVER_ADDRS[0], SERVER_PORT),
             app,
-            warmup_pings: if warmup_pings { 2 } else { 0 },
-            warmup_if: 1,
+            warmup,
         };
         open_flow(&mut self.world, self.client, req)
     }
@@ -224,15 +174,40 @@ pub(crate) fn harvest(world: &World, client: AgentId, slot: usize) -> ClientFlow
 mod tests {
     use super::*;
     use crate::config::FlowConfig;
+    use mpw_mptcp::{Coupling, Transport};
 
     #[test]
     #[should_panic(expected = r#"(livelock) in ("budget test", 3)"#)]
     fn exhausting_the_event_budget_aborts_the_run_naming_it() {
-        let spec = TestbedSpec::two_path(3, mpw_link::wifi_home(0.0), mpw_link::att_lte());
-        let mut tb = Testbed::build(spec);
+        let paths = [mpw_link::wifi_home(0.0), mpw_link::att_lte()];
+        let transport = FlowConfig::mp2(Coupling::Coupled).transport();
+        let mut tb = Testbed::build(3, paths, transport, None);
         tb.world.set_event_budget(500);
-        let transport = FlowConfig::mp2(mpw_mptcp::Coupling::Coupled).transport();
-        let slot = tb.download(transport, 1 << 20, SimTime::from_millis(100), false);
+        let slot = tb.download(1 << 20, SimTime::from_millis(100), false);
         tb.run_flow(slot, SimTime::from_secs(60), &("budget test", 3));
+    }
+
+    /// The flow configures the server: a 4-path flow gets the second
+    /// interface, and the accepted connection runs the client's coupling
+    /// with room for every subflow, or is plain TCP for a single-path flow.
+    #[test]
+    fn the_flow_decides_the_servers_interfaces_and_config() {
+        for (flow, ifaces, coupling) in [
+            (FlowConfig::mp4(Coupling::Reno), 2, Some(Coupling::Reno)),
+            (FlowConfig::mp2(Coupling::Olia), 1, Some(Coupling::Olia)),
+            (FlowConfig::SpCellular, 1, None),
+        ] {
+            let paths = [mpw_link::wifi_home(0.0), mpw_link::att_lte()];
+            let mut tb = Testbed::build(5, paths, flow.transport(), None);
+            let slot = tb.download(64 << 10, SimTime::from_millis(100), false);
+            tb.run_flow(slot, SimTime::from_secs(60), &flow);
+            let server = tb.world.agent::<Host>(tb.server).expect("server");
+            assert_eq!(server.addrs().len(), ifaces, "{flow:?}");
+            let accepted = match server.transport(0).expect("the accepted connection") {
+                Transport::Mp(c) => Some((c.cfg.coupling, c.cfg.max_subflows)),
+                Transport::Sp(_) => None,
+            };
+            assert_eq!(accepted, coupling.map(|c| (c, 8)), "{flow:?}");
+        }
     }
 }

@@ -8,8 +8,8 @@
 use mpw_capture::CaptureHub;
 use mpw_experiments::testbed::HARVEST_MARK;
 use mpw_experiments::{
-    run_measurement_captured, sizes, FlowConfig, MeasurementRun, Scenario, Testbed, TestbedSpec,
-    WifiKind, CLIENT_ADDRS, SERVER_ADDRS,
+    run_measurement_captured, sizes, FlowConfig, MeasurementRun, Scenario, Testbed, WifiKind,
+    CLIENT_ADDRS, SERVER_ADDRS,
 };
 use mpw_link::{Carrier, DayPeriod, LinkConfig, PathSpec, Technology};
 use mpw_mptcp::{Coupling, SynMode};
@@ -147,7 +147,8 @@ fn a_frame_anywhere_between_the_hosts_keeps_the_world_busy() {
         bg_down: vec![],
         bg_up: vec![],
     };
-    let mut tb = Testbed::build(TestbedSpec::two_path(1, wired(), wired()));
+    let transport = FlowConfig::mp2(Coupling::Coupled).transport();
+    let mut tb = Testbed::build(1, [wired(), wired()], transport, None);
     let ip = IpHeader {
         src: CLIENT_ADDRS[0],
         dst: SERVER_ADDRS[0],

@@ -25,11 +25,11 @@ pub fn open_flow(world: &mut World, client: AgentId, req: OpenRequest) -> usize 
 /// ([`Host::is_quiescent`]) and both links of every path are
 /// foreground-idle at the current instant
 /// ([`LinkAgent::foreground_idle`]). A [`Topology`](crate::Topology) world
-/// holds frames nowhere else — its switches and middleboxes forward at
-/// zero delay, within the instant `run_until` has completed — so once this
-/// holds no host can run again until the harness opens another flow: only
-/// background sources, their frames and the sinks still have events. Ids
-/// that do not name a host or a link count as not quiescent.
+/// holds frames nowhere else — its switches forward at zero delay, within
+/// the instant `run_until` has completed — so once this holds no host can
+/// run again until the harness opens another flow: only background
+/// sources, their frames and the sinks still have events. Ids that do not
+/// name a host or a link count as not quiescent.
 pub fn quiescent(world: &World, hosts: &[AgentId], paths: &[BuiltPath]) -> bool {
     let now = world.now();
     let idle = |link| {
@@ -102,7 +102,6 @@ pub fn drive(
 #[cfg(test)]
 mod tests {
     use mpw_link::NullSink;
-    use mpw_mptcp::host::OptionStrippingMiddlebox;
     use mpw_sim::trace::TraceLevel;
     use mpw_sim::{Frame, Switch};
     use mpw_tcp::wire::{PingPacket, PROTO_PING};
@@ -111,16 +110,15 @@ mod tests {
     use super::*;
 
     /// [`quiescent`] looks for waiting frames in the links only: the other
-    /// two agents a [`Topology`](crate::Topology) puts between hosts must
-    /// hand a frame on within the instant they receive it.
+    /// agent a [`Topology`](crate::Topology) puts between hosts must hand a
+    /// frame on within the instant it receives it.
     #[test]
-    fn switches_and_middleboxes_forward_at_zero_delay() {
+    fn switches_forward_at_zero_delay() {
         let mut w = World::new(1, TraceLevel::Off);
         let sink = w.add_agent(Box::new(NullSink::recording()));
         let mut switch = Switch::new(|_| None);
         switch.set_default_route((sink, 0));
         let switch = w.add_agent(Box::new(switch));
-        let middlebox = w.add_agent(Box::new(OptionStrippingMiddlebox::new((switch, 0))));
         let at = SimTime::from_micros(1234);
         let ip = IpHeader {
             src: Addr::new(10, 0, 1, 2),
@@ -129,7 +127,7 @@ mod tests {
             ttl: 64,
         };
         let frame = Frame::new(encode_ping(&ip, &PingPacket { token: 7, reply: false }));
-        w.schedule(at, middlebox, Event::Frame { port: 0, frame });
+        w.schedule(at, switch, Event::Frame { port: 0, frame });
         w.run_until(at);
         assert_eq!(w.agent::<NullSink>(sink).expect("sink").arrivals, vec![at]);
     }

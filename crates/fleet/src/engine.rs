@@ -89,8 +89,7 @@ fn flow_request(class: ClientClass, spec: &FleetSpec, at: SimTime) -> OpenReques
             FleetWorkload::Download { size } => Box::new(Wget::new(*size, false)),
             FleetWorkload::Streaming { profile } => Box::new(StreamingClient::new(*profile)),
         },
-        warmup_pings: 0,
-        warmup_if: 0,
+        warmup: false,
     }
 }
 
@@ -159,8 +158,8 @@ pub fn run_fleet_windowed(
     }
     let s_rng = topo.world.rng().stream("fleet.server");
     let server = topo.add_server(vec![SERVER_ADDR], s_rng);
-    let wifi = topo.add_access(&spec.wifi.spec(spec.period), "fleet.wifi", &on_net[0], false);
-    let cell = topo.add_access(&spec.carrier.preset(), "fleet.cell", &on_net[1], false);
+    let wifi = topo.add_access(&spec.wifi.spec(spec.period), "fleet.wifi", &on_net[0]);
+    let cell = topo.add_access(&spec.carrier.preset(), "fleet.cell", &on_net[1]);
     topo.serve(SERVER_PORT, fleet_mptcp(8));
     let (wifi_path, cell_path) = (topo.paths[wifi], topo.paths[cell]);
     let mut world = topo.world;

@@ -12,7 +12,6 @@
 
 use mpw_http::HttpServer;
 use mpw_link::{build_path, BuiltPath, LinkAgent, LinkTap, PathSpec};
-use mpw_mptcp::host::OptionStrippingMiddlebox;
 use mpw_mptcp::{Host, MptcpConfig};
 use mpw_sim::tap::SharedObserver;
 use mpw_sim::trace::TraceLevel;
@@ -71,27 +70,16 @@ impl Topology {
     /// straight to a lone client, and through a [`Switch`] that fans frames
     /// out by destination address when there are two or more. `label`
     /// scopes the RNG streams of its links and background sources.
-    /// `strip_mptcp` puts an option-stripping middlebox in each direction
-    /// (the AT&T port-80 proxy of §3.1) and needs exactly one client.
     /// Returns the network's index in [`Self::paths`].
     pub fn add_access(
         &mut self,
         spec: &PathSpec,
         label: &str,
         clients: &[(AgentId, usize, Addr)],
-        strip_mptcp: bool,
     ) -> usize {
         let server = self.server();
         let index = self.paths.len();
         let (to_client, to_server) = match *clients {
-            [(client, ..)] if strip_mptcp => {
-                let up = OptionStrippingMiddlebox::new((server, 0));
-                let up = self.world.add_agent(Box::new(up));
-                let down = OptionStrippingMiddlebox::new((client, 0));
-                let down = self.world.add_agent(Box::new(down));
-                ((down, 0), (up, 0))
-            }
-            _ if strip_mptcp => panic!("an option-stripping access network serves one client"),
             [(client, if_index, _)] => ((client, if_index as u16), (server, index as u16)),
             _ => {
                 let mut switch = Switch::new(classify_dst);
@@ -178,7 +166,7 @@ mod tests {
             .collect();
         let rng = topo.world.rng().stream("server");
         topo.add_server(vec![SERVER], rng);
-        topo.add_access(&mpw_link::wired_lan(), "net", &clients, false);
+        topo.add_access(&mpw_link::wired_lan(), "net", &clients);
         topo.serve(8080, MptcpConfig::default());
         for &(client, ..) in &clients {
             let req = OpenRequest {
@@ -186,8 +174,7 @@ mod tests {
                 spec: TransportSpec::Plain { tcp: TcpConfig::default(), cc: CcConfig::default(), if_index: 0 },
                 remote: Endpoint::new(SERVER, 8080),
                 app: Box::new(Wget::new(16 << 10, false)),
-                warmup_pings: 0,
-                warmup_if: 0,
+                warmup: false,
             };
             open_flow(&mut topo.world, client, req);
         }

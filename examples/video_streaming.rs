@@ -7,7 +7,7 @@
 //! cargo run --release --example video_streaming
 //! ```
 
-use mpwild::experiments::{FlowConfig, Testbed, TestbedSpec, WifiKind};
+use mpwild::experiments::{FlowConfig, Testbed, WifiKind};
 use mpwild::http::{StreamingClient, StreamingProfile};
 use mpwild::link::{Carrier, DayPeriod};
 use mpwild::mptcp::{Coupling, Host};
@@ -32,14 +32,9 @@ fn main() {
         ("MP-2 + Sprint3G", FlowConfig::mp2(Coupling::Coupled), Carrier::Sprint),
     ] {
         let wifi = WifiKind::Home.spec(DayPeriod::Evening);
-        let spec = TestbedSpec::two_path(11, wifi, carrier.preset());
-        let mut tb = Testbed::build(spec);
-        let slot = tb.open_with_app(
-            flow.transport(),
-            Box::new(StreamingClient::new(profile)),
-            SimTime::from_millis(100),
-            true,
-        );
+        let mut tb = Testbed::build(11, [wifi, carrier.preset()], flow.transport(), None);
+        let app = Box::new(StreamingClient::new(profile));
+        let slot = tb.open_with_app(app, SimTime::from_millis(100), true);
         tb.world.run_until(SimTime::from_secs(400));
         let host = tb.world.agent_mut::<Host>(tb.client).expect("client host");
         let app = host.app::<StreamingClient>(slot).expect("streaming app");

@@ -6,7 +6,7 @@
 //! cargo run --release --example wifi_handover
 //! ```
 
-use mpwild::experiments::{FlowConfig, Testbed, TestbedSpec, WifiKind};
+use mpwild::experiments::{FlowConfig, Testbed, WifiKind};
 use mpwild::http::Wget;
 use mpwild::link::{Carrier, DayPeriod, LinkAgent, LossModel};
 use mpwild::mptcp::{Coupling, Host};
@@ -14,9 +14,8 @@ use mpwild::sim::SimTime;
 
 fn run_one(flow: FlowConfig, kill_wifi_at_s: u64) -> (Option<f64>, u64) {
     let wifi = WifiKind::Home.spec(DayPeriod::Evening);
-    let spec = TestbedSpec::two_path(21, wifi, Carrier::Att.preset());
-    let mut tb = Testbed::build(spec);
-    let slot = tb.download(flow.transport(), 8 << 20, SimTime::from_millis(100), true);
+    let mut tb = Testbed::build(21, [wifi, Carrier::Att.preset()], flow.transport(), None);
+    let slot = tb.download(8 << 20, SimTime::from_millis(100), true);
     // Run until the walk-away moment, then make WiFi drop everything.
     tb.world.run_until(SimTime::from_secs(kill_wifi_at_s));
     let (up, down) = (tb.paths[0].uplink, tb.paths[0].downlink);

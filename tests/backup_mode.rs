@@ -2,38 +2,27 @@
 //! discusses in §7): a subflow joined with the RFC 6824 'B' bit carries no
 //! traffic while regular paths are healthy, and takes over when they die.
 
-use mpwild::experiments::{Testbed, TestbedSpec, WifiKind};
+use mpwild::experiments::{Testbed, WifiKind};
 use mpwild::http::Wget;
 use mpwild::link::{Carrier, DayPeriod, LinkAgent, LossModel};
 use mpwild::mptcp::{Host, MptcpConfig, Transport, TransportSpec};
 use mpwild::sim::SimTime;
 
-fn backup_cfg() -> MptcpConfig {
-    MptcpConfig {
-        backup_ifs: vec![1], // cellular joins as backup
-        ..MptcpConfig::default()
-    }
+/// The testbed of one MPTCP flow running `cfg` at both ends.
+fn build(seed: u64, cfg: MptcpConfig) -> Testbed {
+    let wifi = WifiKind::Home.spec(DayPeriod::Night);
+    Testbed::build(seed, [wifi, Carrier::Att.preset()], TransportSpec::Mptcp(cfg), None)
 }
 
-fn build(seed: u64) -> Testbed {
-    let wifi = WifiKind::Home.spec(DayPeriod::Night);
-    let mut spec = TestbedSpec::two_path(seed, wifi, Carrier::Att.preset());
-    spec.server_mptcp = MptcpConfig {
-        max_subflows: 8,
-        ..backup_cfg()
-    };
-    Testbed::build(spec)
+/// The testbed of a flow whose cellular subflow joins as backup.
+fn build_backup(seed: u64) -> Testbed {
+    build(seed, MptcpConfig { backup_ifs: vec![1], ..MptcpConfig::default() })
 }
 
 #[test]
 fn backup_subflow_stays_idle_while_wifi_is_healthy() {
-    let mut tb = build(71);
-    let slot = tb.download(
-        TransportSpec::Mptcp(backup_cfg()),
-        4 << 20,
-        SimTime::from_millis(100),
-        true,
-    );
+    let mut tb = build_backup(71);
+    let slot = tb.download(4 << 20, SimTime::from_millis(100), true);
     tb.world.run_until(SimTime::from_secs(120));
     let host = tb.world.agent_mut::<Host>(tb.client).expect("client host");
     let w = host.app::<Wget>(slot).expect("wget");
@@ -57,13 +46,8 @@ fn backup_subflow_stays_idle_while_wifi_is_healthy() {
 
 #[test]
 fn backup_subflow_takes_over_when_wifi_dies() {
-    let mut tb = build(73);
-    let slot = tb.download(
-        TransportSpec::Mptcp(backup_cfg()),
-        4 << 20,
-        SimTime::from_millis(100),
-        true,
-    );
+    let mut tb = build_backup(73);
+    let slot = tb.download(4 << 20, SimTime::from_millis(100), true);
     tb.world.run_until(SimTime::from_secs(2));
     for link in [tb.paths[0].uplink, tb.paths[0].downlink] {
         tb.world
@@ -92,19 +76,8 @@ fn backup_subflow_takes_over_when_wifi_dies() {
 #[test]
 fn full_mptcp_mode_uses_both_paths_by_contrast() {
     // Same testbed, no backup flag: the cellular path carries real traffic.
-    let wifi = WifiKind::Home.spec(DayPeriod::Night);
-    let mut spec = TestbedSpec::two_path(71, wifi, Carrier::Att.preset());
-    spec.server_mptcp = MptcpConfig {
-        max_subflows: 8,
-        ..MptcpConfig::default()
-    };
-    let mut tb = Testbed::build(spec);
-    let slot = tb.download(
-        TransportSpec::Mptcp(MptcpConfig::default()),
-        4 << 20,
-        SimTime::from_millis(100),
-        true,
-    );
+    let mut tb = build(71, MptcpConfig::default());
+    let slot = tb.download(4 << 20, SimTime::from_millis(100), true);
     tb.world.run_until(SimTime::from_secs(120));
     let host = tb.world.agent_mut::<Host>(tb.client).expect("client host");
     match host.transport(slot) {

@@ -2,12 +2,10 @@
 //! (sim + link + tcp + mptcp + http + experiments), for every carrier and
 //! controller, with byte-level payload verification.
 
-use mpwild::experiments::{
-    run_measurement, sizes, FlowConfig, Scenario, Testbed, TestbedSpec, WifiKind,
-};
+use mpwild::experiments::{run_measurement, sizes, FlowConfig, Scenario, Testbed, WifiKind};
 use mpwild::http::Wget;
 use mpwild::link::{Carrier, DayPeriod};
-use mpwild::mptcp::{Coupling, Host, Transport, TransportSpec};
+use mpwild::mptcp::{Coupling, Host};
 use mpwild::sim::SimTime;
 
 fn scenario(flow: FlowConfig, carrier: Carrier, size: u64) -> Scenario {
@@ -24,38 +22,12 @@ fn scenario(flow: FlowConfig, carrier: Carrier, size: u64) -> Scenario {
 /// A verified (byte-checked) download through the full stack.
 fn verified_download(flow: FlowConfig, carrier: Carrier, size: u64, seed: u64) {
     let wifi = WifiKind::Home.spec(DayPeriod::Morning);
-    let mut spec = TestbedSpec::two_path(seed, wifi, carrier.preset());
-    spec.dual_homed_server = flow.needs_dual_homed_server();
-    if let TransportSpec::Mptcp(cfg) = flow.transport() {
-        spec.server_mptcp = mpwild::mptcp::MptcpConfig {
-            max_subflows: 8,
-            ..cfg
-        };
-    }
-    let mut tb = Testbed::build(spec);
-    let client = tb.client;
-    let server_ep = tb.server_ep;
-    {
-        let host = tb.world.agent_mut::<Host>(client).expect("client host");
-        host.queue_open(mpwild::mptcp::OpenRequest {
-            at: SimTime::from_millis(50),
-            spec: flow.transport(),
-            remote: server_ep,
-            app: Box::new(Wget::new(size, true)), // verify every body byte
-            warmup_pings: 2,
-            warmup_if: 1,
-        });
-    }
-    tb.world.schedule(
-        SimTime::from_millis(50),
-        client,
-        mpwild::sim::Event::Timer {
-            token: Host::open_token(),
-        },
-    );
+    let mut tb = Testbed::build(seed, [wifi, carrier.preset()], flow.transport(), None);
+    let app = Box::new(Wget::new(size, true)); // verify every body byte
+    let slot = tb.open_with_app(app, SimTime::from_millis(50), true);
     tb.world.run_until(SimTime::from_secs(600));
-    let host = tb.world.agent_mut::<Host>(client).expect("client host");
-    let w = host.app::<Wget>(0).expect("wget");
+    let host = tb.world.agent_mut::<Host>(tb.client).expect("client host");
+    let w = host.app::<Wget>(slot).expect("wget");
     assert!(
         w.is_done(),
         "{flow:?}/{carrier:?} {size}B did not complete"
@@ -170,27 +142,4 @@ fn cold_cellular_start_pays_rrc_promotion() {
         tc > tw + 0.2,
         "cold start ({tc:.3}s) should pay promotion vs warm ({tw:.3}s)"
     );
-}
-
-#[test]
-fn fallback_behind_stripping_middlebox_still_serves_http() {
-    let wifi = WifiKind::Home.spec(DayPeriod::Night);
-    let mut spec = TestbedSpec::two_path(23, wifi, Carrier::Att.preset());
-    spec.strip_mptcp_on_path0 = true;
-    let mut tb = Testbed::build(spec);
-    let slot = tb.download(
-        FlowConfig::mp2(Coupling::Coupled).transport(),
-        sizes::S512K,
-        SimTime::from_millis(50),
-        true,
-    );
-    tb.world.run_until(SimTime::from_secs(120));
-    let host = tb.world.agent_mut::<Host>(tb.client).expect("client host");
-    let w = host.app::<Wget>(slot).expect("wget");
-    assert!(w.is_done(), "fallback download incomplete");
-    assert_eq!(w.result.bytes, sizes::S512K);
-    match host.transport(slot) {
-        Some(Transport::Mp(c)) => assert!(c.fell_back(), "should have fallen back"),
-        _ => panic!("expected MPTCP transport"),
-    }
 }

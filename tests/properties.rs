@@ -2,7 +2,7 @@
 //! configurations, the stack must always deliver the exact byte stream, and
 //! identical seeds must be bit-identical.
 
-use mpwild::experiments::{FlowConfig, Testbed, TestbedSpec};
+use mpwild::experiments::{FlowConfig, Testbed};
 use mpwild::http::Wget;
 use mpwild::link::{wifi_home, Carrier, DayPeriod, Jitter, LossModel, PathSpec, RateLevel, RateProcess};
 use mpwild::mptcp::{Coupling, Host, SynMode};
@@ -64,34 +64,16 @@ proptest! {
         let size = size_kb * 1024;
         let coupling = Coupling::ALL[coupling_idx];
         let wifi = wifi_home(0.4);
-        let spec = TestbedSpec::two_path(seed, wifi, cell);
-        let mut tb = Testbed::build(spec);
         let flow = FlowConfig::Mp {
             paths: 2,
             coupling,
             syn_mode: if simultaneous { SynMode::Simultaneous } else { SynMode::Delayed },
         };
-        let client = tb.client;
-        let server_ep = tb.server_ep;
-        {
-            let host = tb.world.agent_mut::<Host>(client).expect("client host");
-            host.queue_open(mpwild::mptcp::OpenRequest {
-                at: SimTime::from_millis(50),
-                spec: flow.transport(),
-                remote: server_ep,
-                app: Box::new(Wget::new(size, true)),
-                warmup_pings: 2,
-                warmup_if: 1,
-            });
-        }
-        tb.world.schedule(
-            SimTime::from_millis(50),
-            client,
-            mpwild::sim::Event::Timer { token: Host::open_token() },
-        );
+        let mut tb = Testbed::build(seed, [wifi, cell], flow.transport(), None);
+        let slot = tb.open_with_app(Box::new(Wget::new(size, true)), SimTime::from_millis(50), true);
         tb.world.run_until(SimTime::from_secs(900));
-        let host = tb.world.agent_mut::<Host>(client).expect("client host");
-        let w = host.app::<Wget>(0).expect("wget");
+        let host = tb.world.agent_mut::<Host>(tb.client).expect("client host");
+        let w = host.app::<Wget>(slot).expect("wget");
         prop_assert!(w.is_done(), "transfer incomplete on {:?}", DayPeriod::Night);
         prop_assert_eq!(w.result.bytes, size);
         prop_assert_eq!(w.result.corrupt_bytes, 0);
@@ -102,14 +84,9 @@ proptest! {
     fn identical_seeds_are_bit_identical(seed in 0u64..1_000) {
         let run = || {
             let wifi = wifi_home(0.5);
-            let spec = TestbedSpec::two_path(seed, wifi, Carrier::Verizon.preset());
-            let mut tb = Testbed::build(spec);
-            let slot = tb.download(
-                FlowConfig::mp2(Coupling::Coupled).transport(),
-                128 * 1024,
-                SimTime::from_millis(50),
-                true,
-            );
+            let transport = FlowConfig::mp2(Coupling::Coupled).transport();
+            let mut tb = Testbed::build(seed, [wifi, Carrier::Verizon.preset()], transport, None);
+            let slot = tb.download(128 * 1024, SimTime::from_millis(50), true);
             tb.world.run_until(SimTime::from_secs(120));
             let events = tb.world.events_processed();
             let host = tb.world.agent_mut::<Host>(tb.client).expect("client");

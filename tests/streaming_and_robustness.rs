@@ -2,7 +2,7 @@
 //! stack: periodic-block playback deadlines, path death mid-transfer, and
 //! recovery behaviour.
 
-use mpwild::experiments::{FlowConfig, Testbed, TestbedSpec, WifiKind};
+use mpwild::experiments::{FlowConfig, Testbed, WifiKind};
 use mpwild::http::{StreamingClient, StreamingProfile, Wget};
 use mpwild::link::{Carrier, DayPeriod, LinkAgent, LossModel};
 use mpwild::mptcp::{Coupling, Host};
@@ -15,20 +15,9 @@ fn streaming_session(
     seed: u64,
 ) -> (u32, Vec<f64>) {
     let wifi = WifiKind::Home.spec(DayPeriod::Evening);
-    let mut spec = TestbedSpec::two_path(seed, wifi, carrier.preset());
-    if let mpwild::mptcp::TransportSpec::Mptcp(cfg) = flow.transport() {
-        spec.server_mptcp = mpwild::mptcp::MptcpConfig {
-            max_subflows: 8,
-            ..cfg
-        };
-    }
-    let mut tb = Testbed::build(spec);
-    let slot = tb.open_with_app(
-        flow.transport(),
-        Box::new(StreamingClient::new(profile)),
-        SimTime::from_millis(100),
-        true,
-    );
+    let mut tb = Testbed::build(seed, [wifi, carrier.preset()], flow.transport(), None);
+    let app = Box::new(StreamingClient::new(profile));
+    let slot = tb.open_with_app(app, SimTime::from_millis(100), true);
     tb.world.run_until(SimTime::from_secs(300));
     let host = tb.world.agent_mut::<Host>(tb.client).expect("client host");
     let app = host.app::<StreamingClient>(slot).expect("streaming app");
@@ -59,14 +48,10 @@ fn streaming_over_mptcp_meets_deadlines_on_lte() {
 fn streaming_blocks_arrive_in_period_order() {
     let profile = StreamingProfile::miniature(6);
     let wifi = WifiKind::Home.spec(DayPeriod::Night);
-    let spec = TestbedSpec::two_path(37, wifi, Carrier::Att.preset());
-    let mut tb = Testbed::build(spec);
-    let slot = tb.open_with_app(
-        FlowConfig::mp2(Coupling::Coupled).transport(),
-        Box::new(StreamingClient::new(profile)),
-        SimTime::from_millis(100),
-        true,
-    );
+    let transport = FlowConfig::mp2(Coupling::Coupled).transport();
+    let mut tb = Testbed::build(37, [wifi, Carrier::Att.preset()], transport, None);
+    let app = Box::new(StreamingClient::new(profile));
+    let slot = tb.open_with_app(app, SimTime::from_millis(100), true);
     tb.world.run_until(SimTime::from_secs(120));
     let host = tb.world.agent_mut::<Host>(tb.client).expect("client host");
     let app = host.app::<StreamingClient>(slot).expect("app");
@@ -123,14 +108,9 @@ fn sprint_heterogeneity_risks_deadlines_more_than_lte() {
 #[test]
 fn cellular_death_mid_transfer_survives_on_wifi() {
     let wifi = WifiKind::Home.spec(DayPeriod::Night);
-    let spec = TestbedSpec::two_path(43, wifi, Carrier::Att.preset());
-    let mut tb = Testbed::build(spec);
-    let slot = tb.download(
-        FlowConfig::mp2(Coupling::Coupled).transport(),
-        4 << 20,
-        SimTime::from_millis(100),
-        true,
-    );
+    let transport = FlowConfig::mp2(Coupling::Coupled).transport();
+    let mut tb = Testbed::build(43, [wifi, Carrier::Att.preset()], transport, None);
+    let slot = tb.download(4 << 20, SimTime::from_millis(100), true);
     tb.world.run_until(SimTime::from_secs(2));
     let (up, down) = (tb.paths[1].uplink, tb.paths[1].downlink);
     for link in [up, down] {
@@ -152,14 +132,9 @@ fn transient_wifi_outage_recovers_without_reset() {
     // connection reset), and the transfer should complete.
     let wifi = WifiKind::Home.spec(DayPeriod::Night);
     let wifi_loss = wifi.down.loss.clone();
-    let spec = TestbedSpec::two_path(47, wifi, Carrier::Att.preset());
-    let mut tb = Testbed::build(spec);
-    let slot = tb.download(
-        FlowConfig::mp2(Coupling::Coupled).transport(),
-        8 << 20,
-        SimTime::from_millis(100),
-        true,
-    );
+    let transport = FlowConfig::mp2(Coupling::Coupled).transport();
+    let mut tb = Testbed::build(47, [wifi, Carrier::Att.preset()], transport, None);
+    let slot = tb.download(8 << 20, SimTime::from_millis(100), true);
     tb.world.run_until(SimTime::from_secs(2));
     let (up, down) = (tb.paths[0].uplink, tb.paths[0].downlink);
     for link in [up, down] {
