@@ -1,18 +1,19 @@
 //! The host agent: interfaces, routing, socket/connection demultiplexing,
 //! listeners, ping (antenna warm-up), and application driving.
 //!
-//! A [`Host`] is an [`mpw_sim::Agent`] owning any number of transports
-//! (MPTCP connections or plain TCP sockets) plus the applications using
-//! them. It serializes outgoing segments to wire bytes, routes them out the
-//! correct interface (clients route by the socket's bound interface, servers
-//! by destination address), and parses/demultiplexes everything that
-//! arrives — including MP_JOIN SYNs matched by connection token, exactly as
-//! the kernel implementation does.
+//! A [`Host`] is an [`mpw_sim::Agent`] owning its transports (MPTCP
+//! connections or plain TCP sockets) plus the applications using them: a
+//! client opens exactly one, a server accepts any number. It serializes
+//! outgoing segments to wire bytes, routes them out the correct interface
+//! (clients route by the socket's bound interface, servers by destination
+//! address), and parses/demultiplexes everything that arrives — including
+//! MP_JOIN SYNs matched by connection token, exactly as the kernel
+//! implementation does.
 //!
 //! The host keeps no calendar of its own. Each connection slot holds one
 //! cancellable engine timer at the earlier of its transport's next timeout
-//! and its app's next wakeup, and each warming open holds one for its 2 s
-//! ping deadline. Slots due at the same instant fire as separate events, in
+//! and its app's next wakeup, and a warming open holds one for its 2 s ping
+//! deadline. Slots due at the same instant fire as separate events, in
 //! the engine's `(at, seq)` order.
 
 use std::any::Any;
@@ -216,7 +217,8 @@ impl Slot {
     }
 }
 
-/// A queued outgoing connection request (activated by a scheduled timer).
+/// A host's one outgoing connection request (activated by a scheduled
+/// timer).
 pub struct OpenRequest {
     /// When to begin (the harness schedules a matching timer event).
     pub at: SimTime,
@@ -276,7 +278,9 @@ pub struct Host {
     tokens: BTreeMap<u32, usize>,
     /// JOIN SYNs that arrived before their MP_CAPABLE (simultaneous mode).
     pending_joins: Vec<(u32, Endpoint, Endpoint, TcpSegment, SimTime)>,
-    pending_opens: Vec<PendingOpen>,
+    /// The outgoing connection, until it opens. Boxed: a client holds it
+    /// only until then, and a server holds none.
+    open: Option<Box<PendingOpen>>,
     /// Completed ping RTTs.
     pub ping_rtts: Vec<SimDuration>,
     /// Warm-up pings awaiting a reply: token → send time.
@@ -316,7 +320,7 @@ impl Host {
             demux: BTreeMap::new(),
             tokens: BTreeMap::new(),
             pending_joins: Vec::new(),
-            pending_opens: Vec::new(),
+            open: None,
             ping_rtts: Vec::new(),
             ping_sent_at: BTreeMap::new(),
             next_conn_id: conn_id_base,
@@ -349,14 +353,23 @@ impl Host {
         self.app_factory = Some(factory);
     }
 
-    /// Queue an outgoing connection. The caller must also schedule
+    /// Queue the host's outgoing connection. The caller must also schedule
     /// `Event::Timer { token: Host::open_token() }` on this host at
-    /// `req.at` (or any time ≥ it).
-    pub fn queue_open(&mut self, req: OpenRequest) {
-        self.pending_opens.push(PendingOpen::Queued(req));
+    /// `req.at` (or any time ≥ it). A host opens one connection: while an
+    /// open is queued or warming, or once the host holds a slot, the
+    /// request is refused and handed back untouched.
+    pub fn queue_open(&mut self, req: OpenRequest) -> Result<(), Box<OpenRequest>> {
+        if self.open.is_some() || !self.slots.is_empty() {
+            return Err(Box::new(req));
+        }
+        self.open = Some(Box::new(PendingOpen::Queued(req)));
+        Ok(())
     }
 
-    /// The timer token that activates queued opens.
+    /// The timer token that activates the queued open. Its event also
+    /// flushes the host, so the handover runner schedules it at the instant
+    /// it mutated a transport through [`Host::transport_mut`]: what the
+    /// mutation produced leaves then, not at the next unrelated event.
     pub fn open_token() -> u64 {
         TOKEN_OPEN
     }
@@ -371,18 +384,12 @@ impl Host {
         self.slots.len()
     }
 
-    /// Queued opens not yet activated (they will take the next slots in
-    /// queue order).
-    pub fn pending_open_count(&self) -> usize {
-        self.pending_opens.len()
-    }
-
     /// Whether this host will do nothing more unless a frame reaches it: no
     /// open is queued or warming, no slot waits to be pumped and no slot
     /// holds a wakeup. Only a frame from the network (or a harness call
     /// that dirties a slot or queues an open) can end the state.
     pub fn is_quiescent(&self) -> bool {
-        self.pending_opens.is_empty()
+        self.open.is_none()
             && self.dirty.is_empty()
             && self.slots.iter().all(|s| s.timer.is_none())
     }
@@ -584,67 +591,52 @@ impl Host {
         self.flush(ctx);
     }
 
-    fn process_opens(&mut self, ctx: &mut Ctx<'_>) {
+    fn process_open(&mut self, ctx: &mut Ctx<'_>) {
         let now = ctx.now();
-        let mut pending = std::mem::take(&mut self.pending_opens);
-        let mut keep = Vec::new();
-        for p in pending.drain(..) {
-            match p {
-                PendingOpen::Queued(req) if req.at <= now => {
-                    if req.warmup {
-                        let mut tokens_left = 0;
-                        for _ in 0..WARMUP_PINGS {
-                            let token = self.rng.next_u64();
-                            let ip = IpHeader {
-                                src: self.addrs[WARMUP_IF as usize % self.addrs.len()],
-                                dst: req.remote.addr,
-                                protocol: mpw_tcp::wire::PROTO_PING,
-                                ttl: 64,
-                            };
-                            let bytes = encode_ping(&ip, &PingPacket { token, reply: false });
-                            if let Some(egress) = self.egress_for(WARMUP_IF, req.remote.addr)
-                            {
-                                ctx.send_frame(egress, 0, SimDuration::ZERO, Frame::new(bytes));
-                                self.ping_sent_at.insert(token, now);
-                                tokens_left += 1;
-                            }
-                        }
-                        if tokens_left > 0 {
-                            let wait = SimDuration::from_secs(2);
-                            keep.push(PendingOpen::Warming {
-                                req,
-                                tokens_left,
-                                deadline: now + wait,
-                                timer: ctx.arm_timer(wait, TOKEN_OPEN),
-                            });
-                            continue;
+        let Some(open) = self.open.take() else {
+            return;
+        };
+        match *open {
+            PendingOpen::Queued(req) if req.at <= now => {
+                if req.warmup {
+                    let mut tokens_left = 0;
+                    for _ in 0..WARMUP_PINGS {
+                        let token = self.rng.next_u64();
+                        let ip = IpHeader {
+                            src: self.addrs[WARMUP_IF as usize % self.addrs.len()],
+                            dst: req.remote.addr,
+                            protocol: mpw_tcp::wire::PROTO_PING,
+                            ttl: 64,
+                        };
+                        let bytes = encode_ping(&ip, &PingPacket { token, reply: false });
+                        if let Some(egress) = self.egress_for(WARMUP_IF, req.remote.addr) {
+                            ctx.send_frame(egress, 0, SimDuration::ZERO, Frame::new(bytes));
+                            self.ping_sent_at.insert(token, now);
+                            tokens_left += 1;
                         }
                     }
-                    self.open_now(req, now);
-                }
-                PendingOpen::Warming {
-                    req,
-                    tokens_left,
-                    deadline,
-                    timer,
-                } => {
-                    if tokens_left == 0 || now >= deadline {
-                        // A no-op when this very timer is what fired.
-                        ctx.cancel_timer(timer);
-                        self.open_now(req, now);
-                    } else {
-                        keep.push(PendingOpen::Warming {
+                    if tokens_left > 0 {
+                        let wait = SimDuration::from_secs(2);
+                        self.open = Some(Box::new(PendingOpen::Warming {
                             req,
                             tokens_left,
-                            deadline,
-                            timer,
-                        });
+                            deadline: now + wait,
+                            timer: ctx.arm_timer(wait, TOKEN_OPEN),
+                        }));
+                        return;
                     }
                 }
-                other => keep.push(other),
+                self.open_now(req, now);
             }
+            PendingOpen::Warming { req, tokens_left, deadline, timer }
+                if tokens_left == 0 || now >= deadline =>
+            {
+                // A no-op when this very timer is what fired.
+                ctx.cancel_timer(timer);
+                self.open_now(req, now);
+            }
+            _ => self.open = Some(open),
         }
-        self.pending_opens = keep;
     }
 
     fn open_now(&mut self, req: OpenRequest, now: SimTime) {
@@ -710,12 +702,10 @@ impl Host {
         // A reply to one of our warm-up pings.
         if let Some(sent) = self.ping_sent_at.remove(&ping.token) {
             self.ping_rtts.push(ctx.now().saturating_since(sent));
-            for p in &mut self.pending_opens {
-                if let PendingOpen::Warming { tokens_left, .. } = p {
-                    *tokens_left = tokens_left.saturating_sub(1);
-                }
+            if let Some(PendingOpen::Warming { tokens_left, .. }) = self.open.as_deref_mut() {
+                *tokens_left = tokens_left.saturating_sub(1);
             }
-            self.process_opens(ctx);
+            self.process_open(ctx);
         }
     }
 
@@ -926,7 +916,7 @@ impl Agent for Host {
             }
             Event::Timer { token } => {
                 if token == TOKEN_OPEN {
-                    self.process_opens(ctx);
+                    self.process_open(ctx);
                     self.flush(ctx);
                 } else if token & TOKEN_SLOT != 0 {
                     self.on_slot_timer((token & !TOKEN_SLOT) as usize, ctx);
@@ -935,39 +925,6 @@ impl Agent for Host {
         }
         // The host's only exit: whatever the event was, the oracle runs.
         self.debug_check("handle");
-    }
-}
-
-/// A transparent middlebox that strips MPTCP options from every TCP segment
-/// passing through — modelling the AT&T port-80 web proxy that forced the
-/// paper's testbed onto port 8080 (§3.1). Insert one per direction.
-pub struct OptionStrippingMiddlebox {
-    egress: (AgentId, u16),
-    /// Segments rewritten so far.
-    pub stripped: u64,
-}
-
-impl OptionStrippingMiddlebox {
-    /// Forward frames to `egress` after stripping MPTCP options.
-    pub fn new(egress: (AgentId, u16)) -> Self {
-        OptionStrippingMiddlebox { egress, stripped: 0 }
-    }
-}
-
-impl Agent for OptionStrippingMiddlebox {
-    fn handle(&mut self, ev: Event, ctx: &mut Ctx<'_>) {
-        if let Event::Frame { frame, .. } = ev {
-            let out = mpw_tcp::strip_mptcp_options(&frame.bytes);
-            if out.len() != frame.bytes.len() {
-                self.stripped += 1;
-            }
-            ctx.send_frame(
-                self.egress.0,
-                self.egress.1,
-                SimDuration::ZERO,
-                Frame::tagged(out, frame.meta),
-            );
-        }
     }
 }
 
@@ -1057,7 +1014,7 @@ mod tests {
         let spec = TransportSpec::Plain { tcp: TcpConfig::default(), cc: CcConfig::default(), if_index: 0 };
         let remote = Endpoint::new(Addr::new(10, 0, 1, 2), 8080);
         let app = Box::new(Alarm(Some(ms(50))));
-        host.queue_open(OpenRequest { at: SimTime::ZERO, spec, remote, app, warmup: false });
+        assert!(host.queue_open(OpenRequest { at: SimTime::ZERO, spec, remote, app, warmup: false }).is_ok());
         let host = w.add_agent(Box::new(host));
         w.schedule(SimTime::ZERO, host, Event::Timer { token: TOKEN_OPEN });
         w.run_until(ms(10));
@@ -1086,7 +1043,7 @@ mod tests {
             let spec = TransportSpec::Plain { tcp: TcpConfig::default(), cc: CcConfig::default(), if_index: 0 };
             let remote = Endpoint::new(Addr::new(10, 0, 1, 2), 8080);
             let app = Box::new(Alarm(Some(ms(50))));
-            host.queue_open(OpenRequest { at: SimTime::ZERO, spec, remote, app, warmup: false });
+            assert!(host.queue_open(OpenRequest { at: SimTime::ZERO, spec, remote, app, warmup: false }).is_ok());
             let host = w.add_agent(Box::new(host));
             w.schedule(SimTime::ZERO, host, Event::Timer { token: TOKEN_OPEN });
             w.run_until(ms(10));

@@ -3,14 +3,16 @@
 //! driver builds on.
 
 use bytes::Bytes;
-use mpw_link::{att_lte, build_path, sprint_evdo, wifi_home, BuiltPath, LossModel, PathSpec};
-use mpw_mptcp::host::OptionStrippingMiddlebox;
+use mpw_link::{
+    att_lte, build_path, sprint_evdo, wifi_home, BuiltPath, LossModel, NullSink, PathSpec,
+};
 use mpw_mptcp::{
     App, Coupling, Host, MptcpConfig, OpenRequest, SynMode, Transport, TransportSpec,
 };
 use mpw_sim::trace::TraceLevel;
-use mpw_sim::{AgentId, Event, SimDuration, SimTime, World};
-use mpw_tcp::{Addr, Endpoint};
+use mpw_sim::{Agent, AgentId, Ctx, Event, Frame, SimDuration, SimTime, World};
+use mpw_tcp::wire::{self, tcp_flags};
+use mpw_tcp::{Addr, Endpoint, MptcpOption, SeqNum, TcpOption, TcpSegment};
 
 // ---------------------------------------------------------------------
 // Minimal applications (the real HTTP layer lives in mpw-http).
@@ -77,6 +79,43 @@ impl App for SinkClient {
         if conn.peer_closed() && self.completed_at.is_none() {
             self.completed_at = Some(now);
             conn.close();
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Middlebox
+// ---------------------------------------------------------------------
+
+/// A transparent middlebox that strips MPTCP options from every TCP segment
+/// passing through — modelling the AT&T port-80 web proxy that forced the
+/// paper's testbed onto port 8080 (§3.1). Insert one per direction.
+struct OptionStrippingMiddlebox {
+    egress: (AgentId, u16),
+    /// Segments rewritten so far.
+    stripped: u64,
+}
+
+impl OptionStrippingMiddlebox {
+    /// Forward frames to `egress` after stripping MPTCP options.
+    fn new(egress: (AgentId, u16)) -> Self {
+        OptionStrippingMiddlebox { egress, stripped: 0 }
+    }
+}
+
+impl Agent for OptionStrippingMiddlebox {
+    fn handle(&mut self, ev: Event, ctx: &mut Ctx<'_>) {
+        if let Event::Frame { frame, .. } = ev {
+            let out = mpw_tcp::strip_mptcp_options(&frame.bytes);
+            if out.len() != frame.bytes.len() {
+                self.stripped += 1;
+            }
+            ctx.send_frame(
+                self.egress.0,
+                self.egress.1,
+                SimDuration::ZERO,
+                Frame::tagged(out, frame.meta),
+            );
         }
     }
 }
@@ -168,13 +207,14 @@ impl Rig {
     fn open(&mut self, spec: TransportSpec, at: SimTime, verify: bool) {
         let server_ep = self.server_ep;
         let host = self.world.agent_mut::<Host>(self.client).unwrap();
-        host.queue_open(OpenRequest {
+        let req = OpenRequest {
             at,
             spec,
             remote: server_ep,
             app: Box::new(SinkClient::new(verify)),
             warmup: false,
-        });
+        };
+        assert!(host.queue_open(req).is_ok(), "the client's one open");
         self.world
             .schedule(at, self.client, Event::Timer { token: Host::open_token() });
     }
@@ -403,4 +443,33 @@ fn single_path_plain_tcp_through_rig() {
     assert_eq!(app.received.len(), 100_000);
     let sp = host.transport(0).unwrap().as_sp().unwrap();
     assert_eq!(sp.stats().loss_rate(), 0.0, "LTE + ARQ should hide loss");
+}
+
+#[test]
+fn middlebox_strips_and_counts() {
+    let frame = |seg: &TcpSegment| {
+        let ip = wire::IpHeader {
+            src: CLIENT_ADDRS[0],
+            dst: SERVER_ADDRS[0],
+            protocol: wire::PROTO_TCP,
+            ttl: 64,
+        };
+        Frame::new(wire::encode_packet(&ip, seg))
+    };
+    let mut w = World::new(1, TraceLevel::Off);
+    let sink = w.add_agent(Box::new(NullSink::recording()));
+    let mbox = w.add_agent(Box::new(OptionStrippingMiddlebox::new((sink, 0))));
+    let mut syn = TcpSegment::bare(1, 2, SeqNum(0), SeqNum(0), tcp_flags::SYN);
+    syn.options = [
+        TcpOption::Mss(1400),
+        TcpOption::Mptcp(MptcpOption::Capable { key_local: 1, key_remote: None }),
+    ]
+    .into();
+    w.schedule(SimTime::ZERO, mbox, Event::Frame { port: 0, frame: frame(&syn) });
+    // A bare segment without MPTCP options passes untouched.
+    let bare = TcpSegment::bare(1, 2, SeqNum(9), SeqNum(0), tcp_flags::ACK);
+    w.schedule(SimTime::ZERO, mbox, Event::Frame { port: 0, frame: frame(&bare) });
+    w.run_until_idle();
+    assert_eq!(w.agent::<NullSink>(sink).unwrap().frames, 2);
+    assert_eq!(w.agent::<OptionStrippingMiddlebox>(mbox).unwrap().stripped, 1);
 }

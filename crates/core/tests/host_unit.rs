@@ -1,8 +1,7 @@
 //! Host-agent behaviours in isolation: ping echo, RST generation for
-//! unknown destinations, listener demux, wakeups and middlebox counters.
+//! unknown destinations, listener demux, the one open and wakeups.
 
 use mpw_link::NullSink;
-use mpw_mptcp::host::OptionStrippingMiddlebox;
 use mpw_mptcp::{App, Host, MptcpConfig, NullApp, OpenRequest, Transport, TransportSpec};
 use mpw_sim::trace::TraceLevel;
 use mpw_sim::{Agent, AgentId, Ctx, Event, Frame, SimDuration, SimTime, World};
@@ -12,13 +11,24 @@ use mpw_tcp::{Addr, Endpoint, MptcpOption, SeqNum, TcpOption, TcpSegment};
 const HOST_ADDR: Addr = Addr::new(192, 168, 1, 1);
 const OTHER_ADDR: Addr = Addr::new(10, 0, 1, 2);
 
-/// Queue a plain TCP open to `OTHER_ADDR:8080` on `host` at `at`.
-fn open_at(w: &mut World, host: AgentId, at: SimTime, app: Box<dyn App>, warmup: bool) {
+/// A plain TCP open to `OTHER_ADDR:8080` at `at`.
+fn request(at: SimTime, app: Box<dyn App>, warmup: bool) -> OpenRequest {
     let spec = TransportSpec::Plain { tcp: Default::default(), cc: Default::default(), if_index: 0 };
-    let remote = Endpoint::new(OTHER_ADDR, 8080);
-    let req = OpenRequest { at, spec, remote, app, warmup };
-    w.agent_mut::<Host>(host).unwrap().queue_open(req);
+    OpenRequest { at, spec, remote: Endpoint::new(OTHER_ADDR, 8080), app, warmup }
+}
+
+/// Queue `req` on `host` and schedule its activation, handing the request
+/// back if the host refuses it.
+fn queue(w: &mut World, host: AgentId, req: OpenRequest) -> Result<(), Box<OpenRequest>> {
+    let at = req.at;
+    w.agent_mut::<Host>(host).unwrap().queue_open(req)?;
     w.schedule(at, host, Event::Timer { token: Host::open_token() });
+    Ok(())
+}
+
+/// Queue the host's one plain TCP open to `OTHER_ADDR:8080` at `at`.
+fn open_at(w: &mut World, host: AgentId, at: SimTime, app: Box<dyn App>, warmup: bool) {
+    assert!(queue(w, host, request(at, app, warmup)).is_ok(), "the host's one open");
 }
 
 /// Captures every frame it receives, parsed.
@@ -249,25 +259,63 @@ impl App for Closer {
     }
 }
 
+/// Closes its side once the peer has closed: the passive end of a
+/// teardown.
+struct CloseAfterPeer;
+
+impl App for CloseAfterPeer {
+    fn poll(&mut self, conn: &mut Transport, _now: SimTime) {
+        if conn.peer_closed() && !conn.is_finished() {
+            conn.close();
+        }
+    }
+}
+
+#[test]
+fn a_second_open_is_refused_and_leaves_the_first_flow_alone() {
+    let (mut w, host, cap) = world_with_host();
+    let ms = SimTime::from_millis;
+    open_at(&mut w, host, ms(50), Box::new(NullApp), false);
+    // Refused while the first open is queued, though it would start sooner.
+    let refused = queue(&mut w, host, request(ms(10), Box::new(NullApp), false));
+    assert_eq!(refused.err().map(|r| r.at), Some(ms(10)), "handed back untouched");
+    w.run_until(ms(100));
+    // Refused once the first holds its slot.
+    let refused = queue(&mut w, host, request(ms(100), Box::new(NullApp), false));
+    assert_eq!(refused.err().map(|r| r.at), Some(ms(100)));
+    w.run_until(ms(200));
+    let h = w.agent::<Host>(host).unwrap();
+    assert_eq!(h.slot_count(), 1);
+    assert_eq!(h.transport(0).unwrap().opened_at(), ms(50));
+    let syns = w.agent::<Capture>(cap).unwrap().packets.iter().filter(|p| {
+        matches!(p, wire::Packet::Tcp(_, s) if s.has(tcp_flags::SYN))
+    });
+    assert_eq!(syns.count(), 1, "only the first open's SYN left");
+}
+
 #[test]
 fn two_slots_keep_separate_wakeups_until_both_leave_time_wait() {
-    // Zero-delay wiring: each connection opens and closes within its open
-    // instant and then holds only its 500 ms TIME_WAIT — slot 0 until
-    // 500 ms, slot 1 until 800 ms.
+    // Zero-delay wiring: two one-flow clients open at 0 and 300 ms. Each
+    // server slot closes first, so it, not its client, holds the 500 ms
+    // TIME_WAIT — slot 0 until 500 ms, slot 1 until 800 ms.
     let mut w = World::new(3, TraceLevel::Off);
-    let client = w.add_agent(Box::new(Host::new(vec![HOST_ADDR], 0, w.rng().stream("client"))));
     let mut server = Host::new(vec![OTHER_ADDR], 1_000, w.rng().stream("server"));
-    server.set_iface_link(0, client);
     let factory = Box::new(|_| Box::new(Closer(false)) as Box<dyn App>);
     server.listen(8080, MptcpConfig::default(), factory);
     let server = w.add_agent(Box::new(server));
-    w.agent_mut::<Host>(client).unwrap().set_iface_link(0, server);
     let ms = SimTime::from_millis;
-    for at in [ms(0), ms(300)] {
-        open_at(&mut w, client, at, Box::new(Closer(false)), false);
+    let mut clients = Vec::new();
+    for (i, at) in [ms(0), ms(300)].into_iter().enumerate() {
+        let addr = Addr::new(192, 168, 1, 1 + i as u8);
+        let mut client = Host::new(vec![addr], 0, w.rng().substream("client", i as u64));
+        client.set_iface_link(0, server);
+        let client = w.add_agent(Box::new(client));
+        w.agent_mut::<Host>(server).unwrap().add_route(addr, client);
+        open_at(&mut w, client, at, Box::new(CloseAfterPeer), false);
+        clients.push(client);
     }
     let finished = |w: &World| {
-        let h = w.agent::<Host>(client).unwrap();
+        let h = w.agent::<Host>(server).unwrap();
         let done = |slot| h.transport(slot).unwrap().is_finished();
         (done(0), done(1), h.is_quiescent())
     };
@@ -277,33 +325,8 @@ fn two_slots_keep_separate_wakeups_until_both_leave_time_wait() {
     assert_eq!(finished(&w), (true, false, false), "slot 0's wakeup fired alone");
     w.run_until(ms(900));
     assert_eq!(finished(&w), (true, true, true), "quiescent once both are closed");
-    assert!(w.agent::<Host>(server).unwrap().is_quiescent());
-}
-
-#[test]
-fn middlebox_strips_and_counts() {
-    let mut w = World::new(1, TraceLevel::Off);
-    let sink = w.add_agent(Box::new(NullSink::recording()));
-    let mbox = w.add_agent(Box::new(OptionStrippingMiddlebox::new((sink, 0))));
-    let mut syn = TcpSegment::bare(1, 2, SeqNum(0), SeqNum(0), tcp_flags::SYN);
-    syn.options = [
-        TcpOption::Mss(1400),
-        TcpOption::Mptcp(MptcpOption::Capable { key_local: 1, key_remote: None }),
-    ]
-    .into();
-    w.schedule(
-        SimTime::ZERO,
-        mbox,
-        Event::Frame { port: 0, frame: tcp_frame(&syn, OTHER_ADDR, HOST_ADDR) },
-    );
-    // A bare segment without MPTCP options passes untouched.
-    let bare = TcpSegment::bare(1, 2, SeqNum(9), SeqNum(0), tcp_flags::ACK);
-    w.schedule(
-        SimTime::ZERO,
-        mbox,
-        Event::Frame { port: 0, frame: tcp_frame(&bare, OTHER_ADDR, HOST_ADDR) },
-    );
-    w.run_until_idle();
-    assert_eq!(w.agent::<NullSink>(sink).unwrap().frames, 2);
-    assert_eq!(w.agent::<OptionStrippingMiddlebox>(mbox).unwrap().stripped, 1);
+    for client in clients {
+        let h = w.agent::<Host>(client).unwrap();
+        assert!(h.transport(0).unwrap().is_finished() && h.is_quiescent());
+    }
 }

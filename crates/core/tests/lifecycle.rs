@@ -128,13 +128,14 @@ impl Rig {
     fn open(&mut self, cfg: MptcpConfig, at: SimTime) {
         let client = self.client;
         let host = self.world.agent_mut::<Host>(client).unwrap();
-        host.queue_open(OpenRequest {
+        let req = OpenRequest {
             at,
             spec: TransportSpec::Mptcp(cfg),
             remote: Endpoint::new(SERVER_ADDR, 8080),
             app: Box::new(SinkClient { received: 0, completed_at: None }),
             warmup: false,
-        });
+        };
+        assert!(host.queue_open(req).is_ok(), "the client's one open");
         self.world
             .schedule(at, client, Event::Timer { token: Host::open_token() });
     }

@@ -79,8 +79,7 @@ pub fn ablate_ssthresh(reps: u64, seed: u64) -> AblationResult {
 fn mp_download_secs(sc: &Scenario, seed: u64, mp: MptcpConfig, horizon_s: u64) -> Option<f64> {
     let wget = Box::new(Wget::new(sc.size, false));
     let horizon = SimTime::from_secs(horizon_s);
-    let (_, _, flow) =
-        Testbed::run_single(seed, paths(sc), TransportSpec::Mptcp(mp), wget, horizon);
+    let (_, flow) = Testbed::run_single(seed, paths(sc), TransportSpec::Mptcp(mp), wget, horizon);
     flow.download_time().map(|d| d.as_secs_f64())
 }
 
@@ -136,7 +135,7 @@ pub fn ablate_scheduler(reps: u64, seed: u64) -> AblationResult {
             scheduler,
             ..MptcpConfig::default()
         });
-        let (tb, slot, _) = Testbed::run_single(
+        let (tb, _) = Testbed::run_single(
             seed + i * 101,
             paths(&sc),
             transport,
@@ -144,7 +143,7 @@ pub fn ablate_scheduler(reps: u64, seed: u64) -> AblationResult {
             SimTime::from_secs(120),
         );
         let host = tb.world.agent::<Host>(tb.client).expect("client");
-        let app = host.app::<StreamingClient>(slot)?;
+        let app = host.app::<StreamingClient>(0)?;
         let lats: Vec<f64> = app
             .results
             .iter()
@@ -185,7 +184,7 @@ pub fn ablate_cellular_arq(reps: u64, seed: u64) -> AblationResult {
         cell.up.loss = LossModel::Bernoulli { p: 0.01 };
         let wget = Box::new(Wget::new(size, false));
         let horizon = SimTime::from_secs(400);
-        let (_, _, flow) =
+        let (_, flow) =
             Testbed::run_single(seed + i * 101, [wifi, cell], sc.flow.transport(), wget, horizon);
         flow.download_time().map(|d| d.as_secs_f64())
     };

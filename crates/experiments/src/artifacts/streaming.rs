@@ -80,7 +80,7 @@ fn run_session(
     let horizon = 120
         + (profile.prefetch + profile.block * profile.blocks as u64) / 100_000
         + (profile.period.as_secs_f64() as u64 + 1) * profile.blocks as u64;
-    let (tb, slot, _) = Testbed::run_single(
+    let (tb, _) = Testbed::run_single(
         seed,
         [wifi, carrier.preset()],
         flow.transport(),
@@ -88,7 +88,7 @@ fn run_session(
         SimTime::from_secs(horizon),
     );
     let host = tb.world.agent::<Host>(tb.client).expect("client");
-    let app = host.app::<StreamingClient>(slot).expect("streaming app");
+    let app = host.app::<StreamingClient>(0).expect("streaming app");
     let prefetch_time = app
         .results
         .iter()

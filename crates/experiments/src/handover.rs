@@ -180,12 +180,11 @@ impl HandoverMeasurement {
 fn with_client_conn(
     world: &mut World,
     client: AgentId,
-    slot: usize,
     now: SimTime,
     f: impl FnOnce(&mut mpw_mptcp::MptcpConnection),
 ) {
     if let Some(host) = world.agent_mut::<Host>(client) {
-        if let Some(Transport::Mp(conn)) = host.transport_mut(slot) {
+        if let Some(Transport::Mp(conn)) = host.transport_mut(0) {
             f(conn);
         }
     }
@@ -203,7 +202,7 @@ pub fn run_handover(spec: &HandoverSpec) -> HandoverMeasurement {
         cfg.lifecycle.policy = spec.policy;
     }
     let mut tb = Testbed::build(spec.seed, [wifi, cellular], transport, None);
-    let slot = tb.download(spec.size, SimTime::from_millis(100), true);
+    tb.download(spec.size, SimTime::from_millis(100), true);
     let mut driver = ScenarioDriver::new(&scenario, &tb.paths).expect("spec scenarios compile");
 
     // Horizon: the outage plus the whole transfer at a conservative
@@ -231,18 +230,16 @@ pub fn run_handover(spec: &HandoverSpec) -> HandoverMeasurement {
         // immediate flush.
         for op in ops {
             match op.op {
-                Op::SetBackup { path, backup } => with_client_conn(world, client, slot, now, |c| {
+                Op::SetBackup { path, backup } => with_client_conn(world, client, now, |c| {
                     c.notify_signal(path as u8, backup, now);
                 }),
                 Op::Link { path, op: LinkOp::Down(true) } => {
-                    with_client_conn(world, client, slot, now, |c| {
-                        c.notify_path_down(path as u8, now);
-                    });
+                    with_client_conn(world, client, now, |c| c.notify_path_down(path as u8, now));
                 }
                 Op::Link { .. } => {}
             }
         }
-        let flow = harvest(world, client, slot);
+        let flow = harvest(world, client);
         progress.push((now, flow.app_bytes));
         for (if_index, (&bytes, cum)) in flow.per_if.iter().zip(&mut per_if_cum).enumerate() {
             if bytes > *cum {
@@ -253,21 +250,20 @@ pub fn run_handover(spec: &HandoverSpec) -> HandoverMeasurement {
         flow.finished_at.is_some()
     });
 
-    harvest_handover(&tb, slot, spec, &scenario, progress, deltas)
+    harvest_handover(&tb, spec, &scenario, progress, deltas)
 }
 
 fn harvest_handover(
     tb: &Testbed,
-    slot: usize,
     spec: &HandoverSpec,
     scenario: &Mobility,
     progress: Vec<(SimTime, u64)>,
     deltas: Vec<(SimTime, u8, u64)>,
 ) -> HandoverMeasurement {
     let end = tb.world.now();
-    let flow = harvest(&tb.world, tb.client, slot);
+    let flow = harvest(&tb.world, tb.client);
     let host = tb.world.agent::<Host>(tb.client).expect("client host");
-    let events = match host.transport(slot) {
+    let events = match host.transport(0) {
         Some(Transport::Mp(conn)) => conn.lifecycle_events().to_vec(),
         _ => Vec::new(),
     };

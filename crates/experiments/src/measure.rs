@@ -203,22 +203,22 @@ pub fn run_lossfree_download_windowed(
         cfg.conn_send_buffer = 512 * 1024;
     }
     let mut tb = Testbed::build(seed, [lossfree_path(), lossfree_path()], transport, hub.clone());
-    let slot = tb.download(size, SimTime::from_millis(100), false);
+    tb.download(size, SimTime::from_millis(100), false);
     let who = ("loss-free probe", seed);
 
     // Up to the window start (the flow is still running, so each call
     // stops on its horizon): counters sampled *before* the mark so the
     // sampling itself stays outside the measured window.
-    tb.run_flow(slot, window.0, &who);
+    tb.run_flow(window.0, &who);
     let (segs_at_start, _) = server_segments(&tb);
     mark(0);
-    tb.run_flow(slot, window.1, &who);
+    tb.run_flow(window.1, &who);
     mark(1);
     let (segs_at_end, _) = server_segments(&tb);
 
     // On to completion (bounded, in slices, as in measurement runs).
     let horizon = tb.world.now() + SimDuration::from_secs(600);
-    let flow = tb.run_flow(slot, horizon, &who);
+    let flow = tb.run_flow(horizon, &who);
     let (_, rexmit_segs) = server_segments(&tb);
     let pcap_bytes = hub.map_or(0, |h| h.borrow_mut().finish().len());
     LossfreeProbe {
@@ -270,7 +270,6 @@ pub struct MeasurementRun<'a> {
     pub tb: Testbed,
     scenario: &'a Scenario,
     seed: u64,
-    slot: usize,
     horizon: SimTime,
     technologies: [Technology; 2],
 }
@@ -288,12 +287,11 @@ impl<'a> MeasurementRun<'a> {
         let horizon = horizon_for(scenario, &wifi, &cellular);
         let technologies = [wifi.technology, cellular.technology];
         let mut tb = Testbed::build(seed, [wifi, cellular], scenario.flow.transport(), capture);
-        let slot = tb.download(scenario.size, SimTime::from_millis(100), scenario.warmup);
+        tb.download(scenario.size, SimTime::from_millis(100), scenario.warmup);
         MeasurementRun {
             tb,
             scenario,
             seed,
-            slot,
             horizon,
             technologies,
         }
@@ -302,16 +300,14 @@ impl<'a> MeasurementRun<'a> {
     /// Run the download to its stop ([`Testbed::run_flow`]) or the
     /// scenario's horizon.
     pub fn run(&mut self) {
-        self.tb
-            .run_flow(self.slot, self.horizon, &(self.seed, self.scenario));
+        self.tb.run_flow(self.horizon, &(self.seed, self.scenario));
     }
 
     /// The measurement as the two hosts stand now. Reads them only.
     pub fn harvest(&self) -> Measurement {
-        let flow = harvest(&self.tb.world, self.tb.client, self.slot);
+        let flow = harvest(&self.tb.world, self.tb.client);
         measurement(
             &self.tb,
-            self.slot,
             &flow,
             self.technologies,
             self.scenario,
@@ -323,16 +319,15 @@ impl<'a> MeasurementRun<'a> {
 /// The measurement view of a harvested flow.
 fn measurement(
     tb: &Testbed,
-    slot: usize,
     flow: &ClientFlow,
     technologies: [Technology; 2],
     scenario: &Scenario,
     seed: u64,
 ) -> Measurement {
-    // Client side: connection-level out-of-order delays, and the receiving
-    // end of every subflow.
+    // Client side (its one connection, slot 0): connection-level
+    // out-of-order delays, and the receiving end of every subflow.
     let host = tb.world.agent::<Host>(tb.client).expect("client");
-    let client = host.transport(slot).expect("client connection");
+    let client = host.transport(0).expect("client connection");
     let ofo = match client {
         Transport::Mp(c) => c.ofo_summary(),
         Transport::Sp(_) => DistSummary::new(),

@@ -2,6 +2,8 @@
 //!
 //! One flow from the mobile client to the server ("UMass"), over one
 //! access path per client interface: its WiFi and one cellular carrier.
+//! The client host opens exactly that flow, so no call here takes a slot:
+//! [`Testbed::run_flow`] and the harvest read the client's flow.
 //! The flow decides both ends: the server runs the client's MPTCP
 //! configuration (the paper switched congestion controllers at the server,
 //! the data sender, §3.2) and enables its secondary interface, advertised
@@ -87,31 +89,38 @@ impl Testbed {
 
     /// Build the testbed of `transport` over `paths`, open its flow running
     /// `app` at 100 ms (after the paper's warm-up pings) and run it to
-    /// completion or `horizon`. Returns the testbed, the flow's client slot
-    /// and its harvest.
+    /// completion or `horizon`. Returns the testbed and the flow's harvest.
     pub fn run_single(
         seed: u64,
         paths: [PathSpec; 2],
         transport: TransportSpec,
         app: Box<dyn App>,
         horizon: SimTime,
-    ) -> (Testbed, usize, ClientFlow) {
+    ) -> (Testbed, ClientFlow) {
         let mut tb = Testbed::build(seed, paths, transport, None);
-        let slot = tb.open_with_app(app, SimTime::from_millis(100), true);
-        let flow = tb.run_flow(slot, horizon, &("single flow, seed", seed));
-        (tb, slot, flow)
+        tb.open_with_app(app, SimTime::from_millis(100), true);
+        let flow = tb.run_flow(horizon, &("single flow, seed", seed));
+        (tb, flow)
     }
 
     /// Queue the flow as a wget download of `size` bytes starting at `at`,
     /// optionally preceded by the paper's two warm-up pings on the
-    /// cellular interface. Returns the client slot index the result will
-    /// appear in.
-    pub fn download(&mut self, size: u64, at: SimTime, warmup: bool) -> usize {
-        self.open_with_app(Box::new(Wget::new(size, false)), at, warmup)
+    /// cellular interface. The client holds the wget app in slot 0.
+    ///
+    /// # Panics
+    ///
+    /// When the flow is already queued: a testbed carries one.
+    pub fn download(&mut self, size: u64, at: SimTime, warmup: bool) {
+        self.open_with_app(Box::new(Wget::new(size, false)), at, warmup);
     }
 
-    /// Queue the flow driven by an arbitrary app (e.g. a streaming session).
-    pub fn open_with_app(&mut self, app: Box<dyn App>, at: SimTime, warmup: bool) -> usize {
+    /// Queue the flow driven by an arbitrary app (e.g. a streaming
+    /// session), which the client then holds in slot 0.
+    ///
+    /// # Panics
+    ///
+    /// When the flow is already queued: a testbed carries one.
+    pub fn open_with_app(&mut self, app: Box<dyn App>, at: SimTime, warmup: bool) {
         let req = OpenRequest {
             at,
             spec: self.transport.clone(),
@@ -119,15 +128,15 @@ impl Testbed {
             app,
             warmup,
         };
-        open_flow(&mut self.world, self.client, req)
+        open_flow(&mut self.world, self.client, req);
     }
 
-    /// Run until the flow in client slot `slot` has finished its workload
-    /// and nothing of it is left in the world, or `horizon` is reached, and
-    /// harvest it. The run advances in 100 ms slices and returns at the
-    /// first boundary where the flow is done and either the world is
-    /// quiescent ([`Self::is_quiescent`]) or the clock sits a whole number
-    /// of [`HARVEST_MARK`]s past the call. Past a quiescent boundary no
+    /// Run until the flow has finished its workload and nothing of it is
+    /// left in the world, or `horizon` is reached, and harvest it. The run
+    /// advances in 100 ms slices and returns at the first boundary where
+    /// the flow is done and either the world is quiescent
+    /// ([`Self::is_quiescent`]) or the clock sits a whole number of
+    /// [`HARVEST_MARK`]s past the call. Past a quiescent boundary no
     /// host runs again and the taps see no frame, so the harvest, the
     /// capture and every counter of the two hosts are what any later stop
     /// would read; only the immortal background sources, whose events are
@@ -135,7 +144,7 @@ impl Testbed {
     /// quiesced by a mark (its close still under way, or stuck behind a
     /// lost final ACK) is harvested there, as every run used to be
     /// (DESIGN.md §5.15). `who` names the run if it livelocks.
-    pub fn run_flow(&mut self, slot: usize, horizon: SimTime, who: &dyn fmt::Debug) -> ClientFlow {
+    pub fn run_flow(&mut self, horizon: SimTime, who: &dyn fmt::Debug) -> ClientFlow {
         let Testbed { world, client, server, paths, .. } = self;
         let hosts = [*client, *server];
         let start = world.now();
@@ -147,7 +156,7 @@ impl Testbed {
         };
         let mut flow = ClientFlow::default();
         drive(world, cfg, |world, now, _| {
-            flow = harvest(world, *client, slot);
+            flow = harvest(world, *client);
             flow.finished_at.is_some()
                 && (now.saturating_since(start).as_nanos() % HARVEST_MARK.as_nanos() == 0
                     || quiescent(world, &hosts, paths))
@@ -162,11 +171,11 @@ impl Testbed {
     }
 }
 
-/// Harvest slot `slot` of host `client` (all zeros while it has not opened).
-pub(crate) fn harvest(world: &World, client: AgentId, slot: usize) -> ClientFlow {
+/// Harvest the flow of host `client` (all zeros while it has not opened).
+pub(crate) fn harvest(world: &World, client: AgentId) -> ClientFlow {
     world
         .agent::<Host>(client)
-        .and_then(|h| client_flow(h, slot))
+        .and_then(client_flow)
         .unwrap_or_default()
 }
 
@@ -183,8 +192,8 @@ mod tests {
         let transport = FlowConfig::mp2(Coupling::Coupled).transport();
         let mut tb = Testbed::build(3, paths, transport, None);
         tb.world.set_event_budget(500);
-        let slot = tb.download(1 << 20, SimTime::from_millis(100), false);
-        tb.run_flow(slot, SimTime::from_secs(60), &("budget test", 3));
+        tb.download(1 << 20, SimTime::from_millis(100), false);
+        tb.run_flow(SimTime::from_secs(60), &("budget test", 3));
     }
 
     /// The flow configures the server: a 4-path flow gets the second
@@ -199,8 +208,8 @@ mod tests {
         ] {
             let paths = [mpw_link::wifi_home(0.0), mpw_link::att_lte()];
             let mut tb = Testbed::build(5, paths, flow.transport(), None);
-            let slot = tb.download(64 << 10, SimTime::from_millis(100), false);
-            tb.run_flow(slot, SimTime::from_secs(60), &flow);
+            tb.download(64 << 10, SimTime::from_millis(100), false);
+            tb.run_flow(SimTime::from_secs(60), &flow);
             let server = tb.world.agent::<Host>(tb.server).expect("server");
             assert_eq!(server.addrs().len(), ifaces, "{flow:?}");
             let accepted = match server.transport(0).expect("the accepted connection") {

@@ -1,4 +1,5 @@
-//! Opening flows on a built world and running it in slices.
+//! Opening a client's one flow on a built world and running the world in
+//! slices.
 
 use std::fmt;
 
@@ -7,17 +8,17 @@ use mpw_mptcp::{Host, OpenRequest};
 use mpw_scenario::{CompiledOp, ScenarioDriver};
 use mpw_sim::{AgentId, Event, RunOutcome, SimDuration, SimTime, World};
 
-/// Queue `req` on `client` and schedule the timer that activates it at
-/// `req.at`. Returns the client slot the flow will occupy: the host
-/// activates queued opens in order, so opens still queued claim the slots
-/// after the live ones.
-pub fn open_flow(world: &mut World, client: AgentId, req: OpenRequest) -> usize {
+/// Queue `req`, the one flow of `client`, and schedule the timer that
+/// activates it at `req.at`. The flow takes the client's slot 0.
+///
+/// # Panics
+///
+/// When `client` already has a flow, queued or open: a host opens one.
+pub fn open_flow(world: &mut World, client: AgentId, req: OpenRequest) {
     let at = req.at;
     let host = world.agent_mut::<Host>(client).expect("client host");
-    let slot = host.slot_count() + host.pending_open_count();
-    host.queue_open(req);
+    assert!(host.queue_open(req).is_ok(), "client {client} already has its flow");
     world.schedule(at, client, Event::Timer { token: Host::open_token() });
-    slot
 }
 
 /// Whether nothing foreground is left in a world whose `hosts` exchange
@@ -102,12 +103,32 @@ pub fn drive(
 #[cfg(test)]
 mod tests {
     use mpw_link::NullSink;
+    use mpw_mptcp::{NullApp, TransportSpec};
     use mpw_sim::trace::TraceLevel;
     use mpw_sim::{Frame, Switch};
     use mpw_tcp::wire::{PingPacket, PROTO_PING};
-    use mpw_tcp::{encode_ping, Addr, IpHeader};
+    use mpw_tcp::{encode_ping, Addr, Endpoint, IpHeader};
 
     use super::*;
+
+    /// A client opens one flow: a second `open_flow` on it aborts, naming
+    /// the client.
+    #[test]
+    #[should_panic(expected = "client 0 already has its flow")]
+    fn a_second_flow_on_one_client_aborts() {
+        let mut w = World::new(1, TraceLevel::Off);
+        let host = Host::new(vec![Addr::new(10, 0, 1, 2)], 0, w.rng().stream("client"));
+        let client = w.add_agent(Box::new(host));
+        let req = || OpenRequest {
+            at: SimTime::from_millis(100),
+            spec: TransportSpec::Plain { tcp: Default::default(), cc: Default::default(), if_index: 0 },
+            remote: Endpoint::new(Addr::new(192, 168, 1, 1), 8080),
+            app: Box::new(NullApp),
+            warmup: false,
+        };
+        open_flow(&mut w, client, req());
+        open_flow(&mut w, client, req());
+    }
 
     /// [`quiescent`] looks for waiting frames in the links only: the other
     /// agent a [`Topology`](crate::Topology) puts between hosts must hand a

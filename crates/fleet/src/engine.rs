@@ -37,7 +37,8 @@ fn cell_addr(i: u32) -> Addr {
     Addr::new(10, 1, (i >> 8) as u8, (i & 0xff) as u8)
 }
 
-/// A client opens at most one flow, in slot 0.
+/// One fleet client: it opens at most one flow (none when its arrival
+/// falls past the horizon).
 struct ClientState {
     agent: AgentId,
     class: ClientClass,
@@ -202,8 +203,8 @@ pub fn run_fleet_windowed(
         let mut all_done = true;
         for c in clients.iter_mut().filter(|c| !c.done) {
             let host = world.agent::<Host>(c.agent).expect("client host");
-            // No slot yet: the open is still queued.
-            if let Some(flow) = client_flow(host, 0) {
+            // No flow yet: the open is still queued.
+            if let Some(flow) = client_flow(host) {
                 c.bytes = flow.delivered;
                 c.done = flow.finished_at.is_some();
             }
@@ -221,7 +222,7 @@ pub fn run_fleet_windowed(
     let mut records = Vec::new();
     for (i, c) in (0..).zip(&clients) {
         let host = world.agent::<Host>(c.agent).expect("client host");
-        if let Some(flow) = client_flow(host, 0) {
+        if let Some(flow) = client_flow(host) {
             records.push(flow_record(&flow, i, c.class));
         }
     }

@@ -16,7 +16,7 @@ use mpw_mptcp::{Host, Transport};
 use mpw_sim::{SimDuration, SimTime};
 use mpw_tcp::{Endpoint, SocketStats, TcpSocket};
 
-/// The receiver's half of one flow: what a client slot holds right now.
+/// The receiver's half of one flow: what the client holds right now.
 /// Plain counters, cheap enough to sample every tick.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ClientFlow {
@@ -46,9 +46,10 @@ impl ClientFlow {
     }
 }
 
-/// Harvest client slot `slot`; `None` while the flow has not opened.
-pub fn client_flow(host: &Host, slot: usize) -> Option<ClientFlow> {
-    let transport = host.transport(slot)?;
+/// Harvest the client's flow; `None` while it has not opened. A client
+/// opens one flow ([`Host::queue_open`]), so it holds slot 0.
+pub fn client_flow(host: &Host) -> Option<ClientFlow> {
+    let transport = host.transport(0)?;
     let mut flow = ClientFlow {
         opened_at: transport.opened_at(),
         delivered: transport.delivered_offset(),
@@ -71,10 +72,10 @@ pub fn client_flow(host: &Host, slot: usize) -> Option<ClientFlow> {
             }
         }
     }
-    if let Some(wget) = host.app::<Wget>(slot) {
+    if let Some(wget) = host.app::<Wget>(0) {
         flow.app_bytes = wget.result.bytes;
         flow.finished_at = wget.result.finished_at;
-    } else if let Some(session) = host.app::<StreamingClient>(slot) {
+    } else if let Some(session) = host.app::<StreamingClient>(0) {
         flow.late_blocks = session.late_blocks;
         flow.finished_at = session.finished_at;
     }

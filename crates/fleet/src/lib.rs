@@ -12,7 +12,9 @@
 //! It also holds the host-level pieces every harness shares, the
 //! single-flow testbed of `mpw-experiments` included: the [`Topology`]
 //! builder, the flow driver ([`open_flow`], [`drive()`], [`quiescent`]) and
-//! the harvest ([`client_flow`], [`sender_subflows`]).
+//! the harvest ([`client_flow`], [`sender_subflows`]). A client host opens
+//! exactly one flow, as each of the paper's measurements is one download,
+//! so the driver and the harvest name a client, never a slot.
 //!
 //! Three layers on top of those:
 //!

@@ -181,7 +181,7 @@ mod tests {
         topo.world.run_until(SimTime::from_secs(10));
         for &(client, ..) in &clients {
             let host = topo.world.agent::<Host>(client).expect("client host");
-            let flow = client_flow(host, 0).expect("the download");
+            let flow = client_flow(host).expect("the download");
             assert_eq!(flow.app_bytes, 16 << 10, "client {client} over {n} clients");
         }
         // The wired network has no background sources: its downlink is the

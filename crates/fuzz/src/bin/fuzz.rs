@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! fuzz --target wire|pcapng|analyze|assembler|scenario [--seed N] [--iters N]
-//!      [--shards N] [--minimize] [--expect-violation] [--with-base]
+//!      [--minimize] [--expect-violation] [--with-base]
 //!      [--corpus DIR] [--save-corpus DIR] [--emit-regressions DIR] [--json]
 //! ```
 //!
@@ -21,7 +21,6 @@ struct Args {
     target: Option<TargetKind>,
     seed: u64,
     iters: u64,
-    shards: u32,
     minimize: bool,
     expect_violation: bool,
     with_base: bool,
@@ -34,7 +33,7 @@ struct Args {
 fn usage() -> ! {
     eprintln!(
         "usage: fuzz --target wire|pcapng|analyze|assembler|scenario [--seed N] [--iters N] \
-         [--shards N] [--minimize] [--expect-violation] [--with-base] \
+         [--minimize] [--expect-violation] [--with-base] \
          [--corpus DIR] [--save-corpus DIR] [--emit-regressions DIR] [--json]"
     );
     exit(2);
@@ -45,7 +44,6 @@ fn parse_args() -> Args {
         target: None,
         seed: 1,
         iters: 10_000,
-        shards: 1,
         minimize: false,
         expect_violation: false,
         with_base: false,
@@ -68,7 +66,6 @@ fn parse_args() -> Args {
             }
             "--seed" => args.seed = value(&mut i).parse().unwrap_or_else(|_| usage()),
             "--iters" => args.iters = value(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--shards" => args.shards = value(&mut i).parse().unwrap_or_else(|_| usage()),
             "--minimize" => args.minimize = true,
             "--expect-violation" => args.expect_violation = true,
             "--with-base" => args.with_base = true,
@@ -293,7 +290,6 @@ fn main() {
     let mut cfg = EngineConfig::new(target);
     cfg.seed = args.seed;
     cfg.iters = args.iters;
-    cfg.shards = args.shards;
     cfg.minimize = args.minimize;
     cfg.with_base = args.with_base;
     if let Some(dir) = &args.corpus_dir {

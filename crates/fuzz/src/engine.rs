@@ -4,11 +4,9 @@
 //! seeds, every mutation choice, and the corpus-evolution order all derive
 //! from the configured seed through SplitMix64, and each iteration's
 //! generator is keyed by `(seed, iteration index)` — so results are
-//! byte-identical across reruns *and* invariant under shard chunking
-//! (`shards` only changes how the iteration range is walked, not what any
-//! iteration does). The loop stops at the first oracle violation; an input
-//! that mints a previously unseen decode-path fingerprint joins the live
-//! corpus and becomes a mutation parent.
+//! byte-identical across reruns. The loop stops at the first oracle
+//! violation; an input that mints a previously unseen decode-path
+//! fingerprint joins the live corpus and becomes a mutation parent.
 
 use std::collections::BTreeSet;
 
@@ -25,8 +23,6 @@ pub struct EngineConfig {
     pub seed: u64,
     /// Mutation iterations (seed executions come on top).
     pub iters: u64,
-    /// Shard count — chunking only, results are invariant under it.
-    pub shards: u32,
     /// Shrink the first violating input before reporting.
     pub minimize: bool,
     /// For the analyze target: run the reference measurement and enable
@@ -43,7 +39,6 @@ impl EngineConfig {
             target,
             seed: 1,
             iters: 10_000,
-            shards: 1,
             minimize: false,
             with_base: false,
             extra_seeds: Vec::new(),
@@ -117,31 +112,22 @@ pub fn run_with_base(cfg: &EngineConfig, base: Option<&AnalyzeBase>) -> FuzzRepo
         }
     }
 
-    // Mutation loop, walked shard by shard. Iteration behaviour is keyed
-    // by the global index, so the shard boundaries are immaterial.
-    let shards = cfg.shards.max(1) as u64;
-    let per_shard = cfg.iters / shards;
-    let remainder = cfg.iters % shards;
-    let mut iter = 0u64;
-    for shard in 0..shards {
-        let this_shard = per_shard + u64::from(shard == shards - 1) * remainder;
-        for _ in 0..this_shard {
-            iter += 1;
-            let mut rng = Rng::for_iteration(cfg.seed, iter);
-            let pick = if corpus.is_empty() {
-                Vec::new()
-            } else {
-                corpus[rng.below(corpus.len())].clone()
-            };
-            let mutant = targets::mutate_input(cfg.target, &mut rng, &pick, &corpus, base);
-            let o = targets::execute(cfg.target, &mutant, base);
-            executions += 1;
-            if let Some(message) = o.violation {
-                return finish(cfg, base, executions, fingerprints, corpus, iter, mutant, message);
-            }
-            if fingerprints.insert(o.fingerprint) && corpus.len() < MAX_CORPUS {
-                corpus.push(mutant);
-            }
+    // Mutation loop. Iteration behaviour is keyed by the iteration index.
+    for iter in 1..=cfg.iters {
+        let mut rng = Rng::for_iteration(cfg.seed, iter);
+        let pick = if corpus.is_empty() {
+            Vec::new()
+        } else {
+            corpus[rng.below(corpus.len())].clone()
+        };
+        let mutant = targets::mutate_input(cfg.target, &mut rng, &pick, &corpus, base);
+        let o = targets::execute(cfg.target, &mutant, base);
+        executions += 1;
+        if let Some(message) = o.violation {
+            return finish(cfg, base, executions, fingerprints, corpus, iter, mutant, message);
+        }
+        if fingerprints.insert(o.fingerprint) && corpus.len() < MAX_CORPUS {
+            corpus.push(mutant);
         }
     }
 

@@ -22,9 +22,8 @@ impl Rng {
     /// Generator for iteration `index` of a campaign seeded with `seed`.
     ///
     /// Deriving each iteration's stream from the pair rather than from a
-    /// running generator makes campaign results invariant under shard
-    /// chunking: iteration `i` behaves identically whether it runs in one
-    /// shard of `iters` or the third shard of eight.
+    /// running generator makes iteration `i` behave the same whatever ran
+    /// before it, so a finding replays from its target, seed and iteration.
     pub fn for_iteration(seed: u64, index: u64) -> Rng {
         let mut r = Rng::new(seed.wrapping_add((index.wrapping_add(1)).wrapping_mul(0x9E37_79B9_7F4A_7C15)));
         r.next_u64();

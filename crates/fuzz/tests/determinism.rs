@@ -1,14 +1,13 @@
 //! The engine's central promise: a campaign is a pure function of its
 //! configuration. Same seed + iters ⇒ byte-identical corpus, findings and
-//! fingerprint counts — across reruns and across shard chunkings.
+//! fingerprint counts across reruns.
 
 use mpw_fuzz::{engine, EngineConfig, FuzzReport, TargetKind};
 
-fn campaign(target: TargetKind, seed: u64, iters: u64, shards: u32) -> FuzzReport {
+fn campaign(target: TargetKind, seed: u64, iters: u64) -> FuzzReport {
     let mut cfg = EngineConfig::new(target);
     cfg.seed = seed;
     cfg.iters = iters;
-    cfg.shards = shards;
     engine::run(&cfg)
 }
 
@@ -34,35 +33,22 @@ fn assert_identical(a: &FuzzReport, b: &FuzzReport, what: &str) {
 #[test]
 fn reruns_are_byte_identical() {
     for target in [TargetKind::Wire, TargetKind::Pcapng, TargetKind::Assembler] {
-        let a = campaign(target, 11, 500, 1);
-        let b = campaign(target, 11, 500, 1);
+        let a = campaign(target, 11, 500);
+        let b = campaign(target, 11, 500);
         assert_identical(&a, &b, target.name());
     }
 }
 
 #[test]
-fn results_are_invariant_under_shard_chunking() {
-    // Iteration behaviour is keyed by (seed, global index), so splitting
-    // the same iteration range into 1, 3, or 7 shards changes nothing.
-    for target in [TargetKind::Wire, TargetKind::Assembler] {
-        let one = campaign(target, 23, 500, 1);
-        let three = campaign(target, 23, 500, 3);
-        let seven = campaign(target, 23, 500, 7);
-        assert_identical(&one, &three, target.name());
-        assert_identical(&one, &seven, target.name());
-    }
-}
-
-#[test]
 fn different_seeds_explore_differently() {
-    let a = campaign(TargetKind::Wire, 1, 500, 1);
-    let b = campaign(TargetKind::Wire, 2, 500, 1);
+    let a = campaign(TargetKind::Wire, 1, 500);
+    let b = campaign(TargetKind::Wire, 2, 500);
     assert_ne!(a.corpus, b.corpus, "distinct seeds produced identical corpora");
 }
 
 #[test]
 fn analyze_campaigns_without_base_are_deterministic_too() {
-    let a = campaign(TargetKind::Analyze, 31, 200, 1);
-    let b = campaign(TargetKind::Analyze, 31, 200, 4);
+    let a = campaign(TargetKind::Analyze, 31, 200);
+    let b = campaign(TargetKind::Analyze, 31, 200);
     assert_identical(&a, &b, "analyze");
 }

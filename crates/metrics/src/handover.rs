@@ -3,18 +3,18 @@
 //! The handover campaigns measure what the paper's §7 handover experiments
 //! measured: how long the application stalls when a path dies, how quickly
 //! traffic shifts to the surviving path, and how the byte mix evolves
-//! across the phases of a scripted mobility scenario. The inputs are
-//! deliberately stack-agnostic so both the in-stack instrumentation (the
-//! MPTCP layer's lifecycle log) and the wire-level capture analyzer can
-//! feed the same reductions:
+//! across the phases of a scripted mobility scenario. One harness feeds
+//! these reductions, the handover runner of `mpw-experiments`, with three
+//! plain inputs:
 //!
 //! * a **path event timeline** ([`PathEvent`]) — downs, reopen attempts,
 //!   recoveries and signal-strength notifications; the MPTCP connection
-//!   logs these very values, so the harness copies its log as it is,
+//!   logs these very values, so the runner copies its log as it is,
 //! * a **progress trace** — `(time, cumulative delivered bytes)` samples of
 //!   the receiving application,
-//! * **delivery deltas** — `(time, path, novel bytes)` attribution events,
-//!   the same shape the capture analyzer reconstructs from DSS mappings.
+//! * **delivery deltas** — `(time, path, novel bytes)` attribution events:
+//!   the growth of the bytes each client interface received, sampled every
+//!   tick.
 //!
 //! From these it derives recovery latency distributions ([`HandoverReport`]),
 //! application stall time ([`stall_report`]), bytes delivered while a path

@@ -34,10 +34,10 @@ fn main() {
         let wifi = WifiKind::Home.spec(DayPeriod::Evening);
         let mut tb = Testbed::build(11, [wifi, carrier.preset()], flow.transport(), None);
         let app = Box::new(StreamingClient::new(profile));
-        let slot = tb.open_with_app(app, SimTime::from_millis(100), true);
+        tb.open_with_app(app, SimTime::from_millis(100), true);
         tb.world.run_until(SimTime::from_secs(400));
         let host = tb.world.agent_mut::<Host>(tb.client).expect("client host");
-        let app = host.app::<StreamingClient>(slot).expect("streaming app");
+        let app = host.app::<StreamingClient>(0).expect("streaming app");
 
         let prefetch = app
             .results

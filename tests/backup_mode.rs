@@ -22,12 +22,12 @@ fn build_backup(seed: u64) -> Testbed {
 #[test]
 fn backup_subflow_stays_idle_while_wifi_is_healthy() {
     let mut tb = build_backup(71);
-    let slot = tb.download(4 << 20, SimTime::from_millis(100), true);
+    tb.download(4 << 20, SimTime::from_millis(100), true);
     tb.world.run_until(SimTime::from_secs(120));
     let host = tb.world.agent_mut::<Host>(tb.client).expect("client host");
-    let w = host.app::<Wget>(slot).expect("wget");
+    let w = host.app::<Wget>(0).expect("wget");
     assert!(w.is_done(), "backup-mode download completed");
-    match host.transport(slot) {
+    match host.transport(0) {
         Some(Transport::Mp(c)) => {
             assert_eq!(c.subflows.len(), 2, "backup subflow joined");
             assert!(c.subflows[1].backup, "cellular marked backup");
@@ -47,7 +47,7 @@ fn backup_subflow_stays_idle_while_wifi_is_healthy() {
 #[test]
 fn backup_subflow_takes_over_when_wifi_dies() {
     let mut tb = build_backup(73);
-    let slot = tb.download(4 << 20, SimTime::from_millis(100), true);
+    tb.download(4 << 20, SimTime::from_millis(100), true);
     tb.world.run_until(SimTime::from_secs(2));
     for link in [tb.paths[0].uplink, tb.paths[0].downlink] {
         tb.world
@@ -57,10 +57,10 @@ fn backup_subflow_takes_over_when_wifi_dies() {
     }
     tb.world.run_until(SimTime::from_secs(240));
     let host = tb.world.agent_mut::<Host>(tb.client).expect("client host");
-    let w = host.app::<Wget>(slot).expect("wget");
+    let w = host.app::<Wget>(0).expect("wget");
     assert!(w.is_done(), "failover to the backup path must complete the download");
     assert_eq!(w.result.bytes, 4 << 20);
-    match host.transport(slot) {
+    match host.transport(0) {
         Some(Transport::Mp(c)) => {
             let stats = c.stats();
             let cellular = stats.per_subflow_delivered.get(1).copied().unwrap_or(0);
@@ -77,10 +77,10 @@ fn backup_subflow_takes_over_when_wifi_dies() {
 fn full_mptcp_mode_uses_both_paths_by_contrast() {
     // Same testbed, no backup flag: the cellular path carries real traffic.
     let mut tb = build(71, MptcpConfig::default());
-    let slot = tb.download(4 << 20, SimTime::from_millis(100), true);
+    tb.download(4 << 20, SimTime::from_millis(100), true);
     tb.world.run_until(SimTime::from_secs(120));
     let host = tb.world.agent_mut::<Host>(tb.client).expect("client host");
-    match host.transport(slot) {
+    match host.transport(0) {
         Some(Transport::Mp(c)) => {
             let stats = c.stats();
             let cellular = stats.per_subflow_delivered.get(1).copied().unwrap_or(0);

@@ -139,7 +139,7 @@ fn mp4_share_is_the_receivers_per_interface_share() {
         };
         let (m, tb) = run_measurement_traced(&sc, 1, TraceLevel::Off);
         let host = tb.world.agent::<Host>(tb.client).expect("client host");
-        let [wifi, cell] = client_flow(host, 0).expect("client flow").per_if;
+        let [wifi, cell] = client_flow(host).expect("client flow").per_if;
         assert!(wifi + cell > 0, "{carrier:?} {size} B: nothing delivered");
         let share = cell as f64 / (wifi + cell) as f64;
         assert_eq!(m.cellular_share, share, "{carrier:?} {size} B: measurement vs receiver");

@@ -70,10 +70,10 @@ proptest! {
             syn_mode: if simultaneous { SynMode::Simultaneous } else { SynMode::Delayed },
         };
         let mut tb = Testbed::build(seed, [wifi, cell], flow.transport(), None);
-        let slot = tb.open_with_app(Box::new(Wget::new(size, true)), SimTime::from_millis(50), true);
+        tb.open_with_app(Box::new(Wget::new(size, true)), SimTime::from_millis(50), true);
         tb.world.run_until(SimTime::from_secs(900));
         let host = tb.world.agent_mut::<Host>(tb.client).expect("client host");
-        let w = host.app::<Wget>(slot).expect("wget");
+        let w = host.app::<Wget>(0).expect("wget");
         prop_assert!(w.is_done(), "transfer incomplete on {:?}", DayPeriod::Night);
         prop_assert_eq!(w.result.bytes, size);
         prop_assert_eq!(w.result.corrupt_bytes, 0);
@@ -86,11 +86,11 @@ proptest! {
             let wifi = wifi_home(0.5);
             let transport = FlowConfig::mp2(Coupling::Coupled).transport();
             let mut tb = Testbed::build(seed, [wifi, Carrier::Verizon.preset()], transport, None);
-            let slot = tb.download(128 * 1024, SimTime::from_millis(50), true);
+            tb.download(128 * 1024, SimTime::from_millis(50), true);
             tb.world.run_until(SimTime::from_secs(120));
             let events = tb.world.events_processed();
             let host = tb.world.agent_mut::<Host>(tb.client).expect("client");
-            let t = host.app::<Wget>(slot).and_then(|w| w.result.download_time());
+            let t = host.app::<Wget>(0).and_then(|w| w.result.download_time());
             (events, t)
         };
         prop_assert_eq!(run(), run());

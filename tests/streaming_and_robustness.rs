@@ -17,10 +17,10 @@ fn streaming_session(
     let wifi = WifiKind::Home.spec(DayPeriod::Evening);
     let mut tb = Testbed::build(seed, [wifi, carrier.preset()], flow.transport(), None);
     let app = Box::new(StreamingClient::new(profile));
-    let slot = tb.open_with_app(app, SimTime::from_millis(100), true);
+    tb.open_with_app(app, SimTime::from_millis(100), true);
     tb.world.run_until(SimTime::from_secs(300));
     let host = tb.world.agent_mut::<Host>(tb.client).expect("client host");
-    let app = host.app::<StreamingClient>(slot).expect("streaming app");
+    let app = host.app::<StreamingClient>(0).expect("streaming app");
     assert!(app.is_done(), "session did not finish");
     let lats = app
         .results
@@ -51,10 +51,10 @@ fn streaming_blocks_arrive_in_period_order() {
     let transport = FlowConfig::mp2(Coupling::Coupled).transport();
     let mut tb = Testbed::build(37, [wifi, Carrier::Att.preset()], transport, None);
     let app = Box::new(StreamingClient::new(profile));
-    let slot = tb.open_with_app(app, SimTime::from_millis(100), true);
+    tb.open_with_app(app, SimTime::from_millis(100), true);
     tb.world.run_until(SimTime::from_secs(120));
     let host = tb.world.agent_mut::<Host>(tb.client).expect("client host");
-    let app = host.app::<StreamingClient>(slot).expect("app");
+    let app = host.app::<StreamingClient>(0).expect("app");
     // Requests are periodic: consecutive block requests are ≥ period apart.
     let mut prev: Option<SimTime> = None;
     for r in app.results.iter().filter(|r| r.index > 0) {
@@ -110,7 +110,7 @@ fn cellular_death_mid_transfer_survives_on_wifi() {
     let wifi = WifiKind::Home.spec(DayPeriod::Night);
     let transport = FlowConfig::mp2(Coupling::Coupled).transport();
     let mut tb = Testbed::build(43, [wifi, Carrier::Att.preset()], transport, None);
-    let slot = tb.download(4 << 20, SimTime::from_millis(100), true);
+    tb.download(4 << 20, SimTime::from_millis(100), true);
     tb.world.run_until(SimTime::from_secs(2));
     let (up, down) = (tb.paths[1].uplink, tb.paths[1].downlink);
     for link in [up, down] {
@@ -121,7 +121,7 @@ fn cellular_death_mid_transfer_survives_on_wifi() {
     }
     tb.world.run_until(SimTime::from_secs(240));
     let host = tb.world.agent_mut::<Host>(tb.client).expect("client host");
-    let w = host.app::<Wget>(slot).expect("wget");
+    let w = host.app::<Wget>(0).expect("wget");
     assert!(w.is_done(), "transfer should survive cellular death via WiFi");
     assert_eq!(w.result.bytes, 4 << 20);
 }
@@ -134,7 +134,7 @@ fn transient_wifi_outage_recovers_without_reset() {
     let wifi_loss = wifi.down.loss.clone();
     let transport = FlowConfig::mp2(Coupling::Coupled).transport();
     let mut tb = Testbed::build(47, [wifi, Carrier::Att.preset()], transport, None);
-    let slot = tb.download(8 << 20, SimTime::from_millis(100), true);
+    tb.download(8 << 20, SimTime::from_millis(100), true);
     tb.world.run_until(SimTime::from_secs(2));
     let (up, down) = (tb.paths[0].uplink, tb.paths[0].downlink);
     for link in [up, down] {
@@ -154,7 +154,7 @@ fn transient_wifi_outage_recovers_without_reset() {
         .set_loss(wifi_loss);
     tb.world.run_until(SimTime::from_secs(300));
     let host = tb.world.agent_mut::<Host>(tb.client).expect("client host");
-    let w = host.app::<Wget>(slot).expect("wget");
+    let w = host.app::<Wget>(0).expect("wget");
     assert!(w.is_done(), "transfer should complete after the outage");
     assert_eq!(w.result.bytes, 8 << 20);
 }
