@@ -465,7 +465,7 @@ mod tests {
     use crate::hub::CaptureHub;
     use crate::pcapng::read_pcapng;
     use bytes::Bytes;
-    use mpw_sim::tap::{FrameObserver, TapDir};
+    use mpw_sim::tap::FrameObserver;
     use mpw_tcp::wire::{encode_packet, tcp_flags, DssMapping, IpHeader, TcpOption};
     use mpw_tcp::Addr;
 
@@ -478,13 +478,16 @@ mod tests {
         hub: CaptureHub,
         // (up@client, up@server, down@server, down@client) per path.
         ifaces: Vec<(u32, u32, u32, u32)>,
+        /// `(at, iface, frame)` in the order written; the hub is handed
+        /// them in time order, ties as written.
+        records: Vec<(SimTime, u32, Bytes)>,
     }
 
     impl Rig {
         fn new(paths: u8) -> Rig {
             let mut hub = CaptureHub::new(0);
             let ifaces = (0..paths).map(|p| hub.add_path(p)).collect();
-            Rig { hub, ifaces }
+            Rig { hub, ifaces, records: Vec::new() }
         }
 
         fn seg(
@@ -507,17 +510,15 @@ mod tests {
             // One event on each vantage of the traversed direction; the
             // receiving-side copy arrives a little later.
             let (tx_iface, rx_iface) = if to_server { (uc, us) } else { (sd, cd) };
-            self.hub
-                .frame(SimTime::from_millis(t_ms), tx_iface, TapDir::Ingress, &bytes);
-            self.hub.frame(
-                SimTime::from_millis(t_ms + TRANSIT_MS),
-                rx_iface,
-                TapDir::Egress,
-                &bytes,
-            );
+            self.records.push((SimTime::from_millis(t_ms), tx_iface, bytes.clone()));
+            self.records.push((SimTime::from_millis(t_ms + TRANSIT_MS), rx_iface, bytes));
         }
 
         fn analyze(mut self) -> WireAnalysis {
+            self.records.sort_by_key(|r| r.0);
+            for (at, iface, bytes) in &self.records {
+                self.hub.frame(*at, *iface, bytes);
+            }
             let pcap = self.hub.finish();
             analyze(&read_pcapng(&pcap).expect("pcap"), SERVER_PORT)
         }

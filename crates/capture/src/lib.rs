@@ -5,7 +5,8 @@
 //! gives the simulation the same black-box measurement layer:
 //!
 //! - [`hub::CaptureHub`] implements [`mpw_sim::tap::FrameObserver`] and can
-//!   be attached to any number of `mpw_link` tap points. It writes the
+//!   be attached to any number of tap points (`mpw_mptcp::Host::tap` on the
+//!   hosts, `mpw_link::LinkTap` for the links' drops). It writes the
 //!   fully-encoded wire bytes with simulated-time timestamps, as the frames
 //!   pass, into a [pcapng] file real Wireshark/tcpdump can open
 //!   (one capture interface per path and vantage, plus a dedicated channel

@@ -8,7 +8,9 @@
 //! (clients route by the socket's bound interface, servers by destination
 //! address), and parses/demultiplexes everything that arrives — including
 //! MP_JOIN SYNs matched by connection token, exactly as the kernel
-//! implementation does.
+//! implementation does. An optional capture tap ([`Host::tap`]) is tcpdump
+//! on the host: it sees each frame as the host sends it, and each one
+//! handed to it before it is parsed.
 //!
 //! The host keeps no calendar of its own. Each connection slot holds one
 //! cancellable engine timer at the earlier of its transport's next timeout
@@ -19,6 +21,8 @@
 use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet};
 
+use bytes::Bytes;
+use mpw_sim::tap::SharedObserver;
 use mpw_sim::{Agent, AgentId, Ctx, Event, Frame, SimDuration, SimRng, SimTime, TimerHandle};
 use mpw_tcp::wire::{tcp_flags, PingPacket};
 use mpw_tcp::{
@@ -254,6 +258,17 @@ enum PendingOpen {
     },
 }
 
+/// A host's capture tap: tcpdump on the host, seeing each frame when the
+/// host sends it or is handed it.
+struct HostTap {
+    observer: SharedObserver,
+    /// `(egress link, capture interface)`: the frames sent into that link.
+    sent: Vec<(AgentId, u32)>,
+    /// `(arrival port, capture interface)`: the frames handed to the host
+    /// on that port, before it parses them.
+    received: Vec<(u16, u32)>,
+}
+
 const TOKEN_OPEN: u64 = 0x1000_0000_0000_0002;
 /// Slot `i`'s wakeup carries token `TOKEN_SLOT | i`.
 const TOKEN_SLOT: u64 = 0x2000_0000_0000_0000;
@@ -297,6 +312,8 @@ pub struct Host {
     /// timer when its deadline moves later.
     #[cfg(test)]
     keep_later_timers: bool,
+    /// The capture tap, if one is attached (see [`Host::tap`]).
+    tap: Option<Box<HostTap>>,
     /// Count of frames that found no matching socket.
     pub no_socket_drops: u64,
     /// Count of frames that failed to parse (truncated, bad checksum, or
@@ -329,6 +346,7 @@ impl Host {
             dirty: BTreeSet::new(),
             #[cfg(test)]
             keep_later_timers: false,
+            tap: None,
             no_socket_drops: 0,
             unparsed_frames: 0,
         }
@@ -351,6 +369,18 @@ impl Host {
         self.listen_port = Some(port);
         self.listen_mptcp_cfg = mptcp_cfg;
         self.app_factory = Some(factory);
+    }
+
+    /// Observe the frames this host sends into a link, given as `(link,
+    /// capture interface)`, and those handed to it on a port, given as
+    /// `(port, capture interface)`, each stamped when the host handles it.
+    /// Every vantage of a host reports to the observer of its first call.
+    pub fn tap(&mut self, observer: SharedObserver, sent: (AgentId, u32), received: (u16, u32)) {
+        let tap = self.tap.get_or_insert_with(|| {
+            Box::new(HostTap { observer, sent: Vec::new(), received: Vec::new() })
+        });
+        tap.sent.push(sent);
+        tap.received.push(received);
     }
 
     /// Queue the host's outgoing connection. The caller must also schedule
@@ -462,6 +492,16 @@ impl Host {
         let Some(egress) = self.egress_for(if_index, remote.addr) else {
             return;
         };
+        self.transmit(ctx, egress, bytes);
+    }
+
+    /// Put `bytes` on link `egress`, where the tap sees them leave.
+    fn transmit(&self, ctx: &mut Ctx<'_>, egress: AgentId, bytes: Bytes) {
+        if let Some(tap) = &self.tap {
+            if let Some(&(_, iface)) = tap.sent.iter().find(|&&(link, _)| link == egress) {
+                tap.observer.borrow_mut().frame(ctx.now(), iface, &bytes);
+            }
+        }
         ctx.send_frame(egress, 0, SimDuration::ZERO, Frame::new(bytes));
     }
 
@@ -610,7 +650,7 @@ impl Host {
                         };
                         let bytes = encode_ping(&ip, &PingPacket { token, reply: false });
                         if let Some(egress) = self.egress_for(WARMUP_IF, req.remote.addr) {
-                            ctx.send_frame(egress, 0, SimDuration::ZERO, Frame::new(bytes));
+                            self.transmit(ctx, egress, bytes);
                             self.ping_sent_at.insert(token, now);
                             tokens_left += 1;
                         }
@@ -695,7 +735,7 @@ impl Host {
             let bytes = encode_ping(&reply_ip, &PingPacket { token: ping.token, reply: true });
             // Route the reply; the destination decides the egress.
             if let Some(egress) = self.egress_for(0, ip.src) {
-                ctx.send_frame(egress, 0, SimDuration::ZERO, Frame::new(bytes));
+                self.transmit(ctx, egress, bytes);
             }
             return;
         }
@@ -905,7 +945,12 @@ impl Agent for Host {
     fn handle(&mut self, ev: Event, ctx: &mut Ctx<'_>) {
         match ev {
             Event::Start => {}
-            Event::Frame { frame, .. } => {
+            Event::Frame { frame, port } => {
+                if let Some(tap) = &self.tap {
+                    if let Some(&(_, iface)) = tap.received.iter().find(|&&(p, _)| p == port) {
+                        tap.observer.borrow_mut().frame(ctx.now(), iface, &frame.bytes);
+                    }
+                }
                 match parse_any_shared(&frame.bytes) {
                     Ok(Packet::Tcp(ip, seg)) => self.handle_tcp(ctx, ip, &seg),
                     Ok(Packet::Ping(ip, ping)) => self.handle_ping(ctx, ip, ping),

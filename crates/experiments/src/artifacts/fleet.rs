@@ -18,7 +18,7 @@
 //!    erodes — the sweep records where the ordering inverts.
 //! 3. **Scale smoke** — a 1,000-flow mixed-population run that must
 //!    complete inside the CI smoke budget and reproduce byte-identically
-//!    on replay and across campaign worker counts and shard splits.
+//!    on replay and across campaign worker counts.
 
 use mpw_fleet::{
     run_campaign, run_fleet, Arrival, FleetCampaign, FleetSpec, FleetWorkload, PathMix,
@@ -198,20 +198,18 @@ pub fn run(scale: Scale, seed: u64, workers: usize) -> Vec<Artifact> {
     let smoke_replay_identical = to_json(&smoke.report) == to_json(&smoke_replay.report);
 
     // Campaign determinism on a smaller base so two full configurations
-    // stay cheap: serial/unsharded vs pooled/sharded must agree bytewise.
+    // stay cheap: serial vs pooled must agree bytewise.
     let camp_base = FleetSpec::smoke(100, seed.wrapping_add(1));
     let reps = if full { 6 } else { 3 };
     let camp_a = run_campaign(&FleetCampaign {
         base: camp_base.clone(),
         replications: reps,
         workers: 1,
-        shards: 1,
     });
     let camp_b = run_campaign(&FleetCampaign {
         base: camp_base,
         replications: reps,
         workers: workers.max(2),
-        shards: 3,
     });
     let campaign_identical = to_json(&camp_a.0) == to_json(&camp_b.0);
 
@@ -346,9 +344,9 @@ pub fn run(scale: Scale, seed: u64, workers: usize) -> Vec<Artifact> {
             "FleetReport JSON compared byte for byte".to_string(),
         ),
         Check::new(
-            "Campaign bytes survive worker-count and shard-split changes",
+            "Campaign bytes survive worker-count changes",
             campaign_identical,
-            format!("{reps} replications: workers 1/shards 1 vs workers {}/shards 3", workers.max(2)),
+            format!("{reps} replications: workers 1 vs workers {}", workers.max(2)),
         ),
     ];
 

@@ -9,11 +9,12 @@
 //! Tolerances (documented in DESIGN.md):
 //!
 //! - **Data segments / retransmissions**: exact. Both sides count server
-//!   transmissions, and the server-side ingress tap sees every one.
+//!   transmissions, and the server's tap sees every one it sends.
 //! - **RTT means**: relative difference < 0.2 per subflow. Both apply the
-//!   tcptrace/Karn rule but at slightly different match points (the stack
-//!   matches inside the socket, the wire at the link tap), so queueing at
-//!   the host boundary can shift individual samples.
+//!   tcptrace/Karn rule (the stack inside the socket, the wire on the
+//!   server's records, stamped when the server handled each frame), but
+//!   the stack also keeps the handshake round trip, which can dominate a
+//!   subflow with few clean samples.
 //! - **Out-of-order delay**: the fraction of delayed (>10 ms) samples must
 //!   agree within 0.15, the shape metric §5.2 cares about. Both sides read
 //!   it from a `DistSummary` histogram, so they share one bucketing; the

@@ -52,8 +52,9 @@ impl Testbed {
     /// for every subflow (the default configuration for a single-path
     /// flow); it is dual-homed iff the flow wants more than two subflows.
     /// `capture` gives every path the paper's four tcpdump vantages,
-    /// registered on the hub and tapped on the link agents; taps are pure
-    /// observation, so a captured run is event-identical to a plain one.
+    /// registered on the hub and tapped on the two hosts (and the links'
+    /// drops); taps are pure observation, so a captured run is
+    /// event-identical to a plain one.
     pub fn build(
         seed: u64,
         paths: [PathSpec; 2],

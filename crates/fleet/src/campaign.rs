@@ -4,8 +4,8 @@
 //! The determinism contract: each replication is an independent world whose
 //! seed is a pure function of the campaign seed and the replication index,
 //! and [`FleetReport::merge`] is an integer-exact associative/commutative
-//! fold. Worker count and shard grouping are therefore pure implementation
-//! detail — any configuration produces byte-identical JSON.
+//! fold. The worker count is therefore pure implementation detail — any
+//! configuration produces byte-identical JSON.
 
 use mpw_metrics::FleetReport;
 use mpw_sim::{derive_seed, run_jobs};
@@ -14,8 +14,8 @@ use crate::engine::run_fleet;
 use crate::spec::FleetSpec;
 
 /// A campaign description: `replications` independent worlds built from
-/// `base` (same spec, derived seeds), run on `workers` threads, aggregated
-/// through `shards` intermediate partial reports.
+/// `base` (same spec, derived seeds), run on `workers` threads, merged in
+/// replication order.
 #[derive(Clone, Debug)]
 pub struct FleetCampaign {
     /// Spec every replication shares (its `seed` is the campaign seed).
@@ -24,9 +24,6 @@ pub struct FleetCampaign {
     pub replications: u32,
     /// Worker threads (0 = one per core).
     pub workers: usize,
-    /// Number of contiguous shard groups merged into partials before the
-    /// final fold (1 = merge replications directly).
-    pub shards: usize,
 }
 
 /// Run every replication and return (merged report, per-replication
@@ -41,20 +38,9 @@ pub fn run_campaign(campaign: &FleetCampaign) -> (FleetReport, Vec<FleetReport>)
         spec.seed = seed;
         run_fleet(&spec).report
     });
-
-    // Shard merge: contiguous replication ranges fold into partials, the
-    // partials fold in order. Exactness of `merge` makes the grouping
-    // invisible in the output.
-    let shards = campaign.shards.clamp(1, n.max(1));
-    let bucket = campaign.base.goodput_bucket_ms;
-    let mut merged = FleetReport::new(bucket);
-    let per_shard = n.div_ceil(shards.max(1)).max(1);
-    for chunk in reports.chunks(per_shard) {
-        let mut partial = FleetReport::new(bucket);
-        for r in chunk {
-            partial.merge(r);
-        }
-        merged.merge(&partial);
+    let mut merged = FleetReport::new(campaign.base.goodput_bucket_ms);
+    for r in &reports {
+        merged.merge(r);
     }
     (merged, reports)
 }
@@ -64,7 +50,7 @@ mod tests {
     use super::*;
     use mpw_metrics::to_json;
 
-    fn small_campaign(workers: usize, shards: usize) -> FleetCampaign {
+    fn small_campaign(workers: usize) -> FleetCampaign {
         let mut base = crate::FleetSpec::smoke(4, 42);
         base.workload = crate::FleetWorkload::Download { size: 16 << 10 };
         base.horizon_ms = 30_000;
@@ -72,14 +58,13 @@ mod tests {
             base,
             replications: 3,
             workers,
-            shards,
         }
     }
 
     #[test]
-    fn workers_and_shards_do_not_change_bytes() {
-        let (serial, reps_serial) = run_campaign(&small_campaign(1, 1));
-        let (pooled, reps_pooled) = run_campaign(&small_campaign(4, 3));
+    fn workers_do_not_change_bytes() {
+        let (serial, reps_serial) = run_campaign(&small_campaign(1));
+        let (pooled, reps_pooled) = run_campaign(&small_campaign(4));
         assert_eq!(reps_serial.len(), 3);
         for (a, b) in reps_serial.iter().zip(&reps_pooled) {
             assert_eq!(to_json(a), to_json(b));

@@ -28,8 +28,8 @@
 //!   folding them into a [`FleetReport`](mpw_metrics::FleetReport).
 //! - [`FleetCampaign`] / [`run_campaign`] — Monte-Carlo replications across
 //!   a worker pool. Aggregation is integer-exact (see `mpw_metrics::fleet`),
-//!   so any worker count and any shard grouping produce byte-identical
-//!   reports — the CI gate compares JSON bytes.
+//!   so any worker count produces byte-identical reports — the CI gate
+//!   compares JSON bytes.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -27,6 +27,8 @@ pub struct Topology {
     pub world: World,
     /// The link agents of each access network, in build order.
     pub paths: Vec<BuiltPath>,
+    /// Where each network's downlink and uplink deliver, as `(agent, port)`.
+    ends: Vec<[(AgentId, u16); 2]>,
     server: Option<AgentId>,
 }
 
@@ -40,6 +42,7 @@ impl Topology {
         Topology {
             world: World::new(seed, TraceLevel::Off),
             paths: Vec::new(),
+            ends: Vec::new(),
             server: None,
         }
     }
@@ -96,28 +99,28 @@ impl Topology {
             self.host_mut(server).add_route(addr, path.downlink);
         }
         self.paths.push(path);
+        self.ends.push([to_client, to_server]);
         index
     }
 
-    /// Observe access network `net` at the paper's four tcpdump vantages,
-    /// given as capture-interface ids in the order `(up@client, up@server,
-    /// down@server, down@client)`: a link's ingress tap is the sniffer at
-    /// its sender, its egress tap the one at its receiver, and link drops
-    /// are stamped with the transmit-side vantage they would have crossed.
+    /// Observe access network `net`, which serves one client, at the
+    /// paper's four tcpdump vantages, given as capture-interface ids in the
+    /// order `(up@client, up@server, down@server, down@client)`. The
+    /// vantages are taps on the hosts: each end sees the frames it sends
+    /// into the network and those the network hands it, when it handles
+    /// them. Each link's drops are reported on the vantage of the host that
+    /// sent into it.
     pub fn tap(&mut self, net: usize, observer: SharedObserver, vantages: (u32, u32, u32, u32)) {
         let (uc, us, sd, cd) = vantages;
         let path = self.paths[net];
-        for (link, ingress, egress) in [(path.uplink, uc, us), (path.downlink, sd, cd)] {
+        let [(client, client_port), (server, server_port)] = self.ends[net];
+        self.host_mut(client).tap(observer.clone(), (path.uplink, uc), (client_port, cd));
+        self.host_mut(server).tap(observer.clone(), (path.downlink, sd), (server_port, us));
+        for (link, drops) in [(path.uplink, uc), (path.downlink, sd)] {
             self.world
                 .agent_mut::<LinkAgent>(link)
                 .expect("link agent")
-                .set_tap(LinkTap {
-                    observer: observer.clone(),
-                    ingress: Some(ingress),
-                    egress: Some(egress),
-                    drops: Some(ingress),
-                    background: false,
-                });
+                .set_tap(LinkTap { observer: observer.clone(), drops });
         }
     }
 

@@ -36,25 +36,23 @@ fn different_seed_changes_the_report() {
 }
 
 #[test]
-fn campaign_bytes_survive_any_worker_count_and_shard_split() {
+fn campaign_bytes_survive_any_worker_count() {
     let base = spec(8, 5);
     let reference = run_campaign(&FleetCampaign {
         base: base.clone(),
         replications: 4,
         workers: 1,
-        shards: 1,
     });
-    for (workers, shards) in [(2, 1), (4, 2), (3, 4), (0, 3)] {
+    for workers in [2, 4, 3, 0] {
         let got = run_campaign(&FleetCampaign {
             base: base.clone(),
             replications: 4,
             workers,
-            shards,
         });
         assert_eq!(
             to_json(&reference.0),
             to_json(&got.0),
-            "workers={workers} shards={shards} changed the merged report"
+            "workers={workers} changed the merged report"
         );
         for (a, b) in reference.1.iter().zip(&got.1) {
             assert_eq!(to_json(a), to_json(b));

@@ -9,11 +9,8 @@
 
 use std::collections::VecDeque;
 
-use mpw_sim::tap::{DropReason, SharedObserver, TapDir};
-use mpw_sim::{
-    serialization_delay, Agent, AgentId, Ctx, Event, Frame, SimDuration, SimRng, SimTime,
-    TimerHandle,
-};
+use mpw_sim::tap::{DropReason, SharedObserver};
+use mpw_sim::{serialization_delay, Agent, AgentId, Ctx, Event, Frame, SimDuration, SimRng, SimTime};
 use serde::{Deserialize, Serialize};
 
 use crate::loss::LossModel;
@@ -141,29 +138,19 @@ pub struct LinkStats {
     pub peak_queue_bytes: u64,
 }
 
-/// A capture tap attached to one link direction (the simulated `tcpdump -i`).
-///
-/// Each observation point carries its own capture-interface id so a single
-/// observer can tell vantages apart: *ingress* sees a frame the instant the
-/// transmitting host hands it to the link (a sniffer at the sender), *egress*
-/// sees it at its delivery time (a sniffer at the receiver). Points left as
-/// `None` are not observed. Taps are pure observation — they never draw from
-/// the link's RNG or schedule events, so enabling one cannot perturb the
-/// simulation.
+/// A drop tap attached to one link direction: the frames the link
+/// discards (overflow, channel loss, ARQ exhaustion, a downed link), which
+/// real tcpdump never sees and the simulator can. The frames the link
+/// carries are observed on the hosts at its ends (`mpw_mptcp::Host::tap`).
+/// Tagged background frames (`meta != 0`) are not observed: their payloads
+/// are synthetic filler that does not parse as TCP. Taps are pure
+/// observation — they never draw from the link's RNG or schedule events, so
+/// enabling one cannot perturb the simulation.
 pub struct LinkTap {
     /// Observer receiving the raw wire bytes.
     pub observer: SharedObserver,
-    /// Capture-interface id for ingress observations (transmit timestamps).
-    pub ingress: Option<u32>,
-    /// Capture-interface id for egress observations (arrival timestamps).
-    pub egress: Option<u32>,
-    /// Capture-interface id for link-discarded frames (overflow, channel
-    /// loss, ARQ exhaustion). Real tcpdump never sees these; the simulator
-    /// can.
-    pub drops: Option<u32>,
-    /// Also observe tagged background frames (`meta != 0`). Off by default:
-    /// background payloads are synthetic filler that does not parse as TCP.
-    pub background: bool,
+    /// Capture-interface id the drops are reported under.
+    pub drops: u32,
 }
 
 const TOKEN_SERVICE: u64 = 1 << 56;
@@ -187,10 +174,6 @@ pub struct LinkAgent {
     q: VecDeque<Frame>,
     q_bytes: usize,
     in_service: Option<Frame>,
-    /// Cancellable handle of the pending service/resume completion timer.
-    /// Handles go stale on fire, so no generation counter is needed to
-    /// reject superseded timers.
-    service_timer: Option<TimerHandle>,
     rrc: RrcState,
     /// Administratively down (scenario `Down` event): every frame touching
     /// the link is lost until `set_down(false)`.
@@ -202,8 +185,8 @@ pub struct LinkAgent {
     /// reaches it, that frame is still propagating to the egress.
     fg_last_arrival: SimTime,
     stats: LinkStats,
-    /// Optional capture tap. `None` (the default) costs one branch per
-    /// frame — capture machinery is entirely off-path until attached.
+    /// Optional drop tap. `None` (the default) costs one branch per
+    /// dropped frame.
     tap: Option<LinkTap>,
 }
 
@@ -226,7 +209,6 @@ impl LinkAgent {
             q: VecDeque::new(),
             q_bytes: 0,
             in_service: None,
-            service_timer: None,
             rrc,
             down: false,
             last_delivery: SimTime::ZERO,
@@ -242,33 +224,16 @@ impl LinkAgent {
         self.sink = Some(sink);
     }
 
-    /// Attach a capture tap to this link direction.
+    /// Attach a drop tap to this link direction.
     pub fn set_tap(&mut self, tap: LinkTap) {
         self.tap = Some(tap);
     }
 
     #[inline]
-    fn tap_frame(&self, at: SimTime, dir: TapDir, frame: &Frame) {
-        if let Some(tap) = &self.tap {
-            let iface = match dir {
-                TapDir::Ingress => tap.ingress,
-                TapDir::Egress => tap.egress,
-            };
-            if let Some(iface) = iface {
-                if frame.meta == 0 || tap.background {
-                    tap.observer.borrow_mut().frame(at, iface, dir, &frame.bytes);
-                }
-            }
-        }
-    }
-
-    #[inline]
     fn tap_drop(&self, at: SimTime, reason: DropReason, frame: &Frame) {
         if let Some(tap) = &self.tap {
-            if let Some(iface) = tap.drops {
-                if frame.meta == 0 || tap.background {
-                    tap.observer.borrow_mut().dropped(at, iface, reason, &frame.bytes);
-                }
+            if frame.meta == 0 {
+                tap.observer.borrow_mut().dropped(at, tap.drops, reason, &frame.bytes);
             }
         }
     }
@@ -368,7 +333,7 @@ impl LinkAgent {
         let ser = serialization_delay(frame.wire_len(), rate);
         self.in_service = Some(frame);
         let delay = start.saturating_since(now) + ser;
-        self.service_timer = Some(ctx.arm_timer(delay, TOKEN_SERVICE));
+        ctx.arm_timer(delay, TOKEN_SERVICE);
     }
 
     fn finish_service(&mut self, ctx: &mut Ctx<'_>) {
@@ -439,7 +404,7 @@ impl LinkAgent {
             let resume = ser * tries as u64;
             // Hold the server busy with a zero-length placeholder.
             self.in_service = Some(Frame::new(bytes::Bytes::new()));
-            self.service_timer = Some(ctx.arm_timer(resume, TOKEN_RESUME));
+            ctx.arm_timer(resume, TOKEN_RESUME);
         }
 
         // Delivery: propagation + ARQ turnarounds + jitter, order-preserved.
@@ -458,9 +423,6 @@ impl LinkAgent {
         };
         self.stats.delivered += 1;
         self.stats.delivered_bytes += frame.wire_len() as u64;
-        // Egress tap: delivery is scheduled now but observed at arrival time,
-        // like a sniffer on the receiving host.
-        self.tap_frame(arrive, TapDir::Egress, &frame);
         ctx.send_frame(dst, port, arrive.saturating_since(now), frame);
         if self.in_service.is_none() {
             self.try_start_service(ctx);
@@ -480,10 +442,6 @@ impl Agent for LinkAgent {
             Event::Start => {}
             Event::Frame { frame, .. } => {
                 let len = frame.wire_len();
-                // Ingress tap: the transmitting host has already put the
-                // frame on the wire, so a sender-side sniffer sees it even
-                // if the queue then overflows.
-                self.tap_frame(ctx.now(), TapDir::Ingress, &frame);
                 if self.down {
                     self.tap_drop(ctx.now(), DropReason::LinkDown, &frame);
                     self.stats.dropped_down += 1;
@@ -502,9 +460,6 @@ impl Agent for LinkAgent {
                 self.try_start_service(ctx);
             }
             Event::Timer { token } => {
-                // Only a live timer delivers here (cancellable timers are
-                // generation-checked by the engine), so no staleness test.
-                self.service_timer = None;
                 if token == TOKEN_SERVICE {
                     self.finish_service(ctx);
                 } else if token == TOKEN_RESUME {
@@ -795,15 +750,15 @@ mod tests {
         assert_eq!(s.arrivals, vec![SimTime::from_millis(11)]);
     }
 
+    /// Records drops; a link reports no other observation.
     #[derive(Default)]
     struct RecordingObserver {
-        frames: Vec<(SimTime, u32, TapDir, usize)>,
         drops: Vec<(SimTime, u32, DropReason, usize)>,
     }
 
     impl mpw_sim::tap::FrameObserver for RecordingObserver {
-        fn frame(&mut self, at: SimTime, iface: u32, dir: TapDir, bytes: &Bytes) {
-            self.frames.push((at, iface, dir, bytes.len()));
+        fn frame(&mut self, _: SimTime, _: u32, _: &Bytes) {
+            panic!("a link observes only the frames it drops");
         }
         fn dropped(&mut self, at: SimTime, iface: u32, reason: DropReason, bytes: &Bytes) {
             self.drops.push((at, iface, reason, bytes.len()));
@@ -811,82 +766,50 @@ mod tests {
     }
 
     #[test]
-    fn tap_sees_ingress_at_transmit_and_egress_at_arrival() {
+    fn tap_reports_overflow_and_channel_drops_only() {
         use std::cell::RefCell;
         use std::rc::Rc;
-        let (mut w, link, _sink) = rig(simple_cfg(12_000_000, 10, 1 << 20));
-        let obs = Rc::new(RefCell::new(RecordingObserver::default()));
-        w.agent_mut::<LinkAgent>(link).unwrap().set_tap(LinkTap {
-            observer: obs.clone(),
-            ingress: Some(1),
-            egress: Some(2),
-            drops: Some(3),
-            background: false,
-        });
-        w.schedule(SimTime::ZERO, link, Event::Frame { port: 0, frame: frame(1500) });
-        w.run_until_idle();
-        let o = obs.borrow();
-        // 12 Mbps, 1500 B => 1 ms serialization; prop 10 ms => arrival 11 ms.
-        assert_eq!(
-            o.frames,
-            vec![
-                (SimTime::ZERO, 1, TapDir::Ingress, 1500),
-                (SimTime::from_millis(11), 2, TapDir::Egress, 1500),
-            ]
-        );
-        assert!(o.drops.is_empty());
-    }
-
-    #[test]
-    fn tap_reports_overflow_and_channel_drops() {
-        use std::cell::RefCell;
-        use std::rc::Rc;
-        // Buffer fits exactly one 1500-byte frame, and the channel kills it.
+        // Buffer fits exactly one 1500-byte frame, and the channel kills it;
+        // the third frame, sent once the queue is empty again, is delivered.
         let mut cfg = simple_cfg(12_000_000, 0, 1500);
         cfg.loss = LossModel::Bernoulli { p: 1.0 };
         let (mut w, link, sink) = rig(cfg);
         let obs = Rc::new(RefCell::new(RecordingObserver::default()));
-        w.agent_mut::<LinkAgent>(link).unwrap().set_tap(LinkTap {
-            observer: obs.clone(),
-            ingress: Some(1),
-            egress: Some(2),
-            drops: Some(3),
-            background: false,
-        });
+        let tap = LinkTap { observer: obs.clone(), drops: 3 };
+        w.agent_mut::<LinkAgent>(link).unwrap().set_tap(tap);
         for _ in 0..2 {
             w.schedule(SimTime::ZERO, link, Event::Frame { port: 0, frame: frame(1500) });
         }
+        w.run_until(SimTime::from_millis(5));
+        w.agent_mut::<LinkAgent>(link).unwrap().set_loss(LossModel::None);
+        w.schedule(SimTime::from_millis(5), link, Event::Frame { port: 0, frame: frame(1500) });
         w.run_until_idle();
-        assert_eq!(w.agent::<NullSink>(sink).unwrap().frames, 0);
-        let o = obs.borrow();
-        // Both frames observed on ingress (the sender transmitted both).
-        assert_eq!(o.frames.len(), 2);
-        assert!(o.frames.iter().all(|f| f.2 == TapDir::Ingress));
-        // One overflow drop (second frame), one channel drop (first frame).
-        let reasons: Vec<DropReason> = o.drops.iter().map(|d| d.2).collect();
-        assert!(reasons.contains(&DropReason::QueueOverflow));
-        assert!(reasons.contains(&DropReason::ChannelLoss));
-        assert_eq!(o.drops.len(), 2);
+        assert_eq!(w.agent::<NullSink>(sink).unwrap().frames, 1);
+        // The second frame overflows at once; the first is lost at the end
+        // of its 1 ms service.
+        assert_eq!(
+            obs.borrow().drops,
+            vec![
+                (SimTime::ZERO, 3, DropReason::QueueOverflow, 1500),
+                (SimTime::from_millis(1), 3, DropReason::ChannelLoss, 1500),
+            ]
+        );
     }
 
     #[test]
-    fn tap_skips_background_frames_unless_asked() {
+    fn tap_skips_background_drops() {
         use std::cell::RefCell;
         use std::rc::Rc;
         let mut w = World::new(1, TraceLevel::Off);
         let fg_sink = w.add_agent(Box::new(NullSink::default()));
         let bg_sink = w.add_agent(Box::new(NullSink::default()));
         let rng = w.rng().stream("t");
-        let mut la = LinkAgent::new(simple_cfg(10_000_000, 1, 1 << 20), rng, (fg_sink, 0));
+        let mut cfg = simple_cfg(10_000_000, 1, 1 << 20);
+        cfg.loss = LossModel::Bernoulli { p: 1.0 };
+        let mut la = LinkAgent::new(cfg, rng, (fg_sink, 0));
         la.set_sink((bg_sink, 0));
         let obs = Rc::new(RefCell::new(RecordingObserver::default()));
-        la.set_tap(LinkTap {
-            observer: obs.clone(),
-            ingress: Some(0),
-            egress: None,
-            drops: None,
-            background: false,
-        });
+        la.set_tap(LinkTap { observer: obs.clone(), drops: 0 });
         let link = w.add_agent(Box::new(la));
         w.schedule(SimTime::ZERO, link, Event::Frame { port: 0, frame: frame(100) });
         w.schedule(
@@ -895,16 +818,18 @@ mod tests {
             Event::Frame { port: 0, frame: Frame::tagged(Bytes::from(vec![0u8; 100]), 7) },
         );
         w.run_until_idle();
-        // Only the untagged foreground frame was observed.
-        assert_eq!(obs.borrow().frames.len(), 1);
+        // Both were lost; only the untagged foreground frame was observed.
+        assert_eq!(w.agent::<LinkAgent>(link).unwrap().stats().dropped_channel, 2);
+        assert_eq!(obs.borrow().drops.len(), 1);
     }
 
     fn tagged(n: usize) -> Frame {
         Frame::tagged(Bytes::from(vec![0u8; n]), 7)
     }
 
-    /// sinks <- link with a background sink set, as `build_path` wires it.
-    fn two_class_rig(cfg: LinkConfig) -> (World, AgentId) {
+    /// sinks <- link with a background sink set, as `build_path` wires it;
+    /// returns the world, the link and its `[foreground, background]` sinks.
+    fn two_class_rig(cfg: LinkConfig) -> (World, AgentId, [AgentId; 2]) {
         let mut w = World::new(1, TraceLevel::Off);
         let fg_sink = w.add_agent(Box::new(NullSink::default()));
         let bg_sink = w.add_agent(Box::new(NullSink::default()));
@@ -912,13 +837,13 @@ mod tests {
         let mut la = LinkAgent::new(cfg, rng, (fg_sink, 0));
         la.set_sink((bg_sink, 0));
         let link = w.add_agent(Box::new(la));
-        (w, link)
+        (w, link, [fg_sink, bg_sink])
     }
 
     #[test]
     fn foreground_idle_follows_an_untagged_frame_to_its_arrival() {
         // 12 Mbps, 1500 B => 1 ms serialization each; prop 10 ms.
-        let (mut w, link) = two_class_rig(simple_cfg(12_000_000, 10, 1 << 20));
+        let (mut w, link, _) = two_class_rig(simple_cfg(12_000_000, 10, 1 << 20));
         let idle = |w: &World| w.agent::<LinkAgent>(link).unwrap().foreground_idle(w.now());
         assert!(idle(&w), "a fresh link owes nothing");
         // Background in service, foreground queued behind it.
@@ -940,7 +865,7 @@ mod tests {
 
     #[test]
     fn foreground_idle_ignores_background_traffic() {
-        let (mut w, link) = two_class_rig(simple_cfg(12_000_000, 10, 1 << 20));
+        let (mut w, link, _) = two_class_rig(simple_cfg(12_000_000, 10, 1 << 20));
         for _ in 0..5 {
             w.schedule(SimTime::ZERO, link, Event::Frame { port: 0, frame: tagged(1500) });
         }
@@ -957,7 +882,7 @@ mod tests {
     fn a_lost_foreground_frame_leaves_the_link_idle() {
         let mut cfg = simple_cfg(12_000_000, 10, 1500);
         cfg.loss = LossModel::Bernoulli { p: 1.0 };
-        let (mut w, link) = two_class_rig(cfg);
+        let (mut w, link, _) = two_class_rig(cfg);
         // The first is lost by the channel at 1 ms, the second overflows.
         for _ in 0..2 {
             w.schedule(SimTime::ZERO, link, Event::Frame { port: 0, frame: frame(1500) });
@@ -970,45 +895,25 @@ mod tests {
         assert!(la.foreground_idle(w.now()), "nothing was handed an arrival time");
     }
 
-    /// Per-class tallies a tap can keep: the classes differ in frame length.
+    /// The foreground's drops, as the link's tap reports them.
     #[derive(Default)]
-    struct ClassTally {
-        offered: u64,
+    struct ForegroundDrops {
         refused: u64,
-        delivered: u64,
         lost: u64,
-    }
-
-    #[derive(Default)]
-    struct ClassObserver {
-        fg: ClassTally,
-        bg: ClassTally,
     }
 
     const FG_LEN: usize = 1000;
     const BG_LEN: usize = 1400;
 
-    impl ClassObserver {
-        fn class(&mut self, bytes: &Bytes) -> &mut ClassTally {
-            match bytes.len() {
-                FG_LEN => &mut self.fg,
-                BG_LEN => &mut self.bg,
-                n => panic!("frame of {n} bytes belongs to neither class"),
-            }
-        }
-    }
-
-    impl mpw_sim::tap::FrameObserver for ClassObserver {
-        fn frame(&mut self, _: SimTime, _: u32, dir: TapDir, bytes: &Bytes) {
-            match dir {
-                TapDir::Ingress => self.class(bytes).offered += 1,
-                TapDir::Egress => self.class(bytes).delivered += 1,
-            }
+    impl mpw_sim::tap::FrameObserver for ForegroundDrops {
+        fn frame(&mut self, _: SimTime, _: u32, _: &Bytes) {
+            panic!("a link observes only the frames it drops");
         }
         fn dropped(&mut self, _: SimTime, _: u32, reason: DropReason, bytes: &Bytes) {
+            assert_eq!(bytes.len(), FG_LEN, "a background drop was observed");
             match reason {
-                DropReason::QueueOverflow => self.class(bytes).refused += 1,
-                _ => self.class(bytes).lost += 1,
+                DropReason::QueueOverflow => self.refused += 1,
+                _ => self.lost += 1,
             }
         }
     }
@@ -1019,32 +924,34 @@ mod tests {
         use std::rc::Rc;
         // A queue that overflows, a channel that loses, ARQ that retries and
         // gives up: every way a frame can leave, for both classes at once.
-        let mut cfg = simple_cfg(8_000_000, 5, 12_000);
+        // Nothing delays a delivery, so a frame served by a check has
+        // reached its sink by then.
+        let mut cfg = simple_cfg(8_000_000, 0, 12_000);
         cfg.loss = LossModel::Bernoulli { p: 0.4 };
         cfg.arq = Some(ArqConfig {
-            retry_delay: SimDuration::from_millis(2),
+            retry_delay: SimDuration::ZERO,
             max_retries: 1,
         });
-        let (mut w, link) = two_class_rig(cfg);
-        let obs = Rc::new(RefCell::new(ClassObserver::default()));
-        w.agent_mut::<LinkAgent>(link).unwrap().set_tap(LinkTap {
-            observer: obs.clone(),
-            ingress: Some(0),
-            egress: Some(1),
-            drops: Some(2),
-            background: true,
-        });
+        let (mut w, link, sinks) = two_class_rig(cfg);
+        let obs = Rc::new(RefCell::new(ForegroundDrops::default()));
+        let tap = LinkTap { observer: obs.clone(), drops: 0 };
+        w.agent_mut::<LinkAgent>(link).unwrap().set_tap(tap);
         // Bursts of both classes, offered at about twice the link rate.
         let mut rng = SimRng::seeded(5);
         let mut at = SimTime::ZERO;
+        let mut offered = Vec::new();
         for _ in 0..600 {
             at += SimDuration::from_micros(rng.range_u64(0, 1200));
-            let f = if rng.chance(0.5) { frame(FG_LEN) } else { tagged(BG_LEN) };
+            let foreground = rng.chance(0.5);
+            let f = if foreground { frame(FG_LEN) } else { tagged(BG_LEN) };
+            offered.push((at, foreground));
             w.schedule(at, link, Event::Frame { port: 0, frame: f });
         }
         let mut checked_busy = false;
+        let mut exits = [(0, 0, 0); 2];
         for ms in (0..=400).step_by(7) {
-            w.run_until(SimTime::from_millis(ms));
+            let now = SimTime::from_millis(ms);
+            w.run_until(now);
             let la = w.agent::<LinkAgent>(link).unwrap();
             // The placeholder that holds the server busy through an ARQ
             // capacity tax is not a frame of either class.
@@ -1052,26 +959,28 @@ mod tests {
             let held: Vec<&Frame> = la.q.iter().chain(in_service).collect();
             let held_fg = held.iter().filter(|f| f.meta == 0).count();
             assert_eq!(la.fg_held, held_fg, "the counter is the recount at {ms} ms");
-            let o = obs.borrow();
-            for (class, t, held) in [
-                ("foreground", &o.fg, held_fg),
-                ("background", &o.bg, held.len() - held_fg),
-            ] {
+            // The background's drops are the link's less the foreground's.
+            let (st, o) = (la.stats(), obs.borrow());
+            let bg = (st.dropped_overflow - o.refused, st.dropped_channel - o.lost);
+            let classes = [
+                (true, (o.refused, o.lost), held_fg),
+                (false, bg, held.len() - held_fg),
+            ];
+            for (i, (foreground, (refused, lost), held)) in classes.into_iter().enumerate() {
+                let offered = offered.iter().filter(|&&(at, fg)| at <= now && fg == foreground);
+                let arrived = w.agent::<NullSink>(sinks[i]).unwrap().frames;
                 assert_eq!(
-                    t.offered - t.refused,
-                    t.delivered + t.lost + held as u64,
-                    "{class} at {ms} ms: enqueued = delivered + dropped + held"
+                    offered.count() as u64 - refused,
+                    arrived + lost + held as u64,
+                    "class {i} at {ms} ms: enqueued = delivered + dropped + held"
                 );
+                exits[i] = (refused, lost, arrived);
             }
-            let st = la.stats();
-            assert_eq!(st.enqueued, o.fg.offered + o.bg.offered - st.dropped_overflow);
-            assert_eq!(st.delivered, o.fg.delivered + o.bg.delivered);
-            assert_eq!(st.dropped_channel, o.fg.lost + o.bg.lost);
+            assert_eq!(st.delivered, exits[0].2 + exits[1].2);
             checked_busy |= held_fg > 0 && held.len() > held_fg;
         }
-        let o = obs.borrow();
-        for t in [&o.fg, &o.bg] {
-            assert!(t.refused > 0 && t.lost > 0 && t.delivered > 0, "every exit was taken");
+        for (refused, lost, arrived) in exits {
+            assert!(refused > 0 && lost > 0 && arrived > 0, "every exit was taken");
         }
         assert!(checked_busy, "some check saw both classes held at once");
         assert!(w.agent::<LinkAgent>(link).unwrap().foreground_idle(w.now()));

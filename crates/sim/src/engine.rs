@@ -568,7 +568,6 @@ pub struct World {
     agents: Vec<Box<dyn Agent>>,
     rng: RngFactory,
     started: bool,
-    events_processed: u64,
     event_budget: u64,
     stats: EngineStats,
 }
@@ -582,7 +581,6 @@ impl World {
             agents: Vec::new(),
             rng: RngFactory::new(seed),
             started: false,
-            events_processed: 0,
             // Generous default: a 512 MB download is ~4M events round trip.
             event_budget: 2_000_000_000,
             stats: EngineStats::default(),
@@ -623,7 +621,7 @@ impl World {
 
     /// Number of events processed so far.
     pub fn events_processed(&self) -> u64 {
-        self.events_processed
+        self.stats.events_delivered
     }
 
     /// Event-loop counters (tombstones discarded, compactions, ...).
@@ -697,14 +695,13 @@ impl World {
                 self.cal.now = self.cal.now.max(horizon);
                 return RunOutcome::HorizonReached;
             }
-            if self.events_processed >= self.event_budget {
+            if self.stats.events_delivered >= self.event_budget {
                 return RunOutcome::EventBudgetExhausted;
             }
             let Some((dst, ev)) = self.cal.pop_head(lane) else {
                 self.stats.stale_timer_pops += 1;
                 continue;
             };
-            self.events_processed += 1;
             self.stats.events_delivered += 1;
             match lane {
                 Lane::Now => self.stats.same_instant_deliveries += 1,

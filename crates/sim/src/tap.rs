@@ -1,13 +1,17 @@
 //! Frame-level capture taps (the simulator's `tcpdump` attachment points).
 //!
-//! A [`FrameObserver`] sees the fully-encoded wire bytes exactly as a link
-//! carries them — the black-box view a packet sniffer would get, and the
-//! run's only per-segment record. Link components expose optional tap
-//! points; when no observer is attached the per-frame cost is a single
-//! `Option` check.
+//! A [`FrameObserver`] sees the fully-encoded wire bytes exactly as a host
+//! sends or receives them — the black-box view a packet sniffer on that
+//! host would get, and the run's only per-segment record. Hosts and links
+//! expose optional tap points (a host its transmitted and received frames,
+//! a link the frames it discards); when no observer is attached the
+//! per-frame cost is a single `Option` check. Every observation is made
+//! when it happens and stamped with the current time, so an observer sees
+//! them in dispatch order at a non-decreasing time.
 //!
-//! The trait lives in the substrate so that `mpw-link` can call into it and
-//! `mpw-capture` can implement it without a dependency cycle.
+//! The trait lives in the substrate so that `mpw-link` and `mpw-mptcp` can
+//! call into it and `mpw-capture` can implement it without a dependency
+//! cycle.
 //!
 //! Observers are shared via `Rc<RefCell<…>>`: a `World` and all its agents
 //! live on one thread (campaign parallelism builds one world per worker
@@ -35,40 +39,20 @@ pub enum DropReason {
     LinkDown,
 }
 
-/// Where, relative to the observed link, a frame was seen.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum TapDir {
-    /// Frame entered the link (it just left the transmitting host's stack).
-    Ingress,
-    /// Frame exited the link (it is arriving at the receiving host). The
-    /// timestamp reported for egress observations is the *arrival* time.
-    Egress,
-}
-
 /// A passive observer of frames crossing a tap point.
 ///
 /// Implementations must be observation-only: they may copy bytes and record
 /// timestamps but must not influence the simulation (no RNG draws, no event
 /// scheduling). This is what makes capture-on and capture-off runs of the
 /// same seed byte-identical in their metrics.
-///
-/// **The caller's side of the contract.** Calls arrive in non-decreasing
-/// simulated time. A [`dropped`](Self::dropped) or [`TapDir::Ingress`]
-/// observation is made when it happens, so its `at` is the current time; a
-/// [`TapDir::Egress`] observation is made when the delivery is scheduled
-/// and stamped with the arrival, so its `at` is the current time or later.
-/// Hence no observation is ever stamped earlier than the latest ingress or
-/// drop — which is what lets an observer write a time-sorted record as it
-/// goes, holding only the egress observations still in flight. `mpw-link`'s
-/// `LinkAgent` calls its taps this way; `mpw-capture`'s hub asserts it.
 pub trait FrameObserver {
     /// A frame crossed a tap point.
     ///
     /// `iface` is the capture-interface id the tap was registered with
     /// (observer-assigned, not an [`AgentId`](crate::AgentId)); `at` is the
-    /// simulated time of the observation (transmit time for
-    /// [`TapDir::Ingress`], arrival time for [`TapDir::Egress`]).
-    fn frame(&mut self, at: SimTime, iface: u32, dir: TapDir, bytes: &Bytes);
+    /// simulated time of the observation: when the host sent or received
+    /// the frame.
+    fn frame(&mut self, at: SimTime, iface: u32, bytes: &Bytes);
 
     /// The link discarded a frame instead of delivering it.
     ///
@@ -92,7 +76,7 @@ mod tests {
     }
 
     impl FrameObserver for Counter {
-        fn frame(&mut self, _at: SimTime, _iface: u32, _dir: TapDir, _bytes: &Bytes) {
+        fn frame(&mut self, _at: SimTime, _iface: u32, _bytes: &Bytes) {
             self.frames += 1;
         }
         fn dropped(&mut self, _at: SimTime, _iface: u32, _reason: DropReason, _bytes: &Bytes) {
@@ -104,8 +88,7 @@ mod tests {
     fn shared_observer_is_cloneable_and_mutable() {
         let counter = Rc::new(RefCell::new(Counter::default()));
         let obs: SharedObserver = counter.clone();
-        obs.borrow_mut()
-            .frame(SimTime::ZERO, 0, TapDir::Ingress, &Bytes::from_static(b"x"));
+        obs.borrow_mut().frame(SimTime::ZERO, 0, &Bytes::from_static(b"x"));
         obs.borrow_mut().dropped(
             SimTime::ZERO,
             1,

@@ -98,12 +98,10 @@ fn wire_analysis_matches_stack_metrics_mp() {
 /// bytes and OFO shape must agree with the wire's. (This is the Sprint MP-4
 /// row of the pinned captures.)
 ///
-/// RTT means are reported, not asserted. On this run the wire's mean for
-/// subflow 3 (43 segments, 21 retransmitted, 3 samples a side) is 313.6 ms
-/// against the stack's 225.4 ms. The file orders equal timestamps by
-/// observation, so an ACK reaching the server at the instant the server
-/// retransmits is read before that retransmission: the analyzer takes a
-/// Karn-invalid sample the stack does not.
+/// RTT means are reported, not asserted. On this run subflow 3 (43
+/// segments, 21 retransmitted) has 3 stack samples, one of them the
+/// handshake, and 2 wire samples: a mean of 225.4 ms against the wire's
+/// 307.5 ms.
 #[test]
 fn wire_analysis_matches_stack_metrics_mp4() {
     let sc = Scenario {
@@ -149,6 +147,41 @@ fn mp4_share_is_the_receivers_per_interface_share() {
     }
 }
 
+/// The wire takes no RTT sample the stack does not: on every established
+/// subflow the analyzer's count is at most the stack's less one, the
+/// handshake round trip only the stack keeps. Each record is stamped when
+/// its host handles the frame, so an ACK reaching the server at the instant
+/// the server retransmits is read after that retransmission, and Karn's
+/// rule drops the sample. These are retransmission-heavy Sprint MP-4 runs;
+/// subflow 10.0.2.2:40003 is where a file ordered by when deliveries were
+/// scheduled read the ACK first.
+#[test]
+fn wire_rtt_samples_are_karn_valid() {
+    use DayPeriod::{Evening, Night};
+    for (period, seed) in [(Night, 13), (Night, 11), (Evening, 11)] {
+        let sc = Scenario {
+            carrier: Carrier::Sprint,
+            period,
+            ..fig5_style(FlowConfig::mp4(Coupling::Olia))
+        };
+        let (m, pcap) = run_measurement_captured(&sc, seed);
+        let file = read_pcapng(&pcap).expect("capture parses back");
+        let wa = analyze(&file, SERVER_PORT);
+        for s in m.subflows.iter().filter(|s| s.established) {
+            let mut wire = wa.connections.iter().flat_map(|c| &c.subflows);
+            let w = wire.find(|w| w.client == s.client);
+            let w = w.unwrap_or_else(|| panic!("{period:?} seed {seed}: {:?} unseen", s.client));
+            assert!(
+                w.rtt.count() < s.rtt.count(),
+                "{period:?} seed {seed}, subflow {:?}: {} wire RTT samples, {} on the stack",
+                s.client,
+                w.rtt.count(),
+                s.rtt.count()
+            );
+        }
+    }
+}
+
 #[test]
 fn wire_analysis_matches_stack_metrics_sp() {
     for (flow, seed) in [(FlowConfig::SpWifi, 3), (FlowConfig::SpCellular, 5)] {
@@ -163,15 +196,13 @@ fn fnv1a(data: &[u8]) -> u64 {
     })
 }
 
-/// The capture is pinned by bytes: these are the files the collect-then-sort
-/// hub wrote at the commit before the streaming one replaced it (Home WiFi,
-/// warm-up on). Drop-free files declare 8 interfaces — the eagerly written
-/// `drops` block cut out again, on a full-size file in the last row — and
-/// lossy ones 9. The first row was pinned again (147,052 B before) when a
-/// closed socket began to answer with RST: its MP_JOIN reaches the server
-/// after the 64 KB connection has closed, and the file used to end with the
-/// server's unanswered SYN-ACK and its retransmissions where it now holds
-/// that SYN-ACK once and the client's reset.
+/// The capture is pinned by bytes (Home WiFi, warm-up on). Drop-free files
+/// declare 8 interfaces — the eagerly written `drops` block cut out again,
+/// on a full-size file in the last row — and lossy ones 9. The hashes were
+/// pinned again when the receiving vantages moved from the links onto the
+/// hosts: each file holds the same records as before, and only records
+/// with equal timestamps changed places (they now follow the order the
+/// hosts handled the frames in).
 #[test]
 fn pcapng_bytes_match_the_pinned_hashes() {
     use DayPeriod::{Evening, Night};
@@ -179,11 +210,11 @@ fn pcapng_bytes_match_the_pinned_hashes() {
     let mp4 = FlowConfig::mp4(Coupling::Olia);
     let (sp_wifi, sp_cell) = (FlowConfig::SpWifi, FlowConfig::SpCellular);
     let rows = [
-        (Carrier::Att, mp2, Night, sizes::S64K, 2013, 146_820, 0x494e_2eb3_4460_1fbf, 0),
-        (Carrier::Att, mp2, Night, sizes::S2M, 11, 4_665_468, 0xc328_1dc4_a369_afda, 17),
-        (Carrier::Sprint, mp4, Evening, sizes::S2M, 11, 4_859_220, 0xb53c_7b05_fea6_3a8b, 48),
-        (Carrier::Att, sp_wifi, Evening, sizes::S64K, 2013, 142_820, 0xe4e6_1818_5e07_9fb9, 0),
-        (Carrier::Verizon, sp_cell, Night, sizes::S8M, 7919, 18_003_316, 0x4f1f_424e_e5c4_3612, 0),
+        (Carrier::Att, mp2, Night, sizes::S64K, 2013, 146_820, 0x5312_b04c_3ebf_1dbb, 0),
+        (Carrier::Att, mp2, Night, sizes::S2M, 11, 4_665_468, 0x3bf1_97da_cf52_4a46, 17),
+        (Carrier::Sprint, mp4, Evening, sizes::S2M, 11, 4_859_220, 0x3dbf_38e3_6fb8_b7ab, 48),
+        (Carrier::Att, sp_wifi, Evening, sizes::S64K, 2013, 142_820, 0xf22c_41da_e3a3_2d7d, 0),
+        (Carrier::Verizon, sp_cell, Night, sizes::S8M, 7919, 18_003_316, 0xf627_8669_a09b_babe, 0),
     ];
     for (carrier, flow, period, size, seed, len, hash, drops) in rows {
         let sc = Scenario {
