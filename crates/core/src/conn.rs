@@ -590,8 +590,6 @@ pub struct ConnStats {
 pub struct MptcpConnection {
     /// Configuration in force.
     pub cfg: MptcpConfig,
-    /// Connection identifier (unique per run, used in traces).
-    pub conn_id: u32,
     shared: ConnShared,
     /// Subflows in creation order; index 0 is the MP_CAPABLE subflow.
     pub subflows: Vec<Subflow>,
@@ -656,7 +654,9 @@ const _: fn() = || {
 
 impl MptcpConnection {
     /// Active (client) open. `local_addrs[0]` is the default path (WiFi in
-    /// the paper); `remote` is the server's primary endpoint.
+    /// the paper); `remote` is the server's primary endpoint. The subflows
+    /// take local ports from `40000 + 31 · conn_id` up (a host passes the
+    /// connection's slot, 0 on a client).
     pub fn connect(
         cfg: MptcpConfig,
         conn_id: u32,
@@ -675,7 +675,8 @@ impl MptcpConnection {
 
     /// Passive (server) open from an MP_CAPABLE SYN. `local_addrs` lists
     /// every server interface address (the secondary is advertised via
-    /// ADD_ADDR for 4-path experiments).
+    /// ADD_ADDR for 4-path experiments). A server's ports are its
+    /// clients' choice, so `conn_id` places nothing.
     #[allow(clippy::too_many_arguments)]
     pub fn accept(
         cfg: MptcpConfig,
@@ -739,7 +740,6 @@ impl MptcpConnection {
         let addr_advertised = is_client || local_addrs.len() <= 1;
         MptcpConnection {
             cfg,
-            conn_id,
             shared,
             subflows: Vec::new(),
             coupling,
@@ -1245,7 +1245,7 @@ impl MptcpConnection {
         self.lifecycle_poll(now);
         self.reinject_from_dead_subflows();
         self.maybe_penalize(now);
-        self.pump(now);
+        self.pump();
         self.progress_close();
     }
 
@@ -1369,12 +1369,9 @@ impl MptcpConnection {
     }
 
     /// Assign pending data (reinjections first) to subflows per the
-    /// scheduler, recording DSS mappings.
-    fn pump(&mut self, _now: SimTime) {
-        if self.fell_back() {
-            self.pump_fallback();
-            return;
-        }
+    /// scheduler, recording DSS mappings. Not on a fallen-back connection:
+    /// [`Self::post_event`] pumps that one as plain TCP.
+    fn pump(&mut self) {
         let mss = self.cfg.cc.mss;
         // The subflow snapshot handed to the scheduler lives in a scratch
         // vector owned by the connection: taken out for the duration of the
@@ -1938,10 +1935,8 @@ impl MptcpConnection {
     )]
     fn require(&self, held: Result<(), String>, site: &str) {
         if let Err(e) = held {
-            panic!(
-                "MPTCP invariant violated after {site} (conn {}): {e}",
-                self.conn_id
-            );
+            let first = self.subflows.first().map(|s| (s.local, s.remote));
+            panic!("MPTCP invariant violated after {site} (first subflow {first:?}): {e}");
         }
     }
 

@@ -18,6 +18,7 @@
 //! measured.
 
 use mpw_sim::SimDuration;
+use mpw_tcp::cc::INITIAL_WINDOW_SEGMENTS;
 use mpw_tcp::CcConfig;
 use serde::{Deserialize, Serialize};
 
@@ -130,7 +131,7 @@ impl CouplingState {
     /// Add a subflow's window; returns its index.
     pub fn register(&mut self, cfg: &CcConfig) -> usize {
         self.flows.push(SubflowCc {
-            cwnd: cfg.mss * cfg.initial_window_segments,
+            cwnd: cfg.mss * INITIAL_WINDOW_SEGMENTS,
             ssthresh: cfg.initial_ssthresh,
             rtt: 0.1,
             epoch_bytes: 0.0,
@@ -335,19 +336,11 @@ impl CouplingState {
 mod tests {
     use super::*;
 
-    fn cfg() -> CcConfig {
-        CcConfig {
-            mss: 1400,
-            initial_window_segments: 10,
-            initial_ssthresh: 64 * 1024,
-        }
-    }
-
     /// Flows 0 and 1, coupled by `algo`.
     fn two_flows(algo: Coupling) -> CouplingState {
         let mut st = CouplingState::new(algo, 1400);
-        st.register(&cfg());
-        st.register(&cfg());
+        st.register(&CcConfig::default());
+        st.register(&CcConfig::default());
         st
     }
 
@@ -534,7 +527,7 @@ mod tests {
         // With one subflow, alpha = w * (w/rtt²) / (w/rtt)² = 1 → increase
         // min(1/w, 1/w) = reno.
         let mut st = CouplingState::new(Coupling::Coupled, 1400);
-        st.register(&cfg());
+        st.register(&CcConfig::default());
         drive_to_ca(&mut st, 0);
         let alpha = st.lia_alpha();
         assert!((alpha - 1.0).abs() < 1e-9, "alpha {alpha}");
@@ -581,7 +574,7 @@ mod tests {
         let mut st = asymmetric_olia_state();
         // Drive a third flow shaped like flow 0, and retire flow 0 to keep
         // the 2-path asymmetry.
-        let a = st.register(&cfg());
+        let a = st.register(&CcConfig::default());
         st.flows[a].cwnd = 10 * 1400;
         st.flows[a].rtt = 0.01;
         st.flows[a].epoch_bytes = 2e6; // strictly best quality
@@ -637,7 +630,7 @@ mod tests {
             for algo in [Coupling::Coupled, Coupling::Olia] {
                 let mut st = CouplingState::new(algo, mss);
                 for (i, &w) in windows.iter().enumerate() {
-                    let fl = st.register(&cfg());
+                    let fl = st.register(&CcConfig::default());
                     let fl = &mut st.flows[fl];
                     fl.cwnd = w as usize * mss;
                     fl.rtt = rtts_ms[i % rtts_ms.len()] as f64 / 1e3;

@@ -12,6 +12,13 @@
 //! on the host: it sees each frame as the host sends it, and each one
 //! handed to it before it is parsed.
 //!
+//! A connection's id is its slot: a client's one connection is 0, so every
+//! client opens from the same local ports and is told apart by address. A
+//! server holds one listener ([`Host::listen`]): its port, the
+//! configuration of each accepted MPTCP connection and the factory of each
+//! accepted connection's app. Plain TCP, opened or accepted, runs the
+//! paper's socket settings (§3.1) and takes no configuration.
+//!
 //! The host keeps no calendar of its own. Each connection slot holds one
 //! cancellable engine timer at the earlier of its transport's next timeout
 //! and its app's next wakeup, and a warming open holds one for its 2 s ping
@@ -36,12 +43,10 @@ use crate::conn::{MptcpConfig, MptcpConnection};
 /// axis of every figure: single-path TCP vs 2-/4-path MPTCP.
 #[derive(Clone, Debug)]
 pub enum TransportSpec {
-    /// Plain single-path TCP bound to one interface.
+    /// Plain single-path TCP bound to one interface, with the paper's
+    /// socket settings (§3.1: the defaults of [`TcpConfig`] and
+    /// [`CcConfig`]).
     Plain {
-        /// TCP configuration.
-        tcp: TcpConfig,
-        /// Congestion-control parameters.
-        cc: CcConfig,
         /// Which local interface to bind.
         if_index: u8,
     },
@@ -193,7 +198,15 @@ impl App for NullApp {
 
 /// Factory producing the server-side application for each accepted
 /// connection.
-pub type AppFactory = Box<dyn FnMut(u32) -> Box<dyn App>>;
+pub type AppFactory = Box<dyn FnMut() -> Box<dyn App>>;
+
+/// What a server answers on (see [`Host::listen`]).
+struct Listener {
+    port: u16,
+    /// The configuration of each accepted MPTCP connection.
+    mptcp: MptcpConfig,
+    app: AppFactory,
+}
 
 struct Slot {
     transport: Transport,
@@ -282,10 +295,9 @@ pub struct Host {
     /// Destination-address routes (servers: client addr → downlink agent).
     /// Keyed so lookup stays O(log n) with one route per fleet client.
     routes: BTreeMap<Addr, AgentId>,
-    /// Listening port (servers).
-    listen_port: Option<u16>,
-    listen_mptcp_cfg: MptcpConfig,
-    app_factory: Option<AppFactory>,
+    /// The listener (servers). Boxed: a client holds none.
+    listener: Option<Box<Listener>>,
+    /// Connections, each identified by its index here.
     slots: Vec<Slot>,
     /// (local, remote) → (slot, subflow) demux.
     demux: BTreeMap<(Endpoint, Endpoint), (usize, usize)>,
@@ -300,8 +312,6 @@ pub struct Host {
     pub ping_rtts: Vec<SimDuration>,
     /// Warm-up pings awaiting a reply: token → send time.
     ping_sent_at: BTreeMap<u64, SimTime>,
-    next_conn_id: u32,
-    conn_id_base: u32,
     rng: SimRng,
     /// Slots touched since the last flush (incoming segment, fired timer,
     /// external mutation, fresh open). `flush` pumps exactly these, in
@@ -322,17 +332,14 @@ pub struct Host {
 }
 
 impl Host {
-    /// Create a host with the given interface addresses. `conn_id_base`
-    /// namespaces this host's locally initiated connection ids.
-    pub fn new(addrs: Vec<Addr>, conn_id_base: u32, rng: SimRng) -> Self {
+    /// Create a host with the given interface addresses.
+    pub fn new(addrs: Vec<Addr>, rng: SimRng) -> Self {
         let n = addrs.len();
         Host {
             addrs,
             iface_links: vec![None; n],
             routes: BTreeMap::new(),
-            listen_port: None,
-            listen_mptcp_cfg: MptcpConfig::default(),
-            app_factory: None,
+            listener: None,
             slots: Vec::new(),
             demux: BTreeMap::new(),
             tokens: BTreeMap::new(),
@@ -340,8 +347,6 @@ impl Host {
             open: None,
             ping_rtts: Vec::new(),
             ping_sent_at: BTreeMap::new(),
-            next_conn_id: conn_id_base,
-            conn_id_base,
             rng,
             dirty: BTreeSet::new(),
             #[cfg(test)]
@@ -362,13 +367,10 @@ impl Host {
         self.routes.insert(dst, link);
     }
 
-    /// Listen on `port`, accepting both MPTCP (with `mptcp_cfg`) and plain
-    /// TCP (with the default configuration), creating one app per accepted
-    /// connection.
-    pub fn listen(&mut self, port: u16, mptcp_cfg: MptcpConfig, factory: AppFactory) {
-        self.listen_port = Some(port);
-        self.listen_mptcp_cfg = mptcp_cfg;
-        self.app_factory = Some(factory);
+    /// Listen on `port`, accepting both MPTCP (with `mptcp`) and plain TCP,
+    /// creating one app per accepted connection.
+    pub fn listen(&mut self, port: u16, mptcp: MptcpConfig, app: AppFactory) {
+        self.listener = Some(Box::new(Listener { port, mptcp, app }));
     }
 
     /// Observe the frames this host sends into a link, given as `(link,
@@ -680,31 +682,20 @@ impl Host {
     }
 
     fn open_now(&mut self, req: OpenRequest, now: SimTime) {
-        let conn_id = self.next_conn_id;
-        self.next_conn_id += 1;
+        // The one connection a client opens: slot 0, and that is its id.
+        // Clients are told apart by address, so every one opens from the
+        // same local ports.
+        let slot = self.slots.len();
         let transport = match req.spec {
-            TransportSpec::Plain { tcp, cc, if_index } => {
-                let local = Endpoint::new(
-                    self.addrs[if_index as usize],
-                    30_000 + (conn_id as u16 % 20_000),
-                );
-                let iss = SeqNum(self.rng.next_u64() as u32);
-                Transport::Sp(TcpSocket::connect(
-                    tcp,
-                    Cc::Own(NewReno::new(cc)),
-                    Box::new(NoHooks),
-                    local,
-                    req.remote,
-                    if_index,
-                    iss,
-                    now,
-                ))
+            TransportSpec::Plain { if_index } => {
+                let local = Endpoint::new(self.addrs[if_index as usize], 30_000 + slot as u16);
+                Transport::Sp(self.plain_socket(local, req.remote, if_index, None, now))
             }
             TransportSpec::Mptcp(cfg) => {
                 let rng = SimRng::seeded(self.rng.next_u64());
                 Transport::Mp(MptcpConnection::connect(
                     cfg,
-                    conn_id,
+                    slot as u32,
                     self.addrs.clone(),
                     req.remote,
                     rng,
@@ -712,7 +703,6 @@ impl Host {
                 ))
             }
         };
-        let slot = self.slots.len();
         // Most hosts open one connection: a `Slot` is under 1 KiB, where
         // std's first growth step would reserve four of them.
         if slot == 0 {
@@ -721,6 +711,26 @@ impl Host {
         self.slots.push(Slot::new(transport, req.app));
         self.dirty.insert(slot);
         self.register_demux(slot);
+    }
+
+    /// A plain socket between `local` and `remote` with the paper's socket
+    /// settings: the client's open, or with `syn` the server's accept of it.
+    fn plain_socket(
+        &mut self,
+        local: Endpoint,
+        remote: Endpoint,
+        if_index: u8,
+        syn: Option<&TcpSegment>,
+        now: SimTime,
+    ) -> TcpSocket {
+        let iss = SeqNum(self.rng.next_u64() as u32);
+        let (tcp, cc) = (TcpConfig::default(), Cc::Own(NewReno::new(CcConfig::default())));
+        match syn {
+            None => TcpSocket::connect(tcp, cc, Box::new(NoHooks), local, remote, if_index, iss, now),
+            Some(syn) => {
+                TcpSocket::accept(tcp, cc, Box::new(NoHooks), local, remote, if_index, iss, syn, now)
+            }
+        }
     }
 
     fn handle_ping(&mut self, ctx: &mut Ctx<'_>, ip: IpHeader, ping: PingPacket) {
@@ -763,10 +773,10 @@ impl Host {
             return;
         }
 
-        // No socket: maybe a listener can take it.
-        if seg.has(tcp_flags::SYN)
-            && !seg.has(tcp_flags::ACK)
-            && Some(seg.dst_port) == self.listen_port
+        // No socket: maybe the listener can take it.
+        let syn = seg.has(tcp_flags::SYN) && !seg.has(tcp_flags::ACK);
+        if let Some(listener) =
+            self.listener.as_deref_mut().filter(|l| syn && l.port == seg.dst_port)
         {
             let join_token = seg.options.iter().find_map(|o| match o {
                 TcpOption::Mptcp(MptcpOption::Join { token, .. }) => Some(token),
@@ -790,17 +800,13 @@ impl Host {
             let is_capable = seg.options.iter().any(|o| {
                 matches!(o, TcpOption::Mptcp(MptcpOption::Capable { .. }))
             });
-            let conn_id = self.next_conn_id;
-            self.next_conn_id += 1;
-            let app = match &mut self.app_factory {
-                Some(f) => f(conn_id),
-                None => Box::new(NullApp),
-            };
+            let app = (listener.app)();
+            let slot = self.slots.len();
             let transport = if is_capable {
                 let rng = SimRng::seeded(self.rng.next_u64());
                 match MptcpConnection::accept(
-                    self.listen_mptcp_cfg.clone(),
-                    conn_id,
+                    listener.mptcp.clone(),
+                    slot as u32,
                     local,
                     remote,
                     self.addrs.clone(),
@@ -817,20 +823,8 @@ impl Host {
                     .iter()
                     .position(|a| *a == local.addr)
                     .unwrap_or(0) as u8;
-                let iss = SeqNum(self.rng.next_u64() as u32);
-                Transport::Sp(TcpSocket::accept(
-                    TcpConfig::default(),
-                    Cc::Own(NewReno::new(CcConfig::default())),
-                    Box::new(NoHooks),
-                    local,
-                    remote,
-                    if_index,
-                    iss,
-                    seg,
-                    now,
-                ))
+                Transport::Sp(self.plain_socket(local, remote, if_index, Some(seg), now))
             };
-            let slot = self.slots.len();
             self.slots.push(Slot::new(transport, app));
             self.dirty.insert(slot);
             self.register_demux(slot);
@@ -975,13 +969,7 @@ impl Agent for Host {
 
 impl std::fmt::Debug for Host {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "Host(addrs={:?}, slots={}, base={})",
-            self.addrs,
-            self.slots.len(),
-            self.conn_id_base
-        )
+        write!(f, "Host(addrs={:?}, slots={})", self.addrs, self.slots.len())
     }
 }
 
@@ -1034,7 +1022,7 @@ mod tests {
         for (what, ev) in events {
             let mut w = World::new(3, TraceLevel::Off);
             let rng = w.rng().stream("host");
-            let host = w.add_agent(Box::new(Host::new(vec![addr], 0, rng)));
+            let host = w.add_agent(Box::new(Host::new(vec![addr], rng)));
             if let Some(ev) = ev {
                 w.run_until_idle();
                 w.schedule(w.now(), host, ev);
@@ -1055,8 +1043,8 @@ mod tests {
     fn app_downcasts_reach_the_app_not_its_box() {
         let ms = SimTime::from_millis;
         let mut w = World::new(3, TraceLevel::Off);
-        let mut host = Host::new(vec![Addr::new(192, 168, 1, 1)], 0, w.rng().stream("host"));
-        let spec = TransportSpec::Plain { tcp: TcpConfig::default(), cc: CcConfig::default(), if_index: 0 };
+        let mut host = Host::new(vec![Addr::new(192, 168, 1, 1)], w.rng().stream("host"));
+        let spec = TransportSpec::Plain { if_index: 0 };
         let remote = Endpoint::new(Addr::new(10, 0, 1, 2), 8080);
         let app = Box::new(Alarm(Some(ms(50))));
         assert!(host.queue_open(OpenRequest { at: SimTime::ZERO, spec, remote, app, warmup: false }).is_ok());
@@ -1081,11 +1069,11 @@ mod tests {
         let ms = SimTime::from_millis;
         for mutant in [false, true] {
             let mut w = World::new(3, TraceLevel::Off);
-            let mut host = Host::new(vec![Addr::new(192, 168, 1, 1)], 0, w.rng().stream("host"));
+            let mut host = Host::new(vec![Addr::new(192, 168, 1, 1)], w.rng().stream("host"));
             host.keep_later_timers = mutant;
             // No interface link: the SYN goes nowhere, and the alarm at
             // 50 ms is the slot's deadline, ahead of the SYN's 1 s RTO.
-            let spec = TransportSpec::Plain { tcp: TcpConfig::default(), cc: CcConfig::default(), if_index: 0 };
+            let spec = TransportSpec::Plain { if_index: 0 };
             let remote = Endpoint::new(Addr::new(10, 0, 1, 2), 8080);
             let app = Box::new(Alarm(Some(ms(50))));
             assert!(host.queue_open(OpenRequest { at: SimTime::ZERO, spec, remote, app, warmup: false }).is_ok());

@@ -141,8 +141,8 @@ fn build_rig(seed: u64, specs: &[PathSpec], server_ifs: usize, strip_path0: bool
     let server_addrs: Vec<Addr> = SERVER_ADDRS[..server_ifs].to_vec();
     let c_rng = world.rng().stream("host.client");
     let s_rng = world.rng().stream("host.server");
-    let client = world.add_agent(Box::new(Host::new(client_addrs.clone(), 0, c_rng)));
-    let server = world.add_agent(Box::new(Host::new(server_addrs.clone(), 1 << 16, s_rng)));
+    let client = world.add_agent(Box::new(Host::new(client_addrs.clone(), c_rng)));
+    let server = world.add_agent(Box::new(Host::new(server_addrs.clone(), s_rng)));
     let mut paths = Vec::new();
     for (i, spec) in specs.iter().enumerate() {
         let (to_server, to_client): ((AgentId, u16), (AgentId, u16)) = if strip_path0 && i == 0 {
@@ -176,7 +176,7 @@ fn build_rig(seed: u64, specs: &[PathSpec], server_ifs: usize, strip_path0: bool
         host.listen(
             8080,
             MptcpConfig { max_subflows: 8, ..MptcpConfig::default() },
-            Box::new(|_conn_id| Box::new(NullServerFactoryPlaceholder)),
+            Box::new(|| Box::new(NullServerFactoryPlaceholder)),
         );
     }
     Rig {
@@ -200,7 +200,7 @@ impl Rig {
         host.listen(
             8080,
             MptcpConfig { max_subflows: 8, ..MptcpConfig::default() },
-            Box::new(move |_id| Box::new(BulkSender { total, sent: 0 })),
+            Box::new(move || Box::new(BulkSender { total, sent: 0 })),
         );
     }
 
@@ -427,15 +427,8 @@ fn same_seed_is_bit_identical() {
 fn single_path_plain_tcp_through_rig() {
     let mut rig = build_rig(29, &[wifi_home(0.3), att_lte()], 1, false);
     rig.serve_bulk(100_000);
-    rig.open(
-        TransportSpec::Plain {
-            tcp: Default::default(),
-            cc: Default::default(),
-            if_index: 1, // over LTE
-        },
-        SimTime::from_millis(10),
-        true,
-    );
+    // Over LTE.
+    rig.open(TransportSpec::Plain { if_index: 1 }, SimTime::from_millis(10), true);
     rig.world.run_until(SimTime::from_secs(30));
     let host = rig.client_host();
     let app = host.app::<SinkClient>(0).unwrap();

@@ -13,7 +13,7 @@ const OTHER_ADDR: Addr = Addr::new(10, 0, 1, 2);
 
 /// A plain TCP open to `OTHER_ADDR:8080` at `at`.
 fn request(at: SimTime, app: Box<dyn App>, warmup: bool) -> OpenRequest {
-    let spec = TransportSpec::Plain { tcp: Default::default(), cc: Default::default(), if_index: 0 };
+    let spec = TransportSpec::Plain { if_index: 0 };
     OpenRequest { at, spec, remote: Endpoint::new(OTHER_ADDR, 8080), app, warmup }
 }
 
@@ -51,7 +51,7 @@ fn world_with_host() -> (World, AgentId, AgentId) {
     let mut w = World::new(3, TraceLevel::Off);
     let cap = w.add_agent(Box::new(Capture::default()));
     let rng = w.rng().stream("host");
-    let mut host = Host::new(vec![HOST_ADDR], 0, rng);
+    let mut host = Host::new(vec![HOST_ADDR], rng);
     host.set_iface_link(0, cap);
     let host = w.add_agent(Box::new(host));
     (w, host, cap)
@@ -117,7 +117,7 @@ fn unparsable_frames_are_counted_and_draw_nothing() {
     // parsable or not, would count here.
     let mut w = World::new(3, TraceLevel::Off);
     let sink = w.add_agent(Box::new(NullSink::recording()));
-    let mut host = Host::new(vec![HOST_ADDR], 0, w.rng().stream("host"));
+    let mut host = Host::new(vec![HOST_ADDR], w.rng().stream("host"));
     host.set_iface_link(0, sink);
     let host = w.add_agent(Box::new(host));
 
@@ -160,7 +160,7 @@ fn listener_accepts_capable_syn_and_answers_synack() {
         h.listen(
             8080,
             MptcpConfig::default(),
-            Box::new(|_| Box::new(mpw_mptcp::NullApp)),
+            Box::new(|| Box::new(mpw_mptcp::NullApp)),
         );
     }
     let mut syn = TcpSegment::bare(40_000, 8080, SeqNum(1), SeqNum(0), tcp_flags::SYN);
@@ -201,7 +201,7 @@ fn plain_syn_is_accepted_as_plain_tcp() {
         h.listen(
             8080,
             MptcpConfig::default(),
-            Box::new(|_| Box::new(mpw_mptcp::NullApp)),
+            Box::new(|| Box::new(mpw_mptcp::NullApp)),
         );
     }
     let mut syn = TcpSegment::bare(40_001, 8080, SeqNum(1), SeqNum(0), tcp_flags::SYN);
@@ -231,7 +231,7 @@ fn vanished_warmup_pings_open_on_the_two_second_deadline() {
     let mut w = World::new(3, TraceLevel::Off);
     let wifi = w.add_agent(Box::new(NullSink::recording()));
     let cell = w.add_agent(Box::new(NullSink::recording()));
-    let mut host = Host::new(vec![HOST_ADDR, Addr::new(10, 0, 2, 2)], 0, w.rng().stream("host"));
+    let mut host = Host::new(vec![HOST_ADDR, Addr::new(10, 0, 2, 2)], w.rng().stream("host"));
     host.set_iface_link(0, wifi);
     host.set_iface_link(1, cell);
     let host = w.add_agent(Box::new(host));
@@ -299,15 +299,15 @@ fn two_slots_keep_separate_wakeups_until_both_leave_time_wait() {
     // server slot closes first, so it, not its client, holds the 500 ms
     // TIME_WAIT — slot 0 until 500 ms, slot 1 until 800 ms.
     let mut w = World::new(3, TraceLevel::Off);
-    let mut server = Host::new(vec![OTHER_ADDR], 1_000, w.rng().stream("server"));
-    let factory = Box::new(|_| Box::new(Closer(false)) as Box<dyn App>);
+    let mut server = Host::new(vec![OTHER_ADDR], w.rng().stream("server"));
+    let factory = Box::new(|| Box::new(Closer(false)) as Box<dyn App>);
     server.listen(8080, MptcpConfig::default(), factory);
     let server = w.add_agent(Box::new(server));
     let ms = SimTime::from_millis;
     let mut clients = Vec::new();
     for (i, at) in [ms(0), ms(300)].into_iter().enumerate() {
         let addr = Addr::new(192, 168, 1, 1 + i as u8);
-        let mut client = Host::new(vec![addr], 0, w.rng().substream("client", i as u64));
+        let mut client = Host::new(vec![addr], w.rng().substream("client", i as u64));
         client.set_iface_link(0, server);
         let client = w.add_agent(Box::new(client));
         w.agent_mut::<Host>(server).unwrap().add_route(addr, client);

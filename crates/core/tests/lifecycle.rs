@@ -80,8 +80,8 @@ fn build_rig(seed: u64, specs: &[PathSpec], total: usize) -> Rig {
     let client_addrs: Vec<Addr> = CLIENT_ADDRS[..specs.len()].to_vec();
     let c_rng = world.rng().stream("host.client");
     let s_rng = world.rng().stream("host.server");
-    let client = world.add_agent(Box::new(Host::new(client_addrs.clone(), 0, c_rng)));
-    let server = world.add_agent(Box::new(Host::new(vec![SERVER_ADDR], 1 << 16, s_rng)));
+    let client = world.add_agent(Box::new(Host::new(client_addrs.clone(), c_rng)));
+    let server = world.add_agent(Box::new(Host::new(vec![SERVER_ADDR], s_rng)));
     let mut paths = Vec::new();
     for (i, spec) in specs.iter().enumerate() {
         paths.push(build_path(
@@ -107,7 +107,7 @@ fn build_rig(seed: u64, specs: &[PathSpec], total: usize) -> Rig {
         host.listen(
             8080,
             MptcpConfig { max_subflows: 8, ..MptcpConfig::default() },
-            Box::new(move |_id| Box::new(BulkSender { total, sent: 0 })),
+            Box::new(move || Box::new(BulkSender { total, sent: 0 })),
         );
     }
     Rig { world, client, server, paths }

@@ -2,7 +2,6 @@
 
 use mpw_link::{Carrier, DayPeriod};
 use mpw_mptcp::{Coupling, MptcpConfig, Scheduler, SynMode, TransportSpec};
-use mpw_tcp::{CcConfig, TcpConfig};
 use serde::{Deserialize, Serialize};
 
 pub use mpw_fleet::WifiKind;
@@ -71,26 +70,14 @@ impl FlowConfig {
 
     /// Build the [`TransportSpec`] (with the paper's §3.1 socket settings).
     pub fn transport(&self) -> TransportSpec {
-        let tcp = TcpConfig::default();
-        let cc = CcConfig::default();
         match self {
-            FlowConfig::SpWifi => TransportSpec::Plain {
-                tcp,
-                cc,
-                if_index: 0,
-            },
-            FlowConfig::SpCellular => TransportSpec::Plain {
-                tcp,
-                cc,
-                if_index: 1,
-            },
+            FlowConfig::SpWifi => TransportSpec::Plain { if_index: 0 },
+            FlowConfig::SpCellular => TransportSpec::Plain { if_index: 1 },
             FlowConfig::Mp {
                 paths,
                 coupling,
                 syn_mode,
             } => TransportSpec::Mptcp(MptcpConfig {
-                tcp,
-                cc,
                 coupling: *coupling,
                 scheduler: Scheduler::MinRtt,
                 syn_mode: *syn_mode,

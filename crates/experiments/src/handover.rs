@@ -202,7 +202,7 @@ pub fn run_handover(spec: &HandoverSpec) -> HandoverMeasurement {
         cfg.lifecycle.policy = spec.policy;
     }
     let mut tb = Testbed::build(spec.seed, [wifi, cellular], transport, None);
-    tb.download(spec.size, SimTime::from_millis(100), true);
+    tb.download(spec.size, true);
     let mut driver = ScenarioDriver::new(&scenario, &tb.paths).expect("spec scenarios compile");
 
     // Horizon: the outage plus the whole transfer at a conservative

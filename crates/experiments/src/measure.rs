@@ -203,7 +203,7 @@ pub fn run_lossfree_download_windowed(
         cfg.conn_send_buffer = 512 * 1024;
     }
     let mut tb = Testbed::build(seed, [lossfree_path(), lossfree_path()], transport, hub.clone());
-    tb.download(size, SimTime::from_millis(100), false);
+    tb.download(size, false);
     let who = ("loss-free probe", seed);
 
     // Up to the window start (the flow is still running, so each call
@@ -287,7 +287,7 @@ impl<'a> MeasurementRun<'a> {
         let horizon = horizon_for(scenario, &wifi, &cellular);
         let technologies = [wifi.technology, cellular.technology];
         let mut tb = Testbed::build(seed, [wifi, cellular], scenario.flow.transport(), capture);
-        tb.download(scenario.size, SimTime::from_millis(100), scenario.warmup);
+        tb.download(scenario.size, scenario.warmup);
         MeasurementRun {
             tb,
             scenario,

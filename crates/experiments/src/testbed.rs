@@ -2,8 +2,9 @@
 //!
 //! One flow from the mobile client to the server ("UMass"), over one
 //! access path per client interface: its WiFi and one cellular carrier.
-//! The client host opens exactly that flow, so no call here takes a slot:
-//! [`Testbed::run_flow`] and the harvest read the client's flow.
+//! The client host opens exactly that flow, at [`Testbed::OPEN_AT`], so no
+//! call here takes a slot or an instant: [`Testbed::run_flow`] and the
+//! harvest read the client's flow.
 //! The flow decides both ends: the server runs the client's MPTCP
 //! configuration (the paper switched congestion controllers at the server,
 //! the data sender, §3.2) and enables its secondary interface, advertised
@@ -12,7 +13,7 @@
 use std::fmt;
 
 use mpw_capture::SharedHub;
-use mpw_fleet::{client_flow, drive, open_flow, quiescent, ClientFlow, Drive, Topology};
+use mpw_fleet::{client_flow, drive, open_flow, quiescent, ClientFlow, Drive, Topology, SERVER_ADDR};
 use mpw_http::Wget;
 use mpw_link::{BuiltPath, PathSpec};
 use mpw_mptcp::{App, Host, MptcpConfig, OpenRequest, TransportSpec};
@@ -21,10 +22,10 @@ use mpw_tcp::{Addr, Endpoint};
 
 /// Client interface addresses: index 0 = WiFi (the default path), 1 = cellular.
 pub const CLIENT_ADDRS: [Addr; 2] = [Addr::new(10, 0, 1, 2), Addr::new(10, 0, 2, 2)];
-/// Server interface addresses (two subnets of the campus network).
-pub const SERVER_ADDRS: [Addr; 2] = [Addr::new(192, 168, 1, 1), Addr::new(192, 168, 2, 1)];
-/// The Apache port (8080 — AT&T's proxy mangled port 80, §3.1).
-pub const SERVER_PORT: u16 = 8080;
+/// Server interface addresses (two subnets of the campus network): the
+/// topology's server address, and the second interface of 4-path runs.
+pub const SERVER_ADDRS: [Addr; 2] = [SERVER_ADDR, Addr::new(192, 168, 2, 1)];
+pub use mpw_fleet::SERVER_PORT;
 
 /// [`Testbed::run_flow`] harvests a finished flow that never quiesces at
 /// the next multiple of this after the call.
@@ -45,6 +46,10 @@ pub struct Testbed {
 }
 
 impl Testbed {
+    /// When the flow opens (or sends its warm-up pings): every run of the
+    /// testbed starts its measurement here.
+    pub const OPEN_AT: SimTime = SimTime::from_millis(100);
+
     /// Build the testbed of one flow running `transport`: the one-client
     /// case of the shared [`Topology`], each access path delivering
     /// straight to the client. The server listens with an `HttpServer` per
@@ -69,7 +74,7 @@ impl Testbed {
         let mut topo = Topology::new(seed);
         let c_rng = topo.world.rng().stream("host.client");
         let s_rng = topo.world.rng().stream("host.server");
-        let client = topo.add_client(CLIENT_ADDRS.to_vec(), 0, c_rng);
+        let client = topo.add_client(CLIENT_ADDRS.to_vec(), c_rng);
         let server = topo.add_server(SERVER_ADDRS[..server_ifs].to_vec(), s_rng);
         for (i, pspec) in paths.iter().enumerate() {
             let net = topo.add_access(pspec, &format!("path{i}"), &[(client, i, CLIENT_ADDRS[i])]);
@@ -78,7 +83,7 @@ impl Testbed {
                 topo.tap(net, hub.clone(), vantages);
             }
         }
-        topo.serve(SERVER_PORT, MptcpConfig { max_subflows: 8, ..server_mptcp });
+        topo.serve(MptcpConfig { max_subflows: 8, ..server_mptcp });
         Testbed {
             paths: topo.paths,
             world: topo.world,
@@ -89,8 +94,8 @@ impl Testbed {
     }
 
     /// Build the testbed of `transport` over `paths`, open its flow running
-    /// `app` at 100 ms (after the paper's warm-up pings) and run it to
-    /// completion or `horizon`. Returns the testbed and the flow's harvest.
+    /// `app` (after the paper's warm-up pings) and run it to completion or
+    /// `horizon`. Returns the testbed and the flow's harvest.
     pub fn run_single(
         seed: u64,
         paths: [PathSpec; 2],
@@ -99,31 +104,33 @@ impl Testbed {
         horizon: SimTime,
     ) -> (Testbed, ClientFlow) {
         let mut tb = Testbed::build(seed, paths, transport, None);
-        tb.open_with_app(app, SimTime::from_millis(100), true);
+        tb.open_with_app(app, true);
         let flow = tb.run_flow(horizon, &("single flow, seed", seed));
         (tb, flow)
     }
 
-    /// Queue the flow as a wget download of `size` bytes starting at `at`,
-    /// optionally preceded by the paper's two warm-up pings on the
-    /// cellular interface. The client holds the wget app in slot 0.
+    /// Queue the flow as a wget download of `size` bytes starting at
+    /// [`Self::OPEN_AT`], optionally preceded by the paper's two warm-up
+    /// pings on the cellular interface. The client holds the wget app in
+    /// slot 0.
     ///
     /// # Panics
     ///
     /// When the flow is already queued: a testbed carries one.
-    pub fn download(&mut self, size: u64, at: SimTime, warmup: bool) {
-        self.open_with_app(Box::new(Wget::new(size, false)), at, warmup);
+    pub fn download(&mut self, size: u64, warmup: bool) {
+        self.open_with_app(Box::new(Wget::new(size, false)), warmup);
     }
 
     /// Queue the flow driven by an arbitrary app (e.g. a streaming
-    /// session), which the client then holds in slot 0.
+    /// session) at [`Self::OPEN_AT`], which the client then holds in
+    /// slot 0.
     ///
     /// # Panics
     ///
     /// When the flow is already queued: a testbed carries one.
-    pub fn open_with_app(&mut self, app: Box<dyn App>, at: SimTime, warmup: bool) {
+    pub fn open_with_app(&mut self, app: Box<dyn App>, warmup: bool) {
         let req = OpenRequest {
-            at,
+            at: Self::OPEN_AT,
             spec: self.transport.clone(),
             remote: Endpoint::new(SERVER_ADDRS[0], SERVER_PORT),
             app,
@@ -193,7 +200,7 @@ mod tests {
         let transport = FlowConfig::mp2(Coupling::Coupled).transport();
         let mut tb = Testbed::build(3, paths, transport, None);
         tb.world.set_event_budget(500);
-        tb.download(1 << 20, SimTime::from_millis(100), false);
+        tb.download(1 << 20, false);
         tb.run_flow(SimTime::from_secs(60), &("budget test", 3));
     }
 
@@ -209,7 +216,7 @@ mod tests {
         ] {
             let paths = [mpw_link::wifi_home(0.0), mpw_link::att_lte()];
             let mut tb = Testbed::build(5, paths, flow.transport(), None);
-            tb.download(64 << 10, SimTime::from_millis(100), false);
+            tb.download(64 << 10, false);
             tb.run_flow(SimTime::from_secs(60), &flow);
             let server = tb.world.agent::<Host>(tb.server).expect("server");
             assert_eq!(server.addrs().len(), ifaces, "{flow:?}");

@@ -117,11 +117,11 @@ mod tests {
     #[should_panic(expected = "client 0 already has its flow")]
     fn a_second_flow_on_one_client_aborts() {
         let mut w = World::new(1, TraceLevel::Off);
-        let host = Host::new(vec![Addr::new(10, 0, 1, 2)], 0, w.rng().stream("client"));
+        let host = Host::new(vec![Addr::new(10, 0, 1, 2)], w.rng().stream("client"));
         let client = w.add_agent(Box::new(host));
         let req = || OpenRequest {
             at: SimTime::from_millis(100),
-            spec: TransportSpec::Plain { tcp: Default::default(), cc: Default::default(), if_index: 0 },
+            spec: TransportSpec::Plain { if_index: 0 },
             remote: Endpoint::new(Addr::new(192, 168, 1, 1), 8080),
             app: Box::new(NullApp),
             warmup: false,

@@ -14,18 +14,12 @@ use mpw_link::BuiltPath;
 use mpw_metrics::{FleetReport, FlowRecord};
 use mpw_mptcp::{Host, MptcpConfig, OpenRequest, TransportSpec};
 use mpw_sim::{AgentId, SimDuration, SimTime, World};
-use mpw_tcp::{Addr, CcConfig, Endpoint, TcpConfig};
+use mpw_tcp::{Addr, Endpoint};
 
 use crate::drive::{drive, open_flow, Drive};
 use crate::harvest::{client_flow, ClientFlow};
 use crate::spec::{Arrival, ClientClass, FleetSpec, FleetWorkload};
-use crate::topology::Topology;
-
-/// Server address/port for fleet worlds (one single-homed server; clients
-/// join their second subflow against the same address, which the join
-/// logic supports).
-const SERVER_ADDR: Addr = Addr::new(192, 168, 1, 1);
-const SERVER_PORT: u16 = 8080;
+use crate::topology::{Topology, SERVER_ADDR, SERVER_PORT};
 
 /// WiFi-side address of client `i` (10.0.x.y).
 fn wifi_addr(i: u32) -> Addr {
@@ -78,11 +72,7 @@ fn flow_request(class: ClientClass, spec: &FleetSpec, at: SimTime) -> OpenReques
     OpenRequest {
         at,
         spec: match class {
-            ClientClass::WifiOnly | ClientClass::LteOnly => TransportSpec::Plain {
-                tcp: TcpConfig::default(),
-                cc: CcConfig::default(),
-                if_index: 0,
-            },
+            ClientClass::WifiOnly | ClientClass::LteOnly => TransportSpec::Plain { if_index: 0 },
             ClientClass::Multipath => TransportSpec::Mptcp(fleet_mptcp(2)),
         },
         remote: Endpoint::new(SERVER_ADDR, SERVER_PORT),
@@ -144,9 +134,8 @@ pub fn run_fleet_windowed(
             ClientClass::Multipath => &[(wifi_addr(i), 0), (cell_addr(i), 1)],
         };
         let rng = topo.world.rng().substream("fleet.client", u64::from(i));
-        // 256 conn ids per client keeps ids unique across the fleet.
         let addrs = ifaces.iter().map(|&(addr, _)| addr).collect();
-        let agent = topo.add_client(addrs, i * 256, rng);
+        let agent = topo.add_client(addrs, rng);
         for (if_index, &(addr, net)) in ifaces.iter().enumerate() {
             on_net[net].push((agent, if_index, addr));
         }
@@ -158,10 +147,12 @@ pub fn run_fleet_windowed(
         });
     }
     let s_rng = topo.world.rng().stream("fleet.server");
+    // One single-homed server: a multipath client joins its second subflow
+    // against the same address.
     let server = topo.add_server(vec![SERVER_ADDR], s_rng);
     let wifi = topo.add_access(&spec.wifi.spec(spec.period), "fleet.wifi", &on_net[0]);
     let cell = topo.add_access(&spec.carrier.preset(), "fleet.cell", &on_net[1]);
-    topo.serve(SERVER_PORT, fleet_mptcp(8));
+    topo.serve(fleet_mptcp(8));
     let (wifi_path, cell_path) = (topo.paths[wifi], topo.paths[cell]);
     let mut world = topo.world;
 

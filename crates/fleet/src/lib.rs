@@ -45,5 +45,5 @@ pub use campaign::{run_campaign, FleetCampaign};
 pub use drive::{drive, open_flow, quiescent, Drive};
 pub use engine::{run_fleet, run_fleet_windowed, FleetRun};
 pub use harvest::{client_flow, sender_subflows, ClientFlow, SenderSubflow};
-pub use topology::Topology;
+pub use topology::{Topology, SERVER_ADDR, SERVER_PORT};
 pub use spec::{Arrival, ClientClass, FleetSpec, FleetWorkload, PathMix, WifiKind};

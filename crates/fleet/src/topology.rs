@@ -8,7 +8,11 @@
 //! transmits into the one shared uplink queue — so bufferbloat and loss
 //! there are emergent properties of the population. The builder is a
 //! sequence of steps the caller invokes in the order it wants the agents
-//! created; the RNG stream labels are the caller's data.
+//! created; the RNG stream labels are the caller's data. The server's
+//! address and port are not: every run reaches [`SERVER_ADDR`] on
+//! [`SERVER_PORT`]. Clients need no id namespace: each opens one
+//! connection, from the same local ports as every other client, and the
+//! server tells them apart by address.
 
 use mpw_http::HttpServer;
 use mpw_link::{build_path, BuiltPath, LinkAgent, LinkTap, PathSpec};
@@ -18,8 +22,11 @@ use mpw_sim::trace::TraceLevel;
 use mpw_sim::{AgentId, Frame, SimRng, Switch, World};
 use mpw_tcp::{peek_ip_dst, Addr};
 
-/// Connection ids the server hands out start here, clear of every client's.
-const SERVER_CONN_ID_BASE: u32 = 1 << 16;
+/// The server's primary address, the one every client connects to.
+pub const SERVER_ADDR: Addr = Addr::new(192, 168, 1, 1);
+/// The port the server answers on: the paper's Apache on 8080, as AT&T's
+/// proxy mangled port 80 (§3.1).
+pub const SERVER_PORT: u16 = 8080;
 
 /// A world under construction: hosts, access networks and their wiring.
 pub struct Topology {
@@ -54,16 +61,15 @@ impl Topology {
 
     /// Add the server host with one interface per address.
     pub fn add_server(&mut self, addrs: Vec<Addr>, rng: SimRng) -> AgentId {
-        let host = Host::new(addrs, SERVER_CONN_ID_BASE, rng);
+        let host = Host::new(addrs, rng);
         let id = self.world.add_agent(Box::new(host));
         self.server = Some(id);
         id
     }
 
     /// Add a client host with one interface per address.
-    pub fn add_client(&mut self, addrs: Vec<Addr>, conn_id_base: u32, rng: SimRng) -> AgentId {
-        self.world
-            .add_agent(Box::new(Host::new(addrs, conn_id_base, rng)))
+    pub fn add_client(&mut self, addrs: Vec<Addr>, rng: SimRng) -> AgentId {
+        self.world.add_agent(Box::new(Host::new(addrs, rng)))
     }
 
     /// Build one access network between the server and `clients`, each
@@ -124,18 +130,15 @@ impl Topology {
         }
     }
 
-    /// Make the server answer on `port` with an [`HttpServer`] per accepted
-    /// connection; its default route is the first access network.
-    pub fn serve(&mut self, port: u16, mptcp: MptcpConfig) {
+    /// Make the server answer on [`SERVER_PORT`] with an [`HttpServer`]
+    /// per accepted connection, each MPTCP one running `mptcp`; its default
+    /// route is the first access network.
+    pub fn serve(&mut self, mptcp: MptcpConfig) {
         let downlink = self.paths[0].downlink;
         let server = self.server();
         let host = self.host_mut(server);
         host.set_iface_link(0, downlink);
-        host.listen(
-            port,
-            mptcp,
-            Box::new(|_conn_id| Box::new(HttpServer::new())),
-        );
+        host.listen(SERVER_PORT, mptcp, Box::new(|| Box::new(HttpServer::new())));
     }
 
     fn host_mut(&mut self, id: AgentId) -> &mut Host {
@@ -151,61 +154,81 @@ mod tests {
     use mpw_http::Wget;
     use mpw_mptcp::{OpenRequest, TransportSpec};
     use mpw_sim::SimTime;
-    use mpw_tcp::{CcConfig, Endpoint, TcpConfig};
-
-    const SERVER: Addr = Addr::new(192, 168, 1, 1);
+    use mpw_tcp::Endpoint;
 
     /// `n` one-interface clients on one wired network, each downloading
-    /// 16 KB from the server; returns the world after 10 s and the ids of
-    /// its `Switch` agents.
-    fn download_over_one_net(n: u8) -> (World, Vec<AgentId>) {
+    /// 16 KB from the server over plain TCP; returns the topology after
+    /// 10 s and the clients.
+    fn download_over_one_net(n: u8) -> (Topology, Vec<AgentId>) {
         let mut topo = Topology::new(7);
         let clients: Vec<_> = (0..n)
             .map(|i| {
                 let addr = Addr::new(10, 0, 0, i + 2);
                 let rng = topo.world.rng().substream("client", u64::from(i));
-                (topo.add_client(vec![addr], u32::from(i) * 256, rng), 0, addr)
+                (topo.add_client(vec![addr], rng), 0, addr)
             })
             .collect();
         let rng = topo.world.rng().stream("server");
-        topo.add_server(vec![SERVER], rng);
+        topo.add_server(vec![SERVER_ADDR], rng);
         topo.add_access(&mpw_link::wired_lan(), "net", &clients);
-        topo.serve(8080, MptcpConfig::default());
+        topo.serve(MptcpConfig::default());
         for &(client, ..) in &clients {
             let req = OpenRequest {
                 at: SimTime::ZERO,
-                spec: TransportSpec::Plain { tcp: TcpConfig::default(), cc: CcConfig::default(), if_index: 0 },
-                remote: Endpoint::new(SERVER, 8080),
+                spec: TransportSpec::Plain { if_index: 0 },
+                remote: Endpoint::new(SERVER_ADDR, SERVER_PORT),
                 app: Box::new(Wget::new(16 << 10, false)),
                 warmup: false,
             };
             open_flow(&mut topo.world, client, req);
         }
         topo.world.run_until(SimTime::from_secs(10));
-        for &(client, ..) in &clients {
+        let clients: Vec<_> = clients.into_iter().map(|(client, ..)| client).collect();
+        for &client in &clients {
             let host = topo.world.agent::<Host>(client).expect("client host");
             let flow = client_flow(host).expect("the download");
             assert_eq!(flow.app_bytes, 16 << 10, "client {client} over {n} clients");
         }
-        // The wired network has no background sources: its downlink is the
-        // last agent built.
+        (topo, clients)
+    }
+
+    /// The ids of the topology's `Switch` agents. The wired network has no
+    /// background sources: its downlink is the last agent built.
+    fn switches(topo: &Topology) -> Vec<AgentId> {
         let last = topo.paths[0].downlink;
-        let switches = (0..=last).filter(|&id| topo.world.agent::<Switch>(id).is_some()).collect();
-        (topo.world, switches)
+        (0..=last).filter(|&id| topo.world.agent::<Switch>(id).is_some()).collect()
     }
 
     #[test]
     fn a_lone_client_gets_its_frames_straight_from_the_downlink() {
-        let (_, switches) = download_over_one_net(1);
-        assert_eq!(switches, []);
+        let (topo, _) = download_over_one_net(1);
+        assert_eq!(switches(&topo), []);
     }
 
     #[test]
     fn two_clients_share_the_network_through_one_switch() {
-        let (world, switches) = download_over_one_net(2);
-        let [switch] = switches[..] else { panic!("one switch, not {switches:?}") };
-        let switch = world.agent::<Switch>(switch).expect("switch agent");
+        let (topo, _) = download_over_one_net(2);
+        let [switch] = switches(&topo)[..] else { panic!("one switch, not {:?}", switches(&topo)) };
+        let switch = topo.world.agent::<Switch>(switch).expect("switch agent");
         assert!(switch.forwarded > 0);
         assert_eq!(switch.unrouted, 0);
+    }
+
+    /// A connection's id is its slot, so every client opens from the same
+    /// local port; the server tells the two connections apart by address.
+    #[test]
+    fn clients_on_one_network_open_from_one_port() {
+        let (topo, clients) = download_over_one_net(2);
+        let ports: Vec<_> = clients
+            .iter()
+            .map(|&client| {
+                let host = topo.world.agent::<Host>(client).expect("client host");
+                host.transport(0).and_then(|t| t.as_sp()).expect("a plain socket").local().port
+            })
+            .collect();
+        assert_eq!(ports, [30_000, 30_000]);
+        let server = topo.world.agent::<Host>(topo.server()).expect("server host");
+        assert_eq!(server.slot_count(), 2);
+        assert_eq!(server.no_socket_drops, 0);
     }
 }

@@ -25,9 +25,6 @@ pub struct OnOffConfig {
     pub mean_off: SimDuration,
     /// Frame size in bytes.
     pub frame_bytes: usize,
-    /// Stop generating after this much simulated time (`SimDuration::MAX`
-    /// to run forever).
-    pub stop_after: SimDuration,
 }
 
 impl OnOffConfig {
@@ -42,7 +39,8 @@ impl OnOffConfig {
 const TOKEN_FRAME: u64 = 1;
 const TOKEN_TOGGLE: u64 = 2;
 
-/// An on/off background source injecting tagged frames into a link queue.
+/// An on/off background source injecting tagged frames into a link queue,
+/// from the start of the run to its end.
 pub struct OnOffSource {
     cfg: OnOffConfig,
     rng: SimRng,
@@ -72,11 +70,6 @@ impl OnOffSource {
             prototype,
             frames_sent: 0,
         }
-    }
-
-    fn expired(&self, ctx: &Ctx<'_>) -> bool {
-        self.cfg.stop_after != SimDuration::MAX
-            && ctx.now().saturating_since(mpw_sim::SimTime::ZERO) > self.cfg.stop_after
     }
 
     fn schedule_toggle(&mut self, ctx: &mut Ctx<'_>) {
@@ -110,9 +103,6 @@ impl Agent for OnOffSource {
                 }
             }
             Event::Timer { token } => {
-                if self.expired(ctx) {
-                    return;
-                }
                 if token == TOKEN_TOGGLE {
                     self.toggle_timer = None;
                     self.on = !self.on;
@@ -158,7 +148,6 @@ mod tests {
             mean_on: SimDuration::from_millis(500),
             mean_off: SimDuration::from_millis(1500),
             frame_bytes: 1500,
-            stop_after: SimDuration::MAX,
         };
         assert!((cfg.mean_load_bps() - 2_500_000.0).abs() < 1.0);
     }
@@ -181,7 +170,6 @@ mod tests {
             mean_on: SimDuration::from_millis(400),
             mean_off: SimDuration::from_millis(400),
             frame_bytes: 1000,
-            stop_after: SimDuration::MAX,
         };
         let expect_bps = cfg.mean_load_bps();
         let src = OnOffSource::new(cfg, w.rng().stream("src"), (link, 0));
@@ -196,33 +184,5 @@ mod tests {
         );
         // Nothing leaked to the foreground egress.
         assert_eq!(w.agent::<NullSink>(fg_sink).unwrap().frames, 0);
-    }
-
-    #[test]
-    fn stop_after_halts_generation() {
-        let mut w = World::new(7, TraceLevel::Off);
-        let bg_sink = w.add_agent(Box::new(NullSink::default()));
-        let mut link = LinkAgent::new(
-            LinkConfig::wired(1_000_000_000, SimDuration::ZERO, 1 << 26),
-            w.rng().stream("link"),
-            (bg_sink, 0),
-        );
-        link.set_sink((bg_sink, 0));
-        let link = w.add_agent(Box::new(link));
-        let cfg = OnOffConfig {
-            on_rate_bps: 8_000_000,
-            mean_on: SimDuration::from_secs(10),
-            mean_off: SimDuration::from_millis(1),
-            frame_bytes: 1000,
-            stop_after: SimDuration::from_secs(1),
-        };
-        let src = OnOffSource::new(cfg, w.rng().stream("src"), (link, 0));
-        let src = w.add_agent(Box::new(src));
-        w.run_until(SimTime::from_secs(60));
-        let outcome = w.run_until_idle();
-        assert_eq!(outcome, mpw_sim::RunOutcome::Idle);
-        let sent = w.agent::<OnOffSource>(src).unwrap().frames_sent;
-        // ~1 second of 8 Mbps at 1000 B/frame = ~1000 frames.
-        assert!(sent > 200 && sent < 3000, "sent {sent}");
     }
 }

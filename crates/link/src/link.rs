@@ -156,8 +156,8 @@ pub struct LinkTap {
 const TOKEN_SERVICE: u64 = 1 << 56;
 const TOKEN_RESUME: u64 = 1 << 57;
 
+/// Where a cellular radio's RRC state machine stands.
 enum RrcState {
-    AlwaysOn,
     Ready { last_active: SimTime },
     Promoting { ready_at: SimTime },
 }
@@ -174,7 +174,10 @@ pub struct LinkAgent {
     q: VecDeque<Frame>,
     q_bytes: usize,
     in_service: Option<Frame>,
-    rrc: RrcState,
+    /// The radio of a cellular link: its RRC timers (taken from `cfg`,
+    /// whose `rrc` is then `None`) and where it stands. `None` for an
+    /// always-on link.
+    rrc: Option<(RrcConfig, RrcState)>,
     /// Administratively down (scenario `Down` event): every frame touching
     /// the link is lost until `set_down(false)`.
     down: bool,
@@ -192,15 +195,10 @@ pub struct LinkAgent {
 
 impl LinkAgent {
     /// Create a link that forwards to `egress` (agent, port).
-    pub fn new(cfg: LinkConfig, rng: SimRng, egress: (AgentId, u16)) -> Self {
-        let rrc = match cfg.rrc {
-            None => RrcState::AlwaysOn,
-            Some(_) => RrcState::Promoting {
-                // Starts idle: the first frame pays the promotion delay
-                // (unless the harness warms the path up, as the paper did).
-                ready_at: SimTime::MAX,
-            },
-        };
+    pub fn new(mut cfg: LinkConfig, rng: SimRng, egress: (AgentId, u16)) -> Self {
+        // A radio starts idle: the first frame pays the promotion delay
+        // (unless the harness warms the path up, as the paper did).
+        let rrc = cfg.rrc.take().map(|rrc| (rrc, RrcState::Promoting { ready_at: SimTime::MAX }));
         LinkAgent {
             cfg,
             rng,
@@ -287,13 +285,15 @@ impl LinkAgent {
     /// Resolve the RRC gate at `now`: returns the earliest time service may
     /// start, updating promotion state.
     fn rrc_gate(&mut self, now: SimTime) -> SimTime {
-        match (&mut self.rrc, self.cfg.rrc) {
-            (RrcState::AlwaysOn, _) => now,
-            (RrcState::Ready { last_active }, Some(cfg)) => {
+        let Some((cfg, state)) = &mut self.rrc else {
+            return now;
+        };
+        match state {
+            RrcState::Ready { last_active } => {
                 if now.saturating_since(*last_active) > cfg.idle_timeout {
                     // Radio went idle; promotion needed.
                     let ready_at = now + cfg.promotion_delay;
-                    self.rrc = RrcState::Promoting { ready_at };
+                    *state = RrcState::Promoting { ready_at };
                     self.stats.promotions += 1;
                     ready_at
                 } else {
@@ -301,7 +301,7 @@ impl LinkAgent {
                     now
                 }
             }
-            (RrcState::Promoting { ready_at }, Some(cfg)) => {
+            RrcState::Promoting { ready_at } => {
                 if *ready_at == SimTime::MAX {
                     // First ever activity.
                     let t = now + cfg.promotion_delay;
@@ -309,14 +309,12 @@ impl LinkAgent {
                     self.stats.promotions += 1;
                     t
                 } else if now >= *ready_at {
-                    self.rrc = RrcState::Ready { last_active: now };
+                    *state = RrcState::Ready { last_active: now };
                     now
                 } else {
                     *ready_at
                 }
             }
-            // rrc state variants other than AlwaysOn only exist with a config.
-            _ => now,
         }
     }
 
@@ -344,10 +342,8 @@ impl LinkAgent {
         let foreground = frame.meta == 0;
         self.fg_held -= usize::from(foreground);
         let now = ctx.now();
-        if let RrcState::Ready { last_active } = &mut self.rrc {
-            *last_active = now;
-        } else if matches!(self.rrc, RrcState::Promoting { .. }) && self.cfg.rrc.is_some() {
-            self.rrc = RrcState::Ready { last_active: now };
+        if let Some((_, state)) = &mut self.rrc {
+            *state = RrcState::Ready { last_active: now };
         }
 
         // Channel fate: without ARQ a loss is a drop; with ARQ (cellular

@@ -112,7 +112,6 @@ fn onoff(on_rate_bps: u64, mean_on_ms: u64, mean_off_ms: u64, frame: usize) -> O
         mean_on: SimDuration::from_millis(mean_on_ms),
         mean_off: SimDuration::from_millis(mean_off_ms),
         frame_bytes: frame,
-        stop_after: SimDuration::MAX,
     }
 }
 

@@ -26,13 +26,15 @@ impl From<Box<NewReno>> for Cc {
     }
 }
 
+/// The initial congestion window in segments: Linux's default, which the
+/// paper kept (§3.1).
+pub const INITIAL_WINDOW_SEGMENTS: usize = 10;
+
 /// Parameters shared by window algorithms.
 #[derive(Clone, Copy, Debug)]
 pub struct CcConfig {
     /// Maximum segment size in bytes.
     pub mss: usize,
-    /// Initial congestion window in segments (Linux default 10, §3.1).
-    pub initial_window_segments: usize,
     /// Initial slow-start threshold in bytes (paper sets 64 KB; `usize::MAX`
     /// reproduces Linux's "infinite" default for the ablation).
     pub initial_ssthresh: usize,
@@ -42,7 +44,6 @@ impl Default for CcConfig {
     fn default() -> Self {
         CcConfig {
             mss: 1400,
-            initial_window_segments: 10,
             initial_ssthresh: 64 * 1024,
         }
     }
@@ -64,7 +65,7 @@ impl NewReno {
     /// Create with the given configuration.
     pub fn new(cfg: CcConfig) -> Self {
         NewReno {
-            cwnd: cfg.mss * cfg.initial_window_segments,
+            cwnd: cfg.mss * INITIAL_WINDOW_SEGMENTS,
             ssthresh: cfg.initial_ssthresh,
             ca_credit: 0,
             cfg,

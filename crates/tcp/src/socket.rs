@@ -65,9 +65,11 @@ pub struct TcpConfig {
     pub window_scale: u8,
     /// Ignored; stays while `benchmark/` names it (ROADMAP 7(i)).
     pub record_rtt_samples: bool,
-    /// Give up (reset) after this many consecutive RTOs.
-    pub max_consecutive_rtos: u32,
 }
+
+/// A socket gives up (resets) at the RTO that follows this many
+/// consecutive ones.
+const MAX_CONSECUTIVE_RTOS: u32 = 10;
 
 impl Default for TcpConfig {
     fn default() -> Self {
@@ -77,7 +79,6 @@ impl Default for TcpConfig {
             recv_buffer: 8 * 1024 * 1024,
             window_scale: 9,
             record_rtt_samples: false,
-            max_consecutive_rtos: 10,
         }
     }
 }
@@ -1337,7 +1338,7 @@ impl TcpSocket {
     fn handle_rto(&mut self, cx: &mut impl TcpHooks, now: SimTime) {
         self.stats.rtos += 1;
         self.consecutive_rtos += 1;
-        if self.consecutive_rtos > self.cfg.max_consecutive_rtos {
+        if self.consecutive_rtos > MAX_CONSECUTIVE_RTOS {
             self.pending_reset = true;
             self.enter_closed();
             return;

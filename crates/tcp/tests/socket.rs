@@ -243,7 +243,6 @@ fn delayed_acks_halve_ack_volume() {
 fn window_scaling_beats_64k_per_rtt() {
     let inf = CcConfig {
         mss: 1400,
-        initial_window_segments: 10,
         initial_ssthresh: usize::MAX,
     };
     let mut p = SocketPair::with_cc(
@@ -287,7 +286,6 @@ fn ssthresh_64k_limits_growth() {
     let run = |ssthresh: usize| {
         let cc = CcConfig {
             mss: 1400,
-            initial_window_segments: 10,
             initial_ssthresh: ssthresh,
         };
         let mut p =

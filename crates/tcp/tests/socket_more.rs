@@ -219,19 +219,21 @@ fn recv_offset_and_write_offset_advance_monotonically() {
 
 #[test]
 fn max_consecutive_rtos_abandons_a_dead_peer() {
-    // Cut the wire entirely after establishment: the sender's RTO backoff
-    // must eventually give up and close rather than retry forever.
-    let client_cfg = TcpConfig {
-        max_consecutive_rtos: 3,
-        ..TcpConfig::default()
-    };
-    let mut p = SocketPair::with_configs(ms(5), client_cfg, TcpConfig::default());
+    // Cut the wire entirely after establishment: the sender retransmits at
+    // ten RTOs, backing off from 200 ms and capped at 60 s (162.2 s in
+    // all), and gives up at the one after them, 60 s later, rather than
+    // retry forever.
+    let mut p = SocketPair::new(ms(5));
     p.run_for(ms(50));
     // Drop everything from now on.
     p.drop_schedule = (p.segments_forwarded..p.segments_forwarded + 100_000).collect();
     p.send(Side::Client, b"into the void");
-    p.run_for(SimDuration::from_secs(120));
+    p.run_for(SimDuration::from_secs(200));
+    assert_eq!(p.client.consecutive_rtos(), 10);
+    assert_ne!(p.client.state(), TcpState::Closed, "still retrying after ten RTOs");
+    p.run_for(SimDuration::from_secs(30));
     assert_eq!(p.client.state(), TcpState::Closed, "should give up");
+    assert_eq!(p.client.stats().rtos, 11);
 }
 
 /// Both sockets' fingerprints and the oracle's verdict on them (the server's

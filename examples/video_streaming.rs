@@ -34,7 +34,7 @@ fn main() {
         let wifi = WifiKind::Home.spec(DayPeriod::Evening);
         let mut tb = Testbed::build(11, [wifi, carrier.preset()], flow.transport(), None);
         let app = Box::new(StreamingClient::new(profile));
-        tb.open_with_app(app, SimTime::from_millis(100), true);
+        tb.open_with_app(app, true);
         tb.world.run_until(SimTime::from_secs(400));
         let host = tb.world.agent_mut::<Host>(tb.client).expect("client host");
         let app = host.app::<StreamingClient>(0).expect("streaming app");

@@ -15,7 +15,7 @@ use mpwild::sim::SimTime;
 fn run_one(flow: FlowConfig, kill_wifi_at_s: u64) -> (Option<f64>, u64) {
     let wifi = WifiKind::Home.spec(DayPeriod::Evening);
     let mut tb = Testbed::build(21, [wifi, Carrier::Att.preset()], flow.transport(), None);
-    tb.download(8 << 20, SimTime::from_millis(100), true);
+    tb.download(8 << 20, true);
     // Run until the walk-away moment, then make WiFi drop everything.
     tb.world.run_until(SimTime::from_secs(kill_wifi_at_s));
     let (up, down) = (tb.paths[0].uplink, tb.paths[0].downlink);

@@ -22,7 +22,7 @@ fn build_backup(seed: u64) -> Testbed {
 #[test]
 fn backup_subflow_stays_idle_while_wifi_is_healthy() {
     let mut tb = build_backup(71);
-    tb.download(4 << 20, SimTime::from_millis(100), true);
+    tb.download(4 << 20, true);
     tb.world.run_until(SimTime::from_secs(120));
     let host = tb.world.agent_mut::<Host>(tb.client).expect("client host");
     let w = host.app::<Wget>(0).expect("wget");
@@ -47,7 +47,7 @@ fn backup_subflow_stays_idle_while_wifi_is_healthy() {
 #[test]
 fn backup_subflow_takes_over_when_wifi_dies() {
     let mut tb = build_backup(73);
-    tb.download(4 << 20, SimTime::from_millis(100), true);
+    tb.download(4 << 20, true);
     tb.world.run_until(SimTime::from_secs(2));
     for link in [tb.paths[0].uplink, tb.paths[0].downlink] {
         tb.world
@@ -77,7 +77,7 @@ fn backup_subflow_takes_over_when_wifi_dies() {
 fn full_mptcp_mode_uses_both_paths_by_contrast() {
     // Same testbed, no backup flag: the cellular path carries real traffic.
     let mut tb = build(71, MptcpConfig::default());
-    tb.download(4 << 20, SimTime::from_millis(100), true);
+    tb.download(4 << 20, true);
     tb.world.run_until(SimTime::from_secs(120));
     let host = tb.world.agent_mut::<Host>(tb.client).expect("client host");
     match host.transport(0) {

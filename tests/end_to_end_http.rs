@@ -24,7 +24,7 @@ fn verified_download(flow: FlowConfig, carrier: Carrier, size: u64, seed: u64) {
     let wifi = WifiKind::Home.spec(DayPeriod::Morning);
     let mut tb = Testbed::build(seed, [wifi, carrier.preset()], flow.transport(), None);
     let app = Box::new(Wget::new(size, true)); // verify every body byte
-    tb.open_with_app(app, SimTime::from_millis(50), true);
+    tb.open_with_app(app, true);
     tb.world.run_until(SimTime::from_secs(600));
     let host = tb.world.agent_mut::<Host>(tb.client).expect("client host");
     let w = host.app::<Wget>(0).expect("wget");

@@ -70,7 +70,7 @@ proptest! {
             syn_mode: if simultaneous { SynMode::Simultaneous } else { SynMode::Delayed },
         };
         let mut tb = Testbed::build(seed, [wifi, cell], flow.transport(), None);
-        tb.open_with_app(Box::new(Wget::new(size, true)), SimTime::from_millis(50), true);
+        tb.open_with_app(Box::new(Wget::new(size, true)), true);
         tb.world.run_until(SimTime::from_secs(900));
         let host = tb.world.agent_mut::<Host>(tb.client).expect("client host");
         let w = host.app::<Wget>(0).expect("wget");
@@ -86,7 +86,7 @@ proptest! {
             let wifi = wifi_home(0.5);
             let transport = FlowConfig::mp2(Coupling::Coupled).transport();
             let mut tb = Testbed::build(seed, [wifi, Carrier::Verizon.preset()], transport, None);
-            tb.download(128 * 1024, SimTime::from_millis(50), true);
+            tb.download(128 * 1024, true);
             tb.world.run_until(SimTime::from_secs(120));
             let events = tb.world.events_processed();
             let host = tb.world.agent_mut::<Host>(tb.client).expect("client");

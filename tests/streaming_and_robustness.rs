@@ -17,7 +17,7 @@ fn streaming_session(
     let wifi = WifiKind::Home.spec(DayPeriod::Evening);
     let mut tb = Testbed::build(seed, [wifi, carrier.preset()], flow.transport(), None);
     let app = Box::new(StreamingClient::new(profile));
-    tb.open_with_app(app, SimTime::from_millis(100), true);
+    tb.open_with_app(app, true);
     tb.world.run_until(SimTime::from_secs(300));
     let host = tb.world.agent_mut::<Host>(tb.client).expect("client host");
     let app = host.app::<StreamingClient>(0).expect("streaming app");
@@ -51,7 +51,7 @@ fn streaming_blocks_arrive_in_period_order() {
     let transport = FlowConfig::mp2(Coupling::Coupled).transport();
     let mut tb = Testbed::build(37, [wifi, Carrier::Att.preset()], transport, None);
     let app = Box::new(StreamingClient::new(profile));
-    tb.open_with_app(app, SimTime::from_millis(100), true);
+    tb.open_with_app(app, true);
     tb.world.run_until(SimTime::from_secs(120));
     let host = tb.world.agent_mut::<Host>(tb.client).expect("client host");
     let app = host.app::<StreamingClient>(0).expect("app");
@@ -110,7 +110,7 @@ fn cellular_death_mid_transfer_survives_on_wifi() {
     let wifi = WifiKind::Home.spec(DayPeriod::Night);
     let transport = FlowConfig::mp2(Coupling::Coupled).transport();
     let mut tb = Testbed::build(43, [wifi, Carrier::Att.preset()], transport, None);
-    tb.download(4 << 20, SimTime::from_millis(100), true);
+    tb.download(4 << 20, true);
     tb.world.run_until(SimTime::from_secs(2));
     let (up, down) = (tb.paths[1].uplink, tb.paths[1].downlink);
     for link in [up, down] {
@@ -134,7 +134,7 @@ fn transient_wifi_outage_recovers_without_reset() {
     let wifi_loss = wifi.down.loss.clone();
     let transport = FlowConfig::mp2(Coupling::Coupled).transport();
     let mut tb = Testbed::build(47, [wifi, Carrier::Att.preset()], transport, None);
-    tb.download(8 << 20, SimTime::from_millis(100), true);
+    tb.download(8 << 20, true);
     tb.world.run_until(SimTime::from_secs(2));
     let (up, down) = (tb.paths[0].uplink, tb.paths[0].downlink);
     for link in [up, down] {
