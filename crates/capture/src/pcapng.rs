@@ -232,13 +232,6 @@ pub struct PcapFile<'a> {
     pub packets: Vec<PcapPacket<'a>>,
 }
 
-impl PcapFile<'_> {
-    /// Index of the interface with the given name, if any.
-    pub fn iface_named(&self, name: &str) -> Option<u32> {
-        self.interfaces.iter().position(|i| i.name == name).map(|i| i as u32)
-    }
-}
-
 /// Parse a (little-endian, single-section) pcapng file without copying any
 /// packet bytes: every [`PcapPacket::data`] is a sub-slice of `data`.
 ///
@@ -460,7 +453,7 @@ mod tests {
         assert_eq!(f.interfaces.len(), 2);
         assert_eq!(f.interfaces[0].name, "path0:down@client");
         assert_eq!(f.interfaces[0].tsresol_exp, 9);
-        assert_eq!(f.iface_named("drops"), Some(1));
+        assert_eq!(f.interfaces[1].name, "drops");
         assert_eq!(f.packets.len(), 2);
         assert_eq!(f.packets[0].at, SimTime::from_millis(5));
         assert_eq!(f.packets[0].data, *b"hello");

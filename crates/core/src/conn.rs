@@ -569,22 +569,6 @@ impl Assignments {
     }
 }
 
-/// Statistics snapshot of an MPTCP connection.
-#[derive(Clone, Debug, Default)]
-pub struct ConnStats {
-    /// Bytes delivered in order to the application.
-    pub bytes_delivered: u64,
-    /// Per-subflow delivered payload bytes (traffic share).
-    pub per_subflow_delivered: Vec<u64>,
-    /// Whether the connection fell back to plain TCP.
-    pub fell_back: bool,
-    /// Housekeeping passes run so far: one per segment in, timer or
-    /// notification, plus the `poll_transmit`s that found one owed. An
-    /// exact, machine-independent count (`work_gate` prints it per server
-    /// data segment).
-    pub housekeeping_passes: u64,
-}
-
 /// An MPTCP connection endpoint (client or server side).
 #[derive(Clone)]
 pub struct MptcpConnection {
@@ -639,9 +623,6 @@ pub struct MptcpConnection {
     /// Test-only fault injection: record fresh DSS mappings shifted back by
     /// one byte, silently corrupting the dseq space (ISSUE 3's planted bug).
     inject_overlapping_dss: bool,
-    /// Download bookkeeping: when the first SYN left (paper's download-time
-    /// start point).
-    pub opened_at: SimTime,
 }
 
 // A connection owns everything it holds: a shared cell (`Rc`) or an
@@ -665,7 +646,7 @@ impl MptcpConnection {
         rng: SimRng,
         now: SimTime,
     ) -> Self {
-        let mut conn = Self::new(cfg, conn_id, None, local_addrs, remote, rng, now);
+        let mut conn = Self::new(cfg, conn_id, None, local_addrs, remote, rng);
         conn.spawn_subflow(0, remote, HsRole::CapableClient, now);
         if conn.cfg.syn_mode == SynMode::Simultaneous {
             conn.launch_joins(now);
@@ -692,7 +673,7 @@ impl MptcpConnection {
             TcpOption::Mptcp(MptcpOption::Capable { key_local, .. }) => Some(key_local),
             _ => None,
         })?;
-        let mut conn = Self::new(cfg, conn_id, Some(client_key), local_addrs, remote, rng, now);
+        let mut conn = Self::new(cfg, conn_id, Some(client_key), local_addrs, remote, rng);
         conn.accept_subflow(local, remote, HsRole::CapableServer, syn, now);
         Some(conn)
     }
@@ -708,7 +689,6 @@ impl MptcpConnection {
         local_addrs: Vec<Addr>,
         remote: Endpoint,
         mut rng: SimRng,
-        now: SimTime,
     ) -> Self {
         let local_key = key_from_seed(rng.next_u64());
         let is_client = client_key.is_none();
@@ -766,7 +746,6 @@ impl MptcpConnection {
             housekeeping_owed: true,
             housekeeping_passes: 0,
             inject_overlapping_dss: false,
-            opened_at: now,
         }
     }
 
@@ -1027,27 +1006,16 @@ impl MptcpConnection {
         self.subflows.iter().any(|s| s.sock.is_established())
     }
 
-    /// Statistics snapshot.
-    pub fn stats(&self) -> ConnStats {
-        let shared = &self.shared;
-        ConnStats {
-            bytes_delivered: if self.fell_back() {
-                self.subflows[0].sock.recv_offset()
-            } else {
-                shared.rx.next_expected()
-            },
-            per_subflow_delivered: if self.fell_back() {
-                vec![self.subflows[0].sock.recv_offset()]
-            } else {
-                shared.flows.iter().map(|f| f.delivered_bytes).collect()
-            },
-            fell_back: self.fell_back(),
-            housekeeping_passes: self.housekeeping_passes,
-        }
+    /// Housekeeping passes run so far: one per segment in, timer or
+    /// notification, plus the `poll_transmit`s that found one owed. An
+    /// exact, machine-independent count (`work_gate` prints it per server
+    /// data segment).
+    pub fn housekeeping_passes(&self) -> u64 {
+        self.housekeeping_passes
     }
 
-    /// Payload bytes subflow `idx` has delivered to the receiver — one entry
-    /// of [`ConnStats::per_subflow_delivered`] without building the vector.
+    /// Payload bytes subflow `idx` has delivered to the receiver (its
+    /// traffic share); after fallback, subflow 0 carries everything.
     pub fn subflow_delivered(&self, idx: usize) -> u64 {
         if self.fell_back() {
             return if idx == 0 { self.subflows[0].sock.recv_offset() } else { 0 };
@@ -1521,11 +1489,6 @@ impl MptcpConnection {
             sf.sock.push_ack();
             self.housekeeping_owed = true;
         }
-    }
-
-    /// Per-subflow established timestamps (subflow utilization analysis).
-    pub fn subflow_established_at(&self, idx: usize) -> Option<SimTime> {
-        self.subflows.get(idx)?.sock.stats().established_at
     }
 
     // ------------------------------------------------------------------

@@ -19,6 +19,12 @@
 //! accepted connection's app. Plain TCP, opened or accepted, runs the
 //! paper's socket settings (§3.1) and takes no configuration.
 //!
+//! A client's open ([`Host::queue_open`]) begins when the timer the
+//! harness schedules for it fires; the request restates no start time. An
+//! open with warm-up holds its two pings (§3.2) until both are answered or
+//! its 2 s deadline passes; a reply that comes after the open has gone
+//! ahead is not counted.
+//!
 //! The host keeps no calendar of its own. Each connection slot holds one
 //! cancellable engine timer at the earlier of its transport's next timeout
 //! and its app's next wakeup, and a warming open holds one for its 2 s ping
@@ -155,10 +161,10 @@ impl Transport {
     }
 
     /// When the first SYN of this transport left — the paper's download-time
-    /// start point (§3.3).
+    /// start point (§3.3). An MPTCP connection's is its first subflow's.
     pub fn opened_at(&self) -> SimTime {
         match self {
-            Transport::Mp(c) => c.opened_at,
+            Transport::Mp(c) => c.subflows[0].sock.stats().opened_at,
             Transport::Sp(s) => s.stats().opened_at,
         }
     }
@@ -234,11 +240,10 @@ impl Slot {
     }
 }
 
-/// A host's one outgoing connection request (activated by a scheduled
-/// timer).
+/// A host's one outgoing connection request. It carries no start time: the
+/// timer the harness schedules for it ([`Host::queue_open`]) is when it
+/// begins.
 pub struct OpenRequest {
-    /// When to begin (the harness schedules a matching timer event).
-    pub at: SimTime,
     /// Transport to use.
     pub spec: TransportSpec,
     /// Server endpoint to connect to.
@@ -259,13 +264,14 @@ const WARMUP_PINGS: u8 = 2;
 const WARMUP_IF: u8 = 1;
 
 enum PendingOpen {
-    /// Waiting for its activation time.
+    /// Waiting for its `TOKEN_OPEN` timer.
     Queued(OpenRequest),
-    /// Pings sent; waiting for replies or deadline. `timer` (token
-    /// `TOKEN_OPEN`) fires at `deadline`.
+    /// Pings sent; waiting for their replies or the deadline. `timer`
+    /// (token `TOKEN_OPEN`) fires at `deadline`.
     Warming {
         req: OpenRequest,
-        tokens_left: u8,
+        /// The pings still unanswered: token and send time.
+        pings: Vec<(u64, SimTime)>,
         deadline: SimTime,
         timer: TimerHandle,
     },
@@ -308,10 +314,8 @@ pub struct Host {
     /// The outgoing connection, until it opens. Boxed: a client holds it
     /// only until then, and a server holds none.
     open: Option<Box<PendingOpen>>,
-    /// Completed ping RTTs.
+    /// The RTTs of the warm-up pings answered before the open.
     pub ping_rtts: Vec<SimDuration>,
-    /// Warm-up pings awaiting a reply: token → send time.
-    ping_sent_at: BTreeMap<u64, SimTime>,
     rng: SimRng,
     /// Slots touched since the last flush (incoming segment, fired timer,
     /// external mutation, fresh open). `flush` pumps exactly these, in
@@ -346,7 +350,6 @@ impl Host {
             pending_joins: Vec::new(),
             open: None,
             ping_rtts: Vec::new(),
-            ping_sent_at: BTreeMap::new(),
             rng,
             dirty: BTreeSet::new(),
             #[cfg(test)]
@@ -386,10 +389,11 @@ impl Host {
     }
 
     /// Queue the host's outgoing connection. The caller must also schedule
-    /// `Event::Timer { token: Host::open_token() }` on this host at
-    /// `req.at` (or any time ≥ it). A host opens one connection: while an
-    /// open is queued or warming, or once the host holds a slot, the
-    /// request is refused and handed back untouched.
+    /// `Event::Timer { token: Host::open_token() }` on this host: the open
+    /// begins when that timer fires, which is the one place its start time
+    /// is stated. A host opens one connection: while an open is queued or
+    /// warming, or once the host holds a slot, the request is refused and
+    /// handed back untouched.
     pub fn queue_open(&mut self, req: OpenRequest) -> Result<(), Box<OpenRequest>> {
         if self.open.is_some() || !self.slots.is_empty() {
             return Err(Box::new(req));
@@ -398,10 +402,12 @@ impl Host {
         Ok(())
     }
 
-    /// The timer token that activates the queued open. Its event also
-    /// flushes the host, so the handover runner schedules it at the instant
-    /// it mutated a transport through [`Host::transport_mut`]: what the
-    /// mutation produced leaves then, not at the next unrelated event.
+    /// The timer token that activates the queued open: the first such
+    /// event starts it. The event also flushes the host, so the handover
+    /// runner schedules it at the instant it mutated a transport through
+    /// [`Host::transport_mut`] (which exists only once the open is done):
+    /// what the mutation produced leaves then, not at the next unrelated
+    /// event.
     pub fn open_token() -> u64 {
         TOKEN_OPEN
     }
@@ -639,9 +645,9 @@ impl Host {
             return;
         };
         match *open {
-            PendingOpen::Queued(req) if req.at <= now => {
+            PendingOpen::Queued(req) => {
                 if req.warmup {
-                    let mut tokens_left = 0;
+                    let mut pings = Vec::new();
                     for _ in 0..WARMUP_PINGS {
                         let token = self.rng.next_u64();
                         let ip = IpHeader {
@@ -653,15 +659,14 @@ impl Host {
                         let bytes = encode_ping(&ip, &PingPacket { token, reply: false });
                         if let Some(egress) = self.egress_for(WARMUP_IF, req.remote.addr) {
                             self.transmit(ctx, egress, bytes);
-                            self.ping_sent_at.insert(token, now);
-                            tokens_left += 1;
+                            pings.push((token, now));
                         }
                     }
-                    if tokens_left > 0 {
+                    if !pings.is_empty() {
                         let wait = SimDuration::from_secs(2);
                         self.open = Some(Box::new(PendingOpen::Warming {
                             req,
-                            tokens_left,
+                            pings,
                             deadline: now + wait,
                             timer: ctx.arm_timer(wait, TOKEN_OPEN),
                         }));
@@ -670,8 +675,8 @@ impl Host {
                 }
                 self.open_now(req, now);
             }
-            PendingOpen::Warming { req, tokens_left, deadline, timer }
-                if tokens_left == 0 || now >= deadline =>
+            PendingOpen::Warming { req, pings, deadline, timer }
+                if pings.is_empty() || now >= deadline =>
             {
                 // A no-op when this very timer is what fired.
                 ctx.cancel_timer(timer);
@@ -749,12 +754,14 @@ impl Host {
             }
             return;
         }
-        // A reply to one of our warm-up pings.
-        if let Some(sent) = self.ping_sent_at.remove(&ping.token) {
+        // A reply to one of the warming open's pings. Once the open has
+        // gone ahead without it, a late reply is not counted.
+        let Some(PendingOpen::Warming { pings, .. }) = self.open.as_deref_mut() else {
+            return;
+        };
+        if let Some(i) = pings.iter().position(|&(token, _)| token == ping.token) {
+            let (_, sent) = pings.swap_remove(i);
             self.ping_rtts.push(ctx.now().saturating_since(sent));
-            if let Some(PendingOpen::Warming { tokens_left, .. }) = self.open.as_deref_mut() {
-                *tokens_left = tokens_left.saturating_sub(1);
-            }
             self.process_open(ctx);
         }
     }
@@ -1047,7 +1054,7 @@ mod tests {
         let spec = TransportSpec::Plain { if_index: 0 };
         let remote = Endpoint::new(Addr::new(10, 0, 1, 2), 8080);
         let app = Box::new(Alarm(Some(ms(50))));
-        assert!(host.queue_open(OpenRequest { at: SimTime::ZERO, spec, remote, app, warmup: false }).is_ok());
+        assert!(host.queue_open(OpenRequest { spec, remote, app, warmup: false }).is_ok());
         let host = w.add_agent(Box::new(host));
         w.schedule(SimTime::ZERO, host, Event::Timer { token: TOKEN_OPEN });
         w.run_until(ms(10));
@@ -1076,7 +1083,7 @@ mod tests {
             let spec = TransportSpec::Plain { if_index: 0 };
             let remote = Endpoint::new(Addr::new(10, 0, 1, 2), 8080);
             let app = Box::new(Alarm(Some(ms(50))));
-            assert!(host.queue_open(OpenRequest { at: SimTime::ZERO, spec, remote, app, warmup: false }).is_ok());
+            assert!(host.queue_open(OpenRequest { spec, remote, app, warmup: false }).is_ok());
             let host = w.add_agent(Box::new(host));
             w.schedule(SimTime::ZERO, host, Event::Timer { token: TOKEN_OPEN });
             w.run_until(ms(10));

@@ -45,10 +45,7 @@ pub mod host;
 pub mod key;
 pub mod scheduler;
 
-pub use conn::{
-    ConnStats, HandoverPolicy, LifecycleConfig, MptcpConfig, MptcpConnection,
-    Subflow, SynMode,
-};
+pub use conn::{HandoverPolicy, LifecycleConfig, MptcpConfig, MptcpConnection, Subflow, SynMode};
 pub use coupling::{Coupling, CouplingState};
 pub use host::{App, AppFactory, Host, NullApp, OpenRequest, Transport, TransportSpec};
 pub use key::{key_from_seed, token_from_key};

@@ -264,7 +264,7 @@ fn delayed_join_waits_for_data() {
     p.client.send(Bytes::from_static(b"GET /"));
     p.run_for(ms(400));
     assert_eq!(p.client.subflows.len(), 2, "join after data flows");
-    assert!(p.client.subflow_established_at(1).is_some());
+    assert!(p.client.subflows[1].sock.stats().established_at.is_some());
 }
 
 #[test]
@@ -275,7 +275,7 @@ fn simultaneous_join_fires_at_connect() {
     });
     assert_eq!(p.client.subflows.len(), 2, "both SYNs at t=0");
     p.run_for(ms(300));
-    assert!(p.client.subflow_established_at(1).is_some());
+    assert!(p.client.subflows[1].sock.stats().established_at.is_some());
     // The JOIN raced the MP_CAPABLE but both subflows attached to one conn.
     assert_eq!(p.server().subflows.len(), 2);
 }
@@ -307,10 +307,10 @@ fn bidirectional_transfer_with_dss_is_exact() {
     }
     assert_eq!(drain(&mut p.client), resp);
     // Both paths carried data for a transfer this size.
-    let stats = p.client.stats();
-    assert_eq!(stats.per_subflow_delivered.len(), 2);
-    assert!(stats.per_subflow_delivered.iter().all(|&b| b > 0));
-    assert_eq!(stats.per_subflow_delivered.iter().sum::<u64>(), resp.len() as u64);
+    assert_eq!(p.client.subflows.len(), 2);
+    let per_subflow = [p.client.subflow_delivered(0), p.client.subflow_delivered(1)];
+    assert!(per_subflow.iter().all(|&b| b > 0));
+    assert_eq!(per_subflow.iter().sum::<u64>(), resp.len() as u64);
 }
 
 #[test]
@@ -408,8 +408,8 @@ fn lossy_two_subflow_transfer_is_exact() {
     assert!(got == resp, "delivered {} of {total} bytes, or not the bytes sent", got.len());
     let rexmits: u64 = p.server().subflows.iter().map(|s| s.sock.stats().rexmit_segs).sum();
     assert!(p.data_segs_to_client / 100 >= 25 && rexmits >= p.data_segs_to_client / 100);
-    let stats = p.client.stats();
-    assert!(stats.per_subflow_delivered.iter().all(|&b| b > 0), "both subflows carried data");
+    let carried = |i| p.client.subflow_delivered(i) > 0;
+    assert!((0..p.client.subflows.len()).all(carried), "both subflows carried data");
 }
 
 #[test]
@@ -469,7 +469,7 @@ fn mp_prio_demotes_a_path_mid_transfer() {
             break;
         }
     }
-    let before = p.client.stats().per_subflow_delivered.clone();
+    let before = [p.client.subflow_delivered(0), p.client.subflow_delivered(1)];
     assert!(before[0] > 0, "path 0 active in phase 1");
 
     // The CLIENT demotes its WiFi-ish path 0; the server (data sender)
@@ -492,7 +492,7 @@ fn mp_prio_demotes_a_path_mid_transfer() {
         }
     }
     assert_eq!(p.client.delivered_offset(), 2 * chunk.len() as u64);
-    let after = p.client.stats().per_subflow_delivered;
+    let after = [p.client.subflow_delivered(0), p.client.subflow_delivered(1)];
     let phase2_path0 = after[0] - before[0];
     let phase2_path1 = after[1] - before[1];
     assert!(

@@ -208,7 +208,6 @@ impl Rig {
         let server_ep = self.server_ep;
         let host = self.world.agent_mut::<Host>(self.client).unwrap();
         let req = OpenRequest {
-            at,
             spec,
             remote: server_ep,
             app: Box::new(SinkClient::new(verify)),
@@ -255,11 +254,10 @@ fn mptcp_two_path_transfer_is_exact() {
     let conn = host.transport(0).unwrap().as_mp().unwrap();
     assert!(!conn.fell_back());
     assert_eq!(conn.subflows.len(), 2);
-    let stats = conn.stats();
+    let per_subflow = [conn.subflow_delivered(0), conn.subflow_delivered(1)];
     assert!(
-        stats.per_subflow_delivered.iter().all(|&b| b > 10_000),
-        "both paths should carry real traffic for 1 MB: {:?}",
-        stats.per_subflow_delivered
+        per_subflow.iter().all(|&b| b > 10_000),
+        "both paths should carry real traffic for 1 MB: {per_subflow:?}"
     );
 }
 
@@ -273,14 +271,13 @@ fn small_download_stays_on_wifi() {
     let app = host.app::<SinkClient>(0).unwrap();
     assert!(app.completed_at.is_some());
     let conn = host.transport(0).unwrap().as_mp().unwrap();
-    let stats = conn.stats();
     // The 8 KB fits in the WiFi initial window; cellular contributes ~nothing
     // (paper §4.1: "most of the subflows are not utilized").
-    let cellular = stats.per_subflow_delivered.get(1).copied().unwrap_or(0);
+    let cellular = conn.subflow_delivered(1);
     assert!(
-        cellular * 10 < stats.bytes_delivered,
+        cellular * 10 < conn.delivered_offset(),
         "cellular carried {cellular} of {}",
-        stats.bytes_delivered
+        conn.delivered_offset()
     );
     // And it finishes in a few WiFi RTTs (~25 ms each).
     let took = app.completed_at.unwrap().saturating_since(SimTime::from_millis(10));
@@ -297,8 +294,7 @@ fn large_download_uses_cellular_heavily() {
     let app = host.app::<SinkClient>(0).unwrap();
     assert!(app.completed_at.is_some(), "8 MB download never completed");
     let conn = host.transport(0).unwrap().as_mp().unwrap();
-    let stats = conn.stats();
-    let share = stats.per_subflow_delivered[1] as f64 / stats.bytes_delivered as f64;
+    let share = conn.subflow_delivered(1) as f64 / conn.delivered_offset() as f64;
     // Paper Figure 10: over 50% of large-flow traffic moves to (lossless)
     // cellular; accept anything clearly substantial.
     assert!(share > 0.35, "cellular share only {share:.2}");
@@ -316,8 +312,8 @@ fn middlebox_strip_forces_fallback_to_plain_tcp() {
     assert_eq!(app.received.len(), 200_000);
     let conn = host.transport(0).unwrap().as_mp().unwrap();
     assert!(conn.fell_back(), "connection should have fallen back");
-    let stats = conn.stats();
-    assert_eq!(stats.per_subflow_delivered.len(), 1);
+    assert_eq!(conn.subflows.len(), 1);
+    assert_eq!(conn.subflow_delivered(0), 200_000);
 }
 
 #[test]
@@ -329,7 +325,8 @@ fn simultaneous_syn_establishes_second_path_sooner() {
         rig.world.run_until(SimTime::from_secs(60));
         let host = rig.client_host();
         let conn = host.transport(0).unwrap().as_mp().unwrap();
-        conn.subflow_established_at(1).expect("second subflow never established")
+        let second = conn.subflows.get(1).expect("second subflow never opened");
+        second.sock.stats().established_at.expect("second subflow never established")
     };
     let delayed = established_at(SynMode::Delayed);
     let simultaneous = established_at(SynMode::Simultaneous);
@@ -356,8 +353,10 @@ fn four_path_configuration_establishes_four_subflows() {
     assert_eq!(app.received.len(), 4_000_000);
     let conn = host.transport(0).unwrap().as_mp().unwrap();
     assert_eq!(conn.subflows.len(), 4, "expected 4 subflows");
-    let established = (0..4)
-        .filter(|&i| conn.subflow_established_at(i).is_some())
+    let established = conn
+        .subflows
+        .iter()
+        .filter(|sf| sf.sock.stats().established_at.is_some())
         .count();
     assert_eq!(established, 4, "all four subflows should establish");
 }

@@ -11,16 +11,20 @@ use mpw_tcp::{Addr, Endpoint, MptcpOption, SeqNum, TcpOption, TcpSegment};
 const HOST_ADDR: Addr = Addr::new(192, 168, 1, 1);
 const OTHER_ADDR: Addr = Addr::new(10, 0, 1, 2);
 
-/// A plain TCP open to `OTHER_ADDR:8080` at `at`.
-fn request(at: SimTime, app: Box<dyn App>, warmup: bool) -> OpenRequest {
+/// A plain TCP open to `OTHER_ADDR:8080`.
+fn request(app: Box<dyn App>, warmup: bool) -> OpenRequest {
     let spec = TransportSpec::Plain { if_index: 0 };
-    OpenRequest { at, spec, remote: Endpoint::new(OTHER_ADDR, 8080), app, warmup }
+    OpenRequest { spec, remote: Endpoint::new(OTHER_ADDR, 8080), app, warmup }
 }
 
-/// Queue `req` on `host` and schedule its activation, handing the request
-/// back if the host refuses it.
-fn queue(w: &mut World, host: AgentId, req: OpenRequest) -> Result<(), Box<OpenRequest>> {
-    let at = req.at;
+/// Queue `req` on `host` and schedule its activation at `at`, handing the
+/// request back if the host refuses it.
+fn queue(
+    w: &mut World,
+    host: AgentId,
+    at: SimTime,
+    req: OpenRequest,
+) -> Result<(), Box<OpenRequest>> {
     w.agent_mut::<Host>(host).unwrap().queue_open(req)?;
     w.schedule(at, host, Event::Timer { token: Host::open_token() });
     Ok(())
@@ -28,7 +32,7 @@ fn queue(w: &mut World, host: AgentId, req: OpenRequest) -> Result<(), Box<OpenR
 
 /// Queue the host's one plain TCP open to `OTHER_ADDR:8080` at `at`.
 fn open_at(w: &mut World, host: AgentId, at: SimTime, app: Box<dyn App>, warmup: bool) {
-    assert!(queue(w, host, request(at, app, warmup)).is_ok(), "the host's one open");
+    assert!(queue(w, host, at, request(app, warmup)).is_ok(), "the host's one open");
 }
 
 /// Captures every frame it receives, parsed.
@@ -230,8 +234,9 @@ fn vanished_warmup_pings_open_on_the_two_second_deadline() {
     // own deadline can let the SYN out on WiFi.
     let mut w = World::new(3, TraceLevel::Off);
     let wifi = w.add_agent(Box::new(NullSink::recording()));
-    let cell = w.add_agent(Box::new(NullSink::recording()));
-    let mut host = Host::new(vec![HOST_ADDR, Addr::new(10, 0, 2, 2)], w.rng().stream("host"));
+    let cell = w.add_agent(Box::new(Capture::default()));
+    let cell_addr = Addr::new(10, 0, 2, 2);
+    let mut host = Host::new(vec![HOST_ADDR, cell_addr], w.rng().stream("host"));
     host.set_iface_link(0, wifi);
     host.set_iface_link(1, cell);
     let host = w.add_agent(Box::new(host));
@@ -240,11 +245,41 @@ fn vanished_warmup_pings_open_on_the_two_second_deadline() {
     // Past the deadline, before the SYN's 1 s retransmission.
     w.run_until(at + SimDuration::from_millis(2500));
     let syn_at = at + SimDuration::from_secs(2);
-    assert_eq!(w.agent::<NullSink>(cell).unwrap().frames, 2, "both pings left");
+    let tokens: Vec<u64> = w
+        .agent::<Capture>(cell)
+        .unwrap()
+        .packets
+        .iter()
+        .filter_map(|p| match p {
+            wire::Packet::Ping(_, ping) if !ping.reply => Some(ping.token),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(tokens.len(), 2, "both pings left");
     assert_eq!(w.agent::<NullSink>(wifi).unwrap().arrivals, vec![syn_at]);
     let h = w.agent::<Host>(host).unwrap();
     assert!(h.ping_rtts.is_empty());
     assert_eq!(h.transport(0).unwrap().opened_at(), syn_at);
+
+    // A reply that comes after the open went ahead is not counted, and
+    // leaves the flow alone: the SYN's retransmission is still due 1 s
+    // after it left, and nothing else leaves.
+    let ip = wire::IpHeader {
+        src: OTHER_ADDR,
+        dst: cell_addr,
+        protocol: wire::PROTO_PING,
+        ttl: 64,
+    };
+    let reply = Frame::new(wire::encode_ping(&ip, &PingPacket { token: tokens[0], reply: true }));
+    w.schedule(w.now(), host, Event::Frame { port: 1, frame: reply });
+    w.run_until(syn_at + SimDuration::from_millis(1500));
+    let h = w.agent::<Host>(host).unwrap();
+    assert!(h.ping_rtts.is_empty(), "late reply counted: {:?}", h.ping_rtts);
+    assert_eq!(h.transport(0).unwrap().opened_at(), syn_at);
+    assert!(!h.transport(0).unwrap().is_established());
+    let syn_rto = syn_at + SimDuration::from_secs(1);
+    assert_eq!(w.agent::<NullSink>(wifi).unwrap().arrivals, vec![syn_at, syn_rto]);
+    assert_eq!(w.agent::<Capture>(cell).unwrap().packets.len(), 2);
 }
 
 /// Closes its side the moment the connection is up: a connection that
@@ -277,12 +312,16 @@ fn a_second_open_is_refused_and_leaves_the_first_flow_alone() {
     let ms = SimTime::from_millis;
     open_at(&mut w, host, ms(50), Box::new(NullApp), false);
     // Refused while the first open is queued, though it would start sooner.
-    let refused = queue(&mut w, host, request(ms(10), Box::new(NullApp), false));
-    assert_eq!(refused.err().map(|r| r.at), Some(ms(10)), "handed back untouched");
+    let other = |port| OpenRequest {
+        remote: Endpoint::new(OTHER_ADDR, port),
+        ..request(Box::new(NullApp), false)
+    };
+    let refused = queue(&mut w, host, ms(10), other(9090));
+    assert_eq!(refused.err().map(|r| r.remote.port), Some(9090), "handed back untouched");
     w.run_until(ms(100));
     // Refused once the first holds its slot.
-    let refused = queue(&mut w, host, request(ms(100), Box::new(NullApp), false));
-    assert_eq!(refused.err().map(|r| r.at), Some(ms(100)));
+    let refused = queue(&mut w, host, ms(100), other(9091));
+    assert_eq!(refused.err().map(|r| r.remote.port), Some(9091));
     w.run_until(ms(200));
     let h = w.agent::<Host>(host).unwrap();
     assert_eq!(h.slot_count(), 1);

@@ -129,7 +129,6 @@ impl Rig {
         let client = self.client;
         let host = self.world.agent_mut::<Host>(client).unwrap();
         let req = OpenRequest {
-            at,
             spec: TransportSpec::Mptcp(cfg),
             remote: Endpoint::new(SERVER_ADDR, 8080),
             app: Box::new(SinkClient { received: 0, completed_at: None }),
@@ -183,7 +182,8 @@ impl Rig {
 
     fn per_subflow_delivered(&mut self) -> Vec<u64> {
         let host = self.world.agent_mut::<Host>(self.client).unwrap();
-        host.transport(0).unwrap().as_mp().unwrap().stats().per_subflow_delivered
+        let conn = host.transport(0).unwrap().as_mp().unwrap();
+        (0..conn.subflows.len()).map(|i| conn.subflow_delivered(i)).collect()
     }
 }
 

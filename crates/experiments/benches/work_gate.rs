@@ -12,7 +12,7 @@
 //! (`EngineStats::{same_instant_deliveries, timer_deliveries, peak_pending}`)
 //! as facts: exact too, but they describe the engine, not behaviour. The
 //! two MP-2 downloads also print the server connection's housekeeping
-//! passes per data segment sent (`ConnStats::housekeeping_passes`) — what
+//! passes per data segment sent (`MptcpConnection::housekeeping_passes`) — what
 //! the MPTCP layer re-derives per segment, as a count.
 //! A bench target beside `alloc_gate` so it builds with the release profile.
 //!
@@ -74,7 +74,7 @@ fn counts<'a>(
         match host.transport(slot) {
             Some(Transport::Mp(c)) => {
                 c.subflows.iter().for_each(|s| add(s.sock.stats()));
-                passes += c.stats().housekeeping_passes;
+                passes += c.housekeeping_passes();
             }
             Some(Transport::Sp(s)) => add(s.stats()),
             None => {}

@@ -1,9 +1,9 @@
-//! The measurement methodology of §3.2: repeated randomized measurements
-//! across day periods, with independent seeds standing in for temporal and
-//! spatial replication.
+//! The measurement methodology of §3.2: repeated measurements across day
+//! periods, with independent seeds standing in for temporal and spatial
+//! replication and for the paper's randomized run order.
 
 use mpw_link::DayPeriod;
-use mpw_sim::{derive_seed, run_jobs, SimRng};
+use mpw_sim::{derive_seed, run_jobs};
 use serde::{Deserialize, Serialize};
 
 use crate::config::Scenario;
@@ -47,50 +47,36 @@ impl Scale {
     }
 }
 
-/// Expand scenarios × periods × runs into a randomized measurement order
-/// (the paper randomizes configuration order to decorrelate network
-/// conditions, §3.2), then execute.
+/// Expand scenarios × periods × runs into measurements, then execute.
+/// Each measurement runs in its own world from its own seed, so no run
+/// depends on another or on the order they run in (§3.2's randomized order
+/// decorrelates network conditions; independent seeds do that here).
 ///
 /// `workers == 0` means "one per available core"
-/// (`std::thread::available_parallelism()`). Results always come back in
-/// *job order* — the deterministic scenario × period × replication
-/// enumeration order — regardless of worker count or the randomized
-/// execution order, so downstream grouping and the determinism regression
-/// tests can compare vectors element-for-element.
+/// (`std::thread::available_parallelism()`). Results come back in *job
+/// order* — the scenario × period × replication enumeration order —
+/// regardless of worker count, so downstream grouping and the determinism
+/// regression tests can compare vectors element-for-element.
 pub fn run_campaign(
     base_scenarios: &[Scenario],
     scale: Scale,
     master_seed: u64,
     workers: usize,
 ) -> Vec<Measurement> {
-    // Job index rides along so results can be returned in enumeration
-    // order no matter how execution is scheduled.
-    let mut jobs: Vec<(usize, Scenario, u64)> = Vec::new();
+    let mut jobs: Vec<(Scenario, u64)> = Vec::new();
     for s in base_scenarios {
         for &period in scale.periods() {
             for _ in 0..scale.runs_per_period {
                 let mut sc = s.clone();
                 sc.period = period;
                 // Seed derivation: unique per (scenario position, period,
-                // replication), independent of execution order.
-                let idx = jobs.len();
-                let seed = derive_seed(master_seed, idx as u64);
-                jobs.push((idx, sc, seed));
+                // replication).
+                let seed = derive_seed(master_seed, jobs.len() as u64);
+                jobs.push((sc, seed));
             }
         }
     }
-    // Randomize the execution order, as the methodology prescribes. With
-    // independent seeded worlds this does not change any result — which is
-    // itself a property the determinism tests rely on — but it keeps the
-    // harness faithful to the paper's procedure.
-    let mut order_rng = SimRng::seeded(master_seed ^ 0x5eed);
-    order_rng.shuffle(&mut jobs);
-
-    let mut done = run_jobs(&jobs, workers, |(idx, sc, seed)| {
-        (*idx, run_measurement(sc, *seed))
-    });
-    done.sort_unstable_by_key(|&(idx, _)| idx);
-    done.into_iter().map(|(_, m)| m).collect()
+    run_jobs(&jobs, workers, |(sc, seed)| run_measurement(sc, *seed))
 }
 
 /// Group measurements by a key.

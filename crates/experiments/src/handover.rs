@@ -176,19 +176,22 @@ impl HandoverMeasurement {
 
 /// Mutate the client connection and schedule an immediate host flush so any
 /// frames the mutation produced (MP_PRIO, replacement SYNs) leave now
-/// rather than at the next unrelated wakeup.
+/// rather than at the next unrelated wakeup. The flush is the open token's
+/// event, which would also start a queued open: it is scheduled only once
+/// the connection exists.
 fn with_client_conn(
     world: &mut World,
     client: AgentId,
     now: SimTime,
     f: impl FnOnce(&mut mpw_mptcp::MptcpConnection),
 ) {
-    if let Some(host) = world.agent_mut::<Host>(client) {
-        if let Some(Transport::Mp(conn)) = host.transport_mut(0) {
-            f(conn);
-        }
+    let Some(host) = world.agent_mut::<Host>(client) else {
+        return;
+    };
+    if let Some(Transport::Mp(conn)) = host.transport_mut(0) {
+        f(conn);
+        world.schedule(now, client, Event::Timer { token: Host::open_token() });
     }
-    world.schedule(now, client, Event::Timer { token: Host::open_token() });
 }
 
 /// Run one handover measurement to completion (or horizon).

@@ -2,9 +2,9 @@
 //!
 //! Reproduces the paper's methodology (§3.2): the testbed topology of
 //! Figure 1 ([`testbed`]), the configuration axes ([`config`]), single
-//! measurements with full metric harvesting ([`measure`]), randomized
-//! multi-period campaigns ([`campaign`]), and one driver per table/figure
-//! of the evaluation ([`artifacts`]).
+//! measurements with full metric harvesting ([`measure`]), independently
+//! seeded multi-period campaigns ([`campaign`]), and one driver per
+//! table/figure of the evaluation ([`artifacts`]).
 //!
 //! The `repro` binary regenerates any artifact:
 //!

@@ -130,13 +130,12 @@ impl Testbed {
     /// When the flow is already queued: a testbed carries one.
     pub fn open_with_app(&mut self, app: Box<dyn App>, warmup: bool) {
         let req = OpenRequest {
-            at: Self::OPEN_AT,
             spec: self.transport.clone(),
             remote: Endpoint::new(SERVER_ADDRS[0], SERVER_PORT),
             app,
             warmup,
         };
-        open_flow(&mut self.world, self.client, req);
+        open_flow(&mut self.world, self.client, Self::OPEN_AT, req);
     }
 
     /// Run until the flow has finished its workload and nothing of it is

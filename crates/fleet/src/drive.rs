@@ -1,5 +1,6 @@
 //! Opening a client's one flow on a built world and running the world in
-//! slices.
+//! slices. A flow's start time is the one timer [`open_flow`] schedules
+//! for it; the request it queues states none.
 
 use std::fmt;
 
@@ -9,13 +10,12 @@ use mpw_scenario::{CompiledOp, ScenarioDriver};
 use mpw_sim::{AgentId, Event, RunOutcome, SimDuration, SimTime, World};
 
 /// Queue `req`, the one flow of `client`, and schedule the timer that
-/// activates it at `req.at`. The flow takes the client's slot 0.
+/// activates it at `at`. The flow takes the client's slot 0.
 ///
 /// # Panics
 ///
 /// When `client` already has a flow, queued or open: a host opens one.
-pub fn open_flow(world: &mut World, client: AgentId, req: OpenRequest) {
-    let at = req.at;
+pub fn open_flow(world: &mut World, client: AgentId, at: SimTime, req: OpenRequest) {
     let host = world.agent_mut::<Host>(client).expect("client host");
     assert!(host.queue_open(req).is_ok(), "client {client} already has its flow");
     world.schedule(at, client, Event::Timer { token: Host::open_token() });
@@ -107,7 +107,7 @@ mod tests {
     use mpw_sim::trace::TraceLevel;
     use mpw_sim::{Frame, Switch};
     use mpw_tcp::wire::{PingPacket, PROTO_PING};
-    use mpw_tcp::{encode_ping, Addr, Endpoint, IpHeader};
+    use mpw_tcp::{encode_ping, peek_ip_dst, Addr, Endpoint, IpHeader};
 
     use super::*;
 
@@ -120,14 +120,14 @@ mod tests {
         let host = Host::new(vec![Addr::new(10, 0, 1, 2)], w.rng().stream("client"));
         let client = w.add_agent(Box::new(host));
         let req = || OpenRequest {
-            at: SimTime::from_millis(100),
             spec: TransportSpec::Plain { if_index: 0 },
             remote: Endpoint::new(Addr::new(192, 168, 1, 1), 8080),
             app: Box::new(NullApp),
             warmup: false,
         };
-        open_flow(&mut w, client, req());
-        open_flow(&mut w, client, req());
+        let at = SimTime::from_millis(100);
+        open_flow(&mut w, client, at, req());
+        open_flow(&mut w, client, at, req());
     }
 
     /// [`quiescent`] looks for waiting frames in the links only: the other
@@ -137,13 +137,14 @@ mod tests {
     fn switches_forward_at_zero_delay() {
         let mut w = World::new(1, TraceLevel::Off);
         let sink = w.add_agent(Box::new(NullSink::recording()));
-        let mut switch = Switch::new(|_| None);
-        switch.set_default_route((sink, 0));
+        let dst = Addr::new(192, 168, 1, 1);
+        let mut switch = Switch::new(|f| peek_ip_dst(&f.bytes).map(|a| u64::from(a.0)));
+        switch.add_route(u64::from(dst.0), (sink, 0));
         let switch = w.add_agent(Box::new(switch));
         let at = SimTime::from_micros(1234);
         let ip = IpHeader {
             src: Addr::new(10, 0, 1, 2),
-            dst: Addr::new(192, 168, 1, 1),
+            dst,
             protocol: PROTO_PING,
             ttl: 64,
         };

@@ -67,10 +67,9 @@ fn fleet_mptcp(max_subflows: usize) -> MptcpConfig {
     }
 }
 
-/// One flow open of a client of `class` at `at`.
-fn flow_request(class: ClientClass, spec: &FleetSpec, at: SimTime) -> OpenRequest {
+/// One flow open of a client of `class`.
+fn flow_request(class: ClientClass, spec: &FleetSpec) -> OpenRequest {
     OpenRequest {
-        at,
         spec: match class {
             ClientClass::WifiOnly | ClientClass::LteOnly => TransportSpec::Plain { if_index: 0 },
             ClientClass::Multipath => TransportSpec::Mptcp(fleet_mptcp(2)),
@@ -161,7 +160,7 @@ pub fn run_fleet_windowed(
     let horizon = SimTime::from_millis(spec.horizon_ms);
     for (c, &at) in clients.iter_mut().zip(&arrivals) {
         if at < horizon {
-            open_flow(&mut world, c.agent, flow_request(c.class, spec, at));
+            open_flow(&mut world, c.agent, at, flow_request(c.class, spec));
         } else {
             c.done = true;
         }

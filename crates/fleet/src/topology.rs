@@ -174,13 +174,12 @@ mod tests {
         topo.serve(MptcpConfig::default());
         for &(client, ..) in &clients {
             let req = OpenRequest {
-                at: SimTime::ZERO,
                 spec: TransportSpec::Plain { if_index: 0 },
                 remote: Endpoint::new(SERVER_ADDR, SERVER_PORT),
                 app: Box::new(Wget::new(16 << 10, false)),
                 warmup: false,
             };
-            open_flow(&mut topo.world, client, req);
+            open_flow(&mut topo.world, client, SimTime::ZERO, req);
         }
         topo.world.run_until(SimTime::from_secs(10));
         let clients: Vec<_> = clients.into_iter().map(|(client, ..)| client).collect();

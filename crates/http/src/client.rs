@@ -1,10 +1,13 @@
 //! The wget-like download client — the paper's measurement workload.
 //!
-//! Opens, sends one `GET /object?size=N`, reads the body, records the
-//! paper's download-time metric (first SYN → last body byte, §3.3), closes.
+//! Opens, sends one `GET /object?size=N`, reads the body, records when the
+//! last body byte arrived, closes. The paper's download time (first SYN →
+//! last body byte, §3.3) is that instant less the transport's
+//! [`Transport::opened_at`]; the harvest (`mpw_fleet::ClientFlow`) reads
+//! both.
 
 use mpw_mptcp::{App, Transport};
-use mpw_sim::{SimDuration, SimTime};
+use mpw_sim::SimTime;
 
 use crate::message::{body_byte, parse_response, HeaderReader};
 
@@ -13,19 +16,10 @@ use crate::message::{body_byte, parse_response, HeaderReader};
 pub struct DownloadResult {
     /// Body bytes received.
     pub bytes: u64,
-    /// When the first SYN left (transport open).
-    pub started_at: SimTime,
     /// When the last body byte arrived.
     pub finished_at: Option<SimTime>,
     /// Body verification failures (0 for a correct transfer).
     pub corrupt_bytes: u64,
-}
-
-impl DownloadResult {
-    /// The paper's download-time metric.
-    pub fn download_time(&self) -> Option<SimDuration> {
-        self.finished_at.map(|f| f.saturating_since(self.started_at))
-    }
 }
 
 enum State {
@@ -88,7 +82,6 @@ impl Wget {
 impl App for Wget {
     fn poll(&mut self, conn: &mut Transport, now: SimTime) {
         if let State::Connecting = self.state {
-            self.result.started_at = conn.opened_at();
             if conn.is_established() {
                 let req = crate::message::Request {
                     path: "/object".into(),

@@ -46,7 +46,6 @@ pub struct OnOffSource {
     rng: SimRng,
     target: (AgentId, u16),
     on: bool,
-    toggle_timer: Option<TimerHandle>,
     frame_timer: Option<TimerHandle>,
     /// One zero-filled frame payload, allocated once and refcount-shared by
     /// every injected frame (background sources fire per-frame on busy
@@ -65,7 +64,6 @@ impl OnOffSource {
             rng,
             target,
             on: false,
-            toggle_timer: None,
             frame_timer: None,
             prototype,
             frames_sent: 0,
@@ -75,7 +73,8 @@ impl OnOffSource {
     fn schedule_toggle(&mut self, ctx: &mut Ctx<'_>) {
         let mean = if self.on { self.cfg.mean_on } else { self.cfg.mean_off };
         let dwell = SimDuration::from_secs_f64(self.rng.exponential(mean.as_secs_f64()).max(1e-6));
-        self.toggle_timer = Some(ctx.arm_timer(dwell, TOKEN_TOGGLE));
+        // Never cancelled: a source toggles for the whole run.
+        ctx.arm_timer(dwell, TOKEN_TOGGLE);
     }
 
     fn schedule_frame(&mut self, ctx: &mut Ctx<'_>) {
@@ -104,7 +103,6 @@ impl Agent for OnOffSource {
             }
             Event::Timer { token } => {
                 if token == TOKEN_TOGGLE {
-                    self.toggle_timer = None;
                     self.on = !self.on;
                     self.schedule_toggle(ctx);
                     if self.on {

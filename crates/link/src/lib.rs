@@ -36,7 +36,7 @@ pub use builder::{build_path, BuiltPath};
 pub use link::{ArqConfig, Jitter, LinkAgent, LinkConfig, LinkStats, LinkTap, NullSink, RrcConfig};
 pub use loss::{GilbertElliott, LossModel};
 pub use presets::{
-    att_lte, sprint_evdo, verizon_lte, wifi_home, wifi_home_80211n, wifi_hotspot, wired_lan,
-    Carrier, DayPeriod, PathSpec, Technology,
+    att_lte, sprint_evdo, verizon_lte, wifi_home, wifi_hotspot, wired_lan, Carrier, DayPeriod,
+    PathSpec, Technology,
 };
 pub use rate::{RateLevel, RateProcess};

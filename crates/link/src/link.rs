@@ -474,8 +474,6 @@ pub struct NullSink {
     pub frames: u64,
     /// Bytes received.
     pub bytes: u64,
-    /// Arrival time of the most recent frame.
-    pub last_arrival: Option<SimTime>,
     /// Arrival times (kept only if `record` is set).
     pub arrivals: Vec<SimTime>,
     /// Whether to record every arrival time.
@@ -497,7 +495,6 @@ impl Agent for NullSink {
         if let Event::Frame { frame, .. } = ev {
             self.frames += 1;
             self.bytes += frame.wire_len() as u64;
-            self.last_arrival = Some(ctx.now());
             if self.record {
                 self.arrivals.push(ctx.now());
             }

@@ -161,23 +161,6 @@ pub fn wifi_home(load: f64) -> PathSpec {
     }
 }
 
-/// Private home WiFi upgraded to an 802.11n access point (§4.1.1's note:
-/// "by replacing the WiFi AP with a newer standard, such as 802.11n, the
-/// WiFi loss rates can be reduced ... but still much larger than cellular").
-pub fn wifi_home_80211n(load: f64) -> PathSpec {
-    let mut spec = wifi_home(load);
-    spec.name = "Home WiFi (802.11n)".into();
-    // Faster PHY, shallower loss; still an order above cellular's residual.
-    spec.down.rate = RateProcess::modulated(vec![
-        RateLevel { bits_per_sec: 60_000_000, mean_dwell: SimDuration::from_millis(900) },
-        RateLevel { bits_per_sec: 35_000_000, mean_dwell: SimDuration::from_millis(300) },
-    ]);
-    spec.down.loss = LossModel::bursty(0.006);
-    spec.up.rate = RateProcess::fixed(12_000_000);
-    spec.up.loss = LossModel::bursty(0.003);
-    spec
-}
-
 /// Public coffee-shop hotspot with `customers` active patrons (§4.1.1,
 /// Figure 6 / Table 4). The paper observed 15–20 laptops/phones on a Friday
 /// afternoon: lossier channel, contention jitter, and heavy shared load.
@@ -503,17 +486,6 @@ mod tests {
             assert!(spec.down.loss.mean_loss() > 0.0);
         }
         assert!(wifi_home(0.5).down.arq.is_none());
-    }
-
-    #[test]
-    fn n_standard_ap_reduces_loss_but_not_below_cellular() {
-        let g = wifi_home(0.5);
-        let n = wifi_home_80211n(0.5);
-        assert!(n.down.loss.mean_loss() < g.down.loss.mean_loss());
-        // "still much larger than that exhibited by cellular" — cellular's
-        // visible (post-ARQ) loss is ~0.
-        assert!(n.down.loss.mean_loss() > 0.001);
-        assert!(n.down.rate.mean_rate() > g.down.rate.mean_rate());
     }
 
     #[test]

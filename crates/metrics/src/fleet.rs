@@ -100,18 +100,6 @@ impl GoodputTimeline {
             *self.buckets.entry(start).or_insert(0) += bytes;
         }
     }
-
-    /// Mean goodput in kbit/s over the covered span (0 when empty).
-    pub fn mean_kbps(&self) -> f64 {
-        let (Some((&first, _)), Some((&last, _))) =
-            (self.buckets.first_key_value(), self.buckets.last_key_value())
-        else {
-            return 0.0;
-        };
-        let span_ms = last + self.bucket_ms - first;
-        let bytes: u64 = self.buckets.values().sum();
-        (bytes as f64 * 8.0) / span_ms as f64
-    }
 }
 
 /// One finished (or cut-off) flow, as harvested from a fleet world.
@@ -297,15 +285,13 @@ mod tests {
     }
 
     #[test]
-    fn timeline_buckets_and_mean() {
+    fn timeline_buckets() {
         let mut t = GoodputTimeline::new(100);
         t.add(0, 1000);
         t.add(99, 1000);
         t.add(100, 500);
         assert_eq!(t.buckets.get(&0), Some(&2000));
         assert_eq!(t.buckets.get(&100), Some(&500));
-        // 2500 bytes over 200 ms = 100 kbit/s.
-        assert!((t.mean_kbps() - 100.0).abs() < 1e-9);
     }
 
     const CLASSES: [&str; 4] = ["wifi", "lte", "mp2", "mp4"];

@@ -22,11 +22,6 @@ impl RngFactory {
         RngFactory { root_seed }
     }
 
-    /// The root seed this factory derives all streams from.
-    pub fn root_seed(&self) -> u64 {
-        self.root_seed
-    }
-
     /// Derive the stream with the given label. The same `(seed, label)` pair
     /// always yields an identical sequence.
     pub fn stream(&self, label: &str) -> SimRng {
@@ -217,11 +212,6 @@ impl SimRng {
         (-2.0 * u1.ln()).sqrt() * (core::f64::consts::TAU * u2).cos()
     }
 
-    /// Normal draw with the given mean and standard deviation.
-    pub fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
-        mean + std_dev * self.standard_normal()
-    }
-
     /// Log-normal draw parameterized by the *target* mean and the sigma of
     /// the underlying normal. Heavy-tailed delays (cellular RTT spikes) use
     /// this shape.
@@ -231,8 +221,7 @@ impl SimRng {
         (mu + sigma * self.standard_normal()).exp()
     }
 
-    /// Durstenfeld shuffle of a slice (used by the harness to randomize the
-    /// order of measurement configurations, per paper §3.2).
+    /// Durstenfeld shuffle of a slice.
     pub fn shuffle<T>(&mut self, xs: &mut [T]) {
         for i in (1..xs.len()).rev() {
             let j = self.range_u64(0, i as u64 + 1) as usize;
@@ -307,17 +296,6 @@ mod tests {
         let n = 20_000;
         let mean = (0..n).map(|_| r.exponential(5.0)).sum::<f64>() / n as f64;
         assert!((mean - 5.0).abs() < 0.2, "mean was {mean}");
-    }
-
-    #[test]
-    fn normal_moments_are_close() {
-        let mut r = SimRng::seeded(12);
-        let n = 20_000;
-        let xs: Vec<f64> = (0..n).map(|_| r.normal(10.0, 2.0)).collect();
-        let mean = xs.iter().sum::<f64>() / n as f64;
-        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
-        assert!((mean - 10.0).abs() < 0.1, "mean {mean}");
-        assert!((var.sqrt() - 2.0).abs() < 0.1, "sd {}", var.sqrt());
     }
 
     #[test]

@@ -15,17 +15,16 @@ use crate::engine::{Agent, AgentId, Ctx, Event, Frame};
 use crate::time::SimDuration;
 
 /// Classifies a frame to a routing key (e.g. its destination IP address).
-/// Returning `None` sends the frame to the default route, if any.
+/// A frame that classifies to `None` is unrouted.
 pub type Classifier = fn(&Frame) -> Option<u64>;
 
 /// A zero-latency fan-out switch. See module docs.
 pub struct Switch {
     classify: Classifier,
     routes: BTreeMap<u64, (AgentId, u16)>,
-    default_route: Option<(AgentId, u16)>,
     /// Frames forwarded to a matching route.
     pub forwarded: u64,
-    /// Frames that matched no route and had no default (dropped).
+    /// Frames that matched no route (dropped).
     pub unrouted: u64,
 }
 
@@ -35,7 +34,6 @@ impl Switch {
         Switch {
             classify,
             routes: BTreeMap::new(),
-            default_route: None,
             forwarded: 0,
             unrouted: 0,
         }
@@ -45,20 +43,12 @@ impl Switch {
     pub fn add_route(&mut self, key: u64, egress: (AgentId, u16)) {
         self.routes.insert(key, egress);
     }
-
-    /// Egress for frames whose key matches no route (or classifies to
-    /// `None`) — e.g. a background-traffic sink.
-    pub fn set_default_route(&mut self, egress: (AgentId, u16)) {
-        self.default_route = Some(egress);
-    }
 }
 
 impl Agent for Switch {
     fn handle(&mut self, ev: Event, ctx: &mut Ctx<'_>) {
         if let Event::Frame { frame, .. } = ev {
-            let egress = (self.classify)(&frame)
-                .and_then(|key| self.routes.get(&key).copied())
-                .or(self.default_route);
+            let egress = (self.classify)(&frame).and_then(|key| self.routes.get(&key).copied());
             match egress {
                 Some((dst, port)) => {
                     self.forwarded += 1;
@@ -103,28 +93,28 @@ mod tests {
     }
 
     #[test]
-    fn routes_by_key_with_default_fallback() {
+    fn routes_by_key() {
         let mut world = World::new(1, TraceLevel::Off);
         let a = world.add_agent(Box::new(Sink { got: Vec::new() }));
         let b = world.add_agent(Box::new(Sink { got: Vec::new() }));
         let mut sw = Switch::new(classify_meta);
         sw.add_route(7, (a, 3));
-        sw.set_default_route((b, 0));
+        sw.add_route(9, (b, 0));
         let s = world.add_agent(Box::new(sw));
 
         inject(&mut world, s, Frame::tagged(bytes::Bytes::from_static(b"x"), 7));
         inject(&mut world, s, Frame::tagged(bytes::Bytes::from_static(b"y"), 9));
+        inject(&mut world, s, Frame::tagged(bytes::Bytes::from_static(b"w"), 7));
+        // An unclassifiable frame is dropped, and counted.
         inject(&mut world, s, Frame::new(bytes::Bytes::from_static(b"z")));
         world.run_until_idle();
 
         let sw: &Switch = world.agent(s).unwrap();
-        assert_eq!(sw.forwarded, 3);
-        assert_eq!(sw.unrouted, 0);
+        assert_eq!((sw.forwarded, sw.unrouted), (3, 1));
         let a: &Sink = world.agent(a).unwrap();
-        assert_eq!(a.got, vec![(3, 7)]);
+        assert_eq!(a.got, vec![(3, 7), (3, 7)]);
         let b: &Sink = world.agent(b).unwrap();
-        // Unknown key 9 and unclassifiable meta-0 both take the default.
-        assert_eq!(b.got, vec![(0, 9), (0, 0)]);
+        assert_eq!(b.got, vec![(0, 9)]);
     }
 
     #[test]

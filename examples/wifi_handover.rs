@@ -7,7 +7,7 @@
 //! ```
 
 use mpwild::experiments::{FlowConfig, Testbed, WifiKind};
-use mpwild::http::Wget;
+use mpwild::fleet::client_flow;
 use mpwild::link::{Carrier, DayPeriod, LinkAgent, LossModel};
 use mpwild::mptcp::{Coupling, Host};
 use mpwild::sim::SimTime;
@@ -26,9 +26,9 @@ fn run_one(flow: FlowConfig, kill_wifi_at_s: u64) -> (Option<f64>, u64) {
             .set_loss(LossModel::Bernoulli { p: 1.0 });
     }
     tb.world.run_until(SimTime::from_secs(240));
-    let host = tb.world.agent_mut::<Host>(tb.client).expect("client host");
-    let w = host.app::<Wget>(0).expect("wget app");
-    (w.result.download_time().map(|d| d.as_secs_f64()), w.result.bytes)
+    let host = tb.world.agent::<Host>(tb.client).expect("client host");
+    let flow = client_flow(host).expect("the download");
+    (flow.download_time().map(|d| d.as_secs_f64()), flow.app_bytes)
 }
 
 fn main() {

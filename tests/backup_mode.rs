@@ -31,13 +31,12 @@ fn backup_subflow_stays_idle_while_wifi_is_healthy() {
         Some(Transport::Mp(c)) => {
             assert_eq!(c.subflows.len(), 2, "backup subflow joined");
             assert!(c.subflows[1].backup, "cellular marked backup");
-            let stats = c.stats();
-            let cellular = stats.per_subflow_delivered.get(1).copied().unwrap_or(0);
+            let cellular = c.subflow_delivered(1);
             // §7: "backup mode (where only a subset of subflows are used)".
             assert!(
-                cellular * 50 < stats.bytes_delivered,
+                cellular * 50 < c.delivered_offset(),
                 "backup path should stay idle; carried {cellular} of {}",
-                stats.bytes_delivered
+                c.delivered_offset()
             );
         }
         _ => panic!("expected MPTCP"),
@@ -62,8 +61,7 @@ fn backup_subflow_takes_over_when_wifi_dies() {
     assert_eq!(w.result.bytes, 4 << 20);
     match host.transport(0) {
         Some(Transport::Mp(c)) => {
-            let stats = c.stats();
-            let cellular = stats.per_subflow_delivered.get(1).copied().unwrap_or(0);
+            let cellular = c.subflow_delivered(1);
             assert!(
                 cellular > (2 << 20),
                 "the backup path should have carried the bulk after failover ({cellular})"
@@ -82,10 +80,9 @@ fn full_mptcp_mode_uses_both_paths_by_contrast() {
     let host = tb.world.agent_mut::<Host>(tb.client).expect("client host");
     match host.transport(0) {
         Some(Transport::Mp(c)) => {
-            let stats = c.stats();
-            let cellular = stats.per_subflow_delivered.get(1).copied().unwrap_or(0);
+            let cellular = c.subflow_delivered(1);
             assert!(
-                cellular * 4 > stats.bytes_delivered,
+                cellular * 4 > c.delivered_offset(),
                 "full-MPTCP mode should use cellular substantially ({cellular})"
             );
         }

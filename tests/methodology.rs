@@ -47,9 +47,10 @@ fn campaign_covers_every_period_and_replication() {
 
 #[test]
 fn campaign_is_order_independent() {
-    // The paper randomizes measurement order to decorrelate conditions; with
-    // seeded worlds the results must be identical regardless of shuffle,
-    // which double-checks that runs share no hidden state.
+    // The paper randomizes measurement order to decorrelate conditions; here
+    // each measurement is its own seeded world, so two runs of one campaign
+    // must agree measurement by measurement, which double-checks that runs
+    // share no hidden state.
     let scale = Scale {
         runs_per_period: 1,
         all_periods: false,

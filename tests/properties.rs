@@ -3,6 +3,7 @@
 //! identical seeds must be bit-identical.
 
 use mpwild::experiments::{FlowConfig, Testbed};
+use mpwild::fleet::client_flow;
 use mpwild::http::Wget;
 use mpwild::link::{wifi_home, Carrier, DayPeriod, Jitter, LossModel, PathSpec, RateLevel, RateProcess};
 use mpwild::mptcp::{Coupling, Host, SynMode};
@@ -89,8 +90,8 @@ proptest! {
             tb.download(128 * 1024, true);
             tb.world.run_until(SimTime::from_secs(120));
             let events = tb.world.events_processed();
-            let host = tb.world.agent_mut::<Host>(tb.client).expect("client");
-            let t = host.app::<Wget>(0).and_then(|w| w.result.download_time());
+            let host = tb.world.agent::<Host>(tb.client).expect("client");
+            let t = client_flow(host).and_then(|f| f.download_time());
             (events, t)
         };
         prop_assert_eq!(run(), run());
