@@ -1,7 +1,9 @@
 //! CLI for the explicit-state model checker. See EXPERIMENTS.md §"mpw-check".
 //!
 //! Exit codes: 0 = clean (or violation found under `--expect-violation`),
-//! 1 = violation found, 2 = usage / expectation errors.
+//! 1 = violation found, 2 = usage / expectation errors, or a release build
+//! without `--features check-invariants` (its in-stack oracles are
+//! compiled out, so a clean run would prove nothing).
 
 use mpw_check::explore::{explore, format_trace, CheckConfig, Inject};
 use mpw_mptcp::conn::SynMode;
@@ -19,6 +21,13 @@ fn usage() -> ! {
 }
 
 fn main() {
+    if !cfg!(any(debug_assertions, feature = "check-invariants")) {
+        eprintln!(
+            "explore: this release build has the in-stack oracles compiled out; \
+             rebuild with --features check-invariants"
+        );
+        std::process::exit(2);
+    }
     let mut cfg = CheckConfig::default();
     let mut expect_violation = false;
     let mut min_states = 0usize;

@@ -7,8 +7,10 @@
 //!   `World::validate_timers`, the coupled-CC per-ACK increase oracle).
 //!   They are always compiled; the event-processing paths run them under
 //!   `debug_assertions` or the `check-invariants` feature, which this
-//!   crate's default features force onto its dependencies so the model
-//!   checker checks them even in `--release`.
+//!   crate forwards to its dependencies. The feature is opt-in (a default
+//!   would reach every binary of a `--workspace` build), so a release
+//!   `explore` is built with `--features check-invariants` and exits 2
+//!   without it.
 //! * **[`explore`]** — a bespoke explicit-state model checker that
 //!   exhaustively enumerates bounded adversarial network schedules (drop /
 //!   reorder / duplicate / timer races) over a real client–server pair of

@@ -67,6 +67,9 @@ fn planted_overlapping_dss_bug_is_caught_with_replayable_trace() {
     assert!(trace.contains("dseq 199"), "overlapping mapping not visible:\n{trace}");
 }
 
+// The increase oracle sits inside the stack: compiled out of a release
+// build without `check-invariants`.
+#[cfg(any(debug_assertions, feature = "check-invariants"))]
 #[test]
 fn planted_unclamped_cc_bug_is_caught_by_the_increase_oracle() {
     // In-order schedules only: the bug needs congestion avoidance, i.e. a

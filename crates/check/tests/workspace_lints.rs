@@ -14,21 +14,31 @@
 //!   maps and sets, wall clocks) everywhere and allows `disallowed_methods`
 //!   (`to_vec`) except in the three data-path modules that deny it. Neither
 //!   is ever allowed back, bar `wire.rs`'s `mod tests` and its `to_vec`s.
+//!
+//! Two more cuts are pinned here because nothing fails when they grow back:
+//! only the program's inputs (scenario files, `WORK_budgets.json`) derive
+//! or implement `Deserialize`, and `mpw-check` declares no default feature,
+//! so no `--workspace` build compiles the oracles into `repro`.
 
 use std::path::{Path, PathBuf};
 
 /// The one target allowed to waive the lint (a counting `GlobalAlloc`).
 const EXEMPT: &str = "crates/experiments/benches/alloc_gate.rs";
 
-/// Whether `manifest` holds `key = value` inside its `[header]` table.
-fn table_has(manifest: &str, header: &str, key: &str, value: &str) -> bool {
+/// The value of `key` inside `manifest`'s `[header]` table, if it is set.
+fn table_value<'m>(manifest: &'m str, header: &str, key: &str) -> Option<&'m str> {
     manifest
         .lines()
         .map(str::trim)
         .skip_while(|l| *l != header)
         .skip(1)
         .take_while(|l| !l.starts_with('['))
-        .any(|l| l.split_once('=').is_some_and(|(k, v)| k.trim() == key && v.trim() == value))
+        .find_map(|l| l.split_once('=').filter(|(k, _)| k.trim() == key).map(|(_, v)| v.trim()))
+}
+
+/// Whether `manifest` holds `key = value` inside its `[header]` table.
+fn table_has(manifest: &str, header: &str, key: &str, value: &str) -> bool {
+    table_value(manifest, header, key) == Some(value)
 }
 
 /// Every file under `dir`, build output aside.
@@ -247,5 +257,47 @@ fn the_determinism_and_alloc_walls_are_switched_on_and_never_allowed_back() {
         assert_eq!(allowed(&src, "clippy::disallowed_types"), (0, 0), "{rel}: an #[allow] steps round the determinism wall");
         let want = usize::from(rel == ALLOC_MODULES[0]);
         assert_eq!(allowed(&src, "clippy::disallowed_methods"), (want, want), "{rel}: an #[allow] steps round the alloc wall");
+    }
+}
+
+/// The only types the program reads back, by file: the scenario model
+/// (`Scenario`, `TimedEvent`, `Action`) and the work gate's recorded counts
+/// (`Work`, `Budgets`). Every other output is written and compared as
+/// bytes, never parsed into a type.
+const DESERIALIZED: [(&str, usize); 2] =
+    [("crates/scenario/src/model.rs", 3), ("crates/experiments/benches/work_gate.rs", 2)];
+
+/// How many `#[derive(..)]` lists and `impl .. for` headers in `code`
+/// (squeezed) name `Deserialize`.
+fn deserialize_impls(code: &str) -> usize {
+    let derives = code
+        .split("#[derive(")
+        .skip(1)
+        .filter_map(|rest| rest.split_once(")]"))
+        .filter(|(list, _)| list.split(',').any(|x| x.ends_with("Deserialize")))
+        .count();
+    let impls = code
+        .split("impl")
+        .skip(1)
+        .filter_map(|rest| rest.split_once('{'))
+        .filter(|(head, _)| head.contains("Deserialize") && head.contains("for"))
+        .count();
+    derives + impls
+}
+
+#[test]
+fn only_the_inputs_are_deserialized_and_the_oracles_are_opt_in() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+
+    // A default feature here would reach `repro` through any `--workspace`
+    // build (cargo unifies features) and run the campaigns with the oracles.
+    let manifest = std::fs::read_to_string(root.join("crates/check/Cargo.toml")).expect("check manifest");
+    let default = table_value(&manifest, "[features]", "default");
+    assert_eq!(default, None, "crates/check/Cargo.toml declares default features; check-invariants must stay opt-in");
+
+    for (rel, src) in sources(&root, &["crates", "src", "tests", "examples", "benchmark"]) {
+        let have = deserialize_impls(&src);
+        let want = DESERIALIZED.iter().find(|(file, _)| *file == rel).map_or(0, |&(_, n)| n);
+        assert_eq!(have, want, "{rel}: its count of Deserialize impls moved; outputs are written, never read back — update DESERIALIZED only for a new input");
     }
 }

@@ -28,14 +28,14 @@ use mpw_tcp::{
     Addr, Cc, CcConfig, Endpoint, MptcpOption, NoHooks, OptionList, SeqNum, TcpConfig, TcpHooks,
     TcpOption, TcpSegment, TcpSocket, TxKind,
 };
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::coupling::{Coupling, CouplingState};
 use crate::key::{key_from_seed, token_from_key};
 use crate::scheduler::{Scheduler, SchedulerState, SubflowView};
 
 /// When additional subflows send their SYNs (paper §4.1.2).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize)]
 pub enum SynMode {
     /// Standard MPTCP: extra subflows join only after the first subflow's
     /// handshake completes.
@@ -47,7 +47,7 @@ pub enum SynMode {
 /// How the connection reacts to an *advance* degradation signal (WiFi
 /// signal fade reported by the scenario engine) — the handover-mode axis of
 /// the paper's §7 discussion.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize)]
 pub enum HandoverPolicy {
     /// Ignore advance signals: the fading path keeps carrying traffic until
     /// it hard-fails (stall / socket death), and only then does the

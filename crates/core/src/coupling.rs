@@ -20,10 +20,10 @@
 use mpw_sim::SimDuration;
 use mpw_tcp::cc::INITIAL_WINDOW_SEGMENTS;
 use mpw_tcp::CcConfig;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Which coupling algorithm to run — the experiment axis of Figures 4/9.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize)]
 pub enum Coupling {
     /// Uncoupled New Reno per subflow.
     Reno,

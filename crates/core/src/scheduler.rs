@@ -6,10 +6,9 @@
 //! plus a round-robin alternative used by the ablation benches.
 
 use mpw_sim::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Scheduler choice.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Scheduler {
     /// Lowest-SRTT-with-space (Linux MPTCP default).
     MinRtt,

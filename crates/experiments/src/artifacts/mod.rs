@@ -33,12 +33,10 @@ pub mod small;
 pub mod streaming;
 pub(crate) mod study;
 
-use serde::Serialize;
-
 use crate::campaign::Scale;
 
 /// A qualitative shape check against the paper's reported findings.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Check {
     /// What is being checked (quoting the paper's claim).
     pub name: String,
@@ -60,7 +58,7 @@ impl Check {
 }
 
 /// One regenerated table or figure.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Artifact {
     /// Identifier: "fig2" … "tab7".
     pub id: &'static str,

@@ -4,7 +4,6 @@
 
 use mpw_link::DayPeriod;
 use mpw_sim::{derive_seed, run_jobs};
-use serde::{Deserialize, Serialize};
 
 use crate::config::Scenario;
 use crate::measure::{run_measurement, Measurement};
@@ -12,7 +11,7 @@ use crate::measure::{run_measurement, Measurement};
 /// Campaign size control. The paper performed 20 measurements per
 /// configuration per day period; `runs_per_period` scales that down for
 /// quick regeneration and up for full fidelity.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Scale {
     /// Measurements per (configuration, day period).
     pub runs_per_period: u32,

@@ -2,13 +2,13 @@
 
 use mpw_link::{Carrier, DayPeriod};
 use mpw_mptcp::{Coupling, MptcpConfig, Scheduler, SynMode, TransportSpec};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 pub use mpw_fleet::WifiKind;
 
 /// The transport configuration of one measurement — the legend entries of
 /// every download-time figure.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
 pub enum FlowConfig {
     /// Single-path TCP over WiFi ("SP-WiFi").
     SpWifi,
@@ -89,7 +89,7 @@ impl FlowConfig {
 }
 
 /// One fully specified measurement scenario.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct Scenario {
     /// WiFi network in use.
     pub wifi: WifiKind,

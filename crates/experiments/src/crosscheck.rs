@@ -35,7 +35,7 @@ use serde::Serialize;
 use crate::measure::{Measurement, SubflowMeasurement};
 
 /// Tolerances used by [`crosscheck`]. The defaults are the documented ones.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Tolerances {
     /// Max relative difference of per-subflow RTT means.
     pub rtt_mean_rel: f64,

@@ -53,7 +53,7 @@ const SAMPLE_TICK: SimDuration = SimDuration::from_millis(100);
 const SHIFT_BYTES: u64 = 64 * 1024;
 
 /// One handover experiment configuration.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, serde::Serialize)]
 pub struct HandoverSpec {
     /// WiFi network (path 0).
     pub wifi: WifiKind,
@@ -132,7 +132,7 @@ impl HandoverSpec {
 }
 
 /// Everything one handover run yields.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, serde::Serialize)]
 pub struct HandoverMeasurement {
     /// The configuration measured.
     pub spec: HandoverSpec,

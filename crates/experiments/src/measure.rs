@@ -11,13 +11,13 @@ use mpw_mptcp::{Host, Transport, TransportSpec};
 use mpw_sim::trace::TraceLevel;
 use mpw_sim::{SimDuration, SimTime};
 use mpw_tcp::Endpoint;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::config::{FlowConfig, Scenario};
 use crate::testbed::{harvest, Testbed};
 
 /// Per-subflow (or per-path) measurement outputs.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct SubflowMeasurement {
     /// The client's endpoint on this subflow: it names the subflow on both
     /// hosts and on the wire.
@@ -60,7 +60,7 @@ impl SubflowMeasurement {
 }
 
 /// Everything one measurement yields.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct Measurement {
     /// The scenario measured.
     pub scenario: Scenario,

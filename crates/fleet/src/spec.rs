@@ -4,11 +4,11 @@
 use mpw_http::StreamingProfile;
 use mpw_link::{wifi_home, wifi_hotspot, Carrier, DayPeriod, PathSpec};
 use mpw_sim::SimRng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Path technology of one client — the population axes of the contention
 /// study (WiFi-only and LTE-only single-path users vs 2-path MPTCP users).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ClientClass {
     /// Plain TCP over the shared WiFi access network.
     WifiOnly,
@@ -32,7 +32,7 @@ impl ClientClass {
 /// Seeded class-mix weights. Each client's class is one bounded draw from
 /// the fleet's `fleet.mix` RNG stream, so the population is a pure function
 /// of the seed (and stable under changes elsewhere in the build).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PathMix {
     /// Relative weight of WiFi-only clients.
     pub wifi_only: u32,
@@ -81,7 +81,7 @@ impl PathMix {
 }
 
 /// Which WiFi network the client (or the whole fleet) associates with.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
 pub enum WifiKind {
     /// Private home network on a residential backhaul (default);
     /// background load follows the day period.
@@ -103,7 +103,7 @@ impl WifiKind {
 /// When each client's first flow opens. Every variant is a pure function
 /// of the seed: the whole arrival schedule is computed up front from named
 /// RNG streams, never from execution order.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Arrival {
     /// Client `i` starts at `i * gap_ms` (a deterministic ramp).
     Staggered {
@@ -119,7 +119,7 @@ pub enum Arrival {
 }
 
 /// What each client does per flow.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum FleetWorkload {
     /// One HTTP download of `size` bytes (the paper's size ladder).
     Download {
@@ -136,7 +136,7 @@ pub enum FleetWorkload {
 /// The full declarative fleet description. `run_fleet` turns one of these
 /// into a populated world; equality of specs (plus seed) implies byte
 /// equality of reports.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct FleetSpec {
     /// Population size.
     pub n_clients: u32,
@@ -212,16 +212,5 @@ mod tests {
         };
         let mut rng = SimRng::seeded(1);
         assert_eq!(mix.draw(&mut rng), ClientClass::Multipath);
-    }
-
-    #[test]
-    fn spec_round_trips_through_json() {
-        let spec = FleetSpec::smoke(50, 3);
-        let json = serde_json::to_string(&spec).expect("serialize");
-        let back: FleetSpec = serde_json::from_str(&json).expect("parse");
-        assert_eq!(back.n_clients, 50);
-        assert_eq!(back.seed, 3);
-        assert_eq!(back.mix, spec.mix);
-        assert_eq!(back.workload, spec.workload);
     }
 }

@@ -10,7 +10,6 @@
 
 use mpw_mptcp::{App, Transport};
 use mpw_sim::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 use crate::message::{parse_response, HeaderReader, Request};
 
@@ -22,7 +21,7 @@ use crate::message::{parse_response, HeaderReader, Request};
 /// assert_eq!(p.prefetch, 15_000_000);
 /// assert_eq!(p.block, 1_800_000);
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StreamingProfile {
     /// Prefetch size in bytes.
     pub prefetch: u64,
@@ -77,7 +76,7 @@ impl StreamingProfile {
 }
 
 /// Outcome of one fetched object (prefetch or block).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct BlockResult {
     /// 0 = prefetch, 1.. = periodic block index.
     pub index: u32,

@@ -9,13 +9,12 @@ use bytes::Bytes;
 use mpw_sim::{
     serialization_delay, Agent, AgentId, Ctx, Event, Frame, SimDuration, SimRng, TimerHandle,
 };
-use serde::{Deserialize, Serialize};
 
 /// Frame tag carried by background traffic (routed to the sink by links).
 pub const BACKGROUND_META: u16 = 0xBB;
 
 /// Configuration of one on/off background source.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct OnOffConfig {
     /// Sending rate while in the ON state, bits per second.
     pub on_rate_bps: u64,

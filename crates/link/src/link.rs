@@ -11,13 +11,12 @@ use std::collections::VecDeque;
 
 use mpw_sim::tap::{DropReason, SharedObserver};
 use mpw_sim::{serialization_delay, Agent, AgentId, Ctx, Event, Frame, SimDuration, SimRng, SimTime};
-use serde::{Deserialize, Serialize};
 
 use crate::loss::LossModel;
 use crate::rate::RateProcess;
 
 /// Random extra per-packet delay added on top of fixed propagation.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub enum Jitter {
     /// No jitter.
     None,
@@ -57,7 +56,7 @@ impl Jitter {
 }
 
 /// Link-layer ARQ (local retransmission) parameters.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct ArqConfig {
     /// Time to detect a corrupted frame and retransmit it locally.
     pub retry_delay: SimDuration,
@@ -66,7 +65,7 @@ pub struct ArqConfig {
 }
 
 /// Radio Resource Control promotion model (cellular antenna state machine).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct RrcConfig {
     /// Idle → ready promotion delay.
     pub promotion_delay: SimDuration,
@@ -75,7 +74,7 @@ pub struct RrcConfig {
 }
 
 /// Full configuration of one link direction.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct LinkConfig {
     /// Service-rate process.
     pub rate: RateProcess,
@@ -116,7 +115,7 @@ impl LinkConfig {
 }
 
 /// Counters exposed for calibration and tests.
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct LinkStats {
     /// Frames accepted into the queue.
     pub enqueued: u64,

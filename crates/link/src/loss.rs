@@ -8,10 +8,9 @@
 //! fast-retransmit behaviour realistic.
 
 use mpw_sim::SimRng;
-use serde::{Deserialize, Serialize};
 
 /// Per-frame loss process applied at the head of a link.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub enum LossModel {
     /// Never lose a frame.
     None,
@@ -29,7 +28,7 @@ pub enum LossModel {
 /// The chain moves between a *good* and a *bad* state at each frame; each
 /// state has its own loss probability. Mean loss is
 /// `π_b·loss_bad + π_g·loss_good` with `π_b = p_gb / (p_gb + p_bg)`.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct GilbertElliott {
     /// P(good → bad) per frame.
     pub p_gb: f64,
@@ -41,7 +40,6 @@ pub struct GilbertElliott {
     pub loss_bad: f64,
     /// Current state (`true` = bad). Part of the model so the process has
     /// memory across frames.
-    #[serde(default)]
     pub in_bad: bool,
 }
 

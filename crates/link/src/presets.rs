@@ -8,7 +8,7 @@
 //! tails in Figure 12) in *shape*; see EXPERIMENTS.md for the comparison.
 
 use mpw_sim::SimDuration;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::background::OnOffConfig;
 use crate::link::{ArqConfig, Jitter, LinkConfig, RrcConfig};
@@ -16,7 +16,7 @@ use crate::loss::LossModel;
 use crate::rate::{RateLevel, RateProcess};
 
 /// Access technology of a path (used for labeling results).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize)]
 pub enum Technology {
     /// Private home 802.11a/b/g WiFi on a residential Comcast backhaul.
     WifiHome,
@@ -31,7 +31,7 @@ pub enum Technology {
 }
 
 /// The cellular carriers measured in the paper (Table 1).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize)]
 pub enum Carrier {
     /// AT&T — Elevate mobile hotspot, 4G LTE.
     Att,
@@ -82,7 +82,7 @@ impl Carrier {
 }
 
 /// Complete description of one duplex access path.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct PathSpec {
     /// Human-readable name ("AT&T LTE", "Home WiFi", ...).
     pub name: String,
@@ -391,7 +391,7 @@ pub fn wired_lan() -> PathSpec {
 
 /// The four day periods of the paper's methodology (§3.2) with the WiFi
 /// backhaul load factor each maps to.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize)]
 pub enum DayPeriod {
     /// 0–6 AM.
     Night,
@@ -504,14 +504,5 @@ mod tests {
         for w in loads.windows(2) {
             assert!(w[0] < w[1]);
         }
-    }
-
-    #[test]
-    fn specs_serialize_roundtrip() {
-        let spec = verizon_lte();
-        let json = serde_json::to_string(&spec).unwrap();
-        let back: PathSpec = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.name, spec.name);
-        assert_eq!(back.down.buffer_bytes, spec.down.buffer_bytes);
     }
 }

@@ -8,10 +8,9 @@
 //! advanced lazily whenever the queue asks for the current rate.
 
 use mpw_sim::{SimDuration, SimRng, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// One level of a modulated-rate process.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct RateLevel {
     /// Service rate at this level, bits per second.
     pub bits_per_sec: u64,
@@ -20,7 +19,7 @@ pub struct RateLevel {
 }
 
 /// A (possibly) time-varying service-rate process.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub enum RateProcess {
     /// Constant rate.
     Fixed {
@@ -33,7 +32,7 @@ pub enum RateProcess {
 }
 
 /// State of a Markov-modulated rate process.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Modulated {
     /// The levels the process moves among (at least two).
     pub levels: Vec<RateLevel>,

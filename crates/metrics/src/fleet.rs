@@ -15,7 +15,7 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::stream::DistSummary;
 
@@ -25,7 +25,7 @@ use crate::stream::DistSummary;
 /// materialized on read. Rates are kbit/s, so `Σx²` stays far below u64
 /// range for any plausible fleet (10⁶ kbit/s per flow squared is 10¹²;
 /// 10⁶ flows of those still fit).
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Serialize)]
 pub struct Fairness {
     /// Number of flows.
     pub n: u64,
@@ -66,7 +66,7 @@ impl Fairness {
 ///
 /// Keyed by bucket *start time* in milliseconds, so reports built with the
 /// same bucket width merge by plain addition whatever their horizons.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct GoodputTimeline {
     /// Bucket width (ms).
     pub bucket_ms: u64,
@@ -107,7 +107,7 @@ impl GoodputTimeline {
 /// Records are the unit of aggregation: a [`FleetReport`] is a pure fold
 /// over them plus the engine's goodput samples, which is what makes
 /// sharding transparent.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct FlowRecord {
     /// Owning client index within the fleet.
     pub client: u32,
@@ -136,7 +136,7 @@ pub struct FlowRecord {
 /// samples) and merged across shards with [`FleetReport::merge`] — both
 /// folds are exact, so any sharding of the same records yields
 /// byte-identical JSON.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct FleetReport {
     /// Clients simulated.
     pub clients: u64,

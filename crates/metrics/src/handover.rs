@@ -22,13 +22,13 @@
 //! keyed to the scenario's labelled epochs ([`epoch_shares`]).
 
 use mpw_sim::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::stream::DistSummary;
 
 /// What happened to a path: the vocabulary of the MPTCP connection's
 /// lifecycle log.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub enum PathEventKind {
     /// The path (or its current subflow) was declared dead.
     Down,
@@ -45,7 +45,7 @@ pub enum PathEventKind {
 }
 
 /// One entry of a path-event timeline.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub struct PathEvent {
     /// Event kind.
     pub kind: PathEventKind,
@@ -57,7 +57,7 @@ pub struct PathEvent {
 
 /// One completed outage on an interface: from the first death to the
 /// recovery that ended it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub struct Outage {
     /// Interface the outage happened on.
     pub if_index: u8,
@@ -78,7 +78,7 @@ impl Outage {
 
 /// Reduction of a path-event timeline: outage pairing and recovery-latency
 /// distribution.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, Serialize)]
 pub struct HandoverReport {
     /// Total deaths observed (including repeated deaths inside one outage).
     pub deaths: u32,
@@ -145,7 +145,7 @@ impl HandoverReport {
 }
 
 /// A maximal interval during which delivery made no progress.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub struct StallSpan {
     /// Last instant progress was observed before the stall.
     pub start: SimTime,
@@ -161,7 +161,7 @@ impl StallSpan {
 }
 
 /// Application-level stall summary over a progress trace.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, Serialize)]
 pub struct StallReport {
     /// Spans where no byte was delivered for at least the threshold.
     pub spans: Vec<StallSpan>,
@@ -235,7 +235,7 @@ pub fn bytes_in_transition(progress: &[(SimTime, u64)], outages: &[Outage]) -> u
 
 /// A scenario-labelled time span (the metrics-side shape of the scenario
 /// engine's `Epoch`; converted by the harness to avoid a crate cycle).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct EpochSpan {
     /// Label of the scenario event that opened the epoch.
     pub label: String,
@@ -246,7 +246,7 @@ pub struct EpochSpan {
 }
 
 /// Bytes one path delivered inside one epoch.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub struct PathBytes {
     /// Path index.
     pub path: u8,
@@ -255,7 +255,7 @@ pub struct PathBytes {
 }
 
 /// Per-epoch traffic mix.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
 pub struct EpochShare {
     /// The epoch's scenario label.
     pub label: String,
@@ -485,29 +485,5 @@ mod tests {
         assert_eq!(empty.len(), 3);
         assert_eq!(empty[0].total, 0);
         assert_eq!(empty[0].share(0), 0.0);
-    }
-
-    #[test]
-    fn handover_types_serde_round_trip() {
-        use PathEventKind::*;
-        let r = HandoverReport::from_events(&[
-            ev(Down, 0, 1000),
-            ev(ReopenLaunched, 0, 1200),
-            ev(Recovered, 0, 2000),
-        ]);
-        let json = crate::to_json(&r);
-        let v = serde_json::from_str::<serde_json::Value>(&json).expect("parse");
-        let back = HandoverReport::from_value(&v).expect("roundtrip");
-        assert_eq!(back.outages, r.outages);
-        assert_eq!(back.deaths, r.deaths);
-        let s = EpochShare {
-            label: "fade".into(),
-            start: ms(1),
-            end: ms(2),
-            by_path: vec![PathBytes { path: 1, bytes: 9 }],
-            total: 9,
-        };
-        let v = serde_json::from_str::<serde_json::Value>(&crate::to_json(&s)).expect("parse");
-        assert_eq!(EpochShare::from_value(&v).expect("roundtrip"), s);
     }
 }

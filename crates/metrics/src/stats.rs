@@ -2,7 +2,7 @@
 //! sample mean ± standard error for the tables, box-and-whisker five-number
 //! summaries for the download-time figures.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Mean ± standard error (and friends) of a sample.
 ///
@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// let s = Summary::of(&[1.0, 3.0]);
 /// assert_eq!(s.pm(), "2.00±1.00"); // the paper's table-cell format
 /// ```
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize)]
 pub struct Summary {
     /// Sample count.
     pub n: usize,
@@ -73,7 +73,7 @@ impl Summary {
 }
 
 /// Box-and-whisker five-number summary (Figure 2/4/6/8/9/11 boxes).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize)]
 pub struct BoxPlot {
     /// Sample count.
     pub n: usize,

@@ -18,7 +18,7 @@
 //! in one [`DistSummary`] and nowhere else; the wire analyzer keeps the
 //! same type, so the capture cross-check compares like with like.
 
-use serde::{Deserialize, Serialize, Value};
+use serde::{Serialize, Value};
 
 /// Buckets per octave (relative bucket width 2^(1/16) ≈ 4.4%).
 const SUB: u32 = 16;
@@ -100,32 +100,6 @@ impl Serialize for LogHistogram {
             ("min".to_string(), self.min.to_value()),
             ("max".to_string(), self.max.to_value()),
         ])
-    }
-}
-
-impl Deserialize for LogHistogram {
-    fn from_value(v: &Value) -> Result<Self, serde::DeError> {
-        const TY: &str = "LogHistogram";
-        let m = serde::expect_map(v, TY)?;
-        let dense: Vec<u64> = serde::field(m, "counts", TY)?;
-        if dense.len() != BUCKETS {
-            return Err(serde::de_err(format!(
-                "{TY}.counts: expected {BUCKETS} buckets, got {}",
-                dense.len()
-            )));
-        }
-        // Keep only the span from the first to the last non-zero bucket.
-        let lo = dense.iter().position(|&c| c != 0).unwrap_or(0);
-        let hi = dense.iter().rposition(|&c| c != 0).map_or(0, |i| i + 1);
-        Ok(LogHistogram {
-            counts: dense[lo..hi].to_vec(),
-            lo,
-            underflow: serde::field(m, "underflow", TY)?,
-            overflow: serde::field(m, "overflow", TY)?,
-            n: serde::field(m, "n", TY)?,
-            min: serde::field(m, "min", TY)?,
-            max: serde::field(m, "max", TY)?,
-        })
     }
 }
 
@@ -386,7 +360,7 @@ impl LogHistogram {
 /// for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0, f64::NAN] { d.push(x); }
 /// assert_eq!((d.count(), d.mean(), d.min(), d.max()), (8, 5.0, 2.0, 9.0));
 /// ```
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Serialize)]
 pub struct DistSummary {
     /// Sum of the finite samples.
     pub sum: f64,
@@ -583,11 +557,9 @@ mod tests {
             assert_eq!((d.count(), d.sum, d.mean()), (100, 631.25, 6.3125), "{x}");
         }
         assert_eq!(DistSummary::new().mean(), 0.0);
-        let json = crate::to_json(&d);
-        let v = serde_json::from_str::<serde_json::Value>(&json).expect("parse");
-        let back = DistSummary::from_value(&v).expect("roundtrip");
-        assert_eq!(back, d);
-        assert_eq!(crate::to_json(&back), json);
+        // The written form: the sum, then the histogram's dense form.
+        let json = serde_json::to_string(&d).expect("serialize");
+        assert!(json.starts_with("{\"sum\":631.25,\"hist\":{\"counts\":[0,"), "{json}");
         // Merging with an empty summary is the identity, either way round.
         let mut e = DistSummary::new();
         e.merge(&d);
@@ -794,8 +766,6 @@ mod tests {
     /// Every query agrees bit for bit, and the JSON byte for byte.
     fn assert_same(h: &LogHistogram, m: &Dense) {
         assert_eq!(crate::to_json(h), crate::to_json(m));
-        let back = LogHistogram::from_value(&h.to_value()).expect("roundtrip");
-        assert_eq!(crate::to_json(&back), crate::to_json(m));
         for q in [0.0, 1e-3, 0.1, 0.25, 0.5, 0.75, 0.9, 0.999, 1.0] {
             assert_eq!(h.quantile(q).to_bits(), m.quantile(q).to_bits(), "q{q}");
         }
@@ -821,22 +791,6 @@ mod tests {
             for ((xa, pa), (xb, pb)) in a.into_iter().zip(b) {
                 assert_eq!((xa.to_bits(), pa.to_bits()), (xb.to_bits(), pb.to_bits()));
             }
-        }
-    }
-
-    #[test]
-    fn deserialize_rejects_a_wrong_bucket_count() {
-        let mut h = LogHistogram::new();
-        h.push(1.0);
-        let good = h.to_value();
-        assert_eq!(LogHistogram::from_value(&good).expect("480 buckets"), h);
-        for len in [BUCKETS - 1, BUCKETS + 1] {
-            let Value::Map(mut fields) = good.clone() else {
-                panic!("a histogram serializes as a map")
-            };
-            fields[0].1 = Value::Seq(vec![Value::U64(0); len]);
-            let err = LogHistogram::from_value(&Value::Map(fields)).expect_err("wrong length");
-            assert!(err.0.contains(&format!("got {len}")), "{err}");
         }
     }
 

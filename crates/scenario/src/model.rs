@@ -94,7 +94,7 @@ pub struct Scenario {
 }
 
 /// A labelled analysis interval derived from labelled events.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Epoch {
     /// Label of the event that opened this epoch.
     pub label: String,

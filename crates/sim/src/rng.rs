@@ -221,14 +221,6 @@ impl SimRng {
         (mu + sigma * self.standard_normal()).exp()
     }
 
-    /// Durstenfeld shuffle of a slice.
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
-        for i in (1..xs.len()).rev() {
-            let j = self.range_u64(0, i as u64 + 1) as usize;
-            xs.swap(i, j);
-        }
-    }
-
     /// Fresh 64-bit value.
     pub fn next_u64(&mut self) -> u64 {
         self.inner.next_u64()
@@ -304,17 +296,6 @@ mod tests {
         let n = 40_000;
         let mean = (0..n).map(|_| r.lognormal_with_mean(100.0, 0.8)).sum::<f64>() / n as f64;
         assert!((mean - 100.0).abs() < 5.0, "mean {mean}");
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut r = SimRng::seeded(5);
-        let mut xs: Vec<u32> = (0..50).collect();
-        r.shuffle(&mut xs);
-        let mut sorted = xs.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-        assert_ne!(xs, (0..50).collect::<Vec<_>>(), "shuffle left input unchanged");
     }
 
     #[test]

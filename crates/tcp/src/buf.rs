@@ -787,12 +787,12 @@ mod tests {
                     segs.push((at as u64, Bytes::copy_from_slice(&stream[at..end])));
                     at = end;
                 }
-                // Duplicate some segments, then shuffle.
+                // Duplicate some segments, then permute them by random keys.
                 for _ in 0..dup_factor {
                     let i = rng.range_u64(0, segs.len() as u64) as usize;
                     segs.push(segs[i].clone());
                 }
-                rng.shuffle(&mut segs);
+                segs.sort_by_cached_key(|_| rng.next_u64());
 
                 let mut a = Assembler::new(0, false);
                 let mut t = SimTime::ZERO;

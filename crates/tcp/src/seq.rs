@@ -11,7 +11,6 @@
 
 use core::fmt;
 use core::ops::{Add, AddAssign, Sub};
-use serde::{DeError, Deserialize, Serialize, Value};
 
 /// A TCP sequence number.
 ///
@@ -133,19 +132,6 @@ impl Sub<SeqNum> for SeqNum {
     fn sub(self, rhs: SeqNum) -> u32 {
         debug_assert!(self.after_eq(rhs), "negative SeqNum difference");
         self.raw.wrapping_sub(rhs.raw)
-    }
-}
-
-/// Serialized as the bare number.
-impl Serialize for SeqNum {
-    fn to_value(&self) -> Value {
-        self.raw.to_value()
-    }
-}
-
-impl Deserialize for SeqNum {
-    fn from_value(v: &Value) -> Result<SeqNum, DeError> {
-        u32::from_value(v).map(SeqNum)
     }
 }
 

@@ -94,16 +94,12 @@ pub struct SocketStats {
     pub rexmit_segs: u64,
     /// Payload bytes emitted, including retransmissions.
     pub payload_bytes_sent: u64,
-    /// Retransmitted payload bytes.
-    pub rexmit_bytes: u64,
     /// Segments received.
     pub segs_received: u64,
     /// Novel payload bytes accepted.
     pub payload_bytes_received: u64,
     /// Duplicate payload bytes discarded.
     pub dup_bytes_received: u64,
-    /// Duplicate ACKs observed.
-    pub dupacks: u64,
     /// Fast-retransmit loss events.
     pub loss_events: u64,
     /// Retransmission timeouts fired.
@@ -112,18 +108,6 @@ pub struct SocketStats {
     pub opened_at: SimTime,
     /// When the connection reached Established.
     pub established_at: Option<SimTime>,
-}
-
-impl SocketStats {
-    /// The paper's per-flow loss-rate metric: retransmitted data packets
-    /// over data packets sent (§3.3).
-    pub fn loss_rate(&self) -> f64 {
-        if self.data_segs_sent == 0 {
-            0.0
-        } else {
-            self.rexmit_segs as f64 / self.data_segs_sent as f64
-        }
-    }
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -996,7 +980,6 @@ impl TcpSocket {
             && (old_window == self.peer_window || sack_advanced)
         {
             self.dupacks += 1;
-            self.stats.dupacks += 1;
             // Early retransmit (RFC 5827): with fewer than 4 segments
             // outstanding and no new data to send, the classic 3-dupack
             // threshold can never be met — lower it to flight-1 so tail
@@ -1454,7 +1437,6 @@ impl TcpSocket {
             self.stats.payload_bytes_sent += seg.payload.len() as u64;
             if matches!(kind, TxKind::Data { rexmit: true, .. }) {
                 self.stats.rexmit_segs += 1;
-                self.stats.rexmit_bytes += seg.payload.len() as u64;
             }
         }
         self.ack_urgency = AckUrgency::None;

@@ -22,12 +22,12 @@
 
 use bytes::{BufMut, Bytes, BytesMut};
 use core::fmt;
-use serde::{de_err, expect_seq, Deserialize, DeError, Serialize, Value};
+use serde::Serialize;
 
 use crate::seq::SeqNum;
 
 /// Network-layer address (IPv4-like, 32 bits).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize, PartialOrd, Ord)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, PartialOrd, Ord)]
 pub struct Addr(pub u32);
 
 impl Addr {
@@ -51,7 +51,7 @@ impl fmt::Display for Addr {
 }
 
 /// A transport endpoint (address, port).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default, Serialize, Deserialize, PartialOrd, Ord)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default, Serialize, PartialOrd, Ord)]
 pub struct Endpoint {
     /// Network address.
     pub addr: Addr,
@@ -138,7 +138,7 @@ pub struct IpHeader {
 
 /// A DSS data-sequence mapping: connection-level sequence `dseq` maps to
 /// subflow sequence `subflow_seq` for `len` bytes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DssMapping {
     /// Connection-level (data) sequence number of the first byte.
     pub dseq: u64,
@@ -149,7 +149,7 @@ pub struct DssMapping {
 }
 
 /// MPTCP options (TCP option kind 30), RFC 6824 subtypes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MptcpOption {
     /// MP_CAPABLE (subtype 0): exchanged on the first subflow's handshake.
     Capable {
@@ -296,28 +296,8 @@ impl<'a> IntoIterator for &'a SackBlocks {
     }
 }
 
-impl Serialize for SackBlocks {
-    fn to_value(&self) -> Value {
-        Value::Seq(self.as_slice().iter().map(Serialize::to_value).collect())
-    }
-}
-
-impl Deserialize for SackBlocks {
-    fn from_value(v: &Value) -> Result<SackBlocks, DeError> {
-        let seq = expect_seq(v, "SackBlocks")?;
-        let mut out = SackBlocks::new();
-        for item in seq {
-            let (lo, hi) = <(SeqNum, SeqNum)>::from_value(item)?;
-            if !out.push(lo, hi) {
-                return Err(de_err("more than 4 SACK blocks"));
-            }
-        }
-        Ok(out)
-    }
-}
-
 /// TCP options we implement.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TcpOption {
     /// Maximum segment size (kind 2, SYN only).
     Mss(u16),

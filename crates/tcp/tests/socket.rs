@@ -71,7 +71,6 @@ fn bulk_transfer_lossless() {
     assert_eq!(p.client_received, data);
     let st = p.server.as_ref().unwrap().stats();
     assert_eq!(st.rexmit_segs, 0);
-    assert_eq!(st.loss_rate(), 0.0);
     assert!(st.data_segs_sent >= (300_000 / 1400) as u64);
 }
 
@@ -191,8 +190,8 @@ fn orderly_teardown() {
     assert_eq!(p.server.as_ref().unwrap().state(), TcpState::Closed);
 }
 
-/// The loss-rate metric matches the paper's definition
-/// (retransmitted data segments / data segments sent).
+/// The two counts the paper's loss metric divides (§3.3), retransmitted
+/// data segments over data segments sent, see two drops in ~100 segments.
 #[test]
 fn loss_rate_metric() {
     let mut p = SocketPair::new(ms(10));
@@ -210,8 +209,7 @@ fn loss_rate_metric() {
     assert_eq!(p.client_received, data);
     let st = p.server.as_ref().unwrap().stats();
     assert!(st.rexmit_segs >= 2);
-    let rate = st.loss_rate();
-    assert!(rate > 0.0 && rate < 0.1, "loss rate {rate}");
+    assert!(st.rexmit_segs * 10 < st.data_segs_sent, "{} of {}", st.rexmit_segs, st.data_segs_sent);
 }
 
 /// Delayed ACKs: a one-way bulk stream generates roughly one ACK per two
