@@ -17,8 +17,10 @@
 //!
 //! Two more cuts are pinned here because nothing fails when they grow back:
 //! only the program's inputs (scenario files, `WORK_budgets.json`) derive
-//! or implement `Deserialize`, and `mpw-check` declares no default feature,
-//! so no `--workspace` build compiles the oracles into `repro`.
+//! or implement `Deserialize`, and nothing in `mpw-scenario` `Serialize`s,
+//! since a scenario is read, never written; and `mpw-check` declares no
+//! default feature, so no `--workspace` build compiles the oracles into
+//! `repro`.
 
 use std::path::{Path, PathBuf};
 
@@ -268,19 +270,21 @@ const DESERIALIZED: [(&str, usize); 2] =
     [("crates/scenario/src/model.rs", 3), ("crates/experiments/benches/work_gate.rs", 2)];
 
 /// How many `#[derive(..)]` lists and `impl .. for` headers in `code`
-/// (squeezed) name `Deserialize`.
-fn deserialize_impls(code: &str) -> usize {
+/// (squeezed) name the serde trait `name` (`Serialize` does not match
+/// `Deserialize`).
+fn serde_impls(code: &str, name: &str) -> usize {
+    let names = |s: &str| s.match_indices(name).any(|(i, _)| !s[..i].ends_with("De"));
     let derives = code
         .split("#[derive(")
         .skip(1)
         .filter_map(|rest| rest.split_once(")]"))
-        .filter(|(list, _)| list.split(',').any(|x| x.ends_with("Deserialize")))
+        .filter(|(list, _)| list.split(',').any(names))
         .count();
     let impls = code
         .split("impl")
         .skip(1)
         .filter_map(|rest| rest.split_once('{'))
-        .filter(|(head, _)| head.contains("Deserialize") && head.contains("for"))
+        .filter(|(head, _)| names(head) && head.contains("for"))
         .count();
     derives + impls
 }
@@ -296,8 +300,12 @@ fn only_the_inputs_are_deserialized_and_the_oracles_are_opt_in() {
     assert_eq!(default, None, "crates/check/Cargo.toml declares default features; check-invariants must stay opt-in");
 
     for (rel, src) in sources(&root, &["crates", "src", "tests", "examples", "benchmark"]) {
-        let have = deserialize_impls(&src);
+        let have = serde_impls(&src, "Deserialize");
         let want = DESERIALIZED.iter().find(|(file, _)| *file == rel).map_or(0, |&(_, n)| n);
         assert_eq!(have, want, "{rel}: its count of Deserialize impls moved; outputs are written, never read back — update DESERIALIZED only for a new input");
+        // A scenario is an input: nothing renders one back to a file.
+        if rel.starts_with("crates/scenario/src/") {
+            assert_eq!(serde_impls(&src, "Serialize"), 0, "{rel}: a scenario type implements Serialize; nothing writes a scenario");
+        }
     }
 }

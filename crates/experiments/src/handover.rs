@@ -110,7 +110,6 @@ impl HandoverSpec {
         let down_at = self.fade_at_ms + self.fade_over_ms;
         let up_at = down_at + self.outage_ms;
         Mobility::builder("wifi-fade-handover")
-            .describe("walk out of WiFi range mid-download, return later")
             .labelled(
                 self.fade_at_ms,
                 0,

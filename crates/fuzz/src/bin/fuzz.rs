@@ -226,14 +226,14 @@ fn emit_regressions(dir: &std::path::Path) -> std::io::Result<()> {
     corpus::save(&dir.join("wire"), &[join_packet])?;
 
     // scenario: the overflowed-exponent witness — `1e999` parses to
-    // infinity, which canonical JSON rendered as `null`, breaking the
-    // serialize→reparse fixpoint (found by this fuzzer; non-finite floats
-    // are now shape errors, see crates/scenario/src/parse.rs) — plus the
-    // recursion-bound witness (100 nested arrays must come back as a clean
-    // syntax error, never a stack overflow) and the canonical WiFi-fade
-    // scenario in both formats to anchor the corpus on well-formed inputs.
-    let inf_loss = "{\"name\":\"inf\",\"events\":[\
-                    {\"at_ms\":0,\"action\":{\"SetLoss\":{\"mean_loss\":1e999}}}]}";
+    // infinity, which the TOML subset cannot spell, breaking the render→reparse
+    // fixpoint (found by this fuzzer; non-finite floats are now shape
+    // errors, see crates/scenario/src/parse.rs) — plus the recursion-bound
+    // witness (100 nested arrays must come back as a clean syntax error,
+    // never a stack overflow) and the canonical WiFi-fade scenario to anchor
+    // the corpus on a well-formed input.
+    let inf_loss = "name = \"inf\"\n[[events]]\nat_ms = 0\n\
+                    action = { SetLoss = { mean_loss = 1e999 } }\n";
     let mut deep = String::from("a = ");
     deep.extend(std::iter::repeat_n('[', 100));
     let fade_toml = "\
@@ -256,22 +256,9 @@ at_ms = 12500\n\
 path = 0\n\
 label = \"restored\"\n\
 action = \"LinkUp\"\n";
-    let fade_json = mpw_scenario::from_toml(fade_toml)
-        .map(|s| mpw_scenario::to_json(&s))
-        .map_err(|e| {
-            std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("fade witness must parse: {e}"),
-            )
-        })?;
     corpus::save(
         &dir.join("scenario"),
-        &[
-            inf_loss.as_bytes().to_vec(),
-            deep.into_bytes(),
-            fade_toml.as_bytes().to_vec(),
-            fade_json.into_bytes(),
-        ],
+        &[inf_loss.as_bytes().to_vec(), deep.into_bytes(), fade_toml.as_bytes().to_vec()],
     )?;
     Ok(())
 }

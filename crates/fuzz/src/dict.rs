@@ -73,14 +73,13 @@ pub const PCAPNG_TOKENS: &[&[u8]] = &[
     &[0x93, 0x00],                         // LINKTYPE_USER0 (147)
 ];
 
-/// Scenario-file tokens: JSON/TOML keys, action variant names, numeric
+/// Scenario-file tokens: TOML keys, action variant names, numeric
 /// spellings, and TOML syntax fragments. A dictionary hit lands the mutant
 /// inside the scenario grammar (a renamed action, a duplicated key, a float
 /// where an integer was) instead of bouncing off the first tokenizer check.
 pub const SCENARIO_TOKENS: &[&[u8]] = &[
-    // Field names, quoted as they appear in both formats.
+    // Field names, quoted (a quoted key is a key too).
     b"\"name\"",
-    b"\"description\"",
     b"\"events\"",
     b"\"at_ms\"",
     b"\"path\"",
@@ -97,7 +96,6 @@ pub const SCENARIO_TOKENS: &[&[u8]] = &[
     // Action variant names.
     b"\"SetRate\"",
     b"\"SetLoss\"",
-    b"\"LinkDown\"",
     b"\"LinkUp\"",
     b"\"WifiFade\"",
     b"\"SetBackup\"",
@@ -114,7 +112,6 @@ pub const SCENARIO_TOKENS: &[&[u8]] = &[
     b"\\u0041",
     b"true",
     b"false",
-    b"null",
     b"# ",
 ];
 

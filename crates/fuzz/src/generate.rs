@@ -4,9 +4,10 @@
 //! are generated *through the encoders under test*: random-but-valid TCP
 //! segments with every option the stack implements (via
 //! `mpw_tcp::wire::encode_packet`), valid pcapng files (via
-//! `mpw_capture::PcapWriter`), and random op programs for the reassembly
-//! target. Every mutant is then at most a few havoc steps away from a
-//! well-formed input, which is what drives the deep option/block paths.
+//! `mpw_capture::PcapWriter`), random op programs for the reassembly
+//! target, and scenario files rendered as TOML. Every mutant is then at
+//! most a few havoc steps away from a well-formed input, which is what
+//! drives the deep option/block paths.
 
 use bytes::Bytes;
 use mpw_sim::SimTime;
@@ -194,12 +195,11 @@ fn random_scenario_action(rng: &mut Rng) -> mpw_scenario::Action {
     // Loss means stay below the 0.25 bursty bound so most seeds also
     // validate (the oracles still accept invalid-but-parsed scenarios).
     let loss = |rng: &mut Rng| rng.below(249) as f64 / 1000.0;
-    match rng.below(6) {
+    match rng.below(5) {
         0 => Action::SetRate { bits_per_sec: bps(rng) },
         1 => Action::SetLoss { mean_loss: loss(rng), bursty: rng.chance(1, 2) },
-        2 => Action::LinkDown,
-        3 => Action::LinkUp,
-        4 => {
+        2 => Action::LinkUp,
+        3 => {
             let (a, b) = (bps(rng), bps(rng));
             Action::WifiFade {
                 from_bps: a.max(b),
@@ -224,11 +224,28 @@ fn random_scenario_event(rng: &mut Rng) -> mpw_scenario::TimedEvent {
     }
 }
 
+/// A TOML basic string: quotes and backslashes escaped, control characters
+/// (line breaks among them) spelled `\uXXXX`, everything else verbatim.
+fn toml_string(s: &str) -> String {
+    let mut out = String::from("\"");
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            c if c.is_control() => out.push_str(&format!("\\u{:04X}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
 /// Render a scenario in the hand-rolled TOML subset — unit actions as
-/// strings, struct actions as inline tables — so TOML seeds exercise the
-/// grammar the JSON path never touches. Floats use `{:?}` (shortest
-/// round-trip form) so `0.0` keeps its dot and stays a float.
-fn render_scenario_toml(s: &mpw_scenario::Scenario) -> String {
+/// strings, struct actions as inline tables. Floats use `{:?}` (shortest
+/// round-trip form) so `0.0` keeps its dot and stays a float. Parsing the
+/// result with `mpw_scenario::from_toml` gives back an equal scenario: the
+/// `scenario` target's fixpoint oracle holds the parser to that.
+pub fn render_scenario_toml(s: &mpw_scenario::Scenario) -> String {
     use mpw_scenario::Action;
     let action_toml = |a: &Action| -> String {
         match a {
@@ -238,7 +255,6 @@ fn render_scenario_toml(s: &mpw_scenario::Scenario) -> String {
             Action::SetLoss { mean_loss, bursty } => format!(
                 "{{ SetLoss = {{ mean_loss = {mean_loss:?}, bursty = {bursty} }} }}"
             ),
-            Action::LinkDown => "\"LinkDown\"".into(),
             Action::LinkUp => "\"LinkUp\"".into(),
             Action::WifiFade { from_bps, floor_bps, over_ms, steps } => format!(
                 "{{ WifiFade = {{ from_bps = {from_bps}, floor_bps = {floor_bps}, \
@@ -249,40 +265,26 @@ fn render_scenario_toml(s: &mpw_scenario::Scenario) -> String {
             }
         }
     };
-    let mut out = format!("name = \"{}\"\n", s.name);
-    if !s.description.is_empty() {
-        out.push_str(&format!("description = \"{}\"\n", s.description));
-    }
+    let mut out = format!("name = {}\n", toml_string(&s.name));
     for ev in &s.events {
         out.push_str("\n[[events]]\n");
         out.push_str(&format!("at_ms = {}\n", ev.at_ms));
         out.push_str(&format!("path = {}\n", ev.path));
         if let Some(label) = &ev.label {
-            out.push_str(&format!("label = \"{label}\"\n"));
+            out.push_str(&format!("label = {}\n", toml_string(label)));
         }
         out.push_str(&format!("action = {}\n", action_toml(&ev.action)));
     }
     out
 }
 
-/// A valid scenario file: a random event list rendered as canonical JSON
-/// (through `mpw_scenario::to_json`, the encoder under test) or, one time
-/// in three, as the TOML subset.
+/// A valid scenario file: a random event list rendered as TOML.
 pub fn scenario_seed(rng: &mut Rng) -> Vec<u8> {
     let scenario = mpw_scenario::Scenario {
         name: format!("seed-{}", rng.below(1_000_000)),
-        description: if rng.chance(1, 3) {
-            "generated mobility timeline".into()
-        } else {
-            String::new()
-        },
         events: (0..rng.below(6)).map(|_| random_scenario_event(rng)).collect(),
     };
-    if rng.chance(1, 3) {
-        render_scenario_toml(&scenario).into_bytes()
-    } else {
-        mpw_scenario::to_json(&scenario).into_bytes()
-    }
+    render_scenario_toml(&scenario).into_bytes()
 }
 
 #[cfg(test)]
@@ -308,35 +310,29 @@ mod tests {
     }
 
     #[test]
-    fn scenario_seeds_parse_cleanly_in_both_formats() {
+    fn scenario_seeds_parse_cleanly() {
         let mut rng = Rng::new(4);
-        let (mut toml, mut json) = (0, 0);
         for _ in 0..100 {
             let bytes = scenario_seed(&mut rng);
             let text = String::from_utf8(bytes).expect("seeds are text");
-            if text.trim_start().starts_with('{') {
-                json += 1;
-            } else {
-                toml += 1;
-            }
-            mpw_scenario::from_str(&text).expect("generated scenario must parse");
+            mpw_scenario::from_toml(&text).expect("generated scenario must parse");
         }
-        assert!(toml > 0 && json > 0, "both formats must appear ({toml} toml, {json} json)");
     }
 
     #[test]
-    fn toml_rendering_matches_the_json_model() {
-        // The TOML renderer and `to_json` must describe the same scenario.
+    fn toml_rendering_round_trips() {
+        // Names and labels carry what a basic string must escape: quotes,
+        // backslashes, line breaks and other control characters.
         let mut rng = Rng::new(5);
-        for _ in 0..100 {
-            let scenario = mpw_scenario::Scenario {
-                name: "cross".into(),
-                description: "check".into(),
+        for i in 0..100 {
+            let mut scenario = mpw_scenario::Scenario {
+                name: format!("q\"b\\s\n\r\t\u{1}\u{7f}é{i}"),
                 events: (0..1 + rng.below(5)).map(|_| random_scenario_event(&mut rng)).collect(),
             };
-            let from_toml = mpw_scenario::from_str(&render_scenario_toml(&scenario))
+            scenario.events[0].label = Some("a \"label\"\n".into());
+            let back = mpw_scenario::from_toml(&render_scenario_toml(&scenario))
                 .expect("rendered TOML must parse");
-            assert_eq!(from_toml, scenario);
+            assert_eq!(back, scenario);
         }
     }
 }

@@ -19,12 +19,11 @@
 //!   adversarial offsets (including the top of the u64 sequence space);
 //!   after every op the PR 3 `validate()` invariants must hold, and at the
 //!   end inserted bytes must be conserved as accepted + duplicate.
-//! * **scenario** — the mobility scenario parsers (`mpw_scenario::from_str`
-//!   over JSON and the hand-rolled TOML subset, plus the raw TOML grammar
-//!   `toml_to_value`) must be total over arbitrary text; any parsed
-//!   scenario must survive serialize→reparse through canonical JSON as a
-//!   value fixpoint; and a valid scenario must compile into a time-sorted
-//!   primitive timeline.
+//! * **scenario** — the mobility scenario parser (`mpw_scenario::from_toml`,
+//!   the hand-rolled TOML subset) must be total over arbitrary text; any
+//!   parsed scenario, rendered back to TOML, must parse to an equal value;
+//!   and a valid scenario must compile into a time-sorted primitive
+//!   timeline.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -55,7 +54,7 @@ pub enum TargetKind {
     Analyze,
     /// Reassembly invariants + byte conservation.
     Assembler,
-    /// Scenario parser totality + serialize fixpoint + compile sortedness.
+    /// Scenario parser totality + render fixpoint + compile sortedness.
     Scenario,
 }
 
@@ -576,10 +575,9 @@ fn scenario_action_code(action: &mpw_scenario::Action) -> u8 {
     match action {
         Action::SetRate { .. } => 0,
         Action::SetLoss { .. } => 1,
-        Action::LinkDown => 2,
-        Action::LinkUp => 3,
-        Action::WifiFade { .. } => 4,
-        Action::SetBackup { .. } => 5,
+        Action::LinkUp => 2,
+        Action::WifiFade { .. } => 3,
+        Action::SetBackup { .. } => 4,
     }
 }
 
@@ -587,10 +585,8 @@ fn run_scenario(input: &[u8]) -> Outcome {
     let mut fp = Fnv64::new();
     fp.push(b'n');
     let text = String::from_utf8_lossy(input);
-    // The raw TOML grammar must be total over every input, including ones
-    // the format sniffer routes to JSON (panics land in `execute`'s trap).
-    fp.push(mpw_scenario::parse::toml_to_value(&text).is_ok() as u8);
-    let parsed = match mpw_scenario::from_str(&text) {
+    // Totality: a panic anywhere in the parser lands in `execute`'s trap.
+    let parsed = match mpw_scenario::from_toml(&text) {
         Err(e) => {
             fp.push(b'e');
             // Fingerprint the error *site*, not its exact text: line
@@ -619,18 +615,15 @@ fn run_scenario(input: &[u8]) -> Outcome {
         fp.push(scenario_action_code(&ev.action));
         fp.push(ev.label.is_some() as u8);
     }
-    // Serialize→reparse fixpoint: canonical JSON of any parsed scenario
-    // must parse back to an equal value. This is what makes JSON and the
-    // TOML subset interchangeable spellings of the same model — a TOML
-    // scenario that survives parsing but breaks here would silently change
-    // meaning when re-saved as JSON.
-    let json = mpw_scenario::to_json(&parsed);
-    let mut violation = match mpw_scenario::from_json(&json) {
-        Err(e) => Some(format!(
-            "serialize→reparse broke: canonical JSON failed with {e:?}"
-        )),
+    // Render→reparse fixpoint: any parsed scenario, rendered back to TOML,
+    // must parse to an equal value. A scenario that survives parsing but
+    // breaks here is one the parser read into something no file spells,
+    // so it could not be written back as it was read.
+    let rendered = generate::render_scenario_toml(&parsed);
+    let mut violation = match mpw_scenario::from_toml(&rendered) {
+        Err(e) => Some(format!("render→reparse broke: the rendered TOML failed with {e:?}")),
         Ok(again) if again != parsed => Some(format!(
-            "serialize→reparse fixpoint violated: {parsed:?} re-parsed as {again:?}"
+            "render→reparse fixpoint violated: {parsed:?} re-parsed as {again:?}"
         )),
         Ok(_) => None,
     };
@@ -732,15 +725,14 @@ mod tests {
         // 20 maximal fades ask for 400k compiled ops — over the budget, so
         // the target must return (quickly, allocation-free) with no
         // violation rather than materialize the timeline.
-        let mut events = String::new();
+        let mut text = String::from("name = \"big\"\n");
         for _ in 0..20 {
-            events.push_str(
-                "{\"at_ms\":0,\"action\":{\"WifiFade\":{\"from_bps\":2,\
-                 \"floor_bps\":1,\"over_ms\":10,\"steps\":10000}}},",
+            text.push_str(
+                "[[events]]\nat_ms = 0\naction = { WifiFade = { from_bps = 2, \
+                 floor_bps = 1, over_ms = 10, steps = 10000 } }\n",
             );
         }
-        events.pop();
-        let text = format!("{{\"name\":\"big\",\"events\":[{events}]}}");
+        assert!(mpw_scenario::from_toml(&text).is_ok(), "the file itself is a valid scenario");
         let o = execute(TargetKind::Scenario, text.as_bytes(), None);
         assert_eq!(o.violation, None);
     }

@@ -72,8 +72,8 @@ impl OnOffSource {
     fn schedule_toggle(&mut self, ctx: &mut Ctx<'_>) {
         let mean = if self.on { self.cfg.mean_on } else { self.cfg.mean_off };
         let dwell = SimDuration::from_secs_f64(self.rng.exponential(mean.as_secs_f64()).max(1e-6));
-        // Never cancelled: a source toggles for the whole run.
-        ctx.arm_timer(dwell, TOKEN_TOGGLE);
+        // Never cancelled (a source toggles for the whole run), so a raw timer.
+        ctx.set_timer(dwell, TOKEN_TOGGLE);
     }
 
     fn schedule_frame(&mut self, ctx: &mut Ctx<'_>) {
@@ -170,7 +170,7 @@ mod tests {
         };
         let expect_bps = cfg.mean_load_bps();
         let src = OnOffSource::new(cfg, w.rng().stream("src"), (link, 0));
-        w.add_agent(Box::new(src));
+        let src = w.add_agent(Box::new(src));
         let horizon = SimTime::from_secs(120);
         w.run_until(horizon);
         let sink = w.agent::<NullSink>(bg_sink).unwrap();
@@ -181,5 +181,9 @@ mod tests {
         );
         // Nothing leaked to the foreground egress.
         assert_eq!(w.agent::<NullSink>(fg_sink).unwrap().frames, 0);
+        // The only cancellable timer is an ON source's next frame: the
+        // toggle and the link's service completions ride raw timers.
+        let on = w.agent::<OnOffSource>(src).unwrap().on;
+        assert_eq!(w.live_timers(), usize::from(on));
     }
 }

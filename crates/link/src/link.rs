@@ -330,7 +330,7 @@ impl LinkAgent {
         let ser = serialization_delay(frame.wire_len(), rate);
         self.in_service = Some(frame);
         let delay = start.saturating_since(now) + ser;
-        ctx.arm_timer(delay, TOKEN_SERVICE);
+        ctx.set_timer(delay, TOKEN_SERVICE);
     }
 
     fn finish_service(&mut self, ctx: &mut Ctx<'_>) {
@@ -399,7 +399,7 @@ impl LinkAgent {
             let resume = ser * tries as u64;
             // Hold the server busy with a zero-length placeholder.
             self.in_service = Some(Frame::new(bytes::Bytes::new()));
-            ctx.arm_timer(resume, TOKEN_RESUME);
+            ctx.set_timer(resume, TOKEN_RESUME);
         }
 
         // Delivery: propagation + ARQ turnarounds + jitter, order-preserved.
@@ -540,6 +540,20 @@ mod tests {
         w.run_until_idle();
         let s = w.agent::<NullSink>(sink).unwrap();
         assert_eq!(s.arrivals, vec![SimTime::from_millis(11)]);
+    }
+
+    /// A service completion is never superseded, so it rides a raw timer:
+    /// a serving link holds no cancellable timer and leaves no tombstone
+    /// in the calendar's timer heap.
+    #[test]
+    fn a_serving_link_holds_no_cancellable_timer() {
+        let (mut w, link, sink) = rig(simple_cfg(12_000_000, 10, 1 << 20));
+        w.schedule(SimTime::ZERO, link, Event::Frame { port: 0, frame: frame(1500) });
+        w.run_until(SimTime::from_micros(500));
+        assert_eq!(w.agent::<LinkAgent>(link).unwrap().queue_bytes(), 1500, "mid-service");
+        assert_eq!(w.live_timers(), 0);
+        w.run_until_idle();
+        assert_eq!(w.agent::<NullSink>(sink).unwrap().arrivals, vec![SimTime::from_millis(11)]);
     }
 
     #[test]

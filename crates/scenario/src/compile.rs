@@ -87,9 +87,6 @@ pub fn compile(scenario: &Scenario) -> Result<Timeline, ScenarioError> {
             Action::SetLoss { mean_loss, bursty } => {
                 ops.push(CompiledOp { at: t0, op: link(LinkOp::Loss(loss_for(*mean_loss, *bursty))) });
             }
-            Action::LinkDown => {
-                ops.push(CompiledOp { at: t0, op: link(LinkOp::Down(true)) });
-            }
             Action::LinkUp => {
                 ops.push(CompiledOp { at: t0, op: link(LinkOp::Down(false)) });
             }

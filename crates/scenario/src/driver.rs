@@ -126,9 +126,18 @@ mod tests {
 
     #[test]
     fn driver_applies_link_ops_at_exact_times() {
+        // An instant fade that keeps the rate: the link goes dark at 50 ms,
+        // and at 150 ms it comes back with its loss cleared.
+        let blackout = Action::WifiFade {
+            from_bps: 12_000_000,
+            floor_bps: 12_000_000,
+            over_ms: 0,
+            steps: 1,
+        };
         let scenario = Scenario::builder("drive")
-            .at(50, 0, Action::LinkDown)
+            .at(50, 0, blackout)
             .at(150, 0, Action::LinkUp)
+            .at(150, 0, Action::SetLoss { mean_loss: 0.0, bursty: false })
             .build()
             .expect("valid");
         let (mut w, path, sink) = rig();
@@ -147,7 +156,9 @@ mod tests {
         while let Some(at) = driver.next_at() {
             w.run_until(at);
             let due = driver.apply_due(&mut w, at).expect("apply");
-            assert!(matches!(due[..], [CompiledOp { op: Op::Link { path: 0, .. }, .. }]));
+            assert!(due.iter().all(|o| o.at == at), "ops apply at their own instant");
+            let down = w.agent::<LinkAgent>(path.uplink).unwrap().is_down();
+            assert_eq!(down, at == SimTime::from_millis(50));
         }
         w.run_until_idle();
         let s = w.agent::<NullSink>(sink).unwrap();
@@ -175,13 +186,12 @@ mod tests {
     }
 
     /// Every due op comes back, link ops included, in timeline order: a
-    /// harness mirroring link-downs to its connections sees them between
-    /// the MP_PRIO triggers they were scripted between.
+    /// harness mirroring link-downs to its connections sees the fade's
+    /// blackout between the MP_PRIO triggers it was scripted between.
     #[test]
     fn link_ops_come_back_in_timeline_order() {
         let scenario = Scenario::builder("order")
-            .at(10, 0, Action::SetBackup { backup: true })
-            .at(20, 0, Action::LinkDown)
+            .at(10, 0, Action::WifiFade { from_bps: 2, floor_bps: 1, over_ms: 10, steps: 1 })
             .at(30, 0, Action::SetBackup { backup: false })
             .build()
             .expect("valid");
@@ -189,10 +199,10 @@ mod tests {
         let mut driver = ScenarioDriver::new(&scenario, &[path]).expect("compile");
         let due = driver.apply_due(&mut w, SimTime::from_millis(30)).expect("apply");
         let ats: Vec<SimTime> = due.iter().map(|o| o.at).collect();
-        assert_eq!(ats, [10, 20, 30].map(SimTime::from_millis));
+        assert_eq!(ats, [10, 10, 10, 20, 20, 20, 30].map(SimTime::from_millis));
         assert!(matches!(due[0].op, Op::SetBackup { path: 0, backup: true }));
-        assert!(matches!(due[1].op, Op::Link { path: 0, op: LinkOp::Down(true) }));
-        assert!(matches!(due[2].op, Op::SetBackup { path: 0, backup: false }));
+        assert!(matches!(due[5].op, Op::Link { path: 0, op: LinkOp::Down(true) }));
+        assert!(matches!(due[6].op, Op::SetBackup { path: 0, backup: false }));
         assert!(w.agent::<LinkAgent>(path.uplink).unwrap().is_down());
         assert!(driver.finished());
     }
@@ -200,7 +210,7 @@ mod tests {
     #[test]
     fn unbound_path_is_a_loud_error() {
         let scenario = Scenario::builder("oops")
-            .at(10, 3, Action::LinkDown)
+            .at(10, 3, Action::LinkUp)
             .build()
             .expect("valid");
         let (_, path, _) = rig();

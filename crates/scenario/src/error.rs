@@ -5,8 +5,7 @@ use std::fmt;
 /// Why a scenario could not be parsed, validated, compiled, or applied.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ScenarioError {
-    /// The input text was not well-formed JSON/TOML (line is 1-based; 0
-    /// when the format layer could not attribute a line).
+    /// The input text was not well-formed TOML.
     Syntax {
         /// 1-based line of the first offending token.
         line: usize,
@@ -41,13 +40,7 @@ pub enum ScenarioError {
 impl fmt::Display for ScenarioError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ScenarioError::Syntax { line, msg } => {
-                if *line == 0 {
-                    write!(f, "syntax error: {msg}")
-                } else {
-                    write!(f, "syntax error at line {line}: {msg}")
-                }
-            }
+            ScenarioError::Syntax { line, msg } => write!(f, "syntax error at line {line}: {msg}"),
             ScenarioError::Shape(msg) => write!(f, "not a scenario: {msg}"),
             ScenarioError::InvalidEvent { index, at_ms, what } => {
                 write!(f, "invalid event #{index} (at {at_ms} ms): {what}")

@@ -2,14 +2,14 @@
 //!
 //! A [`Scenario`] is a named list of [`TimedEvent`]s: at an exact sim time,
 //! on both directions of one path, perform one [`Action`]. Events are plain
-//! data (serde round-trippable, builder-constructible) so a scenario file
-//! fully determines a run together with the seed — replay is byte-identical.
+//! data (read from a TOML file or built in code) so a scenario fully
+//! determines a run together with the seed — replay is byte-identical.
 //!
 //! The one composite action, [`Action::WifiFade`], stays declarative here
 //! and is expanded into primitive link operations by [`crate::compile()`];
 //! nothing in the model samples randomness or reads clocks.
 
-use serde::{Deserialize, Serialize};
+use serde::Deserialize;
 
 use crate::error::ScenarioError;
 
@@ -19,7 +19,7 @@ use crate::error::ScenarioError;
 pub const MAX_STEPS: u32 = 10_000;
 
 /// One timed scenario action.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Deserialize)]
 pub enum Action {
     /// Set the link service rate immediately.
     SetRate {
@@ -35,8 +35,6 @@ pub enum Action {
         #[serde(default)]
         bursty: bool,
     },
-    /// Administratively take the link down (total blackout).
-    LinkDown,
     /// Bring the link back up.
     LinkUp,
     /// WiFi signal fade: the canonical walk-out-of-range composite. The
@@ -65,7 +63,7 @@ pub enum Action {
 
 /// One event: an [`Action`] at an exact sim time on both directions of one
 /// path.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Deserialize)]
 pub struct TimedEvent {
     /// Sim time of the event, in milliseconds since run start.
     pub at_ms: u64,
@@ -81,13 +79,12 @@ pub struct TimedEvent {
 }
 
 /// A named, replayable timeline of link/path events.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Deserialize)]
 pub struct Scenario {
-    /// Scenario name (used in artifact labels and epoch reports).
+    /// Scenario name (used in artifact labels and epoch reports). It is the
+    /// one key without a default, so a TOML table that is not a scenario is
+    /// refused as one rather than read as an empty timeline.
     pub name: String,
-    /// Free-text description.
-    #[serde(default)]
-    pub description: String,
     /// The events, in any order; compilation sorts them stably by time.
     #[serde(default)]
     pub events: Vec<TimedEvent>,
@@ -109,7 +106,6 @@ impl Scenario {
     pub fn steady(name: &str) -> Scenario {
         Scenario {
             name: name.to_string(),
-            description: String::new(),
             events: Vec::new(),
         }
     }
@@ -148,7 +144,7 @@ impl Scenario {
                         return bad("bursty SetLoss needs mean_loss < 0.25");
                     }
                 }
-                Action::LinkDown | Action::LinkUp | Action::SetBackup { .. } => {}
+                Action::LinkUp | Action::SetBackup { .. } => {}
                 Action::WifiFade { from_bps, floor_bps, steps, .. } => {
                     if *floor_bps == 0 || *from_bps == 0 {
                         return bad("WifiFade rates must be > 0");
@@ -206,12 +202,6 @@ pub struct ScenarioBuilder {
 }
 
 impl ScenarioBuilder {
-    /// Set the description.
-    pub fn describe(mut self, text: &str) -> Self {
-        self.scenario.description = text.to_string();
-        self
-    }
-
     /// Add an event on both directions of `path`.
     pub fn at(self, at_ms: u64, path: usize, action: Action) -> Self {
         self.event(TimedEvent {
@@ -252,7 +242,6 @@ mod tests {
     #[test]
     fn builder_produces_valid_scenarios() {
         let s = Scenario::builder("fade")
-            .describe("WiFi dies, LTE carries")
             .labelled(3_000, 0, "fade", Action::WifiFade {
                 from_bps: 20_000_000,
                 floor_bps: 500_000,
@@ -287,7 +276,7 @@ mod tests {
     #[test]
     fn epochs_partition_the_horizon() {
         let s = Scenario::builder("e")
-            .labelled(2_000, 0, "fade", Action::LinkDown)
+            .labelled(2_000, 0, "fade", Action::SetRate { bits_per_sec: 1 })
             .labelled(5_000, 0, "back", Action::LinkUp)
             .build()
             .expect("valid");

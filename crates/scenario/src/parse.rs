@@ -1,14 +1,12 @@
-//! Scenario file parsing: JSON and a TOML subset, both total over
-//! arbitrary input.
+//! Scenario file parsing: a TOML subset, total over arbitrary input.
 //!
 //! Scenario files are a byte-facing surface (operators hand-edit them, CI
 //! feeds them to campaigns), so this module is part of the strict decode
 //! surface: no indexing, no asserts, no unwraps — malformed input must come
 //! back as a [`ScenarioError`], never a panic.
 //!
-//! JSON goes through the (vendored) `serde_json` text parser into the
-//! mini-serde `Value` tree. TOML is hand-rolled here — the workspace has no
-//! toml crate — over the subset scenario files need:
+//! The TOML is hand-rolled here — the workspace has no toml crate — over
+//! the subset scenario files need:
 //!
 //! * `key = value` pairs with bare (`[A-Za-z0-9_-]`) or quoted keys;
 //! * basic strings with `\" \\ \b \t \n \f \r \uXXXX` escapes;
@@ -18,9 +16,8 @@
 //!   descending into the last element of arrays like real TOML;
 //! * `#` comments.
 //!
-//! Both formats produce the same `Value` tree, so one `Scenario`
-//! deserializer serves both and a scenario survives a format round-trip
-//! bit-identically (the fuzz target's fixpoint oracle).
+//! The text becomes a mini-serde `Value` tree, which the `Scenario`
+//! deserializer reads.
 
 // Strict decode surface (DESIGN.md §5.12): on top of the crate's panic
 // wall, no indexing and no assert (the list is in the root `clippy.toml`).
@@ -39,16 +36,6 @@ fn syntax(line: usize, msg: impl Into<String>) -> ScenarioError {
     ScenarioError::Syntax { line, msg: msg.into() }
 }
 
-/// Parse a scenario from JSON text.
-pub fn from_json(text: &str) -> Result<Scenario, ScenarioError> {
-    let value: Value = serde_json::from_str(text)
-        .map_err(|e| syntax(0, e.to_string()))?;
-    let scenario =
-        Scenario::from_value(&value).map_err(|e| ScenarioError::Shape(e.to_string()))?;
-    check_finite(&scenario)?;
-    Ok(scenario)
-}
-
 /// Parse a scenario from TOML text (see the module docs for the subset).
 pub fn from_toml(text: &str) -> Result<Scenario, ScenarioError> {
     let value = toml_to_value(text)?;
@@ -59,11 +46,12 @@ pub fn from_toml(text: &str) -> Result<Scenario, ScenarioError> {
 }
 
 /// Reject non-finite floats at the shape layer. An overflowed exponent
-/// (`1e999`) parses to infinity, which canonical JSON can only serialize
-/// as `null` — so a file carrying one would silently change meaning on a
-/// save/reload cycle. Rejecting it here keeps the serialize→reparse
-/// fixpoint: every accepted scenario round-trips. (Found by the `scenario`
-/// fuzz target's fixpoint oracle.)
+/// (`mean_loss = 1e999`) parses to infinity, which the subset cannot spell
+/// (it has no `inf`): a file carrying one could not be written back as it
+/// was read. Rejecting
+/// it here keeps the render→reparse fixpoint the `scenario` fuzz target
+/// checks: every accepted scenario renders to TOML that parses back equal.
+/// (Found by that target's fixpoint oracle.)
 fn check_finite(scenario: &Scenario) -> Result<(), ScenarioError> {
     for (i, ev) in scenario.events.iter().enumerate() {
         if matches!(ev.action, Action::SetLoss { mean_loss, .. } if !mean_loss.is_finite()) {
@@ -75,33 +63,10 @@ fn check_finite(scenario: &Scenario) -> Result<(), ScenarioError> {
     Ok(())
 }
 
-/// Parse a scenario from either format, sniffing by the first
-/// non-whitespace, non-comment character (`{` means JSON).
-pub fn from_str(text: &str) -> Result<Scenario, ScenarioError> {
-    for line in text.lines() {
-        let t = line.trim_start();
-        if t.is_empty() || t.starts_with('#') {
-            continue;
-        }
-        if t.starts_with('{') {
-            return from_json(text);
-        }
-        break;
-    }
-    from_toml(text)
-}
-
-/// Render a scenario as canonical JSON (the round-trip format: parsing the
-/// result yields an equal `Scenario`).
-pub fn to_json(scenario: &Scenario) -> String {
-    serde_json::to_string_pretty(scenario).unwrap_or_default()
-}
-
 // ------------------------------------------------------------ TOML subset
 
-/// Parse TOML text into a mini-serde [`Value`] tree. Public so the fuzz
-/// target can exercise the grammar without a `Scenario` shape on top.
-pub fn toml_to_value(text: &str) -> Result<Value, ScenarioError> {
+/// Parse TOML text into a mini-serde [`Value`] tree.
+fn toml_to_value(text: &str) -> Result<Value, ScenarioError> {
     let mut root = Value::Map(Vec::new());
     // Path of the currently open `[table]` / `[[array]]` header.
     let mut ctx: Vec<String> = Vec::new();
@@ -504,7 +469,6 @@ mod tests {
     const FADE_TOML: &str = r#"
 # WiFi fade into LTE handover.
 name = "wifi-fade"
-description = "walk out of AP range at t=3s"
 
 [[events]]
 at_ms = 3000
@@ -539,17 +503,6 @@ action = { SetBackup = { backup = false } }
         assert!(matches!(s.events[1].action, Action::LinkUp));
         assert!(matches!(s.events[2].action, Action::SetBackup { backup: false }));
         s.validate().expect("valid");
-    }
-
-    #[test]
-    fn json_and_toml_agree() {
-        let from_t = from_toml(FADE_TOML).expect("toml");
-        let json = to_json(&from_t);
-        let from_j = from_json(&json).expect("json");
-        assert_eq!(from_t, from_j);
-        // Sniffing picks the right format for both texts.
-        assert_eq!(from_str(FADE_TOML).expect("sniff toml"), from_t);
-        assert_eq!(from_str(&json).expect("sniff json"), from_t);
     }
 
     #[test]
@@ -593,26 +546,17 @@ action = { SetRate = { bits_per_sec = 1_000_000 } }
         // Well-formed TOML, but not a scenario.
         let err = from_toml("title = \"nope\"\n").expect_err("shape");
         assert!(matches!(err, ScenarioError::Shape(_)), "{err}");
-        let err = from_json("{\"title\": 3}").expect_err("shape");
-        assert!(matches!(err, ScenarioError::Shape(_)), "{err}");
         // An action name outside the vocabulary is a shape error too.
         let err = from_toml("name = \"x\"\n[[events]]\nat_ms = 0\naction = \"Teleport\"\n")
             .expect_err("unknown action");
         assert!(matches!(err, ScenarioError::Shape(_)), "{err}");
-        let err = from_json("{nope").expect_err("syntax");
-        assert!(matches!(err, ScenarioError::Syntax { .. }), "{err}");
     }
 
     /// Regression: the scenario fuzz target's fixpoint oracle found that
-    /// an overflowed float exponent parses to infinity, which `to_json`
-    /// can only render as `null` — breaking serialize→reparse. Non-finite
-    /// floats are now shape errors in both formats.
+    /// an overflowed float exponent parses to infinity, which the subset
+    /// cannot spell — breaking render→reparse. Non-finite floats are shape errors.
     #[test]
     fn nonfinite_floats_are_rejected_at_the_shape_layer() {
-        let json = r#"{"name":"inf","events":[
-            {"at_ms":0,"action":{"SetLoss":{"mean_loss":1e999}}}]}"#;
-        let err = from_json(json).expect_err("infinite loss");
-        assert!(matches!(err, ScenarioError::Shape(_)), "{err}");
         let toml = "name = \"inf\"\n[[events]]\nat_ms = 0\n\
                     action = { SetLoss = { mean_loss = 1e999, bursty = true } }\n";
         let err = from_toml(toml).expect_err("infinite loss");
