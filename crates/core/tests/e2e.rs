@@ -369,14 +369,15 @@ fn wifi_death_mid_transfer_survives_on_cellular() {
     // Let it run 2 s, then kill WiFi in both directions.
     rig.world.run_until(SimTime::from_secs(2));
     let (up, down) = (rig.paths[0].uplink, rig.paths[0].downlink);
+    let now = rig.world.now();
     rig.world
         .agent_mut::<mpw_link::LinkAgent>(up)
         .unwrap()
-        .set_loss(LossModel::Bernoulli { p: 1.0 });
+        .set_loss(now, LossModel::Bernoulli { p: 1.0 });
     rig.world
         .agent_mut::<mpw_link::LinkAgent>(down)
         .unwrap()
-        .set_loss(LossModel::Bernoulli { p: 1.0 });
+        .set_loss(now, LossModel::Bernoulli { p: 1.0 });
     rig.world.run_until(SimTime::from_secs(240));
     let host = rig.client_host();
     let app = host.app::<SinkClient>(0).unwrap();

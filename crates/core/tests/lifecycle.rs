@@ -140,11 +140,12 @@ impl Rig {
     }
 
     fn set_path_down(&mut self, path: usize, down: bool) {
+        let now = self.world.now();
         for id in [self.paths[path].uplink, self.paths[path].downlink] {
             self.world
                 .agent_mut::<LinkAgent>(id)
                 .unwrap()
-                .set_down(down);
+                .set_down(now, down);
         }
     }
 

@@ -51,19 +51,23 @@ struct Budgets {
 }
 
 /// Read a finished run's counts through the public stats of its world, and
-/// print the lane counters of `run` on the way.
+/// print the lane counters of `run` on the way. Each link is synced to the
+/// world's time first: it runs its cross traffic only when something
+/// reaches it.
 fn counts<'a>(
     run: &str,
-    world: &World,
+    world: &mut World,
     paths: impl IntoIterator<Item = &'a BuiltPath>,
     server: AgentId,
 ) -> Work {
-    let link_frames: u64 = paths
-        .into_iter()
-        .flat_map(|p| [p.uplink, p.downlink])
-        .filter_map(|id| world.agent::<LinkAgent>(id))
-        .map(|l| l.stats().enqueued)
-        .sum();
+    let now = world.now();
+    let mut link_frames = 0;
+    for id in paths.into_iter().flat_map(|p| [p.uplink, p.downlink]) {
+        if let Some(link) = world.agent_mut::<LinkAgent>(id) {
+            link.sync(now);
+            link_frames += link.stats().enqueued;
+        }
+    }
     let (mut data_segs, mut rexmit_segs, mut passes) = (0u64, 0u64, 0u64);
     let host = world.agent::<Host>(server).expect("server host");
     for slot in 0..host.slot_count() {
@@ -115,16 +119,16 @@ fn download(flow: FlowConfig, size: u64) -> Work {
         period: DayPeriod::Evening,
         warmup: true,
     };
-    let (m, tb) = run_measurement_traced(&scenario, SEED, TraceLevel::Off);
+    let (m, mut tb) = run_measurement_traced(&scenario, SEED, TraceLevel::Off);
     assert_eq!(m.bytes, size, "{flow:?}: the download must complete");
     let run = format!("{} {}", flow.label(scenario.carrier), sizes::label(size));
-    counts(&run, &tb.world, &tb.paths, tb.server)
+    counts(&run, &mut tb.world, &tb.paths, tb.server)
 }
 
 fn fleet() -> Work {
-    let run = mpw_fleet::run_fleet(&mpw_fleet::FleetSpec::smoke(100, SEED));
+    let mut run = mpw_fleet::run_fleet(&mpw_fleet::FleetSpec::smoke(100, SEED));
     assert!(run.report.bytes > 0, "the fleet moved no bytes");
-    counts("fleet smoke", &run.world, [&run.wifi_path, &run.cell_path], run.server)
+    counts("fleet smoke", &mut run.world, [&run.wifi_path, &run.cell_path], run.server)
 }
 
 fn main() {

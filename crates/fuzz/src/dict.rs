@@ -109,6 +109,12 @@ pub const SCENARIO_TOKENS: &[&[u8]] = &[
     b"0.016",
     b"-1",
     b"1e308",
+    // Overflows to infinity when parsed: the value the shape layer's
+    // finiteness check exists for (`1e308` stays finite). The whole event
+    // carrying it parses wherever an insertion lands on an event boundary,
+    // which the bare literal rarely does.
+    b"1e999",
+    b"\n[[events]]\nat_ms = 0\naction = { SetLoss = { mean_loss = 1e999 } }\n",
     b"\\u0041",
     b"true",
     b"false",

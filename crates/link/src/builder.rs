@@ -1,13 +1,13 @@
 //! Wiring a [`PathSpec`] into a running [`World`].
 //!
-//! One built path is a duplex pair of [`LinkAgent`]s plus the background
-//! sources and sink that share its queues. Hosts send frames to the
-//! `uplink`/`downlink` agent ids returned here.
+//! One built path is a duplex pair of [`LinkAgent`]s, each driving the
+//! background sources that share its queue, plus the sink both feed. Hosts
+//! send frames to the `uplink`/`downlink` agent ids returned here.
 
 use mpw_sim::{AgentId, World};
 
-use crate::background::OnOffSource;
-use crate::link::{LinkAgent, NullSink};
+use crate::background::OnOffConfig;
+use crate::link::{LinkAgent, LinkConfig, NullSink};
 use crate::presets::PathSpec;
 
 /// Agent ids of one built duplex path.
@@ -38,39 +38,17 @@ pub fn build_path(
     label: &str,
 ) -> BuiltPath {
     let bg_sink = world.add_agent(Box::new(NullSink::default()));
-
-    let mut up = LinkAgent::new(
-        spec.up.clone(),
-        world.rng().stream(&format!("{label}.up")),
-        server,
-    );
-    up.set_sink((bg_sink, 0));
-    let uplink = world.add_agent(Box::new(up));
-
-    let mut down = LinkAgent::new(
-        spec.down.clone(),
-        world.rng().stream(&format!("{label}.down")),
-        client,
-    );
-    down.set_sink((bg_sink, 0));
-    let downlink = world.add_agent(Box::new(down));
-
-    for (i, bg) in spec.bg_down.iter().enumerate() {
-        let src = OnOffSource::new(
-            bg.clone(),
-            world.rng().stream(&format!("{label}.bg_down.{i}")),
-            (downlink, 0),
-        );
-        world.add_agent(Box::new(src));
-    }
-    for (i, bg) in spec.bg_up.iter().enumerate() {
-        let src = OnOffSource::new(
-            bg.clone(),
-            world.rng().stream(&format!("{label}.bg_up.{i}")),
-            (uplink, 0),
-        );
-        world.add_agent(Box::new(src));
-    }
+    let mut link = |cfg: &LinkConfig, egress, dir: &str, bg: &[OnOffConfig]| {
+        let rng = world.rng().stream(&format!("{label}.{dir}"));
+        let mut link = LinkAgent::new(cfg.clone(), rng, egress);
+        link.set_sink((bg_sink, 0));
+        for (i, bg) in bg.iter().enumerate() {
+            link.add_source(bg.clone(), world.rng().stream(&format!("{label}.bg_{dir}.{i}")));
+        }
+        world.add_agent(Box::new(link))
+    };
+    let uplink = link(&spec.up, server, "up", &spec.bg_up);
+    let downlink = link(&spec.down, client, "down", &spec.bg_down);
 
     BuiltPath {
         uplink,
@@ -121,6 +99,47 @@ mod tests {
         assert!(bg.frames > 100, "background produced {}", bg.frames);
         assert_eq!(w.agent::<NullSink>(client_sink).unwrap().frames, 0);
         assert_eq!(w.agent::<NullSink>(server_sink).unwrap().frames, 0);
+    }
+
+    /// Cross traffic runs inside the link: over 1,000 simulated seconds a
+    /// path carrying nothing else costs one engine event per background
+    /// frame (its delivery to the sink), one wake per toggle at most, and
+    /// each agent's start, where a source agent once took four events a
+    /// frame.
+    #[test]
+    fn background_only_path_costs_one_event_per_frame() {
+        use crate::background::OnOff;
+        use mpw_sim::RunOutcome;
+
+        let mut w = World::new(6, TraceLevel::Off);
+        let client_sink = w.add_agent(Box::new(NullSink::default()));
+        let server_sink = w.add_agent(Box::new(NullSink::default()));
+        let spec = wifi_hotspot(18);
+        let built = build_path(&mut w, &spec, (client_sink, 0), (server_sink, 0), "hot");
+        let horizon = SimTime::from_secs(1_000);
+        let outcome = w.run_until(horizon);
+        assert_eq!(outcome, RunOutcome::HorizonReached, "the wakes keep the world alive");
+        // The toggles through the horizon, replayed from each source's own
+        // stream (its draws depend on nothing else).
+        let mut toggles = 0u64;
+        for (dir, bgs) in [("down", &spec.bg_down), ("up", &spec.bg_up)] {
+            for (i, cfg) in bgs.iter().enumerate() {
+                let mut src = OnOff::new(cfg.clone(), w.rng().stream(&format!("hot.bg_{dir}.{i}")));
+                let mut seq = 0;
+                src.start(SimTime::ZERO, &mut seq);
+                while src.next().0 <= horizon {
+                    toggles += u64::from(src.fire(&mut seq).is_none());
+                }
+            }
+        }
+        let starts = 5;
+        let delivered = w.agent::<NullSink>(built.bg_sink).unwrap().frames;
+        assert!(delivered > 100_000, "background delivered {delivered}");
+        assert!(
+            w.events_processed() <= delivered + toggles + starts,
+            "{} events for {delivered} frames and {toggles} toggles",
+            w.events_processed()
+        );
     }
 
     #[test]

@@ -31,7 +31,7 @@ pub mod loss;
 pub mod presets;
 pub mod rate;
 
-pub use background::{OnOffConfig, OnOffSource, BACKGROUND_META};
+pub use background::{OnOffConfig, BACKGROUND_META};
 pub use builder::{build_path, BuiltPath};
 pub use link::{ArqConfig, Jitter, LinkAgent, LinkConfig, LinkStats, LinkTap, NullSink, RrcConfig};
 pub use loss::{GilbertElliott, LossModel};

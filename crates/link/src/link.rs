@@ -6,12 +6,39 @@
 //! rate, channel loss, link-layer ARQ (cellular local retransmission that
 //! hides loss from TCP at the cost of delay), RRC promotion gating, and
 //! propagation delay with optional jitter. Delivery order is preserved.
+//!
+//! The link also drives the on/off cross-traffic sources that share its
+//! queue ([`crate::background`]), on a timeline of its own: service
+//! completions, toggles and cross-traffic frames run in time order inside
+//! `advance`, which every event reaching the link calls first. The engine
+//! sees the link only where the outside can: each foreground (untagged)
+//! arrival is an event; while a foreground frame is queued or in service,
+//! a service timer fires at every completion, so foreground timing, drops
+//! and deliveries are evented exactly as a link without sources would
+//! have them; and one wake rides the earliest toggle, so a link carrying
+//! only cross traffic still feeds its sink. A background frame thus costs
+//! one engine event, its zero-delay delivery to the sink (its propagation
+//! is unobservable; `last_delivery` still advances by its computed
+//! arrival, so foreground order is preserved). A link without sources has
+//! no wake, so it keeps a service timer while it holds any frame: a tagged
+//! frame sent into it from outside completes on an event as an untagged one
+//! does.
+//!
+//! Same-instant order is the one an engine event per step gives:
+//! completions first (each is scheduled before its instant, a
+//! cross-traffic frame within it), a source's toggle before its own frame,
+//! and sources in the order they scheduled. A foreground frame arriving in
+//! the very nanosecond of a cross-traffic frame, which insertion order
+//! alone would decide, queues ahead of it: every event runs only the cross
+//! traffic due *before* its instant, and [`LinkAgent::sync`] (which each
+//! mutator calls first) everything due *at* it.
 
 use std::collections::VecDeque;
 
 use mpw_sim::tap::{DropReason, SharedObserver};
 use mpw_sim::{serialization_delay, Agent, AgentId, Ctx, Event, Frame, SimDuration, SimRng, SimTime};
 
+use crate::background::{OnOff, OnOffConfig};
 use crate::loss::LossModel;
 use crate::rate::RateProcess;
 
@@ -114,8 +141,9 @@ impl LinkConfig {
     }
 }
 
-/// Counters exposed for calibration and tests.
-#[derive(Clone, Copy, Debug, Default)]
+/// Counters exposed for calibration and tests, as of the link's last
+/// advance ([`LinkAgent::stats`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LinkStats {
     /// Frames accepted into the queue.
     pub enqueued: u64,
@@ -153,7 +181,7 @@ pub struct LinkTap {
 }
 
 const TOKEN_SERVICE: u64 = 1 << 56;
-const TOKEN_RESUME: u64 = 1 << 57;
+const TOKEN_WAKE: u64 = 1 << 57;
 
 /// Where a cellular radio's RRC state machine stands.
 enum RrcState {
@@ -161,9 +189,19 @@ enum RrcState {
     Promoting { ready_at: SimTime },
 }
 
+/// What holds the server until [`LinkAgent`]'s `done_at`.
+enum Busy {
+    /// A frame in service (or waiting out an RRC promotion before it).
+    Frame(Frame),
+    /// The capacity tax of local ARQ retransmissions: the channel stays
+    /// occupied for one serialization time per retry.
+    Tax,
+}
+
 /// A unidirectional link component. Frames received on any port are queued
 /// and eventually delivered to the configured egress (or, for tagged
-/// background frames, to the sink).
+/// background frames, to the sink). The link also drives its own
+/// cross-traffic sources ([`LinkAgent::add_source`]).
 pub struct LinkAgent {
     cfg: LinkConfig,
     rng: SimRng,
@@ -172,7 +210,9 @@ pub struct LinkAgent {
     sink: Option<(AgentId, u16)>,
     q: VecDeque<Frame>,
     q_bytes: usize,
-    in_service: Option<Frame>,
+    busy: Option<Busy>,
+    /// When the server frees up; `SimTime::MAX` while idle.
+    done_at: SimTime,
     /// The radio of a cellular link: its RRC timers (taken from `cfg`,
     /// whose `rrc` is then `None`) and where it stands. `None` for an
     /// always-on link.
@@ -190,6 +230,24 @@ pub struct LinkAgent {
     /// Optional drop tap. `None` (the default) costs one branch per
     /// dropped frame.
     tap: Option<LinkTap>,
+    /// The on/off sources injecting cross traffic into this queue.
+    sources: Vec<OnOff>,
+    /// Numbers the sources' schedulings in the order the engine's insertion
+    /// sequence would, so same-instant source events keep its order.
+    seq: u64,
+    /// The earliest pending source event (toggle or frame) and its source;
+    /// `SimTime::MAX` without sources or before the start.
+    next_bg: SimTime,
+    next_src: usize,
+    /// The earliest pending toggle among the sources.
+    toggle_at: SimTime,
+    /// The instant of the service timer last armed, and the toggle the
+    /// wake last armed follows (`SimTime::MAX` once either has fired).
+    service_at: SimTime,
+    wake_for: SimTime,
+    /// Background frames a [`LinkAgent::sync`] completed with no engine
+    /// context to send them; the link's next event delivers them.
+    owed: Vec<Frame>,
 }
 
 impl LinkAgent {
@@ -205,7 +263,8 @@ impl LinkAgent {
             sink: None,
             q: VecDeque::new(),
             q_bytes: 0,
-            in_service: None,
+            busy: None,
+            done_at: SimTime::MAX,
             rrc,
             down: false,
             last_delivery: SimTime::ZERO,
@@ -213,12 +272,28 @@ impl LinkAgent {
             fg_last_arrival: SimTime::ZERO,
             stats: LinkStats::default(),
             tap: None,
+            sources: Vec::new(),
+            seq: 0,
+            next_bg: SimTime::MAX,
+            next_src: 0,
+            toggle_at: SimTime::MAX,
+            service_at: SimTime::MAX,
+            wake_for: SimTime::MAX,
+            owed: Vec::new(),
         }
     }
 
     /// Route tagged (background) frames to a sink instead of the egress.
     pub fn set_sink(&mut self, sink: (AgentId, u16)) {
         self.sink = Some(sink);
+    }
+
+    /// Add an on/off cross-traffic source drawing from `rng`, injecting its
+    /// tagged frames into this link's queue from the link's start (its
+    /// `Start` event) to the end of the run. Sources added earlier win
+    /// same-instant ties.
+    pub fn add_source(&mut self, cfg: OnOffConfig, rng: SimRng) {
+        self.sources.push(OnOff::new(cfg, rng));
     }
 
     /// Attach a drop tap to this link direction.
@@ -235,25 +310,29 @@ impl LinkAgent {
         }
     }
 
-    /// Replace the channel loss model mid-run (failure injection: e.g. the
-    /// client walks out of WiFi range).
-    pub fn set_loss(&mut self, loss: LossModel) {
+    /// Replace the channel loss model at `now`, the world's current time
+    /// (failure injection: e.g. the client walks out of WiFi range).
+    pub fn set_loss(&mut self, now: SimTime, loss: LossModel) {
+        self.sync(now);
         self.cfg.loss = loss;
     }
 
-    /// Replace the service-rate process mid-run (bandwidth ramps, capacity
-    /// collapse under fading). The frame currently in service keeps its old
-    /// serialization time; the next one samples the new process.
-    pub fn set_rate(&mut self, rate: RateProcess) {
+    /// Replace the service-rate process at `now`, the world's current time
+    /// (bandwidth ramps, capacity collapse under fading). The frame
+    /// currently in service keeps its old serialization time; the next one
+    /// samples the new process.
+    pub fn set_rate(&mut self, now: SimTime, rate: RateProcess) {
+        self.sync(now);
         self.cfg.rate = rate;
     }
 
-    /// Administratively take the link down or bring it back up. While down,
-    /// newly arriving frames are dropped at ingress and frames finishing
-    /// service are lost, so the transport sees a total blackout rather than
-    /// queue growth — the link-failure signal the path lifecycle manager
-    /// keys on.
-    pub fn set_down(&mut self, down: bool) {
+    /// Administratively take the link down or bring it back up at `now`,
+    /// the world's current time. While down, newly arriving frames are
+    /// dropped at ingress and frames finishing service are lost, so the
+    /// transport sees a total blackout rather than queue growth — the
+    /// link-failure signal the path lifecycle manager keys on.
+    pub fn set_down(&mut self, now: SimTime, down: bool) {
+        self.sync(now);
         self.down = down;
     }
 
@@ -262,12 +341,17 @@ impl LinkAgent {
         self.down
     }
 
-    /// Snapshot of counters.
+    /// Snapshot of counters as of the link's last advance: a link with no
+    /// foreground frame runs its cross traffic only when an event reaches
+    /// it (a frame, a service timer, a toggle wake or a mutator), so its
+    /// counters may lag the clock by up to one on/off dwell. Call
+    /// [`LinkAgent::sync`] first for the counters at the world's time.
     pub fn stats(&self) -> LinkStats {
         self.stats
     }
 
-    /// Current queue occupancy in bytes (including the frame in service).
+    /// Queue occupancy in bytes (including the frame in service), as of
+    /// the link's last advance (see [`LinkAgent::stats`]).
     pub fn queue_bytes(&self) -> usize {
         self.q_bytes
     }
@@ -277,6 +361,8 @@ impl LinkAgent {
     /// propagating. Tagged background frames do not count: they end at the
     /// sink every built path sets and taps skip them, so a link carrying
     /// only cross traffic is idle to everything a measurement can observe.
+    /// Exact at any instant: every foreground arrival and completion is an
+    /// engine event.
     pub fn foreground_idle(&self, now: SimTime) -> bool {
         self.fg_held == 0 && self.fg_last_arrival <= now
     }
@@ -317,30 +403,111 @@ impl LinkAgent {
         }
     }
 
-    fn try_start_service(&mut self, ctx: &mut Ctx<'_>) {
-        if self.in_service.is_some() {
+    /// Run the link's own timeline in time order: the service completions
+    /// due by `to` and the sources' toggles and frames due before
+    /// `bg_until`. An event reaching the link at `now` passes `(now, now)`,
+    /// leaving the instant's cross traffic behind any foreground frame
+    /// arriving in it; `sync` passes `(now, now + 1 ns)`. At one instant
+    /// a completion comes first (it was scheduled before the instant), and
+    /// sources keep the order they scheduled in. `ctx` is `None` only in
+    /// [`LinkAgent::sync`], called once the world has run to `to`, when
+    /// every foreground completion through `to` has had its service timer.
+    fn advance(&mut self, to: SimTime, bg_until: SimTime, mut ctx: Option<&mut Ctx<'_>>) {
+        loop {
+            if self.done_at <= self.next_bg {
+                if self.done_at > to {
+                    return;
+                }
+                let at = self.done_at;
+                self.complete(at, ctx.as_deref_mut());
+            } else {
+                // Here `done_at > next_bg`, so with no source event due
+                // no completion is due either (`bg_until >= to`).
+                if self.next_bg >= bg_until {
+                    return;
+                }
+                let at = self.next_bg;
+                let frame = self.sources[self.next_src].fire(&mut self.seq);
+                self.refresh_sources();
+                if let Some(frame) = frame {
+                    self.arrive(at, frame);
+                }
+            }
+        }
+    }
+
+    /// Run the link's own timeline through everything due at `now`, the
+    /// world's current time, so [`LinkAgent::stats`] and
+    /// [`LinkAgent::queue_bytes`] describe the link at `now`. The mutators
+    /// call it first; a reader of the counters calls it before reading. A
+    /// background frame it completes is sent at the link's next event.
+    pub fn sync(&mut self, now: SimTime) {
+        self.advance(now, now + SimDuration::from_nanos(1), None);
+    }
+
+    /// Cache the earliest source event and the earliest toggle.
+    fn refresh_sources(&mut self) {
+        self.toggle_at = SimTime::MAX;
+        let mut best = (SimTime::MAX, u64::MAX);
+        for (i, src) in self.sources.iter().enumerate() {
+            let next = src.next();
+            if next < best {
+                best = next;
+                self.next_src = i;
+            }
+            self.toggle_at = self.toggle_at.min(src.toggle_at());
+        }
+        self.next_bg = best.0;
+    }
+
+    /// A frame reaches the queue at `at`.
+    fn arrive(&mut self, at: SimTime, frame: Frame) {
+        let len = frame.wire_len();
+        if self.down {
+            self.tap_drop(at, DropReason::LinkDown, &frame);
+            self.stats.dropped_down += 1;
+            return;
+        }
+        if self.q_bytes + len > self.cfg.buffer_bytes {
+            self.tap_drop(at, DropReason::QueueOverflow, &frame);
+            self.stats.dropped_overflow += 1;
+            return;
+        }
+        self.q_bytes += len;
+        self.fg_held += usize::from(frame.meta == 0);
+        self.stats.enqueued += 1;
+        self.stats.peak_queue_bytes = self.stats.peak_queue_bytes.max(self.q_bytes as u64);
+        self.q.push_back(frame);
+        self.try_start_service(at);
+    }
+
+    fn try_start_service(&mut self, now: SimTime) {
+        if self.busy.is_some() {
             return;
         }
         let Some(frame) = self.q.pop_front() else {
             return;
         };
-        let now = ctx.now();
         let start = self.rrc_gate(now).max(now);
         let rate = self.cfg.rate.rate_at(start, &mut self.rng);
-        let ser = serialization_delay(frame.wire_len(), rate);
-        self.in_service = Some(frame);
-        let delay = start.saturating_since(now) + ser;
-        ctx.set_timer(delay, TOKEN_SERVICE);
+        self.done_at = start + serialization_delay(frame.wire_len(), rate);
+        self.busy = Some(Busy::Frame(frame));
     }
 
-    fn finish_service(&mut self, ctx: &mut Ctx<'_>) {
-        let Some(frame) = self.in_service.take() else {
+    /// The server frees up at `now`.
+    fn complete(&mut self, now: SimTime, ctx: Option<&mut Ctx<'_>>) {
+        self.done_at = SimTime::MAX;
+        let Some(Busy::Frame(frame)) = self.busy.take() else {
+            // The capacity tax is paid; serve the next frame.
+            self.try_start_service(now);
             return;
         };
         // Delivered or lost, the frame leaves the queue here.
         let foreground = frame.meta == 0;
+        // Every foreground completion has its service timer, and a caller
+        // of `sync` passes the world's time, which has run them all.
+        debug_assert!(ctx.is_some() || !foreground, "a foreground completion outside an event");
         self.fg_held -= usize::from(foreground);
-        let now = ctx.now();
         if let Some((_, state)) = &mut self.rrc {
             *state = RrcState::Ready { last_active: now };
         }
@@ -356,7 +523,7 @@ impl LinkAgent {
             self.q_bytes -= frame.wire_len();
             self.tap_drop(now, DropReason::LinkDown, &frame);
             self.stats.dropped_down += 1;
-            self.try_start_service(ctx);
+            self.try_start_service(now);
             return;
         }
 
@@ -387,7 +554,7 @@ impl LinkAgent {
             };
             self.tap_drop(now, reason, &frame);
             self.stats.dropped_channel += 1;
-            self.try_start_service(ctx);
+            self.try_start_service(now);
             return;
         }
 
@@ -396,10 +563,8 @@ impl LinkAgent {
         if tries > 0 {
             let rate = self.cfg.rate.rate_at(now, &mut self.rng);
             let ser = serialization_delay(frame.wire_len(), rate);
-            let resume = ser * tries as u64;
-            // Hold the server busy with a zero-length placeholder.
-            self.in_service = Some(Frame::new(bytes::Bytes::new()));
-            ctx.set_timer(resume, TOKEN_RESUME);
+            self.busy = Some(Busy::Tax);
+            self.done_at = now + ser * tries as u64;
         }
 
         // Delivery: propagation + ARQ turnarounds + jitter, order-preserved.
@@ -410,58 +575,93 @@ impl LinkAgent {
         let jitter = self.cfg.jitter.draw(&mut self.rng);
         let arrive = (now + self.cfg.prop_delay + arq_delay + jitter).max(self.last_delivery);
         self.last_delivery = arrive;
-        let (dst, port) = if foreground {
-            self.fg_last_arrival = arrive;
-            self.egress
-        } else {
-            self.sink.unwrap_or(self.egress)
-        };
         self.stats.delivered += 1;
         self.stats.delivered_bytes += frame.wire_len() as u64;
-        ctx.send_frame(dst, port, arrive.saturating_since(now), frame);
-        if self.in_service.is_none() {
-            self.try_start_service(ctx);
+        // A foreground frame propagates to the egress; nothing observes a
+        // background frame's flight, so it reaches the sink at once.
+        if foreground {
+            self.fg_last_arrival = arrive;
+        }
+        match ctx {
+            Some(ctx) if foreground => {
+                let delay = arrive.saturating_since(ctx.now());
+                ctx.send_frame(self.egress.0, self.egress.1, delay, frame);
+            }
+            Some(ctx) => {
+                let (dst, port) = self.sink.unwrap_or(self.egress);
+                ctx.send_frame(dst, port, SimDuration::ZERO, frame);
+            }
+            None => self.owed.push(frame),
+        }
+        if self.busy.is_none() {
+            self.try_start_service(now);
         }
     }
 
-    fn resume_service(&mut self, ctx: &mut Ctx<'_>) {
-        // The capacity-tax placeholder completed; serve the next frame.
-        self.in_service = None;
-        self.try_start_service(ctx);
+    /// After an event: keep a service timer on the next completion while a
+    /// foreground frame is held (on a link without sources, while any frame
+    /// is), so foreground timing stays evented, and a wake just after the
+    /// earliest toggle (an event runs only the cross traffic due before
+    /// it), so a background-only link still feeds its sink and the world
+    /// never runs out of events.
+    fn arm(&mut self, ctx: &mut Ctx<'_>) {
+        let now = ctx.now();
+        // A link without sources has no toggle wake to reach it, so it keeps
+        // every frame's completion evented, tagged ones too.
+        let held = if self.sources.is_empty() {
+            !self.q.is_empty() || matches!(self.busy, Some(Busy::Frame(_)))
+        } else {
+            self.fg_held > 0
+        };
+        if self.service_at != self.done_at && held && self.done_at != SimTime::MAX {
+            self.service_at = self.done_at;
+            ctx.set_timer(self.done_at.saturating_since(now), TOKEN_SERVICE);
+        }
+        if self.toggle_at != self.wake_for {
+            self.wake_for = self.toggle_at;
+            let wake = self.toggle_at + SimDuration::from_nanos(1);
+            ctx.set_timer(wake.saturating_since(now), TOKEN_WAKE);
+        }
+    }
+
+    /// Deliver what a [`LinkAgent::sync`] completed (see `owed`).
+    #[cold]
+    fn pay_owed(&mut self, ctx: &mut Ctx<'_>) {
+        // Only background frames are owed (see the assertion in `complete`).
+        let (dst, port) = self.sink.unwrap_or(self.egress);
+        for frame in self.owed.drain(..) {
+            ctx.send_frame(dst, port, SimDuration::ZERO, frame);
+        }
     }
 }
 
 impl Agent for LinkAgent {
     fn handle(&mut self, ev: Event, ctx: &mut Ctx<'_>) {
+        let now = ctx.now();
+        if !self.owed.is_empty() {
+            self.pay_owed(ctx);
+        }
         match ev {
-            Event::Start => {}
+            Event::Start => {
+                for src in &mut self.sources {
+                    src.start(now, &mut self.seq);
+                }
+                self.refresh_sources();
+            }
             Event::Frame { frame, .. } => {
-                let len = frame.wire_len();
-                if self.down {
-                    self.tap_drop(ctx.now(), DropReason::LinkDown, &frame);
-                    self.stats.dropped_down += 1;
-                    return;
-                }
-                if self.q_bytes + len > self.cfg.buffer_bytes {
-                    self.tap_drop(ctx.now(), DropReason::QueueOverflow, &frame);
-                    self.stats.dropped_overflow += 1;
-                    return;
-                }
-                self.q_bytes += len;
-                self.fg_held += usize::from(frame.meta == 0);
-                self.stats.enqueued += 1;
-                self.stats.peak_queue_bytes = self.stats.peak_queue_bytes.max(self.q_bytes as u64);
-                self.q.push_back(frame);
-                self.try_start_service(ctx);
+                self.advance(now, now, Some(ctx));
+                self.arrive(now, frame);
             }
             Event::Timer { token } => {
-                if token == TOKEN_SERVICE {
-                    self.finish_service(ctx);
-                } else if token == TOKEN_RESUME {
-                    self.resume_service(ctx);
+                if token == TOKEN_SERVICE && now == self.service_at {
+                    self.service_at = SimTime::MAX;
+                } else if token == TOKEN_WAKE && now == self.wake_for + SimDuration::from_nanos(1) {
+                    self.wake_for = SimTime::MAX;
                 }
+                self.advance(now, now, Some(ctx));
             }
         }
+        self.arm(ctx);
     }
 }
 
@@ -500,6 +700,9 @@ impl Agent for NullSink {
         }
     }
 }
+
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {
@@ -787,7 +990,8 @@ mod tests {
             w.schedule(SimTime::ZERO, link, Event::Frame { port: 0, frame: frame(1500) });
         }
         w.run_until(SimTime::from_millis(5));
-        w.agent_mut::<LinkAgent>(link).unwrap().set_loss(LossModel::None);
+        let now = w.now();
+        w.agent_mut::<LinkAgent>(link).unwrap().set_loss(now, LossModel::None);
         w.schedule(SimTime::from_millis(5), link, Event::Frame { port: 0, frame: frame(1500) });
         w.run_until_idle();
         assert_eq!(w.agent::<NullSink>(sink).unwrap().frames, 1);
@@ -959,9 +1163,11 @@ mod tests {
             let now = SimTime::from_millis(ms);
             w.run_until(now);
             let la = w.agent::<LinkAgent>(link).unwrap();
-            // The placeholder that holds the server busy through an ARQ
-            // capacity tax is not a frame of either class.
-            let in_service = la.in_service.iter().filter(|f| f.wire_len() > 0);
+            // An ARQ capacity tax holds the server with no frame.
+            let in_service = match &la.busy {
+                Some(Busy::Frame(f)) => Some(f),
+                _ => None,
+            };
             let held: Vec<&Frame> = la.q.iter().chain(in_service).collect();
             let held_fg = held.iter().filter(|f| f.meta == 0).count();
             assert_eq!(la.fg_held, held_fg, "the counter is the recount at {ms} ms");
@@ -999,9 +1205,8 @@ mod tests {
         let (mut w, link, sink) = rig(simple_cfg(12_000_000, 0, 1 << 20));
         w.schedule(SimTime::ZERO, link, Event::Frame { port: 0, frame: frame(1500) });
         w.run_until(SimTime::from_millis(2));
-        w.agent_mut::<LinkAgent>(link)
-            .unwrap()
-            .set_rate(RateProcess::fixed(6_000_000));
+        let now = w.now();
+        w.agent_mut::<LinkAgent>(link).unwrap().set_rate(now, RateProcess::fixed(6_000_000));
         w.schedule(SimTime::from_millis(10), link, Event::Frame { port: 0, frame: frame(1500) });
         w.run_until_idle();
         let s = w.agent::<NullSink>(sink).unwrap();
@@ -1014,7 +1219,8 @@ mod tests {
     #[test]
     fn down_link_blackholes_then_recovers() {
         let (mut w, link, sink) = rig(simple_cfg(12_000_000, 10, 1 << 20));
-        w.agent_mut::<LinkAgent>(link).unwrap().set_down(true);
+        let now = w.now();
+        w.agent_mut::<LinkAgent>(link).unwrap().set_down(now, true);
         assert!(w.agent::<LinkAgent>(link).unwrap().is_down());
         for _ in 0..3 {
             w.schedule(SimTime::ZERO, link, Event::Frame { port: 0, frame: frame(1500) });
@@ -1023,7 +1229,8 @@ mod tests {
         assert_eq!(w.agent::<NullSink>(sink).unwrap().frames, 0);
         assert_eq!(w.agent::<LinkAgent>(link).unwrap().stats().dropped_down, 3);
         // Back up: traffic flows again.
-        w.agent_mut::<LinkAgent>(link).unwrap().set_down(false);
+        let now = w.now();
+        w.agent_mut::<LinkAgent>(link).unwrap().set_down(now, false);
         w.schedule(SimTime::from_millis(200), link, Event::Frame { port: 0, frame: frame(1500) });
         w.run_until_idle();
         let s = w.agent::<NullSink>(sink).unwrap();
@@ -1036,7 +1243,8 @@ mod tests {
         w.schedule(SimTime::ZERO, link, Event::Frame { port: 0, frame: frame(1500) });
         // Service takes 1 ms; kill the link mid-service.
         w.run_until(SimTime::from_micros(500));
-        w.agent_mut::<LinkAgent>(link).unwrap().set_down(true);
+        let now = w.now();
+        w.agent_mut::<LinkAgent>(link).unwrap().set_down(now, true);
         w.run_until_idle();
         assert_eq!(w.agent::<NullSink>(sink).unwrap().frames, 0);
         let st = w.agent::<LinkAgent>(link).unwrap().stats();

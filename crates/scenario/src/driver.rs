@@ -71,6 +71,9 @@ impl ScenarioDriver {
         now: SimTime,
     ) -> Result<Vec<CompiledOp>, ScenarioError> {
         let mut due = Vec::new();
+        // A mutator runs its link to the time it is given, so it gets the
+        // world's: a caller may apply ops ahead of its clock.
+        let clock = world.now();
         while let Some(op) = self.timeline.ops.get(self.next) {
             if op.at > now {
                 break;
@@ -84,9 +87,9 @@ impl ScenarioDriver {
                         .agent_mut::<LinkAgent>(id)
                         .ok_or(ScenarioError::BadBinding { path })?;
                     match op {
-                        LinkOp::Rate(r) => link.set_rate(r.clone()),
-                        LinkOp::Loss(l) => link.set_loss(l.clone()),
-                        LinkOp::Down(d) => link.set_down(*d),
+                        LinkOp::Rate(r) => link.set_rate(clock, r.clone()),
+                        LinkOp::Loss(l) => link.set_loss(clock, l.clone()),
+                        LinkOp::Down(d) => link.set_down(clock, *d),
                     }
                 }
             }

@@ -19,11 +19,12 @@ fn run_one(flow: FlowConfig, kill_wifi_at_s: u64) -> (Option<f64>, u64) {
     // Run until the walk-away moment, then make WiFi drop everything.
     tb.world.run_until(SimTime::from_secs(kill_wifi_at_s));
     let (up, down) = (tb.paths[0].uplink, tb.paths[0].downlink);
+    let now = tb.world.now();
     for link in [up, down] {
         tb.world
             .agent_mut::<LinkAgent>(link)
             .expect("wifi link")
-            .set_loss(LossModel::Bernoulli { p: 1.0 });
+            .set_loss(now, LossModel::Bernoulli { p: 1.0 });
     }
     tb.world.run_until(SimTime::from_secs(240));
     let host = tb.world.agent::<Host>(tb.client).expect("client host");

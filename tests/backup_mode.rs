@@ -48,11 +48,12 @@ fn backup_subflow_takes_over_when_wifi_dies() {
     let mut tb = build_backup(73);
     tb.download(4 << 20, true);
     tb.world.run_until(SimTime::from_secs(2));
+    let now = tb.world.now();
     for link in [tb.paths[0].uplink, tb.paths[0].downlink] {
         tb.world
             .agent_mut::<LinkAgent>(link)
             .expect("wifi link")
-            .set_loss(LossModel::Bernoulli { p: 1.0 });
+            .set_loss(now, LossModel::Bernoulli { p: 1.0 });
     }
     tb.world.run_until(SimTime::from_secs(240));
     let host = tb.world.agent_mut::<Host>(tb.client).expect("client host");

@@ -113,11 +113,12 @@ fn cellular_death_mid_transfer_survives_on_wifi() {
     tb.download(4 << 20, true);
     tb.world.run_until(SimTime::from_secs(2));
     let (up, down) = (tb.paths[1].uplink, tb.paths[1].downlink);
+    let now = tb.world.now();
     for link in [up, down] {
         tb.world
             .agent_mut::<LinkAgent>(link)
             .expect("cellular link")
-            .set_loss(LossModel::Bernoulli { p: 1.0 });
+            .set_loss(now, LossModel::Bernoulli { p: 1.0 });
     }
     tb.world.run_until(SimTime::from_secs(240));
     let host = tb.world.agent_mut::<Host>(tb.client).expect("client host");
@@ -137,21 +138,23 @@ fn transient_wifi_outage_recovers_without_reset() {
     tb.download(8 << 20, true);
     tb.world.run_until(SimTime::from_secs(2));
     let (up, down) = (tb.paths[0].uplink, tb.paths[0].downlink);
+    let now = tb.world.now();
     for link in [up, down] {
         tb.world
             .agent_mut::<LinkAgent>(link)
             .expect("wifi link")
-            .set_loss(LossModel::Bernoulli { p: 1.0 });
+            .set_loss(now, LossModel::Bernoulli { p: 1.0 });
     }
     tb.world.run_until(SimTime::from_secs(5));
+    let now = tb.world.now();
     tb.world
         .agent_mut::<LinkAgent>(up)
         .expect("wifi uplink")
-        .set_loss(wifi_loss.clone());
+        .set_loss(now, wifi_loss.clone());
     tb.world
         .agent_mut::<LinkAgent>(down)
         .expect("wifi downlink")
-        .set_loss(wifi_loss);
+        .set_loss(now, wifi_loss);
     tb.world.run_until(SimTime::from_secs(300));
     let host = tb.world.agent_mut::<Host>(tb.client).expect("client host");
     let w = host.app::<Wget>(0).expect("wget");
